@@ -107,6 +107,9 @@ SDM_SHARDS=4 SDM_BATCH=256 cargo run --release --offline -p sdm-bench --bin sdm-
 cmp /tmp/sdm_reach_replay_s1b1.json /tmp/sdm_reach_replay_s4b256.json
 echo "    simulator agrees with every static witness at 1/1 and 4/256 shards/batch"
 
+phase "benchmark/ smoke test: the standalone benchmark still builds against the public API"
+cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml
+
 phase "micro-benchmarks -> results/BENCH_pr10.json"
 SDM_BENCH_OUT=results/BENCH_pr10.json cargo bench --workspace --offline
 

@@ -1,7 +1,7 @@
 //! Ablation D: effectiveness of the §III.D flow cache — per-packet hit
 //! rates at the proxies under the evaluation workload (packet-level
-//! simulation), and the per-lookup cost of the trie classifier versus the
-//! linear scan as the policy table grows.
+//! simulation), and the per-lookup cost of the compiled tuple-space
+//! classifier versus the linear scan as the policy table grows.
 //!
 //! Usage:
 //!   cargo run --release -p sdm-bench --bin flow_cache
@@ -13,8 +13,8 @@ use std::time::Instant;
 use sdm_bench::{arg_value, ExperimentConfig, World};
 use sdm_core::Strategy;
 use sdm_netsim::{FiveTuple, Ipv4Addr, Prefix, Protocol, SimTime, StubId};
-use sdm_policy::{ActionList, NetworkFunction, Policy, PolicySet, PortMatch,
-                 TrafficDescriptor, TrieClassifier};
+use sdm_policy::{ActionList, ClassifierKind, LocalClassifier, NetworkFunction, Policy,
+                 PolicySet, PortMatch, TrafficDescriptor};
 use sdm_workload::generate_flows_with_total;
 
 fn main() {
@@ -69,10 +69,10 @@ fn main() {
         100.0 * flows.len() as f64 / pkts as f64
     );
 
-    // Classifier micro-cost: linear scan vs hierarchical trie, growing
-    // policy-table sizes (synthetic prefix policies).
+    // Classifier micro-cost: linear scan vs compiled tuple-space index,
+    // growing policy-table sizes (synthetic prefix policies).
     println!("\n# classifier cost per lookup vs policy-table size");
-    println!("{:>9} {:>14} {:>14}", "policies", "linear", "trie");
+    println!("{:>9} {:>14} {:>14}", "policies", "linear", "compiled");
     let sample: Vec<FiveTuple> = (0..50_000u32)
         .map(|i| FiveTuple {
             src: Ipv4Addr(0x0a000000 | (i * 97) & 0xFFFFF),
@@ -83,29 +83,26 @@ fn main() {
         })
         .collect();
     for n in [30usize, 300, 3000] {
-        let set = synthetic_policies(n);
-        let trie = TrieClassifier::build(&set);
-        let t = Instant::now(); // lint:allow(wall-clock)
-        let mut acc = 0usize;
-        for ft in &sample {
-            acc += set.first_match(ft).map(|(id, _)| id.index()).unwrap_or(0);
-        }
-        let linear = t.elapsed();
-        let t = Instant::now(); // lint:allow(wall-clock)
-        let mut acc2 = 0usize;
-        for ft in &sample {
-            acc2 += trie.classify(ft).map(|id| id.index()).unwrap_or(0);
-        }
-        let trie_time = t.elapsed();
+        let table = synthetic_policies(n).project_all();
+        let [(acc, linear), (acc2, compiled)] =
+            [ClassifierKind::Linear, ClassifierKind::TupleSpace].map(|kind| {
+                let classifier = LocalClassifier::new(table.clone(), kind);
+                let t = Instant::now(); // lint:allow(wall-clock)
+                let mut acc = 0usize;
+                for ft in &sample {
+                    acc += classifier.first_match(ft).map_or(0, |(id, _)| id.index());
+                }
+                (acc, t.elapsed())
+            });
         assert_eq!(acc, acc2, "classifiers must agree at n={n}");
         println!(
             "{:>9} {:>12?}/l {:>12?}/l",
             n,
             linear / sample.len() as u32,
-            trie_time / sample.len() as u32
+            compiled / sample.len() as u32
         );
     }
-    println!("# expected shape: near-ideal hit rate; trie lookup cost stays flat");
+    println!("# expected shape: near-ideal hit rate; compiled lookup cost stays flat");
     println!("# while the linear scan grows with the table.");
 }
 

@@ -64,7 +64,7 @@ impl Default for EnforcementOptions {
             flow_ttl: 1_000_000,
             label_ttl: 1_000_000,
             mtu: 1500,
-            classifier: ClassifierKind::Linear,
+            classifier: ClassifierKind::TupleSpace,
             telemetry: None,
             neg_cache_sets: sdm_policy::DEFAULT_NEG_SETS,
         }

@@ -1,203 +1,159 @@
-//! Trie-based multi-field packet classification.
+//! Compiled tuple-space first-match classification.
 //!
-//! §III.D notes that large policy tables need software lookups "using
-//! trie-based data structures". This module implements the classic
-//! hierarchical-trie classifier: a binary trie on the source prefix whose
-//! nodes each hold a binary trie on the destination prefix; port and
-//! protocol conditions are verified on the (few) surviving candidates.
-//! Semantics are identical to the linear first-match scan of
-//! [`crate::PolicySet::first_match`] — a property the test-suite checks
-//! exhaustively and by fuzzing.
+//! §III.D notes that large policy tables need a sub-linear software
+//! lookup. Rules are grouped by *signature* — which bits each field
+//! constrains exactly: `(src prefix length, dst prefix length, src port
+//! exact?, dst port exact?, protocol exact?)`. Inside a group every rule
+//! pins the same bits, so the group is one hash map from the masked packet
+//! fields to the chain of rules carrying that key. Port ranges count as
+//! "not exact": they share the group of the port wildcard and are told
+//! apart by the full [`crate::TrafficDescriptor::matches`] every candidate
+//! goes through (which also makes key collisions harmless).
+//!
+//! Groups are kept in order of their smallest rule index, and a lookup
+//! stops at the first group that cannot hold a rule before the best match
+//! so far, so first-match priority is exactly that of the linear scan.
+//! Cost is one probe per distinct signature — three on every generated
+//! campus/Waxman policy set, however many rules there are. The worst case
+//! is an operator file whose *k* rules all differ in signature: *k*
+//! probes, never more than the rule count and never a wrong answer.
 
-use sdm_netsim::{FiveTuple, Ipv4Addr};
+use sdm_netsim::{FiveTuple, Ipv4Addr, Prefix};
+use sdm_util::FxHashMap;
 
-use crate::policy::{Policy, PolicyId, PolicySet};
+use crate::descriptor::{PortMatch, ProtoMatch, TrafficDescriptor};
+use crate::policy::{Policy, PolicyId};
 
+/// Masked packet fields: `(src << 32 | dst, sport << 24 | dport << 8 | proto)`.
+type Key = (u64, u64);
+
+/// The bits of a five-tuple that every rule of one group pins exactly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Signature {
+    src: u32,
+    dst: u32,
+    src_port: u16,
+    dst_port: u16,
+    proto: u8,
+}
+
+impl Signature {
+    fn key(&self, src: Ipv4Addr, dst: Ipv4Addr, src_port: u16, dst_port: u16, proto: u8) -> Key {
+        (
+            u64::from(src.0 & self.src) << 32 | u64::from(dst.0 & self.dst),
+            u64::from(src_port & self.src_port) << 24
+                | u64::from(dst_port & self.dst_port) << 8
+                | u64::from(proto & self.proto),
+        )
+    }
+}
+
+/// `(mask, value)` of a port condition: only `Exact` pins bits.
+fn exact_port(p: PortMatch) -> (u16, u16) {
+    match p {
+        PortMatch::Exact(v) => (u16::MAX, v),
+        PortMatch::Any | PortMatch::Range(..) => (0, 0),
+    }
+}
+
+/// The signature of a descriptor and the descriptor's key under it.
+fn compile(d: &TrafficDescriptor) -> (Signature, Key) {
+    let netmask = |p: Prefix| Prefix::new(Ipv4Addr(u32::MAX), p.len()).addr().0;
+    let (src_port, sp) = exact_port(d.src_port);
+    let (dst_port, dp) = exact_port(d.dst_port);
+    let (proto, pr) = match d.proto {
+        ProtoMatch::Is(p) => (u8::MAX, p.number()),
+        ProtoMatch::Any => (0, 0),
+    };
+    let sig = Signature {
+        src: netmask(d.src),
+        dst: netmask(d.dst),
+        src_port,
+        dst_port,
+        proto,
+    };
+    (sig, sig.key(d.src.addr(), d.dst.addr(), sp, dp, pr))
+}
+
+/// "No rule": larger than every rule index.
 const NONE: u32 = u32::MAX;
 
-#[derive(Debug, Clone)]
-struct DstNode {
-    children: [u32; 2],
-    /// Ascending policy indices whose (src, dst) prefix pair terminates here.
-    policies: Vec<u32>,
+#[derive(Debug)]
+struct Group {
+    sig: Signature,
+    /// Smallest rule index in the group.
+    first: u32,
+    /// Masked key → smallest rule index carrying it.
+    rules: FxHashMap<Key, u32>,
 }
 
-impl DstNode {
-    fn new() -> Self {
-        DstNode {
-            children: [NONE, NONE],
-            policies: Vec::new(),
-        }
-    }
+/// The compiled index over one device's policy table. It stores rule
+/// *indices* only; the rules stay in the projection it was built from,
+/// which every lookup is handed again.
+#[derive(Debug)]
+pub(crate) struct TupleSpace {
+    /// Ascending by `first`.
+    groups: Vec<Group>,
+    /// Per rule, the next rule with the same signature and key (ascending
+    /// chains), or [`NONE`].
+    next: Vec<u32>,
 }
 
-#[derive(Debug, Clone)]
-struct SrcNode {
-    children: [u32; 2],
-    /// Root of this node's destination trie, or `NONE`.
-    dst_root: u32,
-}
-
-impl SrcNode {
-    fn new() -> Self {
-        SrcNode {
-            children: [NONE, NONE],
-            dst_root: NONE,
-        }
-    }
-}
-
-fn bit(addr: Ipv4Addr, depth: u8) -> usize {
-    ((addr.0 >> (31 - depth)) & 1) as usize
-}
-
-/// A hierarchical source×destination trie classifier over a [`PolicySet`].
-///
-/// Build once with [`TrieClassifier::build`]; lookups return the id of the
-/// first (highest-priority) matching policy, exactly like the linear scan.
-///
-/// # Example
-///
-/// ```
-/// use sdm_policy::{PolicySet, Policy, TrafficDescriptor, ActionList,
-///                  NetworkFunction, TrieClassifier};
-/// use sdm_netsim::{FiveTuple, Protocol};
-///
-/// let mut set = PolicySet::new();
-/// set.push(Policy::new(
-///     TrafficDescriptor::new().dst_port(80),
-///     ActionList::chain([NetworkFunction::Firewall]),
-/// ));
-/// let trie = TrieClassifier::build(&set);
-/// let ft = FiveTuple {
-///     src: "1.2.3.4".parse().unwrap(), dst: "5.6.7.8".parse().unwrap(),
-///     src_port: 1000, dst_port: 80, proto: Protocol::Tcp,
-/// };
-/// assert_eq!(trie.classify(&ft), set.first_match(&ft).map(|(id, _)| id));
-/// ```
-#[derive(Debug, Clone)]
-pub struct TrieClassifier {
-    src_nodes: Vec<SrcNode>,
-    dst_nodes: Vec<DstNode>,
-    policies: Vec<Policy>,
-}
-
-impl TrieClassifier {
-    /// Builds the classifier from a policy set.
-    pub fn build(set: &PolicySet) -> Self {
-        let mut c = TrieClassifier {
-            src_nodes: vec![SrcNode::new()],
-            dst_nodes: Vec::new(),
-            policies: set.iter().map(|(_, p)| p.clone()).collect(),
-        };
-        for (id, policy) in set.iter() {
-            c.insert(id, policy);
-        }
-        c
-    }
-
-    fn insert(&mut self, id: PolicyId, policy: &Policy) {
-        // Walk/create the source trie along the source prefix bits.
-        let src_prefix = policy.descriptor.src;
-        let mut s = 0usize;
-        for depth in 0..src_prefix.len() {
-            let b = bit(src_prefix.addr(), depth);
-            if self.src_nodes[s].children[b] == NONE {
-                self.src_nodes[s].children[b] = self.src_nodes.len() as u32;
-                self.src_nodes.push(SrcNode::new());
+impl TupleSpace {
+    pub(crate) fn build(entries: &[(PolicyId, Policy)]) -> Self {
+        let mut groups: Vec<Group> = Vec::new();
+        let mut group_of: FxHashMap<Signature, usize> = FxHashMap::default();
+        let mut next = vec![NONE; entries.len()];
+        // Descending, so each key ends up mapped to its smallest rule, each
+        // chain ascends and each group's last update is its smallest rule.
+        for (i, (_, policy)) in entries.iter().enumerate().rev() {
+            let (sig, key) = compile(&policy.descriptor);
+            let g = *group_of.entry(sig).or_insert_with(|| {
+                groups.push(Group {
+                    sig,
+                    first: NONE,
+                    rules: FxHashMap::default(),
+                });
+                groups.len() - 1
+            });
+            groups[g].first = i as u32;
+            if let Some(later) = groups[g].rules.insert(key, i as u32) {
+                next[i] = later;
             }
-            s = self.src_nodes[s].children[b] as usize;
         }
-        // Walk/create that node's destination trie.
-        if self.src_nodes[s].dst_root == NONE {
-            self.src_nodes[s].dst_root = self.dst_nodes.len() as u32;
-            self.dst_nodes.push(DstNode::new());
-        }
-        let dst_prefix = policy.descriptor.dst;
-        let mut d = self.src_nodes[s].dst_root as usize;
-        for depth in 0..dst_prefix.len() {
-            let b = bit(dst_prefix.addr(), depth);
-            if self.dst_nodes[d].children[b] == NONE {
-                self.dst_nodes[d].children[b] = self.dst_nodes.len() as u32;
-                self.dst_nodes.push(DstNode::new());
-            }
-            d = self.dst_nodes[d].children[b] as usize;
-        }
-        // Ids are inserted in ascending order, keeping the list sorted.
-        self.dst_nodes[d].policies.push(id.0);
+        groups.sort_by_key(|g| g.first);
+        TupleSpace { groups, next }
     }
 
-    /// Number of policies the classifier was built over.
-    pub fn len(&self) -> usize {
-        self.policies.len()
-    }
-
-    /// True if built over an empty policy set.
-    pub fn is_empty(&self) -> bool {
-        self.policies.is_empty()
-    }
-
-    /// Returns the first (highest-priority) policy matching `ft`, or `None`.
-    ///
-    /// Equivalent to `set.first_match(ft).map(|(id, _)| id)` on the set the
-    /// classifier was built from.
-    pub fn classify(&self, ft: &FiveTuple) -> Option<PolicyId> {
+    /// The first entry of `entries` (the slice given to
+    /// [`TupleSpace::build`]) whose descriptor matches `ft`.
+    pub(crate) fn first_match<'a>(
+        &self,
+        entries: &'a [(PolicyId, Policy)],
+        ft: &FiveTuple,
+    ) -> Option<&'a (PolicyId, Policy)> {
+        let proto = ft.proto.number();
         let mut best = NONE;
-        // Visit every source-trie node whose prefix covers ft.src …
-        let mut s = 0usize;
-        let mut depth = 0u8;
-        loop {
-            self.scan_dst(self.src_nodes[s].dst_root, ft, &mut best);
-            if depth == 32 {
-                break;
+        for group in &self.groups {
+            if group.first >= best {
+                break; // every later group starts even further back
             }
-            let b = bit(ft.src, depth);
-            let child = self.src_nodes[s].children[b];
-            if child == NONE {
-                break;
-            }
-            s = child as usize;
-            depth += 1;
-        }
-        if best == NONE {
-            None
-        } else {
-            Some(PolicyId(best))
-        }
-    }
-
-    /// … and inside each, every destination-trie node covering ft.dst.
-    fn scan_dst(&self, root: u32, ft: &FiveTuple, best: &mut u32) {
-        if root == NONE {
-            return;
-        }
-        let mut d = root as usize;
-        let mut depth = 0u8;
-        loop {
-            for &cand in &self.dst_nodes[d].policies {
-                if cand >= *best {
-                    break; // sorted ascending; nothing better here
-                }
-                let p = &self.policies[cand as usize];
-                if p.descriptor.src_port.matches(ft.src_port)
-                    && p.descriptor.dst_port.matches(ft.dst_port)
-                    && p.descriptor.proto.matches(ft.proto)
-                {
-                    *best = cand;
+            let key = group
+                .sig
+                .key(ft.src, ft.dst, ft.src_port, ft.dst_port, proto);
+            let mut i = group.rules.get(&key).copied().unwrap_or(NONE);
+            while i < best {
+                let matched = entries
+                    .get(i as usize)
+                    .is_some_and(|(_, p)| p.descriptor.matches(ft));
+                if matched {
+                    best = i;
                     break;
                 }
+                i = self.next.get(i as usize).copied().unwrap_or(NONE);
             }
-            if depth == 32 {
-                break;
-            }
-            let b = bit(ft.dst, depth);
-            let child = self.dst_nodes[d].children[b];
-            if child == NONE {
-                break;
-            }
-            d = child as usize;
-            depth += 1;
         }
+        entries.get(best as usize)
     }
 }
 
@@ -205,8 +161,8 @@ impl TrieClassifier {
 mod tests {
     use super::*;
     use crate::action::{ActionList, NetworkFunction::*};
-    use crate::descriptor::TrafficDescriptor;
-    use sdm_netsim::{Prefix, Protocol};
+    use crate::policy::PolicySet;
+    use sdm_netsim::Protocol;
 
     fn ft(src: &str, dst: &str, sp: u16, dp: u16) -> FiveTuple {
         FiveTuple {
@@ -218,11 +174,24 @@ mod tests {
         }
     }
 
+    fn set_of(descriptors: &[TrafficDescriptor]) -> PolicySet {
+        descriptors
+            .iter()
+            .map(|d| Policy::new(*d, ActionList::chain([Ids])))
+            .collect()
+    }
+
+    /// Compiled lookup over the whole set, as a policy id.
+    fn classify(set: &PolicySet, ft: &FiveTuple) -> Option<PolicyId> {
+        let table = set.project_all();
+        let index = TupleSpace::build(table.entries());
+        index.first_match(table.entries(), ft).map(|(id, _)| *id)
+    }
+
     fn assert_equivalent(set: &PolicySet, samples: &[FiveTuple]) {
-        let trie = TrieClassifier::build(set);
         for s in samples {
             assert_eq!(
-                trie.classify(s),
+                classify(set, s),
                 set.first_match(s).map(|(id, _)| id),
                 "mismatch for {s}"
             );
@@ -231,35 +200,20 @@ mod tests {
 
     #[test]
     fn empty_set_matches_nothing() {
-        let set = PolicySet::new();
-        let trie = TrieClassifier::build(&set);
-        assert!(trie.is_empty());
-        assert_eq!(trie.classify(&ft("1.1.1.1", "2.2.2.2", 1, 2)), None);
+        assert_eq!(classify(&PolicySet::new(), &ft("1.1.1.1", "2.2.2.2", 1, 2)), None);
     }
 
     #[test]
     fn wildcard_policy_matches_all() {
-        let mut set = PolicySet::new();
-        set.push(Policy::new(
-            TrafficDescriptor::new(),
-            ActionList::chain([Ids]),
-        ));
-        let trie = TrieClassifier::build(&set);
-        assert_eq!(trie.classify(&ft("1.1.1.1", "2.2.2.2", 1, 2)), Some(PolicyId(0)));
+        let set = set_of(&[TrafficDescriptor::new()]);
+        assert_eq!(classify(&set, &ft("1.1.1.1", "2.2.2.2", 1, 2)), Some(PolicyId(0)));
     }
 
     #[test]
-    fn priority_resolution_across_trie_paths() {
-        let mut set = PolicySet::new();
-        // specific src prefix, later id via dst-only path must lose
-        set.push(Policy::new(
-            TrafficDescriptor::new().dst_prefix("20.0.0.0/8".parse().unwrap()),
-            ActionList::chain([Firewall]),
-        ));
-        set.push(Policy::new(
-            TrafficDescriptor::new().src_prefix("10.0.0.0/8".parse().unwrap()),
-            ActionList::chain([Ids]),
-        ));
+    fn priority_resolution_across_groups() {
+        let any_to_20 = TrafficDescriptor::new().dst_prefix("20.0.0.0/8".parse().unwrap());
+        let from_10 = TrafficDescriptor::new().src_prefix("10.0.0.0/8".parse().unwrap());
+        let set = set_of(&[any_to_20, from_10]);
         let samples = [
             ft("10.1.1.1", "20.1.1.1", 5, 6), // matches both -> policy 0
             ft("10.1.1.1", "30.1.1.1", 5, 6), // only policy 1
@@ -267,48 +221,45 @@ mod tests {
             ft("40.1.1.1", "30.1.1.1", 5, 6), // none
         ];
         assert_equivalent(&set, &samples);
-        let trie = TrieClassifier::build(&set);
-        assert_eq!(trie.classify(&samples[0]), Some(PolicyId(0)));
+        assert_eq!(classify(&set, &samples[0]), Some(PolicyId(0)));
+
+        // The second group starts before the first group's match (so it is
+        // probed) but its own match comes after: it must not displace it.
+        let set = set_of(&[
+            any_to_20.dst_port(1),
+            from_10.dst_port(9),
+            any_to_20.dst_port(2),
+            from_10.dst_port(2),
+        ]);
+        assert_eq!(classify(&set, &ft("10.1.1.1", "20.1.1.1", 5, 2)), Some(PolicyId(2)));
     }
 
     #[test]
-    fn port_conditions_filter_candidates() {
-        let mut set = PolicySet::new();
+    fn ranges_share_the_wildcard_group_and_are_verified() {
         let p10: Prefix = "10.0.0.0/8".parse().unwrap();
-        set.push(Policy::new(
-            TrafficDescriptor::new().src_prefix(p10).dst_port(80),
-            ActionList::chain([Firewall]),
-        ));
-        set.push(Policy::new(
-            TrafficDescriptor::new().src_prefix(p10).dst_port(443),
-            ActionList::chain([Ids]),
-        ));
-        set.push(Policy::new(
+        let set = set_of(&[
+            TrafficDescriptor::new().src_prefix(p10).dst_port(PortMatch::Range(80, 90)),
+            TrafficDescriptor::new().src_prefix(p10).dst_port(85),
             TrafficDescriptor::new().src_prefix(p10),
-            ActionList::permit(),
-        ));
-        let trie = TrieClassifier::build(&set);
-        assert_eq!(trie.classify(&ft("10.1.1.1", "2.2.2.2", 1, 80)), Some(PolicyId(0)));
-        assert_eq!(trie.classify(&ft("10.1.1.1", "2.2.2.2", 1, 443)), Some(PolicyId(1)));
-        assert_eq!(trie.classify(&ft("10.1.1.1", "2.2.2.2", 1, 22)), Some(PolicyId(2)));
+        ]);
+        assert_eq!(classify(&set, &ft("10.1.1.1", "2.2.2.2", 1, 85)), Some(PolicyId(0)));
+        assert_eq!(classify(&set, &ft("10.1.1.1", "2.2.2.2", 1, 95)), Some(PolicyId(2)));
+        let shadowing = set_of(&[
+            TrafficDescriptor::new().src_prefix(p10).dst_port(85),
+            TrafficDescriptor::new().src_prefix(p10).dst_port(PortMatch::Range(80, 90)),
+        ]);
+        assert_eq!(classify(&shadowing, &ft("10.1.1.1", "2.2.2.2", 1, 85)), Some(PolicyId(0)));
+        assert_eq!(classify(&shadowing, &ft("10.1.1.1", "2.2.2.2", 1, 86)), Some(PolicyId(1)));
     }
 
     #[test]
     fn nested_prefixes_all_visited() {
-        let mut set = PolicySet::new();
-        // /8 outer, /16 inner, /24 innermost — most specific added first
-        set.push(Policy::new(
+        // /24 innermost first, then /16, then /8
+        let set = set_of(&[
             TrafficDescriptor::new().src_prefix("10.1.1.0/24".parse().unwrap()),
-            ActionList::chain([Firewall]),
-        ));
-        set.push(Policy::new(
             TrafficDescriptor::new().src_prefix("10.1.0.0/16".parse().unwrap()),
-            ActionList::chain([Ids]),
-        ));
-        set.push(Policy::new(
             TrafficDescriptor::new().src_prefix("10.0.0.0/8".parse().unwrap()),
-            ActionList::chain([WebProxy]),
-        ));
+        ]);
         let samples = [
             ft("10.1.1.9", "2.2.2.2", 1, 2),
             ft("10.1.2.9", "2.2.2.2", 1, 2),
@@ -320,30 +271,26 @@ mod tests {
 
     #[test]
     fn protocol_conditions() {
-        let mut set = PolicySet::new();
-        set.push(Policy::new(
+        // `Other(6)` shares TCP's key but is a different protocol value
+        let set = set_of(&[
+            TrafficDescriptor::new().protocol(Protocol::Other(6)),
             TrafficDescriptor::new().protocol(Protocol::Udp),
-            ActionList::chain([TrafficMonitor]),
-        ));
-        let trie = TrieClassifier::build(&set);
+        ]);
         let mut t = ft("1.1.1.1", "2.2.2.2", 1, 2);
-        assert_eq!(trie.classify(&t), None);
+        assert_eq!(classify(&set, &t), None);
         t.proto = Protocol::Udp;
-        assert_eq!(trie.classify(&t), Some(PolicyId(0)));
+        assert_eq!(classify(&set, &t), Some(PolicyId(1)));
+        t.proto = Protocol::Other(6);
+        assert_eq!(classify(&set, &t), Some(PolicyId(0)));
     }
 
     #[test]
     fn full_host_prefixes_work() {
-        let mut set = PolicySet::new();
-        set.push(Policy::new(
-            TrafficDescriptor::new()
-                .src_prefix(Prefix::host("10.0.0.7".parse().unwrap()))
-                .dst_prefix(Prefix::host("10.0.0.8".parse().unwrap())),
-            ActionList::chain([Ids]),
-        ));
-        let trie = TrieClassifier::build(&set);
-        assert_eq!(trie.classify(&ft("10.0.0.7", "10.0.0.8", 1, 2)), Some(PolicyId(0)));
-        assert_eq!(trie.classify(&ft("10.0.0.7", "10.0.0.9", 1, 2)), None);
-        assert_eq!(trie.classify(&ft("10.0.0.6", "10.0.0.8", 1, 2)), None);
+        let set = set_of(&[TrafficDescriptor::new()
+            .src_prefix(Prefix::host("10.0.0.7".parse().unwrap()))
+            .dst_prefix(Prefix::host("10.0.0.8".parse().unwrap()))]);
+        assert_eq!(classify(&set, &ft("10.0.0.7", "10.0.0.8", 1, 2)), Some(PolicyId(0)));
+        assert_eq!(classify(&set, &ft("10.0.0.7", "10.0.0.9", 1, 2)), None);
+        assert_eq!(classify(&set, &ft("10.0.0.6", "10.0.0.8", 1, 2)), None);
     }
 }

@@ -9,7 +9,8 @@
 //! * [`Policy`], [`PolicySet`] — the network-wide ordered policy list with
 //!   first-match semantics, plus the relevance projections (`P_x`) the
 //!   controller installs at proxies and middleboxes.
-//! * [`TrieClassifier`] — hierarchical-trie multi-field classification,
+//! * [`LocalClassifier`] — the per-device classifier: a compiled
+//!   tuple-space index (one hash probe per distinct rule signature),
 //!   semantically identical to the linear scan (§III.D's software lookup).
 //! * [`FlowTable`], [`LabelAllocator`] — the soft-state per-flow cache with
 //!   negative caching that spares most packets the multi-field lookup
@@ -28,14 +29,15 @@
 //!     TrafficDescriptor::new().dst_port(80),
 //!     ActionList::chain([NetworkFunction::Firewall, NetworkFunction::Ids]),
 //! ));
-//! let trie = TrieClassifier::build(&set);
+//! let classifier = LocalClassifier::new(set.project_all(), ClassifierKind::default());
 //! let ft = FiveTuple {
 //!     src: "10.0.0.1".parse().unwrap(),
 //!     dst: "10.1.0.1".parse().unwrap(),
 //!     src_port: 4000, dst_port: 80, proto: Protocol::Tcp,
 //! };
-//! let id = trie.classify(&ft).unwrap();
-//! assert_eq!(set.get(id).unwrap().actions.to_string(), "FW -> IDS");
+//! let (id, policy) = classifier.first_match(&ft).unwrap();
+//! assert_eq!(id, PolicyId(0));
+//! assert_eq!(policy.actions.to_string(), "FW -> IDS");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -52,7 +54,6 @@ mod policy;
 mod text;
 
 pub use action::{ActionList, NetworkFunction};
-pub use classifier::TrieClassifier;
 pub use local::{ClassifierKind, LocalClassifier};
 pub use descriptor::{PortMatch, ProtoMatch, TrafficDescriptor};
 pub use flow_table::{ClassInterner, FlowEntry, FlowTable, FlowTableStats, LabelAllocator, PolicyClassId};

@@ -1,23 +1,27 @@
 //! The classifier a proxy or middlebox actually runs against its local
-//! policy table `P_x`: either the straightforward linear first-match scan
-//! or the hierarchical trie of [`crate::TrieClassifier`] (§III.D's
-//! software lookup), behind one interface.
+//! policy table `P_x` (§III.D's software lookup): the compiled tuple-space
+//! index of [`crate::classifier`], or the linear first-match scan it is
+//! checked against, behind one interface.
 
 use sdm_netsim::FiveTuple;
 
-use crate::classifier::TrieClassifier;
-use crate::policy::{Policy, PolicyId, PolicySet, ProjectedPolicies};
+use crate::classifier::TupleSpace;
+use crate::policy::{Policy, PolicyId, ProjectedPolicies};
 
-/// Which lookup structure a device builds over its local policy table.
+/// Which lookup a device runs over its local policy table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ClassifierKind {
-    /// Linear first-match scan — fine for the small per-node tables of the
-    /// paper's evaluation.
+    /// Compiled tuple-space index: one hash probe per distinct rule
+    /// signature `(src_len, dst_len, exact src port?, exact dst port?,
+    /// exact protocol?)`, whatever the rule count. Faster than the scan
+    /// from a dozen rules up, so it is what every device runs. Worst case:
+    /// a table of *k* rules with *k* distinct signatures costs *k* probes.
     #[default]
+    TupleSpace,
+    /// Linear first-match scan ([`ProjectedPolicies::first_match`]): no
+    /// code of its own — the reference that differential tests compare
+    /// the compiled index against.
     Linear,
-    /// Hierarchical source×destination trie — flat per-lookup cost, the
-    /// right choice for large policy tables (§III.D).
-    Trie,
 }
 
 /// A device-local policy classifier over a projection `P_x`, preserving
@@ -35,47 +39,39 @@ pub enum ClassifierKind {
 ///     ActionList::chain([NetworkFunction::Firewall]),
 /// ));
 /// let projection = set.project(&[id]);
-/// let linear = LocalClassifier::new(projection.clone(), ClassifierKind::Linear);
-/// let trie = LocalClassifier::new(projection, ClassifierKind::Trie);
+/// let compiled = LocalClassifier::new(projection.clone(), ClassifierKind::TupleSpace);
+/// let linear = LocalClassifier::new(projection, ClassifierKind::Linear);
 /// let ft = FiveTuple {
 ///     src: "10.0.0.1".parse().unwrap(), dst: "10.1.0.1".parse().unwrap(),
 ///     src_port: 9000, dst_port: 80, proto: Protocol::Tcp,
 /// };
+/// assert_eq!(compiled.first_match(&ft).unwrap().0, id);
 /// assert_eq!(linear.first_match(&ft).unwrap().0, id);
-/// assert_eq!(trie.first_match(&ft).unwrap().0, id);
 /// ```
 #[derive(Debug)]
 pub struct LocalClassifier {
     table: ProjectedPolicies,
-    /// Trie over the densified projection, plus the dense→global id map.
-    trie: Option<(TrieClassifier, Vec<PolicyId>)>,
+    /// Index into `table`'s entries; `None` for the linear reference.
+    index: Option<TupleSpace>,
 }
 
 impl LocalClassifier {
     /// Builds the classifier of the requested kind over a projection.
     pub fn new(table: ProjectedPolicies, kind: ClassifierKind) -> Self {
-        let trie = match kind {
+        let index = match kind {
+            ClassifierKind::TupleSpace => Some(TupleSpace::build(table.entries())),
             ClassifierKind::Linear => None,
-            ClassifierKind::Trie => {
-                // Densify: projection order is global priority order, so
-                // dense ids preserve first-match semantics.
-                let ids: Vec<PolicyId> = table.iter().map(|(id, _)| id).collect();
-                let dense: PolicySet = table.iter().map(|(_, p)| p.clone()).collect();
-                Some((TrieClassifier::build(&dense), ids))
-            }
         };
-        LocalClassifier { table, trie }
+        LocalClassifier { table, index }
     }
 
     /// First matching policy in global priority order, with its global id.
     pub fn first_match(&self, ft: &FiveTuple) -> Option<(PolicyId, &Policy)> {
-        match &self.trie {
+        match &self.index {
+            Some(index) => index
+                .first_match(self.table.entries(), ft)
+                .map(|(id, p)| (*id, p)),
             None => self.table.first_match(ft),
-            Some((trie, ids)) => {
-                let dense = trie.classify(ft)?;
-                let global = ids[dense.index()];
-                Some((global, self.table.get(global)?))
-            }
         }
     }
 
@@ -100,6 +96,7 @@ mod tests {
     use super::*;
     use crate::action::{ActionList, NetworkFunction::*};
     use crate::descriptor::TrafficDescriptor;
+    use crate::policy::PolicySet;
     use sdm_netsim::{Prefix, Protocol};
 
     fn ft(src: &str, dst: &str, dp: u16) -> FiveTuple {
@@ -137,7 +134,7 @@ mod tests {
         // project a subset out of order
         let proj = set.project(&[PolicyId(2), PolicyId(0)]);
         let linear = LocalClassifier::new(proj.clone(), ClassifierKind::Linear);
-        let trie = LocalClassifier::new(proj, ClassifierKind::Trie);
+        let compiled = LocalClassifier::new(proj, ClassifierKind::TupleSpace);
         for t in [
             ft("10.1.0.1", "20.0.0.1", 80),
             ft("99.0.0.1", "20.0.0.1", 80),
@@ -146,17 +143,17 @@ mod tests {
         ] {
             assert_eq!(
                 linear.first_match(&t).map(|(id, _)| id),
-                trie.first_match(&t).map(|(id, _)| id),
+                compiled.first_match(&t).map(|(id, _)| id),
                 "packet {t}"
             );
         }
-        // global ids survive the trie densification
+        // global ids, not dense indices, come back
         assert_eq!(
-            trie.first_match(&ft("10.1.0.1", "2.2.2.2", 80)).unwrap().0,
+            compiled.first_match(&ft("10.1.0.1", "2.2.2.2", 80)).unwrap().0,
             PolicyId(0)
         );
         assert_eq!(
-            trie.first_match(&ft("10.1.0.1", "2.2.2.2", 22)).unwrap().0,
+            compiled.first_match(&ft("10.1.0.1", "2.2.2.2", 22)).unwrap().0,
             PolicyId(2)
         );
     }
@@ -164,7 +161,7 @@ mod tests {
     #[test]
     fn empty_projection_matches_nothing() {
         let proj = ProjectedPolicies::default();
-        for kind in [ClassifierKind::Linear, ClassifierKind::Trie] {
+        for kind in [ClassifierKind::Linear, ClassifierKind::TupleSpace] {
             let c = LocalClassifier::new(proj.clone(), kind);
             assert!(c.is_empty());
             assert!(c.first_match(&ft("1.1.1.1", "2.2.2.2", 80)).is_none());
@@ -175,15 +172,15 @@ mod tests {
     fn priority_preserved_within_projection() {
         let set = sample_set();
         let proj = set.project(&[PolicyId(0), PolicyId(1)]);
-        let trie = LocalClassifier::new(proj, ClassifierKind::Trie);
+        let compiled = LocalClassifier::new(proj, ClassifierKind::TupleSpace);
         // a 10/12-sourced web packet matches both; policy 0 must win
         assert_eq!(
-            trie.first_match(&ft("10.1.0.1", "2.2.2.2", 80)).unwrap().0,
+            compiled.first_match(&ft("10.1.0.1", "2.2.2.2", 80)).unwrap().0,
             PolicyId(0)
         );
         // outside 10/12, only policy 1 matches
         assert_eq!(
-            trie.first_match(&ft("99.1.0.1", "2.2.2.2", 80)).unwrap().0,
+            compiled.first_match(&ft("99.1.0.1", "2.2.2.2", 80)).unwrap().0,
             PolicyId(1)
         );
     }

@@ -132,7 +132,7 @@ impl PolicySet {
     }
 
     /// The first policy matching `ft`, with its id — the authoritative
-    /// (linear-scan) classifier. [`crate::TrieClassifier`] accelerates the
+    /// (linear-scan) classifier. [`crate::LocalClassifier`] accelerates the
     /// same semantics.
     pub fn first_match(&self, ft: &FiveTuple) -> Option<(PolicyId, &Policy)> {
         self.iter().find(|(_, p)| p.descriptor.matches(ft))
@@ -210,6 +210,13 @@ impl PolicySet {
                 .collect(),
         }
     }
+
+    /// The projection onto every policy: the whole set as one local table.
+    pub fn project_all(&self) -> ProjectedPolicies {
+        ProjectedPolicies {
+            entries: self.iter().map(|(id, p)| (id, p.clone())).collect(),
+        }
+    }
 }
 
 impl FromIterator<Policy> for PolicySet {
@@ -237,12 +244,10 @@ impl ProjectedPolicies {
             .map(|(id, p)| (*id, p))
     }
 
-    /// The policy stored under a global id, if present in this projection.
-    pub fn get(&self, id: PolicyId) -> Option<&Policy> {
-        self.entries
-            .iter()
-            .find(|(i, _)| *i == id)
-            .map(|(_, p)| p)
+    /// The `(global id, policy)` rows in priority order; a compiled
+    /// classifier addresses them by position.
+    pub(crate) fn entries(&self) -> &[(PolicyId, Policy)] {
+        &self.entries
     }
 
     /// Number of local policies.
@@ -372,8 +377,6 @@ mod tests {
         // a packet matching both resolves to the globally-first policy
         let (id, _) = proj.first_match(&ft("10.1.0.1", "10.2.0.1", 9, 80)).unwrap();
         assert_eq!(id, PolicyId(2));
-        assert!(proj.get(PolicyId(4)).is_some());
-        assert!(proj.get(PolicyId(0)).is_none());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests for the policy crate. The central invariant: the
-//! hierarchical-trie classifier is *exactly* equivalent to the linear
-//! first-match scan over arbitrary policy sets and packets.
+//! compiled tuple-space classifier is *exactly* equivalent to the linear
+//! first-match scan over arbitrary policy sets, projections and packets.
 //!
 //! Each case is a shrinkable `(counts…, seed)` tuple; the domain objects
 //! (policy sets, packets) are rebuilt deterministically from the seed
@@ -8,8 +8,8 @@
 
 use sdm_netsim::{FiveTuple, Ipv4Addr, Label, Prefix, Protocol, SimTime};
 use sdm_policy::{
-    ActionList, FlowEntry, FlowTable, FlowTableStats, NetworkFunction, Policy, PolicyId,
-    PolicySet, PortMatch, TrafficDescriptor, TrieClassifier,
+    ActionList, ClassifierKind, FlowEntry, FlowTable, FlowTableStats, LocalClassifier,
+    NetworkFunction, Policy, PolicyId, PolicySet, PortMatch, ProtoMatch, TrafficDescriptor,
 };
 use sdm_util::prop::{check, Config};
 use sdm_util::rng::StdRng;
@@ -86,30 +86,141 @@ fn gen_packets(n: usize, seed: u64) -> Vec<FiveTuple> {
     (0..n).map(|_| gen_packet(&mut rng)).collect()
 }
 
-/// The trie classifier and the linear scan agree on every packet.
+/// Addresses, ports and protocols from pools of a few values each, so that
+/// independently drawn rules and packets collide: duplicate and shadowed
+/// descriptors, ranges over exact ports, `/32` rules that do get hit.
+/// Prefix lengths come from the first `shapes` of [`CLASH_LENS`]: few
+/// shapes put many rules (and several matches) into each signature group.
+const CLASH_LENS: [u8; 5] = [16, 0, 32, 8, 27];
+
+fn clash_addr(rng: &mut StdRng) -> Ipv4Addr {
+    Ipv4Addr(0x0a00_0000 | rng.gen_range(0u32..3) << 16 | rng.gen_range(0u32..3))
+}
+
+fn clash_prefix(rng: &mut StdRng, shapes: usize) -> Prefix {
+    Prefix::new(clash_addr(rng), CLASH_LENS[rng.gen_range(0..shapes)])
+}
+
+fn clash_port(rng: &mut StdRng) -> PortMatch {
+    let (a, b) = (rng.gen_range(0u16..6), rng.gen_range(0u16..6));
+    match rng.gen_range(0u8..3) {
+        0 => PortMatch::Any,
+        1 => PortMatch::Exact(a),
+        _ => PortMatch::Range(a.min(b), a.max(b)),
+    }
+}
+
+fn clash_proto(rng: &mut StdRng) -> Protocol {
+    // `Other(6)` carries TCP's protocol number but is a distinct value
+    [Protocol::Tcp, Protocol::Udp, Protocol::IpInIp, Protocol::Other(6), Protocol::Other(200)]
+        [rng.gen_range(0usize..5)]
+}
+
+fn clash_set(n: usize, shapes: usize, seed: u64) -> PolicySet {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut set = PolicySet::new();
+    for i in 0..n {
+        let mut d = TrafficDescriptor {
+            src: clash_prefix(&mut rng, shapes),
+            dst: clash_prefix(&mut rng, shapes),
+            src_port: clash_port(&mut rng),
+            dst_port: clash_port(&mut rng),
+            proto: if rng.gen_bool(0.5) { ProtoMatch::Any } else { ProtoMatch::Is(clash_proto(&mut rng)) },
+        };
+        if i > 0 && rng.gen_bool(0.2) {
+            // an exact duplicate of an earlier rule, with its own actions
+            d = set.get(PolicyId(rng.gen_range(0..i as u32))).unwrap().descriptor;
+        }
+        set.push(Policy::new(d, actions_for(i as u32)));
+    }
+    set
+}
+
+/// The one differential property: the compiled classifier returns exactly
+/// what the linear reference returns — the same *global* id and the same
+/// policy — over the whole set and over a projection with sparse ids
+/// (`keep_one_in` = 0 keeps nothing: the empty projection).
 #[test]
-fn trie_equals_linear_scan() {
+fn compiled_equals_linear_scan() {
     check(
-        "trie_equals_linear_scan",
+        "compiled_equals_linear_scan",
         &Config::with_cases(256),
         |rng: &mut StdRng| {
             (
                 rng.gen_range(0usize..40),
                 rng.gen_range(1usize..50),
+                rng.gen_range(1usize..=CLASH_LENS.len()),
+                rng.gen_range(0u32..4),
                 rng.next_u64(),
             )
         },
-        |&(n_policies, n_packets, seed)| {
-            let set = gen_policy_set(n_policies, seed);
-            let packets = gen_packets(n_packets.max(1), seed ^ 0xA5A5);
-            let trie = TrieClassifier::build(&set);
-            for ft in &packets {
-                let expect = set.first_match(ft).map(|(id, _)| id);
-                prop_assert_eq!(trie.classify(ft), expect, "packet {}", ft);
+        |&(n_policies, n_packets, shapes, keep_one_in, seed)| {
+            let set = clash_set(n_policies, shapes.clamp(1, CLASH_LENS.len()), seed);
+            let whole = LocalClassifier::new(set.project_all(), ClassifierKind::TupleSpace);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5);
+            let kept: Vec<PolicyId> = set
+                .iter()
+                .map(|(id, _)| id)
+                .filter(|_| keep_one_in > 0 && rng.gen_range(0..keep_one_in) == 0)
+                .collect();
+            let projection = set.project(&kept);
+            let local = LocalClassifier::new(projection.clone(), ClassifierKind::TupleSpace);
+            for _ in 0..n_packets.max(1) {
+                let ft = FiveTuple {
+                    src: clash_addr(&mut rng),
+                    dst: clash_addr(&mut rng),
+                    src_port: rng.gen_range(0u16..7),
+                    dst_port: rng.gen_range(0u16..7),
+                    proto: clash_proto(&mut rng),
+                };
+                prop_assert_eq!(whole.first_match(&ft), set.first_match(&ft), "set, packet {}", ft);
+                prop_assert_eq!(
+                    local.first_match(&ft),
+                    projection.first_match(&ft),
+                    "projection {:?}, packet {}",
+                    kept,
+                    ft
+                );
             }
             Ok(())
         },
     );
+}
+
+/// The worst case for tuple-space search: every rule its own `(src_len,
+/// dst_len)` signature — 1,089 groups of one rule. Lookups degrade to one
+/// probe per rule but stay exact and never panic.
+#[test]
+fn one_signature_per_rule_stays_exact() {
+    let (src, dst) = (Ipv4Addr(0x0a01_0203), Ipv4Addr(0xc0a8_fe01));
+    let set: PolicySet = (0..=32u8)
+        .flat_map(|s| (0..=32u8).map(move |d| (s, d)))
+        // narrowest rules first, so the first match varies with the packet
+        .rev()
+        .map(|(s, d)| {
+            Policy::permit(
+                TrafficDescriptor::new()
+                    .src_prefix(Prefix::new(src, s))
+                    .dst_prefix(Prefix::new(dst, d)),
+            )
+        })
+        .collect();
+    assert!(set.len() >= 500);
+    let compiled = LocalClassifier::new(set.project_all(), ClassifierKind::TupleSpace);
+    // flip one bit of each address at every position (32 = none flipped)
+    for sb in 0..=32u32 {
+        for db in 0..=32u32 {
+            let flip = |a: Ipv4Addr, bit: u32| Ipv4Addr(a.0 ^ 1u32.checked_shl(bit).unwrap_or(0));
+            let ft = FiveTuple {
+                src: flip(src, sb),
+                dst: flip(dst, db),
+                src_port: 1,
+                dst_port: 2,
+                proto: Protocol::Tcp,
+            };
+            assert_eq!(compiled.first_match(&ft), set.first_match(&ft), "packet {ft}");
+        }
+    }
 }
 
 /// first_match always returns the minimal matching id.

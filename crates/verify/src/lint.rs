@@ -76,6 +76,8 @@ pub const HOT_PATH_SUFFIXES: &[&str] = &[
     "netsim/src/engine.rs",
     "core/src/shard.rs",
     "policy/src/flow_table.rs",
+    "policy/src/local.rs",
+    "policy/src/classifier.rs",
 ];
 
 /// Path suffixes exempt from the wall-clock rule: the benchmarking

@@ -15,7 +15,7 @@
 //!   cache ([`sdm_policy::NegativeCache`]) bounds the memory this can pin.
 
 use sdm_netsim::{AddressPlan, FiveTuple, Protocol, StubId};
-use sdm_policy::{PolicyId, PolicySet};
+use sdm_policy::{ClassifierKind, LocalClassifier, PolicyId, PolicySet};
 use sdm_util::rng::StdRng;
 
 use crate::flows::Flow;
@@ -24,6 +24,13 @@ use crate::policies::{GeneratedPolicies, PolicyClass};
 /// Sentinel policy id carried by attack flows that intentionally match no
 /// policy (a real id would claim a first-match that does not exist).
 pub const NO_POLICY: PolicyId = PolicyId(u32::MAX);
+
+/// The device classifier compiled over a whole set: the generators verify
+/// one candidate tuple per emitted flow, which the `PolicySet::first_match`
+/// scan makes quadratic on a 2,000-rule set.
+fn compiled(set: &PolicySet) -> LocalClassifier {
+    LocalClassifier::new(set.project_all(), ClassifierKind::default())
+}
 
 /// Generates a flash crowd: `flows` one-to-few-packet flows from distinct
 /// sources, all first-matching the same many-to-one policy (same
@@ -52,6 +59,7 @@ pub fn flash_crowd(
     let dst = addrs.host(dst_stub, 0);
 
     let n_stubs = addrs.stub_count() as u32;
+    let classifier = cfg!(debug_assertions).then(|| compiled(&policies.set));
     let mut out = Vec::with_capacity(flows);
     for i in 0..flows {
         // distinct sources: walk stubs and host indices deterministically,
@@ -69,7 +77,10 @@ pub fn flash_crowd(
             proto: Protocol::Tcp,
         };
         debug_assert_eq!(
-            policies.set.first_match(&five_tuple).map(|(id, _)| id),
+            classifier
+                .as_ref()
+                .and_then(|c| c.first_match(&five_tuple))
+                .map(|(id, _)| id),
             Some(p),
             "flash-crowd flow must hit its target policy"
         );
@@ -150,9 +161,10 @@ pub fn elephant_skew(
 /// insert at its proxy. Flows carry the [`NO_POLICY`] sentinel id.
 ///
 /// Candidate tuples walk destination ports downward from 65535 (far above
-/// the evaluation service ranges) and are *verified* against
-/// [`PolicySet::first_match`]; any colliding port is skipped, so the
-/// guarantee holds for arbitrary policy sets.
+/// the evaluation service ranges) and are *verified* against the set's
+/// first-match semantics (through the compiled [`LocalClassifier`]); any
+/// colliding port is skipped, so the guarantee holds for arbitrary policy
+/// sets.
 ///
 /// Deterministic: the construction is a pure enumeration (no RNG), so the
 /// same `(set, addrs, flows)` always yields the same list.
@@ -164,6 +176,7 @@ pub fn elephant_skew(
 /// comes close).
 pub fn exhaustion_attack(set: &PolicySet, addrs: &AddressPlan, flows: usize) -> Vec<Flow> {
     assert!(addrs.stub_count() >= 2, "need at least two stub networks");
+    let set = compiled(set);
     // Pre-screen a bank of policy-free destination ports with a probe
     // tuple, then re-verify each emitted tuple (descriptors could in
     // principle match on src fields too).

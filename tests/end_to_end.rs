@@ -224,10 +224,11 @@ fn gateway_inbound_traffic_delivered() {
     assert_eq!(st.lock().counters.inbound, 7);
 }
 
-/// Device-side classifier choice (§III.D): a trie-based policy table
-/// produces byte-identical enforcement to the linear scan.
+/// Device-side classifier (§III.D): the compiled policy table every
+/// device runs by default produces byte-identical enforcement to the
+/// linear reference scan.
 #[test]
-fn trie_device_classifier_is_equivalent() {
+fn default_device_classifier_matches_linear_reference() {
     use sdm::policy::ClassifierKind;
     let plan = campus(2);
     let mut dep = Deployment::new();
@@ -244,7 +245,7 @@ fn trie_device_classifier_is_equivalent() {
     ));
     let c = Controller::new(plan, dep, pol, KConfig::uniform(2));
     let mut outcomes = Vec::new();
-    for kind in [ClassifierKind::Linear, ClassifierKind::Trie] {
+    for kind in [ClassifierKind::Linear, ClassifierKind::default()] {
         let mut enf = c.enforcement(
             Strategy::HotPotato,
             None,
