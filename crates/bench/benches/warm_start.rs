@@ -5,7 +5,7 @@
 //! traffic matrix drifts (same support, shifting volumes — the common
 //! case between adjacent epochs) and the controller re-solves Eq. (2).
 //! The cold sweep solves every epoch from scratch; the warm sweep reuses
-//! the previous epoch's simplex bases through [`sdm_core::LbWarmCache`].
+//! the previous epoch's solved tableaus through [`sdm_core::LbWarmCache`].
 //!
 //! Alongside the two timings, the group records the summed **simplex
 //! pivot counts** of each sweep as `pivots_cold` / `pivots_warm` —

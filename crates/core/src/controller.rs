@@ -347,11 +347,12 @@ impl Controller {
         build_reduced(&self.deployment, &self.assignments, &self.policies, traffic, options)
     }
 
-    /// Like [`Controller::solve_load_balanced`], but reuses the simplex
-    /// bases cached in `cache` from the previous epoch's solve when the
-    /// LP shape is unchanged — the warm-start path of the online re-steer
-    /// control loop. Falls back to a cold solve (and refreshes the cache)
-    /// whenever the traffic support or candidate sets changed shape.
+    /// Like [`Controller::solve_load_balanced`], but re-enters the solved
+    /// tableaus `cache` retained from the previous epoch's solve when the
+    /// traffic changed the program's right-hand sides only — the warm
+    /// path of the online re-steer control loop. Falls back to a cold
+    /// solve (and refreshes the cache) whenever the traffic support, the
+    /// candidate sets or a capacity changed.
     ///
     /// # Errors
     ///

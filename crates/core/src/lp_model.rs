@@ -22,7 +22,7 @@
 use sdm_util::FxHashMap;
 use std::fmt;
 
-use sdm_lp::{Basis, LinearProgram, Relation, SolveError, VarId};
+use sdm_lp::{LinearProgram, Relation, Retained, SolveError, VarId, WarmSolve};
 use sdm_netsim::StubId;
 use sdm_policy::{NetworkFunction, PolicyId, PolicySet};
 
@@ -83,23 +83,25 @@ pub struct LbReport {
     pub constraints: usize,
     /// Simplex pivots spent.
     pub iterations: u64,
-    /// `true` when both solves of the reduced formulation re-used a
-    /// warm-start basis from a [`LbWarmCache`] (the online epoch loop);
+    /// `true` when both solves of the reduced formulation re-entered the
+    /// tableau retained in a [`LbWarmCache`] (the online epoch loop);
     /// `false` on cold solves and for the full formulation.
     pub warm: bool,
 }
 
-/// Warm-start cache for the online re-steer loop: the optimal bases of
-/// the two solves inside [`build_reduced_with_cache`] (the min-λ pass and
-/// the lexicographic refinement pass). As long as the epoch's traffic
-/// matrix keeps the same support (cells, sources, candidate sets), the LP
-/// shape is unchanged and the cached bases let the simplex re-optimize in
-/// a handful of pivots; any shape change is detected by the basis
-/// fingerprint and silently falls back to a cold solve.
+/// Warm-start cache for the online re-steer loop: the solved tableau of
+/// each of the two solves inside [`build_reduced_with_cache`] (the min-λ
+/// pass and the lexicographic refinement pass). As long as the epoch's
+/// traffic matrix keeps the same support (cells, sources, candidate sets)
+/// over the same deployment, the traffic enters Eq. (2) through
+/// right-hand sides only, and each pass re-enters its retained tableau in
+/// a handful of pivots; any other difference is detected by an exact
+/// comparison of the programs and silently falls back to a cold solve.
+/// Holds two dense tableaus — ≈ 16 MB on the campus evaluation world.
 #[derive(Debug, Clone, Default)]
 pub struct LbWarmCache {
-    lambda_basis: Option<Basis>,
-    refine_basis: Option<Basis>,
+    lambda: Option<Retained>,
+    refine: Option<Retained>,
 }
 
 impl LbWarmCache {
@@ -171,14 +173,14 @@ pub fn build_reduced(
 
 /// [`build_reduced`] with an optional warm-start cache: the online epoch
 /// loop keeps one [`LbWarmCache`] alive across re-solves, so each epoch's
-/// perturbed traffic matrix re-optimizes from the previous optimal basis
-/// instead of running the full two-phase simplex. The cache is updated
-/// with this solve's final bases on success.
+/// perturbed traffic matrix re-optimizes from the previous epoch's solved
+/// tableaus instead of running the full two-phase simplex. The cache is
+/// left holding this solve's final state (empty on a solver error).
 ///
 /// # Errors
 ///
 /// As [`build_reduced`]. A stale or mismatched cache never causes an
-/// error — invalid bases are discarded and the solve falls back to cold.
+/// error — it is discarded and the solve falls back to cold.
 pub fn build_reduced_with_cache(
     deployment: &Deployment,
     assignments: &Assignments,
@@ -187,17 +189,27 @@ pub fn build_reduced_with_cache(
     options: LbOptions,
     cache: Option<&mut LbWarmCache>,
 ) -> Result<(SteeringWeights, LbReport), LbError> {
-    let (lambda_hint, refine_hint) = match &cache {
-        Some(c) => (c.lambda_basis.clone(), c.refine_basis.clone()),
-        None => (None, None),
-    };
+    solve_reduced(deployment, assignments, policies, traffic, options, cache)
+        .map(|(weights, report, _)| (weights, report))
+}
 
+/// [`build_reduced_with_cache`], also returning the objective the
+/// refinement pass reached (the sum of per-function maximum load
+/// factors), which the differential tests compare against cold solves.
+fn solve_reduced(
+    deployment: &Deployment,
+    assignments: &Assignments,
+    policies: &PolicySet,
+    traffic: &TrafficMatrix,
+    options: LbOptions,
+    mut cache: Option<&mut LbWarmCache>,
+) -> Result<(SteeringWeights, LbReport, f64), LbError> {
     // Phase 1: minimize the global maximum load factor λ.
     let model = assemble_reduced(deployment, assignments, policies, traffic, options, None)?;
     let vars = model.lp.num_vars();
     let cons = model.lp.num_constraints();
-    let ws1 = model.lp.solve_warm(lambda_hint.as_ref())?;
-    let lambda_star = ws1.solution.value(model.lambda);
+    let pass1 = solve_pass(&model.lp, cache.as_mut().map(|c| &mut c.lambda))?;
+    let lambda_star = pass1.solution.value(model.lambda);
 
     // Phase 2 (lexicographic refinement): pin λ at its optimum and minimize
     // the sum of per-function-type maximum load factors. A pure min-λ LP
@@ -213,25 +225,36 @@ pub fn build_reduced_with_cache(
         options,
         Some(bound),
     )?;
-    let ws2 = model.lp.solve_warm(refine_hint.as_ref())?;
-
-    if let Some(c) = cache {
-        c.lambda_basis = Some(ws1.basis);
-        c.refine_basis = Some(ws2.basis);
-    }
+    let pass2 = solve_pass(&model.lp, cache.map(|c| &mut c.refine))?;
 
     let mut weights = SteeringWeights::new(lambda_star);
-    extract_weights(&model.all_vars, |v| ws2.solution.value(v), &mut weights);
+    extract_weights(&model.all_vars, |v| pass2.solution.value(v), &mut weights);
     Ok((
         weights,
         LbReport {
             lambda: lambda_star,
             variables: vars,
             constraints: cons,
-            iterations: ws1.solution.iterations + ws2.solution.iterations,
-            warm: ws1.warm_used && ws2.warm_used,
+            iterations: pass1.solution.iterations + pass2.solution.iterations,
+            warm: pass1.warm_used && pass2.warm_used,
         },
+        pass2.solution.objective,
     ))
+}
+
+/// Solves one pass of the reduced formulation: through its retained
+/// state when there is a cache, cold otherwise.
+fn solve_pass(
+    lp: &LinearProgram,
+    kept: Option<&mut Option<Retained>>,
+) -> Result<WarmSolve, SolveError> {
+    match kept {
+        Some(kept) => lp.solve_warm(kept),
+        None => lp.solve().map(|solution| WarmSolve {
+            solution,
+            warm_used: false,
+        }),
+    }
 }
 
 /// One source group of the reduced model: the stubs sharing a candidate
@@ -835,6 +858,224 @@ mod tests {
         assert!(!report.warm, "support change must invalidate the basis");
         let (_, cold) = build_reduced(&dep, &asg, &pol, &tm2, LbOptions::default()).unwrap();
         assert!((report.lambda - cold.lambda).abs() < 1e-9);
+    }
+
+    /// The campus evaluation world at the LP's level: the campus topology
+    /// and the §IV.A deployment (4 WP, 7 FW, 7 IDS, 4 TM), `3 × per_class`
+    /// policies with the evaluation's three chains, and a base traffic
+    /// matrix of eight cells a policy. (The evaluation's own generator
+    /// lives in `sdm-workload`, which depends on this crate.) `per_class`
+    /// 10 is the evaluation's size; the tests whose debug-build time is
+    /// all cold reference solves use 4.
+    fn campus_world(per_class: usize) -> (crate::Controller, TrafficMatrix) {
+        let plan = campus(3);
+        let stubs = plan.stub_count() as u32;
+        let dep = Deployment::evaluation_default(&plan, 4);
+        let chains = [
+            ActionList::chain([Firewall, Ids]),
+            ActionList::chain([Firewall, Ids, WebProxy]),
+            ActionList::chain([Ids, TrafficMonitor]),
+        ];
+        let mut pol = PolicySet::new();
+        let mut base = TrafficMatrix::new();
+        for p in 0..(3 * per_class) as u32 {
+            pol.push(Policy::new(
+                TrafficDescriptor::new().dst_port(2000 + p as u16),
+                chains[p as usize % 3].clone(),
+            ));
+            for j in 0..8u32 {
+                let dest = if j == 7 {
+                    DestKey::External
+                } else {
+                    DestKey::Stub(StubId((7 * p + 11 * j + 1) % stubs))
+                };
+                let volume = 500.0 + f64::from((37 * p + 101 * j) % 900);
+                base.record(StubId((5 * p + 3 * j) % stubs), dest, PolicyId(p), volume);
+            }
+        }
+        let controller = crate::Controller::new(plan, dep, pol, KConfig::paper_default());
+        (controller, base)
+    }
+
+    /// `base` with the volume of cell `i` scaled by `factor(i)`, and
+    /// without the cells of policy `dropped`: the reduced program's shape
+    /// is its policies and their source groups, so a whole flow class has
+    /// to leave for the support to change.
+    fn scaled(
+        base: &TrafficMatrix,
+        dropped: Option<PolicyId>,
+        factor: impl Fn(usize) -> f64,
+    ) -> TrafficMatrix {
+        let mut out = TrafficMatrix::new();
+        for (i, (s, d, p, v)) in base.iter().enumerate() {
+            if Some(p) != dropped {
+                out.record(s, d, p, v * factor(i));
+            }
+        }
+        out
+    }
+
+    /// The benchmark's period-11 drift: cell `i` in epoch `e` carries
+    /// `1 + 0.1·((i + 7e) mod 11)` times its base volume.
+    fn period_11(base: &TrafficMatrix, epoch: usize) -> TrafficMatrix {
+        scaled(base, None, |i| 1.0 + 0.1 * ((i + 7 * epoch) % 11) as f64)
+    }
+
+    fn solve_world(
+        c: &crate::Controller,
+        tm: &TrafficMatrix,
+        cache: Option<&mut LbWarmCache>,
+    ) -> (SteeringWeights, LbReport, f64) {
+        solve_reduced(
+            c.deployment(),
+            c.assignments(),
+            c.policies(),
+            tm,
+            LbOptions::default(),
+            cache,
+        )
+        .expect("the evaluation deployment offers every function")
+    }
+
+    /// What every solve through a cache must satisfy, warm or not: λ and
+    /// the refinement objective of a from-scratch solve of the same
+    /// matrix, to 1e-9 relative, and weights the plan verifier accepts.
+    fn matches_cold(
+        c: &crate::Controller,
+        tm: &TrafficMatrix,
+        got: &(SteeringWeights, LbReport, f64),
+    ) -> Result<(), String> {
+        let (_, cold, cold_refine) = solve_world(c, tm, None);
+        let (weights, report, refine) = got;
+        sdm_util::prop_assert!(
+            (report.lambda - cold.lambda).abs() <= 1e-9 * cold.lambda,
+            "lambda {} vs cold {}",
+            report.lambda,
+            cold.lambda
+        );
+        sdm_util::prop_assert!(
+            (refine - cold_refine).abs() <= 1e-9 * cold_refine,
+            "refine objective {refine} vs cold {cold_refine}"
+        );
+        let verdict = crate::verify_enforcement(
+            c,
+            Some(weights),
+            &crate::EnforcementOptions::default(),
+        );
+        sdm_util::prop_assert!(!verdict.has_errors(), "{verdict:?}");
+        Ok(())
+    }
+
+    #[test]
+    fn random_drift_schedules_match_from_scratch_solves() {
+        use sdm_util::prop::{check, Config};
+        use sdm_util::rng::{mix_seed, StdRng};
+        let (c, base) = campus_world(4);
+        // An epoch is a seed: every cell's volume is scaled by a factor in
+        // [0.5, 2) drawn from it, and a seed divisible by 5 also silences
+        // one policy — a support change, so that epoch and (the flow class
+        // coming back) the next must solve cold.
+        let dropped = |seed: u16| seed.is_multiple_of(5).then(|| PolicyId(u32::from(seed) % 12));
+        let matrix = |seed: u16| {
+            scaled(&base, dropped(seed), |i| {
+                0.5 + 1.5 * StdRng::seed_from_u64(mix_seed(u64::from(seed), i as u64)).next_f64()
+            })
+        };
+        check(
+            "warm epochs equal from-scratch solves",
+            &Config::with_cases(6),
+            |rng| {
+                (0..rng.gen_range(2..7usize))
+                    .map(|_| rng.gen_range(1..u16::MAX))
+                    .collect::<Vec<u16>>()
+            },
+            |schedule| {
+                let mut cache = LbWarmCache::new();
+                let mut prev = None;
+                for &seed in schedule {
+                    let tm = matrix(seed);
+                    let got = solve_world(&c, &tm, Some(&mut cache));
+                    // Both passes re-enter their tableaus exactly when the
+                    // support is the one the cache was left with.
+                    let same_support = prev == Some(dropped(seed));
+                    sdm_util::prop_assert_eq!(got.1.warm, same_support, "epoch seed {}", seed);
+                    matches_cold(&c, &tm, &got)?;
+                    prev = Some(dropped(seed));
+                }
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn every_fallback_ends_equal_to_cold() {
+        let (mut c, base) = campus_world(10);
+        let mut cache = LbWarmCache::new();
+        let mut epoch = 0;
+        let mut step = |c: &crate::Controller, tm: &TrafficMatrix, cache: &mut LbWarmCache| {
+            let got = solve_world(c, tm, Some(cache));
+            matches_cold(c, tm, &got).unwrap();
+            epoch += 1;
+            got.1.warm
+        };
+        assert!(!step(&c, &period_11(&base, 0), &mut cache), "empty cache");
+        assert!(step(&c, &period_11(&base, 1), &mut cache));
+
+        // A flow class disappears, then appears again: support changes.
+        let without = scaled(&period_11(&base, 2), Some(PolicyId(5)), |_| 1.0);
+        assert!(!step(&c, &without, &mut cache), "a policy's traffic stopped");
+        assert!(step(&c, &scaled(&without, None, |_| 1.25), &mut cache));
+        assert!(!step(&c, &period_11(&base, 3), &mut cache), "it came back");
+
+        // A middlebox capacity change keeps every count, relation and
+        // sparsity pattern: only the exact comparison of coefficients sees
+        // it. Reusing the tableau would answer for the old capacities.
+        let resized = {
+            let mut dep = Deployment::new();
+            for (x, spec) in c.deployment().iter() {
+                let mut spec = spec.clone();
+                if x.index() == 6 {
+                    spec.capacity = 2.5;
+                }
+                dep.add(spec);
+            }
+            crate::Controller::new(campus(3), dep, c.policies().clone(), KConfig::paper_default())
+        };
+        assert!(step(&c, &period_11(&base, 4), &mut cache));
+        assert!(!step(&resized, &period_11(&base, 4), &mut cache), "capacity changed");
+        assert!(step(&resized, &period_11(&base, 5), &mut cache));
+        assert!(!step(&c, &period_11(&base, 5), &mut cache), "capacity changed back");
+
+        // A middlebox fails and the controller repairs the candidate sets:
+        // variables and rows disappear; restoring brings them back.
+        let victim = crate::MiddleboxId(9);
+        c.fail_middlebox(victim);
+        assert!(!step(&c, &period_11(&base, 6), &mut cache), "candidates repaired");
+        assert!(step(&c, &period_11(&base, 7), &mut cache));
+        c.restore_middlebox(victim);
+        assert!(!step(&c, &period_11(&base, 8), &mut cache), "candidates restored");
+        assert!(step(&c, &period_11(&base, 9), &mut cache));
+        assert_eq!(epoch, 13);
+    }
+
+    #[test]
+    fn long_warm_run_on_the_period_11_drift_still_matches_cold() {
+        // The retained tableaus are pivoted ≈ 2,000 epochs in a row and
+        // never rebuilt (unless the residual check sends a solve cold,
+        // which is the check working); the answer at the end must be as
+        // good as the one at the start.
+        let (c, base) = campus_world(4);
+        let period: Vec<TrafficMatrix> = (0..11).map(|e| period_11(&base, e)).collect();
+        let mut cache = LbWarmCache::new();
+        let mut warm = 0;
+        for e in 0..2_000 {
+            let got = solve_world(&c, &period[e % 11], Some(&mut cache));
+            warm += usize::from(got.1.warm);
+            if e % 500 == 499 {
+                matches_cold(&c, &period[e % 11], &got).unwrap();
+            }
+        }
+        assert!(warm >= 1_990, "only {warm} of 2000 epochs re-entered the tableau");
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //!   variables with `≤ / ≥ / =` constraints.
 //! * [`LinearProgram::solve`] — a from-scratch two-phase dense simplex
 //!   solver with a Bland's-rule fallback for degenerate instances.
-//! * [`LinearProgram::solve_warm`] — the same solver warm-started from a
-//!   [`Basis`] exported by a previous solve, for the online re-steer loop
-//!   where consecutive epochs solve small perturbations of one program.
+//! * [`LinearProgram::solve_warm`] — the same solver re-entering the
+//!   solved tableau a previous call [`Retained`], for the online re-steer
+//!   loop where consecutive epochs solve one program under drifting
+//!   right-hand sides.
 //!
 //! # Example
 //!
@@ -42,4 +43,4 @@ mod model;
 mod simplex;
 
 pub use model::{Constraint, LinearProgram, Relation, VarId};
-pub use simplex::{Basis, Solution, SolveError, WarmSolve};
+pub use simplex::{Retained, Solution, SolveError, WarmSolve};

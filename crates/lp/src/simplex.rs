@@ -8,26 +8,33 @@
 //! back to Bland's rule after an iteration budget to guarantee termination
 //! on degenerate problems.
 //!
-//! # Warm starts
+//! # Warm re-solves
 //!
-//! [`LinearProgram::solve_warm`] additionally accepts a [`Basis`] exported
-//! by a previous solve. When the new program has the *same shape* (variable
-//! and constraint counts, column layout, normalized relation sequence) the
-//! recorded basis is re-installed by pivoting each row onto its recorded
-//! basic column and phase 1 is skipped entirely. If the perturbation left
-//! the old basis primal-infeasible (negative right-hand sides), a
-//! **dual-simplex repair** pivots feasibility back first — the recorded
-//! basis is still (near-)dual-feasible, so this takes a handful of pivots —
-//! and phase 2 then re-optimizes from the repaired basis. Any invalidation
-//! (shape mismatch, singular pivot under the new coefficients, a repair
-//! that stalls or would leave an artificial basic at a nonzero value)
-//! falls back to the cold path. The Bland's-rule fallbacks inside
+//! [`LinearProgram::solve_warm`] keeps the *solved* program between calls
+//! in a [`Retained`]: the final tableau (which is `B⁻¹·[A | S | I]` for the
+//! optimal basis `B`), the basis, and per row the sign × equilibration
+//! factor its right-hand side was scaled by and the column that started
+//! as that row's identity column. When the next program differs from the
+//! retained one **only in right-hand sides** — objective, relations and
+//! sparse terms compared exactly, entry by entry — nothing of the tableau
+//! needs rebuilding: the identity columns now hold `B⁻¹`, so the new basic
+//! solution is `b̄ = B⁻¹·(factor ∘ rhs′)`, an `O(m²)` product. The old basis
+//! is still dual-feasible (reduced costs do not depend on the rhs), so a
+//! **dual-simplex repair** pivots primal feasibility back in a handful of
+//! pivots and the primal simplex finishes from there, all in place.
+//!
+//! Everything else goes to the cold two-phase path and replaces the
+//! retained state: a term, relation, objective or rhs-sign mismatch, a
+//! repair that stalls, an artificial left basic at a nonzero value, or a
+//! warm result that fails the residual check against the original sparse
+//! rows (pivot roundoff accumulates in a tableau that is never rebuilt;
+//! the check is what bounds it). The Bland's-rule fallbacks inside
 //! [`Tableau::optimize`] and `dual_repair` double as the anti-cycling
 //! guards for the warm re-optimization.
 
 use std::fmt;
 
-use crate::model::{LinearProgram, Relation};
+use crate::model::{LinearProgram, Relation, VarId};
 
 /// Numeric tolerance for pivoting and feasibility decisions.
 const EPS: f64 = 1e-9;
@@ -73,55 +80,64 @@ impl Solution {
     }
 }
 
-/// A simplex basis exported by [`LinearProgram::solve_warm`]: the basic
-/// column of every tableau row plus a shape fingerprint of the program it
-/// came from. A hint only warm-starts a program with the *same* shape —
-/// adding a variable, a constraint, or flipping a right-hand-side sign
-/// (which changes the normalized relation and hence the column layout)
-/// changes the fingerprint and the solver falls back to a cold solve.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Basis {
-    num_vars: usize,
-    num_constraints: usize,
-    cols: usize,
-    first_art: usize,
-    /// Normalized (rhs ≥ 0) relation per row; the slack/artificial column
-    /// layout is a function of this sequence.
-    rel: Vec<Relation>,
-    /// `basis[r]` = column basic in row `r`, in the internal
-    /// `[vars | slack/surplus | artificial]` layout.
-    basis: Vec<usize>,
+/// A solved program kept for the next [`LinearProgram::solve_warm`]: the
+/// final tableau and basis plus what is needed to re-enter it with new
+/// right-hand sides (see the module docs), and the program's objective,
+/// relations and sparse terms, which the next program must equal exactly
+/// for the tableau to be reused. The dense tableau dominates its size:
+/// `constraints × (variables + slacks + artificials)` doubles.
+#[derive(Clone)]
+pub struct Retained {
+    p: Prepared,
+    objective: Vec<f64>,
+    /// Terms and relation of every constraint, as given.
+    rows: Vec<(Vec<(VarId, f64)>, Relation)>,
 }
 
-impl Basis {
-    /// `true` when this basis fits `p`'s standard form exactly.
-    fn fits(&self, n: usize, p: &Prepared) -> bool {
-        self.num_vars == n
-            && self.num_constraints == p.t.rows
-            && self.cols == p.t.cols
-            && self.first_art == p.first_art
-            && self.rel == p.rel
+impl fmt::Debug for Retained {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Retained")
+            .field("rows", &self.p.t.rows)
+            .field("cols", &self.p.t.cols)
+            .finish_non_exhaustive()
     }
 }
 
-/// Result of [`LinearProgram::solve_warm`]: the solution, the final basis
-/// (reusable as the next solve's hint) and whether the hint was actually
-/// installed or the solver fell back to a cold two-phase solve.
+impl Retained {
+    /// `true` when `lp` differs from the retained program in right-hand
+    /// sides only, none of which changed sign (the sign decides a row's
+    /// normalized relation, hence its slack and artificial columns).
+    fn matches(&self, lp: &LinearProgram) -> bool {
+        self.objective == lp.objective
+            && self.rows.len() == lp.constraints.len()
+            && self
+                .rows
+                .iter()
+                .zip(&lp.constraints)
+                .zip(&self.p.factor)
+                .all(|(((terms, rel), con), &f)| {
+                    *rel == con.relation && (con.rhs < 0.0) == (f < 0.0) && *terms == con.terms
+                })
+    }
+}
+
+/// Result of [`LinearProgram::solve_warm`]: the solution and whether it
+/// came from the retained tableau or from a cold two-phase solve.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WarmSolve {
     /// The optimal solution.
     pub solution: Solution,
-    /// The optimal basis; pass as `hint` to re-solve a perturbed program.
-    pub basis: Basis,
-    /// `true` when the hint basis was installed and phase 1 was skipped
-    /// (including when a dual-simplex repair was needed first); `false`
-    /// on a cold solve (no hint, shape mismatch, a singular hint basis,
-    /// or a repair that stalled).
+    /// `true` when the retained tableau was re-entered and phase 1 was
+    /// skipped (including when a dual-simplex repair was needed first);
+    /// `false` on a cold solve (nothing retained, a program that differs
+    /// in more than right-hand sides, a repair that stalled, or a warm
+    /// result that failed the residual check).
     pub warm_used: bool,
 }
 
 /// Dense simplex tableau: `rows × cols` coefficients, per-row rhs, and a
 /// cost row kept in reduced form.
+#[derive(Clone)]
 struct Tableau {
     rows: usize,
     cols: usize,
@@ -252,81 +268,87 @@ impl Tableau {
     }
 }
 
-/// A program lowered to standard form: the initial tableau (trivial
-/// slack/artificial basis installed) plus the layout facts the solve
-/// phases need.
+/// A program lowered to standard form: the tableau (trivial
+/// slack/artificial basis installed by `prepare`, then pivoted in place)
+/// plus the layout facts the solve phases and a later rhs re-entry need.
+#[derive(Clone)]
 struct Prepared {
     t: Tableau,
     first_art: usize,
-    /// Normalized relation per row (shape fingerprint component).
-    rel: Vec<Relation>,
+    /// Per row, what `prepare` multiplied the right-hand side by: −1 for
+    /// a row normalized from a negative rhs, times the equilibration
+    /// factor.
+    factor: Vec<f64>,
+    /// Per row, the column that started as its identity column (the slack
+    /// of a `≤` row, the artificial of a `≥` or `=` row). After any
+    /// sequence of pivots these columns hold `B⁻¹`.
+    ident: Vec<usize>,
 }
 
-/// Tolerance for warm-start pivot elements and installed-basis
-/// feasibility — looser than `EPS` so near-singular or marginal hints
-/// fall back to a cold solve instead of amplifying roundoff.
+/// Tolerance for re-entered right-hand sides — looser than `EPS` so a
+/// marginal retained basis falls back to a cold solve instead of
+/// amplifying roundoff.
 const WARM_TOL: f64 = 1e-7;
 
-/// Re-installs a recorded basis into a freshly prepared tableau by
-/// pivoting each row onto its recorded basic column (refactorization —
-/// these pivots are not counted as solve iterations). Returns `false`,
-/// possibly leaving the tableau dirty (the caller must re-prepare), when
-/// the basis is singular under the new coefficients or primal-infeasible
-/// for the new right-hand side.
-fn install_basis(p: &mut Prepared, hint: &Basis) -> bool {
-    let (m, cols, first_art) = (p.t.rows, p.t.cols, p.first_art);
-    // A valid basis has one distinct column per row.
-    let mut seen = vec![false; cols];
-    for &c in &hint.basis {
-        if c >= cols || seen[c] {
-            return false;
-        }
-        seen[c] = true;
-    }
-    // Bring each recorded column into the basis with partial pivoting:
-    // a basis is a *set* of columns, so each column may land in whichever
-    // unassigned row gives the largest pivot element (the recorded
-    // row association need not survive the perturbation).
-    let mut assigned = vec![false; m];
-    for &tc in &hint.basis {
-        let mut best_r = usize::MAX;
-        let mut best_v = 0.0f64;
-        for (r, &taken) in assigned.iter().enumerate() {
-            if taken {
-                continue;
-            }
-            let v = p.t.at(r, tc).abs();
-            if v > best_v {
-                best_v = v;
-                best_r = r;
-            }
-        }
-        if best_v <= WARM_TOL {
-            return false; // singular under the perturbed coefficients
-        }
-        if p.t.basis[best_r] != tc {
-            p.t.pivot(best_r, tc);
-        }
-        assigned[best_r] = true;
-    }
-    // An artificial may only stay basic at (numerical) zero — otherwise
-    // the recorded basis does not describe a solution of the real
-    // program. Negative right-hand sides are fine here: the dual-simplex
-    // repair restores primal feasibility after phase-2 pricing.
+/// Tolerance of the residual check on a warm result, relative to
+/// `1 + ‖rhs‖∞`. Against the scale of the whole right-hand side, not of
+/// each row: the zero-rhs conservation and capacity rows of the
+/// enforcement LPs carry the same 10⁴–10⁵ volumes as the rows that
+/// introduce them, and `B⁻¹·rhs` leaves them with roundoff of that scale.
+const RESIDUAL_TOL: f64 = 1e-10;
+
+/// Re-enters a solved tableau with the right-hand sides of `lp` (which
+/// [`Retained::matches`]): `b̄ = B⁻¹·(factor ∘ rhs)` read off the identity
+/// columns, and the objective value of that basic solution. The reduced
+/// costs are untouched — they do not depend on the rhs. Returns `false`
+/// when an artificial would be basic at a nonzero value, i.e. the
+/// retained basis does not describe a solution of the real program.
+fn reenter_rhs(lp: &LinearProgram, p: &mut Prepared) -> bool {
+    let (m, cols, n) = (p.t.rows, p.t.cols, lp.num_vars());
+    // Most rows of the enforcement LPs (conservation, capacity) have a
+    // zero rhs; only the others contribute.
+    let scaled: Vec<(usize, f64)> = lp
+        .constraints
+        .iter()
+        .zip(p.ident.iter().zip(&p.factor))
+        .filter(|(con, _)| con.rhs != 0.0)
+        .map(|(con, (&col, &f))| (col, con.rhs * f))
+        .collect();
+    p.t.obj = 0.0;
     for r in 0..m {
-        if p.t.basis[r] >= first_art && p.t.b[r].abs() > WARM_TOL {
+        let row = &p.t.a[r * cols..(r + 1) * cols];
+        let mut b: f64 = scaled.iter().map(|&(col, v)| row[col] * v).sum();
+        let bc = p.t.basis[r];
+        // An artificial may only stay basic at (numerical) zero. Negative
+        // values are fine here: the dual-simplex repair restores primal
+        // feasibility.
+        if bc >= p.first_art && b.abs() > WARM_TOL {
             return false;
         }
-        if p.t.b[r] < 0.0 && p.t.b[r] > -WARM_TOL {
-            p.t.b[r] = 0.0;
+        if b < 0.0 && b > -WARM_TOL {
+            b = 0.0;
+        }
+        p.t.b[r] = b;
+        if bc < n {
+            p.t.obj -= lp.objective[bc] * b;
         }
     }
     true
 }
 
-/// Dual-simplex repair after basis installation: the traffic perturbation
-/// may have driven some right-hand sides negative under the recorded
-/// basis (primal infeasible), but the basis is still (near-)dual-feasible
+/// Whether `x` satisfies every original sparse row of `lp` within
+/// [`RESIDUAL_TOL`]. Run on every warm result: a retained tableau is
+/// pivoted for as long as the program keeps matching and never rebuilt,
+/// so this is what notices accumulated roundoff (and sends the solve to
+/// the cold path, which rebuilds).
+fn residual_ok(lp: &LinearProgram, x: &[f64]) -> bool {
+    let rhs_norm = lp.constraints.iter().map(|c| c.rhs.abs()).fold(0.0, f64::max);
+    lp.is_feasible(x, RESIDUAL_TOL * (1.0 + rhs_norm))
+}
+
+/// Dual-simplex repair after an rhs re-entry: the traffic perturbation
+/// may have driven some right-hand sides negative under the retained
+/// basis (primal infeasible), but the basis is still dual-feasible
 /// — exactly the regime dual pivots handle. Repeatedly drop the most
 /// negative row out of the basis, entering the column with the smallest
 /// reduced-cost ratio, until the rhs is non-negative. Requires the
@@ -336,7 +358,7 @@ fn install_basis(p: &mut Prepared, hint: &Basis) -> bool {
 /// row has no eligible pivot (primal infeasible under this basis), when
 /// the pivot cap is exhausted (cycling / numerical trouble), or when the
 /// repair would leave an artificial basic at a nonzero value.
-fn dual_repair(p: &mut Prepared, budget: &mut u64, iterations: &mut u64) -> bool {
+fn dual_repair(p: &mut Prepared, budget: &mut u64) -> bool {
     let (m, first_art) = (p.t.rows, p.first_art);
     let cap = 8 * m as u64 + 512;
     let bland_after = 4 * m as u64 + 64;
@@ -370,9 +392,9 @@ fn dual_repair(p: &mut Prepared, budget: &mut u64, iterations: &mut u64) -> bool
         // Entering column: smallest ratio of reduced cost to |pivot|
         // among strictly negative pivot elements (artificials excluded);
         // after the anti-cycling threshold, first eligible column wins
-        // (Bland). Coefficient drift can leave slightly negative reduced
-        // costs; clamping them to zero in the ratio keeps the rule
-        // well-defined and phase 2 restores optimality afterwards.
+        // (Bland). Roundoff can leave slightly negative reduced costs;
+        // clamping them to zero in the ratio keeps the rule well-defined
+        // and phase 2 restores optimality afterwards.
         let mut pc = usize::MAX;
         let mut best = f64::INFINITY;
         let mut best_mag = 0.0f64;
@@ -396,7 +418,6 @@ fn dual_repair(p: &mut Prepared, budget: &mut u64, iterations: &mut u64) -> bool
         }
         p.t.pivot(pr, pc);
         *budget -= 1;
-        *iterations += 1;
         spent += 1;
     }
 }
@@ -444,9 +465,14 @@ fn phase1(p: &mut Prepared, budget: &mut u64, iterations: &mut u64) -> Result<()
     Ok(())
 }
 
-/// Prices the real objective out over the current basis (the reduced cost
-/// row phase 2 — and the dual repair — work against).
-fn price_phase2(lp: &LinearProgram, p: &mut Prepared) {
+/// Phase 2: prices the real objective out over the current basis and
+/// optimizes with artificial columns excluded from entering.
+fn phase2(
+    lp: &LinearProgram,
+    p: &mut Prepared,
+    budget: &mut u64,
+    iterations: &mut u64,
+) -> Result<(), SolveError> {
     let (m, cols) = (p.t.rows, p.t.cols);
     p.t.c = vec![0.0; cols];
     p.t.obj = 0.0;
@@ -466,21 +492,30 @@ fn price_phase2(lp: &LinearProgram, p: &mut Prepared) {
             p.t.obj -= cf * p.t.b[i];
         }
     }
-}
-
-/// Phase 2: prices the real objective out over the current basis and
-/// optimizes with artificial columns excluded from entering.
-fn phase2(
-    lp: &LinearProgram,
-    p: &mut Prepared,
-    budget: &mut u64,
-    iterations: &mut u64,
-) -> Result<(), SolveError> {
-    price_phase2(lp, p);
     let before = *budget;
     p.t.optimize(p.first_art, budget)?;
     *iterations += before - *budget;
     Ok(())
+}
+
+/// Pivot budget of one solve (numerical trouble shows as exhaustion).
+fn pivot_budget(p: &Prepared) -> u64 {
+    200 * (p.t.rows as u64 + p.t.cols as u64) + 20_000
+}
+
+/// Reads the solution off an optimal tableau.
+fn extract(n: usize, p: &Prepared, iterations: u64) -> Solution {
+    let mut values = vec![0.0; n];
+    for r in 0..p.t.rows {
+        if p.t.basis[r] < n {
+            values[p.t.basis[r]] = p.t.b[r].max(0.0);
+        }
+    }
+    Solution {
+        objective: -p.t.obj,
+        values,
+        iterations,
+    }
 }
 
 impl LinearProgram {
@@ -492,80 +527,79 @@ impl LinearProgram {
     /// [`SolveError::Unbounded`] if the objective is unbounded below,
     /// [`SolveError::IterationLimit`] if the pivot budget is exhausted.
     pub fn solve(&self) -> Result<Solution, SolveError> {
-        self.solve_warm(None).map(|w| w.solution)
+        let mut iterations = 0;
+        let p = self.solve_cold(&mut iterations)?;
+        Ok(extract(self.num_vars(), &p, iterations))
     }
 
-    /// Solves the program, optionally warm-starting from a [`Basis`]
-    /// recorded by a previous call, and exports the final basis.
+    /// Solves the program, re-entering the solved tableau in `retained`
+    /// when this program differs from the one solved there in right-hand
+    /// sides only, and leaves this solve's final state in `retained` for
+    /// the next call (`None` on error).
     ///
-    /// With a fitting hint, phase 1 is skipped: the recorded basis is
-    /// re-installed, a dual-simplex repair restores primal feasibility if
-    /// the perturbation drove right-hand sides negative, and phase 2
-    /// re-optimizes from there. `Solution::iterations` counts the repair
-    /// and re-optimization pivots (basis installation is refactorization,
-    /// not search). On any basis invalidation — shape mismatch, singular
-    /// pivot, a stalled repair — the solver transparently falls back to
-    /// the cold two-phase path and reports `warm_used: false`.
+    /// On the warm path phase 1 and the tableau build are skipped: the new
+    /// basic solution is computed from the retained `B⁻¹`, a dual-simplex
+    /// repair restores primal feasibility if the new right-hand sides
+    /// drove it negative, and phase 2 re-optimizes from there.
+    /// `Solution::iterations` counts the repair and re-optimization
+    /// pivots. Whenever the retained state cannot be used or trusted —
+    /// see [`WarmSolve::warm_used`] — the solver transparently runs the
+    /// cold two-phase path and reports `warm_used: false`.
     ///
     /// # Errors
     ///
-    /// As [`LinearProgram::solve`]; a usable hint never turns a feasible
-    /// program infeasible (invalid hints are discarded, not trusted).
-    pub fn solve_warm(&self, hint: Option<&Basis>) -> Result<WarmSolve, SolveError> {
+    /// As [`LinearProgram::solve`]; retained state never turns a feasible
+    /// program infeasible (a failed warm attempt is discarded, not
+    /// trusted).
+    pub fn solve_warm(&self, retained: &mut Option<Retained>) -> Result<WarmSolve, SolveError> {
         let n = self.num_vars();
-        let mut p = self.prepare();
-        let mut budget: u64 = 200 * (p.t.rows as u64 + p.t.cols as u64) + 20_000;
         let mut iterations: u64 = 0;
-
-        let mut warm_used = false;
-        if let Some(h) = hint {
-            if h.fits(n, &p) && install_basis(&mut p, h) {
-                // Re-optimize from the installed basis: price the real
-                // objective, repair primal feasibility with dual pivots
-                // if the rhs drifted negative, then continue primally.
-                price_phase2(self, &mut p);
-                if dual_repair(&mut p, &mut budget, &mut iterations) {
-                    let before = budget;
-                    p.t.optimize(p.first_art, &mut budget)?;
-                    iterations += before - budget;
-                    warm_used = true;
+        if let Some(mut kept) = retained.take().filter(|r| r.matches(self)) {
+            let p = &mut kept.p;
+            let start = pivot_budget(p);
+            let mut budget = start;
+            let reoptimized = reenter_rhs(self, p)
+                && dual_repair(p, &mut budget)
+                && p.t.optimize(p.first_art, &mut budget).is_ok();
+            // A failed attempt's pivots stay counted — they were genuine
+            // work; its tableau is dropped.
+            iterations = start - budget;
+            if reoptimized {
+                let solution = extract(n, p, iterations);
+                if residual_ok(self, &solution.values) {
+                    *retained = Some(kept);
+                    return Ok(WarmSolve {
+                        solution,
+                        warm_used: true,
+                    });
                 }
             }
-            if !warm_used {
-                // Installation or repair may have dirtied the tableau;
-                // rebuild for the cold path (failed-repair pivots stay
-                // counted — they were genuine work).
-                p = self.prepare();
-            }
         }
-        if !warm_used {
-            phase1(&mut p, &mut budget, &mut iterations)?;
-            phase2(self, &mut p, &mut budget, &mut iterations)?;
-        }
-
-        let mut values = vec![0.0; n];
-        for r in 0..p.t.rows {
-            if p.t.basis[r] < n {
-                values[p.t.basis[r]] = p.t.b[r].max(0.0);
-            }
-        }
-        let basis = Basis {
-            num_vars: n,
-            num_constraints: p.t.rows,
-            cols: p.t.cols,
-            first_art: p.first_art,
-            rel: p.rel.clone(),
-            basis: p.t.basis.clone(),
-        };
+        let p = self.solve_cold(&mut iterations)?;
+        let solution = extract(n, &p, iterations);
+        *retained = Some(Retained {
+            p,
+            objective: self.objective.clone(),
+            rows: self
+                .constraints
+                .iter()
+                .map(|con| (con.terms.clone(), con.relation))
+                .collect(),
+        });
         Ok(WarmSolve {
-            solution: Solution {
-                objective: -p.t.obj,
-                values,
-                iterations,
-            },
-            basis,
-            warm_used,
+            solution,
+            warm_used: false,
         })
+    }
+
+    /// The cold path: lowers the program and runs both phases. Pivots are
+    /// added to `iterations`.
+    fn solve_cold(&self, iterations: &mut u64) -> Result<Prepared, SolveError> {
+        let mut p = self.prepare();
+        let mut budget = pivot_budget(&p);
+        phase1(&mut p, &mut budget, iterations)?;
+        phase2(self, &mut p, &mut budget, iterations)?;
+        Ok(p)
     }
 
     /// Lowers the program to standard form with the trivial basis.
@@ -626,12 +660,14 @@ impl LinearProgram {
             nz: Vec::with_capacity(cols),
         };
 
+        let mut factor = vec![1.0; m];
         // Fill coefficients (terms summed; sign flipped for normalized
         // rows), then equilibrate each row by its largest |coefficient| so
         // that badly scaled models (traffic volumes in the millions next
         // to unit capacities) pivot stably.
         for (i, con) in self.constraints.iter().enumerate() {
             let sign = if con.rhs < 0.0 { -1.0 } else { 1.0 };
+            factor[i] = sign;
             for &(v, coef) in &con.terms {
                 t.a[i * cols + v.index()] += sign * coef;
             }
@@ -644,6 +680,7 @@ impl LinearProgram {
                     t.a[i * cols + v] *= inv;
                 }
                 t.b[i] *= inv;
+                factor[i] *= inv;
             }
             match rel[i] {
                 Relation::Le => {
@@ -662,7 +699,13 @@ impl LinearProgram {
             }
         }
 
-        Prepared { t, first_art, rel }
+        let ident = t.basis.clone();
+        Prepared {
+            t,
+            first_art,
+            factor,
+            ident,
+        }
     }
 }
 
@@ -851,119 +894,191 @@ mod tests {
         assert!(text.ends_with("End\n"), "{text}");
     }
 
-    /// The LB-like min-max program used by the warm-start tests: route
-    /// `total` units across three boxes of capacities 10/20/30, min λ.
-    fn lb_like(total: f64) -> LinearProgram {
+    /// The LB-like min-max program used by the warm tests: route `total`
+    /// units across three boxes of capacities `caps`, min λ.
+    fn lb_with(total: f64, caps: [f64; 3]) -> LinearProgram {
         let mut lp = LinearProgram::new();
         let t1 = lp.add_var("t1", 0.0);
         let t2 = lp.add_var("t2", 0.0);
         let t3 = lp.add_var("t3", 0.0);
         let lam = lp.add_var("lambda", 1.0);
         lp.add_constraint(vec![(t1, 1.0), (t2, 1.0), (t3, 1.0)], Eq, total);
-        lp.add_constraint(vec![(t1, 1.0), (lam, -10.0)], Le, 0.0);
-        lp.add_constraint(vec![(t2, 1.0), (lam, -20.0)], Le, 0.0);
-        lp.add_constraint(vec![(t3, 1.0), (lam, -30.0)], Le, 0.0);
+        lp.add_constraint(vec![(t1, 1.0), (lam, -caps[0])], Le, 0.0);
+        lp.add_constraint(vec![(t2, 1.0), (lam, -caps[1])], Le, 0.0);
+        lp.add_constraint(vec![(t3, 1.0), (lam, -caps[2])], Le, 0.0);
         lp
     }
 
-    #[test]
-    fn warm_start_on_identical_program_skips_all_pivots() {
-        let lp = lb_like(30.0);
-        let cold = lp.solve_warm(None).unwrap();
-        assert!(!cold.warm_used);
-        let warm = lp.solve_warm(Some(&cold.basis)).unwrap();
-        assert!(warm.warm_used);
-        assert_eq!(warm.solution.iterations, 0, "optimal basis re-optimizes in 0 pivots");
-        assert!(approx(warm.solution.objective, cold.solution.objective));
-        let cols = |b: &Basis| {
-            let mut v = b.basis.clone();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(cols(&warm.basis), cols(&cold.basis), "same basic column set");
+    fn lb_like(total: f64) -> LinearProgram {
+        lb_with(total, [10.0, 20.0, 30.0])
+    }
+
+    /// A cold solve of `lp` and the state it leaves behind.
+    fn retained_from(lp: &LinearProgram) -> (WarmSolve, Option<Retained>) {
+        let mut kept = None;
+        let cold = lp.solve_warm(&mut kept).unwrap();
+        assert!(!cold.warm_used, "nothing retained yet");
+        assert!(kept.is_some());
+        (cold, kept)
+    }
+
+    fn basic_columns(kept: &Option<Retained>) -> Vec<usize> {
+        let mut v = kept.as_ref().unwrap().p.t.basis.clone();
+        v.sort_unstable();
+        v
     }
 
     #[test]
-    fn warm_start_on_perturbed_rhs_uses_fewer_pivots() {
-        let cold = lb_like(30.0).solve_warm(None).unwrap();
-        let perturbed = lb_like(33.0);
-        let warm = perturbed.solve_warm(Some(&cold.basis)).unwrap();
-        let re_cold = perturbed.solve_warm(None).unwrap();
+    fn warm_resolve_of_identical_program_skips_all_pivots() {
+        let lp = lb_like(30.0);
+        let (cold, mut kept) = retained_from(&lp);
+        let before = basic_columns(&kept);
+        let warm = lp.solve_warm(&mut kept).unwrap();
         assert!(warm.warm_used);
-        assert!(approx(warm.solution.objective, re_cold.solution.objective));
+        assert_eq!(warm.solution.iterations, 0, "optimal basis re-optimizes in 0 pivots");
+        assert!(approx(warm.solution.objective, cold.solution.objective));
+        assert_eq!(basic_columns(&kept), before, "same basic column set");
+    }
+
+    #[test]
+    fn warm_resolve_on_perturbed_rhs_uses_fewer_pivots() {
+        let (_, mut kept) = retained_from(&lb_like(30.0));
+        let perturbed = lb_like(33.0);
+        let warm = perturbed.solve_warm(&mut kept).unwrap();
+        let re_cold = perturbed.solve().unwrap();
+        assert!(warm.warm_used);
+        assert!(approx(warm.solution.objective, re_cold.objective));
         assert!(
-            warm.solution.iterations < re_cold.solution.iterations,
+            warm.solution.iterations < re_cold.iterations,
             "warm {} vs cold {}",
             warm.solution.iterations,
-            re_cold.solution.iterations
+            re_cold.iterations
         );
         assert!(perturbed.is_feasible(&warm.solution.values, 1e-6));
     }
 
     #[test]
-    fn warm_start_shape_mismatch_falls_back_to_cold() {
-        let other = {
-            // Same row count, different relations -> fingerprint mismatch.
-            let mut lp = LinearProgram::new();
-            let x = lp.add_var("x", 1.0);
-            lp.add_constraint(vec![(x, 1.0)], Ge, 4.0);
-            lp.solve_warm(None).unwrap()
-        };
+    fn different_program_falls_back_to_cold_and_replaces_the_state() {
+        let mut other = LinearProgram::new();
+        let x = other.add_var("x", 1.0);
+        other.add_constraint(vec![(x, 1.0)], Ge, 4.0);
+        let (_, mut kept) = retained_from(&other);
         let lp = lb_like(30.0);
-        let warm = lp.solve_warm(Some(&other.basis)).unwrap();
-        assert!(!warm.warm_used);
-        assert!(approx(warm.solution.objective, 0.5));
+        let first = lp.solve_warm(&mut kept).unwrap();
+        assert!(!first.warm_used);
+        assert!(approx(first.solution.objective, 0.5));
+        let again = lp.solve_warm(&mut kept).unwrap();
+        assert!(again.warm_used, "the cold solve left its own state behind");
     }
 
     #[test]
-    fn warm_start_infeasible_hint_basis_falls_back() {
+    fn changed_coefficient_of_the_same_shape_goes_cold() {
+        // Same counts, same relations, same sparsity pattern: only an
+        // exact comparison of the terms notices the capacity change, and
+        // re-entering the old tableau would answer the old program.
+        let (_, mut kept) = retained_from(&lb_like(30.0));
+        let resized = lb_with(30.0, [10.0, 20.0, 60.0]);
+        let got = resized.solve_warm(&mut kept).unwrap();
+        assert!(!got.warm_used);
+        assert_eq!(got.solution, resized.solve().unwrap());
+        assert!(approx(got.solution.objective, 30.0 / 90.0));
+    }
+
+    #[test]
+    fn changed_objective_goes_cold() {
+        let (_, mut kept) = retained_from(&lb_like(30.0));
+        let mut lp = lb_like(30.0);
+        lp.objective[0] = 0.25;
+        let got = lp.solve_warm(&mut kept).unwrap();
+        assert!(!got.warm_used);
+        assert_eq!(got.solution, lp.solve().unwrap());
+    }
+
+    #[test]
+    fn primal_infeasible_retained_basis_is_repaired_or_replaced() {
         // The optimum of the lightly loaded program has slack basic in the
         // capacity rows; jumping the volume far past every capacity makes
         // the old basis primal-infeasible for the new rhs — the solver
-        // must notice and still produce the right (cold) answer.
-        let cold = lb_like(6.0).solve_warm(None).unwrap();
+        // must notice and still produce the right answer.
+        let (_, mut kept) = retained_from(&lb_like(6.0));
         let heavy = lb_like(59.9);
-        let warm = heavy.solve_warm(Some(&cold.basis)).unwrap();
-        let re_cold = heavy.solve_warm(None).unwrap();
-        assert!(approx(warm.solution.objective, re_cold.solution.objective));
+        let warm = heavy.solve_warm(&mut kept).unwrap();
+        let re_cold = heavy.solve().unwrap();
+        assert!(approx(warm.solution.objective, re_cold.objective));
         assert!(heavy.is_feasible(&warm.solution.values, 1e-6));
     }
 
     #[test]
-    fn warm_start_rhs_sign_flip_invalidates_fingerprint() {
+    fn rhs_sign_flip_goes_cold() {
         // min x s.t. -x <= rhs: rhs = 1 keeps Le, rhs = -3 normalizes to
-        // Ge (x >= 3) — same counts, different normalized relations.
+        // Ge (x >= 3) — same terms, different slack/artificial layout.
         let build = |rhs: f64| {
             let mut lp = LinearProgram::new();
             let x = lp.add_var("x", 1.0);
             lp.add_constraint(vec![(x, -1.0)], Le, rhs);
             lp
         };
-        let hint = build(1.0).solve_warm(None).unwrap();
-        let flipped = build(-3.0);
-        let warm = flipped.solve_warm(Some(&hint.basis)).unwrap();
-        assert!(!warm.warm_used, "sign flip must invalidate the basis shape");
+        let (_, mut kept) = retained_from(&build(1.0));
+        let warm = build(-3.0).solve_warm(&mut kept).unwrap();
+        assert!(!warm.warm_used, "a sign flip changes the standard form");
         assert!(approx(warm.solution.values[0], 3.0));
+        let warm = build(-5.0).solve_warm(&mut kept).unwrap();
+        assert!(warm.warm_used, "same sign again: rhs-only");
+        assert!(approx(warm.solution.values[0], 5.0));
     }
 
     #[test]
-    fn solve_matches_solve_warm_without_hint() {
+    fn infeasible_new_rhs_is_reported_and_clears_the_state() {
+        let capped = |total: f64| {
+            let mut lp = lb_like(total);
+            lp.add_constraint(vec![(VarId(3), 1.0)], Le, 1.0);
+            lp
+        };
+        let (_, mut kept) = retained_from(&capped(30.0));
+        assert_eq!(
+            capped(90.0).solve_warm(&mut kept),
+            Err(SolveError::Infeasible)
+        );
+        assert!(kept.is_none());
+    }
+
+    #[test]
+    fn drifted_tableau_fails_the_residual_check_and_goes_cold() {
+        // Fake the roundoff a long-lived tableau accumulates: perturb the
+        // retained B⁻¹ so the re-entered solution misses the rows by more
+        // than the tolerance. The result must be the cold one.
+        let (_, mut kept) = retained_from(&lb_like(30.0));
+        {
+            let p = &mut kept.as_mut().unwrap().p;
+            let (cols, col) = (p.t.cols, p.ident[0]);
+            for r in 0..p.t.rows {
+                p.t.a[r * cols + col] *= 1.0 + 1e-6;
+            }
+        }
+        let lp = lb_like(33.0);
+        let got = lp.solve_warm(&mut kept).unwrap();
+        assert!(!got.warm_used);
+        assert_eq!(got.solution, lp.solve().unwrap());
+        assert!(lp.solve_warm(&mut kept).unwrap().warm_used, "state was rebuilt");
+    }
+
+    #[test]
+    fn solve_matches_solve_warm_with_nothing_retained() {
         let lp = lb_like(30.0);
-        let a = lp.solve().unwrap();
-        let b = lp.solve_warm(None).unwrap();
-        assert_eq!(a, b.solution);
+        assert_eq!(lp.solve().unwrap(), retained_from(&lp).0.solution);
     }
 
     #[test]
-    fn warm_start_chain_across_drifting_traffic_stays_optimal() {
-        // An epoch-loop in miniature: traffic drifts, each epoch re-solves
-        // warm from the previous basis; every answer must match cold.
-        let mut basis = None;
+    fn warm_chain_across_drifting_traffic_stays_optimal() {
+        // An epoch-loop in miniature: traffic drifts, each epoch re-enters
+        // the previous epoch's tableau; every answer must match cold.
+        let mut kept = None;
         for step in 0..12u32 {
             let total = 12.0 + (step as f64) * 1.7;
             let lp = lb_like(total);
-            let warm = lp.solve_warm(basis.as_ref()).unwrap();
+            let warm = lp.solve_warm(&mut kept).unwrap();
             let cold = lp.solve().unwrap();
+            assert_eq!(warm.warm_used, step > 0);
             assert!(
                 approx(warm.solution.objective, cold.objective),
                 "epoch {step}: warm {} cold {}",
@@ -971,8 +1086,76 @@ mod tests {
                 cold.objective
             );
             assert!(lp.is_feasible(&warm.solution.values, 1e-6));
-            basis = Some(warm.basis);
         }
+    }
+
+    /// A random transportation-style min-max program: `sources` volumes
+    /// spread over `boxes` capacities, optionally with a λ cap row whose
+    /// rhs also drifts (the refine pass's `λ ≤ bound`).
+    fn random_program(volumes: &[f64], caps: &[f64], lambda_cap: f64) -> LinearProgram {
+        let mut lp = LinearProgram::new();
+        let lam = lp.add_var("lambda", 1.0);
+        let mut per_box: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); caps.len()];
+        for (s, &vol) in volumes.iter().enumerate() {
+            // every source reaches two neighbouring boxes
+            let row: Vec<(VarId, f64)> = (0..2)
+                .map(|k| {
+                    let x = (s + k) % caps.len();
+                    let v = lp.add_var(format!("t[{s}][{x}]"), 0.0);
+                    per_box[x].push((v, 1.0));
+                    (v, 1.0)
+                })
+                .collect();
+            lp.add_constraint(row, Eq, vol);
+        }
+        for (terms, &cap) in per_box.iter().zip(caps) {
+            let mut row = terms.clone();
+            row.push((lam, -cap));
+            lp.add_constraint(row, Le, 0.0);
+        }
+        lp.add_constraint(vec![(lam, 1.0)], Le, lambda_cap);
+        lp
+    }
+
+    #[test]
+    fn random_rhs_drift_schedules_match_cold_solves() {
+        use sdm_util::prop::{check, Config};
+        check(
+            "warm re-solve == cold solve under rhs drift",
+            &Config::with_cases(48),
+            |rng| {
+                let boxes = rng.gen_range(2..6usize);
+                let caps: Vec<u32> = (0..boxes).map(|_| rng.gen_range(1..40u32)).collect();
+                let sources = rng.gen_range(2..9usize);
+                let epochs: Vec<Vec<u32>> = (0..rng.gen_range(2..10usize))
+                    .map(|_| (0..sources).map(|_| rng.gen_range(0..5000u32)).collect())
+                    .collect();
+                (caps, epochs)
+            },
+            |(caps, epochs)| {
+                if caps.len() < 2 || epochs.iter().any(|e| e.len() != epochs[0].len()) {
+                    return Ok(()); // shrunk out of the generator's domain
+                }
+                let caps: Vec<f64> = caps.iter().map(|&c| 1.0 + c as f64).collect();
+                let mut kept = None;
+                for (e, volumes) in epochs.iter().enumerate() {
+                    let volumes: Vec<f64> = volumes.iter().map(|&v| v as f64).collect();
+                    let lp = random_program(&volumes, &caps, 1e6);
+                    let warm = lp.solve_warm(&mut kept).map_err(|x| x.to_string())?;
+                    let cold = lp.solve().map_err(|x| x.to_string())?;
+                    sdm_util::prop_assert_eq!(warm.warm_used, e > 0);
+                    sdm_util::prop_assert!(
+                        (warm.solution.objective - cold.objective).abs()
+                            <= 1e-9 * (1.0 + cold.objective.abs()),
+                        "epoch {e}: warm {} cold {}",
+                        warm.solution.objective,
+                        cold.objective
+                    );
+                    sdm_util::prop_assert!(residual_ok(&lp, &warm.solution.values));
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]

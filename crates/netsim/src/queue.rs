@@ -21,8 +21,20 @@
 //! the heap in `(at, seq)` order into the bucket tail at the moment of the
 //! crossing, before any bucket push for `t` can occur — so bucket append
 //! order equals global push order for every tick.
+//!
+//! # Memory
+//!
+//! A bucket's buffer grows to the most events its tick ever held, and a
+//! tick's slot is not visited again for [`WINDOW`] ticks. Left in place,
+//! the buffers would add up to the *sum of per-tick peaks* over every slot
+//! ever touched. Instead a bucket gives its buffer up the moment the queue
+//! moves past its tick, and the next push into an empty slot takes one
+//! over: the buffers in circulation are as many as there were ticks with
+//! events pending at once, so capacity follows the peak number of live
+//! events, not the number of slots touched.
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
 
 use crate::engine::SimTime;
@@ -62,6 +74,9 @@ pub struct CalendarQueue<T> {
     buckets: Vec<VecDeque<T>>,
     /// The tick currently being drained; never decreases.
     cur: u64,
+    /// Buffers of exhausted ticks, waiting for the next push into a slot
+    /// without one (see the module docs on memory).
+    spare: Vec<VecDeque<T>>,
     /// Events currently stored in the ring.
     ring_len: usize,
     /// Far-future events, ordered by `(at, seq)`.
@@ -83,6 +98,7 @@ impl<T> CalendarQueue<T> {
         CalendarQueue {
             buckets: (0..WINDOW).map(|_| VecDeque::new()).collect(),
             cur: 0,
+            spare: Vec::new(),
             ring_len: 0,
             far: BinaryHeap::new(),
             seq: 0,
@@ -108,8 +124,7 @@ impl<T> CalendarQueue<T> {
         let seq = self.seq;
         self.seq += 1;
         if at.0 < self.cur + WINDOW {
-            self.buckets[(at.0 % WINDOW) as usize].push_back(item);
-            self.ring_len += 1;
+            self.push_ring(at.0, item);
         } else {
             self.far.push(Reverse(FarEntry { at: at.0, seq, item }));
         }
@@ -121,8 +136,7 @@ impl<T> CalendarQueue<T> {
             // Nothing inside the window: jump straight to the heap's next
             // event time (skipping the empty gap) and refill the ring.
             let next_at = self.far.peek()?.0.at;
-            self.cur = next_at;
-            self.migrate();
+            self.advance_to(next_at);
         }
         loop {
             let bucket = &mut self.buckets[(self.cur % WINDOW) as usize];
@@ -133,8 +147,7 @@ impl<T> CalendarQueue<T> {
             // This tick is exhausted; advancing uncovers exactly one new
             // tick (cur + WINDOW - 1 after the increment) at the window's
             // far end — pull any heap events that now fit.
-            self.cur += 1;
-            self.migrate();
+            self.advance_to(self.cur + 1);
         }
     }
 
@@ -175,8 +188,7 @@ impl<T> CalendarQueue<T> {
             // Same window jump as `pop`: skip the empty gap to the heap's
             // earliest event and refill the ring.
             let next_at = self.far.peek()?.0.at;
-            self.cur = next_at;
-            self.migrate();
+            self.advance_to(next_at);
         }
         loop {
             let bucket = &mut self.buckets[(self.cur % WINDOW) as usize];
@@ -186,23 +198,59 @@ impl<T> CalendarQueue<T> {
                 self.ring_len -= n;
                 return Some(SimTime(self.cur));
             }
-            self.cur += 1;
-            self.migrate();
+            self.advance_to(self.cur + 1);
         }
+    }
+
+    /// Appends `item` to the bucket of tick `at` (inside the window). A
+    /// slot without a buffer takes over a spare one before allocating.
+    fn push_ring(&mut self, at: u64, item: T) {
+        let bucket = &mut self.buckets[(at % WINDOW) as usize];
+        if bucket.capacity() == 0 {
+            if let Some(buf) = self.spare.pop() {
+                *bucket = buf;
+            }
+        }
+        bucket.push_back(item);
+        self.ring_len += 1;
+    }
+
+    /// Leaves the exhausted tick `cur` for `next`, giving the tick's
+    /// buffer up for reuse, and refills the ring for the new window.
+    fn advance_to(&mut self, next: u64) {
+        let bucket = &mut self.buckets[(self.cur % WINDOW) as usize];
+        debug_assert!(bucket.is_empty(), "left a tick with events pending");
+        if bucket.capacity() > 0 {
+            self.spare.push(std::mem::take(bucket));
+        }
+        self.cur = next;
+        self.migrate();
     }
 
     /// Moves every heap event inside `[cur, cur + WINDOW)` into the ring,
     /// in `(at, seq)` order.
     fn migrate(&mut self) {
-        while let Some(Reverse(top)) = self.far.peek() {
-            if top.at >= self.cur + WINDOW {
+        loop {
+            let Some(top) = self.far.peek_mut() else {
+                break;
+            };
+            if top.0.at >= self.cur + WINDOW {
                 break;
             }
-            let Reverse(e) = self.far.pop().expect("peeked");
+            let Reverse(e) = PeekMut::pop(top);
             debug_assert!(e.at >= self.cur, "heap held a past event");
-            self.buckets[(e.at % WINDOW) as usize].push_back(e.item);
-            self.ring_len += 1;
+            self.push_ring(e.at, e.item);
         }
+    }
+
+    /// Capacity held across all bucket and spare buffers, in events.
+    #[cfg(test)]
+    fn retained_capacity(&self) -> usize {
+        self.buckets
+            .iter()
+            .chain(&self.spare)
+            .map(VecDeque::capacity)
+            .sum()
     }
 }
 
@@ -339,6 +387,50 @@ mod tests {
         assert_eq!(q.pop_tick_batch(16, &mut out), Some(SimTime(WINDOW * 3 + 7)));
         assert_eq!(out, vec![42, 43]);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn retained_capacity_follows_live_events_not_ticks_touched() {
+        // K events a tick, each scheduling its successor one tick ahead
+        // (the simulator's steady state), through five laps of the ring,
+        // with one 100×K burst tick on the way. Buffers that stayed with
+        // their slots would end up holding ≥ WINDOW × K.
+        const K: usize = 64;
+        let ticks = 5 * WINDOW;
+        let burst_at = 2 * WINDOW + 17;
+        let mut q = CalendarQueue::new();
+        for i in 0..K {
+            q.push(SimTime(0), i);
+        }
+        let mut batch = Vec::new();
+        let mut popped = 0usize;
+        let mut peak_live = 0usize;
+        while let Some(at) = q.pop_tick_batch(usize::MAX, &mut batch) {
+            popped += batch.len();
+            if at.0 + 1 < ticks {
+                let copies = if at.0 + 1 == burst_at { 100 } else { 1 };
+                for &i in batch.iter().take(K) {
+                    for _ in 0..copies {
+                        q.push(SimTime(at.0 + 1), i);
+                    }
+                }
+            }
+            batch.clear();
+            peak_live = peak_live.max(q.len());
+        }
+        assert_eq!(popped, (ticks as usize - 1) * K + 100 * K);
+        assert_eq!(peak_live, 100 * K);
+        let held = q.retained_capacity();
+        assert!(
+            held <= 4 * peak_live,
+            "{held} event slots held for a peak of {peak_live} live events \
+             (one buffer per slot would hold ≥ {})",
+            WINDOW as usize * K
+        );
+        // an idle jump across the far heap gives the old tick's buffer up too
+        q.push(SimTime(ticks + 10 * WINDOW), 0);
+        assert!(q.pop().is_some());
+        assert!(q.retained_capacity() <= 4 * peak_live);
     }
 
     #[test]

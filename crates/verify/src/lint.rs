@@ -74,6 +74,7 @@ pub const DIAGNOSTIC_CRATES: &[&str] = &["verify"];
 /// flagged.
 pub const HOT_PATH_SUFFIXES: &[&str] = &[
     "netsim/src/engine.rs",
+    "netsim/src/queue.rs",
     "core/src/shard.rs",
     "policy/src/flow_table.rs",
     "policy/src/local.rs",
@@ -663,6 +664,7 @@ mod tests {
         let hits = lint_str("crates/netsim/src/engine.rs", "netsim", src);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].rule, RULE_HOT_PATH_PANIC);
+        assert_eq!(lint_str("crates/netsim/src/queue.rs", "netsim", src).len(), 1);
         // Same code outside the hot path: no finding.
         assert!(lint_str("crates/netsim/src/addr.rs", "netsim", src).is_empty());
         // Suppressed on the preceding line.
