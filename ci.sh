@@ -90,14 +90,17 @@ SDM_SHARDS=4 SDM_BATCH=256 cargo run --release --offline -p sdm-bench --bin exha
 cmp /tmp/sdm_exhaustion_s1b1.txt /tmp/sdm_exhaustion_s4b256.txt
 echo "    exhaustion-attack report (incl. neg-cache evictions) is shard/batch-invariant"
 
-phase "reach golden: symbolic isolation checker on campus + 21k-node hierarchical"
+phase "reach golden: symbolic isolation checker on campus + 21k-node hierarchical + Waxman-425"
 cargo run --release --offline -p sdm-bench --bin sdm-reach -- \
     --campus-assertions results/assertions_campus.txt \
     --hier-assertions results/assertions_hier.txt \
     --corpus-out /tmp/sdm_reach_corpus.json > /tmp/sdm_reach_golden.json
 cmp results/reach_golden.json /tmp/sdm_reach_golden.json
 cmp results/reach_corpus.json /tmp/sdm_reach_corpus.json
-echo "    reach report and counterexample corpus are byte-identical to the goldens"
+cargo run --release --offline -p sdm-bench --bin sdm-reach -- \
+    --waxman-assertions results/assertions_campus.txt > /tmp/sdm_reach_waxman_golden.json
+cmp results/reach_waxman_golden.json /tmp/sdm_reach_waxman_golden.json
+echo "    reach reports (incl. the 175k-class Waxman one) and counterexample corpus are byte-identical to the goldens"
 
 phase "reach replay: every committed counterexample confirmed by the simulator"
 SDM_SHARDS=1 SDM_BATCH=1 cargo run --release --offline -p sdm-bench --bin sdm-reach -- \

@@ -1,19 +1,23 @@
 //! Network-wide isolation verification: checks operator assertion files
-//! against the campus evaluation world and the ≈21k-node hierarchical
-//! fabric, entirely symbolically, and lowers every violation into a
-//! replayable simulator scenario.
+//! against the campus and Waxman-425 evaluation worlds and the ≈21k-node
+//! hierarchical fabric, entirely symbolically, and lowers every violation
+//! into a replayable simulator scenario.
 //!
 //! Usage:
 //!   cargo run --release -p sdm-bench --bin sdm-reach --
 //!     [--seed N]                   world seed (default 1)
 //!     [--campus-assertions FILE]   check FILE on the campus world
 //!     [--hier-assertions FILE]     check FILE on the hierarchical fabric
+//!     [--waxman-assertions FILE]   check FILE on the Waxman-425 world
 //!     [--corpus-out FILE]          write the campus counterexample corpus
 //!     [--replay FILE]              replay a corpus against the campus
 //!                                  world; exit 1 on any disagreement
 //!
 //! In check mode one deterministic JSON document is printed (CI
-//! byte-diffs it against `results/reach_golden.json`) and the exit code
+//! byte-diffs the campus + hierarchical one against
+//! `results/reach_golden.json` and the Waxman one against
+//! `results/reach_waxman_golden.json`), each check's work counters
+//! ([`sdm_verify::reach::ReachStats`]) go to stderr, and the exit code
 //! is 0 even when assertions are refuted — the committed assertion sets
 //! intentionally contain refutable assertions so the counterexample
 //! corpus is non-empty. The campus run additionally verifies a hazard
@@ -54,6 +58,7 @@ fn main() -> ExitCode {
         let mut wr = world_reach(&ExperimentConfig::campus(seed));
         let report =
             check_assertions(&wr.view, wr.world.controller.routes(), &assertions);
+        eprintln!("sdm-reach: campus {:?}", report.stats);
         corpus.extend(report.scenarios());
 
         let (failed, hazard_report) = hazard_pass(&mut wr);
@@ -78,11 +83,28 @@ fn main() -> ExitCode {
         let hr = hier_reach(seed);
         let routes = hr.plan.topology().dest_routes();
         let report = check_assertions(&hr.view, &routes, &assertions);
+        eprintln!("sdm-reach: hierarchical {:?}", report.stats);
         sections.push((
             "hierarchical",
             Json::obj([
                 ("nodes", Json::from(hr.view.plan.node_count)),
                 ("stubs", Json::from(hr.view.stub_routers.len())),
+                ("report", report.to_json()),
+            ]),
+        ));
+    }
+
+    if let Some(path) = arg_value(&args, "--waxman-assertions") {
+        let assertions = load_assertions(&path);
+        let wr = world_reach(&ExperimentConfig::waxman(seed));
+        let report =
+            check_assertions(&wr.view, wr.world.controller.routes(), &assertions);
+        eprintln!("sdm-reach: waxman {:?}", report.stats);
+        sections.push((
+            "waxman",
+            Json::obj([
+                ("nodes", Json::from(wr.view.plan.node_count)),
+                ("stubs", Json::from(wr.view.stub_routers.len())),
                 ("report", report.to_json()),
             ]),
         ));

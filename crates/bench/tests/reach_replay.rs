@@ -8,11 +8,17 @@
 //! variables the engine reads at construction; all replays happen inside
 //! one test so the process-global variables are never raced.
 
+use std::collections::BTreeMap;
+
 use sdm_bench::reach_worlds::{hazard_pass, world_reach};
 use sdm_bench::replay::replay_corpus;
 use sdm_bench::ExperimentConfig;
 use sdm_core::{EnforcementOptions, EpochLoop, LbOptions, MiddleboxId, Strategy};
-use sdm_verify::reach::{check_assertions, parse_assertions, ReachCode};
+use sdm_netsim::Prefix;
+use sdm_verify::reach::{
+    check_assertions, parse_assertions, render_all_classes, Assertion, FlowClass, ReachCode,
+    ReachStats,
+};
 use sdm_workload::to_flow_specs;
 
 const CAMPUS_ASSERTS: &str = include_str!("../../../results/assertions_campus.txt");
@@ -68,6 +74,86 @@ fn every_witness_replays_with_predicted_outcome_at_all_corners() {
     }
     std::env::remove_var("SDM_SHARDS");
     std::env::remove_var("SDM_BATCH");
+}
+
+#[test]
+fn campus_check_work_counters_are_pinned() {
+    // Where a from-scratch check of the committed campus assertions
+    // spends its work: 1,302 classes traced (some peeled pieces are
+    // unroutable enterprise space and yield none), and text rendered
+    // for the path-carrying witnesses of findings only.
+    let assertions = parse_assertions(CAMPUS_ASSERTS).expect("campus assertions parse");
+    let wr = world_reach(&ExperimentConfig::campus(1));
+    let report = check_assertions(&wr.view, wr.world.controller.routes(), &assertions);
+    assert_eq!(report.flow_classes, 1_302);
+    assert_eq!(
+        report.stats,
+        ReachStats {
+            ingress_pieces: 219,
+            peeled_classes: 1_762,
+            classes_traced: 1_302,
+            witnesses_rendered: 8,
+            route_legs_walked: 2_355,
+        }
+    );
+    let with_path = report
+        .findings
+        .iter()
+        .filter(|f| f.witness.as_ref().is_some_and(|w| !w.path.is_empty()))
+        .count();
+    assert_eq!(report.stats.witnesses_rendered, with_path);
+}
+
+#[test]
+fn lazy_witness_paths_equal_eager_paths_under_every_strategy() {
+    // Every class's path rendered on the spot (`render_all_classes`)
+    // against the paths `check_assertions` renders after the fact, for
+    // findings only: same class and ingress, same hops. `isolate * -> *`
+    // turns every delivered class into a finding, so all of them compare.
+    let assertions = parse_assertions(&format!("{CAMPUS_ASSERTS}\nisolate * -> *\n"))
+        .expect("campus assertions parse");
+    let world = sdm_bench::World::build(&ExperimentConfig::campus(1));
+    let hp = world.run_strategy(Strategy::HotPotato, None, &world.flows(50_000, 11));
+    let (weights, _) = world
+        .controller
+        .solve_load_balanced(&hp.measurements, LbOptions::default())
+        .expect("load-balancing LP must solve");
+    let options = EnforcementOptions::default();
+    let routes = world.controller.routes();
+    for (strategy, weights) in [
+        (Strategy::HotPotato, None),
+        (Strategy::Random { salt: 0xDA7A }, None),
+        (Strategy::LoadBalanced, Some(&weights)),
+    ] {
+        let view = sdm_core::reach_view(&world.controller, strategy, weights, &options);
+        let mut eager: BTreeMap<(FlowClass, String), Vec<String>> = BTreeMap::new();
+        for assertion in &assertions {
+            let (src, dst) = match *assertion {
+                Assertion::Isolated { src, dst } | Assertion::Waypoint { src, dst, .. } => {
+                    (src, dst)
+                }
+                Assertion::LoopFree { .. } => (Prefix::ANY, Prefix::ANY),
+            };
+            for (class, path) in render_all_classes(&view, routes, src, dst) {
+                eager.insert((class, path[0].clone()), path);
+            }
+        }
+        let report = check_assertions(&view, routes, &assertions);
+        let mut compared = 0usize;
+        for witness in report.findings.iter().filter_map(|f| f.witness.as_ref()) {
+            let Some(ingress_hop) = witness.path.first() else {
+                continue;
+            };
+            assert_eq!(
+                eager.get(&(witness.class, ingress_hop.clone())),
+                Some(&witness.path),
+                "{strategy:?}: {}",
+                witness.class
+            );
+            compared += 1;
+        }
+        assert!(compared > 1_000, "{strategy:?}: only {compared} witness paths");
+    }
 }
 
 #[test]

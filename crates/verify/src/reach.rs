@@ -37,7 +37,7 @@ use sdm_netsim::{FiveTuple, Ipv4Addr, Prefix};
 use sdm_policy::{NetworkFunction, TrafficDescriptor};
 use sdm_util::json::Json;
 
-use crate::plan::{CandidateSet, PlanView, Point, WeightsView};
+use crate::plan::{CandidateSet, PlanView, Point, WeightColumn, WeightsView};
 use crate::witness::{protocol_from_number, ReplayScenario, ReplayStep, StepExpect, WitnessFlow};
 
 /// The full inclusive port interval (the `*` port match).
@@ -114,24 +114,57 @@ pub enum Walk {
 /// verifier's steering-loop pass (V005) and the reach checker, so the two
 /// tiers can never disagree about what the routed path is.
 pub fn walk_route(routes: &dyn RouteView, from: u32, to: u32, budget: usize) -> Walk {
-    let mut path = vec![from];
-    let mut seen: BTreeSet<u32> = BTreeSet::new();
-    seen.insert(from);
+    let mut path = Vec::new();
+    match walk_into(routes, from, to, budget, &mut path) {
+        Leg::Arrived => Walk::Arrived(path),
+        Leg::Looped => Walk::Looped(path),
+        Leg::Unreachable => Walk::Unreachable,
+    }
+}
+
+/// How a walk written into a caller-owned buffer ended (see [`Walk`]).
+enum Leg {
+    Arrived,
+    Looped,
+    Unreachable,
+}
+
+/// Walks shorter than this find a revisited node by scanning the path.
+const LINEAR_SCAN_NODES: usize = 32;
+
+/// [`walk_route`] into `path` (cleared first), so a caller tracing many
+/// legs reuses one buffer. Routed paths are a handful of hops: a revisit
+/// is found by a linear scan, and only a walk past
+/// [`LINEAR_SCAN_NODES`] builds an ordered set of the nodes seen so far.
+fn walk_into(
+    routes: &dyn RouteView,
+    from: u32,
+    to: u32,
+    budget: usize,
+    path: &mut Vec<u32>,
+) -> Leg {
+    path.clear();
+    path.push(from);
+    let mut seen: Option<BTreeSet<u32>> = None;
     let mut at = from;
     while at != to {
         let Some(next) = routes.next_hop(at, to) else {
-            return Walk::Unreachable;
+            return Leg::Unreachable;
+        };
+        let revisited = if path.len() < LINEAR_SCAN_NODES {
+            path.contains(&next)
+        } else {
+            !seen
+                .get_or_insert_with(|| path.iter().copied().collect())
+                .insert(next)
         };
         path.push(next);
-        if !seen.insert(next) {
-            return Walk::Looped(path);
-        }
-        if path.len() > budget {
-            return Walk::Looped(path);
+        if revisited || path.len() > budget {
+            return Leg::Looped;
         }
         at = next;
     }
-    Walk::Arrived(path)
+    Leg::Arrived
 }
 
 // ---------------------------------------------------------------------------
@@ -656,69 +689,6 @@ pub struct ReachView {
 }
 
 impl ReachView {
-    fn candidates_for(&self, point: Point, f: NetworkFunction) -> Option<&CandidateSet> {
-        self.plan
-            .candidates
-            .iter()
-            .find(|c| c.point == point && c.function == f)
-    }
-
-    /// The set of middleboxes a fresh flow can be steered to at `point`
-    /// for chain stage `next_index` of `policy` (function `f`), under
-    /// `weights`. Sorted; empty when the decision blackholes.
-    fn support(
-        &self,
-        point: Point,
-        policy: u32,
-        next_index: u16,
-        f: NetworkFunction,
-        weights: Option<&WeightsView>,
-        include_failed: bool,
-    ) -> Vec<u32> {
-        let members: Vec<u32> = self
-            .candidates_for(point, f)
-            .map(|c| c.members.clone())
-            .unwrap_or_default();
-        let alive = |m: &u32| {
-            include_failed
-                || self
-                    .plan
-                    .middleboxes
-                    .get(*m as usize)
-                    .is_some_and(|mb| mb.available)
-        };
-        let hot_potato = || -> Vec<u32> { members.iter().copied().filter(alive).take(1).collect() };
-        let mut out = match self.strategy {
-            StrategyView::HotPotato => hot_potato(),
-            StrategyView::Random => members.iter().copied().filter(alive).collect(),
-            StrategyView::LoadBalanced => {
-                let col = weights.and_then(|w| {
-                    w.columns.iter().find(|c| {
-                        c.point == point && c.policy == policy && c.next_index == next_index
-                    })
-                });
-                let positive: Vec<u32> = col
-                    .map(|c| {
-                        c.weights
-                            .iter()
-                            .filter(|&&(m, v)| v > 0.0 && members.contains(&m))
-                            .map(|&(m, _)| m)
-                            .filter(alive)
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                if positive.is_empty() {
-                    hot_potato()
-                } else {
-                    positive
-                }
-            }
-        };
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// First-match compilation of `class` against the policy table: the
     /// disjoint pieces of `class`, each tagged with the rule that governs
     /// it (`None` = default permit). Pieces and order are deterministic.
@@ -740,69 +710,6 @@ impl ReachView {
         }
         for piece in remaining {
             out.push((piece, None));
-        }
-        out
-    }
-
-    /// Splits `class` by where its sources enter the network: one piece
-    /// per overlapping stub proxy, plus (if any source space is left
-    /// outside every stub) the gateway ingress for external sources.
-    fn ingresses(&self, class: FlowClass) -> Vec<(Ingress, FlowClass)> {
-        let mut out = Vec::new();
-        let mut external_src = vec![class.src];
-        for (s, subnet) in self.plan.stub_subnets.iter().enumerate() {
-            if let Some(src) = prefix_intersect(class.src, *subnet) {
-                // Traffic that stays inside the subnet never crosses the
-                // stub's proxy — it is switched locally, outside the
-                // steering fabric this checker models — so peel the
-                // stub's own subnet off the destination space.
-                for dst in prefix_subtract(class.dst, *subnet) {
-                    out.push((
-                        Ingress::Stub(s as u32),
-                        FlowClass { src, dst, ..class },
-                    ));
-                }
-            }
-            external_src = external_src
-                .into_iter()
-                .flat_map(|p| prefix_subtract(p, *subnet))
-                .collect();
-        }
-        for src in external_src {
-            // Sources inside the enterprise but in no stub don't exist;
-            // everything else enters through the gateways.
-            if src.is_subset_of(self.enterprise) {
-                continue;
-            }
-            for (g, _) in self.gateway_routers.iter().enumerate() {
-                out.push((Ingress::Gateway(g as u32), FlowClass { src, ..class }));
-            }
-        }
-        out
-    }
-
-    /// Classifies where the destination space of `class` can be
-    /// delivered: internal stubs, the external world, or nowhere.
-    fn egresses(&self, class: FlowClass) -> Vec<(Egress, FlowClass)> {
-        let mut out = Vec::new();
-        let mut rest = vec![class.dst];
-        for (s, subnet) in self.plan.stub_subnets.iter().enumerate() {
-            if let Some(dst) = prefix_intersect(class.dst, *subnet) {
-                out.push((Egress::Stub(s as u32), FlowClass { dst, ..class }));
-            }
-            rest = rest
-                .into_iter()
-                .flat_map(|p| prefix_subtract(p, *subnet))
-                .collect();
-        }
-        for dst in rest {
-            if dst.is_subset_of(self.enterprise) {
-                // Enterprise space with no stub behind it: unroutable.
-                continue;
-            }
-            if !self.gateway_routers.is_empty() {
-                out.push((Egress::External, FlowClass { dst, ..class }));
-            }
         }
         out
     }
@@ -967,6 +874,30 @@ pub struct ReachReport {
     pub findings: Vec<ReachFinding>,
     /// Total flow classes examined.
     pub flow_classes: usize,
+    /// Where the work went. Not part of [`ReachReport::to_json`]: the
+    /// report says what was found, this says what finding it cost.
+    pub stats: ReachStats,
+}
+
+/// Work counters of one [`check_assertions`] call, stage by stage of the
+/// class pipeline (ingress split → first-match peel → egress split →
+/// trace → witness). Deterministic: counts, never clocks.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReachStats {
+    /// Pieces the ingress split produced (one per stub or gateway a
+    /// class can enter at, per destination piece).
+    pub ingress_pieces: usize,
+    /// Pieces first-match peeling against the policy table produced.
+    pub peeled_classes: usize,
+    /// Flow classes whose enforcement path was traced (those with an
+    /// egress router; `flow_classes` also counts the rest).
+    pub classes_traced: usize,
+    /// Witness paths rendered to text — one per path-carrying finding,
+    /// not one per class.
+    pub witnesses_rendered: usize,
+    /// Routed legs walked hop by hop: one per leg traced, and again one
+    /// per leg of each rendered witness.
+    pub route_legs_walked: usize,
 }
 
 impl ReachReport {
@@ -1081,14 +1012,121 @@ impl fmt::Display for ReachReport {
 // The checker
 // ---------------------------------------------------------------------------
 
+/// The stub subnets that share an address with a query prefix, found
+/// without visiting the rest.
+///
+/// The structure is the subnet list sorted by `(base address, length)`
+/// and searched by bisection, not a binary trie: two prefixes overlap
+/// only when one contains the other, so the answer for `q` is the
+/// contiguous run of entries based inside `q` (its descendants, `q`
+/// itself and any ancestor sharing its base) plus at most one exact-key
+/// run per shorter length present in the list (the ancestors based below
+/// `q`). That is exact for *any* list — nested, duplicated, unsorted,
+/// `/0` and `/32` included — because nothing is assumed about it, and it
+/// builds in one sort of a list that is already sorted in practice.
+struct StubIndex {
+    /// `(base address, length, stub index)`, ascending.
+    sorted: Vec<(u32, u8, u32)>,
+    /// Bit `l` is set when some subnet has length `l`.
+    lens: u64,
+}
+
+impl StubIndex {
+    fn new(subnets: &[Prefix]) -> StubIndex {
+        let mut sorted: Vec<(u32, u8, u32)> = subnets
+            .iter()
+            .enumerate()
+            .map(|(s, p)| (p.addr().0, p.len(), s as u32))
+            .collect();
+        sorted.sort_unstable();
+        let lens = subnets.iter().fold(0u64, |m, p| m | 1 << p.len());
+        StubIndex { sorted, lens }
+    }
+
+    /// The stub indices whose subnet overlaps `q`, ascending — the only
+    /// iterations of a loop over every stub that are not no-ops.
+    fn overlapping(&self, q: Prefix) -> Vec<u32> {
+        let first = q.addr().0;
+        let last = first | u32::MAX.checked_shr(q.len() as u32).unwrap_or(0);
+        let from = self.sorted.partition_point(|e| e.0 < first);
+        let mut out: Vec<u32> = self.sorted[from..]
+            .iter()
+            .take_while(|e| e.0 <= last)
+            .map(|e| e.2)
+            .collect();
+        for len in (0..q.len()).filter(|l| self.lens >> l & 1 == 1) {
+            let base = Prefix::new(q.addr(), len).addr().0;
+            if base == first {
+                continue; // based inside q: already in the run above
+            }
+            let from = self.sorted.partition_point(|e| (e.0, e.1) < (base, len));
+            out.extend(
+                self.sorted[from..]
+                    .iter()
+                    .take_while(|e| (e.0, e.1) == (base, len))
+                    .map(|e| e.2),
+            );
+        }
+        out.sort_unstable();
+        out
+    }
+}
+
+/// A list searched by key, answering what a linear `find` over the list
+/// would: entries are *stably* sorted, so of several entries under one
+/// key the earliest in the list is the one returned.
+struct FirstByKey<K, V>(Vec<(K, V)>);
+
+impl<K: Ord + Copy, V: Copy> FirstByKey<K, V> {
+    fn new(entries: impl Iterator<Item = (K, V)>) -> Self {
+        let mut sorted: Vec<(K, V)> = entries.collect();
+        sorted.sort_by_key(|e| e.0);
+        FirstByKey(sorted)
+    }
+
+    fn get(&self, key: K) -> Option<V> {
+        let at = self.0.partition_point(|e| e.0 < key);
+        self.0.get(at).filter(|e| e.0 == key).map(|e| e.1)
+    }
+}
+
+/// The LP weight columns keyed by `(point, policy, next_index)`.
+type Columns<'a> = FirstByKey<(Point, u32, u16), &'a WeightColumn>;
+
+fn columns(weights: Option<&WeightsView>) -> Columns<'_> {
+    FirstByKey::new(
+        weights
+            .iter()
+            .flat_map(|w| &w.columns)
+            .map(|c| ((c.point, c.policy, c.next_index), c)),
+    )
+}
+
+/// One hop of a structural trace. A trace is kept as these until a
+/// finding needs its witness path; only then is it rendered to text.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Middlebox `m`, already reached, applies the next function locally.
+    Apply(NetworkFunction, u32),
+    /// A routed leg between two routers (walked again when rendered).
+    Route(u32, u32),
+    /// Arrival at the steered-to middlebox.
+    Mbox(u32),
+    /// Delivery at the egress router.
+    Deliver(u32),
+}
+
 /// A fully-expanded enforcement path for one flow class from one ingress:
 /// the steering stages chosen (deterministically, the first support
-/// member at each stage) and the routed node walks between them.
+/// member at each stage) and the routed legs between them.
+#[derive(Default)]
 struct PathTrace {
+    /// The router the ingress attaches to.
+    ingress_router: u32,
     /// Middlebox visited at each chain stage.
     stages: Vec<u32>,
-    /// Human-readable hops.
-    hops: Vec<String>,
+    /// The hops, in order.
+    steps: Vec<Step>,
     /// Total router hops walked.
     router_hops: usize,
     /// The union of every stage's *support* (all boxes the flow could
@@ -1096,25 +1134,310 @@ struct PathTrace {
     support_union: Vec<u32>,
 }
 
-enum TraceOutcome {
-    /// Path reaches the egress router.
-    Completed(PathTrace),
+/// How a traced path ends.
+#[derive(Clone, Copy)]
+enum End {
+    /// It reaches the egress router.
+    Delivered,
     /// A steering stage had no available candidate.
-    Blackhole { stage: NetworkFunction },
-    /// A routed walk between two stage routers looped.
-    RoutedLoop { hops: Vec<String> },
-    /// Routing has no path between two stage routers.
+    Blackhole(NetworkFunction),
+    /// A routed leg looped (the trace's last step).
+    Looped,
+    /// Routing has no path for a leg, or the ingress has no router.
     NoRoute,
+}
+
+/// One `check_assertions` call: the inputs, the indices built once over
+/// them, a walk buffer and the work counters.
+struct Checker<'a> {
+    view: &'a ReachView,
+    routes: &'a dyn RouteView,
+    stubs: StubIndex,
+    candidates: FirstByKey<(Point, NetworkFunction), &'a CandidateSet>,
+    columns: Columns<'a>,
+    path: Vec<u32>,
+    stats: ReachStats,
+}
+
+impl<'a> Checker<'a> {
+    fn new(view: &'a ReachView, routes: &'a dyn RouteView) -> Self {
+        Checker {
+            view,
+            routes,
+            stubs: StubIndex::new(&view.plan.stub_subnets),
+            candidates: FirstByKey::new(
+                view.plan.candidates.iter().map(|c| ((c.point, c.function), c)),
+            ),
+            columns: columns(view.plan.weights.as_ref()),
+            path: Vec::new(),
+            stats: ReachStats::default(),
+        }
+    }
+
+    /// The set of middleboxes a fresh flow can be steered to at `point`
+    /// for chain stage `next_index` of `policy` (function `f`), under the
+    /// weight `columns`. Sorted; empty when the decision blackholes.
+    fn support(
+        &self,
+        point: Point,
+        policy: u32,
+        next_index: u16,
+        f: NetworkFunction,
+        columns: &Columns<'_>,
+        include_failed: bool,
+    ) -> Vec<u32> {
+        let members: &[u32] = self
+            .candidates
+            .get((point, f))
+            .map_or(&[], |c| c.members.as_slice());
+        let alive = |m: &u32| {
+            include_failed
+                || self
+                    .view
+                    .plan
+                    .middleboxes
+                    .get(*m as usize)
+                    .is_some_and(|mb| mb.available)
+        };
+        let hot_potato = || -> Vec<u32> { members.iter().copied().filter(alive).take(1).collect() };
+        let mut out = match self.view.strategy {
+            StrategyView::HotPotato => hot_potato(),
+            StrategyView::Random => members.iter().copied().filter(alive).collect(),
+            StrategyView::LoadBalanced => {
+                let positive: Vec<u32> = columns
+                    .get((point, policy, next_index))
+                    .map(|c| {
+                        c.weights
+                            .iter()
+                            .filter(|&&(m, v)| v > 0.0 && members.contains(&m))
+                            .map(|&(m, _)| m)
+                            .filter(alive)
+                            .collect()
+                    })
+                    .unwrap_or_default();
+                if positive.is_empty() {
+                    hot_potato()
+                } else {
+                    positive
+                }
+            }
+        };
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    /// Splits `class` by where its sources enter the network: one piece
+    /// per overlapping stub proxy, plus (if any source space is left
+    /// outside every stub) the gateway ingress for external sources.
+    fn ingresses(&self, class: FlowClass) -> Vec<(Ingress, FlowClass)> {
+        let mut out = Vec::new();
+        let mut external_src = vec![class.src];
+        for s in self.stubs.overlapping(class.src) {
+            let subnet = self.view.plan.stub_subnets[s as usize];
+            if let Some(src) = prefix_intersect(class.src, subnet) {
+                // Traffic that stays inside the subnet never crosses the
+                // stub's proxy — it is switched locally, outside the
+                // steering fabric this checker models — so peel the
+                // stub's own subnet off the destination space.
+                for dst in prefix_subtract(class.dst, subnet) {
+                    out.push((Ingress::Stub(s), FlowClass { src, dst, ..class }));
+                }
+            }
+            external_src = external_src
+                .into_iter()
+                .flat_map(|p| prefix_subtract(p, subnet))
+                .collect();
+        }
+        for src in external_src {
+            // Sources inside the enterprise but in no stub don't exist;
+            // everything else enters through the gateways.
+            if src.is_subset_of(self.view.enterprise) {
+                continue;
+            }
+            for (g, _) in self.view.gateway_routers.iter().enumerate() {
+                out.push((Ingress::Gateway(g as u32), FlowClass { src, ..class }));
+            }
+        }
+        out
+    }
+
+    /// Classifies where the destination space of `class` can be
+    /// delivered: internal stubs, the external world, or nowhere.
+    fn egresses(&self, class: FlowClass) -> Vec<(Egress, FlowClass)> {
+        let mut out = Vec::new();
+        let mut rest = vec![class.dst];
+        for s in self.stubs.overlapping(class.dst) {
+            let subnet = self.view.plan.stub_subnets[s as usize];
+            if let Some(dst) = prefix_intersect(class.dst, subnet) {
+                out.push((Egress::Stub(s), FlowClass { dst, ..class }));
+            }
+            rest = rest
+                .into_iter()
+                .flat_map(|p| prefix_subtract(p, subnet))
+                .collect();
+        }
+        for dst in rest {
+            if dst.is_subset_of(self.view.enterprise) {
+                // Enterprise space with no stub behind it: unroutable.
+                continue;
+            }
+            if !self.view.gateway_routers.is_empty() {
+                out.push((Egress::External, FlowClass { dst, ..class }));
+            }
+        }
+        out
+    }
+
+    /// Walks one routed leg into the shared buffer.
+    fn walk(&mut self, from: u32, to: u32) -> Leg {
+        self.stats.route_legs_walked += 1;
+        let budget = self.view.plan.node_count.max(2);
+        walk_into(self.routes, from, to, budget, &mut self.path)
+    }
+
+    /// Traces the steering stages of `rule` from `ingress`: the strategy's
+    /// first support member at each stage and the routed leg to it, ending
+    /// at `Ok(router)` of the last stage or at the `Err` that stopped it.
+    /// What is left of a path — the leg to the egress router — depends on
+    /// the class's egress alone, so one staged trace serves every egress
+    /// piece of a peeled class.
+    fn trace_stages(
+        &mut self,
+        ingress: Ingress,
+        rule: Option<&RuleView>,
+    ) -> (PathTrace, Result<u32, End>) {
+        let view = self.view;
+        let chain: &[NetworkFunction] = rule.map(|r| r.chain.as_slice()).unwrap_or(&[]);
+        let policy = rule.map(|r| r.policy).unwrap_or(0);
+        let mut trace = PathTrace::default();
+        let Some(mut at_router) = view.ingress_router(ingress) else {
+            return (trace, Err(End::NoRoute));
+        };
+        trace.ingress_router = at_router;
+        let mut point = view.ingress_point(ingress);
+        for (stage_index, &f) in chain.iter().enumerate() {
+            // A box implementing the next function applies it locally.
+            if let Point::Middlebox(m) = point {
+                if view.plan.middleboxes[m as usize].functions.contains(&f) {
+                    trace.steps.push(Step::Apply(f, m));
+                    continue;
+                }
+            }
+            let support = self.support(point, policy, stage_index as u16, f, &self.columns, false);
+            let Some(&target) = support.first() else {
+                return (trace, Err(End::Blackhole(f)));
+            };
+            trace.support_union.extend(support);
+            let target_router = view.plan.middleboxes[target as usize].router as u32;
+            trace.steps.push(Step::Route(at_router, target_router));
+            match self.walk(at_router, target_router) {
+                Leg::Arrived => trace.router_hops += self.path.len() - 1,
+                Leg::Looped => return (trace, Err(End::Looped)),
+                Leg::Unreachable => return (trace, Err(End::NoRoute)),
+            }
+            trace.steps.push(Step::Mbox(target));
+            trace.stages.push(target);
+            at_router = target_router;
+            point = Point::Middlebox(target);
+        }
+        trace.support_union.sort_unstable();
+        trace.support_union.dedup();
+        (trace, Ok(at_router))
+    }
+
+    /// Streams the (ingress, rule, egress) pieces of the traffic
+    /// `src -> dst` — each with a single governing rule, ingress point
+    /// and egress kind — through `visit`, one traced class at a time:
+    /// nothing per class outlives its visit. Returns the number of
+    /// classes.
+    fn for_each_class(
+        &mut self,
+        src: Prefix,
+        dst: Prefix,
+        mut visit: impl FnMut(&mut Self, Ingress, FlowClass, Option<&'a RuleView>, &PathTrace, End),
+    ) -> usize {
+        let view = self.view;
+        let mut classes = 0usize;
+        for (ingress, in_class) in self.ingresses(FlowClass::between(src, dst)) {
+            self.stats.ingress_pieces += 1;
+            for (peeled, rule) in view.peel(in_class) {
+                self.stats.peeled_classes += 1;
+                let mut staged: Option<(PathTrace, Result<u32, End>)> = None;
+                for (egress, class) in self.egresses(peeled) {
+                    classes += 1;
+                    let Some(out_router) = egress_router(view, egress) else {
+                        continue;
+                    };
+                    self.stats.classes_traced += 1;
+                    let (trace, stages) =
+                        staged.get_or_insert_with(|| self.trace_stages(ingress, rule));
+                    let staged_len = (trace.steps.len(), trace.router_hops);
+                    let end = match *stages {
+                        Err(end) => end,
+                        Ok(at_router) => {
+                            trace.steps.push(Step::Route(at_router, out_router));
+                            match self.walk(at_router, out_router) {
+                                Leg::Arrived => {
+                                    trace.router_hops += self.path.len() - 1;
+                                    trace.steps.push(Step::Deliver(out_router));
+                                    End::Delivered
+                                }
+                                Leg::Looped => End::Looped,
+                                Leg::Unreachable => End::NoRoute,
+                            }
+                        }
+                    };
+                    visit(self, ingress, class, rule, trace, end);
+                    trace.steps.truncate(staged_len.0);
+                    trace.router_hops = staged_len.1;
+                }
+            }
+        }
+        classes
+    }
+
+    /// Renders a structural trace as the hop-by-hop witness path of a
+    /// finding, walking its routed legs again for their nodes.
+    fn render(&mut self, ingress: Ingress, trace: &PathTrace) -> Vec<String> {
+        self.stats.witnesses_rendered += 1;
+        let mut hops = vec![format!("{ingress}@n{}", trace.ingress_router)];
+        for step in &trace.steps {
+            hops.push(match *step {
+                Step::Apply(f, m) => format!("apply({f})@m{m}"),
+                Step::Mbox(m) => format!("mbox(m{m})"),
+                Step::Deliver(n) => format!("deliver@n{n}"),
+                Step::Route(from, to) => {
+                    // A leg without a route ends its trace unshown, so
+                    // only arrivals and loops are ever rendered.
+                    let label = match self.walk(from, to) {
+                        Leg::Looped => "loop",
+                        Leg::Arrived | Leg::Unreachable => "route",
+                    };
+                    let nodes: Vec<String> = self.path.iter().map(|n| format!("n{n}")).collect();
+                    format!("{label}[{}]", nodes.join("->"))
+                }
+            });
+        }
+        hops
+    }
 }
 
 /// Checks `assertions` against the deployment and returns the sorted
 /// report. `routes` must be the same next-hop view the simulator's
 /// routers use ([`RouteView`]).
+///
+/// Cost follows the flow classes produced, not the network: stub subnets
+/// are found through an index built once per call, classes are traced
+/// as they are produced and dropped, and a witness path is rendered only
+/// for a class that becomes a finding ([`ReachReport::stats`] counts
+/// each stage).
 pub fn check_assertions(
     view: &ReachView,
     routes: &dyn RouteView,
     assertions: &[Assertion],
 ) -> ReachReport {
+    let mut cx = Checker::new(view, routes);
     let mut findings: Vec<ReachFinding> = Vec::new();
     let mut results: Vec<AssertionResult> = Vec::new();
     let mut flow_classes = 0usize;
@@ -1123,14 +1446,12 @@ pub fn check_assertions(
         let before = findings.len();
         let checked = match assertion {
             Assertion::Isolated { src, dst } => {
-                check_isolation(view, routes, *src, *dst, assertion, &mut findings)
+                check_isolation(&mut cx, *src, *dst, assertion, &mut findings)
             }
             Assertion::Waypoint { src, dst, via } => {
-                check_waypoint(view, routes, *src, *dst, *via, assertion, &mut findings)
+                check_waypoint(&mut cx, *src, *dst, *via, assertion, &mut findings)
             }
-            Assertion::LoopFree { ttl } => {
-                check_loop_free(view, routes, *ttl, assertion, &mut findings)
-            }
+            Assertion::LoopFree { ttl } => check_loop_free(&mut cx, *ttl, assertion, &mut findings),
         };
         flow_classes += checked;
         results.push(AssertionResult {
@@ -1140,7 +1461,7 @@ pub fn check_assertions(
         });
     }
 
-    check_hazards(view, routes, &mut findings);
+    check_hazards(&cx, &mut findings);
 
     findings.sort_by(|a, b| {
         (a.code, &a.subject, &a.detail).cmp(&(b.code, &b.subject, &b.detail))
@@ -1150,132 +1471,27 @@ pub fn check_assertions(
         results,
         findings,
         flow_classes,
+        stats: cx.stats,
     }
 }
 
-/// Traces one flow class from `ingress` through its chain to
-/// `egress_router`, following the strategy's first support member at each
-/// stage and the routed walk between stage routers.
-fn trace_path(
+/// Every flow class of `src -> dst` that is delivered or loops, with its
+/// path rendered on the spot — the eager counterpart of the witness
+/// paths [`check_assertions`] renders for findings only. Test support:
+/// the two must agree path for path.
+#[doc(hidden)]
+pub fn render_all_classes(
     view: &ReachView,
     routes: &dyn RouteView,
-    ingress: Ingress,
-    rule: Option<&RuleView>,
-    egress_router: u32,
-) -> TraceOutcome {
-    let budget = view.plan.node_count.max(2);
-    let chain: &[NetworkFunction] = rule.map(|r| r.chain.as_slice()).unwrap_or(&[]);
-    let policy = rule.map(|r| r.policy).unwrap_or(0);
-    let weights = view.plan.weights.as_ref();
-
-    let Some(mut at_router) = view.ingress_router(ingress) else {
-        return TraceOutcome::NoRoute;
-    };
-    let mut point = view.ingress_point(ingress);
-    let mut hops: Vec<String> = vec![format!("{ingress}@n{at_router}")];
-    let mut stages: Vec<u32> = Vec::new();
-    let mut support_union: BTreeSet<u32> = BTreeSet::new();
-    let mut router_hops = 0usize;
-
-    let mut stage_index = 0usize;
-    while stage_index < chain.len() {
-        let f = chain[stage_index];
-        // A box implementing the next function applies it locally.
-        if let Point::Middlebox(m) = point {
-            if view.plan.middleboxes[m as usize].functions.contains(&f) {
-                hops.push(format!("apply({f})@m{m}"));
-                stage_index += 1;
-                continue;
-            }
-        }
-        let support = view.support(point, policy, stage_index as u16, f, weights, false);
-        if support.is_empty() {
-            return TraceOutcome::Blackhole { stage: f };
-        }
-        support_union.extend(support.iter().copied());
-        let target = support[0];
-        let target_router = view.plan.middleboxes[target as usize].router as u32;
-        match walk_route(routes, at_router, target_router, budget) {
-            Walk::Arrived(path) => {
-                router_hops += path.len().saturating_sub(1);
-                hops.push(format!(
-                    "route[{}]",
-                    path.iter()
-                        .map(|n| format!("n{n}"))
-                        .collect::<Vec<_>>()
-                        .join("->")
-                ));
-            }
-            Walk::Looped(path) => {
-                hops.push(format!(
-                    "loop[{}]",
-                    path.iter()
-                        .map(|n| format!("n{n}"))
-                        .collect::<Vec<_>>()
-                        .join("->")
-                ));
-                return TraceOutcome::RoutedLoop { hops };
-            }
-            Walk::Unreachable => return TraceOutcome::NoRoute,
-        }
-        hops.push(format!("mbox(m{target})"));
-        stages.push(target);
-        at_router = target_router;
-        point = Point::Middlebox(target);
-        stage_index += 1;
-    }
-
-    // Final leg: last stage router to the egress router.
-    match walk_route(routes, at_router, egress_router, budget) {
-        Walk::Arrived(path) => {
-            router_hops += path.len().saturating_sub(1);
-            hops.push(format!(
-                "route[{}]",
-                path.iter()
-                    .map(|n| format!("n{n}"))
-                    .collect::<Vec<_>>()
-                    .join("->")
-            ));
-            hops.push(format!("deliver@n{egress_router}"));
-            TraceOutcome::Completed(PathTrace {
-                stages,
-                hops,
-                router_hops,
-                support_union: support_union.into_iter().collect(),
-            })
-        }
-        Walk::Looped(path) => TraceOutcome::RoutedLoop {
-            hops: {
-                hops.push(format!(
-                    "loop[{}]",
-                    path.iter()
-                        .map(|n| format!("n{n}"))
-                        .collect::<Vec<_>>()
-                        .join("->")
-                ));
-                hops
-            },
-        },
-        Walk::Unreachable => TraceOutcome::NoRoute,
-    }
-}
-
-/// The (ingress, egress, rule) pieces of the traffic `src -> dst`, fully
-/// split so each piece has a single governing rule, a single ingress
-/// point and a single egress kind.
-fn split_classes(
-    view: &ReachView,
     src: Prefix,
     dst: Prefix,
-) -> Vec<(Ingress, Egress, FlowClass, Option<&RuleView>)> {
+) -> Vec<(FlowClass, Vec<String>)> {
     let mut out = Vec::new();
-    for (ingress, in_class) in view.ingresses(FlowClass::between(src, dst)) {
-        for (class, rule) in view.peel(in_class) {
-            for (egress, final_class) in view.egresses(class) {
-                out.push((ingress, egress, final_class, rule));
-            }
+    Checker::new(view, routes).for_each_class(src, dst, |cx, ingress, class, _, trace, end| {
+        if matches!(end, End::Delivered | End::Looped) {
+            out.push((class, cx.render(ingress, trace)));
         }
-    }
+    });
     out
 }
 
@@ -1288,127 +1504,96 @@ fn egress_router(view: &ReachView, egress: Egress) -> Option<u32> {
     }
 }
 
+fn policy_label(rule: Option<&RuleView>, permit: &str) -> String {
+    match rule {
+        Some(r) => format!("policy p{}", r.policy),
+        None => permit.to_string(),
+    }
+}
+
 fn check_isolation(
-    view: &ReachView,
-    routes: &dyn RouteView,
+    cx: &mut Checker<'_>,
     src: Prefix,
     dst: Prefix,
     assertion: &Assertion,
     findings: &mut Vec<ReachFinding>,
 ) -> usize {
-    let pieces = split_classes(view, src, dst);
-    let checked = pieces.len();
-    for (ingress, egress, class, rule) in pieces {
-        let Some(out_router) = egress_router(view, egress) else {
-            continue;
-        };
-        match trace_path(view, routes, ingress, rule, out_router) {
-            TraceOutcome::Completed(trace) => {
-                let scenario = make_scenario(
-                    view,
-                    ingress,
-                    &class,
-                    &trace,
-                    ReachCode::IsolationBreach,
-                    assertion,
-                );
-                findings.push(ReachFinding {
-                    code: ReachCode::IsolationBreach,
-                    subject: assertion.to_string(),
-                    detail: format!(
-                        "flow class {class} from {ingress} is delivered ({}); \
+    cx.for_each_class(src, dst, |cx, ingress, class, rule, trace, end| match end {
+        End::Delivered => {
+            let scenario = make_scenario(
+                cx.view,
+                ingress,
+                &class,
+                trace,
+                ReachCode::IsolationBreach,
+                assertion,
+            );
+            findings.push(ReachFinding {
+                code: ReachCode::IsolationBreach,
+                subject: assertion.to_string(),
+                detail: format!(
+                    "flow class {class} from {ingress} is delivered ({}); \
 nothing on its path drops it",
-                        match rule {
-                            Some(r) => format!("policy p{}", r.policy),
-                            None => "default permit".to_string(),
-                        }
-                    ),
-                    witness: Some(ReachWitness {
-                        class,
-                        path: trace.hops,
-                        scenario,
-                    }),
-                });
-            }
-            TraceOutcome::Blackhole { stage } => {
-                findings.push(blackhole_finding(assertion, &class, stage));
-            }
-            // Looping or unroutable traffic is not *delivered*, so the
-            // isolation assertion is not refuted by it.
-            TraceOutcome::RoutedLoop { .. } | TraceOutcome::NoRoute => {}
+                    policy_label(rule, "default permit")
+                ),
+                witness: Some(ReachWitness {
+                    class,
+                    path: cx.render(ingress, trace),
+                    scenario,
+                }),
+            });
         }
-    }
-    checked
+        End::Blackhole(stage) => findings.push(blackhole_finding(assertion, &class, stage)),
+        // Looping or unroutable traffic is not *delivered*, so the
+        // isolation assertion is not refuted by it.
+        End::Looped | End::NoRoute => {}
+    })
 }
 
 fn check_waypoint(
-    view: &ReachView,
-    routes: &dyn RouteView,
+    cx: &mut Checker<'_>,
     src: Prefix,
     dst: Prefix,
     via: NetworkFunction,
     assertion: &Assertion,
     findings: &mut Vec<ReachFinding>,
 ) -> usize {
-    let pieces = split_classes(view, src, dst);
-    let checked = pieces.len();
-    for (ingress, egress, class, rule) in pieces {
-        let Some(out_router) = egress_router(view, egress) else {
-            continue;
-        };
-        let chain_has_via = rule.is_some_and(|r| r.chain.contains(&via));
-        match trace_path(view, routes, ingress, rule, out_router) {
-            TraceOutcome::Completed(trace) => {
-                if chain_has_via {
-                    continue; // every support member of the via stage implements it
-                }
-                // Delivered without the function on its chain: bypass.
-                // The claim "no box implementing `via` processed it" is
-                // only sound for boxes outside every stage's support.
-                let via_boxes: Vec<u32> = view
-                    .plan
-                    .middleboxes
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, m)| m.functions.contains(&via))
-                    .map(|(i, _)| i as u32)
-                    .collect();
-                let avoided: Vec<u32> = via_boxes
-                    .iter()
-                    .copied()
-                    .filter(|m| !trace.support_union.contains(m))
-                    .collect();
-                let scenario = make_bypass_scenario(view, ingress, &class, &trace, &avoided);
-                findings.push(ReachFinding {
-                    code: ReachCode::WaypointBypass,
-                    subject: assertion.to_string(),
-                    detail: format!(
-                        "flow class {class} from {ingress} is delivered under {} \
+    cx.for_each_class(src, dst, |cx, ingress, class, rule, trace, end| match end {
+        End::Delivered => {
+            if rule.is_some_and(|r| r.chain.contains(&via)) {
+                return; // every support member of the via stage implements it
+            }
+            // Delivered without the function on its chain: bypass.
+            // The claim "no box implementing `via` processed it" is
+            // only sound for boxes outside every stage's support.
+            let avoided: Vec<u32> = (0u32..)
+                .zip(&cx.view.plan.middleboxes)
+                .filter(|(i, m)| m.functions.contains(&via) && !trace.support_union.contains(i))
+                .map(|(i, _)| i)
+                .collect();
+            let scenario = make_bypass_scenario(cx.view, ingress, &class, trace, &avoided);
+            findings.push(ReachFinding {
+                code: ReachCode::WaypointBypass,
+                subject: assertion.to_string(),
+                detail: format!(
+                    "flow class {class} from {ingress} is delivered under {} \
 whose chain does not include {via}",
-                        match rule {
-                            Some(r) => format!("policy p{}", r.policy),
-                            None => "the default permit".to_string(),
-                        }
-                    ),
-                    witness: Some(ReachWitness {
-                        class,
-                        path: trace.hops,
-                        scenario,
-                    }),
-                });
-            }
-            TraceOutcome::Blackhole { stage } => {
-                findings.push(blackhole_finding(assertion, &class, stage));
-            }
-            TraceOutcome::RoutedLoop { .. } | TraceOutcome::NoRoute => {}
+                    policy_label(rule, "the default permit")
+                ),
+                witness: Some(ReachWitness {
+                    class,
+                    path: cx.render(ingress, trace),
+                    scenario,
+                }),
+            });
         }
-    }
-    checked
+        End::Blackhole(stage) => findings.push(blackhole_finding(assertion, &class, stage)),
+        End::Looped | End::NoRoute => {}
+    })
 }
 
 fn check_loop_free(
-    view: &ReachView,
-    routes: &dyn RouteView,
+    cx: &mut Checker<'_>,
     ttl: u32,
     assertion: &Assertion,
     findings: &mut Vec<ReachFinding>,
@@ -1420,53 +1605,33 @@ fn check_loop_free(
     // shortest paths, which are loop-free iff the routed walks are — and
     // those are exercised by the per-rule traces below plus V005's
     // tunnel-edge walks).
-    let mut checked = 0usize;
-    for (ingress, egress, class, rule) in split_classes(view, Prefix::ANY, Prefix::ANY) {
-        checked += 1;
-        let Some(out_router) = egress_router(view, egress) else {
-            continue;
-        };
-        match trace_path(view, routes, ingress, rule, out_router) {
-            TraceOutcome::Completed(trace) => {
-                if trace.router_hops as u32 > ttl {
-                    findings.push(ReachFinding {
-                        code: ReachCode::TtlExceeded,
-                        subject: assertion.to_string(),
-                        detail: format!(
-                            "flow class {class} from {ingress} needs {} router hops, \
+    cx.for_each_class(Prefix::ANY, Prefix::ANY, |cx, ingress, class, _, trace, end| {
+        let detail = match end {
+            End::Delivered if trace.router_hops as u32 > ttl => format!(
+                "flow class {class} from {ingress} needs {} router hops, \
 exceeding the ttl budget {ttl}",
-                            trace.router_hops
-                        ),
-                        witness: Some(ReachWitness {
-                            class,
-                            path: trace.hops,
-                            scenario: None,
-                        }),
-                    });
-                }
-            }
-            TraceOutcome::RoutedLoop { hops } => {
-                findings.push(ReachFinding {
-                    code: ReachCode::TtlExceeded,
-                    subject: assertion.to_string(),
-                    detail: format!(
-                        "flow class {class} from {ingress} enters a routed \
+                trace.router_hops
+            ),
+            End::Looped => format!(
+                "flow class {class} from {ingress} enters a routed \
 forwarding loop; packets die by TTL, never by delivery"
-                    ),
-                    witness: Some(ReachWitness {
-                        class,
-                        path: hops,
-                        scenario: None,
-                    }),
-                });
+            ),
+            End::Blackhole(stage) => {
+                return findings.push(blackhole_finding(assertion, &class, stage));
             }
-            TraceOutcome::Blackhole { stage } => {
-                findings.push(blackhole_finding(assertion, &class, stage));
-            }
-            TraceOutcome::NoRoute => {}
-        }
-    }
-    checked
+            End::Delivered | End::NoRoute => return,
+        };
+        findings.push(ReachFinding {
+            code: ReachCode::TtlExceeded,
+            subject: assertion.to_string(),
+            detail,
+            witness: Some(ReachWitness {
+                class,
+                path: cx.render(ingress, trace),
+                scenario: None,
+            }),
+        });
+    })
 }
 
 fn blackhole_finding(assertion: &Assertion, class: &FlowClass, stage: NetworkFunction) -> ReachFinding {
@@ -1487,7 +1652,8 @@ available candidate middlebox"
 
 /// Hazard pass: stale pinned flows across a weight swap or failure, and
 /// label-TTL skew. Runs over every policy rule's class.
-fn check_hazards(view: &ReachView, _routes: &dyn RouteView, findings: &mut Vec<ReachFinding>) {
+fn check_hazards(cx: &Checker<'_>, findings: &mut Vec<ReachFinding>) {
+    let view = cx.view;
     let Some(hazards) = &view.hazards else { return };
 
     // R006: label-table TTL skew affects every label-switched class.
@@ -1519,15 +1685,13 @@ its flow entry expires after {}; a reallocated label can collide with the stale 
     if hazards.failed_now.is_empty() {
         return;
     }
-    let prev_weights = hazards
-        .prev_weights
-        .as_ref()
-        .or(view.plan.weights.as_ref());
+    let prev_columns = hazards.prev_weights.as_ref().map(|w| columns(Some(w)));
+    let prev_columns = prev_columns.as_ref().unwrap_or(&cx.columns);
     for rule in view.rules.iter().filter(|r| !r.chain.is_empty()) {
-        for (ingress, class) in view.ingresses(rule.class) {
+        for (ingress, class) in cx.ingresses(rule.class) {
             let point = view.ingress_point(ingress);
             let f = rule.chain[0];
-            let prev_support = view.support(point, rule.policy, 0, f, prev_weights, true);
+            let prev_support = cx.support(point, rule.policy, 0, f, prev_columns, true);
             let stale: Vec<u32> = prev_support
                 .iter()
                 .copied()
@@ -1714,6 +1878,7 @@ fn make_stale_pin_scenario(
 mod tests {
     use super::*;
     use crate::plan::{ChainView, MboxView, OptionsView};
+    use std::collections::BTreeSet;
     use sdm_policy::NetworkFunction::*;
 
     fn prefix(s: &str) -> Prefix {
@@ -1875,6 +2040,65 @@ loop-free ttl 64   # trailing comment
         assert_eq!(walk_route(&r, 0, 3, 10), Walk::Looped(vec![0, 1, 0]));
         assert_eq!(walk_route(&r, 2, 3, 10), Walk::Unreachable);
         assert_eq!(walk_route(&r, 2, 2, 10), Walk::Arrived(vec![2]));
+    }
+
+    /// The walk as it was before it stopped allocating a set per leg.
+    fn walk_route_ref(routes: &dyn RouteView, from: u32, to: u32, budget: usize) -> Walk {
+        let mut path = vec![from];
+        let mut seen: BTreeSet<u32> = BTreeSet::new();
+        seen.insert(from);
+        let mut at = from;
+        while at != to {
+            let Some(next) = routes.next_hop(at, to) else {
+                return Walk::Unreachable;
+            };
+            path.push(next);
+            if !seen.insert(next) {
+                return Walk::Looped(path);
+            }
+            if path.len() > budget {
+                return Walk::Looped(path);
+            }
+            at = next;
+        }
+        Walk::Arrived(path)
+    }
+
+    #[test]
+    fn walk_route_verdicts_match_the_set_based_walk() {
+        // A 100-node ring towards node 99, so walks run well past the
+        // linear-scan length, with node `back` bent back to node `to`
+        // for destination 99: a loop closing after `back - to + 1` hops.
+        const N: u32 = 100;
+        for (back, to) in [(5u32, 5u32), (5, 0), (40, 3), (40, 39), (80, 31), (98, 0)] {
+            let mut next = vec![vec![None; N as usize]; N as usize];
+            for from in 0..N - 1 {
+                next[from as usize][(N - 1) as usize] = Some(from + 1);
+            }
+            next[back as usize][(N - 1) as usize] = Some(to);
+            let r = TableRoutes { next };
+            for from in [0u32, 3, 39, 41] {
+                for budget in [2usize, 10, 31, 32, 33, 45, 1_000] {
+                    let walk = walk_route(&r, from, N - 1, budget);
+                    assert_eq!(walk, walk_route_ref(&r, from, N - 1, budget), "{from} {budget}");
+                    if let Walk::Looped(path) = &walk {
+                        let last = path[path.len() - 1];
+                        let repeats = path[..path.len() - 1].contains(&last);
+                        assert!(repeats || path.len() > budget, "{path:?}");
+                    }
+                }
+            }
+        }
+        // The straight ring: arrival when the budget allows it, a
+        // `path.len() > budget` loop verdict when it does not.
+        let mut next = vec![vec![None; N as usize]; N as usize];
+        for from in 0..N - 1 {
+            next[from as usize][(N - 1) as usize] = Some(from + 1);
+        }
+        let r = TableRoutes { next };
+        assert_eq!(walk_route(&r, 0, N - 1, 100), Walk::Arrived((0..N).collect()));
+        assert_eq!(walk_route(&r, 0, N - 1, 99), Walk::Looped((0..N).collect()));
+        assert_eq!(walk_route(&r, 0, N - 1, 40), walk_route_ref(&r, 0, N - 1, 40));
     }
 
     // -- end-to-end checking on a hand-built view ----------------------
@@ -2153,5 +2377,345 @@ loop-free ttl 64   # trailing comment
         assert_eq!(wire.len(), all.len());
         assert_eq!(ReachCode::IsolationBreach.as_str(), "R001");
         assert_eq!(ReachCode::LabelTtlSkew.as_str(), "R006");
+    }
+
+    // -- the class pipeline against its full-loop references -----------
+
+    /// The loops over *every* stub subnet and the linear candidate scan
+    /// the indexed versions replaced, kept verbatim as the references
+    /// the differential tests compare against.
+    impl ReachView {
+        fn candidates_for_ref(&self, point: Point, f: NetworkFunction) -> Option<&CandidateSet> {
+            self.plan
+                .candidates
+                .iter()
+                .find(|c| c.point == point && c.function == f)
+        }
+
+        fn ingresses_ref(&self, class: FlowClass) -> Vec<(Ingress, FlowClass)> {
+            let mut out = Vec::new();
+            let mut external_src = vec![class.src];
+            for (s, subnet) in self.plan.stub_subnets.iter().enumerate() {
+                if let Some(src) = prefix_intersect(class.src, *subnet) {
+                    // Traffic that stays inside the subnet never crosses the
+                    // stub's proxy — it is switched locally, outside the
+                    // steering fabric this checker models — so peel the
+                    // stub's own subnet off the destination space.
+                    for dst in prefix_subtract(class.dst, *subnet) {
+                        out.push((
+                            Ingress::Stub(s as u32),
+                            FlowClass { src, dst, ..class },
+                        ));
+                    }
+                }
+                external_src = external_src
+                    .into_iter()
+                    .flat_map(|p| prefix_subtract(p, *subnet))
+                    .collect();
+            }
+            for src in external_src {
+                // Sources inside the enterprise but in no stub don't exist;
+                // everything else enters through the gateways.
+                if src.is_subset_of(self.enterprise) {
+                    continue;
+                }
+                for (g, _) in self.gateway_routers.iter().enumerate() {
+                    out.push((Ingress::Gateway(g as u32), FlowClass { src, ..class }));
+                }
+            }
+            out
+        }
+
+        fn egresses_ref(&self, class: FlowClass) -> Vec<(Egress, FlowClass)> {
+            let mut out = Vec::new();
+            let mut rest = vec![class.dst];
+            for (s, subnet) in self.plan.stub_subnets.iter().enumerate() {
+                if let Some(dst) = prefix_intersect(class.dst, *subnet) {
+                    out.push((Egress::Stub(s as u32), FlowClass { dst, ..class }));
+                }
+                rest = rest
+                    .into_iter()
+                    .flat_map(|p| prefix_subtract(p, *subnet))
+                    .collect();
+            }
+            for dst in rest {
+                if dst.is_subset_of(self.enterprise) {
+                    // Enterprise space with no stub behind it: unroutable.
+                    continue;
+                }
+                if !self.gateway_routers.is_empty() {
+                    out.push((Egress::External, FlowClass { dst, ..class }));
+                }
+            }
+            out
+        }
+    }
+
+    /// The pre-streaming pipeline: every class of `src -> dst`
+    /// materialised by the reference splits, each traced with its hops
+    /// formatted eagerly as the trace goes (steering support comes from
+    /// `cx`). Classes that are neither delivered nor looping carry no path.
+    fn rendered_classes_ref(
+        cx: &Checker<'_>,
+        src: Prefix,
+        dst: Prefix,
+    ) -> Vec<(FlowClass, Vec<String>)> {
+        let view = cx.view;
+        let budget = view.plan.node_count.max(2);
+        let nodes = |label: &str, path: &[u32]| {
+            let nodes: Vec<String> = path.iter().map(|n| format!("n{n}")).collect();
+            format!("{label}[{}]", nodes.join("->"))
+        };
+        let mut out = Vec::new();
+        for (ingress, in_class) in view.ingresses_ref(FlowClass::between(src, dst)) {
+            for (peeled, rule) in view.peel(in_class) {
+                'class: for (egress, class) in view.egresses_ref(peeled) {
+                    let Some(egress_router) = egress_router(view, egress) else {
+                        continue;
+                    };
+                    let chain: &[NetworkFunction] = rule.map_or(&[], |r| r.chain.as_slice());
+                    let policy = rule.map_or(0, |r| r.policy);
+                    let Some(mut at_router) = view.ingress_router(ingress) else {
+                        continue;
+                    };
+                    let mut point = view.ingress_point(ingress);
+                    let mut hops = vec![format!("{ingress}@n{at_router}")];
+                    for (stage_index, &f) in chain.iter().enumerate() {
+                        if let Point::Middlebox(m) = point {
+                            if view.plan.middleboxes[m as usize].functions.contains(&f) {
+                                hops.push(format!("apply({f})@m{m}"));
+                                continue;
+                            }
+                        }
+                        let support =
+                            cx.support(point, policy, stage_index as u16, f, &cx.columns, false);
+                        let Some(&target) = support.first() else {
+                            continue 'class;
+                        };
+                        let target_router = view.plan.middleboxes[target as usize].router as u32;
+                        match walk_route(cx.routes, at_router, target_router, budget) {
+                            Walk::Arrived(path) => hops.push(nodes("route", &path)),
+                            Walk::Looped(path) => {
+                                hops.push(nodes("loop", &path));
+                                out.push((class, hops));
+                                continue 'class;
+                            }
+                            Walk::Unreachable => continue 'class,
+                        }
+                        hops.push(format!("mbox(m{target})"));
+                        at_router = target_router;
+                        point = Point::Middlebox(target);
+                    }
+                    match walk_route(cx.routes, at_router, egress_router, budget) {
+                        Walk::Arrived(path) => {
+                            hops.push(nodes("route", &path));
+                            hops.push(format!("deliver@n{egress_router}"));
+                        }
+                        Walk::Looped(path) => hops.push(nodes("loop", &path)),
+                        Walk::Unreachable => continue,
+                    }
+                    out.push((class, hops));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn streamed_lazy_paths_equal_the_materialised_eager_ones() {
+        let weights = WeightsView {
+            lambda: 1.0,
+            columns: vec![
+                WeightColumn {
+                    point: Point::Proxy(0),
+                    policy: 0,
+                    next_index: 0,
+                    weights: vec![(0, 0.0), (1, 0.7)],
+                },
+                // A second column under the same key: the first one wins.
+                WeightColumn {
+                    point: Point::Proxy(0),
+                    policy: 0,
+                    next_index: 0,
+                    weights: vec![(0, 1.0)],
+                },
+            ],
+        };
+        let mut compared = 0usize;
+        for strategy in [
+            StrategyView::HotPotato,
+            StrategyView::Random,
+            StrategyView::LoadBalanced,
+        ] {
+            for variant in 0..4 {
+                let (mut view, mut routes) = line_view();
+                view.strategy = strategy;
+                view.plan.weights = Some(weights.clone());
+                match variant {
+                    0 => {}
+                    // Routing from n0 towards n4 oscillates: looping legs.
+                    1 => {
+                        routes.next[1][4] = Some(0);
+                        routes.next[0][4] = Some(1);
+                    }
+                    // p0 becomes FW, IDS and m0 implements both, so the
+                    // second stage is applied locally at m0.
+                    2 => {
+                        view.rules[0].chain = vec![Firewall, Ids];
+                        view.plan.middleboxes[0].functions = vec![Firewall, Ids];
+                    }
+                    // Nested and duplicate stub subnets, one stub without
+                    // a router.
+                    _ => {
+                        view.plan.stub_subnets.push(prefix("10.0.0.0/16"));
+                        view.plan.stub_subnets.push(prefix("10.0.16.0/20"));
+                        view.plan.stub_subnets.push(prefix("10.0.17.0/24"));
+                        view.stub_routers.extend([2, 3]);
+                    }
+                }
+                let cx = Checker::new(&view, &routes);
+                let eager = rendered_classes_ref(&cx, Prefix::ANY, Prefix::ANY);
+                let lazy = render_all_classes(&view, &routes, Prefix::ANY, Prefix::ANY);
+                assert_eq!(lazy, eager, "{strategy:?} variant {variant}");
+                assert!(!lazy.is_empty());
+                compared += lazy.len();
+                // The weight column sends p0 to m1, past the bent routing
+                // and the two-function box; hot-potato meets both.
+                let hop = |want: &str| lazy.iter().any(|(_, p)| p.iter().any(|h| h.starts_with(want)));
+                if strategy == StrategyView::HotPotato {
+                    assert_eq!(hop("loop["), variant == 1);
+                    assert_eq!(hop("apply(IDS)@m0"), variant == 2);
+                }
+            }
+        }
+        assert!(compared > 100, "{compared}");
+    }
+
+    /// A prefix from two small numbers: a base drawn from a pool that
+    /// makes nesting, duplicates and neighbours likely, and a length that
+    /// is often one of the corner cases.
+    fn pool_prefix((slot, len): (u8, u8)) -> Prefix {
+        let base = match slot % 8 {
+            0 => 0x0a00_0000,                              // 10.0.0.0
+            1..=4 => 0x0a00_0000 | (slot as u32 / 8) << 12, // 10.0.x.0 stubs
+            5 => 0x0a00_0000 | (slot as u32) << 16,         // elsewhere in 10/8
+            6 => 0xc0a8_0000 | (slot as u32) << 8,          // 192.168.x.0
+            _ => (slot as u32) << 24 | 0x00ff_ff01,
+        };
+        let len = match len % 12 {
+            0 => 0,
+            1 => 32,
+            2 => 8,
+            3 => 16,
+            4..=7 => 20,
+            8 => 24,
+            _ => len % 33,
+        };
+        Prefix::new(Ipv4Addr(base), len)
+    }
+
+    #[test]
+    fn indexed_splits_equal_the_full_loops_on_arbitrary_subnet_lists() {
+        use sdm_util::prop::{check, Config};
+        check(
+            "ingresses/egresses: index == full loop",
+            &Config::with_cases(600),
+            |rng| {
+                let stubs = rng.gen_range(0..14usize);
+                let subnets: Vec<(u8, u8)> = (0..stubs)
+                    .map(|_| (rng.next_u32() as u8, rng.next_u32() as u8))
+                    .collect();
+                let mut pick = || (rng.next_u32() as u8, rng.next_u32() as u8);
+                (subnets, pick(), pick(), pick(), rng.gen_range(0..4u8))
+            },
+            |(subnets, src, dst, enterprise, gateways)| {
+                let view = ReachView {
+                    plan: PlanView {
+                        stub_subnets: subnets.iter().copied().map(pool_prefix).collect(),
+                        ..PlanView::default()
+                    },
+                    rules: Vec::new(),
+                    stub_routers: (0..subnets.len() as u32).collect(),
+                    gateway_routers: (0..*gateways as u32).map(|g| 100 + g).collect(),
+                    enterprise: pool_prefix(*enterprise),
+                    strategy: StrategyView::HotPotato,
+                    hazards: None,
+                };
+                let routes = TableRoutes { next: Vec::new() };
+                let cx = Checker::new(&view, &routes);
+                let class = FlowClass::between(pool_prefix(*src), pool_prefix(*dst));
+                sdm_util::prop_assert_eq!(cx.ingresses(class), view.ingresses_ref(class));
+                sdm_util::prop_assert_eq!(cx.egresses(class), view.egresses_ref(class));
+                // The same through the overlap query alone.
+                for q in [class.src, class.dst] {
+                    let brute: Vec<u32> = (0u32..)
+                        .zip(&view.plan.stub_subnets)
+                        .filter(|(_, p)| p.overlaps(q))
+                        .map(|(s, _)| s)
+                        .collect();
+                    sdm_util::prop_assert_eq!(cx.stubs.overlapping(q), brute);
+                }
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn keyed_lookups_return_what_the_linear_scans_return() {
+        use sdm_util::prop::{check, Config};
+        let points = [Point::Proxy(0), Point::Proxy(1), Point::Gateway(0), Point::Middlebox(0)];
+        check(
+            "candidates_for / weight column: keyed == first linear match",
+            &Config::with_cases(200),
+            |rng| {
+                let n = rng.gen_range(0..12usize);
+                (0..n)
+                    .map(|_| (rng.gen_range(0..4u8), rng.gen_range(0..2u8)))
+                    .collect::<Vec<(u8, u8)>>()
+            },
+            |keys| {
+                let (mut view, routes) = line_view();
+                // Entry `i` is recognisable by its payload `i`.
+                view.plan.candidates = (0u32..)
+                    .zip(keys)
+                    .map(|(i, &(p, f))| CandidateSet {
+                        point: points[p as usize],
+                        function: [Firewall, Ids][f as usize],
+                        members: vec![i],
+                    })
+                    .collect();
+                let weights = WeightsView {
+                    lambda: 1.0,
+                    columns: (0u32..)
+                        .zip(keys)
+                        .map(|(i, &(p, f))| WeightColumn {
+                            point: points[p as usize],
+                            policy: f as u32,
+                            next_index: 0,
+                            weights: vec![(i, 1.0)],
+                        })
+                        .collect(),
+                };
+                let cx = Checker::new(&view, &routes);
+                let cols = columns(Some(&weights));
+                for point in points {
+                    for (f, function) in [Firewall, Ids].into_iter().enumerate() {
+                        sdm_util::prop_assert_eq!(
+                            cx.candidates.get((point, function)).map(|c| &c.members),
+                            view.candidates_for_ref(point, function).map(|c| &c.members)
+                        );
+                        sdm_util::prop_assert_eq!(
+                            cols.get((point, f as u32, 0)).map(|c| &c.weights),
+                            weights
+                                .columns
+                                .iter()
+                                .find(|c| c.point == point && c.policy == f as u32)
+                                .map(|c| &c.weights)
+                        );
+                    }
+                }
+                Ok(())
+            },
+        );
     }
 }
