@@ -50,22 +50,13 @@ SDM_SHARDS=4 cargo run --release --offline -p sdm-bench --bin table3_distributio
 cmp /tmp/sdm_table3_shards1.txt /tmp/sdm_table3_shards4.txt
 echo "    table3 output is byte-identical at 1 and 4 shards"
 
-phase "batched determinism smoke: SDM_BATCH=1 vs SDM_BATCH=256 byte-identical"
-SDM_BATCH=1 cargo run --release --offline -p sdm-bench --bin table3_distribution -- \
-    --packets 1000000 > /tmp/sdm_table3_batch1.txt
-SDM_BATCH=256 cargo run --release --offline -p sdm-bench --bin table3_distribution -- \
-    --packets 1000000 > /tmp/sdm_table3_batch256.txt
-cmp /tmp/sdm_table3_batch1.txt /tmp/sdm_table3_batch256.txt
-echo "    table3 output is byte-identical at batch 1 and 256"
-
 phase "re-steer epoch golden: transcript byte-identical to results/resteer_golden.txt"
-SDM_SHARDS=1 SDM_BATCH=1 cargo run --release --offline -p sdm-bench --bin resteer \
-    > /tmp/sdm_resteer_s1b1.txt
-cmp results/resteer_golden.txt /tmp/sdm_resteer_s1b1.txt
-SDM_SHARDS=4 SDM_BATCH=256 cargo run --release --offline -p sdm-bench --bin resteer \
-    > /tmp/sdm_resteer_s4b256.txt
-cmp results/resteer_golden.txt /tmp/sdm_resteer_s4b256.txt
-echo "    re-steer transcript matches the golden at 1/1 and 4/256 shards/batch"
+for shards in 1 4; do
+    SDM_SHARDS=$shards cargo run --release --offline -p sdm-bench --bin resteer \
+        > /tmp/sdm_resteer_s$shards.txt
+    cmp results/resteer_golden.txt /tmp/sdm_resteer_s$shards.txt
+done
+echo "    re-steer transcript matches the golden at 1 and 4 shards"
 
 phase "telemetry zero-perturbation: table3 byte-identical with SDM_TELEMETRY=1"
 SDM_TELEMETRY=1 SDM_SHARDS=1 cargo run --release --offline -p sdm-bench --bin table3_distribution -- \
@@ -74,21 +65,20 @@ cmp /tmp/sdm_table3_shards1.txt /tmp/sdm_table3_tel.txt
 echo "    table3 output is byte-identical with telemetry on and off"
 
 phase "telemetry golden: sdm-metrics byte-identical to results/telemetry_golden.json"
-SDM_SHARDS=1 SDM_BATCH=1 cargo run --release --offline -p sdm-bench --bin sdm-metrics \
-    > /tmp/sdm_metrics_s1b1.json
-cmp results/telemetry_golden.json /tmp/sdm_metrics_s1b1.json
-SDM_SHARDS=4 SDM_BATCH=256 cargo run --release --offline -p sdm-bench --bin sdm-metrics \
-    > /tmp/sdm_metrics_s4b256.json
-cmp results/telemetry_golden.json /tmp/sdm_metrics_s4b256.json
-echo "    metrics snapshot matches the golden at 1/1 and 4/256 shards/batch"
+for shards in 1 4; do
+    SDM_SHARDS=$shards cargo run --release --offline -p sdm-bench --bin sdm-metrics \
+        > /tmp/sdm_metrics_s$shards.json
+    cmp results/telemetry_golden.json /tmp/sdm_metrics_s$shards.json
+done
+echo "    metrics snapshot matches the golden at 1 and 4 shards"
 
-phase "exhaustion-attack determinism: byte-identical at 1/1 and 4/256 shards/batch"
-SDM_SHARDS=1 SDM_BATCH=1 cargo run --release --offline -p sdm-bench --bin exhaustion -- \
-    --flows 50000 > /tmp/sdm_exhaustion_s1b1.txt
-SDM_SHARDS=4 SDM_BATCH=256 cargo run --release --offline -p sdm-bench --bin exhaustion -- \
-    --flows 50000 > /tmp/sdm_exhaustion_s4b256.txt
-cmp /tmp/sdm_exhaustion_s1b1.txt /tmp/sdm_exhaustion_s4b256.txt
-echo "    exhaustion-attack report (incl. neg-cache evictions) is shard/batch-invariant"
+phase "exhaustion-attack determinism: byte-identical at 1 and 4 shards"
+SDM_SHARDS=1 cargo run --release --offline -p sdm-bench --bin exhaustion -- \
+    --flows 50000 > /tmp/sdm_exhaustion_s1.txt
+SDM_SHARDS=4 cargo run --release --offline -p sdm-bench --bin exhaustion -- \
+    --flows 50000 > /tmp/sdm_exhaustion_s4.txt
+cmp /tmp/sdm_exhaustion_s1.txt /tmp/sdm_exhaustion_s4.txt
+echo "    exhaustion-attack report (incl. neg-cache evictions) is shard-invariant"
 
 phase "reach golden: symbolic isolation checker on campus + 21k-node hierarchical + Waxman-425"
 cargo run --release --offline -p sdm-bench --bin sdm-reach -- \
@@ -103,12 +93,12 @@ cmp results/reach_waxman_golden.json /tmp/sdm_reach_waxman_golden.json
 echo "    reach reports (incl. the 175k-class Waxman one) and counterexample corpus are byte-identical to the goldens"
 
 phase "reach replay: every committed counterexample confirmed by the simulator"
-SDM_SHARDS=1 SDM_BATCH=1 cargo run --release --offline -p sdm-bench --bin sdm-reach -- \
-    --replay results/reach_corpus.json > /tmp/sdm_reach_replay_s1b1.json
-SDM_SHARDS=4 SDM_BATCH=256 cargo run --release --offline -p sdm-bench --bin sdm-reach -- \
-    --replay results/reach_corpus.json > /tmp/sdm_reach_replay_s4b256.json
-cmp /tmp/sdm_reach_replay_s1b1.json /tmp/sdm_reach_replay_s4b256.json
-echo "    simulator agrees with every static witness at 1/1 and 4/256 shards/batch"
+SDM_SHARDS=1 cargo run --release --offline -p sdm-bench --bin sdm-reach -- \
+    --replay results/reach_corpus.json > /tmp/sdm_reach_replay_s1.json
+SDM_SHARDS=4 cargo run --release --offline -p sdm-bench --bin sdm-reach -- \
+    --replay results/reach_corpus.json > /tmp/sdm_reach_replay_s4.json
+cmp /tmp/sdm_reach_replay_s1.json /tmp/sdm_reach_replay_s4.json
+echo "    simulator agrees with every static witness at 1 and 4 shards"
 
 phase "benchmark/ smoke test: the standalone benchmark still builds against the public API"
 cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml

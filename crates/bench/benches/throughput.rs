@@ -1,5 +1,5 @@
-//! Benchmark: packets-per-second of the vector (batched) hot path vs the
-//! scalar path, on the Figure-4 campus hot-potato workload.
+//! Benchmark: packets-per-second of the data path on the Figure-4 campus
+//! hot-potato workload.
 //!
 //! Two regimes are measured:
 //!
@@ -7,22 +7,16 @@
 //!   through the exact flow-aggregate fast path (one weighted event per
 //!   flow), at 1 and 4 shards — the configuration every figure binary
 //!   runs. Aggregates collapse each flow into a single event, so
-//!   same-flow runs have length 1 and batching can only amortise queue
-//!   drains and device-lock acquisition.
+//!   same-flow runs have length 1 and the batched drain can only amortise
+//!   queue drains and device-lock acquisition.
 //! - **packet-level** (`hp_1m_pktlevel_*`): a 1M-packet slice of the same
 //!   population injected as individual back-to-back packets. Consecutive
 //!   same-flow packets form real runs at each device, so the per-run
-//!   flow/label-table probe amortisation engages — this is the regime the
-//!   vector path is designed for, and the one `bench_gate` holds against
-//!   the batched-speedup target.
+//!   flow/label-table probe amortisation engages.
 //!
-//! Batch size is set through `SDM_BATCH` before each bench — every shard's
-//! private simulator reads it at construction — so `b1` runs the legacy
-//! scalar loop and `b256` the vector loop over identical inputs (the
-//! sanity asserts below pin that they produce identical results).
-//! `bench_gate` derives pkt/s from the fixed packet volumes and enforces
-//! the batched-vs-scalar speedup target on hosts with ≥4 cores, reporting
-//! it informationally on smaller hosts.
+//! The `b256` in the bench names is the engine's fixed drain limit; it
+//! stays in the names so the medians keep pairing with the committed
+//! ledgers.
 
 use std::hint::black_box;
 
@@ -30,14 +24,11 @@ use sdm_bench::{ExperimentConfig, World};
 use sdm_core::Strategy;
 use sdm_util::bench::Runner;
 
-/// Aggregate-path packet volume; `bench_gate` divides by the measured
-/// median to report pkt/s, so keep in sync with `THROUGHPUT_PACKETS`
-/// there.
+/// Aggregate-path packet volume.
 const PACKETS: u64 = 10_000_000;
 
 /// Packet-level volume (one event per packet per hop — two orders of
-/// magnitude more events per packet than the aggregate path). Keep in
-/// sync with `THROUGHPUT_PACKETS_PKTLEVEL` in `bench_gate`.
+/// magnitude more events per packet than the aggregate path).
 const PACKETS_PKTLEVEL: u64 = 1_000_000;
 
 fn main() {
@@ -59,28 +50,12 @@ fn main() {
         sdm_util::par::hardware_threads(),
     );
 
-    std::env::set_var("SDM_BATCH", "1");
-    let scalar = world.run_strategy_sharded(Strategy::HotPotato, None, &flows, 1);
-    let scalar_pkt = world.run_strategy_packets(Strategy::HotPotato, None, &pkt_flows);
-    std::env::set_var("SDM_BATCH", "256");
-    let batched = world.run_strategy_sharded(Strategy::HotPotato, None, &flows, 1);
-    let batched_pkt = world.run_strategy_packets(Strategy::HotPotato, None, &pkt_flows);
-    assert_eq!(scalar.loads, batched.loads, "batching must not change results");
-    assert_eq!(scalar.delivered, batched.delivered, "batching must not change results");
-    assert_eq!(scalar_pkt.loads, batched_pkt.loads, "batching must not change results");
-    assert_eq!(
-        scalar_pkt.delivered, batched_pkt.delivered,
-        "batching must not change results"
-    );
-
     let mut group = Runner::new("throughput");
-    for (name, batch, shards) in [
-        ("hp_10m_b1_shards1", "1", 1usize),
-        ("hp_10m_b256_shards1", "256", 1),
-        ("hp_10m_b1_shards4", "1", 4),
-        ("hp_10m_b256_shards4", "256", 4),
-    ] {
-        std::env::set_var("SDM_BATCH", batch);
+    let report = |name: &str, packets: u64, median_ns: f64| {
+        let pps = packets as f64 / (median_ns / 1e9);
+        eprintln!("{:<40} {pps:>10.0} pkt/s", format!("throughput/{name}"));
+    };
+    for (name, shards) in [("hp_10m_b256_shards1", 1usize), ("hp_10m_b256_shards4", 4)] {
         let res = group.bench(name, || {
             black_box(
                 world
@@ -88,27 +63,15 @@ fn main() {
                     .delivered,
             )
         });
-        eprintln!(
-            "{:<40} {:>10.0} pkt/s",
-            format!("throughput/{name}"),
-            PACKETS as f64 / (res.median_ns / 1e9)
-        );
+        report(name, PACKETS, res.median_ns);
     }
-    for (name, batch) in [("hp_1m_pktlevel_b1", "1"), ("hp_1m_pktlevel_b256", "256")] {
-        std::env::set_var("SDM_BATCH", batch);
-        let res = group.bench(name, || {
-            black_box(
-                world
-                    .run_strategy_packets(Strategy::HotPotato, None, &pkt_flows)
-                    .delivered,
-            )
-        });
-        eprintln!(
-            "{:<40} {:>10.0} pkt/s",
-            format!("throughput/{name}"),
-            PACKETS_PKTLEVEL as f64 / (res.median_ns / 1e9)
-        );
-    }
-    std::env::remove_var("SDM_BATCH");
+    let res = group.bench("hp_1m_pktlevel_b256", || {
+        black_box(
+            world
+                .run_strategy_packets(Strategy::HotPotato, None, &pkt_flows)
+                .delivered,
+        )
+    });
+    report("hp_1m_pktlevel_b256", PACKETS_PKTLEVEL, res.median_ns);
     group.finish();
 }

@@ -17,28 +17,20 @@
 //!
 //! which is exactly what `ci.sh` does.
 //!
-//! Besides pairwise regressions the gate checks two speedup targets on
-//! the current file alone:
+//! Besides pairwise regressions the gate checks one speedup target on
+//! the current file alone: the flow-sharding speedup
+//! (`sharding/hp_10m_shards1` vs `.../hp_10m_shards4`) — the 4-shard run
+//! must be ≥2x faster. It is enforced only on hosts with at least 4
+//! hardware threads and reported informationally otherwise — a 1-core CI
+//! box cannot speed up by threading.
 //!
-//! * the flow-sharding speedup (`sharding/hp_10m_shards1` vs
-//!   `.../hp_10m_shards4`): the 4-shard run must be ≥2x faster;
-//! * the vector-path speedup (`throughput/hp_1m_pktlevel_b1` vs
-//!   `.../hp_1m_pktlevel_b256`, the packet-level regime where same-flow
-//!   runs actually form): the batched run must be ≥2x faster. The
-//!   aggregate-path pair is reported informationally, and pkt/s figures
-//!   are printed for every throughput bench.
-//!
-//! Both are enforced only on hosts with at least 4 hardware threads and
-//! reported informationally otherwise — a 1-core CI box cannot speed up
-//! by threading, and its batching gains are noisy enough to flap a gate.
-//!
-//! A third check is hardware-independent: the `warm_start` group records
+//! A second check is hardware-independent: the `warm_start` group records
 //! the simplex **pivot counts** of a warm-started epoch re-solve sweep
 //! next to a cold one (see `benches/warm_start.rs`), and the gate fails
 //! when warm-starting stopped saving pivots — an algorithmic property, so
 //! it is enforced on every host.
 //!
-//! A fourth check covers policy-state scaling (`benches/table_scale.rs`,
+//! A third check covers policy-state scaling (`benches/table_scale.rs`,
 //! also enforced on every host): the hot-working-set lookup at 1M entries
 //! must stay within 1.5x of the 10k-entry cost (same keys probed, so the
 //! ratio is structural, not a DRAM artifact), and the recorded
@@ -58,14 +50,6 @@ use sdm_bench::arg_value;
 use sdm_util::bench_diff::{diff, gate, group_speedup, median_for, unpaired_new};
 use sdm_util::json::Json;
 use sdm_util::par::hardware_threads;
-
-/// Packet volume of each `throughput/hp_10m_*` bench; keep in sync with
-/// `PACKETS` in `benches/throughput.rs`.
-const THROUGHPUT_PACKETS: f64 = 10_000_000.0;
-
-/// Packet volume of each `throughput/hp_1m_pktlevel_*` bench; keep in
-/// sync with `PACKETS_PKTLEVEL` in `benches/throughput.rs`.
-const THROUGHPUT_PACKETS_PKTLEVEL: f64 = 1_000_000.0;
 
 const HELP: &str = "\
 bench_gate — compare fresh micro-benchmark results against the committed baseline
@@ -97,10 +81,6 @@ FLAGS:
   --min-shard-speedup X   required sharding/hp_10m_shards1-over-shards4
                           median ratio; enforced only on hosts with >= 4
                           hardware threads (default: 2.0)
-  --min-batch-speedup X   required throughput/hp_1m_pktlevel_b1-over-
-                          hp_1m_pktlevel_b256 median ratio (packet-level
-                          regime); enforced only on hosts with >= 4
-                          hardware threads (default: 2.0)
   --write-baseline        on success, copy the current file over the
                           baseline (adopt the new numbers); refuses a
                           committed results/BENCH_*.json target unless
@@ -111,12 +91,13 @@ FLAGS:
 
 EXIT CODES:
   0  gate passed (and baseline updated, if --write-baseline)
-  1  a benchmark regressed beyond --max-regress, a speedup target was
-     missed on a >= 4-core host, the warm-start pivot check failed, the
-     table-scale hot-lookup ratio or negative-cache cap check failed, an
-     input file was missing/unparsable, no benchmarks paired between the
-     files, --write-baseline targeted a committed results/BENCH_*.json
-     without --force, or the baseline could not be written";
+  1  a benchmark regressed beyond --max-regress, the sharding speedup
+     target was missed on a >= 4-core host, the warm-start pivot check
+     failed, the table-scale hot-lookup ratio or negative-cache cap
+     check failed, an input file was missing/unparsable, no benchmarks
+     paired between the files, --write-baseline targeted a committed
+     results/BENCH_*.json without --force, or the baseline could not be
+     written";
 
 /// Whether `path` looks like a committed `results/BENCH_*.json`
 /// comparison input (the perf-trajectory record): an *existing* file
@@ -165,73 +146,6 @@ fn shard_speedup_check(current: &Json, min_speedup: f64) -> bool {
     } else {
         println!(
             "# sharding speedup: {speedup:.2}x at 4 shards — informational only \
-(host has {cores} core(s); the >= {min_speedup:.2}x gate needs >= 4)"
-        );
-    }
-    true
-}
-
-/// Checks the vector-path (batched) throughput speedup and prints pkt/s;
-/// returns `false` when the check is enforced and fails.
-///
-/// Both regimes are reported; the *packet-level* pair carries the gate,
-/// because aggregate specs collapse every flow into one event (run
-/// length 1) and structurally cannot show the per-run amortisation the
-/// vector path exists for.
-fn batch_speedup_check(current: &Json, min_speedup: f64) -> bool {
-    let (Some(p1), Some(p256)) = (
-        median_for(current, "throughput", "hp_1m_pktlevel_b1"),
-        median_for(current, "throughput", "hp_1m_pktlevel_b256"),
-    ) else {
-        println!("# batching speedup: benches not present in current run, skipped");
-        return true;
-    };
-    for name in [
-        "hp_10m_b1_shards1",
-        "hp_10m_b256_shards1",
-        "hp_10m_b1_shards4",
-        "hp_10m_b256_shards4",
-    ] {
-        if let Some(ns) = median_for(current, "throughput", name) {
-            println!(
-                "# throughput/{name:<24} {:>12.0} pkt/s",
-                THROUGHPUT_PACKETS / (ns / 1e9)
-            );
-        }
-    }
-    for (name, ns) in [("hp_1m_pktlevel_b1", p1), ("hp_1m_pktlevel_b256", p256)] {
-        println!(
-            "# throughput/{name:<24} {:>12.0} pkt/s",
-            THROUGHPUT_PACKETS_PKTLEVEL / (ns / 1e9)
-        );
-    }
-    if let (Some(a1), Some(a256)) = (
-        median_for(current, "throughput", "hp_10m_b1_shards1"),
-        median_for(current, "throughput", "hp_10m_b256_shards1"),
-    ) {
-        println!(
-            "# batching speedup (aggregate): {:.2}x at batch 256 — informational \
-(aggregate specs have run length 1)",
-            a1 / a256
-        );
-    }
-    let speedup = p1 / p256;
-    let cores = hardware_threads();
-    if cores >= 4 {
-        println!(
-            "# batching speedup (packet-level): {speedup:.2}x at batch 256 \
-({cores} cores, required >= {min_speedup:.2}x)"
-        );
-        if speedup < min_speedup {
-            println!(
-                "bench gate FAILED — batched (256) packet-level run is only {speedup:.2}x \
-faster than scalar (required {min_speedup:.2}x on a {cores}-core host)"
-            );
-            return false;
-        }
-    } else {
-        println!(
-            "# batching speedup (packet-level): {speedup:.2}x at batch 256 — informational only \
 (host has {cores} core(s); the >= {min_speedup:.2}x gate needs >= 4)"
         );
     }
@@ -393,9 +307,6 @@ fn main() -> ExitCode {
     let min_shard_speedup: f64 = arg_value(&args, "--min-shard-speedup")
         .and_then(|s| s.parse().ok())
         .unwrap_or(2.0);
-    let min_batch_speedup: f64 = arg_value(&args, "--min-batch-speedup")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2.0);
     let max_hot_ratio: f64 = arg_value(&args, "--max-hot-ratio")
         .and_then(|s| s.parse().ok())
         .unwrap_or(1.5);
@@ -458,7 +369,6 @@ pass --force to overwrite it"
     }
 
     let shards_ok = shard_speedup_check(&current, min_shard_speedup);
-    let batch_ok = batch_speedup_check(&current, min_batch_speedup);
     let warm_ok = warm_start_check(&current);
     let scale_ok = table_scale_check(&current, max_hot_ratio);
 
@@ -468,7 +378,7 @@ pass --force to overwrite it"
     // timer jitter — and would flap the gate. The floor applies per group
     // so heavyweight groups can opt out of nanosecond pairing entirely.
     failures.retain(|d| d.new_ns - d.baseline_ns > noise_floors.for_group(&d.group));
-    if failures.is_empty() && shards_ok && batch_ok && warm_ok && scale_ok {
+    if failures.is_empty() && shards_ok && warm_ok && scale_ok {
         println!("\nbench gate PASSED ({} benchmarks compared)", deltas.len());
         if write_baseline {
             match std::fs::copy(&current_path, &baseline_path) {

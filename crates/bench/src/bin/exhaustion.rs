@@ -15,11 +15,11 @@
 //!     [--sets N]   capped run's negative-cache sets (default 512 → 4096 cap)
 //!     [--seed N]   world seed (default 3)
 //!
-//! Environment: `SDM_SHARDS` / `SDM_BATCH` select the parallel corner.
+//! Environment: `SDM_SHARDS` selects the parallel corner.
 //! Everything on stdout is byte-identical across power-of-two corners —
 //! the negative cache partitions flows by stable hash exactly like the
 //! shard split, so lengths and eviction counts are shard-invariant; CI
-//! diffs `SDM_SHARDS=1` vs `4` and `SDM_BATCH=1` vs `256`. Exits 1 if any
+//! diffs `SDM_SHARDS=1` vs `4`. Exits 1 if any
 //! device's negative-cache occupancy exceeds its cap.
 
 use sdm_bench::{arg_value, ExperimentConfig, World};

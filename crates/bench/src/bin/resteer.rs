@@ -10,10 +10,9 @@
 //!     [--packets N]   packets injected per epoch (default 200000)
 //!     [--seed N]      world seed (default 3)
 //!
-//! Environment: `SDM_SHARDS` sets the shard count, `SDM_BATCH` the vector
-//! batch size. The table on stdout is **byte-identical** for any
-//! combination of the two — `ci.sh` diffs 1-shard/batch-1 and
-//! 4-shard/batch-256 runs against the committed golden
+//! Environment: `SDM_SHARDS` sets the shard count. The table on stdout is
+//! **byte-identical** at any shard count — `ci.sh` diffs 1-shard and
+//! 4-shard runs against the committed golden
 //! `results/resteer_golden.txt`. λ is printed with full `{:?}` precision
 //! so even mantissa-level drift breaks the diff.
 

@@ -9,13 +9,12 @@
 //!     [--seed N]       world seed (default 3)
 //!     [--full]         include non-invariant families (histograms,
 //!                      pinned-replay counts — these depend on the
-//!                      SDM_SHARDS / SDM_BATCH configuration)
+//!                      SDM_SHARDS configuration)
 //!     [--prometheus]   Prometheus text exposition instead of JSON
 //!
-//! Environment: `SDM_SHARDS` sets the shard count, `SDM_BATCH` the vector
-//! batch size. Without `--full`, the output is **byte-identical** for any
-//! combination of the two — `ci.sh` diffs 1-shard/batch-1 and
-//! 4-shard/batch-256 runs against the committed golden
+//! Environment: `SDM_SHARDS` sets the shard count. Without `--full`, the
+//! output is **byte-identical** at any shard count — `ci.sh` diffs
+//! 1-shard and 4-shard runs against the committed golden
 //! `results/telemetry_golden.json`.
 
 use sdm_bench::{arg_value, ExperimentConfig, World};

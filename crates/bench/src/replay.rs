@@ -11,7 +11,7 @@
 //! whether they die at a crashed box, and which middleboxes must (or
 //! must not) process them. [`replay_scenario`] runs the script against a
 //! fresh [`sdm_core::Enforcement`] and reports every prediction the simulator
-//! disagreed with; CI replays the committed corpus at all shard/batch
+//! disagreed with; CI replays the committed corpus at both shard
 //! corners and fails on any disagreement.
 
 use sdm_core::{Controller, EnforcementOptions, MiddleboxId, SteeringWeights, Strategy};

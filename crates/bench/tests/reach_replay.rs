@@ -1,12 +1,12 @@
 //! PR-10 static/dynamic agreement property tests: every `R0xx` witness
 //! the reach checker emits must replay in the simulator with exactly the
-//! predicted outcome — at every execution-mode corner (`SDM_SHARDS` 1/4
-//! × `SDM_BATCH` 1/256) — and deployments whose assertions all hold must
-//! produce an empty corpus that trivially replays clean.
+//! predicted outcome — at both shard corners (`SDM_SHARDS` 1/4) — and
+//! deployments whose assertions all hold must produce an empty corpus
+//! that trivially replays clean.
 //!
 //! The corners are exercised in-process by setting the environment
-//! variables the engine reads at construction; all replays happen inside
-//! one test so the process-global variables are never raced.
+//! variable the replay reads; all replays happen inside one test so the
+//! process-global variable is never raced.
 
 use std::collections::BTreeMap;
 
@@ -46,34 +46,30 @@ fn every_witness_replays_with_predicted_outcome_at_all_corners() {
         "the hazard pass must lower at least one stale-pin window to a scenario"
     );
 
-    // ...and the simulator must confirm every witness, under the scalar
-    // and vector engines and with sharding requested and not.
+    // ...and the simulator must confirm every witness, with sharding
+    // requested and not.
     for shards in ["1", "4"] {
-        for batch in ["1", "256"] {
-            std::env::set_var("SDM_SHARDS", shards);
-            std::env::set_var("SDM_BATCH", batch);
-            let (verdicts, all_agree) = replay_corpus(
-                &wr.world.controller,
-                Strategy::HotPotato,
-                None,
-                wr.options,
-                &corpus,
-            );
-            assert_eq!(verdicts.len(), corpus.len());
-            let disagreements: Vec<String> = verdicts
-                .iter()
-                .filter(|v| !v.agrees)
-                .map(|v| format!("{}: {:?}", v.name, v.mismatches))
-                .collect();
-            assert!(
-                all_agree,
-                "simulator disagreed at SDM_SHARDS={shards} SDM_BATCH={batch}:\n{}",
-                disagreements.join("\n")
-            );
-        }
+        std::env::set_var("SDM_SHARDS", shards);
+        let (verdicts, all_agree) = replay_corpus(
+            &wr.world.controller,
+            Strategy::HotPotato,
+            None,
+            wr.options,
+            &corpus,
+        );
+        assert_eq!(verdicts.len(), corpus.len());
+        let disagreements: Vec<String> = verdicts
+            .iter()
+            .filter(|v| !v.agrees)
+            .map(|v| format!("{}: {:?}", v.name, v.mismatches))
+            .collect();
+        assert!(
+            all_agree,
+            "simulator disagreed at SDM_SHARDS={shards}:\n{}",
+            disagreements.join("\n")
+        );
     }
     std::env::remove_var("SDM_SHARDS");
-    std::env::remove_var("SDM_BATCH");
 }
 
 #[test]

@@ -24,13 +24,12 @@ use crate::lp_model::{
     build_full, build_reduced, build_reduced_with_cache, LbError, LbOptions, LbReport,
     LbWarmCache,
 };
-use crate::ingress::IngressProxy;
 use crate::measure::TrafficMatrix;
 use crate::middlebox::MiddleboxDevice;
 use crate::proxy::ProxyDevice;
 use crate::report::LoadReport;
 use crate::runtime::{MboxState, ProxyState, RuntimeConfig, Shared, WeightsCell};
-use crate::steer::{Assignments, KConfig, SteeringEncoding, SteeringWeights, Strategy};
+use crate::steer::{Assignments, KConfig, SteerPoint, SteeringEncoding, SteeringWeights, Strategy};
 
 /// Options for building an enforcement simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -284,7 +283,7 @@ impl Controller {
             for &f in &functions {
                 candidate_entries += self
                     .assignments
-                    .candidates(crate::steer::SteerPoint::Proxy(stub), f)
+                    .candidates(SteerPoint::Proxy(stub), f)
                     .len() as u64;
             }
         }
@@ -294,7 +293,7 @@ impl Controller {
             for &f in &functions {
                 candidate_entries += self
                     .assignments
-                    .candidates(crate::steer::SteerPoint::Middlebox(id), f)
+                    .candidates(SteerPoint::Middlebox(id), f)
                     .len() as u64;
             }
         }
@@ -462,8 +461,7 @@ impl Controller {
             let state: Shared<ProxyState> =
                 Arc::new(Mutex::new(ProxyState::new(options.flow_ttl, options.neg_cache_sets)));
             let device = ProxyDevice::new(
-                stub,
-                self.addr_plan.subnet(stub),
+                SteerPoint::Proxy(stub),
                 LocalClassifier::new(self.proxy_policies(stub), options.classifier),
                 Arc::clone(&config),
                 Arc::clone(&state),
@@ -485,11 +483,12 @@ impl Controller {
         for (gi, &gw) in self.plan.gateways().iter().enumerate() {
             let state: Shared<ProxyState> =
                 Arc::new(Mutex::new(ProxyState::new(options.flow_ttl, options.neg_cache_sets)));
-            let device = IngressProxy::new(
-                gi as u32,
-                sdm_policy::LocalClassifier::new(self.ingress_policies(), options.classifier),
+            let device = ProxyDevice::new(
+                SteerPoint::Gateway(gi as u32),
+                LocalClassifier::new(self.ingress_policies(), options.classifier),
                 Arc::clone(&config),
                 Arc::clone(&state),
+                Arc::clone(&measurements),
             );
             let (dev, _) = sim.attach(gw, Attachment::InPath, Box::new(device));
             sim.set_ingress_handler(gw, dev);
@@ -884,6 +883,39 @@ mod tests {
         assert_eq!(enf.sim().stats().delivered, 10);
         let dst_proxy = enf.proxy_state(StubId(7));
         assert_eq!(dst_proxy.lock().counters.inbound, 10);
+    }
+
+    /// A flow entering at a gateway is one fresh steering decision at the
+    /// proxy hop and one pin replay per later packet, like a stub flow —
+    /// whatever the drain limit.
+    #[test]
+    fn gateway_ingress_decisions_are_counted() {
+        use sdm_telemetry::{family, Hop};
+        let (c, opts) = world(false);
+        let gw = c.plan().gateways()[0];
+        let ft = FiveTuple {
+            src: "93.184.216.34".parse().unwrap(),
+            ..web_flow(&c, 0, 3, 443)
+        };
+        for batch in [1, 256] {
+            let opts = EnforcementOptions {
+                telemetry: Some(true),
+                ..opts
+            };
+            let mut enf = c.enforcement(Strategy::HotPotato, None, opts);
+            enf.sim_mut().set_batch_size(batch);
+            for burst in [1, 5] {
+                for _ in 0..burst {
+                    enf.sim_mut().inject_at_router(gw, sdm_netsim::Packet::data(ft, 100));
+                }
+                enf.run();
+            }
+            assert_eq!(enf.sim().stats().delivered, 6);
+            let snap = enf.telemetry_snapshot();
+            let proxy = Hop::Proxy as usize;
+            assert_eq!(snap.value(family::STEER_DECISIONS, proxy), 1, "limit {batch}");
+            assert_eq!(snap.value(family::STEER_PINNED, proxy), 5, "limit {batch}");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * **Determinism.** Flows are bucketed onto per-shard [`Enforcement`]s
 //!   by [`shard_of`] and all cross-shard merges fold in shard-index
 //!   order, so every epoch's measurements, LP solve and activation are
-//!   byte-identical across `SDM_SHARDS` and `SDM_BATCH` settings.
+//!   byte-identical across `SDM_SHARDS` settings and drain limits.
 //!
 //! The per-shard simulations persist across epochs — that is what makes
 //! stickiness meaningful: the flow tables survive the weight swap.
@@ -82,7 +82,7 @@ pub struct EpochReport {
 ///
 /// All counts are functions of the merged (shard-invariant) traffic
 /// matrix and the deterministic LP, so they are byte-identical across
-/// `SDM_SHARDS` / `SDM_BATCH` settings.
+/// `SDM_SHARDS` settings.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LpTelemetry {
     /// LP re-solves that ran cold (no reusable retained state).
@@ -180,8 +180,9 @@ impl<'a> EpochLoop<'a> {
         }
     }
 
-    /// Overrides the vector batch size of every shard (for the batching
-    /// ablation; the default follows `SDM_BATCH`).
+    /// Sets every shard's drain limit (see
+    /// [`sdm_netsim::Simulator::set_batch_size`]; the equivalence tests
+    /// compare limit 1 against the default).
     pub fn set_batch_size(&mut self, batch: usize) {
         for enf in &mut self.shards {
             enf.sim_mut().set_batch_size(batch);

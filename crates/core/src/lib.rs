@@ -56,7 +56,6 @@
 mod controller;
 mod deployment;
 mod epoch;
-mod ingress;
 mod lp_model;
 mod measure;
 mod middlebox;
@@ -77,7 +76,6 @@ pub use lp_model::{
     LbWarmCache,
 };
 pub use measure::{DestKey, TrafficMatrix};
-pub use ingress::IngressProxy;
 pub use middlebox::MiddleboxDevice;
 pub use proxy::ProxyDevice;
 pub use report::{LoadReport, LoadRow};

@@ -14,8 +14,8 @@ use crate::runtime::{MboxState, RuntimeConfig, Shared};
 use crate::steer::SteerPoint;
 
 /// The cached outcome of resolving one tunneled flow's policy: reused by
-/// consecutive same-flow packets in a batch so the flow-table probe, the
-/// action-list clone and the label-table install happen once per run.
+/// consecutive same-flow packets in a run so the flow-table probe, the
+/// action-list clone and the label-table install happen once per stretch.
 /// The packet's label is part of the key because label presence decides
 /// whether a label-table entry is installed.
 struct TunnelRun {
@@ -91,24 +91,22 @@ impl MiddleboxDevice {
     /// Applies this box's function(s) to a resolved tunneled packet and
     /// steers it onwards (next-hop tunnel or last-hop §III.E handling).
     ///
-    /// `install_labels = false` is the vector-path run-mate mode: the
-    /// run's first packet already installed an identical label-table
+    /// `install_labels = false` is the run-mate mode: the stretch's
+    /// first packet already installed an identical label-table
     /// entry at this instant, so re-inserting is skipped. Everything
     /// observable per packet (counters, control emission, rewrites) still
     /// happens here.
-    #[allow(clippy::too_many_arguments)]
     fn apply_tunneled(
         &self,
         ctx: &mut DeviceCtx<'_>,
         state: &mut MboxState,
         pkt: PacketId,
         proxy_addr: sdm_netsim::Ipv4Addr,
-        ft: &FiveTuple,
-        weight: u64,
-        policy_id: PolicyId,
-        actions: &ActionList,
+        run: &TunnelRun,
         install_labels: bool,
     ) {
+        let (ft, policy_id, actions) = (&run.ft, run.policy_id, &run.actions);
+        let weight = ctx.pkt(pkt).weight;
         let now = ctx.now();
         // Apply our function, plus any consecutive functions we also
         // implement locally.
@@ -216,84 +214,49 @@ impl MiddleboxDevice {
     }
 
     /// Handles a tunneled (IP-over-IP) packet addressed to this box.
-    fn handle_tunneled(&self, ctx: &mut DeviceCtx<'_>, state: &mut MboxState, pkt: PacketId) {
-        let proxy_addr = ctx.pkt(pkt).current_src(); // kept as outer src end-to-end (§III.E)
-        ctx.pkt_mut(pkt).decapsulate();
-        let (ft, weight) = {
-            let p = ctx.pkt(pkt);
-            (p.five_tuple(), p.weight)
-        };
-        state.counters.tunneled_in += weight;
-        let Some((policy_id, actions)) = self.resolve_tunneled(state, &ft, ctx.now(), weight)
-        else {
-            // A tunneled packet should always match (the sender matched
-            // it); tolerate and forward untouched.
-            state.counters.unmatched += weight;
-            ctx.forward(pkt);
-            return;
-        };
-        self.apply_tunneled(
-            ctx, state, pkt, proxy_addr, &ft, weight, policy_id, &actions, true,
-        );
-    }
-
-    /// Vector-path tunneled handling: consecutive packets of the same
-    /// flow (and label) reuse the first packet's resolved policy — the
-    /// flow-table probe becomes a [`sdm_policy::FlowTable::record_run_hit`]
-    /// and the label-table install is skipped (it would overwrite an
-    /// identical entry).
-    fn tunneled_batched(
+    /// Consecutive packets of the same flow (and label) reuse the first
+    /// packet's resolved policy — the flow-table probe becomes a
+    /// [`sdm_policy::FlowTable::record_run_hit`] and the label-table
+    /// install is skipped (it would overwrite an identical entry).
+    fn receive_tunneled(
         &self,
         ctx: &mut DeviceCtx<'_>,
         state: &mut MboxState,
         pkt: PacketId,
         run: &mut Option<TunnelRun>,
     ) {
-        let proxy_addr = ctx.pkt(pkt).current_src();
+        let proxy_addr = ctx.pkt(pkt).current_src(); // kept as outer src end-to-end (§III.E)
         ctx.pkt_mut(pkt).decapsulate();
         let (ft, weight, label) = {
             let p = ctx.pkt(pkt);
             (p.five_tuple(), p.weight, p.label)
         };
         state.counters.tunneled_in += weight;
-        if let Some(r) = run {
-            if r.ft == ft && r.label == label {
-                // Run-mate: a scalar lookup here would be a guaranteed
-                // hit returning exactly the cached decision.
-                state.flows.record_run_hit(weight);
-                self.apply_tunneled(
-                    ctx,
-                    state,
-                    pkt,
-                    proxy_addr,
-                    &ft,
-                    weight,
-                    r.policy_id,
-                    &r.actions,
-                    false,
-                );
-                return;
-            }
+        let run_mate = matches!(run, Some(r) if r.ft == ft && r.label == label);
+        if run_mate {
+            // A lookup here would be a guaranteed hit returning exactly
+            // the cached decision.
+            state.flows.record_run_hit(weight);
+        } else {
+            *run = self
+                .resolve_tunneled(state, &ft, ctx.now(), weight)
+                .map(|(policy_id, actions)| TunnelRun {
+                    ft,
+                    label,
+                    policy_id,
+                    actions,
+                });
         }
-        *run = None;
-        let Some((policy_id, actions)) = self.resolve_tunneled(state, &ft, ctx.now(), weight)
-        else {
-            // No flow-cache entry was installed, so the next same-flow
-            // packet must re-probe (and count a miss) exactly like the
-            // scalar path: leave the run empty.
+        let Some(r) = run else {
+            // A tunneled packet should always match (the sender matched
+            // it); tolerate and forward untouched. No flow-cache entry
+            // was installed, so the next same-flow packet must re-probe
+            // (and count a miss): the run stays empty.
             state.counters.unmatched += weight;
             ctx.forward(pkt);
             return;
         };
-        self.apply_tunneled(
-            ctx, state, pkt, proxy_addr, &ft, weight, policy_id, &actions, true,
-        );
-        *run = Some(TunnelRun {
-            ft,
-            label,
-            policy_id,
-            actions,
-        });
+        self.apply_tunneled(ctx, state, pkt, proxy_addr, r, !run_mate);
     }
 
     /// Handles a source-routed packet: apply the function, pop the next
@@ -339,35 +302,12 @@ impl MiddleboxDevice {
         ctx.forward(pkt);
     }
 
-    /// Handles a label-switched packet (not encapsulated, addressed to us).
-    fn handle_labeled(&self, ctx: &mut DeviceCtx<'_>, state: &mut MboxState, pkt: PacketId) {
-        let weight = ctx.pkt(pkt).weight;
-        state.counters.label_switched_in += weight;
-        let Some(label) = ctx.pkt(pkt).label else {
-            state.counters.label_misses += weight;
-            ctx.drop_pkt(pkt); // addressed to us without label or tunnel
-            return;
-        };
-        let key = LabelKey {
-            src: ctx.pkt(pkt).inner.src,
-            label,
-        };
-        let entry = match state.labels.lookup(&key, ctx.now()) {
-            Some(e) => e.clone(),
-            None => {
-                state.counters.label_misses += weight;
-                ctx.drop_pkt(pkt);
-                return;
-            }
-        };
-        self.apply_labeled(ctx, state, pkt, weight, &entry);
-    }
-
-    /// Vector-path labeled handling: consecutive packets with the same
-    /// `⟨src, label⟩` key reuse the first packet's entry clone. A scalar
-    /// lookup by a run-mate would only re-refresh `last_seen` to the same
-    /// instant, so skipping it is unobservable.
-    fn labeled_batched(
+    /// Handles a label-switched packet (not encapsulated, addressed to
+    /// us). Consecutive packets with the same `⟨src, label⟩` key reuse the
+    /// first packet's entry clone: a lookup by a run-mate would only
+    /// re-refresh `last_seen` to the same instant, so skipping it is
+    /// unobservable.
+    fn receive_labeled(
         &self,
         ctx: &mut DeviceCtx<'_>,
         state: &mut MboxState,
@@ -379,75 +319,45 @@ impl MiddleboxDevice {
         let Some(label) = ctx.pkt(pkt).label else {
             // No table access: the current run stays valid.
             state.counters.label_misses += weight;
-            ctx.drop_pkt(pkt);
+            ctx.drop_pkt(pkt); // addressed to us without label or tunnel
             return;
         };
         let key = LabelKey {
             src: ctx.pkt(pkt).inner.src,
             label,
         };
+        if !matches!(run, Some((k, _)) if *k == key) {
+            *run = Some((key, state.labels.lookup(&key, ctx.now()).cloned()));
+        }
         match run {
-            Some((k, cached)) if *k == key => match cached {
-                Some(entry) => {
-                    let entry = entry.clone();
-                    self.apply_labeled(ctx, state, pkt, weight, &entry);
-                }
-                None => {
-                    state.counters.label_misses += weight;
-                    ctx.drop_pkt(pkt);
-                }
-            },
+            Some((_, Some(entry))) => self.apply_labeled(ctx, state, pkt, weight, entry),
             _ => {
-                let entry = state.labels.lookup(&key, ctx.now()).cloned();
-                *run = Some((key, entry.clone()));
-                match entry {
-                    Some(entry) => self.apply_labeled(ctx, state, pkt, weight, &entry),
-                    None => {
-                        state.counters.label_misses += weight;
-                        ctx.drop_pkt(pkt);
-                    }
-                }
+                state.counters.label_misses += weight;
+                ctx.drop_pkt(pkt);
             }
         }
     }
 }
 
 impl Device for MiddleboxDevice {
-    fn receive(&mut self, ctx: &mut DeviceCtx<'_>, pkt: sdm_netsim::PacketId) {
-        let mut state = self.state.lock();
-        let state = &mut *state;
-        if state.failed {
-            state.counters.dropped_failed += ctx.pkt(pkt).weight;
-            ctx.drop_pkt(pkt);
-            return;
-        }
-        if ctx.pkt(pkt).is_encapsulated() {
-            self.handle_tunneled(ctx, state, pkt);
-        } else if ctx.pkt(pkt).has_source_route() {
-            self.handle_source_routed(ctx, state, pkt);
-        } else {
-            self.handle_labeled(ctx, state, pkt);
-        }
-    }
-
-    /// Vector path: one lock acquisition for the whole batch, one
-    /// flow/label-table probe per consecutive same-key run.
+    /// One lock acquisition for the whole run, one flow/label-table probe
+    /// per consecutive same-key stretch.
     ///
-    /// Bit-identical to per-packet [`MiddleboxDevice::receive`]: run-mates
-    /// reuse a probe result the scalar path is guaranteed to reproduce
-    /// (see `tunneled_batched` / `labeled_batched`), and a packet of a
-    /// different kind conservatively ends the current run — tunneled
-    /// packets are the only writers of the label table, so a label run
-    /// never survives one.
-    fn receive_batch(&mut self, ctx: &mut DeviceCtx<'_>, pkts: &[PacketId]) {
+    /// How arrivals split into runs is unobservable: run-mates reuse a
+    /// probe result their own probe is guaranteed to reproduce (see
+    /// `receive_tunneled` / `receive_labeled`), and a packet of a
+    /// different kind conservatively ends the current stretch — tunneled
+    /// packets are the only writers of the label table, so a label
+    /// stretch never survives one.
+    fn receive(&mut self, ctx: &mut DeviceCtx<'_>, pkts: &[PacketId]) {
         let mut state = self.state.lock();
         let state = &mut *state;
         let mut tunnel_run: Option<TunnelRun> = None;
         let mut label_run: Option<(LabelKey, Option<LabelEntry>)> = None;
         for &pkt in pkts {
             if state.failed {
-                // A failure observed mid-batch also ends every cached run:
-                // if `failed` flips back before the batch is exhausted
+                // A failure observed mid-run also ends every cached stretch:
+                // if `failed` flips back before the run is exhausted
                 // (control-driven restore), the remainder must re-probe
                 // rather than resume a pre-failure decision.
                 tunnel_run = None;
@@ -458,14 +368,14 @@ impl Device for MiddleboxDevice {
             }
             if ctx.pkt(pkt).is_encapsulated() {
                 label_run = None;
-                self.tunneled_batched(ctx, state, pkt, &mut tunnel_run);
+                self.receive_tunneled(ctx, state, pkt, &mut tunnel_run);
             } else if ctx.pkt(pkt).has_source_route() {
                 tunnel_run = None;
                 label_run = None;
                 self.handle_source_routed(ctx, state, pkt);
             } else {
                 tunnel_run = None;
-                self.labeled_batched(ctx, state, pkt, &mut label_run);
+                self.receive_labeled(ctx, state, pkt, &mut label_run);
             }
         }
     }

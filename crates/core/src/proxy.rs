@@ -3,12 +3,18 @@
 //! `P_x`, steers policy traffic into middlebox chains via IP-over-IP (or
 //! label switching once established), measures per-policy volumes, and
 //! delivers inbound traffic into the stub.
+//!
+//! The same device attached at an Internet gateway (the proxy-`y` wiring
+//! of Figure 2) enforces policies on traffic *entering* the enterprise.
+//! Without it, inbound traffic would reach its destination proxy and be
+//! delivered without ever traversing its chain — the bypass the
+//! architecture must prevent.
 
 use std::sync::Arc;
 
 use sdm_util::sync::Mutex;
 
-use sdm_netsim::{Device, DeviceCtx, FiveTuple, Label, Packet, PacketId, PacketKind, Prefix, StubId};
+use sdm_netsim::{Device, DeviceCtx, FiveTuple, Label, Packet, PacketId, PacketKind, Prefix};
 use sdm_policy::{ActionList, LocalClassifier, PolicyId};
 
 use crate::measure::{DestKey, TrafficMatrix};
@@ -19,13 +25,15 @@ use crate::steer::SteerPoint;
 /// (`None` = no policy), the assigned label, whether the flow has been
 /// flagged label-switched, and the pinned first-hop middlebox (raw id) if
 /// one is recorded. Exactly the tuple the flow-cache lookup yields, so one
-/// probe's result can be reused across a same-flow run in a batch.
+/// probe's result can be reused across a same-flow stretch of a run.
 type FlowDecision = (Option<(PolicyId, ActionList)>, Option<Label>, bool, Option<u32>);
 
-/// The policy-proxy device for one stub network.
+/// The policy-proxy device for one stub network or one gateway.
 pub struct ProxyDevice {
-    stub: StubId,
-    subnet: Prefix,
+    point: SteerPoint,
+    /// The stub's subnet; `None` at a gateway, which has nothing to
+    /// deliver into (and no `T_{s,d,p}` row to measure).
+    subnet: Option<Prefix>,
     policies: LocalClassifier,
     config: Arc<RuntimeConfig>,
     state: Shared<ProxyState>,
@@ -33,18 +41,22 @@ pub struct ProxyDevice {
 }
 
 impl ProxyDevice {
-    /// Creates the proxy for `stub` with its controller-installed local
-    /// policy table `P_x`.
+    /// Creates the proxy steering from `point` — `Proxy(stub)` in front of
+    /// a stub network, `Gateway(index)` at an Internet gateway — with its
+    /// controller-installed local policy table `P_x`.
     pub fn new(
-        stub: StubId,
-        subnet: Prefix,
+        point: SteerPoint,
         policies: LocalClassifier,
         config: Arc<RuntimeConfig>,
         state: Shared<ProxyState>,
         measurements: Arc<Mutex<TrafficMatrix>>,
     ) -> Self {
+        let subnet = match point {
+            SteerPoint::Proxy(stub) => Some(config.addr_plan.subnet(stub)),
+            _ => None,
+        };
         ProxyDevice {
-            stub,
+            point,
             subnet,
             policies,
             config,
@@ -103,8 +115,8 @@ impl ProxyDevice {
     }
 
     /// Applies a resolved [`FlowDecision`] to one outbound packet: measure,
-    /// then permit / source-route / label-switch / encapsulate exactly as
-    /// the scalar path does. The proxy state lock is already held.
+    /// then permit / source-route / label-switch / encapsulate. The proxy
+    /// state lock is already held.
     fn steer_outbound(
         &self,
         ctx: &mut DeviceCtx<'_>,
@@ -124,9 +136,11 @@ impl ProxyDevice {
         let policy_id = *policy_id;
 
         // Measure T_{s,d,p} for the controller (§III.C).
-        self.measurements
-            .lock()
-            .record(self.stub, self.dest_key(ctx.pkt(pkt)), policy_id, weight as f64);
+        if let SteerPoint::Proxy(stub) = self.point {
+            self.measurements
+                .lock()
+                .record(stub, self.dest_key(ctx.pkt(pkt)), policy_id, weight as f64);
+        }
 
         if actions.is_permit() {
             state.counters.permitted += weight;
@@ -138,7 +152,7 @@ impl ProxyDevice {
         if self.config.encoding == crate::steer::SteeringEncoding::SourceRouting {
             let Some(chain) =
                 self.config
-                    .resolve_chain(SteerPoint::Proxy(self.stub), policy_id, actions, ft)
+                    .resolve_chain(self.point, policy_id, actions, ft)
             else {
                 state.counters.unenforceable += weight;
                 ctx.drop_pkt(pkt);
@@ -163,25 +177,21 @@ impl ProxyDevice {
                 crate::deployment::MiddleboxId(*raw)
             }
             None => {
-                let first_fn = actions.first().expect("non-permit chain");
                 let commodity = self.config.commodity_of(ctx.pkt(pkt));
-                let Some(next) = self.config.select_for_commodity(
-                    SteerPoint::Proxy(self.stub),
-                    policy_id,
-                    first_fn,
-                    0,
-                    ft,
-                    commodity,
-                ) else {
+                let Some(next) = actions.first().and_then(|first_fn| {
+                    self.config.select_for_commodity(
+                        self.point, policy_id, first_fn, 0, ft, commodity,
+                    )
+                }) else {
                     state.counters.unenforceable += weight;
                     ctx.drop_pkt(pkt); // drop: the policy cannot be enforced
                     return;
                 };
                 // A *fresh* selection is one that first pins the flow —
-                // batched run-mates replay the first packet's unpinned
-                // decision tuple and re-derive the same selection, so the
-                // counter keys off the pin transition, which happens
-                // exactly once per flow on every execution path.
+                // run-mates replay the first packet's unpinned decision
+                // tuple and re-derive the same selection, so the counter
+                // keys off the pin transition, which happens exactly once
+                // per flow however arrivals split into runs.
                 if self.config.tel.enabled() && state.flows.pinned_next(ft).is_none() {
                     self.config.tel.steer_decision(sdm_telemetry::Hop::Proxy);
                 }
@@ -231,14 +241,14 @@ impl ProxyDevice {
     }
 
     /// Delivers an inbound packet into the stub. Returns `true` if the
-    /// packet was addressed to us and consumed.
+    /// packet was addressed to us and consumed (never at a gateway).
     fn handle_inbound(
         &self,
         ctx: &mut DeviceCtx<'_>,
         state: &mut ProxyState,
         pkt: PacketId,
     ) -> bool {
-        if self.subnet.contains(ctx.pkt(pkt).current_dst()) {
+        if self.subnet.is_some_and(|s| s.contains(ctx.pkt(pkt).current_dst())) {
             state.counters.inbound += ctx.pkt(pkt).weight;
             while ctx.pkt_mut(pkt).decapsulate().is_some() {}
             ctx.deliver_local(pkt);
@@ -249,41 +259,17 @@ impl ProxyDevice {
 }
 
 impl Device for ProxyDevice {
-    fn receive(&mut self, ctx: &mut DeviceCtx<'_>, pkt: sdm_netsim::PacketId) {
-        let mut state = self.state.lock();
-
-        // 1. Label-ready control packet from the last middlebox (§III.E):
-        //    flag the flow for label switching and consume the packet.
-        if self.handle_control(ctx, &mut state, pkt) {
-            return;
-        }
-
-        // 2. Inbound traffic addressed into our stub: final delivery.
-        if self.handle_inbound(ctx, &mut state, pkt) {
-            return;
-        }
-
-        // 3. Outbound traffic from our stub.
-        let (ft, weight) = {
-            let p = ctx.pkt(pkt);
-            (p.five_tuple(), p.weight)
-        };
-        state.counters.outbound += weight;
-        let decision = self.probe_flow(&mut state, &ft, ctx.now(), weight);
-        self.steer_outbound(ctx, &mut state, pkt, &ft, weight, &decision);
-    }
-
-    /// Vector path: one lock acquisition for the whole batch, and one
-    /// flow-table probe per consecutive same-flow run — run-mates reuse the
-    /// first packet's decision tuple (recording their cache hits via
+    /// One lock acquisition for the whole run, and one flow-table probe
+    /// per consecutive same-flow stretch — run-mates reuse the first
+    /// packet's decision tuple (recording their cache hits via
     /// [`sdm_policy::FlowTable::record_run_hit`]) instead of re-probing.
     ///
-    /// Bit-identical to per-packet [`ProxyDevice::receive`]: a scalar
-    /// lookup by a run-mate is a guaranteed hit returning exactly the
-    /// cached decision, and control/inbound packets conservatively end the
-    /// current run because they can mutate flow state (e.g. flag a flow
-    /// label-switched mid-tick).
-    fn receive_batch(&mut self, ctx: &mut DeviceCtx<'_>, pkts: &[PacketId]) {
+    /// How arrivals split into runs is unobservable: a lookup by a
+    /// run-mate is a guaranteed hit returning exactly the cached decision,
+    /// and control/inbound packets conservatively end the current stretch
+    /// because they can mutate flow state (e.g. flag a flow label-switched
+    /// mid-tick).
+    fn receive(&mut self, ctx: &mut DeviceCtx<'_>, pkts: &[PacketId]) {
         let mut state = self.state.lock();
         let mut run: Option<(FiveTuple, FlowDecision)> = None;
         for &pkt in pkts {
@@ -298,9 +284,10 @@ impl Device for ProxyDevice {
                 let p = ctx.pkt(pkt);
                 (p.five_tuple(), p.weight)
             };
+            // Leaving our stub — or, at a gateway, entering the enterprise.
             state.counters.outbound += weight;
             match &run {
-                // A run-mate's scalar lookup would land on the cached
+                // A run-mate's own lookup would land on the cached
                 // entry: count the hit — classified by the decision's
                 // negativity, as a real lookup would classify it.
                 Some((key, d)) if *key == ft => {
@@ -330,7 +317,7 @@ mod tests {
     use super::*;
     use crate::deployment::{Deployment, MiddleboxSpec};
     use crate::steer::{Assignments, KConfig, Strategy};
-    use sdm_netsim::AddressPlan;
+    use sdm_netsim::{AddressPlan, StubId};
     use sdm_policy::NetworkFunction::*;
     use sdm_topology::campus::campus;
 
@@ -354,8 +341,7 @@ mod tests {
             tel: Arc::new(sdm_telemetry::ShardTelemetry::new(false)),
         });
         let proxy = ProxyDevice::new(
-            StubId(0),
-            addr_plan.subnet(StubId(0)),
+            SteerPoint::Proxy(StubId(0)),
             LocalClassifier::new(Default::default(), Default::default()),
             config,
             Arc::new(Mutex::new(ProxyState::new(1000, sdm_policy::DEFAULT_NEG_SETS))),

@@ -16,17 +16,11 @@
 //! experiments must call [`resolve_shards`] with `shard_safe = false`,
 //! which forces a single shard.
 //!
-//! # Interaction with vector execution (`SDM_BATCH`)
-//!
-//! Sharding and batching compose orthogonally. Each shard owns a private
-//! simulator that reads `SDM_BATCH` at construction, so every worker runs
-//! the same vector hot loop (`sdm-netsim`'s batched event drain; see the
-//! engine's *Vector execution* docs). Batching is bit-identical to the
-//! scalar path *within* one simulator, sharding is bit-identical across
-//! shard counts, and the merge below folds shard results in fixed shard-
-//! index order — therefore any `(SDM_SHARDS, SDM_BATCH)` combination
-//! produces the same bytes. `ci.sh` pins both axes with `cmp`-based
-//! smoke checks on the Table III output.
+//! Each shard owns a private simulator running the one event loop
+//! (`sdm-netsim`'s tick-batched drain), whose split of arrivals into
+//! device runs is unobservable; the merge below folds shard results in
+//! fixed shard-index order, so any `SDM_SHARDS` value produces the same
+//! bytes (`ci.sh` pins this with a `cmp` on the Table III output).
 
 use sdm_netsim::{FiveTuple, SimStats};
 use sdm_policy::FlowTableStats;
@@ -99,7 +93,7 @@ pub struct StateFootprint {
     /// capped negative cache is under exhaustion pressure; see
     /// [`sdm_policy::FlowTable::negative_evictions`]). The set-associative
     /// cache partitions flows by stable hash, so these counts are invariant
-    /// across `SDM_SHARDS` / `SDM_BATCH` like every other footprint field.
+    /// across `SDM_SHARDS` like every other footprint field.
     pub proxy_neg_evictions: Vec<u64>,
     /// Negative-cache evictions per gateway ingress proxy.
     pub ingress_neg_evictions: Vec<u64>,

@@ -18,8 +18,8 @@
 //! and the id must not be dereferenced again. Ids are meaningful only
 //! within their own simulator — slot numbering depends on allocation
 //! order, which is why nothing observable (stats, traces, table state)
-//! may key off raw id values: the vector hot path renumbers slots
-//! relative to the scalar path without changing any output.
+//! may key off raw id values: the length of a device run changes which
+//! slots get reused without changing any output.
 
 use crate::packet::Packet;
 

@@ -19,19 +19,19 @@
 //! arena and sends lightweight fragments that reference it, so the
 //! forwarding path never deep-clones a packet.
 //!
-//! # Vector execution
+//! # Execution model
 //!
-//! By default [`Simulator::run_until_idle`] executes VPP-style: it drains
-//! up to `SDM_BATCH` (default 256) same-tick events from the calendar
-//! queue into a reusable scratch vector and hands consecutive deliveries
-//! to the same device to [`Device::receive_batch`] as one run, letting the
-//! device amortize its per-packet costs (one state-lock acquisition per
-//! run, one flow/label-table probe per consecutive same-flow stretch)
-//! while the arena accesses stay sequential and cache-hot. The batch
-//! drain never crosses a tick boundary, so the global event order — time,
-//! then FIFO within a tick — is exactly the scalar order and the output
-//! is bit-identical to `SDM_BATCH=1` (pinned by the scalar-vs-batched
-//! equivalence property test). See DESIGN.md, "Vector execution model".
+//! [`Simulator::run_until_idle`] is the one event loop: it drains up to
+//! 256 same-tick events (see [`Simulator::set_batch_size`]) from the
+//! calendar queue into a reusable scratch vector and hands consecutive
+//! deliveries to the same device to [`Device::receive`] as one *run*,
+//! letting the device amortize its per-packet costs (one state-lock
+//! acquisition per run, one flow/label-table probe per consecutive
+//! same-flow stretch) while the arena accesses stay sequential and
+//! cache-hot. The drain never crosses a tick boundary, so the global
+//! event order — time, then FIFO within a tick — does not depend on the
+//! drain limit and neither does any output (pinned at limits 1/3/256 by
+//! `tests/batching_equivalence.rs`). See DESIGN.md, "Execution model".
 
 use std::fmt;
 
@@ -132,26 +132,17 @@ pub enum Attachment {
 /// or [`DeviceCtx::deliver_local`] the id (or [`DeviceCtx::drop_pkt`] to
 /// consume it).
 pub trait Device {
-    /// Called when a packet addressed to this device (or intercepted by it)
-    /// arrives.
-    fn receive(&mut self, ctx: &mut DeviceCtx<'_>, pkt: PacketId);
-
-    /// Called with a *run* of packets that arrived at this device at the
-    /// same tick (the vector execution path, see the module docs). `pkts`
-    /// is in arrival (FIFO) order and is never empty.
+    /// Called with a *run* of packets addressed to this device (or
+    /// intercepted by it) that arrived at the same tick, see the module
+    /// docs. `pkts` is in arrival (FIFO) order and is never empty.
     ///
-    /// The default implementation loops [`Device::receive`], which is
-    /// always correct. Devices may override it to amortize per-packet
-    /// costs — take a state lock once, probe flow/label tables once per
-    /// consecutive same-flow run — but an override **must** be observably
-    /// identical to the per-packet loop: same counters, same emitted
-    /// packets in the same order. The scalar-vs-batched equivalence
-    /// property test pins this for the in-tree devices.
-    fn receive_batch(&mut self, ctx: &mut DeviceCtx<'_>, pkts: &[PacketId]) {
-        for &p in pkts {
-            self.receive(ctx, p);
-        }
-    }
+    /// A device may amortize per-packet costs over the run — take a state
+    /// lock once, probe flow/label tables once per consecutive same-flow
+    /// stretch — but how arrivals happen to be split into runs **must not**
+    /// be observable: same counters, same emitted packets in the same
+    /// order as handling the packets one run each.
+    /// `tests/batching_equivalence.rs` pins this for the in-tree devices.
+    fn receive(&mut self, ctx: &mut DeviceCtx<'_>, pkts: &[PacketId]);
 
     /// Called when a timer set through [`DeviceCtx::set_timer`] fires.
     fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, key: u64) {
@@ -446,9 +437,9 @@ pub struct Simulator {
     /// Events discarded after the trace filled up (see
     /// [`Simulator::trace_dropped`]).
     trace_dropped: u64,
-    /// Device-arrival trace records deferred by the vector path so they
-    /// interleave with delivery records exactly as the scalar loop emits
-    /// them (see [`Simulator::flush_pending_traces`]).
+    /// Device-arrival trace records of the current run, deferred so each
+    /// lands right before that packet's delivery record whatever the run
+    /// length (see [`Simulator::flush_pending_traces`]).
     trace_pending: Vec<(PacketId, DeviceId, FiveTuple, u64)>,
     /// Hot-path telemetry collector (disabled by default; see
     /// [`Simulator::set_telemetry`]).
@@ -461,27 +452,17 @@ pub struct Simulator {
     reassembly: FxHashMap<u64, FragState>,
     /// Per-device (service ticks per packet, busy-until time).
     service: Vec<(u64, SimTime)>,
-    /// Events drained per batch on the vector execution path (`SDM_BATCH`,
-    /// default 256); 1 selects the scalar per-event loop.
+    /// Most same-tick events drained per batch (see
+    /// [`Simulator::set_batch_size`]).
     batch: usize,
-    /// Reusable scratch for one drained event batch (vector path).
+    /// Reusable scratch for one drained event batch.
     scratch: Vec<EventKind>,
-    /// Reusable scratch for the packet run handed to one device (vector
-    /// path).
+    /// Reusable scratch for the packet run handed to one device.
     ready: Vec<PacketId>,
 }
 
-/// Default event-batch size of the vector execution path.
+/// Same-tick events drained per batch unless a test narrows it.
 const DEFAULT_BATCH: usize = 256;
-
-/// Batch size from the `SDM_BATCH` environment variable (default
-/// [`DEFAULT_BATCH`]; values below 1 clamp to 1 = scalar).
-fn batch_from_env() -> usize {
-    std::env::var("SDM_BATCH")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map_or(DEFAULT_BATCH, |b| b.max(1))
-}
 
 /// Bookkeeping of one emulated fragmentation: fragments reference the
 /// parent packet (parked in the arena) instead of each carrying a clone of
@@ -582,7 +563,7 @@ impl Simulator {
             frag_seq: 0,
             reassembly: FxHashMap::default(),
             service: Vec::new(),
-            batch: batch_from_env(),
+            batch: DEFAULT_BATCH,
             scratch: Vec::new(),
             ready: Vec::new(),
         };
@@ -849,56 +830,31 @@ impl Simulator {
         }
     }
 
-    /// The event-batch size of the vector execution path (see
-    /// [`Simulator::set_batch_size`]).
-    pub fn batch_size(&self) -> usize {
-        self.batch
-    }
-
-    /// Overrides the `SDM_BATCH` event-batch size for this simulator.
-    /// `1` selects the legacy scalar loop; larger values drain up to that
-    /// many same-tick events per batch and hand same-device runs to
-    /// [`Device::receive_batch`]. Output is bit-identical either way.
+    /// Sets the most same-tick events one drain of the queue takes
+    /// (default 256; clamped to at least 1). Output is bit-identical at
+    /// any limit; limit 1 makes every device run one packet long, which is
+    /// the reference the equivalence tests compare the default against.
     pub fn set_batch_size(&mut self, batch: usize) {
         self.batch = batch.max(1);
     }
 
     /// Runs until no events remain. Returns the number of events processed.
     ///
-    /// With a batch size above 1 (see [`Simulator::set_batch_size`]) this
-    /// takes the vector execution path; otherwise the scalar per-event
-    /// loop. Tracing works on both paths and produces the identical
-    /// ordered log: the vector path defers each run-mate's device-arrival
-    /// record and flushes it just before that packet's delivery record
-    /// (or at end of run), reproducing the scalar interleaving — pinned
-    /// by `tests/batching_equivalence.rs`.
-    pub fn run_until_idle(&mut self) -> u64 {
-        if self.batch > 1 {
-            return self.run_batched();
-        }
-        let mut n = 0;
-        while self.step() {
-            n += 1;
-        }
-        n
-    }
-
-    /// The vector execution loop: drains the calendar queue one same-tick
-    /// batch at a time and dispatches consecutive same-device deliveries
-    /// as one [`Device::receive_batch`] run.
+    /// Drains the calendar queue one same-tick batch at a time and
+    /// dispatches consecutive same-device deliveries as one
+    /// [`Device::receive`] run (see the module docs).
     ///
-    /// Equivalence to the scalar loop (pinned by
-    /// `tests/batching_equivalence.rs`): the drain never crosses a tick
-    /// boundary, so events still process in exactly the scalar pop order —
-    /// anything a batch schedules at the *current* tick lands behind the
-    /// batch in the bucket and is picked up by the next drain of the same
-    /// tick. Within a device run, per-packet pre-accounting and the
+    /// Why the drain limit is unobservable (pinned by
+    /// `tests/batching_equivalence.rs`): anything a batch schedules at the
+    /// *current* tick lands behind the batch in the bucket and is picked
+    /// up by the next drain of the same tick, so events process in queue
+    /// pop order. Within a device run, per-packet pre-accounting and the
     /// device's emissions keep their arrival order; buffered actions apply
-    /// in emission order. The only divergence is that a run-mate's actions
-    /// apply after the whole run's `receive` calls instead of interleaved,
-    /// which can renumber arena slots — unobservable, since nothing keys
-    /// off [`PacketId`] values.
-    fn run_batched(&mut self) -> u64 {
+    /// in emission order after the whole run, and each packet's
+    /// device-arrival trace record is deferred to just before its delivery
+    /// record (or the end of the run). Run length can renumber arena
+    /// slots — unobservable, since nothing keys off [`PacketId`] values.
+    pub fn run_until_idle(&mut self) -> u64 {
         let mut n = 0u64;
         let mut scratch = std::mem::take(&mut self.scratch);
         let mut ready = std::mem::take(&mut self.ready);
@@ -925,27 +881,23 @@ impl Simulator {
                         i += 1;
                     }
                     EventKind::Timer { dev, key } => {
-                        self.dispatch_device(dev, None, Some(key));
+                        self.dispatch_device(dev, |device, ctx| device.on_timer(ctx, key));
                         i += 1;
                     }
-                    EventKind::DeviceRecv { dev, pkt } => {
-                        // Extend the run of consecutive deliveries to `dev`.
+                    EventKind::DeviceRecv { dev, .. } => {
+                        // The run of consecutive deliveries to `dev`.
                         ready.clear();
-                        self.predispatch(dev, pkt, &mut ready);
-                        i += 1;
-                        while i < scratch.len() {
-                            let EventKind::DeviceRecv { dev: d, pkt: p } = scratch[i] else {
-                                break;
-                            };
+                        while let Some(&EventKind::DeviceRecv { dev: d, pkt }) = scratch.get(i) {
                             if d != dev {
                                 break;
                             }
-                            self.predispatch(dev, p, &mut ready);
+                            self.predispatch(dev, pkt, &mut ready);
                             i += 1;
                         }
                         if !ready.is_empty() {
                             self.tel.observe_run_length(ready.len() as u64);
-                            self.dispatch_device_batch(dev, &ready);
+                            self.dispatch_device(dev, |device, ctx| device.receive(ctx, &ready));
+                            self.flush_pending_traces(None);
                         }
                     }
                 }
@@ -956,10 +908,9 @@ impl Simulator {
         n
     }
 
-    /// The per-event bookkeeping of the scalar `DeviceRecv` arm
-    /// (reassembly, receive counters), pushing the ready packet onto the
-    /// current run. Fragments still waiting for their siblings push
-    /// nothing.
+    /// The per-event bookkeeping of a device delivery (reassembly, receive
+    /// counters), pushing the ready packet onto the current run. Fragments
+    /// still waiting for their siblings push nothing.
     fn predispatch(&mut self, dev: DeviceId, pkt: PacketId, ready: &mut Vec<PacketId>) {
         let Some(pkt) = self.maybe_reassemble(pkt) else {
             return; // fragment buffered, waiting for the rest
@@ -979,16 +930,15 @@ impl Simulator {
         ready.push(pkt);
     }
 
-    /// Emits deferred device-arrival trace records of the current batched
-    /// run. With `upto = Some(p)` — called when the run delivers `p`
-    /// locally — everything up to and including `p`'s own arrival record
-    /// is emitted first, so the Delivered record lands right behind it,
-    /// exactly as the scalar loop interleaves them. `None` flushes the
-    /// remainder at end of run. A delivered packet that was never part of
-    /// the run (a device-fabricated packet; no in-tree device does this)
-    /// flushes nothing. No-op outside a traced batched run: the pending
-    /// list is only ever filled by [`Simulator::predispatch`] with
-    /// tracing on.
+    /// Emits deferred device-arrival trace records of the current run.
+    /// With `upto = Some(p)` — called when the run delivers `p` locally —
+    /// everything up to and including `p`'s own arrival record is emitted
+    /// first, so the Delivered record lands right behind it, as it does
+    /// in a run of one. `None` flushes the remainder at end of run. A
+    /// delivered packet that was never part of the run (a
+    /// device-fabricated packet; no in-tree device does this) flushes
+    /// nothing. No-op outside a traced run: the pending list is only ever
+    /// filled by [`Simulator::predispatch`] with tracing on.
     fn flush_pending_traces(&mut self, upto: Option<PacketId>) {
         if self.trace_pending.is_empty() {
             return;
@@ -1008,49 +958,13 @@ impl Simulator {
         self.trace_pending = pending;
     }
 
-    /// Processes a single event. Returns false when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        let Some((at, kind)) = self.queue.pop() else {
-            return false;
-        };
-        debug_assert!(at >= self.now, "time went backwards");
-        self.now = at;
-        match kind {
-            EventKind::Arrive { node, pkt } => {
-                if self.trace.is_some() {
-                    let p = self.arena.get(pkt);
-                    let (flow, w) = (p.original, p.weight);
-                    self.record_trace(self.now, TraceLocation::Router(node), flow, w);
-                }
-                self.route_step(node, pkt);
-            }
-            EventKind::DeviceRecv { dev, pkt } => {
-                let Some(pkt) = self.maybe_reassemble(pkt) else {
-                    return true; // fragment buffered, waiting for the rest
-                };
-                let (flow, weight, is_control) = {
-                    let p = self.arena.get(pkt);
-                    (
-                        p.original,
-                        p.weight,
-                        matches!(p.kind, PacketKind::LabelReady(_)),
-                    )
-                };
-                self.stats.device_received[dev.index()] += weight;
-                if is_control {
-                    self.stats.control_received += weight;
-                }
-                self.record_trace(self.now, TraceLocation::Device(dev), flow, weight);
-                self.dispatch_device(dev, Some(pkt), None);
-            }
-            EventKind::Timer { dev, key } => {
-                self.dispatch_device(dev, None, Some(key));
-            }
-        }
-        true
-    }
-
-    fn dispatch_device(&mut self, dev: DeviceId, pkt: Option<PacketId>, timer: Option<u64>) {
+    /// Runs one device callback — a packet run or a timer — then applies
+    /// the actions it buffered, in emission order.
+    fn dispatch_device(
+        &mut self,
+        dev: DeviceId,
+        callback: impl FnOnce(&mut dyn Device, &mut DeviceCtx<'_>),
+    ) {
         let mut actions = std::mem::take(&mut self.actions);
         let slot = &mut self.devices[dev.index()];
         let router = slot.router;
@@ -1063,36 +977,9 @@ impl Simulator {
             arena: &mut self.arena,
             actions: &mut actions,
         };
-        if let Some(p) = pkt {
-            slot.device.receive(&mut ctx, p);
-        }
-        if let Some(k) = timer {
-            slot.device.on_timer(&mut ctx, k);
-        }
+        callback(slot.device.as_mut(), &mut ctx);
         self.apply_actions(dev, router, attachment, &mut actions);
         self.actions = actions;
-    }
-
-    /// Vector-path sibling of [`Simulator::dispatch_device`]: hands a whole
-    /// same-tick run to the device in one callback, then applies the
-    /// buffered actions in emission order.
-    fn dispatch_device_batch(&mut self, dev: DeviceId, pkts: &[PacketId]) {
-        let mut actions = std::mem::take(&mut self.actions);
-        let slot = &mut self.devices[dev.index()];
-        let router = slot.router;
-        let attachment = slot.attachment;
-        let mut ctx = DeviceCtx {
-            now: self.now,
-            dev,
-            addr: slot.addr,
-            router,
-            arena: &mut self.arena,
-            actions: &mut actions,
-        };
-        slot.device.receive_batch(&mut ctx, pkts);
-        self.apply_actions(dev, router, attachment, &mut actions);
-        self.actions = actions;
-        self.flush_pending_traces(None);
     }
 
     /// Applies the actions a device buffered during a callback, in
@@ -1593,17 +1480,21 @@ mod tests {
         peer: Ipv4Addr,
     }
     impl Device for TunnelEntry {
-        fn receive(&mut self, ctx: &mut DeviceCtx<'_>, pkt: PacketId) {
+        fn receive(&mut self, ctx: &mut DeviceCtx<'_>, pkts: &[PacketId]) {
             let (entry, peer) = (ctx.addr(), self.peer);
-            ctx.pkt_mut(pkt).encapsulate(entry, peer);
-            ctx.forward(pkt);
+            for &pkt in pkts {
+                ctx.pkt_mut(pkt).encapsulate(entry, peer);
+                ctx.forward(pkt);
+            }
         }
     }
     struct TunnelExit;
     impl Device for TunnelExit {
-        fn receive(&mut self, ctx: &mut DeviceCtx<'_>, pkt: PacketId) {
-            ctx.pkt_mut(pkt).decapsulate();
-            ctx.forward(pkt);
+        fn receive(&mut self, ctx: &mut DeviceCtx<'_>, pkts: &[PacketId]) {
+            for &pkt in pkts {
+                ctx.pkt_mut(pkt).decapsulate();
+                ctx.forward(pkt);
+            }
         }
     }
 
@@ -1690,9 +1581,11 @@ mod tests {
         fired: std::sync::Arc<std::sync::atomic::AtomicU64>,
     }
     impl Device for TimerDevice {
-        fn receive(&mut self, ctx: &mut DeviceCtx<'_>, pkt: PacketId) {
-            ctx.drop_pkt(pkt);
-            ctx.set_timer(10, 42);
+        fn receive(&mut self, ctx: &mut DeviceCtx<'_>, pkts: &[PacketId]) {
+            for &pkt in pkts {
+                ctx.drop_pkt(pkt);
+                ctx.set_timer(10, 42);
+            }
         }
         fn on_timer(&mut self, _ctx: &mut DeviceCtx<'_>, key: u64) {
             self.fired
@@ -1754,8 +1647,10 @@ mod tests {
     fn control_packets_counted() {
         struct Sink;
         impl Device for Sink {
-            fn receive(&mut self, ctx: &mut DeviceCtx<'_>, pkt: PacketId) {
-                ctx.drop_pkt(pkt);
+            fn receive(&mut self, ctx: &mut DeviceCtx<'_>, pkts: &[PacketId]) {
+                for &pkt in pkts {
+                    ctx.drop_pkt(pkt);
+                }
             }
         }
         let plan = campus(1);
@@ -1794,8 +1689,8 @@ mod tests {
         assert_eq!(sim.trace_dropped(), 0);
     }
 
-    /// The vector path emits the identical ordered trace log as the
-    /// scalar loop (the cross-device property test lives in
+    /// The ordered trace log does not depend on the drain limit (the
+    /// cross-device property test lives in
     /// `tests/batching_equivalence.rs`; this pins the bare engine).
     #[test]
     fn batched_trace_equals_scalar_trace() {
@@ -1825,10 +1720,9 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_records_vector_path_histograms() {
+    fn telemetry_records_drain_histograms() {
         let plan = campus(1);
         let mut sim = Simulator::new(&plan);
-        sim.set_batch_size(256);
         let tel = std::sync::Arc::new(sdm_telemetry::ShardTelemetry::new(true));
         sim.set_telemetry(tel.clone());
         let ft = flow(&sim, StubId(0), StubId(3));

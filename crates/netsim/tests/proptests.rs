@@ -16,13 +16,15 @@ struct ChainHop {
 }
 
 impl Device for ChainHop {
-    fn receive(&mut self, ctx: &mut DeviceCtx<'_>, pkt: sdm_netsim::PacketId) {
-        ctx.pkt_mut(pkt).decapsulate();
-        if let Some(next) = self.next {
-            let here = ctx.addr();
-            ctx.pkt_mut(pkt).encapsulate(here, next);
+    fn receive(&mut self, ctx: &mut DeviceCtx<'_>, pkts: &[sdm_netsim::PacketId]) {
+        for &pkt in pkts {
+            ctx.pkt_mut(pkt).decapsulate();
+            if let Some(next) = self.next {
+                let here = ctx.addr();
+                ctx.pkt_mut(pkt).encapsulate(here, next);
+            }
+            ctx.forward(pkt);
         }
-        ctx.forward(pkt);
     }
 }
 
@@ -383,10 +385,12 @@ mod fragmentation {
     fn tunnel_endpoint_reassembles_before_device() {
         struct Exit;
         impl Device for Exit {
-            fn receive(&mut self, ctx: &mut DeviceCtx<'_>, pkt: sdm_netsim::PacketId) {
-                assert!(ctx.pkt(pkt).frag.is_none(), "device must see whole packets");
-                ctx.pkt_mut(pkt).decapsulate();
-                ctx.forward(pkt);
+            fn receive(&mut self, ctx: &mut DeviceCtx<'_>, pkts: &[sdm_netsim::PacketId]) {
+                for &pkt in pkts {
+                    assert!(ctx.pkt(pkt).frag.is_none(), "device must see whole packets");
+                    ctx.pkt_mut(pkt).decapsulate();
+                    ctx.forward(pkt);
+                }
             }
         }
         let plan = sdm_topology::campus::campus(2);
@@ -435,19 +439,11 @@ mod fragmentation {
 mod queueing {
     use super::*;
 
-    struct Sink;
-    impl Device for Sink {
-        fn receive(&mut self, ctx: &mut DeviceCtx<'_>, pkt: sdm_netsim::PacketId) {
-            ctx.pkt_mut(pkt).decapsulate();
-            ctx.forward(pkt);
-        }
-    }
-
     #[test]
     fn back_to_back_arrivals_queue() {
         let plan = sdm_topology::campus::campus(1);
         let mut sim = Simulator::new(&plan);
-        let (dev, addr) = sim.attach(plan.cores()[0], Attachment::InPath, Box::new(Sink));
+        let (dev, addr) = sim.attach(plan.cores()[0], Attachment::InPath, Box::new(ChainHop { next: None }));
         sim.set_device_service_time(dev, 10);
         // 5 packets arrive (nearly) simultaneously: waits 0,10,20,30,40
         for i in 0..5u16 {
@@ -467,7 +463,7 @@ mod queueing {
     fn infinitely_fast_device_never_queues() {
         let plan = sdm_topology::campus::campus(1);
         let mut sim = Simulator::new(&plan);
-        let (_, addr) = sim.attach(plan.cores()[0], Attachment::InPath, Box::new(Sink));
+        let (_, addr) = sim.attach(plan.cores()[0], Attachment::InPath, Box::new(ChainHop { next: None }));
         for i in 0..20u16 {
             let ft = flow(&sim, 0, 5, 200 + i);
             let mut pkt = Packet::data(ft, 100);
@@ -483,7 +479,7 @@ mod queueing {
     fn spaced_arrivals_do_not_queue() {
         let plan = sdm_topology::campus::campus(1);
         let mut sim = Simulator::new(&plan);
-        let (dev, addr) = sim.attach(plan.cores()[0], Attachment::InPath, Box::new(Sink));
+        let (dev, addr) = sim.attach(plan.cores()[0], Attachment::InPath, Box::new(ChainHop { next: None }));
         sim.set_device_service_time(dev, 3);
         for i in 0..5u64 {
             let ft = flow(&sim, 0, 5, 300 + i as u16);
@@ -518,16 +514,9 @@ mod latency {
 
     #[test]
     fn queueing_inflates_latency() {
-        struct Sink;
-        impl Device for Sink {
-            fn receive(&mut self, ctx: &mut DeviceCtx<'_>, pkt: sdm_netsim::PacketId) {
-                ctx.pkt_mut(pkt).decapsulate();
-                ctx.forward(pkt);
-            }
-        }
         let plan = sdm_topology::campus::campus(1);
         let mut sim = Simulator::new(&plan);
-        let (dev, addr) = sim.attach(plan.cores()[0], Attachment::InPath, Box::new(Sink));
+        let (dev, addr) = sim.attach(plan.cores()[0], Attachment::InPath, Box::new(ChainHop { next: None }));
         sim.set_device_service_time(dev, 100);
         for i in 0..4u16 {
             let ft = flow(&sim, 0, 5, 400 + i);

@@ -30,7 +30,7 @@
 //! shards exist. Per-set state — occupancy, eviction counts — is then a
 //! pure function of that set's flow subsequence in global simulated-time
 //! order, which makes negative-cache lengths and eviction counters
-//! byte-identical across `SDM_SHARDS` 1/4 × `SDM_BATCH` 1/256 (power-of-two
+//! byte-identical across `SDM_SHARDS` 1/4 × drain limits 1/256 (power-of-two
 //! shard counts; the invariance argument does not cover `SDM_SHARDS=3`).
 
 use sdm_netsim::{FiveTuple, SimTime};

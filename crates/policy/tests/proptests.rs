@@ -692,10 +692,10 @@ fn budgeted_sweep_is_transparent_to_lookups() {
     );
 }
 
-/// Batched (vector-path) accounting is exact: for a run of `w` same-flow
+/// Run-mate accounting is exact: for a run of `w` same-flow
 /// packets at one instant, `lookup(weight w)`, per-packet `lookup(weight 1)`
 /// ×`w`, and the engine's `lookup(1)` + `record_run_*hit(w-1)` shortcut all
-/// leave identical stats and state — the SDM_BATCH invariance at table level.
+/// leave identical stats and state — the drain-limit invariance at table level.
 #[test]
 fn run_mate_accounting_matches_per_packet_lookups() {
     check(

@@ -1,15 +1,15 @@
 //! Deterministic observability substrate for the SDM reproduction.
 //!
 //! The workspace's dependability story is built on *byte-identical
-//! replays*: the same deployment run at 1 or 4 flow-shards, or at batch
-//! size 1 or 256, must produce the same figures. Telemetry has to obey
+//! replays*: the same deployment run at 1 or 4 flow-shards, or at drain
+//! limit 1 or 256, must produce the same figures. Telemetry has to obey
 //! the same discipline or it is useless for diagnosing those runs — so
 //! this crate provides
 //!
 //! * a **static metric registry** ([`REGISTRY`]): every family has a
 //!   `&'static` name, a kind (counter / gauge / histogram), a small
 //!   fixed label set, and an *invariance class* — whether its value is
-//!   provably identical across `SDM_SHARDS` / `SDM_BATCH` corners
+//!   provably identical across `SDM_SHARDS` / drain-limit corners
 //!   (see [`FamilyDesc::invariant`]);
 //! * a **lock-free per-shard collector** ([`ShardTelemetry`]) for the
 //!   handful of families recorded on the data-plane hot path, using
@@ -94,7 +94,7 @@ pub struct FamilyDesc {
     /// One-line meaning, exported as the Prometheus `# HELP` text.
     pub help: &'static str,
     /// `true` iff the family's value is provably byte-identical across
-    /// `SDM_SHARDS` and `SDM_BATCH` corners (flow-partitioned additive
+    /// `SDM_SHARDS` and drain-limit corners (flow-partitioned additive
     /// counts). Non-invariant families — anything counting *engine
     /// mechanics* such as batch coalescing runs, per-shard queue depths
     /// or pinned-decision replays — are excluded from golden exports.
@@ -247,15 +247,15 @@ pub const REGISTRY: &[FamilyDesc] = &[
         name: "sdm_queue_occupancy",
         kind: MetricKind::Histogram,
         help: "Calendar-queue events pending when a tick's batch is drained \
-               (vector path only; depends on shard/batch configuration)",
+               (depends on shard/batch configuration)",
         invariant: false,
         labels: Labels::None,
     },
     FamilyDesc {
         name: "sdm_batch_run_length",
         kind: MetricKind::Histogram,
-        help: "Length of same-device receive runs coalesced by the vector \
-               path (depends on shard/batch configuration)",
+        help: "Length of same-device receive runs coalesced by the event \
+               loop (depends on shard/batch configuration)",
         invariant: false,
         labels: Labels::None,
     },

@@ -76,6 +76,8 @@ pub const HOT_PATH_SUFFIXES: &[&str] = &[
     "netsim/src/engine.rs",
     "netsim/src/queue.rs",
     "core/src/shard.rs",
+    "core/src/proxy.rs",
+    "core/src/middlebox.rs",
     "policy/src/flow_table.rs",
     "policy/src/local.rs",
     "policy/src/classifier.rs",

@@ -1,19 +1,20 @@
-//! Property test for the vector (batched) hot path: running the same
-//! deployment, strategy and flow population at batch size 1 (the scalar
-//! legacy path), a small odd batch (3) and the default batch (256) is
+//! Property test for the batched drain: running the same deployment,
+//! strategy and flow population at drain limit 1 (every device run one
+//! packet long — the run caches and the deferred trace flush never
+//! engage), a small odd limit (3) and the default (256) is
 //! **bit-identical** — simulator stats, middlebox loads, traffic
 //! measurements, per-device counters and soft-state footprints — across
 //! randomized deployments, strategies and steering encodings.
 //!
-//! Batch sizes are set per-`Enforcement` via `sim_mut().set_batch_size`
-//! rather than through `SDM_BATCH`, so the test is immune to env races
-//! in a parallel test run.
+//! Drain limits are set per-`Enforcement` via `sim_mut().set_batch_size`,
+//! the same loop at every limit.
 
 use sdm::core::{
-    Controller, EnforcementOptions, FlowSpec, StateFootprint, Strategy as Steering,
-    SteeringEncoding,
+    Controller, Deployment, Enforcement, EnforcementOptions, FlowSpec, KConfig, MiddleboxSpec,
+    StateFootprint, Strategy as Steering, SteeringEncoding,
 };
-use sdm::netsim::SimStats;
+use sdm::netsim::{FiveTuple, Packet, Protocol, SimStats, StubId};
+use sdm::policy::{ActionList, NetworkFunction, Policy, PolicySet, TrafficDescriptor};
 use sdm::util::prop::{check, Config};
 use sdm::util::prop_assert_eq;
 use sdm::util::rng::StdRng;
@@ -27,6 +28,8 @@ struct Snapshot {
     loads: Vec<u64>,
     measurements: Vec<(sdm::netsim::StubId, sdm::core::DestKey, sdm::policy::PolicyId, f64)>,
     proxy_counters: Vec<sdm::core::ProxyCounters>,
+    ingress_counters: Vec<sdm::core::ProxyCounters>,
+    ingress_flow_stats: Vec<sdm::policy::FlowTableStats>,
     mbox_counters: Vec<sdm::core::MboxCounters>,
     footprint: StateFootprint,
 }
@@ -44,6 +47,10 @@ fn run_with_batch(
         enf.inject_flow(s.flow, s.packets, s.payload);
     }
     enf.run();
+    snapshot(controller, &enf)
+}
+
+fn snapshot(controller: &Controller, enf: &Enforcement) -> Snapshot {
     let mut footprint = StateFootprint::default();
     let mut proxy_counters = Vec::new();
     for stub in controller.addr_plan().stubs() {
@@ -54,9 +61,13 @@ fn run_with_batch(
         footprint.proxy_flow_stats.push(st.flows.stats());
         footprint.proxy_neg_evictions.push(st.flows.negative_evictions());
     }
+    let mut ingress_counters = Vec::new();
+    let mut ingress_flow_stats = Vec::new();
     for g in 0..controller.plan().gateways().len() {
         let st = enf.ingress_state(g);
         let st = st.lock();
+        ingress_counters.push(st.counters);
+        ingress_flow_stats.push(st.flows.stats());
         footprint.ingress_flow_entries.push(st.flows.len() as u64);
         footprint.ingress_neg_evictions.push(st.flows.negative_evictions());
     }
@@ -75,6 +86,8 @@ fn run_with_batch(
         loads: enf.middlebox_loads(),
         measurements: enf.measurements().iter().collect(),
         proxy_counters,
+        ingress_counters,
+        ingress_flow_stats,
         mbox_counters,
         footprint,
     }
@@ -92,6 +105,16 @@ fn compare(scalar: &Snapshot, batched: &Snapshot, label: &str) -> Result<(), Str
         &batched.proxy_counters,
         &scalar.proxy_counters,
         "{label}: proxy counters"
+    );
+    prop_assert_eq!(
+        &batched.ingress_counters,
+        &scalar.ingress_counters,
+        "{label}: ingress counters"
+    );
+    prop_assert_eq!(
+        &batched.ingress_flow_stats,
+        &scalar.ingress_flow_stats,
+        "{label}: ingress flow-cache counters"
     );
     prop_assert_eq!(
         &batched.mbox_counters,
@@ -168,9 +191,9 @@ fn batched_runs_are_bit_identical_to_scalar() {
 }
 
 /// Mid-experiment middlebox failure and restore: `dropped_failed`
-/// accounting (and every other counter) must be identical between the
-/// scalar and the vector path. Pins the PR-7 run-invalidation fix — a
-/// failure observed inside a batch ends the cached tunnel/label runs, so
+/// accounting (and every other counter) must not depend on the drain
+/// limit. Pins the PR-7 run-invalidation fix — a failure observed
+/// inside a run ends the cached tunnel/label stretches, so
 /// packets after a flip never resume a pre-failure decision.
 #[test]
 fn failure_accounting_is_batch_invariant() {
@@ -218,27 +241,19 @@ fn failure_accounting_is_batch_invariant() {
             enf.inject_flow(s.flow, s.packets, s.payload);
         }
         enf.run();
-        let mut counters = Vec::new();
-        for (id, _) in world.controller.deployment().iter() {
-            counters.push(enf.mbox_state(id).lock().counters);
-        }
-        (enf.sim().stats().clone(), enf.middlebox_loads(), counters)
+        snapshot(&world.controller, &enf)
     };
 
-    let (stats1, loads1, counters1) = run(1);
-    let (stats256, loads256, counters256) = run(256);
-    let dropped: u64 = counters1.iter().map(|c| c.dropped_failed).sum();
+    let (one, full) = (run(1), run(256));
+    let dropped: u64 = one.mbox_counters.iter().map(|c| c.dropped_failed).sum();
     assert!(dropped > 0, "scenario must actually exercise the failed path");
-    assert_eq!(stats1, stats256, "sim stats");
-    assert_eq!(loads1, loads256, "middlebox loads");
-    assert_eq!(counters1, counters256, "middlebox counters incl. dropped_failed");
+    compare(&one, &full, "failure accounting").unwrap();
 }
 
-/// The per-packet trace log is batch-size invariant: the vector path
-/// defers each run-mate's device-arrival record and flushes it just
-/// before that packet's delivery record, reproducing the scalar
-/// interleaving exactly (PR-8; previously tracing forced the scalar
-/// path). Compared event-for-event at batch 1 vs 3 vs 256, and again
+/// The per-packet trace log is batch-size invariant: the engine defers
+/// each run-mate's device-arrival record and flushes it just before
+/// that packet's delivery record, the interleaving a run of one
+/// produces. Compared event-for-event at batch 1 vs 3 vs 256, and again
 /// under truncation to check the overflow counter.
 #[test]
 fn packet_traces_are_batch_invariant() {
@@ -284,29 +299,100 @@ fn packet_traces_are_batch_invariant() {
 
 /// The full figure pipeline (LP-weighted load balancing included) is
 /// batch-size invariant: the exact configuration Figures 4–5 and
-/// Table III run, compared scalar vs default batch.
+/// Table III run, compared at drain limit 1 vs the default.
 #[test]
 fn lb_pipeline_is_batch_invariant() {
     let world = World::build(&ExperimentConfig::campus(3));
     let flows = world.flows(40_000, 11);
     let specs = to_flow_specs(&flows, 512);
     for strategy in [Steering::HotPotato, Steering::Random { salt: 11 }] {
-        let scalar = run_with_batch(
-            &world.controller,
-            strategy,
-            EnforcementOptions::default(),
-            &specs,
-            1,
+        let run = |batch| {
+            let options = EnforcementOptions::default();
+            run_with_batch(&world.controller, strategy, options, &specs, batch)
+        };
+        compare(&run(1), &run(256), "figure pipeline").unwrap();
+    }
+}
+
+/// External-source flows entering at a gateway go through the same
+/// probe → pin → encode body as stub traffic, run cache included:
+/// packets injected back-to-back at the gateway form same-flow runs at
+/// its ingress proxy, and a `LabelReady` landing in the middle of a
+/// flow's run must end the cached decision so the rest of the run sees
+/// the flag. Compared at drain limits 1/3/256 under every encoding.
+#[test]
+fn gateway_ingress_is_batch_invariant() {
+    use NetworkFunction::{Firewall, Ids};
+    let plan = sdm::topology::campus::campus(2);
+    let gw = plan.gateways()[0];
+    let mut dep = Deployment::new();
+    dep.add(MiddleboxSpec::new(Firewall, plan.cores()[1], 1.0));
+    dep.add(MiddleboxSpec::new(Firewall, plan.cores()[4], 1.0));
+    dep.add(MiddleboxSpec::new(Ids, plan.cores()[9], 1.0));
+    let mut pol = PolicySet::new();
+    pol.push(Policy::new(
+        TrafficDescriptor::new().dst_port(80), // wildcard source: includes external
+        ActionList::chain([Firewall, Ids]),
+    ));
+    let c = Controller::new(plan, dep, pol, KConfig::uniform(2));
+    // Devices attach middleboxes first, then stub proxies, then gateways.
+    let ingress_addr = sdm::netsim::preassigned_device_addr(
+        c.deployment().len() + c.addr_plan().stubs().count(),
+    );
+    let flow = |f: u32| FiveTuple {
+        src: sdm::netsim::Ipv4Addr(0x5DB8_D800 + f),
+        dst: c.addr_plan().host(StubId(f % 4), f),
+        src_port: 4000 + f as u16,
+        // the last flow matches no policy: negative-cache run-mates
+        dst_port: if f == 5 { 9999 } else { 80 },
+        proto: Protocol::Tcp,
+    };
+
+    for encoding in [
+        SteeringEncoding::IpOverIp,
+        SteeringEncoding::LabelSwitching,
+        SteeringEncoding::SourceRouting,
+    ] {
+        let run = |batch: usize| {
+            let options = EnforcementOptions {
+                encoding,
+                ..Default::default()
+            };
+            let mut enf = c.enforcement(Steering::Random { salt: 5 }, None, options);
+            enf.sim_mut().set_batch_size(batch);
+            enf.sim_mut().enable_trace(1_000_000);
+            // Round 0 sets the flows up; round 1 replays them against
+            // pinned (and, under label switching, flagged) entries.
+            for round in 0..2 {
+                for f in 0..6u32 {
+                    let ft = flow(f);
+                    for i in 0..8 {
+                        if round == 0 && i == 4 {
+                            let ids = enf.config().mbox_addr(sdm::core::MiddleboxId(2));
+                            let ctrl = Packet::control(ids, ingress_addr, ft);
+                            enf.sim_mut().inject_at_router(gw, ctrl);
+                        }
+                        enf.sim_mut().inject_at_router(gw, Packet::data(ft, 400));
+                    }
+                }
+                enf.run();
+            }
+            (snapshot(&c, &enf), enf.sim().trace().to_vec())
+        };
+
+        let (scalar, scalar_trace) = run(1);
+        let ig = &scalar.ingress_counters[0];
+        assert_eq!(ig.outbound, 96, "{encoding:?}: every data packet met the ingress proxy");
+        assert!(ig.control_received >= 6, "{encoding:?}: mid-run LabelReady packets");
+        assert_eq!(scalar.stats.delivered, 96, "{encoding:?}: nothing lost");
+        assert!(
+            encoding != SteeringEncoding::LabelSwitching || ig.label_switched > 0,
+            "the mid-run LabelReady must switch the rest of its run"
         );
-        let batched = run_with_batch(
-            &world.controller,
-            strategy,
-            EnforcementOptions::default(),
-            &specs,
-            256,
-        );
-        assert_eq!(scalar.stats, batched.stats);
-        assert_eq!(scalar.loads, batched.loads);
-        assert_eq!(scalar.measurements, batched.measurements);
+        for batch in [3usize, 256] {
+            let (batched, trace) = run(batch);
+            compare(&scalar, &batched, &format!("{encoding:?} batch {batch}")).unwrap();
+            assert_eq!(trace, scalar_trace, "{encoding:?} batch {batch}: trace");
+        }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! * **Determinism** — the same epoch schedule (injection, mid-schedule
 //!   failure and restore, per-epoch warm re-solves) produces a
-//!   byte-identical transcript across shard counts 1/4 and vector batch
-//!   sizes 1/256.
+//!   byte-identical transcript across shard counts 1/4 and drain limits
+//!   1/256.
 //! * **Stickiness** — a weight update activated between epochs never
 //!   re-steers a live flow: the first-hop pins recorded in the flow
 //!   tables survive the swap, and re-injecting the same flow population

@@ -1,8 +1,8 @@
 //! Property test for the telemetry subsystem (ISSUE 8 tentpole): the
 //! invariant-family snapshot export is **byte-identical** across the two
 //! execution axes — `SDM_SHARDS` (1 vs 4, merged in shard-index order)
-//! and `SDM_BATCH` (scalar vs vector path) — on randomized deployments
-//! and flow populations.
+//! and the drain limit (1 vs 256) — on randomized deployments and flow
+//! populations.
 //!
 //! Non-invariant families (queue-occupancy / run-length histograms,
 //! pinned-replay counts) legitimately depend on the execution
@@ -10,10 +10,10 @@
 //! false`) exports exclude them — the last test proves that exclusion is
 //! load-bearing, not decorative.
 //!
-//! Shard counts and batch sizes are set programmatically (per-call
-//! argument / `sim_mut().set_batch_size`), so the test is immune to env
-//! races in a parallel test run; telemetry is forced on via
-//! [`EnforcementOptions::telemetry`] for the same reason.
+//! Shard counts and drain limits are set programmatically (per-call
+//! argument / `sim_mut().set_batch_size`), and telemetry is forced on via
+//! [`EnforcementOptions::telemetry`], so the test is immune to env races
+//! in a parallel test run.
 
 use sdm::core::{EnforcementOptions, Strategy as Steering};
 use sdm::util::prop::{check, Config};
@@ -76,7 +76,7 @@ fn telemetry_snapshots_are_corner_invariant() {
                 "SDM_SHARDS 1 vs 4"
             );
 
-            // Batch axis: scalar vs vector hot path on one enforcement.
+            // Batch axis: drain limit 1 vs 256 on one enforcement.
             let run_batch = |batch: usize| {
                 let mut enf = world
                     .controller
@@ -91,7 +91,7 @@ fn telemetry_snapshots_are_corner_invariant() {
             prop_assert_eq!(
                 &run_batch(256).to_json(false),
                 &run_batch(1).to_json(false),
-                "SDM_BATCH 1 vs 256"
+                "drain limit 1 vs 256"
             );
             Ok(())
         },
@@ -99,9 +99,9 @@ fn telemetry_snapshots_are_corner_invariant() {
 }
 
 /// The `full = true` export is *expected* to differ across the batch axis
-/// (the vector path records queue-occupancy and run-length histograms the
-/// scalar path never sees), which is exactly why the goldens and the
-/// property above use the invariant-only export.
+/// (the queue-occupancy and run-length histograms describe the drains
+/// themselves), which is exactly why the goldens and the property above
+/// use the invariant-only export.
 #[test]
 fn full_export_depends_on_execution_config() {
     let world = World::build(&ExperimentConfig::campus(6));
