@@ -4,6 +4,13 @@
 # below runs with --offline and must succeed with zero network access.
 set -eu
 
+# CI must not modify the tree: scratch outputs go under one private
+# directory (so concurrent runs cannot clobber each other's cmp inputs),
+# and the tracked/untracked state is compared at the end.
+TMP=$(mktemp -d)
+trap 'rm -rf "$TMP"' EXIT
+TREE_BEFORE=$(git status --porcelain)
+
 # Per-phase wall-clock: phase <name> ends the previous phase (if any),
 # prints its duration, and starts the next.
 PHASE_NAME=""
@@ -44,70 +51,71 @@ cargo run --release --offline -p sdm-bench --bin table3_distribution -- --packet
 
 phase "sharded determinism smoke: SDM_SHARDS=1 vs SDM_SHARDS=4 byte-identical"
 SDM_SHARDS=1 cargo run --release --offline -p sdm-bench --bin table3_distribution -- \
-    --packets 1000000 > /tmp/sdm_table3_shards1.txt
+    --packets 1000000 > "$TMP"/table3_shards1.txt
 SDM_SHARDS=4 cargo run --release --offline -p sdm-bench --bin table3_distribution -- \
-    --packets 1000000 > /tmp/sdm_table3_shards4.txt
-cmp /tmp/sdm_table3_shards1.txt /tmp/sdm_table3_shards4.txt
+    --packets 1000000 > "$TMP"/table3_shards4.txt
+cmp "$TMP"/table3_shards1.txt "$TMP"/table3_shards4.txt
 echo "    table3 output is byte-identical at 1 and 4 shards"
 
 phase "re-steer epoch golden: transcript byte-identical to results/resteer_golden.txt"
 for shards in 1 4; do
     SDM_SHARDS=$shards cargo run --release --offline -p sdm-bench --bin resteer \
-        > /tmp/sdm_resteer_s$shards.txt
-    cmp results/resteer_golden.txt /tmp/sdm_resteer_s$shards.txt
+        > "$TMP"/resteer_s$shards.txt
+    cmp results/resteer_golden.txt "$TMP"/resteer_s$shards.txt
 done
 echo "    re-steer transcript matches the golden at 1 and 4 shards"
 
 phase "telemetry zero-perturbation: table3 byte-identical with SDM_TELEMETRY=1"
 SDM_TELEMETRY=1 SDM_SHARDS=1 cargo run --release --offline -p sdm-bench --bin table3_distribution -- \
-    --packets 1000000 > /tmp/sdm_table3_tel.txt
-cmp /tmp/sdm_table3_shards1.txt /tmp/sdm_table3_tel.txt
+    --packets 1000000 > "$TMP"/table3_tel.txt
+cmp "$TMP"/table3_shards1.txt "$TMP"/table3_tel.txt
 echo "    table3 output is byte-identical with telemetry on and off"
 
 phase "telemetry golden: sdm-metrics byte-identical to results/telemetry_golden.json"
 for shards in 1 4; do
     SDM_SHARDS=$shards cargo run --release --offline -p sdm-bench --bin sdm-metrics \
-        > /tmp/sdm_metrics_s$shards.json
-    cmp results/telemetry_golden.json /tmp/sdm_metrics_s$shards.json
+        > "$TMP"/metrics_s$shards.json
+    cmp results/telemetry_golden.json "$TMP"/metrics_s$shards.json
 done
 echo "    metrics snapshot matches the golden at 1 and 4 shards"
 
 phase "exhaustion-attack determinism: byte-identical at 1 and 4 shards"
 SDM_SHARDS=1 cargo run --release --offline -p sdm-bench --bin exhaustion -- \
-    --flows 50000 > /tmp/sdm_exhaustion_s1.txt
+    --flows 50000 > "$TMP"/exhaustion_s1.txt
 SDM_SHARDS=4 cargo run --release --offline -p sdm-bench --bin exhaustion -- \
-    --flows 50000 > /tmp/sdm_exhaustion_s4.txt
-cmp /tmp/sdm_exhaustion_s1.txt /tmp/sdm_exhaustion_s4.txt
+    --flows 50000 > "$TMP"/exhaustion_s4.txt
+cmp "$TMP"/exhaustion_s1.txt "$TMP"/exhaustion_s4.txt
 echo "    exhaustion-attack report (incl. neg-cache evictions) is shard-invariant"
 
 phase "reach golden: symbolic isolation checker on campus + 21k-node hierarchical + Waxman-425"
 cargo run --release --offline -p sdm-bench --bin sdm-reach -- \
     --campus-assertions results/assertions_campus.txt \
     --hier-assertions results/assertions_hier.txt \
-    --corpus-out /tmp/sdm_reach_corpus.json > /tmp/sdm_reach_golden.json
-cmp results/reach_golden.json /tmp/sdm_reach_golden.json
-cmp results/reach_corpus.json /tmp/sdm_reach_corpus.json
+    --corpus-out "$TMP"/reach_corpus.json > "$TMP"/reach_golden.json
+cmp results/reach_golden.json "$TMP"/reach_golden.json
+cmp results/reach_corpus.json "$TMP"/reach_corpus.json
 cargo run --release --offline -p sdm-bench --bin sdm-reach -- \
-    --waxman-assertions results/assertions_campus.txt > /tmp/sdm_reach_waxman_golden.json
-cmp results/reach_waxman_golden.json /tmp/sdm_reach_waxman_golden.json
+    --waxman-assertions results/assertions_campus.txt > "$TMP"/reach_waxman_golden.json
+cmp results/reach_waxman_golden.json "$TMP"/reach_waxman_golden.json
 echo "    reach reports (incl. the 175k-class Waxman one) and counterexample corpus are byte-identical to the goldens"
 
 phase "reach replay: every committed counterexample confirmed by the simulator"
 SDM_SHARDS=1 cargo run --release --offline -p sdm-bench --bin sdm-reach -- \
-    --replay results/reach_corpus.json > /tmp/sdm_reach_replay_s1.json
+    --replay results/reach_corpus.json > "$TMP"/reach_replay_s1.json
 SDM_SHARDS=4 cargo run --release --offline -p sdm-bench --bin sdm-reach -- \
-    --replay results/reach_corpus.json > /tmp/sdm_reach_replay_s4.json
-cmp /tmp/sdm_reach_replay_s1.json /tmp/sdm_reach_replay_s4.json
+    --replay results/reach_corpus.json > "$TMP"/reach_replay_s4.json
+cmp "$TMP"/reach_replay_s1.json "$TMP"/reach_replay_s4.json
 echo "    simulator agrees with every static witness at 1 and 4 shards"
 
 phase "benchmark/ smoke test: the standalone benchmark still builds against the public API"
 cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml
 
-phase "micro-benchmarks -> results/BENCH_pr10.json"
-SDM_BENCH_OUT=results/BENCH_pr10.json cargo bench --workspace --offline
-
-phase "bench regression gate (>25% median slowdown fails; table_scale bounds enforced)"
-cargo run --release --offline -p sdm-bench --bin bench_gate
+phase "tree unchanged: git status --porcelain identical before and after"
+if [ "$(git status --porcelain)" != "$TREE_BEFORE" ]; then
+    echo "CI modified the working tree:" >&2
+    git status --porcelain >&2
+    exit 1
+fi
 
 phase_end
 echo "==> CI OK"

@@ -60,7 +60,7 @@ fn campus_proxy_table() -> (ProjectedPolicies, Vec<FiveTuple>) {
 }
 
 /// `linear/N` and `compiled/N` over one table and packet sample.
-fn bench_lookups(group: &mut Runner, table: &ProjectedPolicies, packets: &[FiveTuple]) {
+fn bench_lookups(group: &Runner, table: &ProjectedPolicies, packets: &[FiveTuple]) {
     let n = table.len();
     for (name, kind) in [
         ("linear", ClassifierKind::Linear),
@@ -76,18 +76,17 @@ fn bench_lookups(group: &mut Runner, table: &ProjectedPolicies, packets: &[FiveT
 }
 
 fn main() {
-    let mut group = Runner::new("classifier");
+    let group = Runner::new("classifier");
     let (table, packets) = campus_proxy_table();
-    bench_lookups(&mut group, &table, &packets);
+    bench_lookups(&group, &table, &packets);
     let packets = sample_packets(1024);
     for n in [32usize, 256, 2048] {
         let table = synthetic_policies(n).project_all();
-        bench_lookups(&mut group, &table, &packets);
+        bench_lookups(&group, &table, &packets);
         // what `Controller::enforcement` pays per device: the projection
         // (cloned here, built there) plus the index over it
         group.bench(&format!("compiled_build/{n}"), || {
             black_box(LocalClassifier::new(table.clone(), ClassifierKind::TupleSpace))
         });
     }
-    group.finish();
 }

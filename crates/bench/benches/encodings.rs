@@ -22,7 +22,7 @@ fn main() {
             ..Default::default()
         },
     );
-    let mut group = Runner::new("encodings");
+    let group = Runner::new("encodings");
     for (name, encoding) in [
         ("ip_over_ip", SteeringEncoding::IpOverIp),
         ("label_switching", SteeringEncoding::LabelSwitching),
@@ -44,5 +44,4 @@ fn main() {
             black_box(enf.sim().stats().delivered)
         });
     }
-    group.finish();
 }

@@ -14,9 +14,8 @@ fn main() {
     let cmp = world.compare_strategies(&flows);
     eprintln!("fig5 (reduced 200k pkts)\n{}\n{}", figure_header(), figure_row(200_000, &cmp));
 
-    let mut group = Runner::new("fig5_waxman");
+    let group = Runner::new("fig5_waxman");
     group.bench("three_strategy_comparison_200k", || {
         black_box(world.compare_strategies(&flows).lb_report.lambda)
     });
-    group.finish();
 }

@@ -10,7 +10,7 @@ use sdm_util::bench::Runner;
 use sdm_workload::PolicyClassCounts;
 
 fn main() {
-    let mut group = Runner::new("lp_solve");
+    let group = Runner::new("lp_solve");
 
     // campus-scale Eq. (2)
     let world = World::build(&ExperimentConfig::campus(3));
@@ -53,5 +53,4 @@ fn main() {
         )
     });
 
-    group.finish();
 }

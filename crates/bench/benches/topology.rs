@@ -9,7 +9,7 @@ use sdm_util::bench::Runner;
 use sdm_workload::{evaluation_policies, generate_flows, PolicyClassCounts, WorkloadConfig};
 
 fn main() {
-    let mut group = Runner::new("topology");
+    let group = Runner::new("topology");
 
     group.bench("campus_generate", || {
         black_box(sdm_topology::campus::campus(3))
@@ -26,9 +26,8 @@ fn main() {
     group.bench("waxman_ospf_convergence", || {
         black_box(waxman.topology().routing_tables())
     });
-    group.finish();
 
-    let mut group = Runner::new("workload");
+    let group = Runner::new("workload");
     let addrs = AddressPlan::new(&campus);
     let gp = evaluation_policies(&addrs, PolicyClassCounts::default(), 3);
     let cfg = WorkloadConfig {
@@ -38,5 +37,4 @@ fn main() {
     group.bench("generate_10k_flows", || {
         black_box(generate_flows(&gp, &addrs, &cfg).len())
     });
-    group.finish();
 }

@@ -22,7 +22,7 @@
 //! diffs `SDM_SHARDS=1` vs `4`. Exits 1 if any
 //! device's negative-cache occupancy exceeds its cap.
 
-use sdm_bench::{arg_value, ExperimentConfig, World};
+use sdm_bench::{arg_num, ExperimentConfig, World};
 use sdm_core::{EnforcementOptions, ShardedRun, Strategy};
 use sdm_util::par::shard_count;
 use sdm_workload::{exhaustion_attack, to_flow_specs};
@@ -74,15 +74,9 @@ fn summarize(label: &str, run: &ShardedRun, cap: usize) -> bool {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let seed: u64 = arg_value(&args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3);
-    let n_flows: usize = arg_value(&args, "--flows")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(200_000);
-    let sets: usize = arg_value(&args, "--sets")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(512);
+    let seed: u64 = arg_num(&args, "--seed", 3);
+    let n_flows: usize = arg_num(&args, "--flows", 200_000);
+    let sets: usize = arg_num(&args, "--sets", 512);
     let shards = shard_count();
 
     println!("# Exhaustion attack — negative-cache memory bound");

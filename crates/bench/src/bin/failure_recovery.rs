@@ -7,18 +7,14 @@
 //!     [--packets N]  total packets per phase (default 1000000)
 //!     [--seed N]     world seed (default 3)
 
-use sdm_bench::{arg_value, ExperimentConfig, World};
+use sdm_bench::{arg_num, ExperimentConfig, World};
 use sdm_core::{EnforcementOptions, LbOptions, Strategy};
 use sdm_policy::NetworkFunction;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let seed: u64 = arg_value(&args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3);
-    let total: u64 = arg_value(&args, "--packets")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1_000_000);
+    let seed: u64 = arg_num(&args, "--seed", 3);
+    let total: u64 = arg_num(&args, "--packets", 1_000_000);
 
     println!("# Ablation E — middlebox failure and controller recovery,");
     println!("# campus topology, {total} packets per phase, LB strategy.");

@@ -10,22 +10,21 @@
 //! Environment: `SDM_SHARDS` sets the flow-shard count of each run
 //! (default: autodetected core count); output is identical for any value.
 
-use sdm_bench::{arg_value, figure_header, figure_row, ExperimentConfig, World};
-use sdm_util::par::{par_map, shard_count};
+use sdm_bench::{
+    arg_num, arg_value, figure_header, figure_row, parse_num, ExperimentConfig, World,
+};
+use sdm_util::par::par_map;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let seed: u64 = arg_value(&args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3);
+    let seed: u64 = arg_num(&args, "--seed", 3);
     let volumes: Vec<u64> = arg_value(&args, "--volumes")
         .map(|s| {
             s.split(',')
-                .filter_map(|v| v.trim().parse::<u64>().ok())
+                .map(|v| parse_num("--volumes", v.trim()))
                 .collect()
         })
         .unwrap_or_else(|| (1..=10).collect());
-    let shards = shard_count();
 
     println!("# Figure 5 — Waxman topology: max middlebox load vs traffic volume");
     println!("# columns per type: hot-potato (HP), random (Rd), load-balanced (LB)");
@@ -36,7 +35,7 @@ fn main() {
     let rows = par_map(&volumes, |_, &m| {
         let total = m * 1_000_000;
         let flows = world.flows(total, seed.wrapping_add(m));
-        let c = world.compare_strategies_sharded(&flows, shards);
+        let c = world.compare_strategies(&flows);
         figure_row(total, &c)
     });
     for row in rows {

@@ -10,7 +10,7 @@
 
 use std::time::Instant;
 
-use sdm_bench::{arg_value, ExperimentConfig, World};
+use sdm_bench::{arg_num, ExperimentConfig, World};
 use sdm_core::Strategy;
 use sdm_netsim::{FiveTuple, Ipv4Addr, Prefix, Protocol, SimTime, StubId};
 use sdm_policy::{ActionList, ClassifierKind, LocalClassifier, NetworkFunction, Policy,
@@ -19,12 +19,8 @@ use sdm_workload::generate_flows_with_total;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let seed: u64 = arg_value(&args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3);
-    let total: u64 = arg_value(&args, "--packets")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(200_000);
+    let seed: u64 = arg_num(&args, "--seed", 3);
+    let total: u64 = arg_num(&args, "--packets", 200_000);
 
     println!("# Ablation D — flow-cache hit rate and classifier cost,");
     println!("# campus topology, {total} packets injected individually.");

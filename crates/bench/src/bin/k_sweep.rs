@@ -7,18 +7,14 @@
 //!     [--packets N]  total packets (default 5000000)
 //!     [--seed N]     world seed (default 3)
 
-use sdm_bench::{arg_value, ExperimentConfig, World, PLOT_ORDER};
+use sdm_bench::{arg_num, ExperimentConfig, World, PLOT_ORDER};
 use sdm_core::KConfig;
 use sdm_util::par::par_map;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let seed: u64 = arg_value(&args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3);
-    let total: u64 = arg_value(&args, "--packets")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(5_000_000);
+    let seed: u64 = arg_num(&args, "--seed", 3);
+    let total: u64 = arg_num(&args, "--packets", 5_000_000);
 
     println!("# Ablation A — k-sweep on the campus topology, LB strategy,");
     println!("# {total} total packets. k = 1 is equivalent to hot-potato.");

@@ -13,25 +13,17 @@
 //!     [--emulate]     emulate fragmentation/reassembly instead of counting
 //!     [--seed N]      world seed (default 3)
 
-use sdm_bench::{arg_value, ExperimentConfig, World};
+use sdm_bench::{arg_num, ExperimentConfig, World};
 use sdm_core::{EnforcementOptions, SteeringEncoding, Strategy};
 use sdm_netsim::SimTime;
 use sdm_workload::WorkloadConfig;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let seed: u64 = arg_value(&args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3);
-    let n_flows: usize = arg_value(&args, "--flows")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(200);
-    let pkts: u64 = arg_value(&args, "--pkts")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(50);
-    let payload: u32 = arg_value(&args, "--payload")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1470);
+    let seed: u64 = arg_num(&args, "--seed", 3);
+    let n_flows: usize = arg_num(&args, "--flows", 200);
+    let pkts: u64 = arg_num(&args, "--pkts", 50);
+    let payload: u32 = arg_num(&args, "--payload", 1470);
     let emulate = args.iter().any(|a| a == "--emulate");
 
     println!("# Ablation C — steering encodings (§III.B vs §III.E vs §V SR baseline),");

@@ -9,18 +9,14 @@
 
 use std::time::Instant;
 
-use sdm_bench::{arg_value, ExperimentConfig, World};
+use sdm_bench::{arg_num, ExperimentConfig, World};
 use sdm_core::{LbOptions, Strategy};
 use sdm_workload::PolicyClassCounts;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let seed: u64 = arg_value(&args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3);
-    let total: u64 = arg_value(&args, "--packets")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(500_000);
+    let seed: u64 = arg_num(&args, "--seed", 3);
+    let total: u64 = arg_num(&args, "--packets", 500_000);
 
     println!("# Ablation B — Eq. (1) full vs Eq. (2) reduced LP formulation,");
     println!("# campus topology, {total} packets, 3 policies per class.");

@@ -9,18 +9,14 @@
 //!     [--packets N]  total packets (default 1000000)
 //!     [--seed N]     world seed (default 3)
 
-use sdm_bench::{arg_value, ExperimentConfig, World};
+use sdm_bench::{arg_num, ExperimentConfig, World};
 use sdm_core::{LbOptions, Strategy};
 use sdm_netsim::{Packet, Simulator};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let seed: u64 = arg_value(&args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3);
-    let total: u64 = arg_value(&args, "--packets")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1_000_000);
+    let seed: u64 = arg_num(&args, "--seed", 3);
+    let total: u64 = arg_num(&args, "--packets", 1_000_000);
 
     println!("# Ablation G — path stretch of policy enforcement,");
     println!("# campus topology, {total} packets.");

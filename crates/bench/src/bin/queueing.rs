@@ -17,7 +17,7 @@
 //! ignores `SDM_SHARDS` and always runs single-shard
 //! ([`sdm_core::resolve_shards`] with `shard_safe = false`).
 
-use sdm_bench::{arg_value, ExperimentConfig, World};
+use sdm_bench::{arg_num, ExperimentConfig, World};
 use sdm_core::{resolve_shards, EnforcementOptions, LbOptions, Strategy};
 use sdm_netsim::SimTime;
 use sdm_util::par::shard_count;
@@ -32,18 +32,10 @@ fn main() {
     if shard_count() > 1 {
         eprintln!("[queueing] shared-queue experiment: ignoring SDM_SHARDS, running 1 shard");
     }
-    let seed: u64 = arg_value(&args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3);
-    let n_flows: usize = arg_value(&args, "--flows")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4000);
-    let window: u64 = arg_value(&args, "--window")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2_000_000);
-    let service: u64 = arg_value(&args, "--service")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(150);
+    let seed: u64 = arg_num(&args, "--seed", 3);
+    let n_flows: usize = arg_num(&args, "--flows", 4000);
+    let window: u64 = arg_num(&args, "--window", 2_000_000);
+    let service: u64 = arg_num(&args, "--service", 150);
 
     println!("# Ablation H — queueing delay under finite middlebox capacity,");
     println!("# campus topology, {n_flows} flows over a {window}-tick window,");

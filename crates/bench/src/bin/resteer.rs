@@ -16,7 +16,7 @@
 //! `results/resteer_golden.txt`. λ is printed with full `{:?}` precision
 //! so even mantissa-level drift breaks the diff.
 
-use sdm_bench::{arg_value, ExperimentConfig, World};
+use sdm_bench::{arg_num, ExperimentConfig, World};
 use sdm_core::{EnforcementOptions, EpochLoop, LbOptions, MiddleboxId};
 use sdm_util::par::shard_count;
 use sdm_workload::to_flow_specs;
@@ -34,15 +34,9 @@ fn busiest(loads: &[u64]) -> MiddleboxId {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let seed: u64 = arg_value(&args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3);
-    let epochs: u64 = arg_value(&args, "--epochs")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(6);
-    let packets: u64 = arg_value(&args, "--packets")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(200_000);
+    let seed: u64 = arg_num(&args, "--seed", 3);
+    let epochs: u64 = arg_num(&args, "--epochs", 6);
+    let packets: u64 = arg_num(&args, "--packets", 200_000);
 
     let world = World::build(&ExperimentConfig::campus(seed));
     let mut ep = EpochLoop::new(

@@ -17,22 +17,16 @@
 //! 1-shard and 4-shard runs against the committed golden
 //! `results/telemetry_golden.json`.
 
-use sdm_bench::{arg_value, ExperimentConfig, World};
+use sdm_bench::{arg_num, ExperimentConfig, World};
 use sdm_core::{EnforcementOptions, EpochLoop, LbOptions};
 use sdm_util::par::shard_count;
 use sdm_workload::to_flow_specs;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let seed: u64 = arg_value(&args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3);
-    let epochs: u64 = arg_value(&args, "--epochs")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3);
-    let packets: u64 = arg_value(&args, "--packets")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(100_000);
+    let seed: u64 = arg_num(&args, "--seed", 3);
+    let epochs: u64 = arg_num(&args, "--epochs", 3);
+    let packets: u64 = arg_num(&args, "--packets", 100_000);
     let full = args.iter().any(|a| a == "--full");
     let prometheus = args.iter().any(|a| a == "--prometheus");
 

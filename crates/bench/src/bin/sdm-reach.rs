@@ -34,7 +34,7 @@ use std::process::ExitCode;
 
 use sdm_bench::reach_worlds::{hazard_pass, hier_reach, world_reach};
 use sdm_bench::replay::replay_corpus;
-use sdm_bench::{arg_value, ExperimentConfig};
+use sdm_bench::{arg_num, arg_value, ExperimentConfig};
 use sdm_core::Strategy;
 use sdm_util::json::Json;
 use sdm_verify::reach::{check_assertions, parse_assertions};
@@ -42,9 +42,7 @@ use sdm_verify::witness::{corpus_from_json, corpus_to_json, ReplayScenario};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
-    let seed: u64 = arg_value(&args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
+    let seed: u64 = arg_num(&args, "--seed", 1);
 
     if let Some(path) = arg_value(&args, "--replay") {
         return replay_mode(seed, &path);

@@ -13,17 +13,13 @@
 
 use std::time::Instant;
 
-use sdm_bench::{arg_value, ExperimentConfig, World, PLOT_ORDER};
+use sdm_bench::{arg_num, ExperimentConfig, World, PLOT_ORDER};
 use sdm_util::par::shard_count;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let seed: u64 = arg_value(&args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3);
-    let total: u64 = arg_value(&args, "--packets")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10_000_000);
+    let seed: u64 = arg_num(&args, "--seed", 3);
+    let total: u64 = arg_num(&args, "--packets", 10_000_000);
     let shards = shard_count();
 
     println!("# Table III — load distribution (max/min packets per middlebox type),");
@@ -39,7 +35,7 @@ fn main() {
         t1.elapsed().as_secs_f64()
     );
     let t2 = Instant::now(); // lint:allow(wall-clock)
-    let c = world.compare_strategies_sharded(&flows, shards);
+    let c = world.compare_strategies(&flows);
     eprintln!(
         "[table3] run 3 strategies ({shards} shard{}): {:.3}s",
         if shards == 1 { "" } else { "s" },

@@ -15,7 +15,7 @@
 
 use std::process::ExitCode;
 
-use sdm_bench::{arg_value, ExperimentConfig, World};
+use sdm_bench::{arg_num, ExperimentConfig, World};
 use sdm_core::{
     verify_controller, verify_enforcement, EnforcementOptions, LbOptions, Strategy,
 };
@@ -23,12 +23,8 @@ use sdm_util::json::Json;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
-    let seed: u64 = arg_value(&args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3);
-    let packets: u64 = arg_value(&args, "--packets")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(200_000);
+    let seed: u64 = arg_num(&args, "--seed", 3);
+    let packets: u64 = arg_num(&args, "--packets", 200_000);
 
     let mut failed = false;
     for (name, cfg) in [

@@ -20,6 +20,8 @@
 pub mod reach_worlds;
 pub mod replay;
 
+use std::str::FromStr;
+
 use sdm_core::{
     Controller, Deployment, EnforcementOptions, KConfig, LbOptions, LbReport, LoadReport,
     Strategy, TrafficMatrix,
@@ -27,6 +29,7 @@ use sdm_core::{
 use sdm_netsim::AddressPlan;
 use sdm_policy::NetworkFunction;
 use sdm_topology::NetworkPlan;
+use sdm_util::par::shard_count;
 use sdm_workload::{
     evaluation_policies, generate_flows_with_total, to_flow_specs, Flow, GeneratedPolicies,
     PolicyClassCounts, WorkloadConfig,
@@ -127,84 +130,27 @@ impl World {
         )
     }
 
-    /// Runs one strategy over a flow population (aggregate fast path) and
-    /// returns per-middlebox loads plus the measured traffic matrix.
+    /// Runs one strategy over a flow population (aggregate fast path,
+    /// [`Controller::run_sharded`] at [`shard_count`] shards) and returns
+    /// per-middlebox loads plus the measured traffic matrix. The numbers
+    /// are identical for any shard count; the plan is proven by the
+    /// static verifier before a packet is injected.
     pub fn run_strategy(
         &self,
         strategy: Strategy,
         weights: Option<sdm_core::SteeringWeights>,
         flows: &[Flow],
     ) -> StrategyRun {
-        let mut enf = self.controller.enforcement(
-            strategy,
-            weights,
-            EnforcementOptions::default(),
-        );
-        for f in flows {
-            enf.inject_flow(f.five_tuple, f.packets, 512);
-        }
-        enf.run();
-        StrategyRun {
-            loads: enf.middlebox_loads(),
-            report: enf.load_report(&self.deployment),
-            measurements: enf.measurements(),
-            delivered: enf.sim().stats().delivered + enf.sim().stats().delivered_external,
-            link_hops: enf.sim().stats().link_hops,
-        }
-    }
-
-    /// [`World::run_strategy`] in packet-level mode: every flow is
-    /// injected as individual back-to-back packets (payload 512, gap 0)
-    /// instead of one weighted aggregate. Much slower — one event per
-    /// packet per hop — but it exercises the regime the vector execution
-    /// path is built for: consecutive same-flow packets forming runs at
-    /// each device. Used by the `throughput` bench group.
-    pub fn run_strategy_packets(
-        &self,
-        strategy: Strategy,
-        weights: Option<sdm_core::SteeringWeights>,
-        flows: &[Flow],
-    ) -> StrategyRun {
-        let mut enf = self.controller.enforcement(
-            strategy,
-            weights,
-            EnforcementOptions::default(),
-        );
-        for f in flows {
-            enf.inject_flow_packets(f.five_tuple, f.packets, 512, sdm_netsim::SimTime(0), 0);
-        }
-        enf.run();
-        StrategyRun {
-            loads: enf.middlebox_loads(),
-            report: enf.load_report(&self.deployment),
-            measurements: enf.measurements(),
-            delivered: enf.sim().stats().delivered + enf.sim().stats().delivered_external,
-            link_hops: enf.sim().stats().link_hops,
-        }
-    }
-
-    /// [`World::run_strategy`] over the flow-sharded parallel runtime:
-    /// identical results (the merge is deterministic — see
-    /// [`sdm_core::Controller::run_sharded`]), wall-clock divided across
-    /// `shards` worker threads on multicore hosts.
-    pub fn run_strategy_sharded(
-        &self,
-        strategy: Strategy,
-        weights: Option<sdm_core::SteeringWeights>,
-        flows: &[Flow],
-        shards: usize,
-    ) -> StrategyRun {
-        let specs = to_flow_specs(flows, 512);
         let run = self.controller.run_sharded(
             strategy,
             weights.as_ref(),
             EnforcementOptions::default(),
-            &specs,
-            shards,
+            &to_flow_specs(flows, 512),
+            shard_count(),
         );
         StrategyRun {
-            loads: run.loads.clone(),
             report: run.load_report(&self.deployment),
+            loads: run.loads,
             measurements: run.measurements,
             delivered: run.stats.delivered + run.stats.delivered_external,
             link_hops: run.stats.link_hops,
@@ -227,32 +173,6 @@ impl World {
             .solve_load_balanced(&hp.measurements, LbOptions::default())
             .expect("load-balancing LP must solve");
         let lb = self.run_strategy(Strategy::LoadBalanced, Some(weights), flows);
-        Comparison {
-            hp,
-            rand,
-            lb,
-            lb_report,
-        }
-    }
-
-    /// [`World::compare_strategies`] over the flow-sharded runtime. With
-    /// any `shards` value this produces bit-identical numbers to the
-    /// legacy path (the sharded-equivalence property test pins this); on a
-    /// multicore host it is the faster way to regenerate Figures 4–5 and
-    /// Table III.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`World::compare_strategies`].
-    pub fn compare_strategies_sharded(&self, flows: &[Flow], shards: usize) -> Comparison {
-        let hp = self.run_strategy_sharded(Strategy::HotPotato, None, flows, shards);
-        let rand =
-            self.run_strategy_sharded(Strategy::Random { salt: 0xDA7A }, None, flows, shards);
-        let (weights, lb_report) = self
-            .controller
-            .solve_load_balanced(&hp.measurements, LbOptions::default())
-            .expect("load-balancing LP must solve");
-        let lb = self.run_strategy_sharded(Strategy::LoadBalanced, Some(weights), flows, shards);
         Comparison {
             hp,
             rand,
@@ -343,6 +263,22 @@ pub fn arg_value(args: &[String], key: &str) -> Option<String> {
         .cloned()
 }
 
+/// Parses the `value` given for numeric flag `key`; on anything else
+/// prints `<key>: not a number: <value>` and exits the process non-zero,
+/// so a typo never silently runs the default.
+pub fn parse_num<T: FromStr>(key: &str, value: &str) -> T {
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("{key}: not a number: {value}");
+        std::process::exit(1)
+    })
+}
+
+/// The number given for `--key value`, `default` when the flag is absent;
+/// an unparsable value is fatal (see [`parse_num`]).
+pub fn arg_num<T: FromStr>(args: &[String], key: &str, default: T) -> T {
+    arg_value(args, key).map_or(default, |v| parse_num(key, &v))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,5 +320,7 @@ mod tests {
         assert_eq!(arg_value(&args, "--seed").as_deref(), Some("7"));
         assert_eq!(arg_value(&args, "--volumes").as_deref(), Some("1,2"));
         assert_eq!(arg_value(&args, "--missing"), None);
+        assert_eq!(arg_num(&args, "--seed", 3u64), 7);
+        assert_eq!(arg_num(&args, "--missing", 3u64), 3);
     }
 }

@@ -151,8 +151,8 @@ impl FlowTableStats {
 /// Expiry boundary: an entry last refreshed at time `t` is alive for
 /// lookups at `t .. t + ttl - 1` and expired from `t + ttl` on — i.e. it
 /// lives for exactly `ttl` ticks. [`FlowTable::lookup`] and
-/// [`FlowTable::purge_expired`] apply the same rule, so a purge followed
-/// by a lookup at the same `now` can never resurrect an entry.
+/// [`FlowTable::sweep`] apply the same rule, so a sweep followed by a
+/// lookup at the same `now` can never resurrect an entry.
 ///
 /// Positive entries live in an open-addressed slab table that grows with
 /// incremental rehash; negative markers live in a capacity-capped
@@ -423,23 +423,11 @@ impl FlowTable {
         }
     }
 
-    /// Drops every entry not refreshed within the ttl as of `now`; returns
-    /// how many were dropped. Uses the same boundary as [`FlowTable::lookup`]:
-    /// an entry whose age reached `ttl` is dropped.
-    pub fn purge_expired(&mut self, now: SimTime) -> usize {
-        let ttl = self.ttl;
-        let dropped = self
-            .pos
-            .retain(|_, e| now.0.saturating_sub(e.last_seen.0) < ttl)
-            + self.neg.purge(|ls| now.0.saturating_sub(ls.0) >= ttl);
-        self.stats.expired += dropped as u64;
-        dropped
-    }
-
     /// Amortized expiry sweep: examines at most `budget` slots per call,
     /// resuming where the previous call stopped, and drops entries whose
-    /// age reached the ttl (the same boundary as [`FlowTable::lookup`] and
-    /// [`FlowTable::purge_expired`]). Returns how many were dropped.
+    /// age reached the ttl (the same boundary as [`FlowTable::lookup`]).
+    /// Returns how many were dropped. A budget of `usize::MAX` is one full
+    /// cursor cycle: every slot is visited once, so every stale entry goes.
     ///
     /// The cursor walks the virtual slot space — positive slab slots, then
     /// negative-cache slots — directly, so a sweep cycle is allocation-free
@@ -676,25 +664,13 @@ mod tests {
     }
 
     #[test]
-    fn purge_expired_bulk() {
+    fn amortized_sweep_drains_stale_entries_within_budget() {
         let mut t = FlowTable::new(50);
         for p in 0..10 {
             t.insert_positive(ft(p), PolicyId(0), ActionList::permit(), SimTime(p as u64));
         }
         // at t=56 with ttl 50, entries with last_seen <= 6 have reached
         // age >= ttl and are stale
-        let dropped = t.purge_expired(SimTime(56));
-        assert_eq!(dropped, 7);
-        assert_eq!(t.len(), 3);
-    }
-
-    #[test]
-    fn amortized_sweep_drains_stale_entries_within_budget() {
-        let mut t = FlowTable::new(50);
-        for p in 0..10 {
-            t.insert_positive(ft(p), PolicyId(0), ActionList::permit(), SimTime(p as u64));
-        }
-        // same stale set as purge_expired_bulk: entries with last_seen <= 6
         let mut dropped = 0;
         let mut calls = 0;
         while calls < 10 {
@@ -704,7 +680,7 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(dropped, 7, "sweep must find what purge_expired finds");
+        assert_eq!(dropped, 7, "sweep must find every stale entry");
         assert_eq!(t.len(), 3);
         assert!(calls >= 3, "budget 3 over 10 entries needs several calls");
         assert_eq!(t.stats().expired, 7);
@@ -798,15 +774,15 @@ mod tests {
     }
 
     #[test]
-    fn purge_and_lookup_agree_at_boundary() {
-        // purge at the exact expiry tick must drop what lookup would reject
+    fn sweep_and_lookup_agree_at_boundary() {
+        // a full sweep at the exact expiry tick must drop what lookup would reject
         let mut t = FlowTable::new(50);
         t.insert_positive(ft(1), PolicyId(0), ActionList::permit(), SimTime(0));
-        assert_eq!(t.purge_expired(SimTime(50)), 1);
+        assert_eq!(t.sweep(SimTime(50), usize::MAX), 1);
         assert!(t.lookup(&ft(1), SimTime(50), 1).is_none());
         // and keep what lookup would accept
         t.insert_positive(ft(2), PolicyId(0), ActionList::permit(), SimTime(50));
-        assert_eq!(t.purge_expired(SimTime(99)), 0);
+        assert_eq!(t.sweep(SimTime(99), usize::MAX), 0);
         assert!(t.lookup(&ft(2), SimTime(99), 1).is_some());
     }
 

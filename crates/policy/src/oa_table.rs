@@ -21,7 +21,7 @@
 //!
 //! Every operation is a pure function of the operation sequence: probe
 //! order depends only on key hashes and insertion history, iteration and
-//! [`OaTable::retain`] walk the slab in slot order, and the negative
+//! the [`OaTable::slot`] cursor walk the slab in slot order, and the negative
 //! cache's set index uses the *raw low bits* of [`FiveTuple::stable_hash`].
 //! That last choice is load-bearing: flow sharding assigns a flow to shard
 //! `stable_hash % N`, so with a power-of-two shard count dividing the
@@ -163,8 +163,8 @@ fn backward_shift_remove(buckets: &mut [Bucket], i: usize) -> Bucket {
 
 /// Open-addressed hash table: linear probing over `{hash, slot}` buckets,
 /// slab-backed values, incremental (budgeted) rehash and backward-shift
-/// deletion. Deterministic: iteration and [`OaTable::retain`] run in slab
-/// order, which is a pure function of the operation history.
+/// deletion. Deterministic: iteration and the [`OaTable::slot`] cursor run in
+/// slab order, which is a pure function of the operation history.
 ///
 /// # Example
 ///
@@ -337,24 +337,6 @@ impl<K: OaKey, V> OaTable<K, V> {
             Slot::Occupied(k, v) => Some((k, v)),
             Slot::Vacant(_) => None,
         })
-    }
-
-    /// Keeps only entries for which `keep` returns true, walking the slab
-    /// in slot order. Returns how many entries were removed. Allocation-free.
-    pub fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) -> usize {
-        let mut removed = 0;
-        for s in 0..self.slab.len() {
-            let drop_key = match &self.slab[s] {
-                Slot::Occupied(k, v) if !keep(k, v) => Some(*k),
-                _ => None,
-            };
-            if let Some(k) = drop_key {
-                if self.remove(&k).is_some() {
-                    removed += 1;
-                }
-            }
-        }
-        removed
     }
 
     /// Slab length — the bound for [`OaTable::slot`] indices. Vacant slots
@@ -639,22 +621,6 @@ impl NegativeCache {
         }
     }
 
-    /// Drops every marker for which `stale(last_seen)` is true; returns
-    /// how many were dropped. Walks sets (then ways) in index order.
-    pub fn purge(&mut self, stale: impl Fn(SimTime) -> bool) -> usize {
-        let mut dropped = 0;
-        for set in self.sets.iter_mut().flatten() {
-            for cell in set.iter_mut() {
-                if matches!(cell, Some(x) if stale(x.last_seen)) {
-                    *cell = None;
-                    dropped += 1;
-                }
-            }
-        }
-        self.len -= dropped;
-        dropped
-    }
-
     /// Virtual slot-space size for budgeted sweeps: `allocated_sets *
     /// NEG_WAYS`. Zero until the first insert, so never-negative tables
     /// cost sweep cursors nothing.
@@ -795,18 +761,6 @@ mod tests {
     }
 
     #[test]
-    fn retain_removes_and_counts_in_slot_order() {
-        let mut t: OaTable<K, u32> = OaTable::new();
-        for i in 0..30u32 {
-            t.insert(K { h: i as u64, tag: i }, i);
-        }
-        let removed = t.retain(|_, v| v % 3 != 0);
-        assert_eq!(removed, 10);
-        assert_eq!(t.len(), 20);
-        assert!(t.iter().all(|(_, v)| v % 3 != 0));
-    }
-
-    #[test]
     fn slot_cursor_sees_every_entry() {
         let mut t: OaTable<K, u32> = OaTable::new();
         for i in 0..17u32 {
@@ -862,7 +816,7 @@ mod tests {
     }
 
     #[test]
-    fn negative_cache_remove_and_purge() {
+    fn negative_cache_remove() {
         let mut c = NegativeCache::new(16);
         for i in 0..10u16 {
             c.insert(ft(i + 1, 80), SimTime(i as u64));
@@ -870,9 +824,6 @@ mod tests {
         assert!(c.remove(&ft(1, 80)));
         assert!(!c.remove(&ft(1, 80)));
         assert_eq!(c.len(), 9);
-        let dropped = c.purge(|ls| ls.0 < 5);
-        assert_eq!(dropped, 4, "last_seen 1..=4 purged (0 was removed)");
-        assert_eq!(c.len(), 5);
     }
 
     #[test]

@@ -450,7 +450,7 @@ fn apply_real(t: &mut FlowTable, keys: &[FiveTuple], now: SimTime, op: TableOp) 
         TableOp::PinNext { key, next } => OpOut::Flag(t.pin_next(&keys[key], next)),
         TableOp::FlagSwitched { key } => OpOut::Flag(t.flag_label_switched(&keys[key])),
         TableOp::ReadPin { key } => OpOut::Pin(t.pinned_next(&keys[key])),
-        TableOp::Purge => OpOut::Count(t.purge_expired(now)),
+        TableOp::Purge => OpOut::Count(t.sweep(now, usize::MAX)),
     }
 }
 
@@ -684,8 +684,8 @@ fn budgeted_sweep_is_transparent_to_lookups() {
                 prop_assert_eq!(sa.negative_hits, sb.negative_hits, "neg hits, step {}", step);
                 prop_assert_eq!(sa.misses, sb.misses, "misses after step {}", step);
             }
-            plain.purge_expired(end);
-            swept.purge_expired(end);
+            plain.sweep(end, usize::MAX);
+            swept.sweep(end, usize::MAX);
             prop_assert_eq!(plain.len(), swept.len(), "residents after final purge");
             Ok(())
         },

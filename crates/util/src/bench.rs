@@ -2,21 +2,16 @@
 //!
 //! Each benchmark auto-calibrates a batch size until one batch takes at
 //! least a minimum wall time, warms up, then records N timed samples and
-//! reports per-iteration mean / median / p95 / min. `Runner::finish`
-//! merges the group's results into a JSON file (default
-//! `results/BENCH_baseline.json`, override with `SDM_BENCH_OUT`), which is
-//! the committed perf-trajectory baseline future PRs compare against.
+//! prints per-iteration median / p95. Nothing is written to disk: the
+//! committed performance record is `BENCHMARK.json` + `benchmark/`, and
+//! the `cargo bench` groups are measurement programs to read, not a ledger.
 //!
 //! Environment knobs (all optional):
 //!
-//! * `SDM_BENCH_OUT` — output JSON path;
 //! * `SDM_BENCH_SAMPLES` — timed samples per benchmark (default 20);
 //! * `SDM_BENCH_MIN_SAMPLE_MS` — minimum batch wall time (default 5 ms).
 
-use std::path::PathBuf;
 use std::time::Instant;
-
-use crate::json::Json;
 
 /// Statistics of one benchmark, in nanoseconds per iteration.
 #[derive(Debug, Clone)]
@@ -37,23 +32,6 @@ pub struct BenchResult {
     pub min_ns: f64,
 }
 
-impl BenchResult {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("batch", Json::from(self.batch)),
-            ("samples", Json::from(self.samples)),
-            ("mean_ns", Json::Num(round2(self.mean_ns))),
-            ("median_ns", Json::Num(round2(self.median_ns))),
-            ("p95_ns", Json::Num(round2(self.p95_ns))),
-            ("min_ns", Json::Num(round2(self.min_ns))),
-        ])
-    }
-}
-
-fn round2(v: f64) -> f64 {
-    (v * 100.0).round() / 100.0
-}
-
 fn human(ns: f64) -> String {
     if ns >= 1e9 {
         format!("{:.3} s", ns / 1e9)
@@ -69,7 +47,6 @@ fn human(ns: f64) -> String {
 /// A named group of benchmarks; mirrors criterion's `benchmark_group`.
 pub struct Runner {
     group: String,
-    results: Vec<BenchResult>,
     samples: usize,
     min_sample_ns: u128,
 }
@@ -88,18 +65,17 @@ impl Runner {
         eprintln!("## bench group `{group}`");
         Runner {
             group: group.to_string(),
-            results: Vec::new(),
             samples: samples.max(2),
             min_sample_ns: (min_ms as u128) * 1_000_000,
         }
     }
 
-    /// Times `f`, printing one line and recording the result.
+    /// Times `f`, prints one line and returns the statistics.
     ///
     /// Calibration doubles the batch size until one batch reaches the
     /// minimum sample time (the calibration runs double as warmup), then
     /// `samples` batches are timed.
-    pub fn bench<R>(&mut self, name: &str, mut f: impl FnMut() -> R) -> &BenchResult {
+    pub fn bench<R>(&self, name: &str, mut f: impl FnMut() -> R) -> BenchResult {
         let mut batch: u64 = 1;
         loop {
             let t = Instant::now();
@@ -132,15 +108,6 @@ impl Runner {
         let median = per_iter[per_iter.len() / 2];
         let p95 = per_iter[((per_iter.len() as f64 * 0.95) as usize).min(per_iter.len() - 1)];
         let min = per_iter[0];
-        let result = BenchResult {
-            name: name.to_string(),
-            batch,
-            samples: per_iter.len(),
-            mean_ns: mean,
-            median_ns: median,
-            p95_ns: p95,
-            min_ns: min,
-        };
         eprintln!(
             "{:<40} median {:>12}  p95 {:>12}  (batch {batch}, {} samples)",
             format!("{}/{}", self.group, name),
@@ -148,99 +115,25 @@ impl Runner {
             human(p95),
             per_iter.len()
         );
-        self.results.push(result);
-        self.results.last().unwrap()
+        BenchResult {
+            name: name.to_string(),
+            batch,
+            samples: per_iter.len(),
+            mean_ns: mean,
+            median_ns: median,
+            p95_ns: p95,
+            min_ns: min,
+        }
     }
 
-    /// Records a directly measured scalar — an algorithmic counter such
-    /// as simplex pivot counts — as a result named `name`, so non-timing
-    /// metrics ride the same JSON merge and gate machinery as timings.
-    /// Every statistic of the result is set to `value`.
-    pub fn record(&mut self, name: &str, value: f64) -> &BenchResult {
-        let result = BenchResult {
-            name: name.to_string(),
-            batch: 1,
-            samples: 1,
-            mean_ns: value,
-            median_ns: value,
-            p95_ns: value,
-            min_ns: value,
-        };
+    /// Prints a directly measured scalar — an algorithmic counter such
+    /// as a flow-class count — as a line named `name` in this group.
+    pub fn record(&self, name: &str, value: f64) {
         eprintln!(
             "{:<40} value  {value:>12.0}  (recorded counter)",
             format!("{}/{}", self.group, name)
         );
-        self.results.push(result);
-        self.results.last().unwrap()
     }
-
-    /// The results recorded so far.
-    pub fn results(&self) -> &[BenchResult] {
-        &self.results
-    }
-
-    /// Merges this group's results into the baseline JSON file and prints
-    /// its path. Call exactly once, last.
-    pub fn finish(self) {
-        let path = out_path();
-        if let Some(parent) = path.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        // read-merge-write so sequentially run bench binaries accumulate
-        let mut root = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| Json::parse(&text).ok())
-            .unwrap_or(Json::Obj(Vec::new()));
-        let group_obj = Json::Obj(
-            self.results
-                .iter()
-                .map(|r| (r.name.clone(), r.to_json()))
-                .collect(),
-        );
-        match &mut root {
-            Json::Obj(pairs) => {
-                if let Some(slot) = pairs.iter_mut().find(|(k, _)| *k == self.group) {
-                    slot.1 = group_obj;
-                } else {
-                    pairs.push((self.group.clone(), group_obj));
-                }
-            }
-            other => *other = Json::Obj(vec![(self.group.clone(), group_obj)]),
-        }
-        match std::fs::write(&path, root.to_string_pretty() + "\n") {
-            Ok(()) => eprintln!("wrote {} result(s) to {}", self.results.len(), path.display()),
-            Err(e) => eprintln!("could not write {}: {e}", path.display()),
-        }
-    }
-}
-
-fn out_path() -> PathBuf {
-    if let Ok(p) = std::env::var("SDM_BENCH_OUT") {
-        let p = PathBuf::from(p);
-        // `cargo bench` runs each bench binary with the *package*
-        // directory as cwd; anchor relative overrides at the workspace
-        // root so every binary accumulates into the same file.
-        return if p.is_absolute() {
-            p
-        } else {
-            workspace_root().join(p)
-        };
-    }
-    workspace_root().join("results").join("BENCH_baseline.json")
-}
-
-/// Outermost ancestor of the current directory containing a `Cargo.toml`.
-/// `cargo bench` runs each bench binary with the *package* directory as
-/// cwd, but the committed baseline belongs at the workspace root.
-fn workspace_root() -> PathBuf {
-    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    let mut root = cwd.clone();
-    for dir in cwd.ancestors() {
-        if dir.join("Cargo.toml").is_file() {
-            root = dir.to_path_buf();
-        }
-    }
-    root
 }
 
 #[cfg(test)]
@@ -249,25 +142,16 @@ mod tests {
 
     #[test]
     fn bench_produces_sane_stats() {
-        // isolate the output file so the test never touches the real baseline
-        let dir = std::env::temp_dir().join("sdm-util-bench-test");
-        let file = dir.join("out.json");
-        std::env::set_var("SDM_BENCH_OUT", &file);
         std::env::set_var("SDM_BENCH_SAMPLES", "5");
         std::env::set_var("SDM_BENCH_MIN_SAMPLE_MS", "1");
 
-        let mut r = Runner::new("selftest");
-        let res = r.bench("sum", || (0..1000u64).sum::<u64>()).clone();
+        let r = Runner::new("selftest");
+        let res = r.bench("sum", || (0..1000u64).sum::<u64>());
         assert!(res.median_ns > 0.0);
         assert!(res.min_ns <= res.median_ns && res.median_ns <= res.p95_ns);
         assert!(res.batch >= 1);
-        r.finish();
+        assert_eq!(res.samples, 5);
 
-        let text = std::fs::read_to_string(&file).unwrap();
-        let v = Json::parse(&text).unwrap();
-        assert!(v.get("selftest").unwrap().get("sum").unwrap().get("median_ns").is_some());
-        let _ = std::fs::remove_file(&file);
-        std::env::remove_var("SDM_BENCH_OUT");
         std::env::remove_var("SDM_BENCH_SAMPLES");
         std::env::remove_var("SDM_BENCH_MIN_SAMPLE_MS");
     }

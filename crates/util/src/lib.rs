@@ -9,12 +9,11 @@
 //! |---|---|---|
 //! | [`rng`] | `rand` | seeded SplitMix64/Xoshiro256** PRNG, `gen_range`, shuffle, sampling |
 //! | [`prop`] | `proptest` | seeded case generation, shrinking by halving/truncation, failure-seed reporting |
-//! | [`mod@bench`] | `criterion` | warmup + timed samples, median/p95, JSON emission (`BENCH_baseline.json`) |
+//! | [`mod@bench`] | `criterion` | warmup + timed samples, median/p95, printed per benchmark |
 //! | [`json`] | `serde` | a tiny JSON value type, writer and recursive-descent parser |
 //! | [`par`] | `crossbeam` | scoped-thread ordered parallel map |
 //! | [`sync`] | `parking_lot` | `std::sync::Mutex` wrapper with a non-poisoning `lock()` |
 //! | [`fxhash`] | `rustc-hash` | deterministic multiply-rotate hasher for hot, trusted-key tables |
-//! | [`bench_diff`] | — | baseline-vs-new bench comparison powering the CI regression gate |
 //!
 //! Everything is deterministic per fixed seed, `#![forbid(unsafe_code)]`,
 //! and uses the standard library only.
@@ -23,7 +22,6 @@
 #![warn(missing_docs)]
 
 pub mod bench;
-pub mod bench_diff;
 pub mod fxhash;
 pub mod json;
 pub mod par;

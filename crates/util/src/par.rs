@@ -21,12 +21,10 @@ pub fn hardware_threads() -> usize {
 }
 
 /// Number of worker threads a sweep should use: `available_parallelism`
-/// capped by the item count. `SDM_THREADS` (or the older `SDM_PAR_THREADS`)
-/// overrides the autodetected count, so CI can force sequential runs.
+/// capped by the item count. `SDM_THREADS` overrides the autodetected
+/// count, so CI can force sequential runs.
 pub fn thread_count(items: usize) -> usize {
-    let hw = env_usize("SDM_THREADS")
-        .or_else(|| env_usize("SDM_PAR_THREADS"))
-        .unwrap_or_else(hardware_threads);
+    let hw = env_usize("SDM_THREADS").unwrap_or_else(hardware_threads);
     hw.clamp(1, items.max(1))
 }
 

@@ -85,8 +85,7 @@ pub const HOT_PATH_SUFFIXES: &[&str] = &[
 
 /// Path suffixes exempt from the wall-clock rule: the benchmarking
 /// harness measures host time by design.
-pub const WALL_CLOCK_EXEMPT_SUFFIXES: &[&str] =
-    &["util/src/bench.rs", "util/src/bench_diff.rs"];
+pub const WALL_CLOCK_EXEMPT_SUFFIXES: &[&str] = &["util/src/bench.rs"];
 
 /// Crates allowed to skip the `#![forbid/deny(unsafe_code)]` attribute.
 /// Empty: every crate in the workspace forbids unsafe code. A crate named

@@ -18,7 +18,7 @@ use sdm::core::{
     EnforcementOptions, KConfig, LbOptions, SteerPoint, SteeringEncoding, Strategy,
 };
 use sdm::policy::NetworkFunction;
-use sdm_bench::{ExperimentConfig, TopologyKind, World};
+use sdm_bench::{arg_num, arg_value, parse_num, ExperimentConfig, TopologyKind, World};
 
 const HELP: &str = "\
 sdm — dependable policy enforcement in traditional non-SDN networks
@@ -128,13 +128,6 @@ fn synthesize_flows(world: &World, target_packets: u64, seed: u64) -> Vec<sdm_wo
     out
 }
 
-fn arg(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
@@ -142,11 +135,9 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let seed: u64 = arg(&args, "--seed").and_then(|v| v.parse().ok()).unwrap_or(3);
-    let packets: u64 = arg(&args, "--packets")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1_000_000);
-    let topology = match arg(&args, "--topology").as_deref() {
+    let seed: u64 = arg_num(&args, "--seed", 3);
+    let packets: u64 = arg_num(&args, "--packets", 1_000_000);
+    let topology = match arg_value(&args, "--topology").as_deref() {
         None | Some("campus") => TopologyKind::Campus,
         Some("waxman") => TopologyKind::Waxman,
         Some(other) => {
@@ -154,7 +145,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let strategy = match arg(&args, "--strategy").as_deref() {
+    let strategy = match arg_value(&args, "--strategy").as_deref() {
         Some("hp") => Strategy::HotPotato,
         Some("rand") => Strategy::Random { salt: seed },
         None | Some("lb") => Strategy::LoadBalanced,
@@ -163,7 +154,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let encoding = match arg(&args, "--encoding").as_deref() {
+    let encoding = match arg_value(&args, "--encoding").as_deref() {
         None | Some("ipip") => SteeringEncoding::IpOverIp,
         Some("label") => SteeringEncoding::LabelSwitching,
         Some("sr") => SteeringEncoding::SourceRouting,
@@ -172,11 +163,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let k = arg(&args, "--k").and_then(|v| v.parse::<usize>().ok());
+    let k = arg_value(&args, "--k").map(|v| parse_num::<usize>("--k", &v));
     let fail_fw = args.iter().any(|a| a == "--fail-busiest-fw");
-    let policy_file = arg(&args, "--policies");
-    let save_flows = arg(&args, "--save-flows");
-    let load_flows = arg(&args, "--load-flows");
+    let policy_file = arg_value(&args, "--policies");
+    let save_flows = arg_value(&args, "--save-flows");
+    let load_flows = arg_value(&args, "--load-flows");
 
     let mut cfg = match topology {
         TopologyKind::Campus => ExperimentConfig::campus(seed),

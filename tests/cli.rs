@@ -24,10 +24,18 @@ fn bad_arguments_fail_cleanly() {
         vec!["--encoding", "pigeon"],
         vec!["--k", "0"],
         vec!["--policies", "/definitely/not/a/file"],
+        // numeric flags: a typo must not silently run the default
+        vec!["--packets", "1e6"],
+        vec!["--seed", "x"],
+        vec!["--k", "many"],
     ] {
         let out = sdm().args(&args).output().expect("binary runs");
         assert!(!out.status.success(), "{args:?} should fail");
-        assert!(!out.stderr.is_empty(), "{args:?} should explain itself");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(args[0]) || err.contains(args[1]),
+            "{args:?} should explain itself: {err}"
+        );
     }
 }
 

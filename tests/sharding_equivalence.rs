@@ -1,142 +1,79 @@
 //! Property test for the flow-sharded parallel data plane:
-//! `run_sharded(N)` is **bit-identical** to `run_sharded(1)` and to a
-//! legacy single-`Enforcement` run — loads, delivery/drop counters,
-//! traffic measurements, per-device counters and soft-state footprints —
-//! on randomized deployments, strategies and flow populations.
+//! `run_sharded(N)` is **bit-identical** to `run_sharded(1)` — the
+//! one-`Enforcement` run — in loads, delivery/drop counters, traffic
+//! measurements, per-device counters and soft-state footprints, on
+//! randomized deployments, strategies and flow populations.
 
 use sdm::core::{
-    Controller, EnforcementOptions, FlowSpec, ShardedRun, StateFootprint,
-    Strategy as Steering, SteeringEncoding,
+    EnforcementOptions, LbOptions, ShardedRun, SteeringWeights, Strategy as Steering,
+    SteeringEncoding,
 };
-use sdm::netsim::SimStats;
 use sdm::util::prop::{check, Config};
 use sdm::util::rng::StdRng;
 use sdm::util::prop_assert_eq;
 use sdm_bench::{ExperimentConfig, World};
 use sdm_workload::{to_flow_specs, WorkloadConfig};
 
-/// Everything a legacy run exposes, gathered in the sharded layout so the
-/// two snapshots compare with one `assert_eq` per field.
-struct LegacySnapshot {
-    stats: SimStats,
-    loads: Vec<u64>,
-    measurements: Vec<(sdm::netsim::StubId, sdm::core::DestKey, sdm::policy::PolicyId, f64)>,
-    proxy_counters: Vec<sdm::core::ProxyCounters>,
-    mbox_counters: Vec<sdm::core::MboxCounters>,
-    footprint: StateFootprint,
-}
-
-fn legacy_run(
-    controller: &Controller,
-    strategy: Steering,
-    options: EnforcementOptions,
-    specs: &[FlowSpec],
-) -> LegacySnapshot {
-    let mut enf = controller.enforcement(strategy, None, options);
-    for s in specs {
-        enf.inject_flow(s.flow, s.packets, s.payload);
-    }
-    enf.run();
-    let mut footprint = StateFootprint::default();
-    let mut proxy_counters = Vec::new();
-    for stub in controller.addr_plan().stubs() {
-        let st = enf.proxy_state(stub);
-        let st = st.lock();
-        proxy_counters.push(st.counters);
-        footprint.proxy_flow_entries.push(st.flows.len() as u64);
-        footprint.proxy_flow_stats.push(st.flows.stats());
-        footprint.proxy_neg_evictions.push(st.flows.negative_evictions());
-    }
-    for g in 0..controller.plan().gateways().len() {
-        let st = enf.ingress_state(g);
-        let st = st.lock();
-        footprint.ingress_flow_entries.push(st.flows.len() as u64);
-        footprint.ingress_neg_evictions.push(st.flows.negative_evictions());
-    }
-    let mut mbox_counters = Vec::new();
-    for (id, _) in controller.deployment().iter() {
-        let st = enf.mbox_state(id);
-        let st = st.lock();
-        mbox_counters.push(st.counters);
-        footprint.mbox_flow_entries.push(st.flows.len() as u64);
-        footprint.mbox_label_entries.push(st.labels.len() as u64);
-        footprint.mbox_flow_stats.push(st.flows.stats());
-        footprint.mbox_neg_evictions.push(st.flows.negative_evictions());
-    }
-    LegacySnapshot {
-        stats: enf.sim().stats().clone(),
-        loads: enf.middlebox_loads(),
-        measurements: enf.measurements().iter().collect(),
-        proxy_counters,
-        mbox_counters,
-        footprint,
-    }
-}
-
-fn compare(
-    legacy: &LegacySnapshot,
-    sharded: &ShardedRun,
-    label: &str,
-) -> Result<(), String> {
-    prop_assert_eq!(&sharded.loads, &legacy.loads, "{label}: loads");
+fn compare(one: &ShardedRun, many: &ShardedRun, label: &str) -> Result<(), String> {
+    prop_assert_eq!(&many.loads, &one.loads, "{label}: loads");
     prop_assert_eq!(
-        sharded.stats.delivered,
-        legacy.stats.delivered,
+        many.stats.delivered,
+        one.stats.delivered,
         "{label}: delivered"
     );
     prop_assert_eq!(
-        sharded.stats.delivered_external,
-        legacy.stats.delivered_external,
+        many.stats.delivered_external,
+        one.stats.delivered_external,
         "{label}: delivered_external"
     );
     prop_assert_eq!(
-        sharded.stats.dropped_ttl,
-        legacy.stats.dropped_ttl,
+        many.stats.dropped_ttl,
+        one.stats.dropped_ttl,
         "{label}: dropped_ttl"
     );
     prop_assert_eq!(
-        sharded.stats.unroutable,
-        legacy.stats.unroutable,
+        many.stats.unroutable,
+        one.stats.unroutable,
         "{label}: unroutable"
     );
     prop_assert_eq!(
-        sharded.stats.link_hops,
-        legacy.stats.link_hops,
+        many.stats.link_hops,
+        one.stats.link_hops,
         "{label}: link_hops"
     );
     prop_assert_eq!(
-        sharded.stats.encapsulated_hops,
-        legacy.stats.encapsulated_hops,
+        many.stats.encapsulated_hops,
+        one.stats.encapsulated_hops,
         "{label}: encapsulated_hops"
     );
     prop_assert_eq!(
-        sharded.stats.link_load,
-        legacy.stats.link_load,
+        many.stats.link_load,
+        one.stats.link_load,
         "{label}: link_load"
     );
     prop_assert_eq!(
-        sharded.stats.delivered_per_stub,
-        legacy.stats.delivered_per_stub,
+        many.stats.delivered_per_stub,
+        one.stats.delivered_per_stub,
         "{label}: delivered_per_stub"
     );
     prop_assert_eq!(
-        sharded.measurements.iter().collect::<Vec<_>>(),
-        legacy.measurements.clone(),
+        many.measurements.iter().collect::<Vec<_>>(),
+        one.measurements.iter().collect::<Vec<_>>(),
         "{label}: traffic matrix"
     );
     prop_assert_eq!(
-        &sharded.proxy_counters,
-        &legacy.proxy_counters,
+        &many.proxy_counters,
+        &one.proxy_counters,
         "{label}: proxy counters"
     );
     prop_assert_eq!(
-        &sharded.mbox_counters,
-        &legacy.mbox_counters,
+        &many.mbox_counters,
+        &one.mbox_counters,
         "{label}: middlebox counters"
     );
     prop_assert_eq!(
-        &sharded.footprint,
-        &legacy.footprint,
+        &many.footprint,
+        &one.footprint,
         "{label}: state footprint"
     );
     Ok(())
@@ -195,39 +132,50 @@ fn sharded_runs_are_bit_identical_to_legacy() {
                 ..Default::default()
             };
 
-            let legacy = legacy_run(&world.controller, strategy, options, &specs);
             let one = world
                 .controller
                 .run_sharded(strategy, None, options, &specs, 1);
             let many = world
                 .controller
                 .run_sharded(strategy, None, options, &specs, shards);
-            compare(&legacy, &one, "1 shard vs legacy")?;
-            compare(&legacy, &many, &format!("{shards} shards vs legacy"))?;
-            Ok(())
+            compare(&one, &many, &format!("{shards} shards vs 1"))
         },
     );
 }
 
 /// The load-balanced strategy (LP weights installed) through the sharded
-/// runtime, against the legacy `World::run_strategy` path at every shard
-/// count — the exact configuration Figures 4–5 and Table III run.
+/// runtime at pinned shard counts, against `World::compare_strategies` —
+/// the exact configuration Figures 4–5 and Table III run, at whatever
+/// shard count this host autodetects.
 #[test]
 fn sharded_lb_pipeline_matches_legacy_comparison() {
     let world = World::build(&ExperimentConfig::campus(3));
     let flows = world.flows(40_000, 11);
-    let legacy = world.compare_strategies(&flows);
+    let specs = to_flow_specs(&flows, 512);
+    let auto = world.compare_strategies(&flows);
     for shards in [1usize, 4] {
-        let sharded = world.compare_strategies_sharded(&flows, shards);
-        assert_eq!(sharded.hp.loads, legacy.hp.loads, "HP loads, {shards} shards");
-        assert_eq!(sharded.rand.loads, legacy.rand.loads, "Rand loads, {shards} shards");
-        assert_eq!(sharded.lb.loads, legacy.lb.loads, "LB loads, {shards} shards");
-        assert_eq!(sharded.hp.delivered, legacy.hp.delivered);
-        assert_eq!(sharded.lb.delivered, legacy.lb.delivered);
-        assert_eq!(sharded.hp.link_hops, legacy.hp.link_hops);
-        assert_eq!(sharded.lb.link_hops, legacy.lb.link_hops);
+        let run = |strategy, weights: Option<&SteeringWeights>| {
+            world
+                .controller
+                .run_sharded(strategy, weights, EnforcementOptions::default(), &specs, shards)
+        };
+        let delivered = |r: &ShardedRun| r.stats.delivered + r.stats.delivered_external;
+        let hp = run(Steering::HotPotato, None);
+        let rand = run(Steering::Random { salt: 0xDA7A }, None);
+        let (weights, lb_report) = world
+            .controller
+            .solve_load_balanced(&hp.measurements, LbOptions::default())
+            .expect("load-balancing LP must solve");
+        let lb = run(Steering::LoadBalanced, Some(&weights));
+        assert_eq!(hp.loads, auto.hp.loads, "HP loads, {shards} shards");
+        assert_eq!(rand.loads, auto.rand.loads, "Rand loads, {shards} shards");
+        assert_eq!(lb.loads, auto.lb.loads, "LB loads, {shards} shards");
+        assert_eq!(delivered(&hp), auto.hp.delivered);
+        assert_eq!(delivered(&lb), auto.lb.delivered);
+        assert_eq!(hp.stats.link_hops, auto.hp.link_hops);
+        assert_eq!(lb.stats.link_hops, auto.lb.link_hops);
         assert_eq!(
-            sharded.lb_report.lambda, legacy.lb_report.lambda,
+            lb_report.lambda, auto.lb_report.lambda,
             "LP on merged measurements must see identical input"
         );
     }
