@@ -1,7 +1,6 @@
 //! Benchmark wrapper for the steering-encoding ablation: runtime cost of
 //! steering one workload under IP-over-IP, label switching and strict
-//! source routing. The full-detail table comes from the `label_switching`
-//! binary.
+//! source routing. The full-detail table comes from `sdm label-switching`.
 
 use std::hint::black_box;
 

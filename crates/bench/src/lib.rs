@@ -13,18 +13,23 @@
 //!    rerun the same flows under **load-balanced** enforcement;
 //! 5. run **random** enforcement for the third baseline;
 //! 6. report per-middlebox-type loads.
+//!
+//! Every experiment is a subcommand of the one `sdm` binary: a row of
+//! [`experiments::EXPERIMENTS`], parsed and dispatched by [`cli`]. The
+//! bytes each prints are pinned by [`golden::GOLDENS`] (`sdm golden`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
+pub mod experiments;
+pub mod golden;
 pub mod reach_worlds;
 pub mod replay;
 
-use std::str::FromStr;
-
 use sdm_core::{
-    Controller, Deployment, EnforcementOptions, KConfig, LbOptions, LbReport, LoadReport,
-    Strategy, TrafficMatrix,
+    Controller, Deployment, EnforcementOptions, KConfig, LbError, LbOptions, LbReport,
+    LoadReport, SteeringWeights, Strategy, TrafficMatrix,
 };
 use sdm_netsim::AddressPlan;
 use sdm_policy::NetworkFunction;
@@ -138,7 +143,7 @@ impl World {
     pub fn run_strategy(
         &self,
         strategy: Strategy,
-        weights: Option<sdm_core::SteeringWeights>,
+        weights: Option<SteeringWeights>,
         flows: &[Flow],
     ) -> StrategyRun {
         let run = self.controller.run_sharded(
@@ -157,6 +162,20 @@ impl World {
         }
     }
 
+    /// Steps 3–4 of the methodology: the hot-potato measurement pass over
+    /// `flows`, then the Eq. (2) LP on the traffic matrix its proxies
+    /// measured. Returns the HP run with the LB weights and LP diagnostics.
+    pub fn measure_and_solve(
+        &self,
+        flows: &[Flow],
+    ) -> Result<(StrategyRun, SteeringWeights, LbReport), LbError> {
+        let hp = self.run_strategy(Strategy::HotPotato, None, flows);
+        let (weights, report) = self
+            .controller
+            .solve_load_balanced(&hp.measurements, LbOptions::default())?;
+        Ok((hp, weights, report))
+    }
+
     /// The full three-strategy comparison of §IV.B at one traffic volume:
     /// HP (which doubles as the measurement pass), Rand, and LB driven by
     /// the Eq. (2) LP on HP's measurements.
@@ -166,12 +185,10 @@ impl World {
     /// Panics if the load-balancing LP fails (a deployment must offer
     /// every function the policies use).
     pub fn compare_strategies(&self, flows: &[Flow]) -> Comparison {
-        let hp = self.run_strategy(Strategy::HotPotato, None, flows);
-        let rand = self.run_strategy(Strategy::Random { salt: 0xDA7A }, None, flows);
-        let (weights, lb_report) = self
-            .controller
-            .solve_load_balanced(&hp.measurements, LbOptions::default())
+        let (hp, weights, lb_report) = self
+            .measure_and_solve(flows)
             .expect("load-balancing LP must solve");
+        let rand = self.run_strategy(Strategy::Random { salt: 0xDA7A }, None, flows);
         let lb = self.run_strategy(Strategy::LoadBalanced, Some(weights), flows);
         Comparison {
             hp,
@@ -254,31 +271,6 @@ pub fn figure_header() -> String {
     s
 }
 
-/// Parses `--key value`-style arguments from a bin's argv; returns the
-/// value for `key` if present.
-pub fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// Parses the `value` given for numeric flag `key`; on anything else
-/// prints `<key>: not a number: <value>` and exits the process non-zero,
-/// so a typo never silently runs the default.
-pub fn parse_num<T: FromStr>(key: &str, value: &str) -> T {
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("{key}: not a number: {value}");
-        std::process::exit(1)
-    })
-}
-
-/// The number given for `--key value`, `default` when the flag is absent;
-/// an unparsable value is fatal (see [`parse_num`]).
-pub fn arg_num<T: FromStr>(args: &[String], key: &str, default: T) -> T {
-    arg_value(args, key).map_or(default, |v| parse_num(key, &v))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,18 +301,5 @@ mod tests {
     fn figure_rows_format() {
         assert!(figure_header().contains("FW-HP"));
         assert!(figure_header().contains("TM-LB"));
-    }
-
-    #[test]
-    fn arg_parsing() {
-        let args: Vec<String> = ["--volumes", "1,2", "--seed", "7"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(arg_value(&args, "--seed").as_deref(), Some("7"));
-        assert_eq!(arg_value(&args, "--volumes").as_deref(), Some("1,2"));
-        assert_eq!(arg_value(&args, "--missing"), None);
-        assert_eq!(arg_num(&args, "--seed", 3u64), 7);
-        assert_eq!(arg_num(&args, "--missing", 3u64), 3);
     }
 }

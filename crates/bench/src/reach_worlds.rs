@@ -1,5 +1,5 @@
 //! Pre-packaged symbolic worlds for the reach checker — shared by the
-//! `sdm-reach` binary, the `reach` bench group and the replay property
+//! `sdm reach` subcommand, the `reach` bench group and the replay property
 //! tests.
 //!
 //! Two shapes:

@@ -193,7 +193,7 @@ fn dropped_failed(enf: &sdm_core::Enforcement, controller: &Controller) -> u64 {
 }
 
 /// Replays every scenario and returns the verdicts plus overall
-/// agreement (used by both the `sdm-reach --replay` gate and the
+/// agreement (used by both the `sdm reach --replay` gate and the
 /// property tests).
 pub fn replay_corpus(
     controller: &Controller,

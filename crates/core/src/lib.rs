@@ -82,7 +82,7 @@ pub use report::{LoadReport, LoadRow};
 pub use runtime::{
     MboxCounters, MboxState, ProxyCounters, ProxyState, RuntimeConfig, Shared, WeightsCell,
 };
-pub use shard::{resolve_shards, shard_of, FlowSpec, ShardedRun, StateFootprint};
+pub use shard::{shard_of, FlowSpec, ShardedRun, StateFootprint};
 pub use steer::{
     select_next, Assignments, CommodityKey, KConfig, SteerPoint, SteeringEncoding,
     SteeringWeights, Strategy, WeightKey,

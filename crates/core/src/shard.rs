@@ -12,15 +12,17 @@
 //!
 //! The one exception is *shared middlebox queueing*
 //! ([`Enforcement::set_middlebox_service_time`], Ablation H): there flows
-//! contend for the same server, so sharding would change the answer. Such
-//! experiments must call [`resolve_shards`] with `shard_safe = false`,
-//! which forces a single shard.
+//! contend for the same server, so sharding would change the answer. The
+//! guarantee is structural: a service time can only be set on a single
+//! [`Enforcement`], and [`Controller::run_sharded`] builds its shard
+//! engines itself, so the sharded path cannot be handed one.
 //!
 //! Each shard owns a private simulator running the one event loop
 //! (`sdm-netsim`'s tick-batched drain), whose split of arrivals into
 //! device runs is unobservable; the merge below folds shard results in
 //! fixed shard-index order, so any `SDM_SHARDS` value produces the same
-//! bytes (`ci.sh` pins this with a `cmp` on the Table III output).
+//! bytes (`sdm golden --check` pins this on the Table III output at 1 and 4
+//! shards).
 
 use sdm_netsim::{FiveTuple, SimStats};
 use sdm_policy::FlowTableStats;
@@ -55,18 +57,6 @@ pub fn shard_of(flow: &FiveTuple, shards: usize) -> usize {
         0
     } else {
         (flow.stable_hash() % shards as u64) as usize
-    }
-}
-
-/// Clamps a requested shard count for an experiment: shard-unsafe
-/// experiments (flows share middlebox queues, e.g. Ablation H's finite
-/// service rates) fall back to a single shard; everything else keeps the
-/// request (minimum 1).
-pub fn resolve_shards(requested: usize, shard_safe: bool) -> usize {
-    if shard_safe {
-        requested.max(1)
-    } else {
-        1
     }
 }
 
@@ -297,7 +287,7 @@ impl Controller {
         });
 
         let mut iter = snapshots.into_iter();
-        // lint:allow(hot-path-panic) — resolve_shards guarantees shards >= 1
+        // lint:allow(hot-path-panic) — `shards.max(1)` above guarantees a first bucket
         let first = iter.next().expect("at least one shard");
         let mut run = ShardedRun {
             shards,
@@ -385,13 +375,6 @@ mod tests {
             }
             assert_eq!(shard_of(&spec.flow, 0), 0);
         }
-    }
-
-    #[test]
-    fn resolve_shards_falls_back_for_unsafe_experiments() {
-        assert_eq!(resolve_shards(4, true), 4);
-        assert_eq!(resolve_shards(0, true), 1);
-        assert_eq!(resolve_shards(4, false), 1, "Ablation H must not shard");
     }
 
     #[test]

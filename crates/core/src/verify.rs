@@ -15,7 +15,7 @@
 //!   solution or a misconfigured TTL/MTU is rejected before the first
 //!   packet is injected.
 //!
-//! The `verify-plan` bench bin drives the same projection to emit the
+//! `sdm verify-plan` drives the same projection to emit the
 //! JSON report for CI.
 
 use sdm_netsim::preassigned_device_addr;

@@ -2,8 +2,9 @@
 //!
 //! Scans every `crates/*/src` tree (plus the umbrella crate) for
 //! violations of the determinism and robustness conventions documented in
-//! [`sdm_verify::lint`], and exits non-zero when any are found so `ci.sh`
-//! can gate on it.
+//! [`sdm_verify::lint`], and the top-level documents for file names that
+//! no longer exist; exits non-zero when any are found so `ci.sh` can gate
+//! on it.
 //!
 //! ```text
 //! sdm-lint [--root <workspace-dir>]

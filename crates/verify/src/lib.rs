@@ -12,7 +12,7 @@
 //!   delivery rests on before any packet is injected, and reports every
 //!   violation as a structured [`plan::VerifyError`] with a stable
 //!   `V0xx` code. `sdm-core` calls it fail-fast from `Controller::new`
-//!   and `Controller::run_sharded`; the `verify-plan` bench bin emits
+//!   and `Controller::run_sharded`; `sdm verify-plan` emits
 //!   the JSON report for CI.
 //!
 //! * [`lint`] — the **source lint** behind the `sdm-lint` binary: a

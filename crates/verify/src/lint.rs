@@ -34,6 +34,12 @@
 //!   listed there that *does* carry the attribute is reported as a stale
 //!   exception so the list tracks reality.
 //!
+//! * **`doc-path`** — every backticked token in the top-level documents
+//!   ([`DOC_FILES`]) that contains a `/` and ends in a source or data
+//!   extension ([`DOC_PATH_EXTENSIONS`]) must exist, relative to the root
+//!   or to `crates/`. Docs name files so a reader can open them; a
+//!   deletion PR that leaves the name behind fails here.
+//!
 //! The scanner tokenizes rather than greps: identifiers are matched
 //! whole (`FxHashMap` does not match `HashMap`), and comments, strings
 //! and `#[cfg(test)]` blocks are skipped. A genuine exception is
@@ -57,6 +63,15 @@ pub const RULE_UNSAFE_CODE: &str = "unsafe-code";
 pub const RULE_PER_FLOW_MAP: &str = "per-flow-map";
 /// Rule name for iteration-order-dependent sets in diagnostic paths.
 pub const RULE_SET_ORDER: &str = "set-iteration-order";
+
+/// Rule name for documentation that names a file which does not exist.
+pub const RULE_DOC_PATH: &str = "doc-path";
+
+/// Top-level documents the `doc-path` rule reads.
+pub const DOC_FILES: &[&str] = &["README.md", "DESIGN.md", "EXPERIMENTS.md"];
+
+/// Extensions that make a backticked, `/`-containing token a file path.
+pub const DOC_PATH_EXTENSIONS: &[&str] = &[".rs", ".sh", ".json", ".txt", ".toml", ".md"];
 
 /// Crates whose sources form the deterministic data plane: default-hasher
 /// collections are banned here.
@@ -165,10 +180,36 @@ pub fn lint_workspace(config: &LintConfig) -> io::Result<Vec<LintViolation>> {
         }
     }
 
+    for doc in DOC_FILES {
+        if let Ok(text) = fs::read_to_string(config.root.join(doc)) {
+            lint_doc_paths(&config.root, doc, &text, &mut violations);
+        }
+    }
+
     violations.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule))
     });
     Ok(violations)
+}
+
+/// The `doc-path` rule over one document: backticked spans are the odd
+/// pieces of each line split on `` ` ``.
+fn lint_doc_paths(root: &Path, doc: &str, text: &str, out: &mut Vec<LintViolation>) {
+    for (i, line) in text.lines().enumerate() {
+        for token in line.split('`').skip(1).step_by(2) {
+            let is_path = token.contains('/')
+                && !token.contains(char::is_whitespace)
+                && DOC_PATH_EXTENSIONS.iter().any(|ext| token.ends_with(ext));
+            if is_path && !root.join(token).exists() && !root.join("crates").join(token).exists() {
+                out.push(LintViolation {
+                    rule: RULE_DOC_PATH,
+                    file: doc.to_string(),
+                    line: i + 1,
+                    detail: format!("`{token}` names a file that does not exist"),
+                });
+            }
+        }
+    }
 }
 
 fn crate_name_of(dir: &Path) -> String {
@@ -733,6 +774,18 @@ fn g() { let _m: HashMap<u8, u8>; }\n";
         let hits = lint_str("crates/core/src/x.rs", "core", src);
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!(hits[0].line, 2);
+    }
+
+    #[test]
+    fn doc_paths_must_exist() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let text = "see `crates/verify/src/lint.rs`, `verify/src/plan.rs` and `ci.sh`;\n\
+                    `results/no_such_golden.txt` is gone, `a/b` and `cargo run x/y.rs` are not paths\n";
+        let mut v = Vec::new();
+        lint_doc_paths(&root, "README.md", text, &mut v);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!((v[0].rule, v[0].line), (RULE_DOC_PATH, 2));
+        assert!(v[0].detail.contains("results/no_such_golden.txt"), "{v:?}");
     }
 
     #[test]

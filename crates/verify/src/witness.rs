@@ -14,7 +14,7 @@
 //!
 //! Scenarios serialize to JSON (via `sdm-util`'s hermetic [`Json`]) so the
 //! counterexample corpus can be committed under `results/` and replayed by
-//! `sdm-reach --replay` without re-running the checker.
+//! `sdm reach --replay` without re-running the checker.
 
 use std::fmt;
 

@@ -28,6 +28,7 @@ fn fixture_trips_every_rule() {
         sdm_verify::lint::RULE_UNSAFE_CODE,
         sdm_verify::lint::RULE_PER_FLOW_MAP,
         sdm_verify::lint::RULE_SET_ORDER,
+        sdm_verify::lint::RULE_DOC_PATH,
     ] {
         assert!(
             rules.contains(&rule),

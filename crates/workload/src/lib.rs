@@ -24,6 +24,6 @@ pub use adversarial::{
     elephant_skew, exhaustion_attack, flash_crowd, ElephantSkewConfig, NO_POLICY,
 };
 pub use flows::{generate_flows, generate_flows_with_total, Flow, WorkloadConfig};
-pub use shard::{shard_flows, to_flow_specs};
+pub use shard::to_flow_specs;
 pub use policies::{evaluation_policies, GeneratedPolicies, PolicyClass, PolicyClassCounts};
 pub use trace::{flows_from_text, flows_to_text, ParseTraceError};

@@ -1,8 +1,7 @@
-//! Shard-aware flow iteration: convert generated [`Flow`]s into the
-//! [`FlowSpec`]s the flow-sharded runtime consumes, and pre-bucket a flow
-//! list by shard for callers that drive the shards themselves.
+//! Converts generated [`Flow`]s into the [`FlowSpec`]s the flow-sharded
+//! runtime consumes.
 
-use sdm_core::{shard_of, FlowSpec};
+use sdm_core::FlowSpec;
 
 use crate::flows::Flow;
 
@@ -19,19 +18,6 @@ pub fn to_flow_specs(flows: &[Flow], payload: u32) -> Vec<FlowSpec> {
         .collect()
 }
 
-/// Buckets flows by [`shard_of`] their five-tuple, preserving generation
-/// order inside each bucket — the same partition
-/// [`sdm_core::Controller::run_sharded`] computes internally. Useful for
-/// inspecting or load-checking a partition without running it.
-pub fn shard_flows(flows: &[Flow], shards: usize) -> Vec<Vec<Flow>> {
-    let shards = shards.max(1);
-    let mut buckets: Vec<Vec<Flow>> = vec![Vec::new(); shards];
-    for f in flows {
-        buckets[shard_of(&f.five_tuple, shards)].push(*f);
-    }
-    buckets
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -45,45 +31,6 @@ mod tests {
         let addrs = AddressPlan::new(&plan);
         let gp = evaluation_policies(&addrs, PolicyClassCounts::default(), 3);
         crate::generate_flows(&gp, &addrs, &WorkloadConfig { flows: n, ..Default::default() })
-    }
-
-    #[test]
-    fn buckets_partition_the_flow_list() {
-        let fl = flows(500);
-        let buckets = shard_flows(&fl, 4);
-        assert_eq!(buckets.len(), 4);
-        assert_eq!(buckets.iter().map(Vec::len).sum::<usize>(), fl.len());
-        // every flow is in the bucket its hash names, order preserved
-        let mut rebuilt: Vec<Vec<Flow>> = vec![Vec::new(); 4];
-        for f in &fl {
-            rebuilt[shard_of(&f.five_tuple, 4)].push(*f);
-        }
-        assert_eq!(buckets, rebuilt);
-    }
-
-    #[test]
-    fn single_shard_is_the_identity_partition() {
-        let fl = flows(50);
-        let buckets = shard_flows(&fl, 1);
-        assert_eq!(buckets, vec![fl.clone()]);
-        assert_eq!(shard_flows(&fl, 0), vec![fl]);
-    }
-
-    #[test]
-    fn hashing_spreads_flows_roughly_evenly() {
-        let fl = flows(4000);
-        for &shards in &[2usize, 4, 8] {
-            let buckets = shard_flows(&fl, shards);
-            let expected = fl.len() / shards;
-            for (i, b) in buckets.iter().enumerate() {
-                assert!(
-                    b.len() > expected / 2 && b.len() < expected * 2,
-                    "shard {i}/{shards} holds {} of {} flows",
-                    b.len(),
-                    fl.len()
-                );
-            }
-        }
     }
 
     #[test]

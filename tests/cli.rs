@@ -1,7 +1,9 @@
 //! Smoke tests of the `sdm` CLI binary: argument handling, policy files,
-//! flow-trace save/replay.
+//! flow-trace save/replay, per-subcommand help, the golden check.
 
 use std::process::Command;
+
+use sdm_bench::experiments::EXPERIMENTS;
 
 fn sdm() -> Command {
     Command::new(env!("CARGO_BIN_EXE_sdm"))
@@ -28,15 +30,46 @@ fn bad_arguments_fail_cleanly() {
         vec!["--packets", "1e6"],
         vec!["--seed", "x"],
         vec!["--k", "many"],
+        // flags and subcommands: a typo must not be silently ignored
+        vec!["--packts", "1000"],
+        vec!["--packets"],
+        vec!["fig", "--volume", "1"],
+        vec!["frobnicate"],
     ] {
         let out = sdm().args(&args).output().expect("binary runs");
         assert!(!out.status.success(), "{args:?} should fail");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(
-            err.contains(args[0]) || err.contains(args[1]),
+            args.iter().any(|a| a.starts_with("--") && err.contains(a))
+                || err.contains(args.last().unwrap()),
             "{args:?} should explain itself: {err}"
         );
     }
+}
+
+#[test]
+fn every_subcommand_documents_its_flags() {
+    for exp in EXPERIMENTS {
+        let out = sdm().args([exp.name, "--help"]).output().expect("binary runs");
+        assert!(out.status.success(), "sdm {} --help", exp.name);
+        let text = String::from_utf8_lossy(&out.stdout);
+        for flag in exp.flags {
+            assert!(text.contains(flag.name), "sdm {} --help omits {}", exp.name, flag.name);
+        }
+    }
+}
+
+/// The real golden path — child processes, both shard corners, the
+/// committed files — on the two cheapest entries.
+#[test]
+fn golden_check_passes_on_the_committed_transcripts() {
+    let out = sdm()
+        .args(["golden", "--check", "resteer", "metrics"])
+        .output()
+        .expect("binary runs");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{text}");
+    assert_eq!(text.lines().filter(|l| l.starts_with("ok ")).count(), 2, "{text}");
 }
 
 #[test]
