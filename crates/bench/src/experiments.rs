@@ -20,7 +20,7 @@ use sdm_core::{
     SteeringWeights, Strategy,
 };
 use sdm_netsim::{
-    FiveTuple, Ipv4Addr, Packet, Prefix, Protocol, SimStats, SimTime, Simulator, StubId,
+    FiveTuple, Ipv4Addr, Packet, Prefix, Protocol, SimStats, SimTime, Simulator,
 };
 use sdm_policy::{
     ActionList, ClassifierKind, LocalClassifier, NetworkFunction, Policy, PolicySet, PortMatch,
@@ -207,7 +207,7 @@ fn topology(args: &Args) -> TopologyKind {
 }
 
 /// Packets that reached their destination, inside or outside the enterprise.
-fn delivered(s: &SimStats) -> u64 {
+pub(crate) fn delivered(s: &SimStats) -> u64 {
     s.delivered + s.delivered_external
 }
 
@@ -431,13 +431,9 @@ fn label_switching(args: &Args) -> ExitCode {
             enf.inject_flow_packets(f.five_tuple, pkts, payload, SimTime(i as u64), 64);
         }
         enf.run();
-        let s = enf.sim().stats().clone();
-        let state: usize = world
-            .deployment
-            .iter()
-            .map(|(id, _)| enf.mbox_state(id).lock().labels.len())
-            .sum();
-        results.push((name, s, state));
+        let run = enf.snapshot();
+        let state: u64 = run.footprint.mbox_label_entries.iter().sum();
+        results.push((name, run.stats, state));
     }
 
     println!(
@@ -499,9 +495,7 @@ fn flow_cache(args: &Args) -> ExitCode {
     enf.run();
 
     let (mut hits, mut misses) = (0u64, 0u64);
-    for s in 0..world.controller.addr_plan().stub_count() {
-        let st = enf.proxy_state(StubId(s as u32));
-        let stats = st.lock().flows.stats();
+    for stats in &enf.snapshot().footprint.proxy_flow_stats {
         hits += stats.hits;
         misses += stats.misses;
     }

@@ -179,12 +179,18 @@ pub(super) fn run(args: &Args) -> ExitCode {
         for (shadowed, by) in set.find_shadowed() {
             eprintln!("warning: policy {shadowed} is shadowed by {by} and can never fire");
         }
-        world.controller = Controller::new(
+        world.controller = match Controller::try_new(
             world.controller.plan().clone(),
             world.deployment.clone(),
             set,
             world.controller.k_config().clone(),
-        );
+        ) {
+            Ok(c) => c,
+            Err(report) => {
+                eprintln!("{path}: policies cannot be enforced on this world:\n{report}");
+                return ExitCode::FAILURE;
+            }
+        };
     }
     println!(
         "world: {:?} topology, {} middleboxes, {} policies, seed {seed}",
@@ -197,9 +203,20 @@ pub(super) fn run(args: &Args) -> ExitCode {
             .map_err(|e| e.to_string())
             .and_then(|t| sdm_workload::flows_from_text(&t).map_err(|e| e.to_string()))
         {
-            Ok(f) => {
-                println!("replaying {} flows from {path}", f.len());
-                f
+            Ok(flows) => {
+                // A trace is operator text: a source outside every stub
+                // subnet has no proxy to enter at.
+                let addrs = world.controller.addr_plan();
+                let foreign = |f: &&Flow| addrs.stub_of(f.five_tuple.src).is_none();
+                if let Some(bad) = flows.iter().find(foreign) {
+                    eprintln!(
+                        "{path}: flow {}: source is not inside any stub subnet of this world",
+                        bad.five_tuple
+                    );
+                    return ExitCode::FAILURE;
+                }
+                println!("replaying {} flows from {path}", flows.len());
+                flows
             }
             Err(e) => {
                 eprintln!("cannot load flows from {path}: {e}");

@@ -14,10 +14,14 @@
 //! disagreed with; CI replays the committed corpus at both shard
 //! corners and fails on any disagreement.
 
-use sdm_core::{Controller, EnforcementOptions, MiddleboxId, SteeringWeights, Strategy};
+use sdm_core::{
+    Controller, EnforcementOptions, MiddleboxId, ShardedRun, SteeringWeights, Strategy,
+};
 use sdm_netsim::StubId;
 use sdm_util::json::Json;
 use sdm_verify::witness::{ReplayScenario, ReplayStep, StepExpect};
+
+use crate::experiments::delivered;
 
 /// Payload bytes per injected packet (well under every MTU in play, so
 /// label switching never fragments the witness flow).
@@ -73,27 +77,21 @@ pub fn replay_scenario(
     for (i, step) in scenario.steps.iter().enumerate() {
         match step {
             ReplayStep::Inject { packets, expect } => {
-                let stats = enf.sim().stats();
-                let delivered_before = stats.delivered + stats.delivered_external;
-                let dropped_before = dropped_failed(&enf, controller);
-                let loads_before = enf.middlebox_loads();
-
+                let before = enf.snapshot();
                 enf.inject_flow(ft, *packets, REPLAY_PAYLOAD);
                 enf.run();
+                let after = enf.snapshot();
 
-                let stats = enf.sim().stats();
-                let delivered =
-                    stats.delivered + stats.delivered_external - delivered_before;
-                let dropped = dropped_failed(&enf, controller) - dropped_before;
-                let loads = enf.middlebox_loads();
+                let delivered = delivered(&after.stats) - delivered(&before.stats);
+                let dropped = dropped_failed(&after) - dropped_failed(&before);
                 check_inject(
                     i,
                     *packets,
                     expect,
                     delivered,
                     dropped,
-                    &loads_before,
-                    &loads,
+                    &before.loads,
+                    &after.loads,
                     &mut mismatches,
                 );
             }
@@ -184,12 +182,8 @@ fn load_delta(before: &[u64], after: &[u64], m: u32) -> u64 {
 }
 
 /// Packets dropped at crashed middleboxes, summed over the deployment.
-fn dropped_failed(enf: &sdm_core::Enforcement, controller: &Controller) -> u64 {
-    let mut total = 0;
-    for (id, _) in controller.deployment().iter() {
-        total += enf.mbox_state(id).lock().counters.dropped_failed;
-    }
-    total
+fn dropped_failed(run: &ShardedRun) -> u64 {
+    run.mbox_counters.iter().map(|c| c.dropped_failed).sum()
 }
 
 /// Replays every scenario and returns the verdicts plus overall

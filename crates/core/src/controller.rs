@@ -29,7 +29,9 @@ use crate::middlebox::MiddleboxDevice;
 use crate::proxy::ProxyDevice;
 use crate::report::LoadReport;
 use crate::runtime::{MboxState, ProxyState, RuntimeConfig, Shared, WeightsCell};
+use crate::shard::{ShardedRun, StateFootprint};
 use crate::steer::{Assignments, KConfig, SteerPoint, SteeringEncoding, SteeringWeights, Strategy};
+use crate::telemetry::{KIND_INGRESS, KIND_MBOX, KIND_PROXY};
 
 /// Options for building an enforcement simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -130,21 +132,36 @@ impl Controller {
     ///
     /// # Panics
     ///
-    /// Panics if the static plan verifier ([`crate::verify_controller`])
-    /// finds a fatal misconfiguration: a policy chain that repeats a
-    /// function (e.g. `FW → IDS → FW` — the data plane resolves a
-    /// middlebox's chain position by its function, which is ambiguous
-    /// under repetition), a function no available middlebox implements, a
-    /// steer point with no candidate for a required function, a steering
-    /// loop, an address collision, or a middlebox attached to a
-    /// non-existent router. The panic message is the full diagnostic
-    /// report with `V0xx` error codes.
+    /// Panics where [`Controller::try_new`] returns an error; the panic
+    /// message is the full diagnostic report with `V0xx` error codes.
     pub fn new(
         plan: NetworkPlan,
         deployment: Deployment,
         policies: PolicySet,
         k: KConfig,
     ) -> Self {
+        Self::try_new(plan, deployment, policies, k).unwrap_or_else(|report| panic!("{report}"))
+    }
+
+    /// [`Controller::new`] for operator-supplied input: hands the
+    /// structural report back instead of panicking.
+    ///
+    /// # Errors
+    ///
+    /// The report of the static plan verifier
+    /// ([`crate::verify_controller`]) when it finds a fatal
+    /// misconfiguration: a policy chain that repeats a function (e.g.
+    /// `FW → IDS → FW` — the data plane resolves a middlebox's chain
+    /// position by its function, which is ambiguous under repetition), a
+    /// function no available middlebox implements, a steer point with no
+    /// candidate for a required function, a steering loop, an address
+    /// collision, or a middlebox attached to a non-existent router.
+    pub fn try_new(
+        plan: NetworkPlan,
+        deployment: Deployment,
+        policies: PolicySet,
+        k: KConfig,
+    ) -> Result<Self, sdm_verify::VerifyReport> {
         let routes = plan.topology().routing_tables();
         let addr_plan = AddressPlan::new(&plan);
         let assignments = Assignments::compute_with_gateways(
@@ -165,8 +182,10 @@ impl Controller {
             assertions: Vec::new(),
         };
         let report = crate::verify::verify_controller(&controller);
-        assert!(!report.has_errors(), "{report}");
-        controller
+        if report.has_errors() {
+            return Err(report);
+        }
+        Ok(controller)
     }
 
     /// The network plan under management.
@@ -506,6 +525,7 @@ impl Controller {
             config,
             tel,
             deployment_len: self.deployment.len(),
+            events: 0,
         }
     }
 }
@@ -522,6 +542,8 @@ pub struct Enforcement {
     config: Arc<RuntimeConfig>,
     tel: Arc<sdm_telemetry::ShardTelemetry>,
     deployment_len: usize,
+    /// Events processed by every [`Enforcement::run`] so far.
+    events: u64,
 }
 
 impl Enforcement {
@@ -540,27 +562,74 @@ impl Enforcement {
         &self.config
     }
 
-    /// The hot-path telemetry collector shared by this enforcement's
-    /// devices and simulator.
-    pub fn telemetry(&self) -> &sdm_telemetry::ShardTelemetry {
-        &self.tel
-    }
-
     /// Number of gateway ingress proxies attached.
     pub fn ingress_count(&self) -> usize {
         self.ingress_states.len()
     }
 
-    /// Number of middleboxes attached.
-    pub fn middlebox_count(&self) -> usize {
-        self.deployment_len
+    /// The run record of this enforcement so far — the same [`ShardedRun`]
+    /// a sharded run folds its shards into, with `shards` = 1. This is the
+    /// only walk over every device state in the library: per-device
+    /// counters and soft-state footprint, the simulator's statistics, the
+    /// proxies' traffic measurements, and the telemetry snapshot built from
+    /// those numbers.
+    pub fn snapshot(&self) -> ShardedRun {
+        let mut footprint = StateFootprint::default();
+        // Flow-table sweep passes per device kind: telemetry-only, so not
+        // a footprint field.
+        let mut sweeps = [0u64; sdm_telemetry::DEVICE_KINDS.len()];
+
+        let mut proxy_counters = Vec::with_capacity(self.proxy_states.len());
+        for state in &self.proxy_states {
+            let st = state.lock();
+            proxy_counters.push(st.counters);
+            footprint.proxy_flow_entries.push(st.flows.len() as u64);
+            footprint.proxy_flow_stats.push(st.flows.stats());
+            footprint.proxy_neg_evictions.push(st.flows.negative_evictions());
+            sweeps[KIND_PROXY] += st.flows.sweeps();
+        }
+
+        let mut ingress_counters = Vec::with_capacity(self.ingress_states.len());
+        for state in &self.ingress_states {
+            let st = state.lock();
+            ingress_counters.push(st.counters);
+            footprint.ingress_flow_entries.push(st.flows.len() as u64);
+            footprint.ingress_flow_stats.push(st.flows.stats());
+            footprint.ingress_neg_evictions.push(st.flows.negative_evictions());
+            sweeps[KIND_INGRESS] += st.flows.sweeps();
+        }
+
+        let mut mbox_counters = Vec::with_capacity(self.mbox_states.len());
+        for state in &self.mbox_states {
+            let st = state.lock();
+            mbox_counters.push(st.counters);
+            footprint.mbox_flow_entries.push(st.flows.len() as u64);
+            footprint.mbox_label_entries.push(st.labels.len() as u64);
+            footprint.mbox_flow_stats.push(st.flows.stats());
+            footprint.mbox_neg_evictions.push(st.flows.negative_evictions());
+            sweeps[KIND_MBOX] += st.flows.sweeps();
+        }
+
+        let mut run = ShardedRun {
+            shards: 1,
+            events: self.events,
+            stats: self.sim.stats().clone(),
+            loads: self.middlebox_loads(),
+            measurements: self.measurements(),
+            proxy_counters,
+            ingress_counters,
+            mbox_counters,
+            footprint,
+            telemetry: sdm_telemetry::Snapshot::new(),
+        };
+        crate::telemetry::scrape(&mut run, sweeps, self.sim.trace_dropped(), &self.tel);
+        run
     }
 
-    /// Assembles the full deterministic metrics [`sdm_telemetry::Snapshot`]
-    /// for this enforcement: device-table and steering counters, simulator
-    /// totals and the hot-path histograms.
+    /// The deterministic metrics [`sdm_telemetry::Snapshot`] of this
+    /// enforcement: the `telemetry` field of [`Enforcement::snapshot`].
     pub fn telemetry_snapshot(&self) -> sdm_telemetry::Snapshot {
-        crate::telemetry::scrape(self)
+        self.snapshot().telemetry
     }
 
     /// Injects one flow as a single aggregate event of `packets` identical
@@ -607,7 +676,9 @@ impl Enforcement {
 
     /// Runs the simulation to completion; returns events processed.
     pub fn run(&mut self) -> u64 {
-        self.sim.run_until_idle()
+        let events = self.sim.run_until_idle();
+        self.events += events;
+        events
     }
 
     /// Per-middlebox packet loads (indexed by [`MiddleboxId`]) — the

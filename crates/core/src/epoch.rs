@@ -12,9 +12,10 @@
 //!   in their flow-table entries (see `FlowEntry::pinned_next`), so
 //!   mid-epoch packets never re-classify onto a different middlebox.
 //! * **Determinism.** Flows are bucketed onto per-shard [`Enforcement`]s
-//!   by [`shard_of`] and all cross-shard merges fold in shard-index
-//!   order, so every epoch's measurements, LP solve and activation are
-//!   byte-identical across `SDM_SHARDS` settings and drain limits.
+//!   by [`shard_of`](crate::shard_of) and all cross-shard merges fold in
+//!   shard-index order, so every epoch's measurements, LP solve and
+//!   activation are byte-identical across `SDM_SHARDS` settings and drain
+//!   limits.
 //!
 //! The per-shard simulations persist across epochs — that is what makes
 //! stickiness meaningful: the flow tables survive the weight swap.
@@ -23,7 +24,7 @@ use crate::controller::{Controller, Enforcement, EnforcementOptions};
 use crate::deployment::MiddleboxId;
 use crate::lp_model::{LbError, LbOptions, LbWarmCache};
 use crate::measure::TrafficMatrix;
-use crate::shard::{shard_of, FlowSpec};
+use crate::shard::{bucket_flows, FlowSpec, ShardedRun};
 use crate::steer::{SteeringWeights, Strategy};
 use crate::verify::verify_enforcement;
 
@@ -99,7 +100,9 @@ pub struct LpTelemetry {
 }
 
 /// The controller-side epoch loop driving a set of persistent per-shard
-/// [`Enforcement`]s.
+/// [`Enforcement`]s. What the loop's data plane did is read off
+/// [`EpochLoop::snapshot`] — the same [`ShardedRun`] record a single
+/// `Enforcement` and a sharded run report.
 ///
 /// ```
 /// use sdm_core::*;
@@ -189,7 +192,8 @@ impl<'a> EpochLoop<'a> {
         }
     }
 
-    /// Runs one full epoch: inject `flows` (bucketed by [`shard_of`]),
+    /// Runs one full epoch: inject `flows` (bucketed by
+    /// [`shard_of`](crate::shard_of)),
     /// drive every shard to idle, drain and merge the epoch's traffic
     /// measurements, warm re-solve the LP, verify the plan, and swap the
     /// new weights into every shard.
@@ -203,12 +207,11 @@ impl<'a> EpochLoop<'a> {
     /// if the solved plan fails the `sdm-verify` pre-activation checks.
     pub fn run_epoch(&mut self, flows: &[FlowSpec]) -> Result<EpochReport, EpochError> {
         self.epoch += 1;
-        let n = self.shards.len();
-        for spec in flows {
-            let enf = &mut self.shards[shard_of(&spec.flow, n)];
-            enf.inject_flow(spec.flow, spec.packets, spec.payload);
-        }
-        for enf in &mut self.shards {
+        let buckets = bucket_flows(flows, self.shards.len());
+        for (enf, bucket) in self.shards.iter_mut().zip(&buckets) {
+            for spec in bucket {
+                enf.inject_flow(spec.flow, spec.packets, spec.payload);
+            }
             enf.run();
         }
 
@@ -313,35 +316,28 @@ impl<'a> EpochLoop<'a> {
         )
     }
 
-    /// Per-middlebox packet loads summed across shards (shard-index-order
-    /// fold).
+    /// The loop's run record so far: its shards' records
+    /// ([`Enforcement::snapshot`]) merged in shard-index order — the same
+    /// type a single `Enforcement` and [`Controller::run_sharded`] report.
+    /// Its `measurements` hold only what no epoch has drained yet.
+    pub fn snapshot(&self) -> ShardedRun {
+        ShardedRun::fold(self.shards.iter().map(Enforcement::snapshot))
+    }
+
+    /// Per-middlebox packet loads summed across shards.
     pub fn middlebox_loads(&self) -> Vec<u64> {
-        let mut total = vec![0u64; self.controller.deployment().len()];
-        for enf in &self.shards {
-            for (t, l) in total.iter_mut().zip(enf.middlebox_loads()) {
-                *t += l;
-            }
-        }
-        total
+        self.snapshot().loads
     }
 
     /// Packets terminally delivered across all shards.
     pub fn delivered(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|e| e.sim().stats().delivered + e.sim().stats().delivered_external)
-            .sum()
+        let stats = self.snapshot().stats;
+        stats.delivered + stats.delivered_external
     }
 
     /// Packets dropped by crashed middleboxes across all shards.
     pub fn dropped_failed(&self) -> u64 {
-        let mut total = 0;
-        for enf in &self.shards {
-            for (id, _) in self.controller.deployment().iter() {
-                total += enf.mbox_state(id).lock().counters.dropped_failed;
-            }
-        }
-        total
+        self.snapshot().mbox_counters.iter().map(|c| c.dropped_failed).sum()
     }
 
     /// Epochs run so far.
@@ -371,14 +367,10 @@ impl<'a> EpochLoop<'a> {
         snap.add(family::EPOCH_ACTIVATIONS, self.lp_tel.activations);
     }
 
-    /// The full telemetry snapshot of the loop: every shard's
-    /// [`Enforcement::telemetry_snapshot`] folded in shard-index order,
-    /// plus the control-plane counters.
+    /// The full telemetry snapshot of the loop: the `telemetry` of
+    /// [`EpochLoop::snapshot`] plus the control-plane counters.
     pub fn telemetry_snapshot(&self) -> sdm_telemetry::Snapshot {
-        let mut snap = sdm_telemetry::Snapshot::new();
-        for enf in &self.shards {
-            snap.merge(&enf.telemetry_snapshot());
-        }
+        let mut snap = self.snapshot().telemetry;
         self.export_lp_into(&mut snap);
         snap
     }

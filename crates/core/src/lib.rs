@@ -16,7 +16,9 @@
 //!   the §III.D flow cache (negative caching included) and the §III.E
 //!   label-switching enhancement that avoids packet fragmentation.
 //! * [`Enforcement`] — a wired-up simulation: inject flows, run, read the
-//!   per-middlebox loads the paper's figures report.
+//!   per-middlebox loads the paper's figures report — or the whole run
+//!   record, [`ShardedRun`], which [`Controller::run_sharded`] and
+//!   [`EpochLoop`] report too.
 //!
 //! # Quickstart
 //!

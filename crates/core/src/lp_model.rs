@@ -325,6 +325,155 @@ fn extract_weights(
     }
 }
 
+/// The program both formulations assemble into: the LP, λ, and per
+/// middlebox the inflow expression its capacity row bounds.
+struct ChainProgram<'a> {
+    lp: LinearProgram,
+    lambda: VarId,
+    /// `capacity_terms[x]` accumulates the inflow expression of middlebox x.
+    capacity_terms: Vec<Vec<(VarId, f64)>>,
+    deployment: &'a Deployment,
+    assignments: &'a Assignments,
+}
+
+/// The variables one [`ChainProgram::add_chain_block`] call added.
+struct ChainVars {
+    /// Per first-hop group, one variable per candidate.
+    first_hop: Vec<Vec<VarId>>,
+    /// Transition variables as flat `(stage i, x, y, var)` entries.
+    transitions: Vec<(usize, MiddleboxId, MiddleboxId, VarId)>,
+}
+
+impl<'a> ChainProgram<'a> {
+    fn new(deployment: &'a Deployment, assignments: &'a Assignments, lambda_obj: f64) -> Self {
+        let mut lp = LinearProgram::new();
+        let lambda = lp.add_var("lambda", lambda_obj);
+        ChainProgram {
+            lp,
+            lambda,
+            capacity_terms: vec![Vec::new(); deployment.len()],
+            deployment,
+            assignments,
+        }
+    }
+
+    /// Adds one chain's block — the part Eq. (1) and Eq. (2) share. Eq. (2)
+    /// calls it once per policy with its source groups, Eq. (1) once per
+    /// `(s,d,p)` commodity with a single group; `tag` tells their variable
+    /// names apart. Each group is `(first-hop candidates, volume)`; `total`
+    /// is the volume that must leave the last stage.
+    ///
+    /// Insertion order (it fixes the simplex pivot sequence): per group the
+    /// first-hop variables and their sum row; the transition variables;
+    /// the final variables; one conservation row per stage and box, whose
+    /// inflow also feeds the box's capacity expression; the anchor row.
+    fn add_chain_block(
+        &mut self,
+        p: PolicyId,
+        tag: &str,
+        stages: &[Stage],
+        groups: &[(&[MiddleboxId], f64)],
+        total: f64,
+    ) -> Result<ChainVars, LbError> {
+        let lp = &mut self.lp;
+        let k = stages.len();
+
+        let mut first_hop = Vec::with_capacity(groups.len());
+        for &(cands, volume) in groups {
+            let vars: Vec<VarId> = cands
+                .iter()
+                .map(|y| lp.add_var(format!("t1{tag}[{y}]"), 0.0))
+                .collect();
+            // group total constraint: sum_y t1 = T_group
+            lp.add_constraint(vars.iter().map(|&v| (v, 1.0)).collect(), Relation::Eq, volume);
+            first_hop.push(vars);
+        }
+
+        // transition vars t[i][x][y], i = 0-based transition from stage i to i+1
+        let mut transitions: Vec<(usize, MiddleboxId, MiddleboxId, VarId)> = Vec::new();
+        for (i, pair) in stages.windows(2).enumerate() {
+            for &x in &pair[0].boxes {
+                let succ = successors(x, pair[1].function, self.deployment, self.assignments);
+                if succ.is_empty() {
+                    return Err(LbError::MissingFunction(pair[1].function, p));
+                }
+                for y in succ {
+                    let v = lp.add_var(format!("t{tag}[{i}][{x}->{y}]"), 0.0);
+                    transitions.push((i, x, y, v));
+                }
+            }
+        }
+        // final vars tf[x] for stage K boxes
+        let mut finals: FxHashMap<MiddleboxId, VarId> = FxHashMap::default();
+        for &x in &stages[k - 1].boxes {
+            finals.insert(x, lp.add_var(format!("tf{tag}[{x}]"), 0.0));
+        }
+
+        // --- flow conservation per stage and box ---
+        for (i, stage) in stages.iter().enumerate() {
+            for &y in &stage.boxes {
+                let mut terms: Vec<(VarId, f64)> = Vec::new();
+                // inflow
+                if i == 0 {
+                    for (&(cands, _), vars) in groups.iter().zip(&first_hop) {
+                        if let Some(pos) = cands.iter().position(|&c| c == y) {
+                            terms.push((vars[pos], 1.0));
+                        }
+                    }
+                } else {
+                    for &(ti, _, ty, v) in &transitions {
+                        if ti == i - 1 && ty == y {
+                            terms.push((v, 1.0));
+                        }
+                    }
+                }
+                // capacity: inflow of y counts towards its load
+                self.capacity_terms[y.index()].extend(terms.iter().copied());
+                // outflow
+                if i + 1 < k {
+                    for &(ti, tx, _, v) in &transitions {
+                        if ti == i && tx == y {
+                            terms.push((v, -1.0));
+                        }
+                    }
+                } else {
+                    terms.push((finals[&y], -1.0));
+                }
+                lp.add_constraint(terms, Relation::Eq, 0.0);
+            }
+        }
+        // total leaving the last stage equals `total` (anchors the chain
+        // volume); iterate stage boxes for deterministic term order
+        lp.add_constraint(
+            stages[k - 1].boxes.iter().map(|x| (finals[x], 1.0)).collect(),
+            Relation::Eq,
+            total,
+        );
+
+        Ok(ChainVars {
+            first_hop,
+            transitions,
+        })
+    }
+
+    /// Adds one capacity row per loaded middlebox (`inflow ≤ λ · capacity`)
+    /// and, if asked, the paper's `λ ≤ 1`.
+    fn add_capacity_rows(&mut self, options: LbOptions) {
+        for (x, spec) in self.deployment.iter() {
+            let terms = &self.capacity_terms[x.index()];
+            if terms.is_empty() {
+                continue;
+            }
+            let mut row = terms.clone();
+            row.push((self.lambda, -spec.capacity));
+            self.lp.add_constraint(row, Relation::Le, 0.0);
+        }
+        if options.cap_lambda {
+            self.lp.add_constraint(vec![(self.lambda, 1.0)], Relation::Le, 1.0);
+        }
+    }
+}
+
 /// Assembles the reduced LP. With `lambda_bound = None` the objective is
 /// `min λ`; with `Some(bound)` the constraint `λ ≤ bound` is added and the
 /// objective becomes the sum of per-function maximum load factors `μ_e`.
@@ -336,13 +485,8 @@ fn assemble_reduced(
     options: LbOptions,
     lambda_bound: Option<f64>,
 ) -> Result<ReducedModel, LbError> {
-    let mut lp = LinearProgram::new();
     let lambda_obj = if lambda_bound.is_none() { 1.0 } else { 0.0 };
-    let lambda = lp.add_var("lambda", lambda_obj);
-
-    // capacity_terms[x] accumulates the inflow expression of middlebox x
-    let mut capacity_terms: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); deployment.len()];
-
+    let mut model = ChainProgram::new(deployment, assignments, lambda_obj);
     let mut all_vars: Vec<PolicyVars> = Vec::new();
 
     for p in traffic.policies() {
@@ -358,7 +502,6 @@ fn assemble_reduced(
         }
         let chain = policy.actions.functions().to_vec();
         let stages = stages_for(p, &chain, deployment)?;
-        let k = stages.len();
 
         // --- source grouping (exact reduction) ---
         // BTreeMap: deterministic variable order => deterministic optimum.
@@ -381,113 +524,34 @@ fn assemble_reduced(
             entry.1 += t_sp;
         }
 
-        // --- variables ---
-        let mut first_hop = Vec::new();
-        for (cands, (members, volume)) in &groups {
-            let vars: Vec<VarId> = cands
-                .iter()
-                .map(|y| lp.add_var(format!("t1[{p}][{y}]"), 0.0))
-                .collect();
-            // group total constraint: sum_y t1 = T_group
-            lp.add_constraint(
-                vars.iter().map(|&v| (v, 1.0)).collect(),
-                Relation::Eq,
-                *volume,
-            );
-            let shares: Vec<(StubId, f64)> = members
-                .iter()
-                .map(|&(s, t_sp)| (s, t_sp / *volume))
-                .collect();
-            first_hop.push((shares, cands.clone(), vars));
-        }
-
-        // transition vars t[i][x][y], i = 0-based transition from stage i to i+1
-        let mut transitions: Vec<(usize, MiddleboxId, MiddleboxId, VarId)> = Vec::new();
-        for i in 0..k.saturating_sub(1) {
-            for &x in &stages[i].boxes {
-                let succ = successors(x, stages[i + 1].function, deployment, assignments);
-                if succ.is_empty() {
-                    return Err(LbError::MissingFunction(stages[i + 1].function, p));
-                }
-                for y in succ {
-                    let v = lp.add_var(format!("t[{p}][{i}][{x}->{y}]"), 0.0);
-                    transitions.push((i, x, y, v));
-                }
-            }
-        }
-        // final vars tf[x] for stage K boxes
-        let mut finals: FxHashMap<MiddleboxId, VarId> = FxHashMap::default();
-        for &x in &stages[k - 1].boxes {
-            finals.insert(x, lp.add_var(format!("tf[{p}][{x}]"), 0.0));
-        }
-
-        // --- flow conservation per stage and box ---
-        for (i, stage) in stages.iter().enumerate() {
-            for &y in &stage.boxes {
-                let mut terms: Vec<(VarId, f64)> = Vec::new();
-                // inflow
-                if i == 0 {
-                    for (_, cands, vars) in &first_hop {
-                        if let Some(pos) = cands.iter().position(|&c| c == y) {
-                            terms.push((vars[pos], 1.0));
-                        }
-                    }
-                } else {
-                    for &(ti, _, ty, v) in transitions.iter().filter(|&&(ti, _, ty, _)| {
-                        ti == i - 1 && ty == y
-                    }) {
-                        let _ = (ti, ty);
-                        terms.push((v, 1.0));
-                    }
-                }
-                // capacity: inflow of y counts towards its load
-                capacity_terms[y.index()].extend(terms.iter().copied());
-                // outflow
-                if i + 1 < k {
-                    for &(ti, tx, _, v) in transitions.iter().filter(|&&(ti, tx, _, _)| {
-                        ti == i && tx == y
-                    }) {
-                        let _ = (ti, tx);
-                        terms.push((v, -1.0));
-                    }
-                } else {
-                    terms.push((finals[&y], -1.0));
-                }
-                lp.add_constraint(terms, Relation::Eq, 0.0);
-            }
-        }
-        // total leaving the last stage equals T_p (anchors the chain
-        // volume); iterate stage boxes for deterministic term order
-        lp.add_constraint(
-            stages[k - 1]
-                .boxes
-                .iter()
-                .map(|x| (finals[x], 1.0))
-                .collect(),
-            Relation::Eq,
-            t_p,
-        );
-
+        let chain_groups: Vec<(&[MiddleboxId], f64)> = groups
+            .iter()
+            .map(|(cands, (_, volume))| (cands.as_slice(), *volume))
+            .collect();
+        let tag = format!("[{p}]");
+        let block = model.add_chain_block(p, &tag, &stages, &chain_groups, t_p)?;
+        let first_hop = groups
+            .iter()
+            .zip(block.first_hop)
+            .map(|((cands, (members, volume)), vars)| {
+                let shares = members.iter().map(|&(s, t_sp)| (s, t_sp / *volume)).collect();
+                (shares, cands.clone(), vars)
+            })
+            .collect();
         all_vars.push(PolicyVars {
             policy: p,
             first_hop,
-            transitions,
+            transitions: block.transitions,
         });
     }
 
-    // --- capacity constraints ---
-    for (x, spec) in deployment.iter() {
-        let terms = &capacity_terms[x.index()];
-        if terms.is_empty() {
-            continue;
-        }
-        let mut row = terms.clone();
-        row.push((lambda, -spec.capacity));
-        lp.add_constraint(row, Relation::Le, 0.0);
-    }
-    if options.cap_lambda {
-        lp.add_constraint(vec![(lambda, 1.0)], Relation::Le, 1.0);
-    }
+    model.add_capacity_rows(options);
+    let ChainProgram {
+        mut lp,
+        lambda,
+        capacity_terms,
+        ..
+    } = model;
 
     // --- phase-2 refinement: per-function max load factors μ_e ---
     if let Some(bound) = lambda_bound {
@@ -537,9 +601,7 @@ pub fn build_full(
     traffic: &TrafficMatrix,
     options: LbOptions,
 ) -> Result<(SteeringWeights, LbReport), LbError> {
-    let mut lp = LinearProgram::new();
-    let lambda = lp.add_var("lambda", 1.0);
-    let mut capacity_terms: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); deployment.len()];
+    let mut model = ChainProgram::new(deployment, assignments, 1.0);
 
     struct CommodityVars {
         policy: PolicyId,
@@ -562,99 +624,26 @@ pub fn build_full(
         }
         let chain = policy.actions.functions().to_vec();
         let stages = stages_for(p, &chain, deployment)?;
-        let k = stages.len();
-        let _ = d; // destination is implicit: the commodity ends at d
-
-        let cands = assignments
-            .candidates(SteerPoint::Proxy(s), stages[0].function)
-            .to_vec();
+        let cands = assignments.candidates(SteerPoint::Proxy(s), stages[0].function);
         if cands.is_empty() {
             return Err(LbError::MissingFunction(stages[0].function, p));
         }
-        let first: Vec<(MiddleboxId, VarId)> = cands
-            .iter()
-            .map(|&y| (y, lp.add_var(format!("t1[{s}->{d}][{p}][{y}]"), 0.0)))
-            .collect();
-        lp.add_constraint(
-            first.iter().map(|&(_, v)| (v, 1.0)).collect(),
-            Relation::Eq,
-            volume,
-        );
-
-        let mut transitions: Vec<(usize, MiddleboxId, MiddleboxId, VarId)> = Vec::new();
-        for i in 0..k - 1 {
-            for &x in &stages[i].boxes {
-                for y in successors(x, stages[i + 1].function, deployment, assignments) {
-                    let v = lp.add_var(format!("t[{s}->{d}][{p}][{i}][{x}->{y}]"), 0.0);
-                    transitions.push((i, x, y, v));
-                }
-            }
-        }
-        let mut finals: FxHashMap<MiddleboxId, VarId> = FxHashMap::default();
-        for &x in &stages[k - 1].boxes {
-            finals.insert(x, lp.add_var(format!("tf[{s}->{d}][{p}][{x}]"), 0.0));
-        }
-
-        for (i, stage) in stages.iter().enumerate() {
-            for &y in &stage.boxes {
-                let mut terms: Vec<(VarId, f64)> = Vec::new();
-                if i == 0 {
-                    if let Some(&(_, v)) = first.iter().find(|&&(c, _)| c == y) {
-                        terms.push((v, 1.0));
-                    }
-                } else {
-                    for &(_, _, _, v) in transitions
-                        .iter()
-                        .filter(|&&(ti, _, ty, _)| ti == i - 1 && ty == y)
-                    {
-                        terms.push((v, 1.0));
-                    }
-                }
-                capacity_terms[y.index()].extend(terms.iter().copied());
-                if i + 1 < k {
-                    for &(_, _, _, v) in transitions
-                        .iter()
-                        .filter(|&&(ti, tx, _, _)| ti == i && tx == y)
-                    {
-                        terms.push((v, -1.0));
-                    }
-                } else {
-                    terms.push((finals[&y], -1.0));
-                }
-                lp.add_constraint(terms, Relation::Eq, 0.0);
-            }
-        }
-        lp.add_constraint(
-            stages[k - 1]
-                .boxes
-                .iter()
-                .map(|x| (finals[x], 1.0))
-                .collect(),
-            Relation::Eq,
-            volume,
-        );
-
+        // destination is implicit: the commodity ends at d
+        let tag = format!("[{s}->{d}][{p}]");
+        let mut block = model.add_chain_block(p, &tag, &stages, &[(cands, volume)], volume)?;
+        let first: Vec<(MiddleboxId, VarId)> =
+            cands.iter().copied().zip(block.first_hop.remove(0)).collect();
         all.push(CommodityVars {
             policy: p,
             source: s,
             dest: d,
             first,
-            transitions,
+            transitions: block.transitions,
         });
     }
 
-    for (x, spec) in deployment.iter() {
-        let terms = &capacity_terms[x.index()];
-        if terms.is_empty() {
-            continue;
-        }
-        let mut row = terms.clone();
-        row.push((lambda, -spec.capacity));
-        lp.add_constraint(row, Relation::Le, 0.0);
-    }
-    if options.cap_lambda {
-        lp.add_constraint(vec![(lambda, 1.0)], Relation::Le, 1.0);
-    }
+    model.add_capacity_rows(options);
+    let (lp, lambda) = (model.lp, model.lambda);
 
     let vars = lp.num_vars();
     let cons = lp.num_constraints();
@@ -668,22 +657,22 @@ pub fn build_full(
     let mut fine: FxHashMap<CommodityKey, FxHashMap<MiddleboxId, f64>> =
         FxHashMap::default();
     for cv in &all {
+        let mut add = |key: WeightKey, y: MiddleboxId, v: VarId| {
+            let commodity = CommodityKey {
+                key,
+                src: cv.source,
+                dst: cv.dest,
+            };
+            *acc.entry(key).or_default().entry(y).or_insert(0.0) += sol.value(v);
+            *fine.entry(commodity).or_default().entry(y).or_insert(0.0) += sol.value(v);
+        };
         for &(y, v) in &cv.first {
             let key = WeightKey {
                 point: SteerPoint::Proxy(cv.source),
                 policy: cv.policy,
                 next_index: 0,
             };
-            *acc.entry(key).or_default().entry(y).or_insert(0.0) += sol.value(v);
-            *fine
-                .entry(CommodityKey {
-                    key,
-                    src: cv.source,
-                    dst: cv.dest,
-                })
-                .or_default()
-                .entry(y)
-                .or_insert(0.0) += sol.value(v);
+            add(key, y, v);
         }
         for &(i, x, y, v) in &cv.transitions {
             if x == y {
@@ -694,16 +683,7 @@ pub fn build_full(
                 policy: cv.policy,
                 next_index: (i + 1) as u16,
             };
-            *acc.entry(key).or_default().entry(y).or_insert(0.0) += sol.value(v);
-            *fine
-                .entry(CommodityKey {
-                    key,
-                    src: cv.source,
-                    dst: cv.dest,
-                })
-                .or_default()
-                .entry(y)
-                .or_insert(0.0) += sol.value(v);
+            add(key, y, v);
         }
     }
     for (key, per_box) in acc {

@@ -4,7 +4,6 @@
 use std::fmt;
 
 use sdm_policy::NetworkFunction;
-use sdm_util::json::{FromJson, Json, JsonError, ToJson};
 
 use crate::deployment::Deployment;
 
@@ -41,41 +40,6 @@ impl LoadRow {
         } else {
             self.max as f64 / self.min as f64
         }
-    }
-}
-
-impl ToJson for LoadRow {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("function", Json::from(self.function.abbrev())),
-            ("count", Json::from(self.count)),
-            ("max", Json::from(self.max)),
-            ("min", Json::from(self.min)),
-            ("total", Json::from(self.total)),
-        ])
-    }
-}
-
-impl FromJson for LoadRow {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let name = v
-            .req("function")?
-            .as_str()
-            .ok_or_else(|| JsonError::msg("function must be a string"))?;
-        let function = NetworkFunction::from_abbrev(name)
-            .ok_or_else(|| JsonError::msg(format!("unknown function `{name}`")))?;
-        let field = |key: &str| {
-            v.req(key)?
-                .as_u64()
-                .ok_or_else(|| JsonError::msg(format!("{key} must be a non-negative integer")))
-        };
-        Ok(LoadRow {
-            function,
-            count: field("count")? as usize,
-            max: field("max")?,
-            min: field("min")?,
-            total: field("total")?,
-        })
     }
 }
 
@@ -145,28 +109,6 @@ impl LoadReport {
     }
 }
 
-impl ToJson for LoadReport {
-    fn to_json(&self) -> Json {
-        Json::obj([(
-            "rows",
-            Json::Arr(self.rows.iter().map(ToJson::to_json).collect()),
-        )])
-    }
-}
-
-impl FromJson for LoadReport {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let rows = v
-            .req("rows")?
-            .as_arr()
-            .ok_or_else(|| JsonError::msg("rows must be an array"))?
-            .iter()
-            .map(LoadRow::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(LoadReport { rows })
-    }
-}
-
 impl fmt::Display for LoadReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{:<6} {:>6} {:>12} {:>12} {:>12}", "type", "count", "max", "min", "mean")?;
@@ -224,23 +166,6 @@ mod tests {
     #[should_panic(expected = "one load per middlebox")]
     fn length_mismatch_rejected() {
         let _ = LoadReport::from_loads(&dep3(), &[1, 2]);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let report = LoadReport::from_loads(&dep3(), &[10, 40, 25]);
-        let text = report.to_json().to_string_pretty();
-        let back = LoadReport::from_json(&sdm_util::json::Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn json_rejects_unknown_function() {
-        let v = sdm_util::json::Json::parse(
-            r#"{"function":"BOGUS","count":1,"max":1,"min":1,"total":1}"#,
-        )
-        .unwrap();
-        assert!(LoadRow::from_json(&v).is_err());
     }
 
     #[test]

@@ -19,16 +19,19 @@
 //!
 //! Each shard owns a private simulator running the one event loop
 //! (`sdm-netsim`'s tick-batched drain), whose split of arrivals into
-//! device runs is unobservable; the merge below folds shard results in
-//! fixed shard-index order, so any `SDM_SHARDS` value produces the same
-//! bytes (`sdm golden --check` pins this on the Table III output at 1 and 4
-//! shards).
+//! device runs is unobservable. Every shard reports the same record a
+//! single [`Enforcement`] does ([`Enforcement::snapshot`]) and
+//! [`ShardedRun::merge`] folds them in fixed shard-index order, so any
+//! `SDM_SHARDS` value produces the same bytes (`sdm golden --check` pins
+//! this on the Table III output at 1 and 4 shards).
 
 use sdm_netsim::{FiveTuple, SimStats};
 use sdm_policy::FlowTableStats;
 use sdm_util::par;
 
-use crate::controller::{Controller, Enforcement, EnforcementOptions};
+#[cfg(doc)]
+use crate::controller::Enforcement;
+use crate::controller::{Controller, EnforcementOptions};
 use crate::deployment::Deployment;
 use crate::measure::TrafficMatrix;
 use crate::report::LoadReport;
@@ -60,11 +63,23 @@ pub fn shard_of(flow: &FiveTuple, shards: usize) -> usize {
     }
 }
 
+/// Splits `flows` into one bucket per shard by [`shard_of`], preserving
+/// input order inside a bucket. The one partition both
+/// [`Controller::run_sharded`] and [`crate::EpochLoop`] inject from.
+pub(crate) fn bucket_flows(flows: &[FlowSpec], shards: usize) -> Vec<Vec<FlowSpec>> {
+    let mut buckets = vec![Vec::new(); shards];
+    for spec in flows {
+        buckets[shard_of(&spec.flow, shards)].push(*spec);
+    }
+    buckets
+}
+
 /// Soft-state footprint of the data plane after a run: entry counts and
 /// flow-cache statistics per device, index-aligned with the controller's
-/// stub / gateway / middlebox orders. Merged additively across shards —
-/// each flow's entries live in exactly one shard, so the sums equal a
-/// single-shard run's counts.
+/// stub / gateway / middlebox orders. Part of the [`ShardedRun`] record,
+/// so a single [`Enforcement`] and a sharded run report the same fields.
+/// Merged additively across shards — each flow's entries live in exactly
+/// one shard, so the sums equal a single-shard run's counts.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StateFootprint {
     /// Live flow-cache entries per stub proxy.
@@ -73,6 +88,8 @@ pub struct StateFootprint {
     pub proxy_flow_stats: Vec<FlowTableStats>,
     /// Live flow-cache entries per gateway ingress proxy.
     pub ingress_flow_entries: Vec<u64>,
+    /// Flow-cache counters per gateway ingress proxy.
+    pub ingress_flow_stats: Vec<FlowTableStats>,
     /// Live flow-cache entries per middlebox.
     pub mbox_flow_entries: Vec<u64>,
     /// Live label-table entries per middlebox (§III.E).
@@ -106,21 +123,28 @@ impl StateFootprint {
         add(&mut self.proxy_neg_evictions, &other.proxy_neg_evictions);
         add(&mut self.ingress_neg_evictions, &other.ingress_neg_evictions);
         add(&mut self.mbox_neg_evictions, &other.mbox_neg_evictions);
-        for (d, s) in self.proxy_flow_stats.iter_mut().zip(&other.proxy_flow_stats) {
-            d.merge(s);
-        }
-        for (d, s) in self.mbox_flow_stats.iter_mut().zip(&other.mbox_flow_stats) {
-            d.merge(s);
+        let stats = [
+            (&mut self.proxy_flow_stats, &other.proxy_flow_stats),
+            (&mut self.ingress_flow_stats, &other.ingress_flow_stats),
+            (&mut self.mbox_flow_stats, &other.mbox_flow_stats),
+        ];
+        for (dst, src) in stats {
+            for (d, s) in dst.iter_mut().zip(src) {
+                d.merge(s);
+            }
         }
     }
 }
 
-/// The deterministically merged result of a flow-sharded run. Every field
-/// is the element-wise / additive merge of the per-shard snapshots, taken
-/// in shard-index order.
+/// The run record: what a run left behind in its devices and simulator.
+/// A single [`Enforcement`] reports it ([`Enforcement::snapshot`], `shards`
+/// = 1), [`Controller::run_sharded`] and [`crate::EpochLoop::snapshot`]
+/// return the [`ShardedRun::merge`] of their shards' records in
+/// shard-index order — one type, so every consumer reads the same fields
+/// whichever way the run was driven.
 #[derive(Debug, Clone)]
 pub struct ShardedRun {
-    /// How many shards the flow list was split into.
+    /// How many per-shard records were folded into this one.
     pub shards: usize,
     /// Total simulator events processed across shards.
     pub events: u64,
@@ -138,10 +162,11 @@ pub struct ShardedRun {
     pub mbox_counters: Vec<MboxCounters>,
     /// Merged soft-state footprint.
     pub footprint: StateFootprint,
-    /// Merged telemetry snapshot ([`Enforcement::telemetry_snapshot`] per
-    /// shard, folded in shard-index order). All zeros unless telemetry was
-    /// enabled (`SDM_TELEMETRY` / [`EnforcementOptions::telemetry`]) —
-    /// except the scraped table/simulator families, which are always live.
+    /// Merged telemetry snapshot, built from the fields above plus the
+    /// hot-path collector. The collector's families are all zeros unless
+    /// telemetry was enabled (`SDM_TELEMETRY` /
+    /// [`EnforcementOptions::telemetry`]); the scraped table/simulator
+    /// families are always live.
     pub telemetry: sdm_telemetry::Snapshot,
 }
 
@@ -150,86 +175,43 @@ impl ShardedRun {
     pub fn load_report(&self, deployment: &Deployment) -> LoadReport {
         LoadReport::from_loads(deployment, &self.loads)
     }
-}
 
-/// One shard's plain-data snapshot, taken inside the worker thread after
-/// its private `Enforcement` ran to completion.
-struct ShardSnapshot {
-    events: u64,
-    stats: SimStats,
-    loads: Vec<u64>,
-    measurements: TrafficMatrix,
-    proxy_counters: Vec<ProxyCounters>,
-    ingress_counters: Vec<ProxyCounters>,
-    mbox_counters: Vec<MboxCounters>,
-    footprint: StateFootprint,
-    telemetry: sdm_telemetry::Snapshot,
-}
-
-fn snapshot(controller: &Controller, enf: &Enforcement, events: u64) -> ShardSnapshot {
-    let stubs = controller.addr_plan().stub_count();
-    let gateways = controller.plan().gateways().len();
-    let mboxes = controller.deployment().len();
-
-    let mut proxy_counters = Vec::with_capacity(stubs);
-    let mut proxy_flow_entries = Vec::with_capacity(stubs);
-    let mut proxy_flow_stats = Vec::with_capacity(stubs);
-    let mut proxy_neg_evictions = Vec::with_capacity(stubs);
-    for stub in controller.addr_plan().stubs() {
-        let state = enf.proxy_state(stub);
-        let st = state.lock();
-        proxy_counters.push(st.counters);
-        proxy_flow_entries.push(st.flows.len() as u64);
-        proxy_flow_stats.push(st.flows.stats());
-        proxy_neg_evictions.push(st.flows.negative_evictions());
+    /// Folds another record over the same controller into this one — the
+    /// only cross-shard fold. Every field is an exact integer sum or
+    /// maximum (or an integer-valued traffic volume), so the result does
+    /// not depend on how flows were split.
+    pub fn merge(&mut self, other: &ShardedRun) {
+        self.shards += other.shards;
+        self.events += other.events;
+        self.stats.merge(&other.stats);
+        debug_assert_eq!(self.loads.len(), other.loads.len());
+        for (d, v) in self.loads.iter_mut().zip(&other.loads) {
+            *d += v;
+        }
+        self.measurements.merge(&other.measurements);
+        for (d, v) in self.proxy_counters.iter_mut().zip(&other.proxy_counters) {
+            d.merge(v);
+        }
+        for (d, v) in self.ingress_counters.iter_mut().zip(&other.ingress_counters) {
+            d.merge(v);
+        }
+        for (d, v) in self.mbox_counters.iter_mut().zip(&other.mbox_counters) {
+            d.merge(v);
+        }
+        self.footprint.merge(&other.footprint);
+        self.telemetry.merge(&other.telemetry);
     }
 
-    let mut ingress_counters = Vec::with_capacity(gateways);
-    let mut ingress_flow_entries = Vec::with_capacity(gateways);
-    let mut ingress_neg_evictions = Vec::with_capacity(gateways);
-    for g in 0..gateways {
-        let state = enf.ingress_state(g);
-        let st = state.lock();
-        ingress_counters.push(st.counters);
-        ingress_flow_entries.push(st.flows.len() as u64);
-        ingress_neg_evictions.push(st.flows.negative_evictions());
-    }
-
-    let mut mbox_counters = Vec::with_capacity(mboxes);
-    let mut mbox_flow_entries = Vec::with_capacity(mboxes);
-    let mut mbox_label_entries = Vec::with_capacity(mboxes);
-    let mut mbox_flow_stats = Vec::with_capacity(mboxes);
-    let mut mbox_neg_evictions = Vec::with_capacity(mboxes);
-    for (id, _) in controller.deployment().iter() {
-        let state = enf.mbox_state(id);
-        let st = state.lock();
-        mbox_counters.push(st.counters);
-        mbox_flow_entries.push(st.flows.len() as u64);
-        mbox_label_entries.push(st.labels.len() as u64);
-        mbox_flow_stats.push(st.flows.stats());
-        mbox_neg_evictions.push(st.flows.negative_evictions());
-    }
-
-    ShardSnapshot {
-        events,
-        stats: enf.sim().stats().clone(),
-        loads: enf.middlebox_loads(),
-        measurements: enf.measurements(),
-        proxy_counters,
-        ingress_counters,
-        mbox_counters,
-        footprint: StateFootprint {
-            proxy_flow_entries,
-            proxy_flow_stats,
-            ingress_flow_entries,
-            mbox_flow_entries,
-            mbox_label_entries,
-            mbox_flow_stats,
-            proxy_neg_evictions,
-            ingress_neg_evictions,
-            mbox_neg_evictions,
-        },
-        telemetry: enf.telemetry_snapshot(),
+    /// Merges per-shard records in the order given (shard-index order).
+    pub(crate) fn fold(records: impl IntoIterator<Item = ShardedRun>) -> ShardedRun {
+        records
+            .into_iter()
+            .reduce(|mut run, record| {
+                run.merge(&record);
+                run
+            })
+            // lint:allow(hot-path-panic) — both callers hold at least one shard
+            .expect("at least one shard")
     }
 }
 
@@ -240,11 +222,11 @@ impl Controller {
     /// Flows are bucketed by [`shard_of`] (preserving input order inside a
     /// bucket); each worker builds its own [`Enforcement`] — a cheap clone
     /// of the controller's read-only plan, assignments and weights —
-    /// injects its bucket, runs to completion and snapshots plain data.
-    /// Snapshots are folded in shard-index order, so the result is
-    /// independent of thread scheduling: `run_sharded(n)` is bit-identical
-    /// to `run_sharded(1)` and to a legacy single-`Enforcement` run over
-    /// the same flow list.
+    /// injects its bucket, runs to completion and takes its
+    /// [`Enforcement::snapshot`]. The records are folded in shard-index
+    /// order, so the result is independent of thread scheduling:
+    /// `run_sharded(n)` is bit-identical to `run_sharded(1)` and, `shards`
+    /// aside, to the snapshot of one `Enforcement` over the same flow list.
     ///
     /// The worker-thread count is governed separately by `SDM_THREADS`
     /// (see [`sdm_util::par::thread_count`]); the shard count only decides
@@ -271,57 +253,15 @@ impl Controller {
         let report = crate::verify::verify_enforcement(self, weights, &options);
         assert!(!report.has_errors(), "{report}");
 
-        let shards = shards.max(1);
-        let mut buckets: Vec<Vec<FlowSpec>> = vec![Vec::new(); shards];
-        for spec in flows {
-            buckets[shard_of(&spec.flow, shards)].push(*spec);
-        }
-
-        let snapshots = par::par_map(&buckets, |_, bucket| {
+        let buckets = bucket_flows(flows, shards.max(1));
+        ShardedRun::fold(par::par_map(&buckets, |_, bucket| {
             let mut enf = self.enforcement(strategy, weights.cloned(), options);
             for spec in bucket {
                 enf.inject_flow(spec.flow, spec.packets, spec.payload);
             }
-            let events = enf.run();
-            snapshot(self, &enf, events)
-        });
-
-        let mut iter = snapshots.into_iter();
-        // lint:allow(hot-path-panic) — `shards.max(1)` above guarantees a first bucket
-        let first = iter.next().expect("at least one shard");
-        let mut run = ShardedRun {
-            shards,
-            events: first.events,
-            stats: first.stats,
-            loads: first.loads,
-            measurements: first.measurements,
-            proxy_counters: first.proxy_counters,
-            ingress_counters: first.ingress_counters,
-            mbox_counters: first.mbox_counters,
-            footprint: first.footprint,
-            telemetry: first.telemetry,
-        };
-        for s in iter {
-            run.events += s.events;
-            run.stats.merge(&s.stats);
-            debug_assert_eq!(run.loads.len(), s.loads.len());
-            for (d, v) in run.loads.iter_mut().zip(&s.loads) {
-                *d += v;
-            }
-            run.measurements.merge(&s.measurements);
-            for (d, v) in run.proxy_counters.iter_mut().zip(&s.proxy_counters) {
-                d.merge(v);
-            }
-            for (d, v) in run.ingress_counters.iter_mut().zip(&s.ingress_counters) {
-                d.merge(v);
-            }
-            for (d, v) in run.mbox_counters.iter_mut().zip(&s.mbox_counters) {
-                d.merge(v);
-            }
-            run.footprint.merge(&s.footprint);
-            run.telemetry.merge(&s.telemetry);
-        }
-        run
+            enf.run();
+            enf.snapshot()
+        }))
     }
 }
 
@@ -377,36 +317,80 @@ mod tests {
         }
     }
 
+    /// Every field of the record but `shards` and the telemetry families
+    /// that depend on the execution (queue occupancy, run length).
+    fn assert_same_record(got: &ShardedRun, want: &ShardedRun, label: &str) {
+        assert_eq!(got.events, want.events, "{label}: events");
+        assert_eq!(got.stats, want.stats, "{label}: stats");
+        assert_eq!(got.loads, want.loads, "{label}: loads");
+        assert_eq!(
+            got.measurements.iter().collect::<Vec<_>>(),
+            want.measurements.iter().collect::<Vec<_>>(),
+            "{label}: traffic matrix"
+        );
+        assert_eq!(got.proxy_counters, want.proxy_counters, "{label}: proxy counters");
+        assert_eq!(got.ingress_counters, want.ingress_counters, "{label}: ingress counters");
+        assert_eq!(got.mbox_counters, want.mbox_counters, "{label}: middlebox counters");
+        assert_eq!(got.footprint, want.footprint, "{label}: footprint");
+        assert_eq!(
+            got.telemetry.to_json(false),
+            want.telemetry.to_json(false),
+            "{label}: invariant telemetry"
+        );
+    }
+
     #[test]
-    fn sharded_run_matches_legacy_enforcement() {
+    fn sharded_run_matches_one_enforcement() {
         let c = controller();
         let specs = flows(&c, 200);
-
-        // Legacy: one Enforcement over the whole list.
-        let mut enf = c.enforcement(Strategy::HotPotato, None, Default::default());
-        for s in &specs {
-            enf.inject_flow(s.flow, s.packets, s.payload);
-        }
-        enf.run();
-        let legacy_loads = enf.middlebox_loads();
-        let legacy_stats = enf.sim().stats().clone();
+        // Traffic entering at a gateway has an external source, which a
+        // `run_sharded` flow list cannot carry (`inject_flow` wants a stub
+        // source) — so the ingress half takes the same bucket / snapshot /
+        // fold steps by hand.
+        let gw = c.plan().gateways()[0];
+        let inbound: Vec<FlowSpec> = specs[..40]
+            .iter()
+            .enumerate()
+            .map(|(i, s)| FlowSpec {
+                flow: FiveTuple {
+                    src: sdm_netsim::Ipv4Addr(0x5DB8_D800 + i as u32),
+                    ..s.flow
+                },
+                ..*s
+            })
+            .collect();
+        let run = |stub: &[FlowSpec], inbound: &[FlowSpec]| {
+            let mut enf = c.enforcement(Strategy::HotPotato, None, Default::default());
+            for s in stub {
+                enf.inject_flow(s.flow, s.packets, s.payload);
+            }
+            for s in inbound {
+                let pkt = sdm_netsim::Packet::with_weight(s.flow, s.payload, s.packets);
+                enf.sim_mut().inject_at_router(gw, pkt);
+            }
+            enf.run();
+            enf.snapshot()
+        };
+        let one = run(&specs, &[]);
+        let one_inbound = run(&specs, &inbound);
+        assert_eq!(one.shards, 1);
+        assert!(one_inbound.ingress_counters[0].steered > 0, "gateway proxy must steer");
+        assert!(one_inbound.footprint.ingress_flow_stats[0].misses > 0);
 
         for shards in [1usize, 3, 4] {
-            let run = c.run_sharded(Strategy::HotPotato, None, Default::default(), &specs, shards);
-            assert_eq!(run.shards, shards);
-            assert_eq!(run.loads, legacy_loads, "loads, {shards} shards");
-            assert_eq!(run.stats.delivered, legacy_stats.delivered);
-            assert_eq!(run.stats.link_hops, legacy_stats.link_hops);
-            assert_eq!(run.stats.dropped_ttl, legacy_stats.dropped_ttl);
-            assert_eq!(run.stats.unroutable, legacy_stats.unroutable);
-            assert_eq!(run.measurements.grand_total(), enf.measurements().grand_total());
-            let total_entries: u64 = run.footprint.proxy_flow_entries.iter().sum();
-            let legacy_entries: u64 = c
-                .addr_plan()
-                .stubs()
-                .map(|s| enf.proxy_state(s).lock().flows.len() as u64)
-                .sum();
-            assert_eq!(total_entries, legacy_entries, "proxy cache footprint");
+            let sharded =
+                c.run_sharded(Strategy::HotPotato, None, Default::default(), &specs, shards);
+            assert_eq!(sharded.shards, shards);
+            assert_same_record(&sharded, &one, &format!("{shards} shards"));
+
+            let folded = ShardedRun::fold(
+                bucket_flows(&specs, shards)
+                    .iter()
+                    .zip(&bucket_flows(&inbound, shards))
+                    .map(|(stub, inbound)| run(stub, inbound)),
+            );
+            assert_eq!(folded.shards, shards);
+            assert_same_record(&folded, &one_inbound, &format!("{shards} shards, inbound"));
         }
     }
 

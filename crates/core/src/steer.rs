@@ -123,48 +123,43 @@ impl Assignments {
         gateways: &[sdm_topology::NodeId],
         k: &KConfig,
     ) -> Self {
-        let functions = deployment.functions();
-        let mut proxy = Vec::with_capacity(edge_routers.len());
-        for &edge in edge_routers {
-            let mut per_fn = FxHashMap::default();
-            for &e in &functions {
-                let offer = deployment.offering(e);
-                per_fn.insert(e, k_closest_boxes(&offer, deployment, routes, edge, k.k_for(e)));
-            }
-            proxy.push(per_fn);
+        let mut all = Assignments {
+            proxy: vec![FxHashMap::default(); edge_routers.len()],
+            mbox: vec![FxHashMap::default(); deployment.len()],
+            gateway: vec![FxHashMap::default(); gateways.len()],
+        };
+        for e in deployment.functions() {
+            all.fill_function(e, deployment, routes, edge_routers, gateways, k);
         }
-        let mut gateway = Vec::with_capacity(gateways.len());
-        for &gw in gateways {
-            let mut per_fn = FxHashMap::default();
-            for &e in &functions {
-                let offer = deployment.offering(e);
-                per_fn.insert(e, k_closest_boxes(&offer, deployment, routes, gw, k.k_for(e)));
-            }
-            gateway.push(per_fn);
+        all
+    }
+
+    /// (Re)builds the candidate lists for function `e` at every steer
+    /// point: the one loop a full build runs for every deployed function
+    /// and a repair for the changed box's functions.
+    fn fill_function(
+        &mut self,
+        e: NetworkFunction,
+        deployment: &Deployment,
+        routes: &RoutingTables,
+        edge_routers: &[sdm_topology::NodeId],
+        gateways: &[sdm_topology::NodeId],
+        k: &KConfig,
+    ) {
+        let offer = deployment.offering(e);
+        let closest = |from| k_closest_boxes(&offer, deployment, routes, from, k.k_for(e));
+        for (per_fn, &edge) in self.proxy.iter_mut().zip(edge_routers) {
+            per_fn.insert(e, closest(edge));
         }
-        let mut mbox = Vec::with_capacity(deployment.len());
-        for (id, spec) in deployment.iter() {
-            let mut per_fn = FxHashMap::default();
-            for &e in &functions {
-                if spec.implements(e) {
-                    continue;
-                }
-                let offer: Vec<MiddleboxId> = deployment
-                    .offering(e)
-                    .into_iter()
-                    .filter(|&m| m != id)
-                    .collect();
-                per_fn.insert(
-                    e,
-                    k_closest_boxes(&offer, deployment, routes, spec.router, k.k_for(e)),
-                );
-            }
-            mbox.push(per_fn);
+        for (per_fn, &gw) in self.gateway.iter_mut().zip(gateways) {
+            per_fn.insert(e, closest(gw));
         }
-        Assignments {
-            proxy,
-            mbox,
-            gateway,
+        for (per_fn, (_, spec)) in self.mbox.iter_mut().zip(deployment.iter()) {
+            // A box that implements `e` applies it locally and gets no
+            // list; any other box is not in `offer`, so none needs excluding.
+            if !spec.implements(e) {
+                per_fn.insert(e, closest(spec.router));
+            }
         }
     }
 
@@ -178,7 +173,6 @@ impl Assignments {
     ///
     /// Cost: `O(points × |functions(changed)|)` list rebuilds instead of
     /// the full `O(points × |Π|)`.
-    #[allow(clippy::too_many_arguments)]
     pub fn repair_for_middlebox(
         &mut self,
         changed: MiddleboxId,
@@ -188,34 +182,8 @@ impl Assignments {
         gateways: &[sdm_topology::NodeId],
         k: &KConfig,
     ) {
-        let affected: Vec<NetworkFunction> = deployment
-            .spec(changed)
-            .functions
-            .iter()
-            .copied()
-            .collect();
-        for &e in &affected {
-            let offer = deployment.offering(e);
-            let kk = k.k_for(e);
-            for (i, per_fn) in self.proxy.iter_mut().enumerate() {
-                per_fn.insert(
-                    e,
-                    k_closest_boxes(&offer, deployment, routes, edge_routers[i], kk),
-                );
-            }
-            for (i, per_fn) in self.gateway.iter_mut().enumerate() {
-                per_fn.insert(e, k_closest_boxes(&offer, deployment, routes, gateways[i], kk));
-            }
-            for (i, per_fn) in self.mbox.iter_mut().enumerate() {
-                let id = MiddleboxId(i as u32);
-                let spec = deployment.spec(id);
-                if spec.implements(e) {
-                    continue;
-                }
-                let others: Vec<MiddleboxId> =
-                    offer.iter().copied().filter(|&m| m != id).collect();
-                per_fn.insert(e, k_closest_boxes(&others, deployment, routes, spec.router, kk));
-            }
+        for &e in &deployment.spec(changed).functions {
+            self.fill_function(e, deployment, routes, edge_routers, gateways, k);
         }
     }
 

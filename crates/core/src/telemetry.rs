@@ -1,71 +1,78 @@
-//! Deterministic metrics scraping: assembles an [`sdm_telemetry::Snapshot`]
-//! from one [`Enforcement`](crate::Enforcement)'s device tables, simulator
-//! totals and hot-path collector.
+//! Deterministic metrics scraping: assembles the [`sdm_telemetry::Snapshot`]
+//! of a run record from the numbers [`Enforcement::snapshot`] collected on
+//! its one walk over the device states, plus the hot-path collector. No
+//! device state is locked here.
 //!
-//! Every value scraped here is an additive fold over per-device state, so
-//! the per-shard snapshots produced under `SDM_SHARDS > 1` merge (in shard
+//! Every value scraped is an additive fold over per-device numbers, so the
+//! per-shard snapshots produced under `SDM_SHARDS > 1` merge (in shard
 //! index order) to exactly the single-shard snapshot for every family
 //! marked `invariant` in the [`sdm_telemetry::REGISTRY`].
+//!
+//! [`Enforcement::snapshot`]: crate::Enforcement::snapshot
 
-use sdm_policy::FlowTable;
-use sdm_telemetry::{family, Snapshot};
+use sdm_telemetry::{family, ShardTelemetry};
 
-use crate::controller::Enforcement;
+use crate::shard::ShardedRun;
 
 /// Device-kind label indices, matching [`sdm_telemetry::DEVICE_KINDS`].
-const KIND_PROXY: usize = 0;
-const KIND_INGRESS: usize = 1;
-const KIND_MBOX: usize = 2;
+pub(crate) const KIND_PROXY: usize = 0;
+pub(crate) const KIND_INGRESS: usize = 1;
+pub(crate) const KIND_MBOX: usize = 2;
 
-/// Folds one device's flow-cache counters into the snapshot under its
-/// device-kind label.
-fn scrape_flow_table(snap: &mut Snapshot, kind: usize, flows: &FlowTable) {
-    let stats = flows.stats();
-    snap.add_labeled(family::FLOW_HITS, kind, stats.hits);
-    snap.add_labeled(family::FLOW_MISSES, kind, stats.misses);
-    snap.add_labeled(family::FLOW_NEGATIVE_HITS, kind, stats.negative_hits);
-    snap.add_labeled(family::FLOW_EXPIRED, kind, stats.expired);
-    snap.add_labeled(family::FLOW_SWEEPS, kind, flows.sweeps());
-    snap.add_labeled(family::FLOW_ENTRIES, kind, flows.len() as u64);
-}
-
-/// Assembles the full metrics snapshot for one enforcement simulation.
+/// Fills in the `telemetry` field (all zeros on entry) of one
+/// enforcement's record from its other fields, already collected;
+/// `sweeps` is the flow-table sweep passes per device kind, `tel` the
+/// hot-path collector.
 ///
-/// The walk order is fixed (stub proxies by [`sdm_netsim::StubId`],
-/// ingress proxies by gateway index, middleboxes by
-/// [`crate::MiddleboxId`]) but immaterial: every family is either
-/// order-independent (sums) or dense-indexed by the device itself.
-pub(crate) fn scrape(enf: &Enforcement) -> Snapshot {
-    let mut snap = Snapshot::new();
+/// Every family is either order-independent (sums) or dense-indexed by
+/// the device itself.
+pub(crate) fn scrape(
+    run: &mut ShardedRun,
+    sweeps: [u64; sdm_telemetry::DEVICE_KINDS.len()],
+    trace_dropped: u64,
+    tel: &ShardTelemetry,
+) {
+    let ShardedRun {
+        telemetry: snap,
+        footprint: fp,
+        stats,
+        loads,
+        proxy_counters,
+        ingress_counters,
+        mbox_counters,
+        ..
+    } = run;
 
-    for stub in enf.config().addr_plan.stubs() {
-        let st = enf.proxy_state(stub);
-        let st = st.lock();
-        scrape_flow_table(&mut snap, KIND_PROXY, &st.flows);
-        snap.add(family::LABEL_SWITCHED, st.counters.label_switched);
+    // Flow-cache counters, folded per device kind under its label.
+    let tables = [
+        (KIND_PROXY, &fp.proxy_flow_stats, &fp.proxy_flow_entries),
+        (KIND_INGRESS, &fp.ingress_flow_stats, &fp.ingress_flow_entries),
+        (KIND_MBOX, &fp.mbox_flow_stats, &fp.mbox_flow_entries),
+    ];
+    for (kind, stats, entries) in tables {
+        for s in stats {
+            snap.add_labeled(family::FLOW_HITS, kind, s.hits);
+            snap.add_labeled(family::FLOW_MISSES, kind, s.misses);
+            snap.add_labeled(family::FLOW_NEGATIVE_HITS, kind, s.negative_hits);
+            snap.add_labeled(family::FLOW_EXPIRED, kind, s.expired);
+        }
+        snap.add_labeled(family::FLOW_SWEEPS, kind, sweeps[kind]);
+        snap.add_labeled(family::FLOW_ENTRIES, kind, entries.iter().sum());
     }
-    for gi in 0..enf.ingress_count() {
-        let st = enf.ingress_state(gi);
-        let st = st.lock();
-        scrape_flow_table(&mut snap, KIND_INGRESS, &st.flows);
-        snap.add(family::LABEL_SWITCHED, st.counters.label_switched);
+    for c in proxy_counters.iter().chain(ingress_counters.iter()) {
+        snap.add(family::LABEL_SWITCHED, c.label_switched);
     }
-    for (i, &load) in enf.middlebox_loads().iter().enumerate() {
-        let st = enf.mbox_state(crate::deployment::MiddleboxId(i as u32));
-        let st = st.lock();
-        scrape_flow_table(&mut snap, KIND_MBOX, &st.flows);
-        snap.add(family::LABEL_ENTRIES, st.labels.len() as u64);
-        snap.add(family::LABEL_MISSES, st.counters.label_misses);
+    snap.add(family::LABEL_ENTRIES, fp.mbox_label_entries.iter().sum());
+    for (i, (c, &load)) in mbox_counters.iter().zip(loads.iter()).enumerate() {
+        snap.add(family::LABEL_MISSES, c.label_misses);
         snap.add_dense(family::MBOX_LOAD, i, load);
-        snap.add_dense(family::MBOX_DROPS, i, st.counters.dropped_failed);
+        snap.add_dense(family::MBOX_DROPS, i, c.dropped_failed);
     }
 
-    let stats = enf.sim().stats();
     snap.add(family::PACKETS_DELIVERED, stats.delivered);
     snap.add(family::LINK_HOPS, stats.link_hops);
     snap.add(family::DROPPED_TTL, stats.dropped_ttl);
-    snap.add(family::TRACE_DROPPED, enf.sim().trace_dropped());
+    snap.add(family::TRACE_DROPPED, trace_dropped);
 
-    enf.telemetry().export_into(&mut snap);
-    snap
+    tel.export_into(snap);
 }

@@ -11,7 +11,7 @@
 //! Every in-flight packet lives in a [`PacketArena`] slot and is scheduled
 //! by its 4-byte [`PacketId`]; events are dispatched from a
 //! [`CalendarQueue`] of exact-tick buckets (heap fallback for far-future
-//! timers). Per hop the engine therefore moves a 16-byte event, not a
+//! events). Per hop the engine therefore moves a 12-byte event, not a
 //! packet struct, and performs no hash lookups: device addresses decode
 //! arithmetically (they are assigned densely from `172.16.0.0/12`), link
 //! ids come from a flat `node × node` table, and stub/gateway targets from
@@ -143,16 +143,11 @@ pub trait Device {
     /// order as handling the packets one run each.
     /// `tests/batching_equivalence.rs` pins this for the in-tree devices.
     fn receive(&mut self, ctx: &mut DeviceCtx<'_>, pkts: &[PacketId]);
-
-    /// Called when a timer set through [`DeviceCtx::set_timer`] fires.
-    fn on_timer(&mut self, ctx: &mut DeviceCtx<'_>, key: u64) {
-        let _ = (ctx, key);
-    }
 }
 
 /// Side-effect interface handed to a [`Device`] during callbacks.
 ///
-/// Forward/deliver/timer actions are buffered and applied by the engine
+/// Forward/deliver actions are buffered and applied by the engine
 /// after the callback returns, in order. Packet reads and mutations go
 /// straight to the arena.
 pub struct DeviceCtx<'a> {
@@ -167,7 +162,6 @@ pub struct DeviceCtx<'a> {
 enum Action {
     Forward(PacketId),
     DeliverLocal(PacketId),
-    SetTimer { delay: u64, key: u64 },
 }
 
 impl<'a> DeviceCtx<'a> {
@@ -222,11 +216,6 @@ impl<'a> DeviceCtx<'a> {
     /// (used by proxies for inbound traffic that has passed all policies).
     pub fn deliver_local(&mut self, id: PacketId) {
         self.actions.push(Action::DeliverLocal(id));
-    }
-
-    /// Schedules [`Device::on_timer`] with `key` after `delay` ticks.
-    pub fn set_timer(&mut self, delay: u64, key: u64) {
-        self.actions.push(Action::SetTimer { delay, key });
     }
 }
 
@@ -360,7 +349,6 @@ unroutable {}, control {}",
 enum EventKind {
     Arrive { node: NodeId, pkt: PacketId },
     DeviceRecv { dev: DeviceId, pkt: PacketId },
-    Timer { dev: DeviceId, key: u64 },
 }
 
 struct DeviceSlot {
@@ -880,10 +868,6 @@ impl Simulator {
                         self.route_step(node, pkt);
                         i += 1;
                     }
-                    EventKind::Timer { dev, key } => {
-                        self.dispatch_device(dev, |device, ctx| device.on_timer(ctx, key));
-                        i += 1;
-                    }
                     EventKind::DeviceRecv { dev, .. } => {
                         // The run of consecutive deliveries to `dev`.
                         ready.clear();
@@ -896,7 +880,7 @@ impl Simulator {
                         }
                         if !ready.is_empty() {
                             self.tel.observe_run_length(ready.len() as u64);
-                            self.dispatch_device(dev, |device, ctx| device.receive(ctx, &ready));
+                            self.dispatch_device(dev, &ready);
                             self.flush_pending_traces(None);
                         }
                     }
@@ -958,13 +942,9 @@ impl Simulator {
         self.trace_pending = pending;
     }
 
-    /// Runs one device callback — a packet run or a timer — then applies
-    /// the actions it buffered, in emission order.
-    fn dispatch_device(
-        &mut self,
-        dev: DeviceId,
-        callback: impl FnOnce(&mut dyn Device, &mut DeviceCtx<'_>),
-    ) {
+    /// Hands one run of packets to its device, then applies the actions
+    /// the device buffered, in emission order.
+    fn dispatch_device(&mut self, dev: DeviceId, pkts: &[PacketId]) {
         let mut actions = std::mem::take(&mut self.actions);
         let slot = &mut self.devices[dev.index()];
         let router = slot.router;
@@ -977,20 +957,14 @@ impl Simulator {
             arena: &mut self.arena,
             actions: &mut actions,
         };
-        callback(slot.device.as_mut(), &mut ctx);
-        self.apply_actions(dev, router, attachment, &mut actions);
+        slot.device.receive(&mut ctx, pkts);
+        self.apply_actions(router, attachment, &mut actions);
         self.actions = actions;
     }
 
     /// Applies the actions a device buffered during a callback, in
     /// emission order.
-    fn apply_actions(
-        &mut self,
-        dev: DeviceId,
-        router: NodeId,
-        attachment: Attachment,
-        actions: &mut Vec<Action>,
-    ) {
+    fn apply_actions(&mut self, router: NodeId, attachment: Attachment, actions: &mut Vec<Action>) {
         for action in actions.drain(..) {
             match action {
                 Action::Forward(p) => {
@@ -1011,10 +985,6 @@ impl Simulator {
                         self.record_delivery(StubId(stub), p);
                     }
                 },
-                Action::SetTimer { delay, key } => {
-                    let at = self.now.after(delay);
-                    self.queue.push(at, EventKind::Timer { dev, key });
-                }
             }
         }
     }
@@ -1575,40 +1545,6 @@ mod tests {
         sim.run_until_idle();
         assert_eq!(sim.stats().delivered, 0);
         assert_eq!(sim.stats().dropped_ttl, 1);
-    }
-
-    struct TimerDevice {
-        fired: std::sync::Arc<std::sync::atomic::AtomicU64>,
-    }
-    impl Device for TimerDevice {
-        fn receive(&mut self, ctx: &mut DeviceCtx<'_>, pkts: &[PacketId]) {
-            for &pkt in pkts {
-                ctx.drop_pkt(pkt);
-                ctx.set_timer(10, 42);
-            }
-        }
-        fn on_timer(&mut self, _ctx: &mut DeviceCtx<'_>, key: u64) {
-            self.fired
-                .store(key, std::sync::atomic::Ordering::SeqCst);
-        }
-    }
-
-    #[test]
-    fn timers_fire_after_delay() {
-        let plan = campus(1);
-        let mut sim = Simulator::new(&plan);
-        let fired = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let (dev, _) = sim.attach(
-            plan.edges()[0],
-            Attachment::InPath,
-            Box::new(TimerDevice { fired: fired.clone() }),
-        );
-        sim.set_stub_handler(StubId(0), dev);
-        let ft = flow(&sim, StubId(0), StubId(1));
-        sim.inject_from_stub(StubId(0), Packet::data(ft, 10));
-        sim.run_until_idle();
-        assert_eq!(fired.load(std::sync::atomic::Ordering::SeqCst), 42);
-        assert!(sim.now() >= SimTime(10));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! traversal (= one tick) ahead, so a ring of per-tick buckets covering the
 //! window `[cur, cur + W)` turns push and pop into O(1) vector operations —
 //! no sift-up/down, no comparator, no moving payloads around a heap. Only
-//! genuinely far-future events (long timers, deep service-queue backlogs)
+//! genuinely far-future events (paced injections, deep service-queue backlogs)
 //! overflow into a conventional heap and migrate into the ring as the
 //! window advances.
 //!

@@ -4,7 +4,6 @@
 //! (Waxman's model, JSAC 1988), each with 4 core-to-core links; 400 edge
 //! routers spread equally across cores.
 
-use sdm_util::json::{FromJson, Json, JsonError, ToJson};
 use sdm_util::rng::StdRng;
 
 use crate::graph::{NodeKind, Topology};
@@ -41,42 +40,6 @@ impl Default for WaxmanConfig {
             alpha: 0.4,
             beta: 0.9,
         }
-    }
-}
-
-impl ToJson for WaxmanConfig {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("cores", Json::from(self.cores)),
-            ("edges", Json::from(self.edges)),
-            ("region", Json::Num(self.region)),
-            ("links_per_core", Json::from(self.links_per_core)),
-            ("alpha", Json::Num(self.alpha)),
-            ("beta", Json::Num(self.beta)),
-        ])
-    }
-}
-
-impl FromJson for WaxmanConfig {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let count = |key: &str| {
-            v.req(key)?
-                .as_usize()
-                .ok_or_else(|| JsonError::msg(format!("{key} must be a non-negative integer")))
-        };
-        let num = |key: &str| {
-            v.req(key)?
-                .as_f64()
-                .ok_or_else(|| JsonError::msg(format!("{key} must be a number")))
-        };
-        Ok(WaxmanConfig {
-            cores: count("cores")?,
-            edges: count("edges")?,
-            region: num("region")?,
-            links_per_core: count("links_per_core")?,
-            alpha: num("alpha")?,
-            beta: num("beta")?,
-        })
     }
 }
 
@@ -234,14 +197,6 @@ fn components(t: &Topology, cores: &[crate::NodeId]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn config_json_round_trip() {
-        let cfg = WaxmanConfig::default();
-        let text = cfg.to_json().to_string();
-        let back = WaxmanConfig::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, cfg);
-    }
 
     #[test]
     fn default_matches_paper_counts() {

@@ -32,12 +32,12 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
-/// Error from [`Json::parse`] or a [`FromJson`] conversion.
+/// Error from [`Json::parse`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct JsonError {
     /// Human-readable description.
     pub msg: String,
-    /// Byte offset in the input (0 for conversion errors).
+    /// Byte offset in the input.
     pub at: usize,
 }
 
@@ -48,25 +48,6 @@ impl fmt::Display for JsonError {
 }
 
 impl std::error::Error for JsonError {}
-
-impl JsonError {
-    /// A conversion (non-positional) error.
-    pub fn msg(m: impl Into<String>) -> Self {
-        JsonError { msg: m.into(), at: 0 }
-    }
-}
-
-/// Types that can serialize themselves to a [`Json`] value.
-pub trait ToJson {
-    /// The JSON representation.
-    fn to_json(&self) -> Json;
-}
-
-/// Types that can deserialize themselves from a [`Json`] value.
-pub trait FromJson: Sized {
-    /// Parses the value; `Err` on shape/type mismatch.
-    fn from_json(v: &Json) -> Result<Self, JsonError>;
-}
 
 impl Json {
     /// An object builder from key/value pairs.
@@ -87,12 +68,6 @@ impl Json {
         }
     }
 
-    /// Member lookup that errors with the key name, for [`FromJson`] impls.
-    pub fn req(&self, key: &str) -> Result<&Json, JsonError> {
-        self.get(key)
-            .ok_or_else(|| JsonError::msg(format!("missing key `{key}`")))
-    }
-
     /// The number, if any.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -109,11 +84,6 @@ impl Json {
             }
             _ => None,
         }
-    }
-
-    /// The number as an exact usize, if it is one.
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().map(|v| v as usize)
     }
 
     /// The string, if any.

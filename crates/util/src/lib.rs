@@ -30,5 +30,5 @@ pub mod rng;
 pub mod sync;
 
 pub use fxhash::{FxHashMap, FxHashSet};
-pub use json::{FromJson, Json, JsonError, ToJson};
+pub use json::{Json, JsonError};
 pub use rng::{SliceRandom, StdRng};

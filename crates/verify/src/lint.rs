@@ -91,9 +91,12 @@ pub const HOT_PATH_SUFFIXES: &[&str] = &[
     "netsim/src/engine.rs",
     "netsim/src/queue.rs",
     "core/src/shard.rs",
+    "core/src/epoch.rs",
     "core/src/proxy.rs",
     "core/src/middlebox.rs",
     "policy/src/flow_table.rs",
+    "policy/src/oa_table.rs",
+    "policy/src/label_table.rs",
     "policy/src/local.rs",
     "policy/src/classifier.rs",
 ];

@@ -35,6 +35,13 @@ fn fixture_trips_every_rule() {
             "fixture must trip {rule}: {violations:?}"
         );
     }
+    // The hot-path list covers the epoch loop (and with it the other
+    // suffixes added alongside: `oa_table.rs`, `label_table.rs`).
+    assert!(
+        violations.iter().any(|v| v.rule == sdm_verify::lint::RULE_HOT_PATH_PANIC
+            && v.file.ends_with("core/src/epoch.rs")),
+        "expect() in the epoch fixture must trip hot-path-panic: {violations:?}"
+    );
     // The missing #![forbid(unsafe_code)] attribute is reported at line 0
     // of lib.rs, distinct from the `unsafe` block inside the function.
     assert!(

@@ -1,7 +1,6 @@
 //! Flow generation: power-law sizes, one third of flows per policy class
 //! (§IV.A), each flow synthesized to first-match its intended policy.
 
-use sdm_util::json::{FromJson, Json, JsonError, ToJson};
 use sdm_util::rng::StdRng;
 use sdm_netsim::{AddressPlan, FiveTuple, Protocol, StubId};
 use sdm_policy::PolicyId;
@@ -48,40 +47,6 @@ impl Default for WorkloadConfig {
             payload: 512,
             seed: 1,
         }
-    }
-}
-
-impl ToJson for WorkloadConfig {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("flows", Json::from(self.flows)),
-            ("size_min", Json::from(self.size_min)),
-            ("size_max", Json::from(self.size_max)),
-            ("alpha", Json::Num(self.alpha)),
-            ("payload", Json::from(self.payload)),
-            ("seed", Json::from(self.seed)),
-        ])
-    }
-}
-
-impl FromJson for WorkloadConfig {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let uint = |key: &str| {
-            v.req(key)?
-                .as_u64()
-                .ok_or_else(|| JsonError::msg(format!("{key} must be a non-negative integer")))
-        };
-        Ok(WorkloadConfig {
-            flows: uint("flows")? as usize,
-            size_min: uint("size_min")?,
-            size_max: uint("size_max")?,
-            alpha: v
-                .req("alpha")?
-                .as_f64()
-                .ok_or_else(|| JsonError::msg("alpha must be a number"))?,
-            payload: uint("payload")? as u32,
-            seed: uint("seed")?,
-        })
     }
 }
 
@@ -265,19 +230,6 @@ mod tests {
     use super::*;
     use crate::policies::{evaluation_policies, PolicyClass, PolicyClassCounts};
     use sdm_topology::campus::campus;
-
-    #[test]
-    fn workload_config_json_round_trip() {
-        let cfg = WorkloadConfig::default();
-        let text = cfg.to_json().to_string_pretty();
-        let back = WorkloadConfig::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, cfg);
-    }
-
-    #[test]
-    fn workload_config_json_rejects_missing_field() {
-        assert!(WorkloadConfig::from_json(&Json::parse("{}").unwrap()).is_err());
-    }
 
     fn world() -> (GeneratedPolicies, AddressPlan) {
         let plan = campus(1);

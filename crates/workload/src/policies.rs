@@ -1,6 +1,5 @@
 //! Generation of the three policy classes of §IV.A.
 
-use sdm_util::json::{FromJson, Json, JsonError, ToJson};
 use sdm_util::rng::StdRng;
 use sdm_netsim::{AddressPlan, StubId};
 use sdm_policy::{
@@ -59,36 +58,6 @@ impl Default for PolicyClassCounts {
             one_to_one: 10,
             companions: false,
         }
-    }
-}
-
-impl ToJson for PolicyClassCounts {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("many_to_one", Json::from(self.many_to_one)),
-            ("one_to_many", Json::from(self.one_to_many)),
-            ("one_to_one", Json::from(self.one_to_one)),
-            ("companions", Json::from(self.companions)),
-        ])
-    }
-}
-
-impl FromJson for PolicyClassCounts {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let count = |key: &str| {
-            v.req(key)?
-                .as_usize()
-                .ok_or_else(|| JsonError::msg(format!("{key} must be a non-negative integer")))
-        };
-        Ok(PolicyClassCounts {
-            many_to_one: count("many_to_one")?,
-            one_to_many: count("one_to_many")?,
-            one_to_one: count("one_to_one")?,
-            companions: v
-                .req("companions")?
-                .as_bool()
-                .ok_or_else(|| JsonError::msg("companions must be a boolean"))?,
-        })
     }
 }
 
@@ -272,19 +241,6 @@ mod tests {
     use sdm_netsim::AddressPlan;
     use sdm_policy::NetworkFunction::*;
     use sdm_topology::campus::campus;
-
-    #[test]
-    fn class_counts_json_round_trip() {
-        let counts = PolicyClassCounts {
-            many_to_one: 3,
-            one_to_many: 7,
-            one_to_one: 11,
-            companions: true,
-        };
-        let text = counts.to_json().to_string();
-        let back = PolicyClassCounts::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, counts);
-    }
 
     fn gen() -> GeneratedPolicies {
         let plan = campus(1);

@@ -3,36 +3,26 @@
 //! packet long — the run caches and the deferred trace flush never
 //! engage), a small odd limit (3) and the default (256) is
 //! **bit-identical** — simulator stats, middlebox loads, traffic
-//! measurements, per-device counters and soft-state footprints — across
-//! randomized deployments, strategies and steering encodings.
+//! measurements, per-device counters and soft-state footprints, all read
+//! off `Enforcement::snapshot` — across randomized deployments, strategies
+//! and steering encodings.
 //!
 //! Drain limits are set per-`Enforcement` via `sim_mut().set_batch_size`,
 //! the same loop at every limit.
 
 use sdm::core::{
-    Controller, Deployment, Enforcement, EnforcementOptions, FlowSpec, KConfig, MiddleboxSpec,
-    StateFootprint, Strategy as Steering, SteeringEncoding,
+    Controller, Deployment, EnforcementOptions, FlowSpec, KConfig, MiddleboxSpec, ShardedRun,
+    Strategy as Steering, SteeringEncoding,
 };
-use sdm::netsim::{FiveTuple, Packet, Protocol, SimStats, StubId};
+use sdm::netsim::{FiveTuple, Packet, Protocol, StubId};
 use sdm::policy::{ActionList, NetworkFunction, Policy, PolicySet, TrafficDescriptor};
 use sdm::util::prop::{check, Config};
-use sdm::util::prop_assert_eq;
 use sdm::util::rng::StdRng;
 use sdm_bench::{ExperimentConfig, World};
 use sdm_workload::{to_flow_specs, WorkloadConfig};
 
-/// Everything one run exposes, so two runs compare with one
-/// `prop_assert_eq` per field.
-struct Snapshot {
-    stats: SimStats,
-    loads: Vec<u64>,
-    measurements: Vec<(sdm::netsim::StubId, sdm::core::DestKey, sdm::policy::PolicyId, f64)>,
-    proxy_counters: Vec<sdm::core::ProxyCounters>,
-    ingress_counters: Vec<sdm::core::ProxyCounters>,
-    ingress_flow_stats: Vec<sdm::policy::FlowTableStats>,
-    mbox_counters: Vec<sdm::core::MboxCounters>,
-    footprint: StateFootprint,
-}
+mod common;
+use common::compare;
 
 fn run_with_batch(
     controller: &Controller,
@@ -40,93 +30,14 @@ fn run_with_batch(
     options: EnforcementOptions,
     specs: &[FlowSpec],
     batch: usize,
-) -> Snapshot {
+) -> ShardedRun {
     let mut enf = controller.enforcement(strategy, None, options);
     enf.sim_mut().set_batch_size(batch);
     for s in specs {
         enf.inject_flow(s.flow, s.packets, s.payload);
     }
     enf.run();
-    snapshot(controller, &enf)
-}
-
-fn snapshot(controller: &Controller, enf: &Enforcement) -> Snapshot {
-    let mut footprint = StateFootprint::default();
-    let mut proxy_counters = Vec::new();
-    for stub in controller.addr_plan().stubs() {
-        let st = enf.proxy_state(stub);
-        let st = st.lock();
-        proxy_counters.push(st.counters);
-        footprint.proxy_flow_entries.push(st.flows.len() as u64);
-        footprint.proxy_flow_stats.push(st.flows.stats());
-        footprint.proxy_neg_evictions.push(st.flows.negative_evictions());
-    }
-    let mut ingress_counters = Vec::new();
-    let mut ingress_flow_stats = Vec::new();
-    for g in 0..controller.plan().gateways().len() {
-        let st = enf.ingress_state(g);
-        let st = st.lock();
-        ingress_counters.push(st.counters);
-        ingress_flow_stats.push(st.flows.stats());
-        footprint.ingress_flow_entries.push(st.flows.len() as u64);
-        footprint.ingress_neg_evictions.push(st.flows.negative_evictions());
-    }
-    let mut mbox_counters = Vec::new();
-    for (id, _) in controller.deployment().iter() {
-        let st = enf.mbox_state(id);
-        let st = st.lock();
-        mbox_counters.push(st.counters);
-        footprint.mbox_flow_entries.push(st.flows.len() as u64);
-        footprint.mbox_label_entries.push(st.labels.len() as u64);
-        footprint.mbox_flow_stats.push(st.flows.stats());
-        footprint.mbox_neg_evictions.push(st.flows.negative_evictions());
-    }
-    Snapshot {
-        stats: enf.sim().stats().clone(),
-        loads: enf.middlebox_loads(),
-        measurements: enf.measurements().iter().collect(),
-        proxy_counters,
-        ingress_counters,
-        ingress_flow_stats,
-        mbox_counters,
-        footprint,
-    }
-}
-
-fn compare(scalar: &Snapshot, batched: &Snapshot, label: &str) -> Result<(), String> {
-    prop_assert_eq!(&batched.stats, &scalar.stats, "{label}: sim stats");
-    prop_assert_eq!(&batched.loads, &scalar.loads, "{label}: loads");
-    prop_assert_eq!(
-        &batched.measurements,
-        &scalar.measurements,
-        "{label}: traffic matrix"
-    );
-    prop_assert_eq!(
-        &batched.proxy_counters,
-        &scalar.proxy_counters,
-        "{label}: proxy counters"
-    );
-    prop_assert_eq!(
-        &batched.ingress_counters,
-        &scalar.ingress_counters,
-        "{label}: ingress counters"
-    );
-    prop_assert_eq!(
-        &batched.ingress_flow_stats,
-        &scalar.ingress_flow_stats,
-        "{label}: ingress flow-cache counters"
-    );
-    prop_assert_eq!(
-        &batched.mbox_counters,
-        &scalar.mbox_counters,
-        "{label}: middlebox counters"
-    );
-    prop_assert_eq!(
-        &batched.footprint,
-        &scalar.footprint,
-        "{label}: state footprint"
-    );
-    Ok(())
+    enf.snapshot()
 }
 
 #[test]
@@ -241,7 +152,7 @@ fn failure_accounting_is_batch_invariant() {
             enf.inject_flow(s.flow, s.packets, s.payload);
         }
         enf.run();
-        snapshot(&world.controller, &enf)
+        enf.snapshot()
     };
 
     let (one, full) = (run(1), run(256));
@@ -377,7 +288,7 @@ fn gateway_ingress_is_batch_invariant() {
                 }
                 enf.run();
             }
-            (snapshot(&c, &enf), enf.sim().trace().to_vec())
+            (enf.snapshot(), enf.sim().trace().to_vec())
         };
 
         let (scalar, scalar_trace) = run(1);

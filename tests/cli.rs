@@ -9,6 +9,16 @@ fn sdm() -> Command {
     Command::new(env!("CARGO_BIN_EXE_sdm"))
 }
 
+/// An operator file the world cannot run is refused with exit code 1 and
+/// a message naming the file and the reason — never a panic.
+fn assert_refused(out: &std::process::Output, path: &std::path::Path, reason: &str) {
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains(path.to_str().unwrap()), "stderr must name the file: {err}");
+    assert!(err.contains(reason), "stderr must say {reason}: {err}");
+    assert!(!err.contains("panicked at"), "{err}");
+}
+
 #[test]
 fn help_prints_usage() {
     let out = sdm().arg("--help").output().expect("binary runs");
@@ -104,6 +114,15 @@ fn policy_file_drives_enforcement_and_warns_on_shadowing() {
     assert!(err.contains("shadowed"), "shadow warning expected: {err}");
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("2 policies"), "{text}");
+
+    // A chain that parses but the plan verifier rejects (repeated function).
+    std::fs::write(&path, "src=10.0.0.0/8 dport=80 => FW, FW\n").unwrap();
+    let out = sdm()
+        .args(["--packets", "1000", "--policies"])
+        .arg(&path)
+        .output()
+        .expect("binary runs");
+    assert_refused(&out, &path, "V001");
     let _ = std::fs::remove_file(&path);
 }
 
@@ -130,5 +149,10 @@ fn flow_trace_round_trip_via_cli() {
     assert!(out.status.success());
     let replayed = String::from_utf8_lossy(&out.stdout);
     assert!(replayed.contains("replaying"), "{replayed}");
+
+    // A trace that parses but whose source lies in no stub subnet.
+    std::fs::write(&path, "8.8.8.8 10.0.1.1 1000 80 tcp 5 100\n").unwrap();
+    let out = sdm().arg("--load-flows").arg(&path).output().expect("binary runs");
+    assert_refused(&out, &path, "8.8.8.8:1000");
     let _ = std::fs::remove_file(&path);
 }

@@ -82,7 +82,7 @@ fn busiest(loads: &[u64]) -> MiddleboxId {
 /// epoch 2 and a restore after epoch 3 — and serializes everything the
 /// loop produced: per-epoch reports (cells, volume, lambda, pivots, warm,
 /// activated), final per-middlebox loads, delivery and failure-drop
-/// counters. f64s are printed with `{:?}` (shortest round-trip), so any
+/// counters, and the loop's whole run record. f64s are printed with `{:?}` (shortest round-trip), so any
 /// bit-level divergence shows up in the transcript.
 fn transcript(shards: usize, batch: usize) -> String {
     let c = controller();
@@ -115,6 +115,24 @@ fn transcript(shards: usize, batch: usize) -> String {
         "delivered {} dropped_failed {}",
         ep.delivered(),
         ep.dropped_failed()
+    )
+    .unwrap();
+    // The whole run record, so the corners are compared field for field
+    // (all but `shards` and the execution-dependent telemetry families).
+    let run = ep.snapshot();
+    assert_eq!(run.shards, shards);
+    writeln!(
+        out,
+        "record events {} stats {:?} measurements {:?} proxies {:?} ingress {:?} mboxes {:?} \
+footprint {:?} telemetry {}",
+        run.events,
+        run.stats,
+        run.measurements,
+        run.proxy_counters,
+        run.ingress_counters,
+        run.mbox_counters,
+        run.footprint,
+        run.telemetry.to_json(false)
     )
     .unwrap();
     out

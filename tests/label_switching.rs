@@ -165,11 +165,7 @@ fn source_routing_is_load_equivalent_and_stateless() {
             enf.inject_flow_packets(f.five_tuple, f.packets.min(10), 400, SimTime(i as u64), 50);
         }
         enf.run();
-        let state: usize = world
-            .deployment
-            .iter()
-            .map(|(id, _)| enf.mbox_state(id).lock().labels.len())
-            .sum();
+        let state: u64 = enf.snapshot().footprint.mbox_label_entries.iter().sum();
         outcomes.push((
             enf.sim().stats().delivered + enf.sim().stats().delivered_external,
             enf.middlebox_loads(),
@@ -218,10 +214,7 @@ fn label_miss_drops_are_counted() {
     // first packet delivers via tunnels; later label-switched ones find
     // expired label entries somewhere and are dropped + counted
     assert!(delivered < 6, "some label misses expected");
-    let mut misses = 0;
-    for (id, _) in world.deployment.iter() {
-        misses += enf.mbox_state(id).lock().counters.label_misses;
-    }
+    let misses: u64 = enf.snapshot().mbox_counters.iter().map(|c| c.label_misses).sum();
     assert!(misses > 0, "label misses must be counted");
     assert_eq!(delivered + misses, 6, "every packet accounted for");
 }

@@ -10,74 +10,11 @@ use sdm::core::{
 };
 use sdm::util::prop::{check, Config};
 use sdm::util::rng::StdRng;
-use sdm::util::prop_assert_eq;
 use sdm_bench::{ExperimentConfig, World};
 use sdm_workload::{to_flow_specs, WorkloadConfig};
 
-fn compare(one: &ShardedRun, many: &ShardedRun, label: &str) -> Result<(), String> {
-    prop_assert_eq!(&many.loads, &one.loads, "{label}: loads");
-    prop_assert_eq!(
-        many.stats.delivered,
-        one.stats.delivered,
-        "{label}: delivered"
-    );
-    prop_assert_eq!(
-        many.stats.delivered_external,
-        one.stats.delivered_external,
-        "{label}: delivered_external"
-    );
-    prop_assert_eq!(
-        many.stats.dropped_ttl,
-        one.stats.dropped_ttl,
-        "{label}: dropped_ttl"
-    );
-    prop_assert_eq!(
-        many.stats.unroutable,
-        one.stats.unroutable,
-        "{label}: unroutable"
-    );
-    prop_assert_eq!(
-        many.stats.link_hops,
-        one.stats.link_hops,
-        "{label}: link_hops"
-    );
-    prop_assert_eq!(
-        many.stats.encapsulated_hops,
-        one.stats.encapsulated_hops,
-        "{label}: encapsulated_hops"
-    );
-    prop_assert_eq!(
-        many.stats.link_load,
-        one.stats.link_load,
-        "{label}: link_load"
-    );
-    prop_assert_eq!(
-        many.stats.delivered_per_stub,
-        one.stats.delivered_per_stub,
-        "{label}: delivered_per_stub"
-    );
-    prop_assert_eq!(
-        many.measurements.iter().collect::<Vec<_>>(),
-        one.measurements.iter().collect::<Vec<_>>(),
-        "{label}: traffic matrix"
-    );
-    prop_assert_eq!(
-        &many.proxy_counters,
-        &one.proxy_counters,
-        "{label}: proxy counters"
-    );
-    prop_assert_eq!(
-        &many.mbox_counters,
-        &one.mbox_counters,
-        "{label}: middlebox counters"
-    );
-    prop_assert_eq!(
-        &many.footprint,
-        &one.footprint,
-        "{label}: state footprint"
-    );
-    Ok(())
-}
+mod common;
+use common::compare;
 
 #[test]
 fn sharded_runs_are_bit_identical_to_legacy() {
