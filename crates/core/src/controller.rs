@@ -668,10 +668,8 @@ impl Enforcement {
             .addr_plan
             .stub_of(flow.src)
             .expect("flow source must lie in a stub subnet");
-        for i in 0..packets {
-            self.sim
-                .inject_from_stub_at(stub, Packet::data(flow, payload), start.after(i * gap));
-        }
+        self.sim
+            .inject_stream_from_stub(stub, flow, payload, packets, start, gap);
     }
 
     /// Runs the simulation to completion; returns events processed.

@@ -99,6 +99,13 @@ impl PacketArena {
         self.slots.len() - self.free.len()
     }
 
+    /// The most packets ever stored at once. A slot is only added when
+    /// every existing one is occupied, so this is the number of slots —
+    /// the simulator's packet working set.
+    pub fn high_water(&self) -> usize {
+        self.slots.len()
+    }
+
     /// Total `alloc` calls over the arena's lifetime (never decreases).
     pub fn allocations(&self) -> u64 {
         self.allocations
@@ -146,6 +153,7 @@ mod tests {
         let _id3 = a.alloc(pkt(3));
         assert_eq!(a.allocations(), 3);
         assert_eq!(a.in_use(), 2);
+        assert_eq!(a.high_water(), 2, "three allocations, never more than two at once");
     }
 
     #[test]

@@ -21,16 +21,26 @@
 //!
 //! # Execution model
 //!
-//! [`Simulator::run_until_idle`] is the one event loop: it drains up to
-//! 256 same-tick events (see [`Simulator::set_batch_size`]) from the
-//! calendar queue into a reusable scratch vector and hands consecutive
-//! deliveries to the same device to [`Device::receive`] as one *run*,
-//! letting the device amortize its per-packet costs (one state-lock
-//! acquisition per run, one flow/label-table probe per consecutive
-//! same-flow stretch) while the arena accesses stay sequential and
-//! cache-hot. The drain never crosses a tick boundary, so the global
-//! event order — time, then FIFO within a tick — does not depend on the
-//! drain limit and neither does any output (pinned at limits 1/3/256 by
+//! An injection registers a *schedule entry*, not an event: one-shot
+//! packets, and packet streams that stand for one packet every `gap`
+//! ticks. [`Simulator::run_until_idle`] is the one event loop. Each
+//! round it takes the earliest tick at which an entry is due or an event
+//! is queued and processes, at that tick, **the schedule entries due, in
+//! registration order, then the tick's bucket of the calendar queue** —
+//! the order in which pre-pushed events would pop, since registrations
+//! precede every push the run itself makes and a bucket is FIFO. A
+//! stream's packet is allocated when it is released, so queue and arena
+//! hold the traffic in flight, not the workload.
+//!
+//! Up to 256 events (see [`Simulator::set_batch_size`]) go into a reusable
+//! scratch vector at a time, and consecutive deliveries to the same device
+//! are handed to [`Device::receive`] as one *run*, letting the device
+//! amortize its per-packet costs (one state-lock acquisition per run, one
+//! flow/label-table probe per consecutive same-flow stretch) while the
+//! arena accesses stay sequential and cache-hot. A batch never crosses a
+//! tick boundary, so the global event order — time, then entries before
+//! bucket, FIFO within each — does not depend on the drain limit and
+//! neither does any output (pinned at limits 1/3/256 by
 //! `tests/batching_equivalence.rs`). See DESIGN.md, "Execution model".
 
 use std::fmt;
@@ -43,6 +53,7 @@ use crate::addr::{AddressPlan, Ipv4Addr, StubId};
 use crate::arena::{PacketArena, PacketId};
 use crate::packet::{FiveTuple, FragInfo, Packet, PacketKind, IP_HEADER_LEN};
 use crate::queue::CalendarQueue;
+use crate::schedule::{EntryPoint, InjectionSchedule, Stream};
 
 /// Simulated time in abstract ticks (one tick = one link traversal).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -415,6 +426,10 @@ pub struct Simulator {
     /// Flat `node × node` link-id table; [`NONE_U32`] = not adjacent.
     link_at: Vec<u32>,
     queue: CalendarQueue<EventKind>,
+    /// Registered injections the run has not reached yet.
+    schedule: InjectionSchedule,
+    /// Most events in flight at the start of any batch so far.
+    queue_high_water: usize,
     now: SimTime,
     stats: SimStats,
     mtu: u32,
@@ -532,6 +547,8 @@ impl Simulator {
             nearest_gw: vec![NONE_U32; n],
             link_at,
             queue: CalendarQueue::new(),
+            schedule: InjectionSchedule::default(),
+            queue_high_water: 0,
             now: SimTime::ZERO,
             stats: SimStats {
                 delivered_per_stub: vec![0; addrs_len(plan)],
@@ -704,6 +721,15 @@ impl Simulator {
         &self.arena
     }
 
+    /// The most events that were in flight — drained or queued, not
+    /// counting injections the schedule still held — at the start of any
+    /// batch so far. With [`PacketArena::high_water`], the simulator's
+    /// working set: both follow the traffic in the network at once, not
+    /// the size of the workload.
+    pub fn queue_high_water(&self) -> usize {
+        self.queue_high_water
+    }
+
     /// Attaches a device to a router and assigns it a unique address from
     /// `172.16.0.0/12`. Returns the device id and its address.
     ///
@@ -772,17 +798,60 @@ impl Simulator {
     pub fn inject_from_stub_at(&mut self, stub: StubId, mut pkt: Packet, at: SimTime) {
         assert!(at >= self.now, "cannot inject into the past");
         pkt.injected_at.get_or_insert(at.0);
-        let weight = pkt.weight;
+        let (due, point) = self.stub_entry(stub, at);
         let id = self.arena.alloc(pkt);
-        match self.stub_handler[stub.index()] {
-            Some(dev) => {
-                let at = self.device_arrival_time(dev, at, weight);
-                self.queue.push(at, EventKind::DeviceRecv { dev, pkt: id });
-            }
-            None => {
-                let node = self.addrs.edge_router(stub);
-                self.queue.push(at, EventKind::Arrive { node, pkt: id });
-            }
+        self.schedule.one_shot(due.0, point, id);
+    }
+
+    /// Schedules `count` weight-1 data packets of `flow` originating in
+    /// `stub`, the first at `start` and one every `gap` ticks after it —
+    /// the same packets, in the same place in the event order, as `count`
+    /// calls of [`Simulator::inject_from_stub_at`] made here, but held as
+    /// one schedule entry: each packet is built and allocated when
+    /// simulated time reaches it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start` lies in the simulated past.
+    pub fn inject_stream_from_stub(
+        &mut self,
+        stub: StubId,
+        flow: FiveTuple,
+        payload: u32,
+        count: u64,
+        start: SimTime,
+        gap: u64,
+    ) {
+        assert!(start >= self.now, "cannot inject into the past");
+        if count == 0 {
+            return;
+        }
+        let (due, point) = self.stub_entry(stub, start);
+        let stream = Stream {
+            flow,
+            payload,
+            lag: (due.0 - start.0) as u32,
+            left: count,
+            gap,
+        };
+        self.schedule.stream(due.0, point, stream);
+    }
+
+    /// Where and when traffic leaving `stub` at `at` enters the network:
+    /// at the stub's proxy handler if it has one, else at its edge router.
+    fn stub_entry(&self, stub: StubId, at: SimTime) -> (SimTime, EntryPoint) {
+        let edge = self.addrs.edge_router(stub);
+        self.entry(self.stub_handler[stub.index()], edge, at)
+    }
+
+    /// The schedule key of an injection at `at`: the intercepting device,
+    /// due when the packet reaches it (an off-path handler sits one
+    /// access-link tick away, so its entry is keyed by the *arrival* tick
+    /// and is released at the head of that tick), else the router, now.
+    fn entry(&self, handler: Option<DeviceId>, node: NodeId, at: SimTime) -> (SimTime, EntryPoint) {
+        match handler {
+            Some(dev) => (self.access_arrival(dev, at), EntryPoint::Device(dev)),
+            None => (at, EntryPoint::Router(node)),
         }
     }
 
@@ -807,15 +876,9 @@ impl Simulator {
     /// the packet is intercepted there first.
     pub fn inject_at_router(&mut self, node: NodeId, mut pkt: Packet) {
         pkt.injected_at.get_or_insert(self.now.0);
-        let weight = pkt.weight;
+        let (due, point) = self.entry(self.ingress_handler[node.index()], node, self.now);
         let id = self.arena.alloc(pkt);
-        match self.ingress_handler[node.index()] {
-            Some(dev) => {
-                let at = self.device_arrival_time(dev, self.now, weight);
-                self.queue.push(at, EventKind::DeviceRecv { dev, pkt: id });
-            }
-            None => self.queue.push(self.now, EventKind::Arrive { node, pkt: id }),
-        }
+        self.schedule.one_shot(due.0, point, id);
     }
 
     /// Sets the most same-tick events one drain of the queue takes
@@ -826,36 +889,53 @@ impl Simulator {
         self.batch = batch.max(1);
     }
 
-    /// Runs until no events remain. Returns the number of events processed.
+    /// Runs until no events remain and the injection schedule is
+    /// exhausted. Returns the number of events processed (a released
+    /// schedule entry is an event).
     ///
-    /// Drains the calendar queue one same-tick batch at a time and
-    /// dispatches consecutive same-device deliveries as one
-    /// [`Device::receive`] run (see the module docs).
+    /// Each round takes the earliest tick at which a schedule entry is due
+    /// or an event is queued, fills one batch — the entries due at that
+    /// tick, in registration order, then the tick's bucket, up to the
+    /// drain limit in all — and dispatches consecutive same-device
+    /// deliveries as one [`Device::receive`] run (see the module docs).
     ///
     /// Why the drain limit is unobservable (pinned by
     /// `tests/batching_equivalence.rs`): anything a batch schedules at the
-    /// *current* tick lands behind the batch in the bucket and is picked
-    /// up by the next drain of the same tick, so events process in queue
-    /// pop order. Within a device run, per-packet pre-accounting and the
-    /// device's emissions keep their arrival order; buffered actions apply
-    /// in emission order after the whole run, and each packet's
-    /// device-arrival trace record is deferred to just before its delivery
-    /// record (or the end of the run). Run length can renumber arena
-    /// slots — unobservable, since nothing keys off [`PacketId`] values.
+    /// *current* tick lands behind the batch in the bucket, and the bucket
+    /// is only drained once no schedule entry is left for the tick, so
+    /// events process in one order — entries, then bucket pop order —
+    /// however they are cut into batches. Within a device run, per-packet
+    /// pre-accounting and the device's emissions keep their arrival order;
+    /// buffered actions apply in emission order after the whole run, and
+    /// each packet's device-arrival trace record is deferred to just
+    /// before its delivery record (or the end of the run). Run length can
+    /// renumber arena slots — unobservable, since nothing keys off
+    /// [`PacketId`] values.
     pub fn run_until_idle(&mut self) -> u64 {
         let mut n = 0u64;
         let mut scratch = std::mem::take(&mut self.scratch);
         let mut ready = std::mem::take(&mut self.ready);
+        self.schedule.prepare();
         loop {
-            scratch.clear();
-            let Some(at) = self.queue.pop_tick_batch(self.batch, &mut scratch) else {
+            let due = self.schedule.next_tick().map(SimTime);
+            let queued = self.queue.peek_tick();
+            let Some(at) = due.into_iter().chain(queued).min() else {
                 break;
             };
             debug_assert!(at >= self.now, "time went backwards");
             self.now = at;
+            scratch.clear();
+            if due == Some(at) {
+                self.release_due(&mut scratch);
+            }
+            if queued == Some(at) && scratch.len() < self.batch {
+                self.queue
+                    .pop_tick_batch(self.batch - scratch.len(), &mut scratch);
+            }
             n += scratch.len() as u64;
-            self.tel
-                .observe_queue_occupancy((scratch.len() + self.queue.len()) as u64);
+            let in_flight = scratch.len() + self.queue.len();
+            self.queue_high_water = self.queue_high_water.max(in_flight);
+            self.tel.observe_queue_occupancy(in_flight as u64);
             let mut i = 0;
             while i < scratch.len() {
                 match scratch[i] {
@@ -887,9 +967,38 @@ impl Simulator {
                 }
             }
         }
+        self.schedule.clear();
         self.scratch = scratch;
         self.ready = ready;
         n
+    }
+
+    /// Moves the schedule entries due now into `batch`, in registration
+    /// order, until the batch holds the drain limit or none is left for
+    /// this tick. Service-time queueing at an intercepting device is
+    /// applied here, at arrival, so the device serves injections in time
+    /// order whatever order they were registered in; a packet that has to
+    /// wait is queued for its service slot instead.
+    fn release_due(&mut self, batch: &mut Vec<EventKind>) {
+        let now = self.now;
+        while batch.len() < self.batch {
+            let Some((point, pkt)) = self.schedule.release(now.0, &mut self.arena) else {
+                break;
+            };
+            match point {
+                EntryPoint::Router(node) => batch.push(EventKind::Arrive { node, pkt }),
+                EntryPoint::Device(dev) => {
+                    let weight = self.arena.get(pkt).weight;
+                    let start = self.enqueue_at_device(dev, now, weight);
+                    let recv = EventKind::DeviceRecv { dev, pkt };
+                    if start == now {
+                        batch.push(recv);
+                    } else {
+                        self.queue.push(start, recv);
+                    }
+                }
+            }
+        }
     }
 
     /// The per-event bookkeeping of a device delivery (reassembly, receive
@@ -1287,14 +1396,19 @@ impl Simulator {
     }
 
     fn device_arrival_time(&mut self, dev: DeviceId, base: SimTime, weight: u64) -> SimTime {
-        let arrival = match self.devices[dev.index()].attachment {
+        let arrival = self.access_arrival(dev, base);
+        self.enqueue_at_device(dev, arrival, weight)
+    }
+
+    /// When a packet handed towards `dev` at `base` reaches it.
+    fn access_arrival(&self, dev: DeviceId, base: SimTime) -> SimTime {
+        match self.devices[dev.index()].attachment {
             Attachment::InPath => base,
             Attachment::OffPath => {
                 // one access-link traversal in (weight accounted on receive)
                 base.after(1)
             }
-        };
-        self.enqueue_at_device(dev, arrival, weight)
+        }
     }
 
     /// Applies the device's service-time queue: returns when the packet

@@ -49,6 +49,7 @@ mod arena;
 mod engine;
 mod packet;
 mod queue;
+mod schedule;
 
 pub use addr::{AddressPlan, Ipv4Addr, ParseAddrError, Prefix, StubId};
 pub use arena::{PacketArena, PacketId};

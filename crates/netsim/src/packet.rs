@@ -232,6 +232,12 @@ pub struct Packet {
     pub injected_at: Option<SimTimeStamp>,
 }
 
+/// Every byte here is paid once per packet in flight, and `campus_pkt_burst`
+/// has a million in flight at tick 0 — the arena is most of that run's
+/// peak RSS. Two `Vec`s (48 B) and four `Option`s are what is left to
+/// shrink; growing past this needs a reason.
+const _: () = assert!(std::mem::size_of::<Packet>() <= 152);
+
 /// A newtype alias for injection timestamps (ticks), kept separate from
 /// the engine's `SimTime` so the packet module stays engine-independent.
 pub type SimTimeStamp = u64;

@@ -5,9 +5,12 @@
 //! traversal (= one tick) ahead, so a ring of per-tick buckets covering the
 //! window `[cur, cur + W)` turns push and pop into O(1) vector operations —
 //! no sift-up/down, no comparator, no moving payloads around a heap. Only
-//! genuinely far-future events (paced injections, deep service-queue backlogs)
-//! overflow into a conventional heap and migrate into the ring as the
-//! window advances.
+//! genuinely far-future events (deep service-queue backlogs, reschedules
+//! more than [`WINDOW`] ticks ahead) overflow into a conventional heap and
+//! migrate into the ring as the window advances. Scheduled injections are
+//! not among them: the simulator keeps those in its injection schedule and
+//! hands each packet over when simulated time reaches it, so the queue
+//! holds events in flight, not the workload.
 //!
 //! # Ordering contract
 //!
@@ -202,6 +205,20 @@ impl<T> CalendarQueue<T> {
         }
     }
 
+    /// The tick the next pop would return, without popping and without
+    /// moving the window: the caller may still push at any tick from the
+    /// last popped one on. A scan of at most 1024 (the ring size) bucket
+    /// headers; in a running simulation the next event is a tick or two
+    /// ahead.
+    pub fn peek_tick(&self) -> Option<SimTime> {
+        if self.ring_len == 0 {
+            return self.far.peek().map(|e| SimTime(e.0.at));
+        }
+        (self.cur..self.cur + WINDOW)
+            .find(|t| !self.buckets[(t % WINDOW) as usize].is_empty())
+            .map(SimTime)
+    }
+
     /// Appends `item` to the bucket of tick `at` (inside the window). A
     /// slot without a buffer takes over a spare one before allocating.
     fn push_ring(&mut self, at: u64, item: T) {
@@ -321,6 +338,25 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime(t), 1)));
         assert_eq!(q.pop(), Some((SimTime(t), 2)));
         assert_eq!(q.pop(), Some((SimTime(t), 3)));
+    }
+
+    #[test]
+    fn peek_names_the_next_tick_without_moving_the_window() {
+        let mut q = CalendarQueue::new();
+        assert_eq!(q.peek_tick(), None);
+        q.push(SimTime(WINDOW * 4), 1u32); // far heap only
+        assert_eq!(q.peek_tick(), Some(SimTime(WINDOW * 4)));
+        q.push(SimTime(700), 2);
+        assert_eq!(q.peek_tick(), Some(SimTime(700)));
+        // The window did not move: an earlier tick is still schedulable
+        // (the engine releases injections due before the queue's next).
+        q.push(SimTime(5), 3);
+        assert_eq!(q.peek_tick(), Some(SimTime(5)));
+        assert_eq!(q.pop(), Some((SimTime(5), 3)));
+        assert_eq!(q.pop(), Some((SimTime(700), 2)));
+        assert_eq!(q.peek_tick(), Some(SimTime(WINDOW * 4)));
+        assert_eq!(q.pop(), Some((SimTime(WINDOW * 4), 1)));
+        assert_eq!(q.peek_tick(), None);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! chains on randomized campus-style worlds.
 
 use sdm_netsim::{
-    Attachment, Device, DeviceCtx, FiveTuple, Ipv4Addr, Packet, Protocol, Simulator, StubId,
+    Attachment, Device, DeviceCtx, FiveTuple, Ipv4Addr, Packet, Protocol, SimTime, Simulator,
+    StubId,
 };
 use sdm_util::prop::{check, Config};
 use sdm_util::rng::StdRng;
@@ -485,11 +486,47 @@ mod queueing {
             let ft = flow(&sim, 0, 5, 300 + i as u16);
             let mut pkt = Packet::data(ft, 100);
             pkt.encapsulate(Ipv4Addr(1), addr);
-            sim.inject_from_stub_at(StubId(0), pkt, sdm_netsim::SimTime(i * 100));
+            sim.inject_from_stub_at(StubId(0), pkt, SimTime(i * 100));
         }
         sim.run_until_idle();
         assert_eq!(sim.stats().delivered, 5);
         assert_eq!(sim.stats().device_wait_total, 0);
+    }
+
+    /// Two flows registered one after the other but interleaved in time
+    /// (t = 0, 64, 128 and t = 1, 65) into a proxy that takes 4 ticks a
+    /// packet: the server sees arrivals 0, 1, 64, 65, 128, so the second
+    /// flow's packets each wait 3 ticks behind the first's and nothing
+    /// else waits. Queueing in *registration* order would put t = 1
+    /// behind t = 128's busy horizon.
+    #[test]
+    fn injections_queue_at_a_proxy_in_time_order_not_call_order() {
+        for attachment in [Attachment::InPath, Attachment::OffPath] {
+            for streamed in [false, true] {
+                let plan = sdm_topology::campus::campus(1);
+                let mut sim = Simulator::new(&plan);
+                let (dev, _) = sim.attach(plan.edges()[0], attachment, Box::new(ChainHop { next: None }));
+                sim.set_stub_handler(StubId(0), dev);
+                sim.set_device_service_time(dev, 4);
+                for (sp, start, count) in [(1u16, 0u64, 3u64), (2, 1, 2)] {
+                    let ft = flow(&sim, 0, 5, sp);
+                    if streamed {
+                        sim.inject_stream_from_stub(StubId(0), ft, 100, count, SimTime(start), 64);
+                    } else {
+                        for k in 0..count {
+                            let at = SimTime(start + k * 64);
+                            sim.inject_from_stub_at(StubId(0), Packet::data(ft, 100), at);
+                        }
+                    }
+                }
+                sim.run_until_idle();
+                let s = sim.stats();
+                let case = format!("{attachment:?}, streamed: {streamed}");
+                assert_eq!(s.delivered, 5, "{case}");
+                assert_eq!(s.device_wait_total, 3 + 3, "{case}");
+                assert_eq!(s.device_wait_max, 3, "{case}");
+            }
+        }
     }
 }
 
@@ -537,10 +574,133 @@ mod latency {
         let plan = sdm_topology::campus::campus(1);
         let mut sim = Simulator::new(&plan);
         let ft = flow(&sim, 0, 5, 555);
-        sim.inject_from_stub_at(StubId(0), Packet::data(ft, 100), sdm_netsim::SimTime(5000));
+        sim.inject_from_stub_at(StubId(0), Packet::data(ft, 100), SimTime(5000));
         sim.run_until_idle();
         // latency measured from the (late) injection time, not from zero
         assert!(sim.stats().latency_max < 100, "{}", sim.stats().latency_max);
+    }
+}
+
+mod injection_schedule {
+    //! A stream registration is shorthand for its packets registered one
+    //! by one at the same place in registration order: same trace, same
+    //! statistics, same event count, whatever else is registered around
+    //! it and however the run is cut into batches.
+
+    use super::*;
+
+    /// `(kind, source, start, count, gap)`: kind 0 is a gateway one-shot
+    /// (enters at `now`), 1 a stub one-shot at `start`, the rest streams.
+    type Registration = (u8, u32, u64, u64, u64);
+
+    /// Stubs 0 and 1 may carry handlers; flows end in stubs without one.
+    const SOURCES: u32 = 4;
+
+    fn registration(rng: &mut StdRng) -> Registration {
+        let start = match rng.gen_range(0u32..3) {
+            0 => 0,
+            1 => rng.gen_range(0u64..12), // several entries share a tick
+            _ => rng.gen_range(0u64..3000), // out of order, past the window
+        };
+        let gap = match rng.gen_range(0u32..3) {
+            0 => 0,
+            1 => rng.gen_range(1u64..6),
+            _ => rng.gen_range(1000u64..2500), // beyond the 1024-tick ring
+        };
+        (
+            rng.gen_range(0u8..5),
+            rng.gen_range(0..SOURCES),
+            start,
+            rng.gen_range(0u64..6),
+            gap,
+        )
+    }
+
+    /// Runs the schedule and returns everything observable. `handlers`
+    /// bits: 1 = in-path proxy on stub 0, 2 = off-path proxy on stub 1,
+    /// 4 = off-path ingress proxy on the first gateway, 8 = each of them
+    /// takes 3 ticks a packet.
+    fn run(
+        handlers: u8,
+        batch: usize,
+        regs: &[Registration],
+        expand: bool,
+    ) -> (Vec<sdm_netsim::TraceEvent>, sdm_netsim::SimStats, u64, u64) {
+        let plan = sdm_topology::campus::campus(1);
+        let gateway = plan.gateways()[0];
+        let mut sim = Simulator::new(&plan);
+        sim.set_batch_size(batch);
+        sim.enable_trace(1_000_000);
+        let wiring = [
+            (1, Attachment::InPath, plan.edges()[0]),
+            (2, Attachment::OffPath, plan.edges()[1]),
+            (4, Attachment::OffPath, gateway),
+        ];
+        for (bit, attachment, router) in wiring {
+            if handlers & bit == 0 {
+                continue;
+            }
+            let (dev, _) = sim.attach(router, attachment, Box::new(ChainHop { next: None }));
+            match bit {
+                1 => sim.set_stub_handler(StubId(0), dev),
+                2 => sim.set_stub_handler(StubId(1), dev),
+                _ => sim.set_ingress_handler(gateway, dev),
+            }
+            if handlers & 8 != 0 {
+                sim.set_device_service_time(dev, 3);
+            }
+        }
+        for (i, &(kind, source, start, count, gap)) in regs.iter().enumerate() {
+            let ft = flow(&sim, source, 5 + source, 1000 + i as u16);
+            let stub = StubId(source);
+            match kind {
+                0 => sim.inject_at_router(gateway, Packet::data(ft, 100)),
+                1 => sim.inject_from_stub_at(stub, Packet::data(ft, 100), SimTime(start)),
+                _ if expand => {
+                    for k in 0..count {
+                        let at = SimTime(start + k * gap);
+                        sim.inject_from_stub_at(stub, Packet::data(ft, 100), at);
+                    }
+                }
+                _ => sim.inject_stream_from_stub(stub, ft, 100, count, SimTime(start), gap),
+            }
+        }
+        let events = sim.run_until_idle();
+        assert_eq!(sim.arena().in_use(), 0, "every packet delivered and freed");
+        (
+            sim.trace().to_vec(),
+            sim.stats().clone(),
+            events,
+            sim.arena().allocations(),
+        )
+    }
+
+    #[test]
+    fn streams_equal_their_one_shot_expansion() {
+        check(
+            "streams_equal_their_one_shot_expansion",
+            &Config::with_cases(96),
+            |rng: &mut StdRng| {
+                let n = rng.gen_range(1usize..14);
+                (
+                    rng.gen_range(0u8..16),
+                    rng.gen_range(0usize..3),
+                    (0..n).map(|_| registration(rng)).collect::<Vec<_>>(),
+                )
+            },
+            |&(handlers, batch, ref regs)| {
+                let batch = [1, 3, 256][batch % 3];
+                let streamed = run(handlers, batch, regs, false);
+                let expanded = run(handlers, batch, regs, true);
+                // not vacuous: something ran unless every entry is an
+                // empty stream
+                prop_assert!(streamed.2 > 0 || regs.iter().all(|r| r.0 > 1 && r.3 == 0));
+                prop_assert_eq!(&streamed, &expanded);
+                // and neither depends on the drain limit
+                prop_assert_eq!(&streamed, &run(handlers, 1, regs, false));
+                Ok(())
+            },
+        );
     }
 }
 
@@ -581,32 +741,39 @@ mod calendar_queue {
             &Config::with_cases(96),
             |rng: &mut StdRng| {
                 let ops = rng.gen_range(1usize..400);
-                // (is_push, time-delta) pairs; deltas mix the bucketed
-                // window (< 1024) with far-future heap spills.
+                // (op, time-delta) pairs — op 0 pops, 1 peeks, the rest
+                // push; deltas mix the bucketed window (< 1024) with
+                // far-future heap spills.
                 (0..ops)
                     .map(|_| {
-                        let push = rng.gen_range(0u32..3) != 0;
+                        let op = rng.gen_range(0u8..6);
                         let delta = match rng.gen_range(0u32..4) {
                             0 => rng.gen_range(0u64..4),        // same tick
                             1 => rng.gen_range(0u64..1024),     // in window
                             2 => rng.gen_range(1024u64..4096),  // spills
                             _ => rng.gen_range(0u64..100_000),  // far future
                         };
-                        (push, delta)
+                        (op, delta)
                     })
-                    .collect::<Vec<(bool, u64)>>()
+                    .collect::<Vec<(u8, u64)>>()
             },
             |ops| {
                 let mut cq: CalendarQueue<u32> = CalendarQueue::new();
                 let mut model = HeapModel::default();
                 let mut now = 0u64; // sim clock: last popped time
                 let mut next_item = 0u32;
-                for &(push, delta) in ops {
-                    if push {
+                for &(op, delta) in ops {
+                    if op >= 2 {
                         let at = now + delta;
                         cq.push(SimTime(at), next_item);
                         model.push(at, next_item);
                         next_item += 1;
+                    } else if op == 1 {
+                        // A peek names the next pop's tick and leaves the
+                        // queue as it was: pushes anywhere from `now` on
+                        // stay legal and later pops still match the model.
+                        let want = model.heap.peek().map(|Reverse((at, ..))| *at);
+                        prop_assert_eq!(cq.peek_tick().map(|t| t.0), want);
                     } else {
                         let got = cq.pop().map(|(t, i)| (t.0, i));
                         let want = model.pop();

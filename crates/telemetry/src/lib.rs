@@ -246,8 +246,10 @@ pub const REGISTRY: &[FamilyDesc] = &[
     FamilyDesc {
         name: "sdm_queue_occupancy",
         kind: MetricKind::Histogram,
-        help: "Calendar-queue events pending when a tick's batch is drained \
-               (depends on shard/batch configuration)",
+        help: "Events in flight (the drained batch plus the calendar queue; \
+               injections still held by the schedule are not events yet) \
+               when a tick's batch is drained (depends on shard/batch \
+               configuration)",
         invariant: false,
         labels: Labels::None,
     },

@@ -90,6 +90,7 @@ pub const DIAGNOSTIC_CRATES: &[&str] = &["verify"];
 pub const HOT_PATH_SUFFIXES: &[&str] = &[
     "netsim/src/engine.rs",
     "netsim/src/queue.rs",
+    "netsim/src/schedule.rs",
     "core/src/shard.rs",
     "core/src/epoch.rs",
     "core/src/proxy.rs",
@@ -710,6 +711,7 @@ mod tests {
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].rule, RULE_HOT_PATH_PANIC);
         assert_eq!(lint_str("crates/netsim/src/queue.rs", "netsim", src).len(), 1);
+        assert_eq!(lint_str("crates/netsim/src/schedule.rs", "netsim", src).len(), 1);
         // Same code outside the hot path: no finding.
         assert!(lint_str("crates/netsim/src/addr.rs", "netsim", src).is_empty());
         // Suppressed on the preceding line.
