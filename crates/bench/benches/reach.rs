@@ -49,7 +49,7 @@ fn main() {
     let hr = hier_reach(1);
     runner.record("hier_build", t.elapsed().as_nanos() as f64);
 
-    let routes = hr.plan.topology().dest_routes();
+    let routes = hr.plan.topology().routing_tables();
     let t = Instant::now();
     let report = check_assertions(&hr.view, &routes, &assertions);
     runner.record("hier_check_cold", t.elapsed().as_nanos() as f64);

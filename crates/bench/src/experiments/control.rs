@@ -248,10 +248,10 @@ pub(super) const REACH_FLAGS: &[Flag] = &[
 /// first is declared failed, and every stale-pinned-flow window (`R005`)
 /// is reported and lowered into the corpus.
 ///
-/// The hierarchical run never builds a controller (all-pairs routing at
-/// that scale is gigabytes); it checks the hand-assembled plan view
-/// against on-demand per-destination routes, which is why its witnesses
-/// are reported but not replayed.
+/// The hierarchical run never builds a controller (its 20,480 stubs exceed
+/// what `AddressPlan` can address); it checks the hand-assembled plan view
+/// against the topology's routing tables, which is why its witnesses are
+/// reported but not replayed.
 pub(super) fn reach(args: &Args) -> ExitCode {
     let seed: u64 = args.num("--seed");
 
@@ -297,7 +297,7 @@ pub(super) fn reach(args: &Args) -> ExitCode {
     if let Some(path) = args.value("--hier-assertions") {
         let assertions = load_assertions(path);
         let hr = hier_reach(seed);
-        let routes = hr.plan.topology().dest_routes();
+        let routes = hr.plan.topology().routing_tables();
         let report = check_assertions(&hr.view, &routes, &assertions);
         eprintln!("sdm reach: hierarchical {:?}", report.stats);
         sections.push((

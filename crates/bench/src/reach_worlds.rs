@@ -10,13 +10,13 @@
 //!   be lowered to a [`ReplayScenario`](sdm_verify::witness::ReplayScenario)
 //!   and executed by [`crate::replay`].
 //! * **Plan-backed** ([`hier_reach`]): the ≈21k-node hierarchical
-//!   fabric. A controller at that scale would materialise all-pairs
-//!   routing tables (gigabytes), so the view is assembled directly from
-//!   the [`NetworkPlan`] and checked against on-demand per-destination
-//!   routes ([`sdm_topology::DestRoutes`]). Addressing is synthetic —
-//!   the fabric has more stubs than [`sdm_netsim::AddressPlan`]
-//!   supports — with stub `s` at `8.0.0.0 + (s << 12)` `/20` inside an
-//!   `8.0.0.0/5` enterprise.
+//!   fabric, checked against `plan.topology().routing_tables()` like any
+//!   other world. The view is assembled directly from the [`NetworkPlan`]
+//!   rather than a controller only because the fabric's 20,480 stubs
+//!   exceed the 4,096 that [`sdm_netsim::AddressPlan`] can address; routing
+//!   memory is not the obstacle (rows fill per destination). Addressing is
+//!   therefore synthetic, with stub `s` at `8.0.0.0 + (s << 12)` `/20`
+//!   inside an `8.0.0.0/5` enterprise.
 
 use sdm_core::{EnforcementOptions, Strategy};
 use sdm_netsim::{Ipv4Addr, Prefix};
@@ -104,7 +104,7 @@ pub const HIER_BOXES: usize = 8;
 
 /// A plan-backed symbolic world over the large hierarchical fabric.
 pub struct HierReach {
-    /// The generated network plan (call `plan.topology().dest_routes()`
+    /// The generated network plan (call `plan.topology().routing_tables()`
     /// for the routing view).
     pub plan: NetworkPlan,
     /// The hand-assembled symbolic view.
@@ -148,7 +148,7 @@ pub fn hier_reach(seed: u64) -> HierReach {
     let plan = hierarchical(&cfg, seed);
     let view = {
         let topo = plan.topology();
-        let routes = topo.dest_routes();
+        let routes = topo.routing_tables();
         let cores = plan.cores();
         let fns = [NetworkFunction::Firewall, NetworkFunction::Ids];
 

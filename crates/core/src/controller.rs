@@ -987,6 +987,26 @@ mod tests {
         }
     }
 
+    /// A middlebox on a router the topology does not have is a V015
+    /// report, not an index panic in the routing lookups before it.
+    #[test]
+    fn middlebox_on_missing_router_is_v015() {
+        let plan = campus(1);
+        let ghost = sdm_topology::NodeId::from_index(plan.topology().node_count() + 5);
+        let mut dep = Deployment::new();
+        dep.add(MiddleboxSpec::new(Firewall, plan.cores()[0], 1.0));
+        dep.add(MiddleboxSpec::new(Ids, ghost, 1.0));
+        let mut policies = PolicySet::new();
+        policies.push(Policy::new(
+            TrafficDescriptor::new().dst_port(80),
+            ActionList::chain([Firewall, Ids]),
+        ));
+        let Err(report) = Controller::try_new(plan, dep, policies, KConfig::uniform(2)) else {
+            panic!("a dangling attachment must be refused");
+        };
+        assert!(report.to_string().contains("V015"), "{report}");
+    }
+
     #[test]
     #[should_panic(expected = "stub subnet")]
     fn foreign_source_rejected() {

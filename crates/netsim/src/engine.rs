@@ -423,8 +423,6 @@ pub struct Simulator {
     /// id, matching a `min` over `(distance, node)`); rebuilt on routing
     /// changes. [`NONE_U32`] = no gateway reachable.
     nearest_gw: Vec<u32>,
-    /// Flat `node × node` link-id table; [`NONE_U32`] = not adjacent.
-    link_at: Vec<u32>,
     queue: CalendarQueue<EventKind>,
     /// Registered injections the run has not reached yet.
     schedule: InjectionSchedule,
@@ -521,13 +519,6 @@ impl Simulator {
         let routes = topo.routing_tables();
         let addrs = AddressPlan::new(plan);
         let n = topo.node_count();
-        let n_links = topo.link_count();
-        let mut link_at = vec![NONE_U32; n * n];
-        for i in 0..n_links {
-            let (a, b, _) = topo.link(sdm_topology::LinkId::from_index(i));
-            link_at[a.index() * n + b.index()] = i as u32;
-            link_at[b.index() * n + a.index()] = i as u32;
-        }
         let mut stub_at_node = vec![NONE_U32; n];
         for (i, &edge) in plan.edges().iter().enumerate() {
             if stub_at_node[edge.index()] == NONE_U32 {
@@ -545,14 +536,13 @@ impl Simulator {
             ingress_handler: vec![None; n],
             stub_at_node,
             nearest_gw: vec![NONE_U32; n],
-            link_at,
             queue: CalendarQueue::new(),
             schedule: InjectionSchedule::default(),
             queue_high_water: 0,
             now: SimTime::ZERO,
             stats: SimStats {
                 delivered_per_stub: vec![0; addrs_len(plan)],
-                link_load: vec![0; n_links],
+                link_load: vec![0; plan.topology().link_count()],
                 ..SimStats::default()
             },
             mtu: 1500,
@@ -616,7 +606,8 @@ impl Simulator {
 
     /// Fails a link: routing reconverges immediately (the OSPF reaction to
     /// a withdrawn link-state advertisement), so subsequent forwarding
-    /// avoids it. Packets already queued re-route at their next hop.
+    /// avoids it. Packets already queued re-route at their next hop. The
+    /// simulator swaps in a fresh table whose rows refill on demand.
     ///
     /// # Panics
     ///
@@ -1162,7 +1153,7 @@ impl Simulator {
     }
 
     fn forward_towards(&mut self, node: NodeId, target: NodeId, id: PacketId) {
-        let Some(nh) = self.pick_next_hop(node, target, id) else {
+        let Some((nh, link)) = self.pick_next_hop(node, target, id) else {
             self.stats.unroutable += self.arena.get(id).weight;
             self.arena.free(id);
             return;
@@ -1205,9 +1196,7 @@ impl Simulator {
         };
 
         self.stats.link_hops += weight;
-        if let Some(link) = self.link_between(node, nh) {
-            self.stats.link_load[link] += weight;
-        }
+        self.stats.link_load[link.index()] += weight;
         if encap {
             self.stats.encapsulated_hops += weight;
         }
@@ -1227,37 +1216,21 @@ impl Simulator {
         self.queue.push(at, EventKind::Arrive { node: nh, pkt: id });
     }
 
-    fn link_between(&self, a: NodeId, b: NodeId) -> Option<usize> {
-        let n = self.topo.node_count();
-        match self.link_at[a.index() * n + b.index()] {
-            NONE_U32 => None,
-            i => Some(i as usize),
-        }
-    }
-
-    /// The next hop for the packet from `node` towards `target`: the
-    /// deterministic table entry, or under ECMP a flow-hash pick among all
-    /// equal-cost next hops.
-    fn pick_next_hop(&self, node: NodeId, target: NodeId, id: PacketId) -> Option<NodeId> {
+    /// The next hop (and the link to it) for the packet from `node`
+    /// towards `target`: the deterministic table entry, or under ECMP a
+    /// flow-hash pick among all equal-cost next hops.
+    fn pick_next_hop(
+        &self,
+        node: NodeId,
+        target: NodeId,
+        id: PacketId,
+    ) -> Option<(NodeId, sdm_topology::LinkId)> {
         match self.ecmp {
-            EcmpMode::Disabled => self.routes.next_hop(node, target),
+            EcmpMode::Disabled => self.routes.next_hop_link(node, target),
             EcmpMode::FlowHash => {
-                let total = self.routes.dist(node, target)?;
-                let mut candidates: Vec<NodeId> = Vec::new();
-                for (v, c) in self.topo.neighbors(node) {
-                    if let Some(li) = self.link_between(node, v) {
-                        if self.failed_links.iter().any(|l| l.index() == li) {
-                            continue;
-                        }
-                    }
-                    if let Some(rest) = self.routes.dist(v, target) {
-                        if rest.saturating_add(c) == total {
-                            candidates.push(v);
-                        }
-                    }
-                }
+                let candidates = self.routes.equal_cost_hops(node, target);
                 if candidates.is_empty() {
-                    return self.routes.next_hop(node, target);
+                    return None;
                 }
                 // flow-sticky pick, decorrelated per router
                 let mut z = self

@@ -10,8 +10,8 @@
 //!
 //! * [`Topology`] — an undirected weighted graph with typed nodes
 //!   ([`NodeKind`]) built through a validating builder API.
-//! * [`RoutingTables`] — all-pairs shortest-path distances and deterministic
-//!   next-hop tables computed with Dijkstra's algorithm, exactly the
+//! * [`RoutingTables`] — shortest-path distances and deterministic next
+//!   hops, one Dijkstra per destination computed on first use: exactly the
 //!   information an OSPF router derives from link-state flooding.
 //! * Topology generators reproducing the paper's two evaluation networks:
 //!   [`campus::campus`] (2 gateways, 16 core routers, 10 edge routers) and
@@ -48,4 +48,4 @@ pub mod waxman;
 
 pub use graph::{LinkId, NodeId, NodeKind, Topology, TopologyError};
 pub use plan::NetworkPlan;
-pub use routing::{DestRoutes, Path, RoutingTables};
+pub use routing::{Path, RoutingTables};

@@ -1,5 +1,5 @@
-//! OSPF-style shortest-path routing: Dijkstra per source with deterministic
-//! tie-breaking, yielding all-pairs distances and next-hop tables.
+//! OSPF-style shortest-path routing: one destination-rooted Dijkstra per
+//! destination, run the first time anything routes towards it.
 //!
 //! Routers in the paper's model forward packets along OSPF shortest paths and
 //! are oblivious to policies. All steering decisions made by proxies and
@@ -7,8 +7,9 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::OnceLock;
 
-use crate::graph::{NodeId, Topology};
+use crate::graph::{LinkId, NodeId, Topology};
 
 /// A loop-free path through the network, as a sequence of node ids from
 /// source to destination (both inclusive).
@@ -35,12 +36,24 @@ impl Path {
     }
 }
 
-/// All-pairs shortest-path routing state, as computed by every OSPF router
-/// from the flooded link-state database.
+/// Shortest-path routing state, as computed by every OSPF router from the
+/// flooded link-state database — the one routing oracle the controller,
+/// the simulator and the verifiers share.
 ///
-/// Tie-breaking is deterministic: among equal-cost paths the one whose next
-/// hop has the smallest node id is chosen, recursively. This mirrors a fixed
-/// ECMP-free OSPF configuration and makes simulations reproducible.
+/// The table holds one *row* per destination: for every node `v`, the
+/// neighbor `v` forwards to, the link that hop takes, and `v`'s distance.
+/// A row is filled by one Dijkstra rooted at its destination the first
+/// time anything routes towards it, so memory follows the destinations
+/// actually queried (stub, gateway and middlebox routers), not `n²`. Rows
+/// are `OnceLock`s: the table is `Sync` and fills without a lock.
+///
+/// **Tie-break.** Among equal-cost paths, `v` forwards towards `dst` to
+/// the smallest-id neighbor `u` with `d(u, dst) + c(u, v) = d(v, dst)`.
+/// This mirrors a fixed ECMP-free OSPF configuration and makes
+/// simulations reproducible.
+///
+/// Node ids outside the topology are unreachable: every query about them
+/// answers `None`.
 ///
 /// # Example
 ///
@@ -53,91 +66,133 @@ impl Path {
 /// t.add_link(a, b, 1).unwrap();
 /// t.add_link(b, c, 1).unwrap();
 /// let rt = t.routing_tables();
+/// assert_eq!(rt.rows_built(), 0);
 /// let p = rt.path(a, c).unwrap();
 /// assert_eq!(p.nodes(), &[a, b, c]);
 /// assert_eq!(p.cost(), 2);
+/// assert_eq!(rt.rows_built(), 1);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct RoutingTables {
-    n: usize,
-    /// dist[src * n + dst]; u32::MAX means unreachable.
-    dist: Vec<u32>,
-    /// next[src * n + dst]; u32::MAX means none (unreachable or src == dst).
-    next: Vec<u32>,
+    /// Neighbors of `v` over the surviving links are
+    /// `adj[start[v]..start[v + 1]]`, in the topology's adjacency order.
+    start: Vec<u32>,
+    adj: Vec<(NodeId, LinkId, u32)>,
+    /// `a ^ b` for every link `a — b`, by link id: a hop's link names its
+    /// next node (`v ^ ends[l]` from `v`), so a row entry needs no node
+    /// field. An xor rather than the endpoint pair keeps the per-hop
+    /// lookup free of a data-dependent branch (≈3 ns per hop on campus).
+    ends: Vec<u32>,
+    /// rows[dst]: entry `v` says how `v` reaches `dst`.
+    rows: Vec<OnceLock<Box<[Hop]>>>,
+}
+
+/// How one node reaches a row's destination (8 bytes: rows are the
+/// table's memory).
+#[derive(Clone, Copy)]
+struct Hop {
+    /// The link `v` forwards on; [`UNREACHABLE`] when none (unreachable,
+    /// or the destination itself).
+    link: u32,
+    /// Distance to the destination; [`UNREACHABLE`] when unreachable.
+    dist: u32,
 }
 
 const UNREACHABLE: u32 = u32::MAX;
 
 impl RoutingTables {
-    pub(crate) fn compute(topo: &Topology) -> Self {
-        Self::compute_excluding(topo, &[])
-    }
-
-    /// Computes tables as if the listed links did not exist — what OSPF
-    /// converges to after those links fail.
-    pub(crate) fn compute_excluding(topo: &Topology, excluded: &[crate::LinkId]) -> Self {
-        let n = topo.node_count();
-        let mut dist = vec![UNREACHABLE; n * n];
-        let mut next = vec![UNREACHABLE; n * n];
-        let excluded: std::collections::HashSet<crate::LinkId> =
-            excluded.iter().copied().collect();
-        for src in 0..n {
-            Self::dijkstra(
-                topo,
-                NodeId(src as u32),
-                &excluded,
-                &mut dist[src * n..(src + 1) * n],
-                &mut next[src * n..(src + 1) * n],
-            );
+    /// An empty table over `topo` as if the `excluded` links did not
+    /// exist: the adjacency is snapshotted once, without them.
+    fn new(topo: &Topology, excluded: &[LinkId]) -> Self {
+        let mut failed = vec![false; topo.link_count()];
+        for l in excluded {
+            if let Some(f) = failed.get_mut(l.index()) {
+                *f = true;
+            }
         }
-        RoutingTables { n, dist, next }
+        let n = topo.node_count();
+        let mut start = Vec::with_capacity(n + 1);
+        let mut adj = Vec::with_capacity(2 * topo.link_count());
+        start.push(0);
+        for v in topo.nodes() {
+            adj.extend(topo.adjacency(v).iter().filter(|(_, l, _)| !failed[l.index()]));
+            start.push(adj.len() as u32);
+        }
+        RoutingTables {
+            start,
+            adj,
+            ends: (0..topo.link_count())
+                .map(|l| {
+                    let (a, b, _) = topo.link(LinkId::from_index(l));
+                    a.0 ^ b.0
+                })
+                .collect(),
+            rows: (0..n).map(|_| OnceLock::new()).collect(),
+        }
     }
 
-    /// Single-source Dijkstra writing distance and first-hop rows.
-    ///
-    /// The first hop is propagated from parent to child; ties are broken by
-    /// preferring the smaller (distance, predecessor id, node id) triple, so
-    /// the outcome is independent of heap pop order.
-    fn dijkstra(
-        topo: &Topology,
-        src: NodeId,
-        excluded: &std::collections::HashSet<crate::LinkId>,
-        dist: &mut [u32],
-        next: &mut [u32],
-    ) {
-        // (distance, node) min-heap; deterministic because on equal distance
-        // the smaller node id pops first.
-        let mut heap: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
-        let mut pred: Vec<u32> = vec![UNREACHABLE; dist.len()];
-        dist[src.index()] = 0;
-        heap.push(Reverse((0, src.0)));
+    fn neighbors(&self, v: usize) -> &[(NodeId, LinkId, u32)] {
+        &self.adj[self.start[v] as usize..self.start[v + 1] as usize]
+    }
+
+    /// The node `v` reaches over `link`; `None` for [`UNREACHABLE`].
+    fn far_end(&self, link: u32, v: NodeId) -> Option<NodeId> {
+        Some(NodeId(v.0 ^ self.ends.get(link as usize)?))
+    }
+
+    /// The row of `dst`, computed on first use; `None` for an id outside
+    /// the topology.
+    fn row(&self, dst: NodeId) -> Option<&[Hop]> {
+        let cell = self.rows.get(dst.index())?;
+        Some(cell.get_or_init(|| self.compute_row(dst.0)))
+    }
+
+    /// How `src` reaches `dst`, or `None` if either id is out of range.
+    fn hop(&self, src: NodeId, dst: NodeId) -> Option<Hop> {
+        self.row(dst)?.get(src.index()).copied()
+    }
+
+    /// Dijkstra rooted at `dst`. On an undirected graph the shortest
+    /// `v → dst` path reverses the tree path, so `v`'s forwarding hop is
+    /// its tree parent. Costs are positive, so every equal-cost parent of
+    /// `v` settles before `v` and relaxes it: keeping the smallest id on a
+    /// tie implements the tie-break.
+    fn compute_row(&self, dst: u32) -> Box<[Hop]> {
+        let none = Hop {
+            link: UNREACHABLE,
+            dist: UNREACHABLE,
+        };
+        let mut row = vec![none; self.rows.len()];
+        row[dst as usize].dist = 0;
+        let mut heap = BinaryHeap::new();
+        heap.push(Reverse((0u32, dst)));
         while let Some(Reverse((d, u))) = heap.pop() {
-            if d > dist[u as usize] {
+            if d > row[u as usize].dist {
                 continue;
             }
-            for &(v, link, c) in topo.adjacency(NodeId(u)) {
-                if excluded.contains(&link) {
-                    continue;
-                }
+            for &(v, link, c) in self.neighbors(u as usize) {
                 let nd = d.saturating_add(c);
-                let better = nd < dist[v.index()]
-                    || (nd == dist[v.index()] && u < pred[v.index()]);
-                if better {
-                    dist[v.index()] = nd;
-                    pred[v.index()] = u;
-                    next[v.index()] = if u == src.0 { v.0 } else { next[u as usize] };
+                let hop = row[v.index()];
+                if nd < hop.dist {
                     heap.push(Reverse((nd, v.0)));
+                } else if nd > hop.dist || self.far_end(hop.link, v) <= Some(NodeId(u)) {
+                    continue; // longer, or tied with a parent of smaller id
                 }
+                row[v.index()] = Hop {
+                    link: link.0,
+                    dist: nd,
+                };
             }
         }
+        row.into_boxed_slice()
     }
 
     /// Shortest-path cost from `src` to `dst`, or `None` if unreachable.
     pub fn dist(&self, src: NodeId, dst: NodeId) -> Option<u32> {
-        if src == dst {
+        if src == dst && src.index() < self.rows.len() {
             return Some(0);
         }
-        match self.dist[src.index() * self.n + dst.index()] {
+        match self.hop(src, dst)?.dist {
             UNREACHABLE => None,
             d => Some(d),
         }
@@ -146,218 +201,74 @@ impl RoutingTables {
     /// The neighbor `src` forwards to when routing towards `dst`, or `None`
     /// if `dst` is unreachable or equals `src`.
     pub fn next_hop(&self, src: NodeId, dst: NodeId) -> Option<NodeId> {
-        if src == dst {
-            return None;
-        }
-        match self.next[src.index() * self.n + dst.index()] {
-            UNREACHABLE => None,
-            v => Some(NodeId(v)),
-        }
+        self.next_hop_link(src, dst).map(|(v, _)| v)
+    }
+
+    /// [`RoutingTables::next_hop`] together with the link the hop takes.
+    pub fn next_hop_link(&self, src: NodeId, dst: NodeId) -> Option<(NodeId, LinkId)> {
+        let link = self.hop(src, dst)?.link;
+        Some((self.far_end(link, src)?, LinkId(link)))
+    }
+
+    /// Every neighbor of `src` on *some* shortest path to `dst`, with the
+    /// link to it, in the topology's adjacency order — the ECMP next-hop
+    /// set. Empty if `dst` is unreachable or equals `src`.
+    pub fn equal_cost_hops(&self, src: NodeId, dst: NodeId) -> Vec<(NodeId, LinkId)> {
+        // src == dst: total 0, and every neighbor is at least a cost 1 away.
+        let (Some(total), Some(row)) = (self.dist(src, dst), self.row(dst)) else {
+            return Vec::new();
+        };
+        self.neighbors(src.index())
+            .iter()
+            .filter(|&&(v, _, c)| row[v.index()].dist.saturating_add(c) == total)
+            .map(|&(v, l, _)| (v, l))
+            .collect()
     }
 
     /// Reconstructs the full shortest path from `src` to `dst` by chaining
     /// next-hop lookups, or `None` if unreachable.
     pub fn path(&self, src: NodeId, dst: NodeId) -> Option<Path> {
-        if src == dst {
-            return Some(Path {
-                nodes: vec![src],
-                cost: 0,
-            });
-        }
         let cost = self.dist(src, dst)?;
         let mut nodes = vec![src];
         let mut cur = src;
         while cur != dst {
             cur = self.next_hop(cur, dst)?;
             nodes.push(cur);
-            if nodes.len() > self.n {
-                // Defensive: a routing loop would indicate an internal bug.
-                return None;
-            }
         }
         Some(Path { nodes, cost })
     }
 
-    /// Among `candidates`, returns the `k` closest to `from` (by routing
-    /// distance, ties broken by node id), closest first. Unreachable
-    /// candidates are skipped; fewer than `k` may be returned.
-    ///
-    /// This implements the controller's `M_x^e` construction (§III.C): the
-    /// `k` closest middleboxes offering a function. With `k == 1` it yields
-    /// the hot-potato assignment `m_x^e`.
-    pub fn k_closest(
-        &self,
-        from: NodeId,
-        candidates: impl IntoIterator<Item = NodeId>,
-        k: usize,
-    ) -> Vec<NodeId> {
-        let mut with_dist: Vec<(u32, NodeId)> = candidates
-            .into_iter()
-            .filter_map(|c| self.dist(from, c).map(|d| (d, c)))
-            .collect();
-        with_dist.sort_by_key(|&(d, id)| (d, id));
-        with_dist.truncate(k);
-        with_dist.into_iter().map(|(_, id)| id).collect()
-    }
-
     /// Number of nodes these tables cover.
     pub fn node_count(&self) -> usize {
-        self.n
-    }
-}
-
-/// On-demand per-destination routing rows: the checker-consumable export
-/// of OSPF forwarding for topologies where the all-pairs tables of
-/// [`RoutingTables`] would not fit (at ~21k nodes the dense `n²` arrays
-/// run to gigabytes; a static checker only ever asks about a handful of
-/// destinations — middlebox attachment routers and assertion endpoints).
-///
-/// One Dijkstra rooted at the *destination* yields, for every node `v`,
-/// the neighbor `v` forwards to when routing towards that destination
-/// (on an undirected graph the shortest `v → dst` path is the reverse of
-/// the tree path, so the forwarding hop is `v`'s tree predecessor). Rows
-/// are cached per destination, so asking many `(src, dst)` pairs with few
-/// distinct destinations stays cheap.
-///
-/// Tie-breaking is deterministic — among equal-cost parents the smaller
-/// node id wins — but because ties are broken from the destination side,
-/// the chosen path through an equal-cost mesh may differ from the
-/// source-side tie-break of [`RoutingTables`]. Distances always agree;
-/// use [`RoutingTables`] when byte-exact agreement with the simulator's
-/// forwarding is required and the topology is small enough.
-///
-/// # Example
-///
-/// ```
-/// use sdm_topology::{Topology, NodeKind};
-/// let mut t = Topology::new();
-/// let a = t.add_node(NodeKind::EdgeRouter, "a");
-/// let b = t.add_node(NodeKind::CoreRouter, "b");
-/// let c = t.add_node(NodeKind::EdgeRouter, "c");
-/// t.add_link(a, b, 1).unwrap();
-/// t.add_link(b, c, 1).unwrap();
-/// let routes = t.dest_routes();
-/// assert_eq!(routes.next_hop(a, c), Some(b));
-/// assert_eq!(routes.dist(a, c), Some(2));
-/// assert_eq!(routes.cached_destinations(), 1);
-/// ```
-pub struct DestRoutes<'a> {
-    topo: &'a Topology,
-    /// dst -> (toward, dist) rows, keyed and iterated in sorted order so
-    /// any reporting over the cache is deterministic.
-    rows: std::cell::RefCell<std::collections::BTreeMap<u32, std::rc::Rc<DestRow>>>,
-}
-
-struct DestRow {
-    /// toward[v]: the neighbor v forwards to when routing to the row's
-    /// destination; UNREACHABLE when v cannot reach it (or v == dst).
-    toward: Vec<u32>,
-    dist: Vec<u32>,
-}
-
-impl<'a> DestRoutes<'a> {
-    /// Creates an empty (nothing computed yet) route view over `topo`.
-    pub fn new(topo: &'a Topology) -> Self {
-        DestRoutes {
-            topo,
-            rows: std::cell::RefCell::new(std::collections::BTreeMap::new()),
-        }
-    }
-
-    fn row(&self, dst: NodeId) -> std::rc::Rc<DestRow> {
-        if let Some(r) = self.rows.borrow().get(&dst.0) {
-            return std::rc::Rc::clone(r);
-        }
-        let row = std::rc::Rc::new(self.compute_row(dst));
-        self.rows
-            .borrow_mut()
-            .insert(dst.0, std::rc::Rc::clone(&row));
-        row
-    }
-
-    /// Dijkstra rooted at `dst` with the same deterministic tie-break as
-    /// [`RoutingTables`]: among equal-cost parents the smaller id wins.
-    fn compute_row(&self, dst: NodeId) -> DestRow {
-        let n = self.topo.node_count();
-        let mut dist = vec![UNREACHABLE; n];
-        let mut toward = vec![UNREACHABLE; n];
-        let mut heap: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
-        dist[dst.index()] = 0;
-        heap.push(Reverse((0, dst.0)));
-        while let Some(Reverse((d, u))) = heap.pop() {
-            if d > dist[u as usize] {
-                continue;
-            }
-            for &(v, _link, c) in self.topo.adjacency(NodeId(u)) {
-                let nd = d.saturating_add(c);
-                let better = nd < dist[v.index()]
-                    || (nd == dist[v.index()] && u < toward[v.index()]);
-                if better {
-                    dist[v.index()] = nd;
-                    toward[v.index()] = u;
-                    heap.push(Reverse((nd, v.0)));
-                }
-            }
-        }
-        DestRow { toward, dist }
-    }
-
-    /// The neighbor `src` forwards to when routing towards `dst`, or
-    /// `None` if `dst` is unreachable or equals `src`.
-    pub fn next_hop(&self, src: NodeId, dst: NodeId) -> Option<NodeId> {
-        if src == dst {
-            return None;
-        }
-        match self.row(dst).toward[src.index()] {
-            UNREACHABLE => None,
-            v => Some(NodeId(v)),
-        }
-    }
-
-    /// Shortest-path cost from `src` to `dst`, or `None` if unreachable.
-    pub fn dist(&self, src: NodeId, dst: NodeId) -> Option<u32> {
-        if src == dst {
-            return Some(0);
-        }
-        match self.row(dst).dist[src.index()] {
-            UNREACHABLE => None,
-            d => Some(d),
-        }
+        self.rows.len()
     }
 
     /// How many destination rows have been computed so far.
-    pub fn cached_destinations(&self) -> usize {
-        self.rows.borrow().len()
+    pub fn rows_built(&self) -> usize {
+        self.rows.iter().filter(|r| r.get().is_some()).count()
     }
 }
 
-impl std::fmt::Debug for DestRoutes<'_> {
+impl std::fmt::Debug for RoutingTables {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DestRoutes")
-            .field("nodes", &self.topo.node_count())
-            .field("cached_destinations", &self.cached_destinations())
+        f.debug_struct("RoutingTables")
+            .field("nodes", &self.node_count())
+            .field("rows_built", &self.rows_built())
             .finish()
     }
 }
 
 impl Topology {
-    /// Computes all-pairs shortest-path routing tables for this topology,
-    /// the equivalent of letting OSPF converge on every router.
+    /// The routing tables OSPF converges to on this topology. Rows are
+    /// computed on demand (see [`RoutingTables`]), so this is `O(n + m)`.
     pub fn routing_tables(&self) -> RoutingTables {
-        RoutingTables::compute(self)
+        RoutingTables::new(self, &[])
     }
 
-    /// Computes routing tables as if the listed links had failed — what
-    /// OSPF converges to after withdrawing their link-state advertisements.
-    pub fn routing_tables_excluding(&self, failed: &[crate::LinkId]) -> RoutingTables {
-        RoutingTables::compute_excluding(self, failed)
-    }
-
-    /// On-demand per-destination routing rows (see [`DestRoutes`]): the
-    /// memory-proportional alternative to [`Topology::routing_tables`] for
-    /// topologies too large for dense all-pairs tables.
-    pub fn dest_routes(&self) -> DestRoutes<'_> {
-        DestRoutes::new(self)
+    /// The routing tables OSPF converges to after the listed links fail
+    /// (their link-state advertisements withdrawn).
+    pub fn routing_tables_excluding(&self, failed: &[LinkId]) -> RoutingTables {
+        RoutingTables::new(self, failed)
     }
 }
 
@@ -395,11 +306,11 @@ mod tests {
         let b = t.add_node(NodeKind::CoreRouter, "b");
         let c = t.add_node(NodeKind::CoreRouter, "c");
         t.add_link(a, b, 10).unwrap();
-        t.add_link(a, c, 1).unwrap();
+        let ac = t.add_link(a, c, 1).unwrap();
         t.add_link(c, b, 1).unwrap();
         let rt = t.routing_tables();
         assert_eq!(rt.dist(a, b), Some(2));
-        assert_eq!(rt.next_hop(a, b), Some(c));
+        assert_eq!(rt.next_hop_link(a, b), Some((c, ac)));
         assert_eq!(rt.path(a, b).unwrap().nodes(), &[a, c, b]);
     }
 
@@ -412,6 +323,24 @@ mod tests {
         assert_eq!(rt.dist(a, b), None);
         assert_eq!(rt.next_hop(a, b), None);
         assert!(rt.path(a, b).is_none());
+        assert!(rt.equal_cost_hops(a, b).is_empty());
+    }
+
+    /// Regression: an id past the last node answered another pair's
+    /// entry (or panicked) instead of "unreachable".
+    #[test]
+    fn out_of_range_ids_are_unreachable() {
+        let (t, ids) = line(3);
+        let rt = t.routing_tables();
+        for ghost in [NodeId(3), NodeId(21), NodeId(u32::MAX)] {
+            assert_eq!(rt.dist(ids[0], ghost), None);
+            assert_eq!(rt.dist(ghost, ids[0]), None);
+            assert_eq!(rt.dist(ghost, ghost), None);
+            assert_eq!(rt.next_hop(ids[0], ghost), None);
+            assert_eq!(rt.next_hop(ghost, ids[0]), None);
+            assert!(rt.path(ghost, ids[0]).is_none());
+            assert!(rt.equal_cost_hops(ghost, ids[0]).is_empty());
+        }
     }
 
     #[test]
@@ -422,13 +351,30 @@ mod tests {
         let b = t.add_node(NodeKind::CoreRouter, "b");
         let c = t.add_node(NodeKind::CoreRouter, "c");
         let d = t.add_node(NodeKind::CoreRouter, "d");
-        t.add_link(a, c, 1).unwrap(); // insert c-link first to stress tie-break
-        t.add_link(a, b, 1).unwrap();
+        let ac = t.add_link(a, c, 1).unwrap(); // insert c-link first to stress tie-break
+        let ab = t.add_link(a, b, 1).unwrap();
         t.add_link(c, d, 1).unwrap();
         t.add_link(b, d, 1).unwrap();
         let rt = t.routing_tables();
         assert_eq!(rt.dist(a, d), Some(2));
         assert_eq!(rt.next_hop(a, d), Some(b));
+        // ECMP sees both, in adjacency order.
+        assert_eq!(rt.equal_cost_hops(a, d), vec![(c, ac), (b, ab)]);
+    }
+
+    #[test]
+    fn rows_fill_on_demand() {
+        let (t, ids) = line(6);
+        let rt = t.routing_tables();
+        assert_eq!(rt.rows_built(), 0);
+        assert_eq!(rt.dist(ids[3], ids[3]), Some(0));
+        assert_eq!(rt.rows_built(), 0, "a self-distance needs no row");
+        for &src in &ids {
+            rt.next_hop(src, ids[5]);
+        }
+        assert_eq!(rt.rows_built(), 1);
+        rt.dist(ids[5], ids[0]);
+        assert_eq!(rt.rows_built(), 2);
     }
 
     #[test]
@@ -440,27 +386,6 @@ mod tests {
         assert_eq!(p.cost(), 5);
         assert_eq!(p.nodes().first(), Some(&ids[0]));
         assert_eq!(p.nodes().last(), Some(&ids[5]));
-    }
-
-    #[test]
-    fn k_closest_orders_and_truncates() {
-        let (t, ids) = line(6);
-        let rt = t.routing_tables();
-        let cands = vec![ids[5], ids[1], ids[3]];
-        assert_eq!(rt.k_closest(ids[0], cands.clone(), 2), vec![ids[1], ids[3]]);
-        assert_eq!(rt.k_closest(ids[0], cands.clone(), 10).len(), 3);
-        assert_eq!(rt.k_closest(ids[0], cands, 0).len(), 0);
-    }
-
-    #[test]
-    fn k_closest_skips_unreachable() {
-        let mut t = Topology::new();
-        let a = t.add_node(NodeKind::CoreRouter, "a");
-        let b = t.add_node(NodeKind::CoreRouter, "b");
-        let island = t.add_node(NodeKind::CoreRouter, "island");
-        t.add_link(a, b, 1).unwrap();
-        let rt = t.routing_tables();
-        assert_eq!(rt.k_closest(a, vec![island, b], 5), vec![b]);
     }
 
     #[test]
@@ -491,64 +416,6 @@ mod tests {
         let rt = t.routing_tables_excluding(&[ab]);
         assert_eq!(rt.dist(a, b), None);
         assert!(rt.path(a, b).is_none());
-    }
-
-    #[test]
-    fn dest_routes_agree_with_all_pairs_distances() {
-        // Same deterministic mesh as `matches_floyd_warshall`.
-        let mut t = Topology::new();
-        let ids: Vec<_> = (0..8)
-            .map(|i| t.add_node(NodeKind::CoreRouter, format!("n{i}")))
-            .collect();
-        let mut s: u64 = 42;
-        let mut rand = move || {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (s >> 33) as u32
-        };
-        for i in 0..8 {
-            for j in (i + 1)..8 {
-                if rand() % 3 != 0 {
-                    t.add_link(ids[i], ids[j], 1 + rand() % 9).unwrap();
-                }
-            }
-        }
-        let rt = t.routing_tables();
-        let dr = t.dest_routes();
-        for &src in &ids {
-            for &dst in &ids {
-                assert_eq!(dr.dist(src, dst), rt.dist(src, dst), "{src:?}->{dst:?}");
-                // Following dest-route next hops must reach dst along a
-                // path whose hop costs sum to the shortest distance.
-                if src != dst && dr.dist(src, dst).is_some() {
-                    let mut at = src;
-                    let mut hops = 0;
-                    while at != dst {
-                        let nh = dr.next_hop(at, dst).expect("reachable");
-                        // each hop strictly decreases remaining distance
-                        assert!(dr.dist(nh, dst).unwrap() < dr.dist(at, dst).unwrap());
-                        at = nh;
-                        hops += 1;
-                        assert!(hops <= ids.len(), "forwarding loop");
-                    }
-                }
-            }
-        }
-        assert_eq!(dr.cached_destinations(), ids.len());
-    }
-
-    #[test]
-    fn dest_routes_handle_self_and_unreachable() {
-        let mut t = Topology::new();
-        let a = t.add_node(NodeKind::CoreRouter, "a");
-        let b = t.add_node(NodeKind::CoreRouter, "b");
-        let island = t.add_node(NodeKind::CoreRouter, "island");
-        t.add_link(a, b, 1).unwrap();
-        let dr = t.dest_routes();
-        assert_eq!(dr.next_hop(a, a), None);
-        assert_eq!(dr.dist(a, a), Some(0));
-        assert_eq!(dr.next_hop(a, island), None);
-        assert_eq!(dr.dist(a, island), None);
-        assert_eq!(dr.next_hop(a, b), Some(b));
     }
 
     /// Cross-check Dijkstra against Floyd–Warshall on a fixed mesh.

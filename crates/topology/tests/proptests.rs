@@ -1,8 +1,9 @@
 //! Property-based tests for the topology substrate: shortest-path routing
 //! invariants on random connected graphs, and generator invariants.
 
+use sdm_netsim::Simulator;
 use sdm_topology::waxman::{waxman_with, WaxmanConfig};
-use sdm_topology::{NodeId, NodeKind, Topology};
+use sdm_topology::{LinkId, NetworkPlan, NodeId, NodeKind, Topology};
 use sdm_util::prop::{check, Config};
 use sdm_util::rng::StdRng;
 use sdm_util::{prop_assert, prop_assert_eq};
@@ -157,23 +158,80 @@ fn next_hop_decreases_distance() {
     );
 }
 
-/// k_closest returns candidates sorted by distance and of the right size.
+/// The one tie-break rule and the failure path, against brute force. A
+/// random sequence of `fail_link` / `restore_link` on a `Simulator` leaves
+/// a failure set `F`; then, for every destination row of
+/// `routing_tables_excluding(F)`:
+///
+/// * distances equal Floyd–Warshall over the surviving links;
+/// * `v`'s next hop is the smallest-id neighbor `u` with
+///   `d(u) + c(u, v) = d(v)`, over a surviving link that joins `v` and `u`;
+///
+/// and the simulator routes exactly like that fresh table.
 #[test]
-fn k_closest_sorted() {
+fn rows_match_brute_force_under_link_failures() {
     check(
-        "k_closest_sorted",
-        &Config::with_cases(64),
-        |rng: &mut StdRng| (rng.gen_range(2usize..24), rng.next_u64(), rng.gen_range(1usize..6)),
-        |&(n, seed, k)| {
-            let k = k.max(1);
+        "rows_match_brute_force_under_link_failures",
+        &Config::with_cases(128),
+        |rng: &mut StdRng| (rng.gen_range(2usize..24), rng.next_u64(), rng.next_u64()),
+        |&(n, seed, fail_seed)| {
             let t = connected_graph(n, seed);
-            let rt = t.routing_tables();
-            let nodes: Vec<_> = t.nodes().collect();
-            let from = nodes[0];
-            let got = rt.k_closest(from, nodes.iter().copied().skip(1), k);
-            prop_assert_eq!(got.len(), k.min(nodes.len() - 1));
-            for w in got.windows(2) {
-                prop_assert!(rt.dist(from, w[0]).unwrap() <= rt.dist(from, w[1]).unwrap());
+            let nodes: Vec<NodeId> = t.nodes().collect();
+            let plan = NetworkPlan::new(t.clone(), vec![], nodes.clone(), vec![]);
+            let mut sim = Simulator::new(&plan);
+            let mut rng = StdRng::seed_from_u64(fail_seed);
+            let mut failed = vec![false; t.link_count()];
+            for _ in 0..rng.gen_range(0usize..12) {
+                let l = rng.gen_range(0..t.link_count());
+                failed[l] = rng.gen_range(0u32..3) != 0;
+                if failed[l] {
+                    sim.fail_link(LinkId::from_index(l));
+                } else {
+                    sim.restore_link(LinkId::from_index(l));
+                }
+            }
+            let excluded: Vec<LinkId> = (0..t.link_count())
+                .filter(|&l| failed[l])
+                .map(LinkId::from_index)
+                .collect();
+            let rt = t.routing_tables_excluding(&excluded);
+
+            const INF: u64 = u64::MAX / 4;
+            let n = nodes.len();
+            let mut d = vec![INF; n * n];
+            let mut cost = vec![None; n * n];
+            for i in 0..n {
+                d[i * n + i] = 0;
+            }
+            for l in (0..t.link_count()).filter(|&l| !failed[l]).map(LinkId::from_index) {
+                let (a, b, c) = t.link(l);
+                let (a, b) = (a.index(), b.index());
+                d[a * n + b] = c as u64;
+                d[b * n + a] = c as u64;
+                cost[a * n + b] = Some((c as u64, l));
+                cost[b * n + a] = Some((c as u64, l));
+            }
+            for k in 0..n {
+                for i in 0..n {
+                    for j in 0..n {
+                        d[i * n + j] = d[i * n + j].min(d[i * n + k] + d[k * n + j]);
+                    }
+                }
+            }
+
+            for (dst, &dn) in nodes.iter().enumerate() {
+                for (v, &vn) in nodes.iter().enumerate() {
+                    let want = (d[v * n + dst] < INF).then(|| d[v * n + dst] as u32);
+                    prop_assert_eq!(rt.dist(vn, dn), want, "dist n{v}->n{dst}");
+                    let toward = (0..n).find_map(|u| {
+                        let (c, l) = cost[u * n + v]?;
+                        (v != dst && d[u * n + dst] + c == d[v * n + dst])
+                            .then(|| (nodes[u], l))
+                    });
+                    prop_assert_eq!(rt.next_hop_link(vn, dn), toward, "hop n{v}->n{dst}");
+                    prop_assert_eq!(sim.routes().next_hop_link(vn, dn), toward);
+                    prop_assert_eq!(sim.routes().dist(vn, dn), want);
+                }
             }
             Ok(())
         },

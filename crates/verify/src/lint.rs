@@ -100,6 +100,7 @@ pub const HOT_PATH_SUFFIXES: &[&str] = &[
     "policy/src/label_table.rs",
     "policy/src/local.rs",
     "policy/src/classifier.rs",
+    "topology/src/routing.rs",
 ];
 
 /// Path suffixes exempt from the wall-clock rule: the benchmarking
@@ -712,6 +713,8 @@ mod tests {
         assert_eq!(hits[0].rule, RULE_HOT_PATH_PANIC);
         assert_eq!(lint_str("crates/netsim/src/queue.rs", "netsim", src).len(), 1);
         assert_eq!(lint_str("crates/netsim/src/schedule.rs", "netsim", src).len(), 1);
+        // The per-hop routing lookup is on the packet path too.
+        assert_eq!(lint_str("crates/topology/src/routing.rs", "topology", src).len(), 1);
         // Same code outside the hot path: no finding.
         assert!(lint_str("crates/netsim/src/addr.rs", "netsim", src).is_empty());
         // Suppressed on the preceding line.

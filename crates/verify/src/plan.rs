@@ -1148,4 +1148,25 @@ mod tests {
         };
         assert!(verify_plan_routed(&view, &ok).is_clean());
     }
+
+    /// Regression: the routed V005 walk over real routing tables indexed
+    /// past the table for a middlebox on a non-existent router and
+    /// panicked before V015 could be reported.
+    #[test]
+    fn dangling_attachment_is_reported_by_the_routed_pass() {
+        use sdm_topology::{NodeKind, Topology};
+        let mut view = healthy();
+        let mut t = Topology::new();
+        let ids: Vec<_> = (0..view.node_count)
+            .map(|i| t.add_node(NodeKind::CoreRouter, format!("n{i}")))
+            .collect();
+        for w in ids.windows(2) {
+            t.add_link(w[0], w[1], 1).unwrap();
+        }
+        let routes = t.routing_tables();
+        assert!(verify_plan_routed(&view, &routes).is_clean());
+        view.middleboxes[2].router = 21; // node_count is 10
+        let report = verify_plan_routed(&view, &routes);
+        assert!(report.has_code(ErrorCode::DanglingAttachment), "{report}");
+    }
 }

@@ -48,11 +48,11 @@ const FULL_PORT_RANGE: (u16, u16) = (0, u16::MAX);
 // ---------------------------------------------------------------------------
 
 /// A checker-consumable view of routing: the per-hop forwarding function
-/// every router applies. Both the dense all-pairs tables
-/// ([`sdm_topology::RoutingTables`]) and the on-demand per-destination
-/// rows ([`sdm_topology::DestRoutes`]) implement it, so the same checker
-/// runs byte-exact on the campus topology and memory-proportional on the
-/// ~21k-node hierarchical one.
+/// every router applies. [`sdm_topology::RoutingTables`] — the one
+/// routing oracle, filled per destination on demand — implements it, so
+/// the checker reads exactly the simulator's forwarding on the campus
+/// topology and stays memory-proportional on the ~21k-node hierarchical
+/// one; tests implement it to inject broken routing.
 pub trait RouteView {
     /// The node `from` forwards to when routing towards `dst`, or `None`
     /// when `dst` is unreachable (or equals `from`).
@@ -72,24 +72,6 @@ impl RouteView for sdm_topology::RoutingTables {
     }
     fn dist(&self, from: u32, dst: u32) -> Option<u32> {
         sdm_topology::RoutingTables::dist(
-            self,
-            sdm_topology::NodeId::from_index(from as usize),
-            sdm_topology::NodeId::from_index(dst as usize),
-        )
-    }
-}
-
-impl RouteView for sdm_topology::DestRoutes<'_> {
-    fn next_hop(&self, from: u32, dst: u32) -> Option<u32> {
-        sdm_topology::DestRoutes::next_hop(
-            self,
-            sdm_topology::NodeId::from_index(from as usize),
-            sdm_topology::NodeId::from_index(dst as usize),
-        )
-        .map(|n| n.index() as u32)
-    }
-    fn dist(&self, from: u32, dst: u32) -> Option<u32> {
-        sdm_topology::DestRoutes::dist(
             self,
             sdm_topology::NodeId::from_index(from as usize),
             sdm_topology::NodeId::from_index(dst as usize),

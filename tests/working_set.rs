@@ -2,10 +2,17 @@
 //! size of the workload: a paced packet-level run holds a small fraction
 //! of its packets in the arena and the event queue at any one time. This
 //! is the deterministic count behind the benchmark's `peak_rss_mb` on the
-//! paced workloads — no wall clock, no allocator.
+//! paced workloads — no wall clock, no allocator. Likewise, routing state
+//! follows the destinations traffic is sent to, not the node count.
 
-use sdm::core::{Enforcement, EnforcementOptions, SteeringEncoding, Strategy};
-use sdm::netsim::{Packet, SimTime};
+use std::collections::BTreeSet;
+
+use sdm::core::{
+    Controller, Deployment, Enforcement, EnforcementOptions, KConfig, SteeringEncoding, Strategy,
+};
+use sdm::netsim::{FiveTuple, Packet, Protocol, SimTime, StubId};
+use sdm::policy::{ActionList, NetworkFunction, Policy, PolicySet, TrafficDescriptor};
+use sdm::topology::hierarchical::{hierarchical, HierarchicalConfig};
 use sdm_bench::{ExperimentConfig, World};
 use sdm_workload::WorkloadConfig;
 
@@ -90,5 +97,64 @@ fn paced_run_holds_the_in_flight_window_not_the_workload() {
     assert_eq!(
         expanded.sim().arena().allocations(),
         sim.arena().allocations()
+    );
+}
+
+/// Routing state follows the destinations packets are sent to, not the
+/// topology: on a 4,490-node hierarchical world the controller and the
+/// simulator each fill only the routing rows their traffic needs.
+#[test]
+fn routing_rows_follow_destinations() {
+    let plan = hierarchical(
+        &HierarchicalConfig {
+            edges_per_router: 6,
+            ..HierarchicalConfig::large()
+        },
+        1,
+    );
+    assert_eq!(plan.topology().node_count(), 4_490);
+    let deployment = Deployment::evaluation_default(&plan, 7);
+    let mut policies = PolicySet::new();
+    policies.push(Policy::new(
+        TrafficDescriptor::new().dst_port(80),
+        ActionList::chain([NetworkFunction::Firewall, NetworkFunction::Ids]),
+    ));
+    // Routers the controller routes towards: middleboxes and gateways.
+    let mut targets: BTreeSet<usize> = deployment.iter().map(|(_, s)| s.router.index()).collect();
+    targets.extend(plan.gateways().iter().map(|g| g.index()));
+    let controller = Controller::new(plan, deployment, policies, KConfig::paper_default());
+    let mut enf = controller.enforcement(Strategy::HotPotato, None, EnforcementOptions::default());
+
+    // 300 flows among 8 stubs spread over the fabric, half of them web.
+    let addrs = controller.addr_plan();
+    let stubs: Vec<StubId> = (0..8).map(|i| StubId(i * 480)).collect();
+    let controller_rows = targets.len();
+    let mut injected = 0;
+    for i in 0..300u32 {
+        let (src, dst) = (stubs[i as usize % 8], stubs[(i as usize * 3 + 1) % 8]);
+        targets.insert(addrs.edge_router(dst).index());
+        let ft = FiveTuple {
+            src: addrs.host(src, 1),
+            dst: addrs.host(dst, 2),
+            src_port: 1_000 + i as u16,
+            dst_port: if i % 2 == 0 { 80 } else { 443 },
+            proto: Protocol::Tcp,
+        };
+        enf.inject_flow(ft, 4, 500);
+        injected += 4;
+    }
+    enf.run();
+    assert_eq!(enf.sim().stats().delivered, injected);
+
+    let sim_rows = targets.len();
+    assert!(
+        controller.routes().rows_built() <= controller_rows,
+        "controller built {} rows for {controller_rows} box/gateway routers",
+        controller.routes().rows_built()
+    );
+    assert!(
+        enf.sim().routes().rows_built() <= sim_rows,
+        "simulator built {} rows for {sim_rows} destination/box/gateway routers",
+        enf.sim().routes().rows_built()
     );
 }
