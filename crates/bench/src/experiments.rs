@@ -694,7 +694,9 @@ fn path_stretch(args: &Args) -> ExitCode {
     let mut plain = Simulator::new(world.controller.plan());
     for f in &flows {
         let stub = plain.addresses().stub_of(f.five_tuple.src).unwrap();
-        plain.inject_from_stub(stub, Packet::with_weight(f.five_tuple, 512, f.packets));
+        for pkt in Packet::aggregates(f.five_tuple, 512, f.packets) {
+            plain.inject_from_stub(stub, pkt);
+        }
     }
     plain.run_until_idle();
     let plain_delivered = plain.stats().delivered + plain.stats().delivered_external;

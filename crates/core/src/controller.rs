@@ -633,7 +633,10 @@ impl Enforcement {
     }
 
     /// Injects one flow as a single aggregate event of `packets` identical
-    /// packets (the exact fast path for load experiments).
+    /// packets (the exact fast path for load experiments). A count beyond
+    /// one aggregate's `u32` weight — trace files may carry one — is split
+    /// into full aggregates ([`Packet::aggregates`]); every counter adds
+    /// `weight`, so the split is invisible in the statistics.
     ///
     /// # Panics
     ///
@@ -644,8 +647,9 @@ impl Enforcement {
             .addr_plan
             .stub_of(flow.src)
             .expect("flow source must lie in a stub subnet");
-        self.sim
-            .inject_from_stub(stub, Packet::with_weight(flow, payload, packets));
+        for pkt in Packet::aggregates(flow, payload, packets) {
+            self.sim.inject_from_stub(stub, pkt);
+        }
     }
 
     /// Injects one flow as `packets` individual packets starting at

@@ -106,7 +106,7 @@ impl MiddleboxDevice {
         install_labels: bool,
     ) {
         let (ft, policy_id, actions) = (&run.ft, run.policy_id, &run.actions);
-        let weight = ctx.pkt(pkt).weight;
+        let weight = ctx.pkt(pkt).weight();
         let now = ctx.now();
         // Apply our function, plus any consecutive functions we also
         // implement locally.
@@ -178,7 +178,12 @@ impl MiddleboxDevice {
                         );
                     }
                 }
-                ctx.pkt_mut(pkt).encapsulate(proxy_addr, next_addr);
+                if ctx.pkt_mut(pkt).encapsulate(proxy_addr, next_addr).is_err() {
+                    // still tunneled after our decapsulation: over the bound
+                    state.counters.unenforceable += weight;
+                    ctx.drop_pkt(pkt);
+                    return;
+                }
                 ctx.forward(pkt);
             }
             None => {
@@ -201,7 +206,7 @@ impl MiddleboxDevice {
                         );
                     }
                     if self.config.label_switching() {
-                        let control = Packet::control(ctx.addr(), proxy_addr, *ft);
+                        let control = Packet::control(proxy_addr, *ft);
                         let control = ctx.alloc(control);
                         ctx.forward(control);
                         ctx.forward(pkt);
@@ -229,7 +234,7 @@ impl MiddleboxDevice {
         ctx.pkt_mut(pkt).decapsulate();
         let (ft, weight, label) = {
             let p = ctx.pkt(pkt);
-            (p.five_tuple(), p.weight, p.label)
+            (p.five_tuple(), p.weight(), p.label)
         };
         state.counters.tunneled_in += weight;
         let run_mate = matches!(run, Some(r) if r.ft == ft && r.label == label);
@@ -262,15 +267,15 @@ impl MiddleboxDevice {
     /// Handles a source-routed packet: apply the function, pop the next
     /// segment, forward. No per-flow state is consulted or installed.
     fn handle_source_routed(&self, ctx: &mut DeviceCtx<'_>, state: &mut MboxState, pkt: PacketId) {
-        let weight = ctx.pkt(pkt).weight;
+        let weight = ctx.pkt(pkt).weight();
         state.counters.source_routed_in += weight;
         state.counters.applications += weight;
-        if ctx.pkt_mut(pkt).advance_source_route() {
+        if ctx.advance_source_route(pkt) {
             ctx.forward(pkt);
         } else {
             // an exhausted route here would mean the proxy built a route
             // not ending in the destination; unreachable in practice
-            // because set_source_route guarantees a final segment.
+            // because a source route always ends in the destination.
             ctx.drop_pkt(pkt);
         }
     }
@@ -314,7 +319,7 @@ impl MiddleboxDevice {
         pkt: PacketId,
         run: &mut Option<(LabelKey, Option<LabelEntry>)>,
     ) {
-        let weight = ctx.pkt(pkt).weight;
+        let weight = ctx.pkt(pkt).weight();
         state.counters.label_switched_in += weight;
         let Some(label) = ctx.pkt(pkt).label else {
             // No table access: the current run stays valid.
@@ -362,7 +367,7 @@ impl Device for MiddleboxDevice {
                 // rather than resume a pre-failure decision.
                 tunnel_run = None;
                 label_run = None;
-                state.counters.dropped_failed += ctx.pkt(pkt).weight;
+                state.counters.dropped_failed += ctx.pkt(pkt).weight();
                 ctx.drop_pkt(pkt);
                 continue;
             }

@@ -28,6 +28,13 @@ use crate::steer::SteerPoint;
 /// probe's result can be reused across a same-flow stretch of a run.
 type FlowDecision = (Option<(PolicyId, ActionList)>, Option<Label>, bool, Option<u32>);
 
+/// The `T_{s,d,p}` volume of the current same-(destination, policy)
+/// stretch of a run, recorded into the shared matrix once per stretch and
+/// at the end of the run rather than under its lock once per packet.
+/// Weights are integers and every volume stays below 2^53, so the summed
+/// `f64` cells are exactly those per-packet recording produced.
+type Tally = Option<(DestKey, PolicyId, u64)>;
+
 /// The policy-proxy device for one stub network or one gateway.
 pub struct ProxyDevice {
     point: SteerPoint,
@@ -114,9 +121,31 @@ impl ProxyDevice {
         }
     }
 
-    /// Applies a resolved [`FlowDecision`] to one outbound packet: measure,
-    /// then permit / source-route / label-switch / encapsulate. The proxy
-    /// state lock is already held.
+    /// Adds one steered packet to the run's measurement stretch, first
+    /// recording the previous stretch if the key changed.
+    fn measure(&self, tally: &mut Tally, dest: DestKey, policy: PolicyId, weight: u64) {
+        match tally {
+            Some((d, p, volume)) if *d == dest && *p == policy => *volume += weight,
+            _ => {
+                self.record(tally.take());
+                *tally = Some((dest, policy, weight));
+            }
+        }
+    }
+
+    /// Records a finished measurement stretch (§III.C); gateways measure
+    /// nothing.
+    fn record(&self, tally: Tally) {
+        if let (SteerPoint::Proxy(stub), Some((dest, policy, volume))) = (self.point, tally) {
+            self.measurements
+                .lock()
+                .record(stub, dest, policy, volume as f64);
+        }
+    }
+
+    /// Applies a resolved [`FlowDecision`] to one outbound (already
+    /// measured) packet: permit / source-route / label-switch /
+    /// encapsulate. The proxy state lock is already held.
     fn steer_outbound(
         &self,
         ctx: &mut DeviceCtx<'_>,
@@ -134,13 +163,6 @@ impl ProxyDevice {
             return;
         };
         let policy_id = *policy_id;
-
-        // Measure T_{s,d,p} for the controller (§III.C).
-        if let SteerPoint::Proxy(stub) = self.point {
-            self.measurements
-                .lock()
-                .record(stub, self.dest_key(ctx.pkt(pkt)), policy_id, weight as f64);
-        }
 
         if actions.is_permit() {
             state.counters.permitted += weight;
@@ -162,7 +184,12 @@ impl ProxyDevice {
             let mut segments: Vec<sdm_netsim::Ipv4Addr> =
                 chain.iter().map(|&m| self.config.mbox_addr(m)).collect();
             segments.push(final_dst);
-            ctx.pkt_mut(pkt).set_source_route(segments);
+            if ctx.set_source_route(pkt, segments).is_err() {
+                // longer than the header can carry: refused, not leaked
+                state.counters.unenforceable += weight;
+                ctx.drop_pkt(pkt);
+                return;
+            }
             state.counters.steered += weight;
             ctx.forward(pkt);
             return;
@@ -214,11 +241,16 @@ impl ProxyDevice {
             }
         }
 
-        // §III.B: IP-over-IP with the proxy as outer source.
+        // §III.B: IP-over-IP with the proxy as outer source. A packet that
+        // already carries the deepest tunnel stack cannot be steered.
         let entry = ctx.addr();
         let p = ctx.pkt_mut(pkt);
+        if p.encapsulate(entry, next_addr).is_err() {
+            state.counters.unenforceable += weight;
+            ctx.drop_pkt(pkt);
+            return;
+        }
         p.label = *label;
-        p.encapsulate(entry, next_addr);
         state.counters.steered += weight;
         ctx.forward(pkt);
     }
@@ -231,13 +263,14 @@ impl ProxyDevice {
         state: &mut ProxyState,
         pkt: PacketId,
     ) -> bool {
-        if let PacketKind::LabelReady(flow) = ctx.pkt(pkt).kind {
-            state.counters.control_received += ctx.pkt(pkt).weight;
-            state.flows.flag_label_switched(&flow);
-            ctx.drop_pkt(pkt);
-            return true;
+        let p = ctx.pkt(pkt);
+        if p.kind != PacketKind::LabelReady {
+            return false;
         }
-        false
+        state.counters.control_received += p.weight();
+        state.flows.flag_label_switched(&p.original());
+        ctx.drop_pkt(pkt);
+        true
     }
 
     /// Delivers an inbound packet into the stub. Returns `true` if the
@@ -249,7 +282,7 @@ impl ProxyDevice {
         pkt: PacketId,
     ) -> bool {
         if self.subnet.is_some_and(|s| s.contains(ctx.pkt(pkt).current_dst())) {
-            state.counters.inbound += ctx.pkt(pkt).weight;
+            state.counters.inbound += ctx.pkt(pkt).weight();
             while ctx.pkt_mut(pkt).decapsulate().is_some() {}
             ctx.deliver_local(pkt);
             return true;
@@ -268,10 +301,12 @@ impl Device for ProxyDevice {
     /// run-mate is a guaranteed hit returning exactly the cached decision,
     /// and control/inbound packets conservatively end the current stretch
     /// because they can mutate flow state (e.g. flag a flow label-switched
-    /// mid-tick).
+    /// mid-tick). Measurements are summed per stretch and recorded by the
+    /// end of the run, which no cell can tell from per-packet recording.
     fn receive(&mut self, ctx: &mut DeviceCtx<'_>, pkts: &[PacketId]) {
         let mut state = self.state.lock();
         let mut run: Option<(FiveTuple, FlowDecision)> = None;
+        let mut tally: Tally = None;
         for &pkt in pkts {
             if self.handle_control(ctx, &mut state, pkt) || self.handle_inbound(ctx, &mut state, pkt)
             {
@@ -282,7 +317,7 @@ impl Device for ProxyDevice {
             }
             let (ft, weight) = {
                 let p = ctx.pkt(pkt);
-                (p.five_tuple(), p.weight)
+                (p.five_tuple(), p.weight())
             };
             // Leaving our stub — or, at a gateway, entering the enterprise.
             state.counters.outbound += weight;
@@ -303,8 +338,13 @@ impl Device for ProxyDevice {
                 }
             }
             let Some((_, decision)) = &run else { continue };
+            // Measure T_{s,d,p} for the controller (§III.C).
+            if let (SteerPoint::Proxy(_), Some((policy, _))) = (self.point, &decision.0) {
+                self.measure(&mut tally, self.dest_key(ctx.pkt(pkt)), *policy, weight);
+            }
             self.steer_outbound(ctx, &mut state, pkt, &ft, weight, decision);
         }
+        self.record(tally);
     }
 }
 
@@ -358,7 +398,7 @@ mod tests {
             10,
         );
         assert_eq!(proxy.dest_key(&internal), DestKey::Stub(StubId(3)));
-        let mut external = internal.clone();
+        let mut external = internal;
         external.inner.dst = "8.8.8.8".parse().unwrap();
         assert_eq!(proxy.dest_key(&external), DestKey::External);
     }

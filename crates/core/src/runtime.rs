@@ -176,8 +176,9 @@ impl RuntimeConfig {
     /// The commodity of a packet, derived from its *original* endpoints
     /// (which survive label switching's destination rewrites).
     pub fn commodity_of(&self, pkt: &sdm_netsim::Packet) -> Option<(sdm_netsim::StubId, DestKey)> {
-        let src = self.addr_plan.stub_of(pkt.original.src)?;
-        let dst = match self.addr_plan.stub_of(pkt.original.dst) {
+        let original = pkt.original();
+        let src = self.addr_plan.stub_of(original.src)?;
+        let dst = match self.addr_plan.stub_of(original.dst) {
             Some(s) => DestKey::Stub(s),
             None => DestKey::External,
         };

@@ -365,8 +365,9 @@ mod tests {
                 enf.inject_flow(s.flow, s.packets, s.payload);
             }
             for s in inbound {
-                let pkt = sdm_netsim::Packet::with_weight(s.flow, s.payload, s.packets);
-                enf.sim_mut().inject_at_router(gw, pkt);
+                for pkt in sdm_netsim::Packet::aggregates(s.flow, s.payload, s.packets) {
+                    enf.sim_mut().inject_at_router(gw, pkt);
+                }
             }
             enf.run();
             enf.snapshot()

@@ -12,12 +12,12 @@
 //! by its 4-byte [`PacketId`]; events are dispatched from a
 //! [`CalendarQueue`] of exact-tick buckets (heap fallback for far-future
 //! events). Per hop the engine therefore moves a 12-byte event, not a
-//! packet struct, and performs no hash lookups: device addresses decode
-//! arithmetically (they are assigned densely from `172.16.0.0/12`), link
-//! ids come from a flat `node × node` table, and stub/gateway targets from
-//! per-node arrays. Fragmentation keeps the original packet parked in the
-//! arena and sends lightweight fragments that reference it, so the
-//! forwarding path never deep-clones a packet.
+//! packet record: device addresses decode arithmetically (they are
+//! assigned densely from `172.16.0.0/12`), the next hop and its link come
+//! from the routing row of the target router (filled once, on first use),
+//! and stub/gateway targets from per-node arrays. Fragmentation keeps the
+//! original packet parked in the arena and sends lightweight fragments
+//! that reference it, so the forwarding path never deep-clones a packet.
 //!
 //! # Execution model
 //!
@@ -51,7 +51,7 @@ use sdm_topology::{NetworkPlan, NodeId, NodeKind, RoutingTables, Topology};
 
 use crate::addr::{AddressPlan, Ipv4Addr, StubId};
 use crate::arena::{PacketArena, PacketId};
-use crate::packet::{FiveTuple, FragInfo, Packet, PacketKind, IP_HEADER_LEN};
+use crate::packet::{FiveTuple, FragInfo, HeaderFull, Packet, PacketKind, IP_HEADER_LEN};
 use crate::queue::CalendarQueue;
 use crate::schedule::{EntryPoint, InjectionSchedule, Stream};
 
@@ -215,6 +215,28 @@ impl<'a> DeviceCtx<'a> {
     /// Consumes a packet terminally (a device-level drop); frees its slot.
     pub fn drop_pkt(&mut self, id: PacketId) {
         let _ = self.arena.free(id);
+    }
+
+    /// Installs a strict source route on a packet this device holds (see
+    /// [`PacketArena::set_source_route`]); a route the header cannot hold
+    /// is refused.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `segments` is empty.
+    #[must_use = "a refused route leaves the packet unsteered; drop and count it"]
+    pub fn set_source_route(
+        &mut self,
+        id: PacketId,
+        segments: Vec<Ipv4Addr>,
+    ) -> Result<(), HeaderFull> {
+        self.arena.set_source_route(id, segments)
+    }
+
+    /// Advances a held packet's source route to its next segment; false
+    /// when none remain (see [`PacketArena::advance_source_route`]).
+    pub fn advance_source_route(&mut self, id: PacketId) -> bool {
+        self.arena.advance_source_route(id)
     }
 
     /// Re-emits a packet into the network at the attachment router; it will
@@ -447,10 +469,9 @@ pub struct Simulator {
     tel: std::sync::Arc<sdm_telemetry::ShardTelemetry>,
     ecmp: EcmpMode,
     frag_mode: FragmentationMode,
-    frag_seq: u64,
-    /// Per-split reassembly state, keyed by fragment id: the parent packet
-    /// stays parked in the arena until the last fragment arrives.
-    reassembly: FxHashMap<u64, FragState>,
+    /// Per-split reassembly state, keyed by the parent packet, which stays
+    /// parked in the arena until the last fragment arrives.
+    reassembly: FxHashMap<PacketId, FragState>,
     /// Per-device (service ticks per packet, busy-until time).
     service: Vec<(u64, SimTime)>,
     /// Most same-tick events drained per batch (see
@@ -469,9 +490,8 @@ const DEFAULT_BATCH: usize = 256;
 /// parent packet (parked in the arena) instead of each carrying a clone of
 /// its header stack.
 struct FragState {
-    /// The original packet, parked in the arena until reassembly.
-    parent: PacketId,
-    received: Vec<bool>,
+    /// Fragments not yet arrived (each is created and consumed once).
+    missing: u16,
     /// Sum of payload bytes received so far.
     payload: u32,
     /// Outermost TTL of the first-received fragment — the reassembled
@@ -555,7 +575,6 @@ impl Simulator {
             tel: std::sync::Arc::new(sdm_telemetry::ShardTelemetry::new(false)),
             ecmp: EcmpMode::Disabled,
             frag_mode: FragmentationMode::CountOnly,
-            frag_seq: 0,
             reassembly: FxHashMap::default(),
             service: Vec::new(),
             batch: DEFAULT_BATCH,
@@ -712,6 +731,13 @@ impl Simulator {
         &self.arena
     }
 
+    /// Emulated fragmentations still waiting for fragments — each holds
+    /// its parent packet parked in the arena; 0 once every split has been
+    /// reassembled.
+    pub fn pending_reassemblies(&self) -> usize {
+        self.reassembly.len()
+    }
+
     /// The most events that were in flight — drained or queued, not
     /// counting injections the schedule still held — at the start of any
     /// batch so far. With [`PacketArena::high_water`], the simulator's
@@ -788,7 +814,7 @@ impl Simulator {
     /// Panics if `at` lies in the simulated past.
     pub fn inject_from_stub_at(&mut self, stub: StubId, mut pkt: Packet, at: SimTime) {
         assert!(at >= self.now, "cannot inject into the past");
-        pkt.injected_at.get_or_insert(at.0);
+        pkt.stamp_injection(at.0);
         let (due, point) = self.stub_entry(stub, at);
         let id = self.arena.alloc(pkt);
         self.schedule.one_shot(due.0, point, id);
@@ -866,7 +892,7 @@ impl Simulator {
     /// the Internet at a gateway). If the router has an ingress handler,
     /// the packet is intercepted there first.
     pub fn inject_at_router(&mut self, node: NodeId, mut pkt: Packet) {
-        pkt.injected_at.get_or_insert(self.now.0);
+        pkt.stamp_injection(self.now.0);
         let (due, point) = self.entry(self.ingress_handler[node.index()], node, self.now);
         let id = self.arena.alloc(pkt);
         self.schedule.one_shot(due.0, point, id);
@@ -932,8 +958,8 @@ impl Simulator {
                 match scratch[i] {
                     EventKind::Arrive { node, pkt } => {
                         if self.trace.is_some() {
-                            let p = self.arena.get(pkt);
-                            let (flow, w) = (p.original, p.weight);
+                            let (flow, w) =
+                                (self.arena.original(pkt), self.arena.get(pkt).weight());
                             self.record_trace(self.now, TraceLocation::Router(node), flow, w);
                         }
                         self.route_step(node, pkt);
@@ -979,7 +1005,7 @@ impl Simulator {
             match point {
                 EntryPoint::Router(node) => batch.push(EventKind::Arrive { node, pkt }),
                 EntryPoint::Device(dev) => {
-                    let weight = self.arena.get(pkt).weight;
+                    let weight = self.arena.get(pkt).weight();
                     let start = self.enqueue_at_device(dev, now, weight);
                     let recv = EventKind::DeviceRecv { dev, pkt };
                     if start == now {
@@ -1001,14 +1027,14 @@ impl Simulator {
         };
         let (weight, is_control) = {
             let p = self.arena.get(pkt);
-            (p.weight, matches!(p.kind, PacketKind::LabelReady(_)))
+            (p.weight(), p.kind == PacketKind::LabelReady)
         };
         self.stats.device_received[dev.index()] += weight;
         if is_control {
             self.stats.control_received += weight;
         }
         if self.trace.is_some() {
-            let flow = self.arena.get(pkt).original;
+            let flow = self.arena.original(pkt);
             self.trace_pending.push((pkt, dev, flow, weight));
         }
         ready.push(pkt);
@@ -1070,14 +1096,14 @@ impl Simulator {
                 Action::Forward(p) => {
                     let mut at = self.now;
                     if attachment == Attachment::OffPath {
-                        self.stats.device_link_hops += self.arena.get(p).weight;
+                        self.stats.device_link_hops += self.arena.get(p).weight();
                         at = at.after(1);
                     }
                     self.queue.push(at, EventKind::Arrive { node: router, pkt: p });
                 }
                 Action::DeliverLocal(p) => match self.stub_at_node[router.index()] {
                     NONE_U32 => {
-                        self.stats.unroutable += self.arena.get(p).weight;
+                        self.stats.unroutable += self.arena.get(p).weight();
                         self.arena.free(p);
                     }
                     stub => {
@@ -1098,7 +1124,7 @@ impl Simulator {
         if let Some(dev) = self.device_at(dst) {
             let target_router = self.devices[dev.index()].router;
             if node == target_router {
-                let weight = self.arena.get(id).weight;
+                let weight = self.arena.get(id).weight();
                 let at = self.device_arrival_time(dev, self.now, weight);
                 self.queue.push(at, EventKind::DeviceRecv { dev, pkt: id });
                 return;
@@ -1113,7 +1139,7 @@ impl Simulator {
             if node == edge {
                 match self.stub_handler[stub.index()] {
                     Some(dev) => {
-                        let weight = self.arena.get(id).weight;
+                        let weight = self.arena.get(id).weight();
                         let at = self.device_arrival_time(dev, self.now, weight);
                         self.queue.push(at, EventKind::DeviceRecv { dev, pkt: id });
                     }
@@ -1134,7 +1160,7 @@ impl Simulator {
             if let Some(whole) = self.maybe_reassemble(id) {
                 let (flow, weight) = {
                     let p = self.arena.get(whole);
-                    (p.original, p.weight)
+                    (p.original(), p.weight())
                 };
                 self.stats.delivered_external += weight;
                 self.record_latency(whole);
@@ -1145,7 +1171,7 @@ impl Simulator {
         }
         match self.nearest_gw[node.index()] {
             NONE_U32 => {
-                self.stats.unroutable += self.arena.get(id).weight;
+                self.stats.unroutable += self.arena.get(id).weight();
                 self.arena.free(id);
             }
             g => self.forward_towards(node, NodeId::from_index(g as usize), id),
@@ -1154,7 +1180,7 @@ impl Simulator {
 
     fn forward_towards(&mut self, node: NodeId, target: NodeId, id: PacketId) {
         let Some((nh, link)) = self.pick_next_hop(node, target, id) else {
-            self.stats.unroutable += self.arena.get(id).weight;
+            self.stats.unroutable += self.arena.get(id).weight();
             self.arena.free(id);
             return;
         };
@@ -1169,7 +1195,7 @@ impl Simulator {
             }
         };
         if expired {
-            self.stats.dropped_ttl += self.arena.get(id).weight;
+            self.stats.dropped_ttl += self.arena.get(id).weight();
             self.arena.free(id);
             return;
         }
@@ -1177,18 +1203,18 @@ impl Simulator {
         let (weight, wire, payload, encap, frag) = {
             let p = self.arena.get(id);
             (
-                p.weight,
+                p.weight(),
                 p.wire_len(),
                 p.payload_len,
                 p.is_encapsulated(),
                 p.frag,
             )
         };
-        // A fragment's own struct carries one header; the rest of its wire
+        // A fragment's own record carries one header; the rest of its wire
         // footprint (the parent's tunnel stack / source route) lives in the
         // split's FragState.
         let (wire, encap) = match frag {
-            Some(info) => match self.reassembly.get(&info.id) {
+            Some(info) => match self.reassembly.get(&info.parent) {
                 Some(st) => (wire + st.extra_hdr, st.tunneled),
                 None => (wire, encap),
             },
@@ -1235,8 +1261,7 @@ impl Simulator {
                 // flow-sticky pick, decorrelated per router
                 let mut z = self
                     .arena
-                    .get(id)
-                    .original
+                    .original(id)
                     .stable_hash()
                     .wrapping_add(0x9E3779B97F4A7C15u64.wrapping_mul(node.index() as u64 + 1));
                 z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
@@ -1251,37 +1276,25 @@ impl Simulator {
     /// parked parent once complete, `None` while fragments are outstanding.
     /// Non-fragments pass straight through.
     fn maybe_reassemble(&mut self, id: PacketId) -> Option<PacketId> {
-        let Some(info) = self.arena.get(id).frag else {
+        let p = self.arena.get(id);
+        let Some(info) = p.frag else {
             return Some(id);
         };
-        let (frag_ttl, frag_payload) = {
-            let p = self.arena.get(id);
-            (p.inner.ttl, p.payload_len)
-        };
+        let (frag_ttl, frag_payload) = (p.inner.ttl, p.payload_len);
         self.arena.free(id);
-        let st = self.reassembly.get_mut(&info.id)?; // unknown split: drop
-        if !st.received[info.index as usize] {
-            st.received[info.index as usize] = true;
-            st.payload += frag_payload;
-            if st.first_ttl.is_none() {
-                st.first_ttl = Some(frag_ttl);
-            }
+        let st = self.reassembly.get_mut(&info.parent)?; // unknown split: drop
+        st.missing = st.missing.saturating_sub(1);
+        st.payload += frag_payload;
+        let ttl = *st.first_ttl.get_or_insert(frag_ttl);
+        if st.missing > 0 {
+            return None;
         }
-        if st.received.iter().all(|&r| r) {
-            // lint:allow(hot-path-panic) — entry was checked present above
-            let st = self.reassembly.remove(&info.id).expect("just present");
-            self.stats.reassembly_events += 1;
-            // lint:allow(hot-path-panic) — set by the fragment that filled the map
-            let ttl = st.first_ttl.expect("at least one fragment received");
-            let whole = st.parent;
-            let p = self.arena.get_mut(whole);
-            p.payload_len = st.payload;
-            p.outermost_mut().ttl = ttl;
-            p.frag = None;
-            Some(whole)
-        } else {
-            None
-        }
+        let st = self.reassembly.remove(&info.parent)?;
+        self.stats.reassembly_events += 1;
+        let p = self.arena.get_mut(info.parent);
+        p.payload_len = st.payload;
+        p.outermost_mut().ttl = ttl;
+        Some(info.parent)
     }
 
     /// Splits an over-MTU packet into fragments that each fit the MTU and
@@ -1293,10 +1306,10 @@ impl Simulator {
         let (weight, wire, payload, kind_data, already_frag) = {
             let p = self.arena.get(id);
             (
-                p.weight,
+                p.weight(),
                 p.wire_len(),
                 p.payload_len,
-                matches!(p.kind, PacketKind::Data),
+                p.kind == PacketKind::Data,
                 p.frag.is_some(),
             )
         };
@@ -1313,13 +1326,10 @@ impl Simulator {
         if count <= 1 || count > u16::MAX as u32 {
             return false;
         }
-        self.frag_seq += 1;
-        let split_id = self.frag_seq;
         self.reassembly.insert(
-            split_id,
+            id,
             FragState {
-                parent: id,
-                received: vec![false; count as usize],
+                missing: count as u16,
                 payload: 0,
                 first_ttl: None,
                 extra_hdr: headers - IP_HEADER_LEN,
@@ -1328,17 +1338,13 @@ impl Simulator {
         );
         let at = self.now.after(1);
         let mut remaining = payload;
-        for index in 0..count {
+        for _ in 0..count {
             let flen = remaining.min(chunk);
             remaining -= flen;
-            let frag = self.arena.get(id).fragment_of(
-                FragInfo {
-                    id: split_id,
-                    index: index as u16,
-                    count: count as u16,
-                },
-                flen,
-            );
+            let frag = self
+                .arena
+                .get(id)
+                .fragment_of(FragInfo { parent: id }, flen);
             let fid = self.arena.alloc(frag);
             self.queue.push(at, EventKind::Arrive { node: nh, pkt: fid });
         }
@@ -1349,7 +1355,7 @@ impl Simulator {
     fn record_delivery(&mut self, stub: StubId, id: PacketId) {
         let (flow, weight) = {
             let p = self.arena.get(id);
-            (p.original, p.weight)
+            (p.original(), p.weight())
         };
         self.stats.delivered += weight;
         self.stats.delivered_per_stub[stub.index()] += weight;
@@ -1360,8 +1366,8 @@ impl Simulator {
 
     fn record_latency(&mut self, id: PacketId) {
         let p = self.arena.get(id);
-        if let Some(t0) = p.injected_at {
-            let weight = p.weight;
+        if let Some(t0) = p.injected_at() {
+            let weight = p.weight();
             let lat = self.now.0.saturating_sub(t0);
             self.stats.latency_total += lat * weight;
             self.stats.latency_max = self.stats.latency_max.max(lat);
@@ -1540,7 +1546,9 @@ mod tests {
         fn receive(&mut self, ctx: &mut DeviceCtx<'_>, pkts: &[PacketId]) {
             let (entry, peer) = (ctx.addr(), self.peer);
             for &pkt in pkts {
-                ctx.pkt_mut(pkt).encapsulate(entry, peer);
+                ctx.pkt_mut(pkt)
+                    .encapsulate(entry, peer)
+                    .expect("a fresh packet");
                 ctx.forward(pkt);
             }
         }
@@ -1680,7 +1688,7 @@ mod tests {
         let mut sim = Simulator::new(&plan);
         let (_, addr) = sim.attach(plan.cores()[0], Attachment::InPath, Box::new(Sink));
         let ft = flow(&sim, StubId(0), StubId(1));
-        let ctrl = Packet::control("172.16.0.99".parse().unwrap(), addr, ft);
+        let ctrl = Packet::control(addr, ft);
         sim.inject_at_router(plan.edges()[0], ctrl);
         sim.run_until_idle();
         assert_eq!(sim.stats().control_received, 1);

@@ -59,6 +59,6 @@ pub use engine::{
 };
 pub use queue::CalendarQueue;
 pub use packet::{
-    FiveTuple, FragInfo, Ipv4Header, Label, Packet, PacketKind, Protocol, DEFAULT_TTL,
-    IP_HEADER_LEN, SEGMENT_LEN,
+    FiveTuple, FragInfo, HeaderFull, Ipv4Header, Label, Packet, PacketKind, Protocol, DEFAULT_TTL,
+    IP_HEADER_LEN, MAX_TUNNEL_DEPTH, SEGMENT_LEN,
 };

@@ -3,9 +3,10 @@
 //!
 //! Invariants the rest of the simulator leans on:
 //!
-//! * the encapsulation stack is strictly LIFO — [`Packet::encapsulate`]
-//!   pushes an outer header, [`Packet::decapsulate`] pops it, and
-//!   [`Packet::current_dst`] always reads the outermost header;
+//! * the encapsulation stack is strictly LIFO and at most
+//!   [`MAX_TUNNEL_DEPTH`] deep — [`Packet::encapsulate`] pushes an outer
+//!   header (or refuses with [`HeaderFull`]), [`Packet::decapsulate`] pops
+//!   it, and [`Packet::current_dst`] always reads the outermost header;
 //! * [`Packet::five_tuple`] is the *inner* (original) flow identity, no
 //!   matter how many tunnel layers are stacked on top — flow stickiness
 //!   and shard/batch grouping key on it;
@@ -13,10 +14,17 @@
 //!   in the system adds `weight`, never `1`, so an aggregate of `w`
 //!   packets is indistinguishable from `w` unit packets in all
 //!   statistics.
+//!
+//! A `Packet` is a `Copy` record of 64 bytes that owns no heap: the tunnel
+//! header is inline, and what does not fit a fixed header — the segments
+//! of a strict source route, a fragment's link to the packet it was split
+//! from — lives beside the [`PacketArena`](crate::PacketArena) slot and is
+//! freed with it. In-flight bytes are therefore one arena slot per packet.
 
 use std::fmt;
 
 use crate::addr::Ipv4Addr;
+use crate::arena::PacketId;
 
 /// Size in bytes of one IPv4 header (no options); each IP-over-IP
 /// encapsulation adds this much to the wire length of a packet.
@@ -164,22 +172,65 @@ impl fmt::Display for Label {
 pub enum PacketKind {
     /// An ordinary data packet.
     Data,
-    /// Control: "label path established for flow `f`" — carries the flow
-    /// identifier so the proxy can flag its flow-table entry.
-    LabelReady(FiveTuple),
+    /// Control: "label path established for the flow" — the flow is the
+    /// packet's own [`Packet::original`] (see [`Packet::control`]).
+    LabelReady,
 }
+
+/// The deepest IP-over-IP nesting a packet carries. Steering never nests
+/// tunnels: a proxy encapsulates a packet fresh from its stub, a
+/// middlebox decapsulates before it re-encapsulates towards the next box,
+/// and the destination proxy strips every header. One inline level is
+/// therefore all the paper's architecture needs; each further level
+/// would cost 12 bytes in every packet in flight and no longer fit the
+/// 64-byte record. A push beyond it is refused with [`HeaderFull`].
+pub const MAX_TUNNEL_DEPTH: usize = 1;
+
+/// A header operation the packet's fixed layout cannot hold: a tunnel
+/// header beyond [`MAX_TUNNEL_DEPTH`], or a source route with more than
+/// `u16::MAX` pending segments. The device attempting it drops the packet
+/// and counts it — a model limit, refused rather than worked around.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HeaderFull;
+
+impl fmt::Display for HeaderFull {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("packet header is full")
+    }
+}
+
+impl std::error::Error for HeaderFull {}
+
+/// Filler for an unused tunnel-stack slot (cleared on pop, so derived
+/// equality compares only the live stack).
+const NO_HEADER: Ipv4Header = Ipv4Header {
+    src: Ipv4Addr(0),
+    dst: Ipv4Addr(0),
+    proto: Protocol::IpInIp,
+    ttl: 0,
+};
+
+/// [`Packet::injected_at`]'s "never injected" sentinel.
+const NOT_INJECTED: SimTimeStamp = SimTimeStamp::MAX;
+
+/// Payload bytes of a label-ready control packet (the flow identifier).
+const CONTROL_PAYLOAD: u32 = 16;
 
 /// A simulated packet.
 ///
 /// A packet always carries its *inner* header (the original flow header,
 /// possibly with a rewritten destination under label switching) and at most
-/// a stack of *outer* tunnel headers added by IP-over-IP encapsulation.
+/// [`MAX_TUNNEL_DEPTH`] *outer* tunnel headers added by IP-over-IP
+/// encapsulation.
 ///
 /// `weight` supports the exact flow-aggregate fast path: one `Packet` can
 /// represent `weight` identical packets of the same flow; every counter in
 /// the simulator adds `weight` instead of 1. All steering decisions in the
 /// system are per-flow (hash-based), so aggregation is lossless for load
 /// accounting.
+///
+/// The field order is the memory order (`repr(C)`, no padding): offsets
+/// are listed in DESIGN.md §8, "Packet layout".
 ///
 /// # Example
 ///
@@ -192,51 +243,59 @@ pub enum PacketKind {
 /// };
 /// let mut p = Packet::data(ft, 1000);
 /// assert_eq!(p.wire_len(), 1020);
-/// p.encapsulate("172.16.0.1".parse().unwrap(), "172.16.0.2".parse().unwrap());
+/// p.encapsulate("172.16.0.1".parse().unwrap(), "172.16.0.2".parse().unwrap())
+///     .expect("one tunnel level fits");
 /// assert_eq!(p.wire_len(), 1040); // one extra IP header
 /// assert_eq!(p.current_dst().to_string(), "172.16.0.2");
 /// p.decapsulate().unwrap();
 /// assert_eq!(p.current_dst(), ft.dst);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(C)]
 pub struct Packet {
+    /// When the packet entered the network ([`NOT_INJECTED`] until the
+    /// inject calls stamp it); used for end-to-end latency accounting.
+    injected_at: SimTimeStamp,
     /// Inner (original) header. Label switching rewrites `inner.dst`.
     pub inner: Ipv4Header,
-    /// Outer tunnel header stack; last element is outermost.
-    outer: Vec<Ipv4Header>,
+    /// Tunnel header stack, outermost at `depth - 1`; slots at and above
+    /// `depth` hold [`NO_HEADER`].
+    outer: [Ipv4Header; MAX_TUNNEL_DEPTH],
+    /// Transport payload length in bytes (excludes all IP headers).
+    pub payload_len: u32,
+    /// Number of identical packets this object represents (≥ 1).
+    weight: u32,
+    /// `inner.dst` as the packet was created — the one header field
+    /// steering rewrites, so the one [`Packet::original`] keeps twice.
+    orig_dst: Ipv4Addr,
+    /// Set when this packet is an emulated IP fragment.
+    pub frag: Option<FragInfo>,
     /// Source transport port.
     pub src_port: u16,
     /// Destination transport port.
     pub dst_port: u16,
     /// Steering label (§III.E), if inserted.
     pub label: Option<Label>,
-    /// Transport payload length in bytes (excludes all IP headers).
-    pub payload_len: u32,
-    /// Number of identical packets this object represents (≥ 1).
-    pub weight: u64,
+    /// Pending strict source-route segments (the SR-style baseline of
+    /// §V), each costing [`SEGMENT_LEN`] bytes on the wire. The segments
+    /// themselves live in the arena beside the packet's slot.
+    pub(crate) route_left: u16,
+    /// Live entries of `outer`.
+    depth: u8,
     /// Data or control.
     pub kind: PacketKind,
-    /// The original five-tuple at creation time; immutable bookkeeping used
-    /// by measurements and tests even after label switching rewrites the
-    /// inner destination.
-    pub original: FiveTuple,
-    /// Remaining strict source-route segments (the SR-style baseline of
-    /// §V): each segment is the next address to visit, the last being the
-    /// flow's true destination. Each pending segment costs
-    /// [`SEGMENT_LEN`] bytes of header on the wire.
-    source_route: Vec<Ipv4Addr>,
-    /// Set when this packet is an emulated IP fragment.
-    pub frag: Option<FragInfo>,
-    /// When the packet entered the network (stamped by the inject calls);
-    /// used for end-to-end latency accounting.
-    pub injected_at: Option<SimTimeStamp>,
 }
 
 /// Every byte here is paid once per packet in flight, and `campus_pkt_burst`
 /// has a million in flight at tick 0 — the arena is most of that run's
-/// peak RSS. Two `Vec`s (48 B) and four `Option`s are what is left to
-/// shrink; growing past this needs a reason.
-const _: () = assert!(std::mem::size_of::<Packet>() <= 152);
+/// peak RSS. A slot is an `Option<Packet>`, which the enum fields' niches
+/// keep at the packet's own size.
+const _: () = assert!(std::mem::size_of::<Packet>() <= 64);
+const _: () = assert!(std::mem::size_of::<Option<Packet>>() <= 64);
+const _: () = {
+    const fn copy<T: Copy>() {}
+    copy::<Packet>()
+};
 
 /// A newtype alias for injection timestamps (ticks), kept separate from
 /// the engine's `SimTime` so the packet module stays engine-independent.
@@ -246,15 +305,14 @@ pub type SimTimeStamp = u64;
 pub const SEGMENT_LEN: u32 = 4;
 
 /// Fragment bookkeeping when the simulator emulates IP fragmentation
-/// (rather than only counting MTU violations).
+/// (rather than only counting MTU violations). Everything else about the
+/// split — how many fragments are outstanding, the parent's extra header
+/// bytes — is the engine's reassembly state, keyed by `parent`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FragInfo {
-    /// Identifier of the original packet (unique per split).
-    pub id: u64,
-    /// This fragment's index, 0-based.
-    pub index: u16,
-    /// Total number of fragments of the original packet.
-    pub count: u16,
+    /// The packet this fragment was split from, parked in the arena until
+    /// its fragments are reassembled.
+    pub parent: PacketId,
 }
 
 impl Packet {
@@ -264,82 +322,93 @@ impl Packet {
     }
 
     /// Creates an aggregate data packet representing `weight` identical
-    /// packets of flow `ft`.
+    /// packets of flow `ft`. One aggregate stands for at most `u32::MAX`
+    /// packets; [`Packet::aggregates`] splits a larger count.
     ///
     /// # Panics
     ///
     /// Panics if `weight == 0`.
-    pub fn with_weight(ft: FiveTuple, payload_len: u32, weight: u64) -> Self {
+    pub fn with_weight(ft: FiveTuple, payload_len: u32, weight: u32) -> Self {
         assert!(weight >= 1, "packet weight must be at least 1");
         Packet {
+            injected_at: NOT_INJECTED,
             inner: Ipv4Header {
                 src: ft.src,
                 dst: ft.dst,
                 proto: ft.proto,
                 ttl: DEFAULT_TTL,
             },
-            outer: Vec::new(),
+            outer: [NO_HEADER; MAX_TUNNEL_DEPTH],
+            payload_len,
+            weight,
+            orig_dst: ft.dst,
+            frag: None,
             src_port: ft.src_port,
             dst_port: ft.dst_port,
             label: None,
-            payload_len,
-            weight,
+            route_left: 0,
+            depth: 0,
             kind: PacketKind::Data,
-            original: ft,
-            source_route: Vec::new(),
-            frag: None,
-            injected_at: None,
         }
     }
 
-    /// Creates the label-switching control packet sent from the last
-    /// middlebox back to the proxy (§III.E).
-    pub fn control(src: Ipv4Addr, dst: Ipv4Addr, flow: FiveTuple) -> Self {
-        Packet {
-            inner: Ipv4Header {
-                src,
-                dst,
-                proto: Protocol::Other(253),
-                ttl: DEFAULT_TTL,
-            },
-            outer: Vec::new(),
-            src_port: 0,
-            dst_port: 0,
-            label: None,
-            payload_len: 16,
-            weight: 1,
-            kind: PacketKind::LabelReady(flow),
-            original: flow,
-            source_route: Vec::new(),
-            frag: None,
-            injected_at: None,
-        }
+    /// `packets` packets of flow `ft` as the fewest aggregates the weight
+    /// allows: full `u32::MAX` aggregates, then the remainder (nothing for
+    /// 0). Every counter adds `weight`, so the split is unobservable.
+    pub fn aggregates(
+        ft: FiveTuple,
+        payload_len: u32,
+        packets: u64,
+    ) -> impl Iterator<Item = Packet> {
+        let cap = u64::from(u32::MAX);
+        // The remainder is below `u32::MAX`, so the cast is exact.
+        let (full, rest) = (packets / cap, (packets % cap) as u32);
+        let max = Packet::with_weight(ft, payload_len, u32::MAX);
+        (0..full)
+            .map(move |_| max)
+            .chain((rest > 0).then(|| Packet::with_weight(ft, payload_len, rest)))
+    }
+
+    /// Creates the label-switching control packet the last middlebox sends
+    /// back to the proxy at `to` (§III.E), reporting `flow`: the flow's own
+    /// header with the destination rewritten to the proxy — the rewrite
+    /// label switching itself applies — so [`Packet::original`] names the
+    /// flow and no extra field carries it.
+    pub fn control(to: Ipv4Addr, flow: FiveTuple) -> Self {
+        let mut p = Packet::data(flow, CONTROL_PAYLOAD);
+        p.inner.dst = to;
+        p.kind = PacketKind::LabelReady;
+        p
     }
 
     /// Creates one emulated IP fragment of this packet carrying
     /// `payload_len` payload bytes.
     ///
-    /// The fragment is deliberately lightweight: it carries only the header
-    /// routers currently forward on (the outermost one) and allocates
-    /// nothing — the parent keeps its tunnel stack and source route, and
-    /// the engine accounts the parent's extra header bytes per fragment
-    /// separately. Fragments always have weight 1 (aggregates are never
-    /// fragmented).
+    /// The fragment carries only the header routers currently forward on
+    /// (the outermost one): the parent keeps its tunnel stack and source
+    /// route, and the engine accounts the parent's extra header bytes per
+    /// fragment separately. Its flow is the parent's, resolved through
+    /// `info` ([`PacketArena::original`](crate::PacketArena::original)).
+    /// Fragments always have weight 1 (aggregates are never fragmented).
     pub fn fragment_of(&self, info: FragInfo, payload_len: u32) -> Packet {
         Packet {
             inner: *self.outermost(),
-            outer: Vec::new(),
-            src_port: self.src_port,
-            dst_port: self.dst_port,
-            label: None,
+            outer: [NO_HEADER; MAX_TUNNEL_DEPTH],
             payload_len,
             weight: 1,
-            kind: PacketKind::Data,
-            original: self.original,
-            source_route: Vec::new(),
             frag: Some(info),
-            injected_at: self.injected_at,
+            label: None,
+            route_left: 0,
+            depth: 0,
+            kind: PacketKind::Data,
+            ..*self
         }
+    }
+
+    /// Number of identical packets this object represents (≥ 1) — what
+    /// every counter adds.
+    pub fn weight(&self) -> u64 {
+        u64::from(self.weight)
     }
 
     /// The flow identifier as seen in the *current inner* header (after any
@@ -354,44 +423,84 @@ impl Packet {
         }
     }
 
+    /// The flow identifier at creation time, immutable bookkeeping used by
+    /// measurements, traces and ECMP even after label switching or a
+    /// source route rewrites the inner destination. A fragment's headers
+    /// are its parent's outermost ones; its flow is resolved through the
+    /// parent by [`PacketArena::original`](crate::PacketArena::original).
+    pub fn original(&self) -> FiveTuple {
+        FiveTuple {
+            dst: self.orig_dst,
+            ..self.five_tuple()
+        }
+    }
+
+    /// When the packet entered the network, if it has been injected.
+    pub fn injected_at(&self) -> Option<SimTimeStamp> {
+        (self.injected_at != NOT_INJECTED).then_some(self.injected_at)
+    }
+
+    /// Records that the packet entered the network at `at`; a packet
+    /// already stamped keeps its first stamp.
+    pub fn stamp_injection(&mut self, at: SimTimeStamp) {
+        if self.injected_at == NOT_INJECTED {
+            self.injected_at = at;
+        }
+    }
+
     /// Pushes an IP-over-IP tunnel header with the given endpoints.
     ///
     /// Mirrors §III.B: "the proxy adds a new IP header on top of the
-    /// original one".
-    pub fn encapsulate(&mut self, src: Ipv4Addr, dst: Ipv4Addr) {
-        self.outer.push(Ipv4Header {
+    /// original one". A packet already [`MAX_TUNNEL_DEPTH`] deep is left
+    /// unchanged and the push refused.
+    #[must_use = "a refused tunnel header leaves the packet unsteered; drop and count it"]
+    pub fn encapsulate(&mut self, src: Ipv4Addr, dst: Ipv4Addr) -> Result<(), HeaderFull> {
+        let slot = self
+            .outer
+            .get_mut(usize::from(self.depth))
+            .ok_or(HeaderFull)?;
+        *slot = Ipv4Header {
             src,
             dst,
             proto: Protocol::IpInIp,
             ttl: DEFAULT_TTL,
-        });
+        };
+        self.depth += 1;
+        Ok(())
     }
 
     /// Pops the outermost tunnel header, returning it.
     ///
     /// Returns `None` when the packet is not encapsulated.
     pub fn decapsulate(&mut self) -> Option<Ipv4Header> {
-        self.outer.pop()
+        let top = self.depth.checked_sub(1)?;
+        let hdr = std::mem::replace(self.outer.get_mut(usize::from(top))?, NO_HEADER);
+        self.depth = top;
+        Some(hdr)
     }
 
     /// Whether the packet currently carries a tunnel header.
     pub fn is_encapsulated(&self) -> bool {
-        !self.outer.is_empty()
+        self.depth > 0
     }
 
     /// Number of tunnel headers currently on the packet.
     pub fn tunnel_depth(&self) -> usize {
-        self.outer.len()
+        usize::from(self.depth)
     }
 
     /// The outermost header (the one routers act on).
     pub fn outermost(&self) -> &Ipv4Header {
-        self.outer.last().unwrap_or(&self.inner)
+        self.outer[..usize::from(self.depth)]
+            .last()
+            .unwrap_or(&self.inner)
     }
 
     /// Mutable access to the outermost header.
     pub fn outermost_mut(&mut self) -> &mut Ipv4Header {
-        self.outer.last_mut().unwrap_or(&mut self.inner)
+        self.outer[..usize::from(self.depth)]
+            .last_mut()
+            .unwrap_or(&mut self.inner)
     }
 
     /// The destination address routers currently forward on.
@@ -409,45 +518,15 @@ impl Packet {
     /// source-route segments.
     pub fn wire_len(&self) -> u32 {
         self.payload_len
-            + IP_HEADER_LEN * (1 + self.outer.len() as u32)
-            + SEGMENT_LEN * self.source_route.len() as u32
+            + IP_HEADER_LEN * (1 + u32::from(self.depth))
+            + SEGMENT_LEN * u32::from(self.route_left)
     }
 
-    /// Installs a strict source route: the packet will visit each segment
-    /// in order, the last being the true destination. The current
-    /// destination is set to the first segment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `segments` is empty.
-    pub fn set_source_route(&mut self, segments: Vec<Ipv4Addr>) {
-        assert!(!segments.is_empty(), "a source route needs at least one segment");
-        let mut rest = segments;
-        let first = rest.remove(0);
-        self.inner.dst = first;
-        self.source_route = rest;
-    }
-
-    /// Advances the source route: rewrites the destination to the next
-    /// pending segment and drops it from the header. Returns false when no
-    /// segments remain.
-    pub fn advance_source_route(&mut self) -> bool {
-        if self.source_route.is_empty() {
-            return false;
-        }
-        let next = self.source_route.remove(0);
-        self.inner.dst = next;
-        true
-    }
-
-    /// Whether the packet still carries source-route segments.
+    /// Whether the packet still carries source-route segments (installed
+    /// and advanced through the arena: see
+    /// [`PacketArena::set_source_route`](crate::PacketArena::set_source_route)).
     pub fn has_source_route(&self) -> bool {
-        !self.source_route.is_empty()
-    }
-
-    /// The pending source-route segments (next first).
-    pub fn source_route(&self) -> &[Ipv4Addr] {
-        &self.source_route
+        self.route_left > 0
     }
 }
 
@@ -486,24 +565,66 @@ mod tests {
     fn wire_len_counts_headers() {
         let mut p = Packet::data(ft(), 100);
         assert_eq!(p.wire_len(), 120);
-        p.encapsulate(Ipv4Addr(1), Ipv4Addr(2));
-        assert_eq!(p.wire_len(), 140);
-        p.encapsulate(Ipv4Addr(3), Ipv4Addr(4));
-        assert_eq!(p.wire_len(), 160);
-        p.decapsulate();
-        p.decapsulate();
+        for level in 1..=MAX_TUNNEL_DEPTH as u32 {
+            p.encapsulate(Ipv4Addr(level), Ipv4Addr(level + 100))
+                .unwrap();
+            assert_eq!(p.wire_len(), 120 + 20 * level);
+        }
+        for _ in 0..MAX_TUNNEL_DEPTH {
+            assert!(p.decapsulate().is_some());
+        }
         assert_eq!(p.wire_len(), 120);
         assert_eq!(p.decapsulate(), None);
+        assert_eq!(p, Packet::data(ft(), 100), "popped slots are cleared");
+    }
+
+    #[test]
+    fn full_tunnel_stack_refuses_and_keeps_the_packet() {
+        let mut p = Packet::data(ft(), 100);
+        for level in 0..MAX_TUNNEL_DEPTH as u32 {
+            p.encapsulate(Ipv4Addr(level), Ipv4Addr(level + 1)).unwrap();
+        }
+        let full = p;
+        assert_eq!(p.encapsulate(Ipv4Addr(7), Ipv4Addr(8)), Err(HeaderFull));
+        assert_eq!(p, full);
+        assert_eq!(p.tunnel_depth(), MAX_TUNNEL_DEPTH);
     }
 
     #[test]
     fn encapsulation_changes_routed_dst_only() {
         let mut p = Packet::data(ft(), 100);
-        p.encapsulate(Ipv4Addr(77), Ipv4Addr(88));
+        p.encapsulate(Ipv4Addr(77), Ipv4Addr(88)).unwrap();
         assert_eq!(p.current_dst(), Ipv4Addr(88));
         assert_eq!(p.current_src(), Ipv4Addr(77));
         assert_eq!(p.five_tuple(), ft());
         assert_eq!(p.outermost().proto, Protocol::IpInIp);
+        p.outermost_mut().ttl -= 1;
+        assert_eq!(p.inner.ttl, DEFAULT_TTL, "routers decrement the outer TTL");
+    }
+
+    /// The field order is the memory order: these are the offsets
+    /// DESIGN.md §8 lists.
+    #[test]
+    fn layout_is_the_documented_one() {
+        use std::mem::offset_of;
+        let offsets = [
+            offset_of!(Packet, injected_at),
+            offset_of!(Packet, inner),
+            offset_of!(Packet, outer),
+            offset_of!(Packet, payload_len),
+            offset_of!(Packet, weight),
+            offset_of!(Packet, orig_dst),
+            offset_of!(Packet, frag),
+            offset_of!(Packet, src_port),
+            offset_of!(Packet, dst_port),
+            offset_of!(Packet, label),
+            offset_of!(Packet, route_left),
+            offset_of!(Packet, depth),
+            offset_of!(Packet, kind),
+        ];
+        assert_eq!(offsets, [0, 8, 20, 32, 36, 40, 44, 52, 54, 56, 60, 62, 63]);
+        assert_eq!(std::mem::size_of::<Packet>(), 64);
+        assert_eq!(std::mem::size_of::<Option<Packet>>(), 64);
     }
 
     #[test]
@@ -539,7 +660,7 @@ mod tests {
     #[test]
     fn weight_validation() {
         let p = Packet::with_weight(ft(), 10, 500);
-        assert_eq!(p.weight, 500);
+        assert_eq!(p.weight(), 500);
     }
 
     #[test]
@@ -549,10 +670,23 @@ mod tests {
     }
 
     #[test]
+    fn aggregates_split_at_the_weight_limit() {
+        let weights =
+            |n: u64| -> Vec<u32> { Packet::aggregates(ft(), 10, n).map(|p| p.weight).collect() };
+        assert!(weights(0).is_empty());
+        assert_eq!(weights(5_000), [5_000]);
+        assert_eq!(weights(u64::from(u32::MAX)), [u32::MAX]);
+        assert_eq!(weights((1 << 32) + 5), [u32::MAX, 6]);
+        assert_eq!(weights(2 * u64::from(u32::MAX)), [u32::MAX, u32::MAX]);
+    }
+
+    #[test]
     fn control_packet_carries_flow() {
-        let c = Packet::control(Ipv4Addr(5), Ipv4Addr(6), ft());
-        assert_eq!(c.kind, PacketKind::LabelReady(ft()));
+        let c = Packet::control(Ipv4Addr(6), ft());
+        assert_eq!(c.kind, PacketKind::LabelReady);
+        assert_eq!(c.original(), ft());
         assert_eq!(c.current_dst(), Ipv4Addr(6));
+        assert_eq!(c.wire_len(), CONTROL_PAYLOAD + IP_HEADER_LEN);
         assert!(!c.is_encapsulated());
     }
 
@@ -561,8 +695,17 @@ mod tests {
         let mut p = Packet::data(ft(), 10);
         p.label = Some(Label(42));
         p.inner.dst = Ipv4Addr(999); // label switching rewrites dst
-        assert_eq!(p.original, ft());
+        assert_eq!(p.original(), ft());
         assert_ne!(p.five_tuple(), ft());
+    }
+
+    #[test]
+    fn injection_stamp_is_set_once() {
+        let mut p = Packet::data(ft(), 10);
+        assert_eq!(p.injected_at(), None);
+        p.stamp_injection(7);
+        p.stamp_injection(9);
+        assert_eq!(p.injected_at(), Some(7));
     }
 
     #[test]
@@ -570,33 +713,6 @@ mod tests {
         for n in [0u8, 4, 6, 17, 200] {
             assert_eq!(Protocol::from(n).number(), n);
         }
-    }
-
-    #[test]
-    fn source_route_advances_and_costs_header_bytes() {
-        let mut p = Packet::data(ft(), 100);
-        let base = p.wire_len();
-        let final_dst = ft().dst;
-        p.set_source_route(vec![Ipv4Addr(10), Ipv4Addr(20), final_dst]);
-        // first segment becomes the routed destination, two remain in-header
-        assert_eq!(p.current_dst(), Ipv4Addr(10));
-        assert_eq!(p.wire_len(), base + 2 * SEGMENT_LEN);
-        assert!(p.has_source_route());
-        assert!(p.advance_source_route());
-        assert_eq!(p.current_dst(), Ipv4Addr(20));
-        assert_eq!(p.wire_len(), base + SEGMENT_LEN);
-        assert!(p.advance_source_route());
-        assert_eq!(p.current_dst(), final_dst);
-        assert_eq!(p.wire_len(), base);
-        assert!(!p.advance_source_route());
-        assert!(!p.has_source_route());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one segment")]
-    fn empty_source_route_rejected() {
-        let mut p = Packet::data(ft(), 100);
-        p.set_source_route(Vec::new());
     }
 
     #[test]

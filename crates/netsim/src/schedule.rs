@@ -205,7 +205,7 @@ impl InjectionSchedule {
         }
         let s = self.streams.get_mut(entry.id as usize)?;
         let mut pkt = Packet::data(s.flow, s.payload);
-        pkt.injected_at = Some(t - u64::from(s.lag));
+        pkt.stamp_injection(t - u64::from(s.lag));
         s.left -= 1;
         let next = (s.left > 0).then(|| t + s.gap);
         if resuming {
@@ -255,7 +255,7 @@ mod tests {
         while let Some(t) = s.next_tick() {
             while let Some((_, id)) = s.release(t, arena) {
                 let p = arena.free(id);
-                assert_eq!(p.injected_at, Some(t));
+                assert_eq!(p.injected_at(), Some(t));
                 out.push((t, p.src_port));
             }
         }
@@ -277,7 +277,7 @@ mod tests {
         };
         s.stream(0, router, stream(1, 3, 4)); // ticks 0, 4, 8
         let mut late = Packet::data(flow(2), 100);
-        late.injected_at = Some(4);
+        late.stamp_injection(4);
         s.one_shot(4, router, arena.alloc(late));
         s.stream(4, router, stream(3, 2, 0)); // tick 4 twice
         s.stream(2, router, stream(4, 2, 2)); // out of order: ticks 2, 4
@@ -312,7 +312,7 @@ mod tests {
         s.prepare();
         let mut got = Vec::new();
         while let Some((p, id)) = s.release(1, &mut arena) {
-            got.push((p, arena.free(id).injected_at));
+            got.push((p, arena.free(id).injected_at()));
         }
         let [r, d] = points;
         assert_eq!(got, vec![(r, Some(0)), (r, None), (d, Some(0)), (d, None)]);

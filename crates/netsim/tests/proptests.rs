@@ -22,7 +22,9 @@ impl Device for ChainHop {
             ctx.pkt_mut(pkt).decapsulate();
             if let Some(next) = self.next {
                 let here = ctx.addr();
-                ctx.pkt_mut(pkt).encapsulate(here, next);
+                ctx.pkt_mut(pkt)
+                    .encapsulate(here, next)
+                    .expect("just decapsulated");
             }
             ctx.forward(pkt);
         }
@@ -48,13 +50,13 @@ fn conservation_through_random_chains() {
         &Config::with_cases(64),
         |rng: &mut StdRng| {
             let n_flows = rng.gen_range(1usize..20);
-            let flows: Vec<(u32, u32, u16, u64)> = (0..n_flows)
+            let flows: Vec<(u32, u32, u16, u32)> = (0..n_flows)
                 .map(|_| {
                     (
                         rng.gen_range(0u32..10),
                         rng.gen_range(0u32..10),
                         rng.gen_range(1000u16..60000),
-                        rng.gen_range(1u64..200),
+                        rng.gen_range(1u32..200),
                     )
                 })
                 .collect();
@@ -77,14 +79,14 @@ fn conservation_through_random_chains() {
                 next_addr = Some(addr);
                 entry = Some(dev);
             }
-            let total: u64 = flows.iter().map(|&(_, _, _, w)| w.max(1)).sum();
+            let total: u64 = flows.iter().map(|&(_, _, _, w)| u64::from(w.max(1))).sum();
             for &(from, to, sp, w) in flows {
                 let (from, to) = (from % 10, to % 10);
                 let to = if to == from { (to + 1) % 10 } else { to };
                 let ft = flow(&sim, from, to, sp.max(1000));
                 let mut pkt = Packet::with_weight(ft, 256, w.max(1));
                 if let Some(first) = next_addr {
-                    pkt.encapsulate(Ipv4Addr(1), first);
+                    pkt.encapsulate(Ipv4Addr(1), first).expect("a fresh packet");
                 }
                 let _ = entry;
                 sim.inject_from_stub(StubId(from), pkt);
@@ -167,6 +169,213 @@ fn ample_ttl_never_drops() {
             Ok(())
         },
     );
+}
+
+/// The fixed-layout `Packet` — an inline tunnel stack, the source route
+/// beside its arena slot, the flow identity kept as the one rewritten
+/// field — against a `Vec`-based reference of the header semantics it
+/// replaced, over random sequences of header operations.
+mod header_model {
+    use super::*;
+    use sdm_netsim::{FragInfo, HeaderFull, Ipv4Header, PacketArena, PacketId, MAX_TUNNEL_DEPTH};
+
+    /// The growable-stack packet, plus the tunnel bound the fixed layout
+    /// enforces.
+    #[derive(Debug, Clone)]
+    struct Model {
+        inner: Ipv4Header,
+        outer: Vec<Ipv4Header>,
+        ports: (u16, u16),
+        payload_len: u32,
+        original: FiveTuple,
+        source_route: Vec<Ipv4Addr>,
+    }
+
+    impl Model {
+        fn new(ft: FiveTuple, payload_len: u32) -> Model {
+            let p = Packet::data(ft, payload_len);
+            Model {
+                inner: p.inner,
+                outer: Vec::new(),
+                ports: (ft.src_port, ft.dst_port),
+                payload_len,
+                original: ft,
+                source_route: Vec::new(),
+            }
+        }
+
+        fn outermost(&self) -> &Ipv4Header {
+            self.outer.last().unwrap_or(&self.inner)
+        }
+
+        fn wire_len(&self) -> u32 {
+            self.payload_len
+                + 20 * (1 + self.outer.len() as u32)
+                + 4 * self.source_route.len() as u32
+        }
+
+        fn five_tuple(&self) -> FiveTuple {
+            FiveTuple {
+                src: self.inner.src,
+                dst: self.inner.dst,
+                src_port: self.ports.0,
+                dst_port: self.ports.1,
+                proto: self.inner.proto,
+            }
+        }
+
+        fn encapsulate(&mut self, src: Ipv4Addr, dst: Ipv4Addr) -> Result<(), HeaderFull> {
+            if self.outer.len() == MAX_TUNNEL_DEPTH {
+                return Err(HeaderFull);
+            }
+            self.outer.push(Ipv4Header {
+                src,
+                dst,
+                proto: Protocol::IpInIp,
+                ttl: 64,
+            });
+            Ok(())
+        }
+
+        fn fragment(&self, payload_len: u32) -> Model {
+            Model {
+                inner: *self.outermost(),
+                outer: Vec::new(),
+                payload_len,
+                source_route: Vec::new(),
+                ..self.clone()
+            }
+        }
+    }
+
+    /// Every accessor the engine and the devices read.
+    fn agree(arena: &PacketArena, id: PacketId, m: &Model, what: &str) -> Result<(), String> {
+        let p = arena.get(id);
+        prop_assert_eq!(p.wire_len(), m.wire_len(), "{}: wire_len", what);
+        prop_assert_eq!(p.outermost(), m.outermost(), "{}: outermost", what);
+        prop_assert_eq!(p.current_dst(), m.outermost().dst, "{}: current_dst", what);
+        prop_assert_eq!(p.current_src(), m.outermost().src, "{}: current_src", what);
+        prop_assert_eq!(p.five_tuple(), m.five_tuple(), "{}: five_tuple", what);
+        prop_assert_eq!(arena.original(id), m.original, "{}: original", what);
+        prop_assert_eq!(p.tunnel_depth(), m.outer.len(), "{}: tunnel_depth", what);
+        prop_assert_eq!(
+            p.is_encapsulated(),
+            !m.outer.is_empty(),
+            "{}: encapsulated",
+            what
+        );
+        prop_assert_eq!(
+            p.has_source_route(),
+            !m.source_route.is_empty(),
+            "{}: has_source_route",
+            what
+        );
+        Ok(())
+    }
+
+    /// `(op, a, b)`: 0 encapsulate a→b, 1 decapsulate, 2 label rewrite of
+    /// `inner.dst` to a, 3 source route of 1 + a % 4 segments from b,
+    /// 4 advance the route, 5 TTL decrement, 6 a fragment of b % 1500
+    /// payload bytes (checked, then consumed).
+    type Op = (u8, u32, u32);
+
+    #[test]
+    fn fixed_layout_matches_the_vec_reference() {
+        check(
+            "fixed_layout_matches_the_vec_reference",
+            &Config::with_cases(256),
+            |rng: &mut StdRng| {
+                let n = rng.gen_range(1usize..40);
+                (
+                    rng.gen_range(0u32..u32::MAX),
+                    rng.gen_range(0u32..u32::MAX),
+                    rng.gen_range(0u16..u16::MAX),
+                    rng.gen_range(0u32..9000),
+                    (0..n)
+                        .map(|_| {
+                            (
+                                rng.gen_range(0u8..7),
+                                rng.gen_range(0u32..1000),
+                                rng.gen_range(0u32..1000),
+                            )
+                        })
+                        .collect::<Vec<Op>>(),
+                )
+            },
+            |&(src, dst, port, payload, ref ops)| {
+                let ft = FiveTuple {
+                    src: Ipv4Addr(src),
+                    dst: Ipv4Addr(dst),
+                    src_port: port,
+                    dst_port: port.wrapping_add(1),
+                    proto: Protocol::Udp,
+                };
+                let mut arena = PacketArena::new();
+                let id = arena.alloc(Packet::data(ft, payload));
+                let mut m = Model::new(ft, payload);
+                for (step, &(op, a, b)) in ops.iter().enumerate() {
+                    let what = format!("step {step} op {op}");
+                    match op % 7 {
+                        0 => {
+                            let got = arena.get_mut(id).encapsulate(Ipv4Addr(a), Ipv4Addr(b));
+                            let want = m.encapsulate(Ipv4Addr(a), Ipv4Addr(b));
+                            prop_assert_eq!(got, want, "{}", what);
+                        }
+                        1 => {
+                            let got = arena.get_mut(id).decapsulate();
+                            prop_assert_eq!(got, m.outer.pop(), "{}", what);
+                        }
+                        2 => {
+                            arena.get_mut(id).inner.dst = Ipv4Addr(a);
+                            m.inner.dst = Ipv4Addr(a);
+                        }
+                        3 => {
+                            let segments: Vec<Ipv4Addr> =
+                                (0..=a % 4).map(|i| Ipv4Addr(b + i)).collect();
+                            prop_assert_eq!(arena.set_source_route(id, segments.clone()), Ok(()));
+                            m.inner.dst = segments[0];
+                            m.source_route = segments[1..].to_vec();
+                        }
+                        4 => {
+                            let want = !m.source_route.is_empty();
+                            if want {
+                                m.inner.dst = m.source_route.remove(0);
+                            }
+                            prop_assert_eq!(arena.advance_source_route(id), want, "{}", what);
+                        }
+                        5 => {
+                            let ttl = &mut arena.get_mut(id).outermost_mut().ttl;
+                            *ttl = ttl.saturating_sub(1);
+                            let reference = match m.outer.last_mut() {
+                                Some(h) => h,
+                                None => &mut m.inner,
+                            };
+                            reference.ttl = reference.ttl.saturating_sub(1);
+                        }
+                        _ => {
+                            let len = b % 1500;
+                            let frag = arena.get(id).fragment_of(FragInfo { parent: id }, len);
+                            let fid = arena.alloc(frag);
+                            agree(&arena, fid, &m.fragment(len), &format!("{what} fragment"))?;
+                            prop_assert_eq!(arena.get(fid).weight(), 1);
+                            arena.free(fid);
+                        }
+                    }
+                    agree(&arena, id, &m, &what)?;
+                    prop_assert_eq!(
+                        arena.routes_in_use(),
+                        usize::from(!m.source_route.is_empty()),
+                        "{}: side table",
+                        what
+                    );
+                }
+                arena.free(id);
+                prop_assert_eq!(arena.routes_in_use(), 0, "the route is freed with the slot");
+                prop_assert_eq!(arena.in_use(), 0);
+                Ok(())
+            },
+        );
+    }
 }
 
 /// Deterministic (non-property) engine tests for link failure and tracing.
@@ -403,7 +612,8 @@ mod fragmentation {
         let ft = flow(&sim, 0, 4, 999);
         // payload 580 + 20 inner = 600 fits; +20 tunnel = 620 fragments
         let mut pkt = Packet::data(ft, 580);
-        pkt.encapsulate(Ipv4Addr(1), exit_addr);
+        pkt.encapsulate(Ipv4Addr(1), exit_addr)
+            .expect("a fresh packet");
         sim.inject_from_stub(StubId(0), pkt);
         sim.run_until_idle();
         let s = sim.stats();
@@ -450,7 +660,7 @@ mod queueing {
         for i in 0..5u16 {
             let ft = flow(&sim, 0, 5, 100 + i);
             let mut pkt = Packet::data(ft, 100);
-            pkt.encapsulate(Ipv4Addr(1), addr);
+            pkt.encapsulate(Ipv4Addr(1), addr).expect("a fresh packet");
             sim.inject_from_stub(StubId(0), pkt);
         }
         sim.run_until_idle();
@@ -468,7 +678,7 @@ mod queueing {
         for i in 0..20u16 {
             let ft = flow(&sim, 0, 5, 200 + i);
             let mut pkt = Packet::data(ft, 100);
-            pkt.encapsulate(Ipv4Addr(1), addr);
+            pkt.encapsulate(Ipv4Addr(1), addr).expect("a fresh packet");
             sim.inject_from_stub(StubId(0), pkt);
         }
         sim.run_until_idle();
@@ -485,7 +695,7 @@ mod queueing {
         for i in 0..5u64 {
             let ft = flow(&sim, 0, 5, 300 + i as u16);
             let mut pkt = Packet::data(ft, 100);
-            pkt.encapsulate(Ipv4Addr(1), addr);
+            pkt.encapsulate(Ipv4Addr(1), addr).expect("a fresh packet");
             sim.inject_from_stub_at(StubId(0), pkt, SimTime(i * 100));
         }
         sim.run_until_idle();
@@ -558,7 +768,7 @@ mod latency {
         for i in 0..4u16 {
             let ft = flow(&sim, 0, 5, 400 + i);
             let mut pkt = Packet::data(ft, 100);
-            pkt.encapsulate(Ipv4Addr(1), addr);
+            pkt.encapsulate(Ipv4Addr(1), addr).expect("a fresh packet");
             sim.inject_from_stub(StubId(0), pkt);
         }
         sim.run_until_idle();

@@ -89,6 +89,7 @@ pub const DIAGNOSTIC_CRATES: &[&str] = &["verify"];
 /// flagged.
 pub const HOT_PATH_SUFFIXES: &[&str] = &[
     "netsim/src/engine.rs",
+    "netsim/src/packet.rs",
     "netsim/src/queue.rs",
     "netsim/src/schedule.rs",
     "core/src/shard.rs",
@@ -713,8 +714,10 @@ mod tests {
         assert_eq!(hits[0].rule, RULE_HOT_PATH_PANIC);
         assert_eq!(lint_str("crates/netsim/src/queue.rs", "netsim", src).len(), 1);
         assert_eq!(lint_str("crates/netsim/src/schedule.rs", "netsim", src).len(), 1);
-        // The per-hop routing lookup is on the packet path too.
+        // The per-hop routing lookup is on the packet path too, and so are
+        // the header operations every hop and device applies.
         assert_eq!(lint_str("crates/topology/src/routing.rs", "topology", src).len(), 1);
+        assert_eq!(lint_str("crates/netsim/src/packet.rs", "netsim", src).len(), 1);
         // Same code outside the hot path: no finding.
         assert!(lint_str("crates/netsim/src/addr.rs", "netsim", src).is_empty());
         // Suppressed on the preceding line.

@@ -279,8 +279,7 @@ fn gateway_ingress_is_batch_invariant() {
                     let ft = flow(f);
                     for i in 0..8 {
                         if round == 0 && i == 4 {
-                            let ids = enf.config().mbox_addr(sdm::core::MiddleboxId(2));
-                            let ctrl = Packet::control(ids, ingress_addr, ft);
+                            let ctrl = Packet::control(ingress_addr, ft);
                             enf.sim_mut().inject_at_router(gw, ctrl);
                         }
                         enf.sim_mut().inject_at_router(gw, Packet::data(ft, 400));

@@ -5,7 +5,7 @@
 use sdm::core::{
     Controller, Deployment, EnforcementOptions, KConfig, SteeringEncoding, MiddleboxSpec, Strategy,
 };
-use sdm::netsim::{FiveTuple, Protocol, SimTime, StubId};
+use sdm::netsim::{FiveTuple, Packet, Protocol, SimTime, StubId, MAX_TUNNEL_DEPTH};
 use sdm::policy::{
     ActionList, LabelKey, NetworkFunction, Policy, PolicySet, TrafficDescriptor,
 };
@@ -197,6 +197,79 @@ fn unenforceable_traffic_is_dropped_not_leaked() {
     assert_eq!(enf.sim().stats().delivered, 0, "must not bypass the chain");
     let st = enf.proxy_state(StubId(0));
     assert_eq!(st.lock().counters.unenforceable, 10);
+}
+
+/// Model limits are refused and counted, never a panic: a packet that
+/// already carries the deepest tunnel stack cannot be steered, so the
+/// gateway ingress proxy drops it as unenforceable while the rest of its
+/// flow is enforced — every injected packet is delivered or counted.
+#[test]
+fn packet_at_the_tunnel_bound_is_dropped_and_counted() {
+    let plan = campus(2);
+    let gw = plan.gateways()[0];
+    let mut dep = Deployment::new();
+    let fw = dep.add(MiddleboxSpec::new(Firewall, plan.cores()[1], 1.0));
+    let mut pol = PolicySet::new();
+    pol.push(Policy::new(
+        TrafficDescriptor::new().dst_port(80),
+        ActionList::chain([Firewall]),
+    ));
+    let c = Controller::new(plan, dep, pol, KConfig::uniform(1));
+    let mut enf = c.enforcement(Strategy::HotPotato, None, EnforcementOptions::default());
+    let ft = FiveTuple {
+        src: "93.184.216.34".parse().unwrap(),
+        dst: c.addr_plan().host(StubId(3), 0),
+        src_port: 443,
+        dst_port: 80,
+        proto: Protocol::Tcp,
+    };
+    let mut full = Packet::with_weight(ft, 400, 5);
+    for _ in 0..MAX_TUNNEL_DEPTH {
+        full.encapsulate(ft.src, ft.dst).expect("below the bound");
+    }
+    let rest = Packet::with_weight(ft, 400, 20);
+    enf.sim_mut().inject_at_router(gw, rest);
+    enf.sim_mut().inject_at_router(gw, full);
+    enf.run();
+    let delivered = enf.sim().stats().delivered;
+    let refused = enf.ingress_state(0).lock().counters.unenforceable;
+    assert_eq!(refused, 5, "the packet at the bound is refused");
+    // injected = delivered + counted drops, and the rest is enforced
+    assert_eq!(delivered + refused, 25);
+    assert_eq!(enf.middlebox_loads()[fw.index()], 20);
+    assert_eq!(enf.sim().arena().in_use(), 0);
+}
+
+/// A flow count beyond one aggregate's `u32` weight (a trace file may
+/// carry one) is split into full aggregates at injection: every counter
+/// adds `weight`, so nothing overflows, panics or goes missing.
+#[test]
+fn flow_beyond_one_aggregate_is_split_not_truncated() {
+    let plan = campus(2);
+    let mut dep = Deployment::new();
+    let fw = dep.add(MiddleboxSpec::new(Firewall, plan.cores()[1], 1.0));
+    let mut pol = PolicySet::new();
+    pol.push(Policy::new(
+        TrafficDescriptor::new().dst_port(80),
+        ActionList::chain([Firewall]),
+    ));
+    let c = Controller::new(plan, dep, pol, KConfig::uniform(1));
+    let mut enf = c.enforcement(Strategy::HotPotato, None, EnforcementOptions::default());
+    let packets = (1u64 << 32) + 5;
+    let ft = flow(&c, 0, 4, 700, 80);
+    enf.inject_flow(ft, packets, 100);
+    enf.run();
+    assert_eq!(enf.sim().stats().delivered, packets);
+    assert_eq!(enf.middlebox_loads()[fw.index()], packets);
+    assert_eq!(enf.proxy_state(StubId(0)).lock().counters.steered, packets);
+    // one full aggregate and the rest
+    assert_eq!(enf.sim().arena().allocations(), 2);
+    let measured = enf.measurements().volume(
+        StubId(0),
+        sdm::core::DestKey::Stub(StubId(4)),
+        sdm::policy::PolicyId(0),
+    );
+    assert_eq!(measured, packets as f64);
 }
 
 /// Inbound external traffic entering at a gateway is intercepted by the

@@ -3,14 +3,16 @@
 //! of its packets in the arena and the event queue at any one time. This
 //! is the deterministic count behind the benchmark's `peak_rss_mb` on the
 //! paced workloads — no wall clock, no allocator. Likewise, routing state
-//! follows the destinations traffic is sent to, not the node count.
+//! follows the destinations traffic is sent to, not the node count, and
+//! the per-packet state that does not fit a packet record lives and dies
+//! with its packet.
 
 use std::collections::BTreeSet;
 
 use sdm::core::{
     Controller, Deployment, Enforcement, EnforcementOptions, KConfig, SteeringEncoding, Strategy,
 };
-use sdm::netsim::{FiveTuple, Packet, Protocol, SimTime, StubId};
+use sdm::netsim::{FiveTuple, FragmentationMode, Packet, Protocol, SimTime, StubId};
 use sdm::policy::{ActionList, NetworkFunction, Policy, PolicySet, TrafficDescriptor};
 use sdm::topology::hierarchical::{hierarchical, HierarchicalConfig};
 use sdm_bench::{ExperimentConfig, World};
@@ -98,6 +100,100 @@ fn paced_run_holds_the_in_flight_window_not_the_workload() {
         expanded.sim().arena().allocations(),
         sim.arena().allocations()
     );
+}
+
+/// What a 64-byte packet record cannot hold lives beside the arena and is
+/// freed with the packet: a strict source route's pending segments, and
+/// an emulated fragmentation's parked parent. A `SourceRouting` run, one
+/// that also fragments (the parent parks holding its route), and a
+/// label-switching one that fragments during setup all end with both
+/// side tables empty, every slot free, and the arena allocating once per
+/// data packet, control packet and fragment.
+#[test]
+fn source_route_state_is_freed_with_its_packet() {
+    let world = World::build(&ExperimentConfig::campus(3));
+    let flows = sdm_workload::generate_flows(
+        &world.generated,
+        world.controller.addr_plan(),
+        &WorkloadConfig {
+            flows: 60,
+            seed: 9,
+            ..Default::default()
+        },
+    );
+    const PER_FLOW: u64 = 20;
+    let runs = [
+        (
+            SteeringEncoding::SourceRouting,
+            512,
+            FragmentationMode::CountOnly,
+        ),
+        // 1470 B payload + inner header fits the 1500 B MTU; any pending
+        // segment or tunnel header pushes it over
+        (
+            SteeringEncoding::SourceRouting,
+            1470,
+            FragmentationMode::Emulate,
+        ),
+        (
+            SteeringEncoding::LabelSwitching,
+            1470,
+            FragmentationMode::Emulate,
+        ),
+    ];
+    for (encoding, payload, fragmentation) in runs {
+        let case = format!("{encoding:?}, {payload} B, {fragmentation:?}");
+        let options = EnforcementOptions {
+            encoding,
+            ..Default::default()
+        };
+        let mut enf = world
+            .controller
+            .enforcement(Strategy::HotPotato, None, options);
+        enf.sim_mut().set_fragmentation(fragmentation);
+        for (i, f) in flows.iter().enumerate() {
+            enf.inject_flow_packets(f.five_tuple, PER_FLOW, payload, SimTime(i as u64), 3);
+        }
+        enf.run();
+        let run = enf.snapshot();
+        let sim = enf.sim();
+        let stats = sim.stats();
+        let packets = flows.len() as u64 * PER_FLOW;
+        assert_eq!(
+            stats.delivered + stats.delivered_external,
+            packets,
+            "{case}"
+        );
+        assert_eq!(sim.arena().in_use(), 0, "{case}");
+        assert_eq!(
+            sim.arena().routes_in_use(),
+            0,
+            "{case}: source routes freed"
+        );
+        assert_eq!(
+            sim.pending_reassemblies(),
+            0,
+            "{case}: every split reassembled"
+        );
+        assert_eq!(
+            sim.arena().allocations(),
+            packets + stats.control_received + stats.fragments_created,
+            "{case}: one allocation per data packet, control packet and fragment"
+        );
+        let steered: u64 = run.proxy_counters.iter().map(|c| c.steered).sum();
+        assert!(steered > 0, "{case}: policy traffic was steered");
+        if encoding == SteeringEncoding::SourceRouting {
+            let routed: u64 = run.mbox_counters.iter().map(|c| c.source_routed_in).sum();
+            assert!(routed > 0, "{case}: middleboxes advanced source routes");
+        }
+        if fragmentation == FragmentationMode::Emulate {
+            assert!(
+                stats.fragments_created > 0,
+                "{case}: near-MTU packets fragment"
+            );
+            assert!(stats.reassembly_events > 0, "{case}");
+        }
+    }
 }
 
 /// Routing state follows the destinations packets are sent to, not the
