@@ -61,7 +61,7 @@ fn main() {
         let mut i = 0;
         group.bench(&format!("lookup_hot_{label}"), || {
             i = (i + 1) % HOT;
-            black_box(table.lookup(&fts[i], SimTime(1), 1).is_some())
+            black_box(table.lookup(fts[i], SimTime(1), 1).is_some())
         });
         group.record(
             &format!("bytes_per_entry_{label}"),
@@ -75,7 +75,7 @@ fn main() {
         let mut i = 0;
         group.bench("lookup_cold_1m", || {
             i = (i + 1) % fts.len();
-            black_box(table.lookup(&fts[i], SimTime(1), 1).is_some())
+            black_box(table.lookup(fts[i], SimTime(1), 1).is_some())
         });
     }
 
@@ -115,7 +115,7 @@ fn main() {
         group.bench("flash_crowd_churn_100k", || {
             i = (i + 1) % crowd.len();
             let f = &crowd[i];
-            if table.lookup(&f.five_tuple, SimTime(1), 1).is_none() {
+            if table.lookup(f.five_tuple, SimTime(1), 1).is_none() {
                 let actions = gp.set.get(f.policy).expect("crowd policy").actions.clone();
                 table.insert_positive(f.five_tuple, f.policy, actions, SimTime(1));
             }
@@ -133,7 +133,7 @@ fn main() {
         group.bench("elephant_skew_100k", || {
             i = (i + 1) % mix.len();
             let f = &mix[i];
-            match table.lookup(&f.five_tuple, SimTime(1), 1) {
+            match table.lookup(f.five_tuple, SimTime(1), 1) {
                 Some(_) => table.record_run_hit(f.packets.saturating_sub(1)),
                 None => {
                     let actions = gp.set.get(f.policy).expect("mix policy").actions.clone();

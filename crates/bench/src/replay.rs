@@ -103,7 +103,7 @@ pub fn replay_scenario(
                     .proxy_state(StubId(scenario.stub))
                     .lock()
                     .flows
-                    .pinned_next(&ft);
+                    .pinned_next(ft);
                 if scenario.code == "R005" && pinned != Some(*m) {
                     mismatches.push(format!(
                         "step {i}: expected flow pinned to m{m} before failure, \

@@ -991,6 +991,35 @@ mod tests {
         }
     }
 
+    /// Five packets of one fresh flow arriving in one tick: each hop makes
+    /// one fresh steering decision and replays its pin for the other four,
+    /// whether the packets reach it one per run or as one run.
+    #[test]
+    fn stub_flow_pin_replays_are_drain_limit_invariant() {
+        use sdm_telemetry::{family, Hop};
+        let (c, opts) = world(false);
+        let ft = web_flow(&c, 0, 5, 3000);
+        for batch in [1, 3, 256] {
+            let opts = EnforcementOptions {
+                telemetry: Some(true),
+                ..opts
+            };
+            let mut enf = c.enforcement(Strategy::HotPotato, None, opts);
+            enf.sim_mut().set_batch_size(batch);
+            for _ in 0..5 {
+                enf.sim_mut().inject_from_stub(StubId(0), sdm_netsim::Packet::data(ft, 100));
+            }
+            enf.run();
+            assert_eq!(enf.sim().stats().delivered, 5);
+            let snap = enf.telemetry_snapshot();
+            for hop in [Hop::Proxy, Hop::Middlebox] {
+                let h = hop as usize;
+                assert_eq!(snap.value(family::STEER_DECISIONS, h), 1, "{hop:?}, limit {batch}");
+                assert_eq!(snap.value(family::STEER_PINNED, h), 4, "{hop:?}, limit {batch}");
+            }
+        }
+    }
+
     /// A middlebox on a router the topology does not have is a V015
     /// report, not an index panic in the routing lookups before it.
     #[test]

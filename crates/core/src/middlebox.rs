@@ -6,24 +6,40 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use sdm_netsim::{Device, DeviceCtx, FiveTuple, Label, Packet, PacketId, SimTime};
-use sdm_policy::{ActionList, LabelEntry, LabelKey, LocalClassifier, NetworkFunction, PolicyId};
+use sdm_netsim::{Device, DeviceCtx, FiveTuple, Ipv4Addr, Label, Packet, PacketId, SimTime};
+use sdm_policy::{
+    ActionList, FlowKey, LabelKey, LocalClassifier, NetworkFunction, PolicyClassId, PolicyId,
+};
 
 use crate::deployment::MiddleboxId;
 use crate::runtime::{MboxState, RuntimeConfig, Shared};
 use crate::steer::SteerPoint;
 
-/// The cached outcome of resolving one tunneled flow's policy: reused by
-/// consecutive same-flow packets in a run so the flow-table probe, the
-/// action-list clone and the label-table install happen once per stretch.
-/// The packet's label is part of the key because label presence decides
-/// whether a label-table entry is installed.
+/// What one tunneled flow's stretch resolved at this box, reused by the
+/// consecutive same-flow packets of a run so the flow-table probe, the
+/// chain-position scan and the label-table install happen once per
+/// stretch. The packet's label is part of the stretch key because label
+/// presence decides whether a label-table entry is installed.
 struct TunnelRun {
-    ft: FiveTuple,
+    /// The flow, hashed once.
+    key: FlowKey,
     label: Option<Label>,
     policy_id: PolicyId,
-    actions: ActionList,
+    class: PolicyClassId,
+    /// This box's stretch of the chain: the first function it implements
+    /// and the last of the consecutive ones after it. `None`: it
+    /// implements none (the packet is forwarded unmatched).
+    span: Option<(usize, usize)>,
+    /// The function after the span; `None` at the chain's last box.
+    next_fn: Option<NetworkFunction>,
+    /// The pinned next middlebox (raw id): found by the probe, or set by
+    /// the stretch's first selection.
+    pinned: Option<u32>,
 }
+
+/// A label-switched stretch: its key and where the entry it found sends
+/// packets — `(next_hop, final_dst)`, or `None` on a miss.
+type LabelRun = Option<(LabelKey, Option<(Option<Ipv4Addr>, Option<Ipv4Addr>)>)>;
 
 /// One software-defined middlebox device.
 pub struct MiddleboxDevice {
@@ -52,40 +68,50 @@ impl MiddleboxDevice {
         }
     }
 
-    /// Position of this box's function occurrence in `actions`: the first
-    /// index whose function we implement.
-    fn my_position(&self, actions: &ActionList) -> Option<usize> {
-        actions
-            .functions()
+    /// This box's stretch of `actions`: the first index whose function we
+    /// implement, and the last index of the consecutive run of functions
+    /// we also implement from there.
+    fn my_span(&self, actions: &ActionList) -> Option<(usize, usize)> {
+        let fns = actions.functions();
+        let pos = fns.iter().position(|f| self.functions.contains(f))?;
+        let len = fns[pos..]
             .iter()
-            .position(|f| self.functions.contains(f))
+            .take_while(|f| self.functions.contains(f))
+            .count();
+        Some((pos, pos + len - 1))
     }
 
     /// Resolves the governing policy for a (decapsulated) tunneled packet:
-    /// flow cache first, then the policy table (caching the match).
-    /// `None` means no policy matched at all.
+    /// flow cache first, then the policy table (caching the match, at the
+    /// cell the miss found). `None` means no policy matched at all.
     fn resolve_tunneled(
         &self,
         state: &mut MboxState,
-        ft: &FiveTuple,
+        ft: FiveTuple,
+        label: Option<Label>,
         now: SimTime,
         weight: u64,
-    ) -> Option<(PolicyId, ActionList)> {
-        let cached: Option<(PolicyId, ActionList)> = state
-            .flows
-            .lookup(ft, now, weight)
-            .and_then(|e| e.action.clone());
-        match cached {
-            Some(pa) => Some(pa),
-            None => match self.policies.first_match(ft) {
-                Some((id, policy)) => {
-                    let actions = policy.actions.clone();
-                    state.flows.insert_positive(*ft, id, actions.clone(), now);
-                    Some((id, actions))
-                }
-                None => None,
-            },
-        }
+    ) -> Option<TunnelRun> {
+        let key = FlowKey::new(ft);
+        let entry = match state.flows.lookup(key, now, weight) {
+            Some(e) if !e.is_negative() => e,
+            _ => {
+                let (id, policy) = self.policies.first_match(&ft)?;
+                state.flows.insert_positive(key, id, &policy.actions, now)
+            }
+        };
+        let (policy_id, class) = entry.action?;
+        let actions = state.flows.actions(class);
+        let span = self.my_span(actions);
+        Some(TunnelRun {
+            key,
+            label,
+            policy_id,
+            class,
+            span,
+            next_fn: span.and_then(|(_, end)| actions.get(end + 1)),
+            pinned: entry.pinned_next,
+        })
     }
 
     /// Applies this box's function(s) to a resolved tunneled packet and
@@ -101,39 +127,29 @@ impl MiddleboxDevice {
         ctx: &mut DeviceCtx<'_>,
         state: &mut MboxState,
         pkt: PacketId,
-        proxy_addr: sdm_netsim::Ipv4Addr,
-        run: &TunnelRun,
+        proxy_addr: Ipv4Addr,
+        run: &mut TunnelRun,
         install_labels: bool,
     ) {
-        let (ft, policy_id, actions) = (&run.ft, run.policy_id, &run.actions);
         let weight = ctx.pkt(pkt).weight();
         let now = ctx.now();
         // Apply our function, plus any consecutive functions we also
         // implement locally.
-        let Some(pos) = self.my_position(actions) else {
+        let Some((pos, end)) = run.span else {
             state.counters.unmatched += weight;
             ctx.forward(pkt);
             return;
         };
-        let mut end = pos;
-        state.counters.applications += weight;
-        while let Some(nf) = actions.get(end + 1) {
-            if self.functions.contains(&nf) {
-                end += 1;
-                state.counters.applications += weight;
-            } else {
-                break;
-            }
-        }
+        state.counters.applications += weight * (end - pos + 1) as u64;
 
-        match actions.get(end + 1) {
+        match run.next_fn {
             Some(next_fn) => {
                 // Steer to the next middlebox. The pin recorded on this
                 // box's flow entry wins, so a weight swap between epochs
                 // never re-steers a live flow mid-chain (§III.B
-                // stickiness). `resolve_tunneled` already probed the flow
-                // at this instant, so the pin cannot be stale.
-                let next = match state.flows.pinned_next(ft) {
+                // stickiness). The run carries the pin its probe found at
+                // this instant, or the one its first packet set.
+                let next = match run.pinned {
                     Some(raw) => {
                         self.config.tel.steer_pin_replay(sdm_telemetry::Hop::Middlebox);
                         MiddleboxId(raw)
@@ -142,20 +158,18 @@ impl MiddleboxDevice {
                         let commodity = self.config.commodity_of(ctx.pkt(pkt));
                         let Some(next) = self.config.select_for_commodity(
                             SteerPoint::Middlebox(self.id),
-                            policy_id,
+                            run.policy_id,
                             next_fn,
                             (end + 1) as u16,
-                            ft,
+                            run.key.key(),
                             commodity,
                         ) else {
                             state.counters.unenforceable += weight;
                             ctx.drop_pkt(pkt);
                             return;
                         };
-                        state.flows.pin_next(ft, next.0);
-                        // Unlike the proxy, `pinned_next` was probed live
-                        // just above, so this arm is always a first-time
-                        // pin: the count is batch-invariant as-is.
+                        state.flows.pin_next(run.key, next.0);
+                        run.pinned = Some(next.0);
                         self.config.tel.steer_decision(sdm_telemetry::Hop::Middlebox);
                         next
                     }
@@ -169,8 +183,8 @@ impl MiddleboxDevice {
                                 src: ctx.pkt(pkt).inner.src,
                                 label: l,
                             },
-                            actions.clone(),
-                            policy_id,
+                            state.flows.actions(run.class).clone(),
+                            run.policy_id,
                             pos,
                             Some(next_addr),
                             None,
@@ -197,8 +211,8 @@ impl MiddleboxDevice {
                                 src: ctx.pkt(pkt).inner.src,
                                 label: l,
                             },
-                            actions.clone(),
-                            policy_id,
+                            state.flows.actions(run.class).clone(),
+                            run.policy_id,
                             pos,
                             None,
                             Some(ctx.pkt(pkt).inner.dst),
@@ -206,7 +220,7 @@ impl MiddleboxDevice {
                         );
                     }
                     if self.config.label_switching() {
-                        let control = Packet::control(proxy_addr, *ft);
+                        let control = Packet::control(proxy_addr, *run.key.key());
                         let control = ctx.alloc(control);
                         ctx.forward(control);
                         ctx.forward(pkt);
@@ -220,7 +234,7 @@ impl MiddleboxDevice {
 
     /// Handles a tunneled (IP-over-IP) packet addressed to this box.
     /// Consecutive packets of the same flow (and label) reuse the first
-    /// packet's resolved policy — the flow-table probe becomes a
+    /// packet's [`TunnelRun`] — the flow-table probe becomes a
     /// [`sdm_policy::FlowTable::record_run_hit`] and the label-table
     /// install is skipped (it would overwrite an identical entry).
     fn receive_tunneled(
@@ -237,20 +251,13 @@ impl MiddleboxDevice {
             (p.five_tuple(), p.weight(), p.label)
         };
         state.counters.tunneled_in += weight;
-        let run_mate = matches!(run, Some(r) if r.ft == ft && r.label == label);
+        let run_mate = matches!(run, Some(r) if *r.key.key() == ft && r.label == label);
         if run_mate {
             // A lookup here would be a guaranteed hit returning exactly
-            // the cached decision.
+            // the run's view.
             state.flows.record_run_hit(weight);
         } else {
-            *run = self
-                .resolve_tunneled(state, &ft, ctx.now(), weight)
-                .map(|(policy_id, actions)| TunnelRun {
-                    ft,
-                    label,
-                    policy_id,
-                    actions,
-                });
+            *run = self.resolve_tunneled(state, ft, label, ctx.now(), weight);
         }
         let Some(r) = run else {
             // A tunneled packet should always match (the sender matched
@@ -280,18 +287,19 @@ impl MiddleboxDevice {
         }
     }
 
-    /// Applies a resolved label-table entry to one labeled packet:
-    /// function application counter, destination rewrite, forward.
+    /// Applies a resolved label-table entry — where it sends packets,
+    /// `(next_hop, final_dst)` — to one labeled packet: function
+    /// application counter, destination rewrite, forward.
     fn apply_labeled(
         &self,
         ctx: &mut DeviceCtx<'_>,
         state: &mut MboxState,
         pkt: PacketId,
         weight: u64,
-        entry: &LabelEntry,
+        hop: (Option<Ipv4Addr>, Option<Ipv4Addr>),
     ) {
         state.counters.applications += weight;
-        match (entry.next_hop, entry.final_dst) {
+        match hop {
             (Some(next), _) => {
                 ctx.pkt_mut(pkt).inner.dst = next;
             }
@@ -309,7 +317,7 @@ impl MiddleboxDevice {
 
     /// Handles a label-switched packet (not encapsulated, addressed to
     /// us). Consecutive packets with the same `⟨src, label⟩` key reuse the
-    /// first packet's entry clone: a lookup by a run-mate would only
+    /// first packet's lookup result: a lookup by a run-mate would only
     /// re-refresh `last_seen` to the same instant, so skipping it is
     /// unobservable.
     fn receive_labeled(
@@ -317,7 +325,7 @@ impl MiddleboxDevice {
         ctx: &mut DeviceCtx<'_>,
         state: &mut MboxState,
         pkt: PacketId,
-        run: &mut Option<(LabelKey, Option<LabelEntry>)>,
+        run: &mut LabelRun,
     ) {
         let weight = ctx.pkt(pkt).weight();
         state.counters.label_switched_in += weight;
@@ -332,10 +340,14 @@ impl MiddleboxDevice {
             label,
         };
         if !matches!(run, Some((k, _)) if *k == key) {
-            *run = Some((key, state.labels.lookup(&key, ctx.now()).cloned()));
+            let hop = state
+                .labels
+                .lookup(key, ctx.now())
+                .map(|e| (e.next_hop, e.final_dst));
+            *run = Some((key, hop));
         }
         match run {
-            Some((_, Some(entry))) => self.apply_labeled(ctx, state, pkt, weight, entry),
+            Some((_, Some(hop))) => self.apply_labeled(ctx, state, pkt, weight, *hop),
             _ => {
                 state.counters.label_misses += weight;
                 ctx.drop_pkt(pkt);
@@ -358,7 +370,7 @@ impl Device for MiddleboxDevice {
         let mut state = self.state.lock();
         let state = &mut *state;
         let mut tunnel_run: Option<TunnelRun> = None;
-        let mut label_run: Option<(LabelKey, Option<LabelEntry>)> = None;
+        let mut label_run: LabelRun = None;
         for &pkt in pkts {
             if state.failed {
                 // A failure observed mid-run also ends every cached stretch:
@@ -426,18 +438,21 @@ mod tests {
     }
 
     #[test]
-    fn my_position_finds_first_implemented() {
+    fn my_span_finds_first_implemented() {
         let dev = device(&[Ids]);
         let chain = ActionList::chain([Firewall, Ids, WebProxy]);
-        assert_eq!(dev.my_position(&chain), Some(1));
+        assert_eq!(dev.my_span(&chain), Some((1, 1)));
         let dev2 = device(&[TrafficMonitor]);
-        assert_eq!(dev2.my_position(&chain), None);
+        assert_eq!(dev2.my_span(&chain), None);
     }
 
     #[test]
-    fn multi_function_position_is_earliest() {
+    fn multi_function_span_starts_earliest_and_covers_consecutive() {
         let dev = device(&[Ids, Firewall]);
         let chain = ActionList::chain([Firewall, Ids, WebProxy]);
-        assert_eq!(dev.my_position(&chain), Some(0));
+        assert_eq!(dev.my_span(&chain), Some((0, 1)));
+        // a later occurrence after a gap is not part of the span
+        let gapped = ActionList::chain([Firewall, WebProxy, Ids]);
+        assert_eq!(dev.my_span(&gapped), Some((0, 0)));
     }
 }

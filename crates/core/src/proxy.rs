@@ -14,19 +14,23 @@ use std::sync::Arc;
 
 use sdm_util::sync::Mutex;
 
-use sdm_netsim::{Device, DeviceCtx, FiveTuple, Label, Packet, PacketId, PacketKind, Prefix};
-use sdm_policy::{ActionList, LocalClassifier, PolicyId};
+use sdm_netsim::{Device, DeviceCtx, Packet, PacketId, PacketKind, Prefix};
+use sdm_policy::{FlowEntry, FlowKey, LocalClassifier, PolicyId};
 
 use crate::measure::{DestKey, TrafficMatrix};
 use crate::runtime::{ProxyState, RuntimeConfig, Shared};
 use crate::steer::SteerPoint;
 
-/// The steering decision for one outbound flow: matched policy + actions
-/// (`None` = no policy), the assigned label, whether the flow has been
-/// flagged label-switched, and the pinned first-hop middlebox (raw id) if
-/// one is recorded. Exactly the tuple the flow-cache lookup yields, so one
-/// probe's result can be reused across a same-flow stretch of a run.
-type FlowDecision = (Option<(PolicyId, ActionList)>, Option<Label>, bool, Option<u32>);
+/// What one same-flow stretch of a run resolved: the flow's key, hashed
+/// once, and the flow-cache view its first packet found or inserted —
+/// matched policy and class (`None` = no policy), label, label-switched
+/// flag, and the pinned first-hop middlebox, which the stretch updates
+/// when its first packet pins one. Run-mates reuse it instead of
+/// re-probing the cache.
+struct FlowRun {
+    key: FlowKey,
+    entry: FlowEntry,
+}
 
 /// The `T_{s,d,p}` volume of the current same-(destination, policy)
 /// stretch of a run, recorded into the shared matrix once per stretch and
@@ -82,43 +86,29 @@ impl ProxyDevice {
     /// Resolves the steering decision for an outbound packet: flow-cache
     /// fast path (§III.D), falling back to the multi-field policy lookup
     /// and caching the result (with optional label allocation, §III.E).
+    /// The insert and the label update after a miss reuse the miss's probe.
     fn probe_flow(
         &self,
         state: &mut ProxyState,
-        ft: &FiveTuple,
+        key: FlowKey,
         now: sdm_netsim::SimTime,
         weight: u64,
-    ) -> FlowDecision {
-        let cached = state
-            .flows
-            .lookup(ft, now, weight)
-            .map(|e| (e.action.clone(), e.label, e.label_switched, e.pinned_next));
-        match cached {
-            Some(c) => c,
-            None => {
-                // Slow path: multi-field policy lookup, then cache.
-                match self.policies.first_match(ft) {
-                    None => {
-                        state.flows.insert_negative(*ft, now);
-                        (None, None, false, None)
-                    }
-                    Some((id, policy)) => {
-                        let actions = policy.actions.clone();
-                        state.flows.insert_positive(*ft, id, actions.clone(), now);
-                        let label = if self.config.label_switching() && !actions.is_permit() {
-                            let l = state.labels.allocate();
-                            if let Some(l) = l {
-                                state.flows.set_label(ft, l);
-                            }
-                            l
-                        } else {
-                            None
-                        };
-                        (Some((id, actions)), label, false, None)
-                    }
-                }
+    ) -> FlowEntry {
+        if let Some(entry) = state.flows.lookup(key, now, weight) {
+            return entry;
+        }
+        // Slow path: multi-field policy lookup, then cache.
+        let Some((id, policy)) = self.policies.first_match(key.key()) else {
+            return state.flows.insert_negative(key, now);
+        };
+        let mut entry = state.flows.insert_positive(key, id, &policy.actions, now);
+        if self.config.label_switching() && !policy.actions.is_permit() {
+            entry.label = state.labels.allocate();
+            if let Some(l) = entry.label {
+                state.flows.set_label(key, l);
             }
         }
+        entry
     }
 
     /// Adds one steered packet to the run's measurement stretch, first
@@ -143,26 +133,24 @@ impl ProxyDevice {
         }
     }
 
-    /// Applies a resolved [`FlowDecision`] to one outbound (already
-    /// measured) packet: permit / source-route / label-switch /
-    /// encapsulate. The proxy state lock is already held.
+    /// Applies a resolved [`FlowRun`] to one outbound (already measured)
+    /// packet: permit / source-route / label-switch / encapsulate. The
+    /// proxy state lock is already held.
     fn steer_outbound(
         &self,
         ctx: &mut DeviceCtx<'_>,
         state: &mut ProxyState,
         pkt: PacketId,
-        ft: &FiveTuple,
         weight: u64,
-        decision: &FlowDecision,
+        run: &mut FlowRun,
     ) {
-        let (action, label, label_switched, pinned) = decision;
-        let Some((policy_id, actions)) = action else {
+        let Some((policy_id, class)) = run.entry.action else {
             // No policy: forward unchanged.
             state.counters.permitted += weight;
             ctx.forward(pkt);
             return;
         };
-        let policy_id = *policy_id;
+        let actions = state.flows.actions(class);
 
         if actions.is_permit() {
             state.counters.permitted += weight;
@@ -174,7 +162,7 @@ impl ProxyDevice {
         if self.config.encoding == crate::steer::SteeringEncoding::SourceRouting {
             let Some(chain) =
                 self.config
-                    .resolve_chain(self.point, policy_id, actions, ft)
+                    .resolve_chain(self.point, policy_id, actions, run.key.key())
             else {
                 state.counters.unenforceable += weight;
                 ctx.drop_pkt(pkt);
@@ -198,41 +186,42 @@ impl ProxyDevice {
         // Steer to the first function's middlebox. A pin recorded on the
         // flow entry wins: live flows keep their original selection even
         // after the epoch loop swapped in new weights (§III.B stickiness).
-        let next = match pinned {
+        let first_fn = actions.first();
+        let next = match run.entry.pinned_next {
             Some(raw) => {
                 self.config.tel.steer_pin_replay(sdm_telemetry::Hop::Proxy);
-                crate::deployment::MiddleboxId(*raw)
+                crate::deployment::MiddleboxId(raw)
             }
             None => {
                 let commodity = self.config.commodity_of(ctx.pkt(pkt));
-                let Some(next) = actions.first().and_then(|first_fn| {
+                let Some(next) = first_fn.and_then(|first_fn| {
                     self.config.select_for_commodity(
-                        self.point, policy_id, first_fn, 0, ft, commodity,
+                        self.point, policy_id, first_fn, 0, run.key.key(), commodity,
                     )
                 }) else {
                     state.counters.unenforceable += weight;
                     ctx.drop_pkt(pkt); // drop: the policy cannot be enforced
                     return;
                 };
-                // A *fresh* selection is one that first pins the flow —
-                // run-mates replay the first packet's unpinned decision
-                // tuple and re-derive the same selection, so the counter
-                // keys off the pin transition, which happens exactly once
-                // per flow however arrivals split into runs.
-                if self.config.tel.enabled() && state.flows.pinned_next(ft).is_none() {
-                    self.config.tel.steer_decision(sdm_telemetry::Hop::Proxy);
-                }
-                state.flows.pin_next(ft, next.0);
+                // The pin lands on the entry the stretch's probe found, and
+                // the run carries it: run-mates replay it exactly as their
+                // own lookups would, so a flow counts one fresh decision
+                // and one replay per later packet however arrivals split
+                // into runs.
+                state.flows.pin_next(run.key, next.0);
+                run.entry.pinned_next = Some(next.0);
+                self.config.tel.steer_decision(sdm_telemetry::Hop::Proxy);
                 next
             }
         };
         let next_addr = self.config.mbox_addr(next);
+        let label = run.entry.label;
 
-        if *label_switched && self.config.label_switching() {
+        if run.entry.label_switched && self.config.label_switching() {
             // §III.E fast path: label + destination rewrite, no tunnel.
             if let Some(l) = label {
                 let p = ctx.pkt_mut(pkt);
-                p.label = Some(*l);
+                p.label = Some(l);
                 p.inner.dst = next_addr;
                 state.counters.label_switched += weight;
                 state.counters.steered += weight;
@@ -250,7 +239,7 @@ impl ProxyDevice {
             ctx.drop_pkt(pkt);
             return;
         }
-        p.label = *label;
+        p.label = label;
         state.counters.steered += weight;
         ctx.forward(pkt);
     }
@@ -268,7 +257,7 @@ impl ProxyDevice {
             return false;
         }
         state.counters.control_received += p.weight();
-        state.flows.flag_label_switched(&p.original());
+        state.flows.flag_label_switched(p.original());
         ctx.drop_pkt(pkt);
         true
     }
@@ -293,19 +282,19 @@ impl ProxyDevice {
 
 impl Device for ProxyDevice {
     /// One lock acquisition for the whole run, and one flow-table probe
-    /// per consecutive same-flow stretch — run-mates reuse the first
-    /// packet's decision tuple (recording their cache hits via
+    /// per consecutive same-flow stretch — run-mates reuse the stretch's
+    /// `FlowRun` (recording their cache hits via
     /// [`sdm_policy::FlowTable::record_run_hit`]) instead of re-probing.
     ///
     /// How arrivals split into runs is unobservable: a lookup by a
-    /// run-mate is a guaranteed hit returning exactly the cached decision,
-    /// and control/inbound packets conservatively end the current stretch
-    /// because they can mutate flow state (e.g. flag a flow label-switched
-    /// mid-tick). Measurements are summed per stretch and recorded by the
+    /// run-mate is a guaranteed hit returning exactly the run's view, pin
+    /// included, and control/inbound packets conservatively end the
+    /// current stretch because they can mutate flow state (e.g. flag a
+    /// flow label-switched mid-tick). Measurements are summed per stretch and recorded by the
     /// end of the run, which no cell can tell from per-packet recording.
     fn receive(&mut self, ctx: &mut DeviceCtx<'_>, pkts: &[PacketId]) {
         let mut state = self.state.lock();
-        let mut run: Option<(FiveTuple, FlowDecision)> = None;
+        let mut run: Option<FlowRun> = None;
         let mut tally: Tally = None;
         for &pkt in pkts {
             if self.handle_control(ctx, &mut state, pkt) || self.handle_inbound(ctx, &mut state, pkt)
@@ -321,28 +310,29 @@ impl Device for ProxyDevice {
             };
             // Leaving our stub — or, at a gateway, entering the enterprise.
             state.counters.outbound += weight;
-            match &run {
+            let run = match &mut run {
                 // A run-mate's own lookup would land on the cached
-                // entry: count the hit — classified by the decision's
+                // entry: count the hit — classified by the entry's
                 // negativity, as a real lookup would classify it.
-                Some((key, d)) if *key == ft => {
-                    if d.0.is_none() {
+                Some(r) if *r.key.key() == ft => {
+                    if r.entry.is_negative() {
                         state.flows.record_run_negative_hit(weight);
                     } else {
                         state.flows.record_run_hit(weight);
                     }
+                    r
                 }
                 _ => {
-                    let d = self.probe_flow(&mut state, &ft, ctx.now(), weight);
-                    run = Some((ft, d));
+                    let key = FlowKey::new(ft);
+                    let entry = self.probe_flow(&mut state, key, ctx.now(), weight);
+                    run.insert(FlowRun { key, entry })
                 }
-            }
-            let Some((_, decision)) = &run else { continue };
+            };
             // Measure T_{s,d,p} for the controller (§III.C).
-            if let (SteerPoint::Proxy(_), Some((policy, _))) = (self.point, &decision.0) {
-                self.measure(&mut tally, self.dest_key(ctx.pkt(pkt)), *policy, weight);
+            if let (SteerPoint::Proxy(_), Some((policy, _))) = (self.point, run.entry.action) {
+                self.measure(&mut tally, self.dest_key(ctx.pkt(pkt)), policy, weight);
             }
-            self.steer_outbound(ctx, &mut state, pkt, &ft, weight, decision);
+            self.steer_outbound(ctx, &mut state, pkt, weight, run);
         }
         self.record(tally);
     }

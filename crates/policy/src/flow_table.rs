@@ -3,19 +3,25 @@
 //! soft-state expiry and negative caching, extended with the label fields
 //! of §III.E.
 //!
-//! Since PR 9 the storage layer is the open-addressed [`OaTable`] plus the
+//! The storage layer is the open-addressed [`OaTable`] plus the
 //! capacity-capped [`NegativeCache`] (see [`crate::oa_table`]), and positive
 //! entries hold a 4-byte [`PolicyClassId`] into a per-table [`ClassInterner`]
 //! instead of a cloned action list — SoftCell-style aggregation, so resident
 //! state grows with the number of *distinct policies*, not flows.
+//!
+//! Every operation takes a [`FlowKey`], the 5-tuple hashed once; a device
+//! builds one per same-flow stretch. A hit is one probe, a miss hands its
+//! probe cell to the insert that follows, and a pin or label update on
+//! the entry a lookup just found does not probe at all.
 
+use std::borrow::Borrow;
 use std::fmt;
 
 use sdm_netsim::{FiveTuple, Label, SimTime};
 use sdm_util::FxHashMap;
 
 use crate::action::ActionList;
-use crate::oa_table::{NegativeCache, OaTable, DEFAULT_NEG_SETS};
+use crate::oa_table::{FlowKey, NegativeCache, OaTable, DEFAULT_NEG_SETS};
 use crate::policy::PolicyId;
 
 /// Sentinel for the packed `Option<u32>` fields of [`PosEntry`].
@@ -56,9 +62,14 @@ impl ClassInterner {
         id
     }
 
-    /// Resolves a class id back to its `(policy, action list)` pair.
-    pub fn resolve(&self, id: PolicyClassId) -> Option<&(PolicyId, ActionList)> {
-        self.classes.get(id.0 as usize)
+    /// Resolves a class id this interner issued back to its
+    /// `(policy, action list)` pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an id another interner issued.
+    pub fn resolve(&self, id: PolicyClassId) -> &(PolicyId, ActionList) {
+        &self.classes[id.0 as usize]
     }
 
     /// Number of distinct classes interned.
@@ -92,14 +103,16 @@ struct PosEntry {
     last_seen: SimTime,
 }
 
-/// What the cache knows about one flow — the owned view [`FlowTable::lookup`]
-/// materializes from the packed resident entry (the action list is an `Arc`
-/// clone of the interned class, so this stays cheap).
-#[derive(Debug, Clone, PartialEq)]
+/// What the cache knows about one flow — the `Copy` view
+/// [`FlowTable::lookup`] reads out of the packed resident entry. The action
+/// list stays in the table: borrow it with [`FlowTable::actions`]. The
+/// default value is the negative marker's view.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlowEntry {
-    /// The action list to apply; `None` is the negative-cache marker
+    /// The matched policy and its interned class (resolve the action list
+    /// with [`FlowTable::actions`]); `None` is the negative-cache marker
     /// `⟨f, null⟩` — the flow matches no policy and is forwarded untouched.
-    pub action: Option<(PolicyId, ActionList)>,
+    pub action: Option<(PolicyId, PolicyClassId)>,
     /// The locally-unique steering label assigned by a proxy (§III.E).
     pub label: Option<Label>,
     /// Set once the proxy received the label-ready control packet; from
@@ -154,8 +167,8 @@ impl FlowTableStats {
 /// [`FlowTable::sweep`] apply the same rule, so a sweep followed by a
 /// lookup at the same `now` can never resurrect an entry.
 ///
-/// Positive entries live in an open-addressed slab table that grows with
-/// incremental rehash; negative markers live in a capacity-capped
+/// Positive entries live in an open-addressed slab table that grows by
+/// rebuilding its probe array; negative markers live in a capacity-capped
 /// set-associative cache whose deterministic eviction bounds the memory an
 /// exhaustion attack (millions of one-packet no-policy flows) can pin.
 /// A flow is resident in at most one of the two structures.
@@ -181,6 +194,10 @@ impl FlowTableStats {
 pub struct FlowTable {
     /// Positive entries (flow -> interned policy class + label fields).
     pos: OaTable<FiveTuple, PosEntry>,
+    /// The key the last lookup found on neither side (cleared by any
+    /// negative insert): an `insert_positive` of it skips the negative-set
+    /// scan that lookup already made.
+    absent: Option<FlowKey>,
     /// Negative markers, capacity-capped (see [`NegativeCache`]).
     neg: NegativeCache,
     /// Interned `(policy, action list)` classes referenced by `pos`.
@@ -226,6 +243,7 @@ impl FlowTable {
         assert!(ttl > 0, "flow-table ttl must be positive");
         FlowTable {
             pos: OaTable::new(),
+            absent: None,
             neg: NegativeCache::new(neg_sets),
             classes: ClassInterner::new(),
             ttl,
@@ -236,14 +254,24 @@ impl FlowTable {
         }
     }
 
-    /// Materializes the owned view of a positive entry.
+    /// The `Copy` view of a positive entry.
     fn view(&self, e: &PosEntry) -> FlowEntry {
         FlowEntry {
-            action: self.classes.resolve(e.class).cloned(),
+            action: Some((self.classes.resolve(e.class).0, e.class)),
             label: if e.label == NONE_U32 { None } else { Some(Label(e.label as u16)) },
             label_switched: e.label_switched,
             pinned_next: if e.pinned == NONE_U32 { None } else { Some(e.pinned) },
         }
+    }
+
+    /// The action list of a class this table interned (the `class` of a
+    /// [`FlowEntry`] it returned), borrowed rather than cloned.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a class another table interned.
+    pub fn actions(&self, class: PolicyClassId) -> &ActionList {
+        &self.classes.resolve(class).1
     }
 
     /// Looks up a flow, refreshing its soft state. `weight` packets are
@@ -251,68 +279,56 @@ impl FlowTable {
     /// count as misses. An entry expires exactly `ttl` ticks after its
     /// last refresh (see the type-level docs for the boundary rule).
     ///
+    /// One probe of the positive table and, if that misses, one scan of
+    /// the flow's negative set. A miss leaves both results for the
+    /// `insert_positive` of the same key that usually follows.
+    ///
     /// Debug builds panic if `now` moves backwards across calls; release
     /// builds saturate, which would otherwise mask the error.
-    pub fn lookup(&mut self, ft: &FiveTuple, now: SimTime, weight: u64) -> Option<FlowEntry> {
+    pub fn lookup(
+        &mut self,
+        key: impl Into<FlowKey>,
+        now: SimTime,
+        weight: u64,
+    ) -> Option<FlowEntry> {
+        let key = key.into();
         debug_assert!(
             now >= self.watermark,
             "flow-table clock moved backwards: {now:?} < {:?}",
             self.watermark
         );
         self.watermark = now;
+        let ttl = self.ttl;
         // Positive table first (a flow is resident in at most one side).
-        // Decide fate on a shared borrow, then re-borrow to apply it.
-        let fate = match self.pos.get(ft) {
-            None => 0u8,
-            Some(e) if now.0.saturating_sub(e.last_seen.0) >= self.ttl => 1,
-            Some(_) => 2,
-        };
-        match fate {
-            1 => {
-                self.pos.remove(ft);
-                self.stats.expired += 1;
-                self.stats.misses += weight;
-                return None;
-            }
-            2 => {
+        if let Some(e) = self.pos.get_mut(key) {
+            if now.0.saturating_sub(e.last_seen.0) < ttl {
+                e.last_seen = now;
+                let e = *e;
+                self.absent = None;
                 self.stats.hits += weight;
-                let view = match self.pos.get_mut(ft) {
-                    Some(e) => {
-                        e.last_seen = now;
-                        let e = *e;
-                        self.view(&e)
-                    }
-                    // Unreachable: fate 2 proved the key present.
-                    None => return None,
-                };
-                return Some(view);
+                return Some(self.view(&e));
             }
-            _ => {}
-        }
-        // Negative cache.
-        match self.neg.last_seen(ft) {
-            Some(ls) if now.0.saturating_sub(ls.0) >= self.ttl => {
-                self.neg.remove(ft);
-                self.stats.expired += 1;
-                self.stats.misses += weight;
-                None
-            }
-            Some(_) => {
-                self.neg.refresh(ft, now);
-                self.stats.hits += weight;
-                self.stats.negative_hits += weight;
-                Some(FlowEntry {
-                    action: None,
-                    label: None,
-                    label_switched: false,
-                    pinned_next: None,
-                })
-            }
-            None => {
-                self.stats.misses += weight;
-                None
+            self.pos.remove(key);
+            self.stats.expired += 1;
+        } else {
+            match self.neg.get_mut(&key) {
+                Some(ls) if now.0.saturating_sub(ls.0) < ttl => {
+                    *ls = now;
+                    self.absent = None;
+                    self.stats.hits += weight;
+                    self.stats.negative_hits += weight;
+                    return Some(FlowEntry::default());
+                }
+                Some(_) => {
+                    self.neg.remove(&key);
+                    self.stats.expired += 1;
+                }
+                None => {}
             }
         }
+        self.absent = Some(key);
+        self.stats.misses += weight;
+        None
     }
 
     /// Vector-path hit accounting: counts `weight` packets as cache hits
@@ -325,7 +341,7 @@ impl FlowTable {
     /// refreshed at `now`, so a real lookup would be a pure hit whose only
     /// effect is `hits += weight`; this records exactly that, keeping the
     /// counters bit-identical to per-packet lookups while skipping the
-    /// hash probe and the action-list clone.
+    /// hash and the probe.
     pub fn record_run_hit(&mut self, weight: u64) {
         self.stats.hits += weight;
     }
@@ -340,19 +356,22 @@ impl FlowTable {
     }
 
     /// Inserts (or replaces) a positive entry mapping the flow to a policy's
-    /// action list. The list is interned: the resident entry stores a
-    /// 4-byte [`PolicyClassId`], not a clone.
+    /// action list, and returns its view. The list is interned: the
+    /// resident entry stores a 4-byte [`PolicyClassId`], not a clone.
     pub fn insert_positive(
         &mut self,
-        ft: FiveTuple,
+        key: impl Into<FlowKey>,
         policy: PolicyId,
-        actions: ActionList,
+        actions: impl Borrow<ActionList>,
         now: SimTime,
-    ) {
-        self.neg.remove(&ft);
-        let class = self.classes.intern(policy, &actions);
+    ) -> FlowEntry {
+        let key = key.into();
+        if self.absent.take() != Some(key) {
+            self.neg.remove(&key);
+        }
+        let class = self.classes.intern(policy, actions.borrow());
         self.pos.insert(
-            ft,
+            key,
             PosEntry {
                 class,
                 label: NONE_U32,
@@ -361,38 +380,47 @@ impl FlowTable {
                 last_seen: now,
             },
         );
+        FlowEntry {
+            action: Some((policy, class)),
+            ..FlowEntry::default()
+        }
     }
 
     /// Inserts the negative marker `⟨f, null⟩` so later packets of the flow
-    /// skip the policy table entirely (§III.D). Subject to the negative
-    /// cache's capacity cap: a full set deterministically evicts its
-    /// stalest marker (an eviction only re-exposes that flow to one policy
-    /// lookup — correctness is unaffected).
-    pub fn insert_negative(&mut self, ft: FiveTuple, now: SimTime) {
-        self.pos.remove(&ft);
-        self.neg.insert(ft, now);
+    /// skip the policy table entirely (§III.D), and returns its view.
+    /// Subject to the negative cache's capacity cap: a full set
+    /// deterministically evicts its stalest marker (an eviction only
+    /// re-exposes that flow to one policy lookup — correctness is
+    /// unaffected).
+    pub fn insert_negative(&mut self, key: impl Into<FlowKey>, now: SimTime) -> FlowEntry {
+        let key = key.into();
+        self.absent = None;
+        self.pos.remove(key);
+        self.neg.insert(&key, now);
+        FlowEntry::default()
+    }
+
+    /// Applies `update` to the flow's positive entry; false if the flow is
+    /// unknown or negative-cached. No probe when the last lookup or insert
+    /// was of this flow.
+    fn update(&mut self, key: impl Into<FlowKey>, update: impl FnOnce(&mut PosEntry)) -> bool {
+        self.pos.get_mut(key.into()).map(update).is_some()
     }
 
     /// Attaches a steering label to an existing *positive* entry
     /// (proxy-side, §III.E; negative flows never carry labels). Returns
     /// false if the flow is unknown or negative-cached.
-    pub fn set_label(&mut self, ft: &FiveTuple, label: Label) -> bool {
-        match self.pos.get_mut(ft) {
-            Some(e) => {
-                e.label = label.0 as u32;
-                true
-            }
-            None => false,
-        }
+    pub fn set_label(&mut self, key: impl Into<FlowKey>, label: Label) -> bool {
+        self.update(key, |e| e.label = label.0 as u32)
     }
 
     /// Reads a flow's pinned next hop without refreshing soft state or
     /// touching the hit/miss counters. Callers must have resolved the flow
     /// with [`FlowTable::lookup`] at the current instant first (so an
     /// expired entry cannot leak a stale pin).
-    pub fn pinned_next(&self, ft: &FiveTuple) -> Option<u32> {
+    pub fn pinned_next(&self, key: impl Into<FlowKey>) -> Option<u32> {
         self.pos
-            .get(ft)
+            .get(key.into())
             .and_then(|e| if e.pinned == NONE_U32 { None } else { Some(e.pinned) })
     }
 
@@ -400,27 +428,15 @@ impl FlowTable {
     /// same selection even after a weight update (flow stickiness across
     /// re-steer epochs). Only positive entries steer, so only they can be
     /// pinned. Returns false if the flow is unknown or negative-cached.
-    pub fn pin_next(&mut self, ft: &FiveTuple, next: u32) -> bool {
+    pub fn pin_next(&mut self, key: impl Into<FlowKey>, next: u32) -> bool {
         debug_assert!(next != NONE_U32, "u32::MAX is the unpinned sentinel");
-        match self.pos.get_mut(ft) {
-            Some(e) => {
-                e.pinned = next;
-                true
-            }
-            None => false,
-        }
+        self.update(key, |e| e.pinned = next)
     }
 
     /// Flags an entry for label switching after the control packet returned
     /// (§III.E). Returns false if the flow is unknown or negative-cached.
-    pub fn flag_label_switched(&mut self, ft: &FiveTuple) -> bool {
-        match self.pos.get_mut(ft) {
-            Some(e) => {
-                e.label_switched = true;
-                true
-            }
-            None => false,
-        }
+    pub fn flag_label_switched(&mut self, key: impl Into<FlowKey>) -> bool {
+        self.update(key, |e| e.label_switched = true)
     }
 
     /// Amortized expiry sweep: examines at most `budget` slots per call,
@@ -463,12 +479,12 @@ impl FlowTable {
                         _ => None,
                     };
                     if let Some(k) = stale_key {
-                        self.pos.remove(&k);
+                        self.pos.remove(k);
                         dropped += 1;
                     }
                 } else if let Some((k, ls)) = self.neg.slot(i - pos_slots) {
                     if now.0.saturating_sub(ls.0) >= ttl {
-                        self.neg.remove(&k);
+                        self.neg.remove(&FlowKey::new(k));
                         dropped += 1;
                     }
                 }
@@ -606,9 +622,9 @@ mod tests {
     #[test]
     fn miss_then_hit() {
         let mut t = FlowTable::new(100);
-        assert!(t.lookup(&ft(1), SimTime(0), 1).is_none());
+        assert!(t.lookup(ft(1), SimTime(0), 1).is_none());
         t.insert_positive(ft(1), PolicyId(3), ActionList::chain([Firewall]), SimTime(0));
-        let e = t.lookup(&ft(1), SimTime(10), 5).unwrap();
+        let e = t.lookup(ft(1), SimTime(10), 5).unwrap();
         assert_eq!(e.action.as_ref().unwrap().0, PolicyId(3));
         assert_eq!(
             t.stats(),
@@ -617,14 +633,46 @@ mod tests {
     }
 
     #[test]
+    fn one_probe_per_operation() {
+        use crate::oa_table::walks;
+        let mut t = FlowTable::new(100);
+        for p in 0..40u16 {
+            let key = FlowKey::new(ft(p));
+            let cap = t.pos.capacity();
+            let before = walks();
+            assert!(t.lookup(key, SimTime(0), 1).is_none());
+            let e = t.insert_positive(key, PolicyId(1), ActionList::chain([Ids]), SimTime(0));
+            let grew = usize::from(t.pos.capacity() != cap);
+            assert_eq!(walks() - before, 1 + grew as u64, "miss -> insert of flow {p}");
+            // updates of the entry just inserted: no walk
+            let before = walks();
+            assert!(t.set_label(key, Label(p)));
+            assert!(t.pin_next(key, 3));
+            assert_eq!(walks() - before, 0, "label + pin after insert");
+            assert_eq!(e.action, Some((PolicyId(1), PolicyClassId(0))));
+        }
+        let key = FlowKey::new(ft(17));
+        let before = walks();
+        let e = t.lookup(key, SimTime(1), 1).unwrap();
+        assert_eq!(walks() - before, 1, "positive hit");
+        assert_eq!((e.label, e.pinned_next), (Some(Label(17)), Some(3)));
+        assert_eq!(t.actions(e.action.unwrap().1), &ActionList::chain([Ids]));
+        let before = walks();
+        assert!(t.pin_next(key, 4));
+        assert!(t.flag_label_switched(key));
+        assert_eq!(walks() - before, 0, "pin + flag after a hit");
+        assert_eq!(t.pinned_next(key), Some(4));
+    }
+
+    #[test]
     fn soft_state_expires_and_refreshes() {
         let mut t = FlowTable::new(100);
         t.insert_positive(ft(1), PolicyId(0), ActionList::permit(), SimTime(0));
         // refresh at t=90 extends lifetime past t=150
-        assert!(t.lookup(&ft(1), SimTime(90), 1).is_some());
-        assert!(t.lookup(&ft(1), SimTime(150), 1).is_some());
+        assert!(t.lookup(ft(1), SimTime(90), 1).is_some());
+        assert!(t.lookup(ft(1), SimTime(150), 1).is_some());
         // silence until t=300 expires it
-        assert!(t.lookup(&ft(1), SimTime(300), 1).is_none());
+        assert!(t.lookup(ft(1), SimTime(300), 1).is_none());
         assert_eq!(t.len(), 0);
         assert_eq!(t.stats().expired, 1);
     }
@@ -633,7 +681,7 @@ mod tests {
     fn negative_caching() {
         let mut t = FlowTable::new(100);
         t.insert_negative(ft(2), SimTime(0));
-        let e = t.lookup(&ft(2), SimTime(1), 1).unwrap();
+        let e = t.lookup(ft(2), SimTime(1), 1).unwrap();
         assert!(e.is_negative());
         assert!(e.action.is_none());
     }
@@ -642,10 +690,10 @@ mod tests {
     fn label_lifecycle() {
         let mut t = FlowTable::new(100);
         t.insert_positive(ft(3), PolicyId(0), ActionList::chain([Ids]), SimTime(0));
-        assert!(t.set_label(&ft(3), Label(7)));
-        assert!(!t.flag_label_switched(&ft(9)));
-        assert!(t.flag_label_switched(&ft(3)));
-        let e = t.lookup(&ft(3), SimTime(1), 1).unwrap();
+        assert!(t.set_label(ft(3), Label(7)));
+        assert!(!t.flag_label_switched(ft(9)));
+        assert!(t.flag_label_switched(ft(3)));
+        let e = t.lookup(ft(3), SimTime(1), 1).unwrap();
         assert_eq!(e.label, Some(Label(7)));
         assert!(e.label_switched);
     }
@@ -654,13 +702,13 @@ mod tests {
     fn pin_next_sticks_to_entry() {
         let mut t = FlowTable::new(100);
         t.insert_positive(ft(4), PolicyId(0), ActionList::chain([Firewall]), SimTime(0));
-        assert!(!t.pin_next(&ft(9), 2), "unknown flow cannot be pinned");
-        assert!(t.pin_next(&ft(4), 2));
-        let e = t.lookup(&ft(4), SimTime(1), 1).unwrap();
+        assert!(!t.pin_next(ft(9), 2), "unknown flow cannot be pinned");
+        assert!(t.pin_next(ft(4), 2));
+        let e = t.lookup(ft(4), SimTime(1), 1).unwrap();
         assert_eq!(e.pinned_next, Some(2));
         // re-inserting the flow clears the pin (fresh decision)
         t.insert_positive(ft(4), PolicyId(0), ActionList::chain([Firewall]), SimTime(2));
-        assert_eq!(t.lookup(&ft(4), SimTime(3), 1).unwrap().pinned_next, None);
+        assert_eq!(t.lookup(ft(4), SimTime(3), 1).unwrap().pinned_next, None);
     }
 
     #[test]
@@ -698,10 +746,10 @@ mod tests {
         }
         assert_eq!(t.len(), 8);
         // entries refreshed mid-cycle survive the next cycle too
-        assert!(t.lookup(&ft(0), SimTime(99), 1).is_some());
+        assert!(t.lookup(ft(0), SimTime(99), 1).is_some());
         let dropped: usize = (0..8).map(|_| t.sweep(SimTime(100), 1)).sum();
         assert_eq!(dropped + t.len(), 8);
-        assert!(t.lookup(&ft(0), SimTime(100), 1).is_some(), "refreshed entry lives");
+        assert!(t.lookup(ft(0), SimTime(100), 1).is_some(), "refreshed entry lives");
     }
 
     #[test]
@@ -712,8 +760,8 @@ mod tests {
         // at t=50: ft(1) has age ttl (stale), ft(2) age ttl-1 (live)
         let dropped = t.sweep(SimTime(50), 10) + t.sweep(SimTime(50), 10);
         assert_eq!(dropped, 1);
-        assert!(t.lookup(&ft(1), SimTime(50), 1).is_none());
-        assert!(t.lookup(&ft(2), SimTime(50), 1).is_some());
+        assert!(t.lookup(ft(1), SimTime(50), 1).is_none());
+        assert!(t.lookup(ft(2), SimTime(50), 1).is_some());
     }
 
     #[test]
@@ -731,8 +779,8 @@ mod tests {
         let mut t = FlowTable::new(100);
         t.insert_negative(ft(1), SimTime(0));
         t.insert_positive(ft(2), PolicyId(0), ActionList::permit(), SimTime(0));
-        assert!(t.lookup(&ft(1), SimTime(1), 4).unwrap().is_negative());
-        assert!(!t.lookup(&ft(2), SimTime(1), 2).unwrap().is_negative());
+        assert!(t.lookup(ft(1), SimTime(1), 4).unwrap().is_negative());
+        assert!(!t.lookup(ft(2), SimTime(1), 2).unwrap().is_negative());
         t.record_run_negative_hit(3); // batched run-mates of ft(1)
         let s = t.stats();
         assert_eq!(s.hits, 9);
@@ -754,12 +802,12 @@ mod tests {
         // positive entry: alive at age ttl-1, expired at exactly ttl
         let mut t = FlowTable::new(100);
         t.insert_positive(ft(1), PolicyId(0), ActionList::permit(), SimTime(0));
-        assert!(t.lookup(&ft(1), SimTime(99), 1).is_some(), "age ttl-1 alive");
+        assert!(t.lookup(ft(1), SimTime(99), 1).is_some(), "age ttl-1 alive");
         // re-insert to reset last_seen (lookup above refreshed it)
         t.insert_positive(ft(2), PolicyId(0), ActionList::permit(), SimTime(99));
-        assert!(t.lookup(&ft(2), SimTime(199), 1).is_none(), "age ttl expired");
+        assert!(t.lookup(ft(2), SimTime(199), 1).is_none(), "age ttl expired");
         t.insert_positive(ft(3), PolicyId(0), ActionList::permit(), SimTime(199));
-        assert!(t.lookup(&ft(3), SimTime(300), 1).is_none(), "age ttl+1 expired");
+        assert!(t.lookup(ft(3), SimTime(300), 1).is_none(), "age ttl+1 expired");
     }
 
     #[test]
@@ -768,9 +816,9 @@ mod tests {
         t.insert_negative(ft(1), SimTime(0));
         t.insert_negative(ft(2), SimTime(0));
         t.insert_negative(ft(3), SimTime(0));
-        assert!(t.lookup(&ft(1), SimTime(99), 1).is_some(), "age ttl-1 alive");
-        assert!(t.lookup(&ft(2), SimTime(100), 1).is_none(), "age ttl expired");
-        assert!(t.lookup(&ft(3), SimTime(101), 1).is_none(), "age ttl+1 expired");
+        assert!(t.lookup(ft(1), SimTime(99), 1).is_some(), "age ttl-1 alive");
+        assert!(t.lookup(ft(2), SimTime(100), 1).is_none(), "age ttl expired");
+        assert!(t.lookup(ft(3), SimTime(101), 1).is_none(), "age ttl+1 expired");
     }
 
     #[test]
@@ -779,11 +827,11 @@ mod tests {
         let mut t = FlowTable::new(50);
         t.insert_positive(ft(1), PolicyId(0), ActionList::permit(), SimTime(0));
         assert_eq!(t.sweep(SimTime(50), usize::MAX), 1);
-        assert!(t.lookup(&ft(1), SimTime(50), 1).is_none());
+        assert!(t.lookup(ft(1), SimTime(50), 1).is_none());
         // and keep what lookup would accept
         t.insert_positive(ft(2), PolicyId(0), ActionList::permit(), SimTime(50));
         assert_eq!(t.sweep(SimTime(99), usize::MAX), 0);
-        assert!(t.lookup(&ft(2), SimTime(99), 1).is_some());
+        assert!(t.lookup(ft(2), SimTime(99), 1).is_some());
     }
 
     #[test]
@@ -792,8 +840,8 @@ mod tests {
     fn non_monotonic_now_panics_in_debug() {
         let mut t = FlowTable::new(100);
         t.insert_positive(ft(1), PolicyId(0), ActionList::permit(), SimTime(0));
-        let _ = t.lookup(&ft(1), SimTime(500), 1);
-        let _ = t.lookup(&ft(1), SimTime(10), 1); // time ran backwards
+        let _ = t.lookup(ft(1), SimTime(500), 1);
+        let _ = t.lookup(ft(1), SimTime(10), 1); // time ran backwards
     }
 
     #[test]
@@ -818,7 +866,7 @@ mod tests {
         assert_eq!(t.len(), 1000);
         assert_eq!(t.policy_classes(), 3);
         // every flow still resolves to its policy
-        let e = t.lookup(&ft(1), SimTime(1), 1).unwrap();
+        let e = t.lookup(ft(1), SimTime(1), 1).unwrap();
         assert_eq!(e.action.unwrap().0, PolicyId(0));
     }
 
@@ -849,7 +897,7 @@ mod tests {
         // the evicted flow is a miss again (would re-run the classifier);
         // the survivors still hit
         let survivors = (1..=9u16)
-            .filter(|p| t.lookup(&ft(*p), SimTime(50), 1).is_some())
+            .filter(|p| t.lookup(ft(*p), SimTime(50), 1).is_some())
             .count();
         assert_eq!(survivors, 8);
         assert_eq!(t.stats().misses, 1);
@@ -897,8 +945,7 @@ mod tests {
                 let _ = t.sweep(SimTime(now), step);
                 left -= step;
             }
-            // removals may *release* memory (they retire an in-flight
-            // rehash's old probe array), but a sweep never acquires any
+            // a sweep only removes: it never acquires memory
             assert!(t.allocated_bytes() <= baseline, "sweep must not allocate");
         }
         assert!(t.is_empty(), "everything expired across the cycles");
@@ -908,10 +955,10 @@ mod tests {
     fn set_label_and_pin_are_positive_only() {
         let mut t = FlowTable::new(100);
         t.insert_negative(ft(1), SimTime(0));
-        assert!(!t.set_label(&ft(1), Label(3)), "negative flows carry no label");
-        assert!(!t.pin_next(&ft(1), 2), "negative flows are never steered");
-        assert!(!t.flag_label_switched(&ft(1)));
-        assert_eq!(t.pinned_next(&ft(1)), None);
+        assert!(!t.set_label(ft(1), Label(3)), "negative flows carry no label");
+        assert!(!t.pin_next(ft(1), 2), "negative flows are never steered");
+        assert!(!t.flag_label_switched(ft(1)));
+        assert_eq!(t.pinned_next(ft(1)), None);
     }
 
     #[test]

@@ -3,16 +3,18 @@
 //! keyed by the concatenation of the flow's source address and the
 //! proxy-assigned label.
 //!
-//! Since PR 9 the storage is the open-addressed [`OaTable`] (slab-backed,
-//! incremental rehash, backward-shift deletion) shared with the flow cache
-//! — see [`crate::oa_table`].
+//! The storage is the open-addressed [`OaTable`] shared with the flow
+//! cache (slab-backed, whole rebuild on grow, backward-shift deletion) —
+//! see [`crate::oa_table`]. Operations take a [`Hashed`] key, so a
+//! middlebox hashes a label key once per same-key stretch, and a lookup,
+//! hit or expired, is one probe.
 
 use std::fmt;
 
 use sdm_netsim::{Ipv4Addr, Label, SimTime};
 
 use crate::action::ActionList;
-use crate::oa_table::{OaKey, OaTable};
+use crate::oa_table::{Hashed, OaKey, OaTable};
 use crate::policy::PolicyId;
 
 /// The lookup key `src | l`: source address concatenated with label.
@@ -71,6 +73,10 @@ pub struct LabelEntry {
 
 /// Soft-state label table (§III.E), one per middlebox.
 ///
+/// Expiry boundary, the same as [`crate::FlowTable`]'s: an entry last
+/// refreshed at time `t` is alive for lookups at `t .. t + ttl - 1` and
+/// expired from `t + ttl` on — it lives for exactly `ttl` ticks.
+///
 /// # Example
 ///
 /// ```
@@ -107,7 +113,7 @@ impl LabelTable {
     #[allow(clippy::too_many_arguments)]
     pub fn insert(
         &mut self,
-        key: LabelKey,
+        key: impl Into<Hashed<LabelKey>>,
         actions: ActionList,
         policy: PolicyId,
         position: usize,
@@ -129,12 +135,15 @@ impl LabelTable {
     }
 
     /// Looks up a label key, refreshing its soft state; expired entries are
-    /// removed and report as misses.
-    pub fn lookup(&mut self, key: &LabelKey, now: SimTime) -> Option<&LabelEntry> {
-        let expired = match self.entries.get(key) {
-            None => return None,
-            Some(e) => now.0.saturating_sub(e.last_seen.0) > self.ttl,
-        };
+    /// removed and report as misses. One probe: the removal or the
+    /// refresh starts from the cell the first probe found.
+    pub fn lookup(
+        &mut self,
+        key: impl Into<Hashed<LabelKey>>,
+        now: SimTime,
+    ) -> Option<&LabelEntry> {
+        let key = key.into();
+        let expired = now.0.saturating_sub(self.entries.get_mut(key)?.last_seen.0) >= self.ttl;
         if expired {
             self.entries.remove(key);
             return None;
@@ -145,7 +154,7 @@ impl LabelTable {
     }
 
     /// Removes an entry, returning it if present.
-    pub fn remove(&mut self, key: &LabelKey) -> Option<LabelEntry> {
+    pub fn remove(&mut self, key: impl Into<Hashed<LabelKey>>) -> Option<LabelEntry> {
         self.entries.remove(key)
     }
 
@@ -190,12 +199,12 @@ mod tests {
             None,
             SimTime(0),
         );
-        let e = t.lookup(&key(1), SimTime(5)).unwrap();
+        let e = t.lookup(key(1), SimTime(5)).unwrap();
         assert_eq!(e.policy, PolicyId(2));
         assert_eq!(e.position, 0);
         assert_eq!(e.next_hop, Some("172.16.0.5".parse().unwrap()));
         assert_eq!(e.final_dst, None);
-        assert!(t.remove(&key(1)).is_some());
+        assert!(t.remove(key(1)).is_some());
         assert!(t.is_empty());
     }
 
@@ -211,7 +220,7 @@ mod tests {
             Some("10.5.0.9".parse().unwrap()),
             SimTime(0),
         );
-        let e = t.lookup(&key(2), SimTime(1)).unwrap();
+        let e = t.lookup(key(2), SimTime(1)).unwrap();
         assert_eq!(e.final_dst, Some("10.5.0.9".parse().unwrap()));
         assert!(e.next_hop.is_none());
     }
@@ -228,22 +237,51 @@ mod tests {
             label: Label(7),
         };
         t.insert(k1, ActionList::permit(), PolicyId(0), 0, None, None, SimTime(0));
-        assert!(t.lookup(&k2, SimTime(0)).is_none());
-        assert!(t.lookup(&k1, SimTime(0)).is_some());
+        assert!(t.lookup(k2, SimTime(0)).is_none());
+        assert!(t.lookup(k1, SimTime(0)).is_some());
     }
 
     #[test]
     fn soft_state_expiry() {
         let mut t = LabelTable::new(10);
         t.insert(key(3), ActionList::permit(), PolicyId(0), 0, None, None, SimTime(0));
-        assert!(t.lookup(&key(3), SimTime(9)).is_some()); // refreshes
-        assert!(t.lookup(&key(3), SimTime(18)).is_some());
-        assert!(t.lookup(&key(3), SimTime(40)).is_none()); // expired
+        assert!(t.lookup(key(3), SimTime(9)).is_some()); // refreshes
+        assert!(t.lookup(key(3), SimTime(18)).is_some());
+        assert!(t.lookup(key(3), SimTime(40)).is_none()); // expired
         assert_eq!(t.len(), 0);
     }
 
     #[test]
-    fn many_labels_survive_incremental_growth() {
+    fn expiry_boundary_exact_ttl() {
+        // alive at age ttl-1, expired at exactly ttl — FlowTable's rule
+        let mut t = LabelTable::new(100);
+        t.insert(key(1), ActionList::permit(), PolicyId(0), 0, None, None, SimTime(0));
+        assert!(t.lookup(key(1), SimTime(99)).is_some(), "age ttl-1 alive");
+        t.insert(key(2), ActionList::permit(), PolicyId(0), 0, None, None, SimTime(99));
+        assert!(t.lookup(key(2), SimTime(199)).is_none(), "age ttl expired");
+        assert_eq!(t.len(), 1, "the expired entry is removed");
+        t.insert(key(3), ActionList::permit(), PolicyId(0), 0, None, None, SimTime(199));
+        assert!(t.lookup(key(3), SimTime(300)).is_none(), "age ttl+1 expired");
+    }
+
+    #[test]
+    fn a_hit_is_one_probe() {
+        let mut t = LabelTable::new(100);
+        for l in 0..50u16 {
+            t.insert(key(l), ActionList::permit(), PolicyId(0), 0, None, None, SimTime(0));
+        }
+        let hashed = Hashed::new(key(17));
+        let before = crate::oa_table::walks();
+        assert!(t.lookup(hashed, SimTime(5)).is_some());
+        assert_eq!(crate::oa_table::walks() - before, 1, "hit: one walk");
+        let before = crate::oa_table::walks();
+        assert!(t.lookup(key(18), SimTime(500)).is_none());
+        assert_eq!(crate::oa_table::walks() - before, 1, "expired and removed: one walk");
+        assert_eq!(t.len(), 49);
+    }
+
+    #[test]
+    fn many_labels_survive_growth() {
         // cross several resize thresholds and keep every entry reachable
         let mut t = LabelTable::new(1_000_000);
         for l in 0..2000u16 {
@@ -251,14 +289,14 @@ mod tests {
         }
         assert_eq!(t.len(), 2000);
         for l in 0..2000u16 {
-            assert!(t.lookup(&key(l), SimTime(1)).is_some(), "label {l}");
+            assert!(t.lookup(key(l), SimTime(1)).is_some(), "label {l}");
         }
         for l in (0..2000u16).step_by(2) {
-            assert!(t.remove(&key(l)).is_some());
+            assert!(t.remove(key(l)).is_some());
         }
         assert_eq!(t.len(), 1000);
         for l in (1..2000u16).step_by(2) {
-            assert!(t.lookup(&key(l), SimTime(2)).is_some());
+            assert!(t.lookup(key(l), SimTime(2)).is_some());
         }
     }
 

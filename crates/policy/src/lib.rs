@@ -58,6 +58,6 @@ pub use local::{ClassifierKind, LocalClassifier};
 pub use descriptor::{PortMatch, ProtoMatch, TrafficDescriptor};
 pub use flow_table::{ClassInterner, FlowEntry, FlowTable, FlowTableStats, LabelAllocator, PolicyClassId};
 pub use label_table::{LabelEntry, LabelKey, LabelTable};
-pub use oa_table::{NegativeCache, OaKey, OaTable, DEFAULT_NEG_SETS, NEG_WAYS};
+pub use oa_table::{FlowKey, Hashed, NegativeCache, OaKey, OaTable, DEFAULT_NEG_SETS, NEG_WAYS};
 pub use policy::{Policy, PolicyId, PolicySet, ProjectedPolicies};
 pub use text::{parse_policies, parse_policy_line, policy_to_line, ParsePolicyError};

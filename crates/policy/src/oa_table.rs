@@ -8,9 +8,9 @@
 //!   to scan, no key/value loads until the 64-bit hash matches), values
 //!   live in a slab with an intrusive free list, deletion uses
 //!   backward-shift (no tombstone accumulation under one-packet-flow
-//!   churn), and resizing is *incremental*: a grow retires the old bucket
-//!   array and migrates a bounded number of buckets per subsequent
-//!   insert/remove, so no single packet ever pays an O(n) rehash.
+//!   churn), and a grow rebuilds the probe array in one sequential pass.
+//!   Keys arrive [`Hashed`] by the caller, and a finger on the last walk
+//!   lets a miss → insert → pin chain on one key walk once.
 //! * [`NegativeCache`] — a set-associative, capacity-capped store for the
 //!   `⟨f, null⟩` negative markers of §III.D. Unlike the positive table it
 //!   must survive adversarial fill (millions of one-packet flows that
@@ -22,7 +22,8 @@
 //! Every operation is a pure function of the operation sequence: probe
 //! order depends only on key hashes and insertion history, iteration and
 //! the [`OaTable::slot`] cursor walk the slab in slot order, and the negative
-//! cache's set index uses the *raw low bits* of [`FiveTuple::stable_hash`].
+//! cache's set index uses the *raw low bits* of [`FiveTuple::stable_hash`]
+//! (a grow moves buckets, never slab slots, so its timing is unobservable).
 //! That last choice is load-bearing: flow sharding assigns a flow to shard
 //! `stable_hash % N`, so with a power-of-two shard count dividing the
 //! (power-of-two) set count, every cache set receives flows of exactly one
@@ -49,16 +50,53 @@ impl OaKey for FiveTuple {
     }
 }
 
+/// A key together with its [`OaKey::oa_hash`], computed once when the
+/// key is built. Every table operation takes one (any `K` or `&K`
+/// converts), so a caller that builds it once per same-key stretch pays
+/// for one hash however many operations the stretch makes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Hashed<K> {
+    // `hash` first: the derived equality rejects a different key on the
+    // hash before comparing key fields.
+    hash: u64,
+    key: K,
+}
+
+impl<K: OaKey> Hashed<K> {
+    /// Hashes `key`.
+    pub fn new(key: K) -> Self {
+        Hashed {
+            hash: key.oa_hash(),
+            key,
+        }
+    }
+
+    /// The key.
+    pub fn key(&self) -> &K {
+        &self.key
+    }
+}
+
+impl<K: OaKey> From<K> for Hashed<K> {
+    fn from(key: K) -> Self {
+        Hashed::new(key)
+    }
+}
+
+impl<K: OaKey> From<&K> for Hashed<K> {
+    fn from(key: &K) -> Self {
+        Hashed::new(*key)
+    }
+}
+
+/// A flow identifier with its [`FiveTuple::stable_hash`]: the key of the
+/// flow cache and of the negative cache.
+pub type FlowKey = Hashed<FiveTuple>;
+
 /// Sentinel marking an empty bucket.
 const EMPTY: u32 = u32::MAX;
 /// Smallest bucket-array capacity (power of two).
 const MIN_CAP: usize = 8;
-/// Old-table buckets migrated per insert/remove while a rehash is in
-/// flight. A grow doubles capacity, so at least `7C/8` inserts happen
-/// before the *next* grow; migrating 8 buckets each drains the `C` old
-/// buckets with a 7× margin — the drain provably completes long before
-/// another resize can start.
-const MIGRATE_BUDGET: usize = 8;
 
 /// One probe-array cell: the key's full 64-bit hash plus the slab slot of
 /// its entry (`EMPTY` if vacant). Keeping keys and values out of the probe
@@ -78,6 +116,15 @@ enum Slot<K, V> {
     Vacant(u32),
 }
 
+/// Where the last walk for `key` stopped: the cell holding its bucket, or
+/// — if that cell is empty — the empty cell ending its probe run, which is
+/// exactly where an insert of `key` goes.
+#[derive(Debug, Clone, Copy)]
+struct Finger<K> {
+    key: Hashed<K>,
+    cell: usize,
+}
+
 /// Home bucket via Fibonacci hashing: the multiply spreads entropy into
 /// the high bits, which the shift selects. `cap` must be a power of two
 /// `>= MIN_CAP` (so the shift is `< 64`).
@@ -87,48 +134,26 @@ fn home(hash: u64, cap: usize) -> usize {
     (hash.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
 }
 
-/// Linear-probe scan for `key`, returning its bucket index. Terminates at
-/// the first empty bucket; the table never fills (grow happens at 7/8
-/// load), so an empty bucket always exists.
-fn probe_find<K: OaKey, V>(
-    buckets: &[Bucket],
-    slab: &[Slot<K, V>],
-    hash: u64,
-    key: &K,
-) -> Option<usize> {
-    if buckets.is_empty() {
-        return None;
-    }
-    let mask = buckets.len() - 1;
-    let mut i = home(hash, buckets.len());
-    loop {
-        let b = buckets[i];
-        if b.slot == EMPTY {
-            return None;
-        }
-        if b.hash == hash {
-            if let Slot::Occupied(k, _) = &slab[b.slot as usize] {
-                if k == key {
-                    return Some(i);
-                }
-            }
-        }
-        i = (i + 1) & mask;
-    }
+#[cfg(test)]
+thread_local! {
+    static WALKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Key walks made on this thread so far — the one-probe guard's counter.
+#[cfg(test)]
+pub(crate) fn walks() -> u64 {
+    WALKS.with(|w| w.get())
 }
 
 /// Places a bucket at the first free cell of its probe sequence. The
 /// caller guarantees the array is not full and the key not present.
-fn probe_insert(buckets: &mut [Bucket], b: Bucket) {
+fn place(buckets: &mut [Bucket], b: Bucket) {
     let mask = buckets.len() - 1;
     let mut i = home(b.hash, buckets.len());
-    loop {
-        if buckets[i].slot == EMPTY {
-            buckets[i] = b;
-            return;
-        }
+    while buckets[i].slot != EMPTY {
         i = (i + 1) & mask;
     }
+    buckets[i] = b;
 }
 
 /// Removes the bucket at `i` by backward-shifting: scan the probe run
@@ -162,9 +187,16 @@ fn backward_shift_remove(buckets: &mut [Bucket], i: usize) -> Bucket {
 }
 
 /// Open-addressed hash table: linear probing over `{hash, slot}` buckets,
-/// slab-backed values, incremental (budgeted) rehash and backward-shift
+/// slab-backed values, whole-array rebuild on grow and backward-shift
 /// deletion. Deterministic: iteration and the [`OaTable::slot`] cursor run in
 /// slab order, which is a pure function of the operation history.
+///
+/// The table keeps a *finger* on the last key it walked for. Every
+/// mutation re-aims it at the key it touched or drops it, so it is never
+/// stale: an operation on the finger's key starts at its cell instead of
+/// walking again. A hit followed by a `get_mut` of the same key, or a miss
+/// followed by its `insert`, costs one walk in total (plus one if the
+/// insert grows the table).
 ///
 /// # Example
 ///
@@ -184,22 +216,16 @@ fn backward_shift_remove(buckets: &mut [Bucket], i: usize) -> Bucket {
 /// ```
 #[derive(Debug)]
 pub struct OaTable<K, V> {
-    /// Live probe array (power-of-two length, or empty before first insert).
+    /// Probe array (power-of-two length, or empty before first insert).
     buckets: Vec<Bucket>,
-    /// Retired probe array still being drained by the incremental rehash.
-    old: Vec<Bucket>,
-    /// Next `old` index the drain will examine. Cells below it are empty;
-    /// backward-shift never moves an entry below the cursor, so every
-    /// remaining old entry keeps a gap-free probe path.
-    old_cursor: usize,
-    /// Occupied buckets remaining in `old`.
-    old_live: usize,
     /// Entry storage; freed cells form an intrusive free list.
     slab: Vec<Slot<K, V>>,
     /// Head of the free list (`EMPTY` when none).
     free_head: u32,
     /// Live entry count.
     len: usize,
+    /// Where the last walk stopped (see the type docs).
+    finger: Option<Finger<K>>,
 }
 
 impl<K: OaKey, V> Default for OaTable<K, V> {
@@ -213,12 +239,10 @@ impl<K: OaKey, V> OaTable<K, V> {
     pub fn new() -> Self {
         OaTable {
             buckets: Vec::new(),
-            old: Vec::new(),
-            old_cursor: 0,
-            old_live: 0,
             slab: Vec::new(),
             free_head: EMPTY,
             len: 0,
+            finger: None,
         }
     }
 
@@ -232,100 +256,118 @@ impl<K: OaKey, V> OaTable<K, V> {
         self.len == 0
     }
 
-    /// Current bucket-array capacity (live array only).
+    /// Current bucket-array capacity.
     pub fn capacity(&self) -> usize {
         self.buckets.len()
     }
 
-    /// True while a retired bucket array is still being drained.
-    pub fn rehash_in_flight(&self) -> bool {
-        !self.old.is_empty()
-    }
-
-    /// Heap bytes held by the probe arrays and the slab (spare capacity
+    /// Heap bytes held by the probe array and the slab (spare capacity
     /// included — this is allocation, not occupancy).
     pub fn allocated_bytes(&self) -> usize {
-        (self.buckets.capacity() + self.old.capacity()) * std::mem::size_of::<Bucket>()
+        self.buckets.capacity() * std::mem::size_of::<Bucket>()
             + self.slab.capacity() * std::mem::size_of::<Slot<K, V>>()
     }
 
-    /// Finds `key`'s bucket: `(in_old, bucket_index)`.
-    fn locate(&self, hash: u64, key: &K) -> Option<(bool, usize)> {
-        if let Some(i) = probe_find(&self.buckets, &self.slab, hash, key) {
-            return Some((false, i));
+    /// Linear-probe walk for `key`: `Ok(cell)` holding its bucket, or
+    /// `Err(cell)`, the empty cell ending its probe run. The table never
+    /// fills (it grows at 7/8 load), so an empty cell always exists.
+    fn walk(&self, key: &Hashed<K>) -> Result<usize, usize> {
+        #[cfg(test)]
+        {
+            WALKS.with(|w| w.set(w.get() + 1));
         }
-        if !self.old.is_empty() {
-            if let Some(i) = probe_find(&self.old, &self.slab, hash, key) {
-                return Some((true, i));
+        if self.buckets.is_empty() {
+            return Err(0);
+        }
+        let mask = self.buckets.len() - 1;
+        let mut i = home(key.hash, self.buckets.len());
+        loop {
+            let b = self.buckets[i];
+            if b.slot == EMPTY {
+                return Err(i);
             }
+            if b.hash == key.hash {
+                if let Slot::Occupied(k, _) = &self.slab[b.slot as usize] {
+                    if *k == key.key {
+                        return Ok(i);
+                    }
+                }
+            }
+            i = (i + 1) & mask;
         }
-        None
     }
 
-    /// Shared-borrow lookup.
-    pub fn get(&self, key: &K) -> Option<&V> {
-        let (in_old, i) = self.locate(key.oa_hash(), key)?;
-        let slot = if in_old { self.old[i].slot } else { self.buckets[i].slot };
-        match &self.slab[slot as usize] {
+    /// [`OaTable::walk`], starting from the finger when it is on `key`.
+    fn find(&self, key: &Hashed<K>) -> Result<usize, usize> {
+        match self.finger {
+            Some(f) if f.key == *key => match self.buckets.get(f.cell) {
+                Some(b) if b.slot != EMPTY => Ok(f.cell),
+                _ => Err(f.cell),
+            },
+            _ => self.walk(key),
+        }
+    }
+
+    /// [`OaTable::find`], leaving the finger on `key`.
+    fn locate(&mut self, key: &Hashed<K>) -> Result<usize, usize> {
+        let found = self.find(key);
+        let (Ok(cell) | Err(cell)) = found;
+        self.finger = Some(Finger { key: *key, cell });
+        found
+    }
+
+    fn value_mut(&mut self, cell: usize) -> Option<&mut V> {
+        match &mut self.slab[self.buckets[cell].slot as usize] {
             Slot::Occupied(_, v) => Some(v),
             Slot::Vacant(_) => None,
         }
     }
 
-    /// Mutable lookup. Does not advance the incremental rehash (reads stay
-    /// read-shaped; migration progresses on inserts and removes).
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        let (in_old, i) = self.locate(key.oa_hash(), key)?;
-        let slot = if in_old { self.old[i].slot } else { self.buckets[i].slot };
-        match &mut self.slab[slot as usize] {
+    /// Shared-borrow lookup. Uses the finger but cannot move it.
+    pub fn get(&self, key: impl Into<Hashed<K>>) -> Option<&V> {
+        let cell = self.find(&key.into()).ok()?;
+        match &self.slab[self.buckets[cell].slot as usize] {
             Slot::Occupied(_, v) => Some(v),
             Slot::Vacant(_) => None,
         }
     }
 
-    /// Inserts `key -> value`, returning the previous value if any.
-    /// Advances the in-flight rehash by at most `MIGRATE_BUDGET` buckets
-    /// first, so resize cost is amortized O(1) per call.
-    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        self.migrate(MIGRATE_BUDGET);
-        let hash = key.oa_hash();
-        if let Some((in_old, i)) = self.locate(hash, &key) {
-            let slot = if in_old {
-                // Promote the bucket into the live array so this entry
-                // stops paying the two-array probe.
-                let b = backward_shift_remove(&mut self.old, i);
-                self.old_live -= 1;
-                self.drop_old_if_drained();
-                probe_insert(&mut self.buckets, b);
-                b.slot
-            } else {
-                self.buckets[i].slot
-            };
-            return match &mut self.slab[slot as usize] {
-                Slot::Occupied(_, v) => Some(std::mem::replace(v, value)),
-                Slot::Vacant(_) => None,
-            };
-        }
-        self.grow_if_needed();
-        let slot = self.alloc_slot(key, value);
-        probe_insert(&mut self.buckets, Bucket { hash, slot });
-        self.len += 1;
-        None
+    /// Mutable lookup; leaves the finger on `key`, hit or miss.
+    pub fn get_mut(&mut self, key: impl Into<Hashed<K>>) -> Option<&mut V> {
+        let cell = self.locate(&key.into()).ok()?;
+        self.value_mut(cell)
     }
 
-    /// Removes `key`, returning its value. Also advances the in-flight
-    /// rehash so delete-heavy phases still finish the drain.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        self.migrate(MIGRATE_BUDGET);
-        let (in_old, i) = self.locate(key.oa_hash(), key)?;
-        let b = if in_old {
-            let b = backward_shift_remove(&mut self.old, i);
-            self.old_live -= 1;
-            self.drop_old_if_drained();
-            b
-        } else {
-            backward_shift_remove(&mut self.buckets, i)
+    /// Inserts `key -> value`, returning the previous value if any. After a
+    /// miss on the same key the insert takes the cell that miss stopped at;
+    /// it walks again only if it must grow the table first.
+    pub fn insert(&mut self, key: impl Into<Hashed<K>>, value: V) -> Option<V> {
+        let key = key.into();
+        let mut cell = match self.locate(&key) {
+            Ok(cell) => return self.value_mut(cell).map(|v| std::mem::replace(v, value)),
+            Err(cell) => cell,
         };
+        if (self.len + 1) * 8 > self.buckets.len() * 7 {
+            self.grow();
+            let (Ok(c) | Err(c)) = self.walk(&key);
+            cell = c;
+        }
+        let slot = self.alloc_slot(key.key, value);
+        self.buckets[cell] = Bucket {
+            hash: key.hash,
+            slot,
+        };
+        self.len += 1;
+        self.finger = Some(Finger { key, cell });
+        None
+    }
+
+    /// Removes `key`, returning its value.
+    pub fn remove(&mut self, key: impl Into<Hashed<K>>) -> Option<V> {
+        let cell = self.locate(&key.into()).ok()?;
+        let b = backward_shift_remove(&mut self.buckets, cell);
+        // The shift may have moved any bucket of the run.
+        self.finger = None;
         self.len -= 1;
         self.free_slot(b.slot)
     }
@@ -355,57 +397,17 @@ impl<K: OaKey, V> OaTable<K, V> {
         }
     }
 
-    /// Advances the incremental rehash by up to `budget` old-array cells
-    /// (each step either skips an empty cell or migrates one entry).
-    fn migrate(&mut self, mut budget: usize) {
-        if self.old.is_empty() {
-            return;
+    /// Doubles the probe array and re-places every bucket in one
+    /// sequential pass over the old one. Buckets carry their hash, so no
+    /// key is rehashed, and slab slots do not move. Runs once per doubling:
+    /// amortised O(1) per insert.
+    fn grow(&mut self) {
+        let cap = (self.buckets.len() * 2).max(MIN_CAP);
+        let old = std::mem::replace(&mut self.buckets, vec![VACANT_BUCKET; cap]);
+        for b in old.into_iter().filter(|b| b.slot != EMPTY) {
+            place(&mut self.buckets, b);
         }
-        while budget > 0 && self.old_cursor < self.old.len() && self.old_live > 0 {
-            let i = self.old_cursor;
-            if self.old[i].slot == EMPTY {
-                self.old_cursor += 1;
-            } else {
-                // Backward-shift removal refills cell `i` from the rest of
-                // the chain (never moving an entry below the cursor), so
-                // the cursor re-examines `i` next iteration.
-                let b = backward_shift_remove(&mut self.old, i);
-                self.old_live -= 1;
-                probe_insert(&mut self.buckets, b);
-            }
-            budget -= 1;
-        }
-        self.drop_old_if_drained();
-    }
-
-    /// Frees the retired array once its last entry has been migrated or
-    /// removed.
-    fn drop_old_if_drained(&mut self) {
-        if !self.old.is_empty() && self.old_live == 0 {
-            self.old = Vec::new();
-            self.old_cursor = 0;
-        }
-    }
-
-    /// At 7/8 load, retires the current bucket array and installs one of
-    /// twice the capacity. O(capacity) for the fresh allocation's zero-fill
-    /// only; entry migration is paid incrementally by later operations.
-    fn grow_if_needed(&mut self) {
-        let cap = self.buckets.len();
-        if (self.len + 1) * 8 <= cap * 7 {
-            return;
-        }
-        // The budget math guarantees the previous drain finished well
-        // before the next grow; finish it here anyway so at most one
-        // retired array ever exists.
-        while !self.old.is_empty() {
-            self.migrate(self.old.len());
-        }
-        let new_cap = (cap * 2).max(MIN_CAP);
-        let fresh = vec![VACANT_BUCKET; new_cap];
-        self.old = std::mem::replace(&mut self.buckets, fresh);
-        self.old_cursor = 0;
-        self.old_live = self.len;
+        self.finger = None;
     }
 
     /// Takes a slab cell from the free list (or grows the slab).
@@ -425,20 +427,14 @@ impl<K: OaKey, V> OaTable<K, V> {
         }
     }
 
-    /// Returns a slab cell to the free list, yielding its value.
+    /// Returns a slab cell to the free list, yielding its value. Buckets
+    /// only ever name occupied cells.
     fn free_slot(&mut self, slot: u32) -> Option<V> {
         let cell = std::mem::replace(&mut self.slab[slot as usize], Slot::Vacant(self.free_head));
+        self.free_head = slot;
         match cell {
-            Slot::Occupied(_, v) => {
-                self.free_head = slot;
-                Some(v)
-            }
-            Slot::Vacant(next) => {
-                // Unreachable by construction; restore the free list.
-                self.slab[slot as usize] = Slot::Vacant(next);
-                debug_assert!(false, "freed a vacant slot");
-                None
-            }
+            Slot::Occupied(_, v) => Some(v),
+            Slot::Vacant(_) => None,
         }
     }
 }
@@ -501,8 +497,8 @@ impl NegativeCache {
 
     /// Raw-low-bit set index (deliberately *not* the Fibonacci mix used by
     /// [`OaTable`]; see the module docs on shard invariance).
-    fn set_index(&self, ft: &FiveTuple) -> usize {
-        (ft.stable_hash() as usize) & (self.set_count - 1)
+    fn set_index(&self, key: &FlowKey) -> usize {
+        (key.hash as usize) & (self.set_count - 1)
     }
 
     /// Resident entry count.
@@ -542,35 +538,23 @@ impl NegativeCache {
         dir + boxed
     }
 
-    /// The marker's last refresh time, if resident. Does not refresh.
-    pub fn last_seen(&self, ft: &FiveTuple) -> Option<SimTime> {
-        let set = self.sets.get(self.set_index(ft))?.as_ref()?;
-        set.iter()
+    /// The resident marker's refresh time, to read and refresh in the one
+    /// scan of its set.
+    pub fn get_mut(&mut self, key: &FlowKey) -> Option<&mut SimTime> {
+        let idx = self.set_index(key);
+        let set = self.sets.get_mut(idx)?.as_mut()?;
+        set.iter_mut()
             .flatten()
-            .find(|w| w.key == *ft)
-            .map(|w| w.last_seen)
-    }
-
-    /// Refreshes a resident marker's soft state. Returns false if absent.
-    pub fn refresh(&mut self, ft: &FiveTuple, now: SimTime) -> bool {
-        let idx = self.set_index(ft);
-        if let Some(Some(set)) = self.sets.get_mut(idx) {
-            for w in set.iter_mut().flatten() {
-                if w.key == *ft {
-                    w.last_seen = now;
-                    return true;
-                }
-            }
-        }
-        false
+            .find(|w| w.key == key.key)
+            .map(|w| &mut w.last_seen)
     }
 
     /// Removes a marker. Returns true if it was resident.
-    pub fn remove(&mut self, ft: &FiveTuple) -> bool {
-        let idx = self.set_index(ft);
+    pub fn remove(&mut self, key: &FlowKey) -> bool {
+        let idx = self.set_index(key);
         if let Some(Some(set)) = self.sets.get_mut(idx) {
             for w in set.iter_mut() {
-                if matches!(w, Some(x) if x.key == *ft) {
+                if matches!(w, Some(x) if x.key == key.key) {
                     *w = None;
                     self.len -= 1;
                     return true;
@@ -584,11 +568,12 @@ impl NegativeCache {
     /// way — minimum `last_seen`, lowest way index on ties — is evicted:
     /// deterministic, and exactly what an attacker's one-packet flows are
     /// (never refreshed, hence stalest first).
-    pub fn insert(&mut self, ft: FiveTuple, now: SimTime) {
+    pub fn insert(&mut self, key: &FlowKey, now: SimTime) {
         if self.sets.is_empty() {
             self.sets.resize_with(self.set_count, || None);
         }
-        let idx = self.set_index(&ft);
+        let idx = self.set_index(key);
+        let ft = key.key;
         let set = self.sets[idx].get_or_insert_with(|| Box::new([None; NEG_WAYS]));
         let mut free_way = None;
         let mut stalest = 0usize;
@@ -653,28 +638,28 @@ mod tests {
         }
     }
 
-    fn ft(sp: u16, dp: u16) -> FiveTuple {
-        FiveTuple {
+    fn ft(sp: u16, dp: u16) -> FlowKey {
+        FlowKey::new(FiveTuple {
             src: "10.0.0.1".parse().unwrap(),
             dst: "10.1.0.1".parse().unwrap(),
             src_port: sp,
             dst_port: dp,
             proto: Protocol::Tcp,
-        }
+        })
     }
 
     #[test]
     fn insert_get_remove_replace() {
         let mut t: OaTable<K, u32> = OaTable::new();
         let k = K { h: 42, tag: 0 };
-        assert!(t.get(&k).is_none());
+        assert!(t.get(k).is_none());
         assert_eq!(t.insert(k, 1), None);
-        assert_eq!(t.get(&k), Some(&1));
+        assert_eq!(t.get(k), Some(&1));
         assert_eq!(t.insert(k, 2), Some(1), "replace returns old value");
         assert_eq!(t.len(), 1);
-        *t.get_mut(&k).unwrap() += 10;
-        assert_eq!(t.remove(&k), Some(12));
-        assert_eq!(t.remove(&k), None);
+        *t.get_mut(k).unwrap() += 10;
+        assert_eq!(t.remove(k), Some(12));
+        assert_eq!(t.remove(k), None);
         assert!(t.is_empty());
     }
 
@@ -687,7 +672,7 @@ mod tests {
             t.insert(*k, i as u32);
         }
         // Remove from the middle of the chain; the rest must stay findable.
-        assert_eq!(t.remove(&ks[2]), Some(2));
+        assert_eq!(t.remove(ks[2]), Some(2));
         for (i, k) in ks.iter().enumerate() {
             if i == 2 {
                 assert!(t.get(k).is_none());
@@ -710,7 +695,7 @@ mod tests {
             if x % 10 < 7 {
                 assert_eq!(t.insert(k, step), model.insert(k, step), "step {step}");
             } else {
-                assert_eq!(t.remove(&k), model.remove(&k), "step {step}");
+                assert_eq!(t.remove(k), model.remove(&k), "step {step}");
             }
             assert_eq!(t.len(), model.len());
         }
@@ -721,23 +706,53 @@ mod tests {
     }
 
     #[test]
-    fn rehash_is_incremental_and_drains() {
+    fn grow_rebuilds_in_one_pass_and_keeps_every_entry() {
         let mut t: OaTable<K, u32> = OaTable::new();
         for i in 0..100u32 {
             t.insert(K { h: i as u64 * 1031, tag: i }, i);
+            // 7/8 load ceiling holds after every insert, grows included
+            assert!(t.len() * 8 <= t.capacity() * 7, "len {} cap {}", t.len(), t.capacity());
         }
-        // 100 entries over several grows; the drain from the latest grow
-        // may still be in flight, but a handful more operations finish it.
+        assert_eq!(t.capacity(), 128, "100 entries need 128 cells at 7/8 load");
         for i in 0..100u32 {
-            assert_eq!(t.get(&K { h: i as u64 * 1031, tag: i }), Some(&i));
+            assert_eq!(t.get(K { h: i as u64 * 1031, tag: i }), Some(&i));
         }
-        let mut i = 100u32;
-        while t.rehash_in_flight() {
-            t.insert(K { h: i as u64 * 1031, tag: i }, i);
-            i += 1;
-            assert!(i < 1000, "drain must complete");
+        // slab order is insertion order: a rebuild moves buckets, not slots
+        let order: Vec<u32> = t.iter().map(|(_, v)| *v).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_hit_then_get_mut_walks_once_and_a_miss_hands_its_cell_to_insert() {
+        let mut t: OaTable<K, u32> = OaTable::new();
+        for i in 0..5u32 {
+            t.insert(K { h: 7, tag: i }, i); // one collision chain
         }
-        assert_eq!(t.len() as u32, i);
+        let k = K { h: 7, tag: 3 };
+        let before = walks();
+        assert_eq!(t.get_mut(k).copied(), Some(3));
+        *t.get_mut(k).unwrap() += 1;
+        assert_eq!(t.get(k), Some(&4));
+        assert_eq!(walks() - before, 1, "hit, get_mut, get on one key: one walk");
+        // a miss leaves the finger on the empty cell; insert takes it
+        let fresh = K { h: 7, tag: 9 };
+        let before = walks();
+        assert!(t.get_mut(fresh).is_none());
+        assert_eq!(t.insert(fresh, 9), None);
+        assert_eq!(walks() - before, 1, "miss then insert: one walk");
+        // another key in between moves the finger: the insert walks again
+        let other = K { h: 7, tag: 10 };
+        assert!(t.get_mut(other).is_none());
+        assert!(t.get_mut(K { h: 7, tag: 0 }).is_some());
+        let before = walks();
+        t.insert(other, 10);
+        assert_eq!(walks() - before, 1);
+        assert_eq!(t.get(other), Some(&10));
+        // a remove drops the finger (the shift moves buckets)
+        assert_eq!(t.remove(K { h: 7, tag: 1 }), Some(1));
+        for i in [0, 2, 3, 4, 9, 10] {
+            assert!(t.get(K { h: 7, tag: i }).is_some(), "tag {i} still reachable");
+        }
     }
 
     #[test]
@@ -747,8 +762,8 @@ mod tests {
             for i in 0..50u32 {
                 t.insert(K { h: (i as u64) * 977, tag: i }, i);
             }
-            t.remove(&K { h: 10 * 977, tag: 10 });
-            t.remove(&K { h: 20 * 977, tag: 20 });
+            t.remove(K { h: 10 * 977, tag: 10 });
+            t.remove(K { h: 20 * 977, tag: 20 });
             t.insert(K { h: 999_999, tag: 99 }, 99); // reuses freed slot 20
             t
         };
@@ -792,34 +807,34 @@ mod tests {
     fn negative_cache_caps_and_evicts_stalest() {
         let mut c = NegativeCache::new(1); // one 8-way set: everything collides
         for i in 0..NEG_WAYS as u16 {
-            c.insert(ft(i + 1, 80), SimTime(i as u64));
+            c.insert(&ft(i + 1, 80), SimTime(i as u64));
         }
         assert_eq!(c.len(), NEG_WAYS);
         assert_eq!(c.evictions(), 0);
         // Refresh the stalest so the *second*-stalest is evicted next.
-        assert!(c.refresh(&ft(1, 80), SimTime(100)));
-        c.insert(ft(200, 80), SimTime(101));
+        *c.get_mut(&ft(1, 80)).unwrap() = SimTime(100);
+        c.insert(&ft(200, 80), SimTime(101));
         assert_eq!(c.len(), NEG_WAYS, "capacity is a hard cap");
         assert_eq!(c.evictions(), 1);
-        assert!(c.last_seen(&ft(2, 80)).is_none(), "stalest way evicted");
-        assert!(c.last_seen(&ft(1, 80)).is_some(), "refreshed way survives");
-        assert!(c.last_seen(&ft(200, 80)).is_some());
+        assert!(c.get_mut(&ft(2, 80)).is_none(), "stalest way evicted");
+        assert!(c.get_mut(&ft(1, 80)).is_some(), "refreshed way survives");
+        assert!(c.get_mut(&ft(200, 80)).is_some());
     }
 
     #[test]
     fn negative_cache_insert_refreshes_existing() {
         let mut c = NegativeCache::new(4);
-        c.insert(ft(1, 80), SimTime(0));
-        c.insert(ft(1, 80), SimTime(50));
+        c.insert(&ft(1, 80), SimTime(0));
+        c.insert(&ft(1, 80), SimTime(50));
         assert_eq!(c.len(), 1);
-        assert_eq!(c.last_seen(&ft(1, 80)), Some(SimTime(50)));
+        assert_eq!(c.get_mut(&ft(1, 80)).copied(), Some(SimTime(50)));
     }
 
     #[test]
     fn negative_cache_remove() {
         let mut c = NegativeCache::new(16);
         for i in 0..10u16 {
-            c.insert(ft(i + 1, 80), SimTime(i as u64));
+            c.insert(&ft(i + 1, 80), SimTime(i as u64));
         }
         assert!(c.remove(&ft(1, 80)));
         assert!(!c.remove(&ft(1, 80)));
@@ -832,7 +847,7 @@ mod tests {
         assert_eq!(c.allocated_bytes(), 0);
         assert_eq!(c.slot_count(), 0, "no virtual slots before first insert");
         let mut c = c;
-        c.insert(ft(1, 80), SimTime(0));
+        c.insert(&ft(1, 80), SimTime(0));
         assert_eq!(c.slot_count(), DEFAULT_NEG_SETS * NEG_WAYS);
         // One boxed set plus the directory; far below full allocation.
         assert!(c.allocated_bytes() < DEFAULT_NEG_SETS * 64);
@@ -843,7 +858,7 @@ mod tests {
         // The shard-invariance argument requires set == stable_hash % sets.
         let c = NegativeCache::new(64);
         let f = ft(123, 456);
-        assert_eq!(c.set_index(&f), (f.stable_hash() as usize) & 63);
+        assert_eq!(c.set_index(&f), (f.key().stable_hash() as usize) & 63);
     }
 
     #[test]
@@ -857,15 +872,15 @@ mod tests {
         // Splitting the same flow sequence across N=4 "shard" caches (by
         // stable_hash % 4) must reproduce the single-cache per-flow state
         // and total evictions, because 4 divides the set count.
-        let flows: Vec<FiveTuple> = (0..2000u32)
+        let flows: Vec<FlowKey> = (0..2000u32)
             .map(|i| ft((i % 500 + 1) as u16, (i / 500 + 1) as u16))
             .collect();
         let mut single = NegativeCache::new(8);
         let mut sharded: Vec<NegativeCache> = (0..4).map(|_| NegativeCache::new(8)).collect();
         for (i, f) in flows.iter().enumerate() {
             let now = SimTime(i as u64);
-            single.insert(*f, now);
-            sharded[(f.stable_hash() % 4) as usize].insert(*f, now);
+            single.insert(f, now);
+            sharded[(f.key().stable_hash() % 4) as usize].insert(f, now);
         }
         assert_eq!(
             single.len(),
@@ -876,8 +891,8 @@ mod tests {
             sharded.iter().map(|c| c.evictions()).sum::<u64>()
         );
         for f in &flows {
-            let shard = &sharded[(f.stable_hash() % 4) as usize];
-            assert_eq!(single.last_seen(f), shard.last_seen(f));
+            let shard = &mut sharded[(f.key().stable_hash() % 4) as usize];
+            assert_eq!(single.get_mut(f).copied(), shard.get_mut(f).copied());
         }
     }
 }

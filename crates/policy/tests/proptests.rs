@@ -6,14 +6,17 @@
 //! (policy sets, packets) are rebuilt deterministically from the seed
 //! inside the property, so shrinking reduces the instance dimensions.
 
+use std::collections::HashMap;
+
 use sdm_netsim::{FiveTuple, Ipv4Addr, Label, Prefix, Protocol, SimTime};
 use sdm_policy::{
-    ActionList, ClassifierKind, FlowEntry, FlowTable, FlowTableStats, LocalClassifier,
-    NetworkFunction, Policy, PolicyId, PolicySet, PortMatch, ProtoMatch, TrafficDescriptor,
+    ActionList, ClassifierKind, FlowEntry, FlowTable, FlowTableStats, LabelKey, LabelTable,
+    LocalClassifier, NetworkFunction, Policy, PolicyId, PolicySet, PortMatch, ProtoMatch,
+    TrafficDescriptor, NEG_WAYS,
 };
 use sdm_util::prop::{check, Config};
 use sdm_util::rng::StdRng;
-use sdm_util::{prop_assert, prop_assert_eq, FxHashMap};
+use sdm_util::{prop_assert, prop_assert_eq};
 
 fn gen_prefix(rng: &mut StdRng) -> Prefix {
     Prefix::new(Ipv4Addr(rng.next_u32()), rng.gen_range(0u8..=32))
@@ -343,14 +346,15 @@ fn shadowed_policies_never_fire() {
 }
 
 // ---------------------------------------------------------------------------
-// Flow-table model equivalence (PR 9)
+// Soft-state tables against `std::collections::HashMap` models
 //
-// The open-addressed storage layer replaced two `FxHashMap`s. The reference
-// model below *is* that old implementation — plain maps with the documented
-// fate logic — and the properties drive both through random op sequences,
-// comparing every observable (lookup views, mutator returns, purge counts,
-// stats, len) after every step. Shrinking reduces `(n_keys, n_ops, ttl,
-// seed)`, so a failure reports a minimal op sequence.
+// The reference models below are the documented semantics written plainly
+// over std maps — expiry at `age >= ttl`, one side per flow, the negative
+// cache's sets and ways with stalest-first eviction — and the properties
+// drive table and model through random op sequences, comparing every
+// observable (lookup views, mutator returns, purge counts, stats, lengths,
+// evictions) after every step. Shrinking reduces the instance dimensions,
+// so a failure reports a minimal op sequence.
 // ---------------------------------------------------------------------------
 
 /// The action list a generated policy id maps to — a pure function, so the
@@ -389,10 +393,29 @@ impl TableOp {
     }
 }
 
+/// One random op over `n_keys` keys. When `neg_bias` is set the mix is
+/// dominated by negative inserts, to drive the capacity-capped negative
+/// cache into eviction.
+fn gen_op(rng: &mut StdRng, n_keys: usize, neg_bias: bool) -> TableOp {
+    let key = rng.gen_range(0..n_keys);
+    let roll = rng.gen_range(0u8..16);
+    if neg_bias && roll < 8 {
+        return TableOp::InsertNeg { key };
+    }
+    match roll {
+        0..=5 => TableOp::Lookup { key, weight: rng.gen_range(1u64..4) },
+        6..=8 => TableOp::InsertPos { key, policy: rng.gen_range(0u32..5) },
+        9..=10 => TableOp::InsertNeg { key },
+        11 => TableOp::SetLabel { key, label: rng.gen_range(0u16..100) },
+        12 => TableOp::PinNext { key, next: rng.gen_range(0u32..16) },
+        13 => TableOp::FlagSwitched { key },
+        14 => TableOp::ReadPin { key },
+        _ => TableOp::Purge,
+    }
+}
+
 /// A timestamped op sequence, deterministic in `seed`, with monotone
-/// non-decreasing time (the table's documented clock contract). When
-/// `neg_bias` is set the mix is dominated by negative inserts, to drive the
-/// capacity-capped negative cache into eviction.
+/// non-decreasing time (the table's documented clock contract).
 fn gen_table_ops(
     n_keys: usize,
     n_ops: usize,
@@ -405,31 +428,26 @@ fn gen_table_ops(
     (0..n_ops)
         .map(|_| {
             now += rng.gen_range(0..=(ttl / 3).max(1));
-            let key = rng.gen_range(0..n_keys);
-            let roll = rng.gen_range(0u8..16);
-            let op = if neg_bias && roll < 8 {
-                TableOp::InsertNeg { key }
-            } else {
-                match roll {
-                    0..=5 => TableOp::Lookup { key, weight: rng.gen_range(1u64..4) },
-                    6..=8 => TableOp::InsertPos { key, policy: rng.gen_range(0u32..5) },
-                    9..=10 => TableOp::InsertNeg { key },
-                    11 => TableOp::SetLabel { key, label: rng.gen_range(0u16..100) },
-                    12 => TableOp::PinNext { key, next: rng.gen_range(0u32..16) },
-                    13 => TableOp::FlagSwitched { key },
-                    14 => TableOp::ReadPin { key },
-                    _ => TableOp::Purge,
-                }
-            };
-            (SimTime(now), op)
+            (SimTime(now), gen_op(&mut rng, n_keys, neg_bias))
         })
         .collect()
+}
+
+/// A lookup's view with the class resolved to its action list, so views
+/// from different tables (or a model) compare by content.
+type View = (Option<(PolicyId, ActionList)>, Option<Label>, bool, Option<u32>);
+
+fn view(t: &FlowTable, e: Option<FlowEntry>) -> Option<View> {
+    e.map(|e| {
+        let action = e.action.map(|(p, class)| (p, t.actions(class).clone()));
+        (action, e.label, e.label_switched, e.pinned_next)
+    })
 }
 
 /// Comparable outcome of one op.
 #[derive(Debug, PartialEq)]
 enum OpOut {
-    Entry(Option<FlowEntry>),
+    Entry(Option<View>),
     Flag(bool),
     Pin(Option<u32>),
     Count(usize),
@@ -437,7 +455,10 @@ enum OpOut {
 
 fn apply_real(t: &mut FlowTable, keys: &[FiveTuple], now: SimTime, op: TableOp) -> OpOut {
     match op {
-        TableOp::Lookup { key, weight } => OpOut::Entry(t.lookup(&keys[key], now, weight)),
+        TableOp::Lookup { key, weight } => {
+            let e = t.lookup(keys[key], now, weight);
+            OpOut::Entry(view(t, e))
+        }
         TableOp::InsertPos { key, policy } => {
             t.insert_positive(keys[key], PolicyId(policy), actions_for(policy), now);
             OpOut::Count(0)
@@ -446,27 +467,16 @@ fn apply_real(t: &mut FlowTable, keys: &[FiveTuple], now: SimTime, op: TableOp) 
             t.insert_negative(keys[key], now);
             OpOut::Count(0)
         }
-        TableOp::SetLabel { key, label } => OpOut::Flag(t.set_label(&keys[key], Label(label))),
-        TableOp::PinNext { key, next } => OpOut::Flag(t.pin_next(&keys[key], next)),
-        TableOp::FlagSwitched { key } => OpOut::Flag(t.flag_label_switched(&keys[key])),
-        TableOp::ReadPin { key } => OpOut::Pin(t.pinned_next(&keys[key])),
+        TableOp::SetLabel { key, label } => OpOut::Flag(t.set_label(keys[key], Label(label))),
+        TableOp::PinNext { key, next } => OpOut::Flag(t.pin_next(keys[key], next)),
+        TableOp::FlagSwitched { key } => OpOut::Flag(t.flag_label_switched(keys[key])),
+        TableOp::ReadPin { key } => OpOut::Pin(t.pinned_next(keys[key])),
         TableOp::Purge => OpOut::Count(t.sweep(now, usize::MAX)),
     }
 }
 
-/// The pre-PR9 implementation, verbatim: two `FxHashMap`s and the documented
-/// fate logic. Lives in tests only — `sdm-lint` bans per-flow maps from the
-/// data-plane source trees.
-#[derive(Debug)]
-struct RefTable {
-    pos: FxHashMap<FiveTuple, RefPos>,
-    neg: FxHashMap<FiveTuple, u64>,
-    ttl: u64,
-    stats: FlowTableStats,
-}
-
 #[derive(Debug, Clone)]
-struct RefPos {
+struct ModelPos {
     policy: PolicyId,
     actions: ActionList,
     label: Option<Label>,
@@ -475,59 +485,81 @@ struct RefPos {
     last_seen: u64,
 }
 
-impl RefTable {
-    fn new(ttl: u64) -> Self {
-        RefTable {
-            pos: FxHashMap::default(),
-            neg: FxHashMap::default(),
+/// Negative-cache set: `NEG_WAYS` ways of `(flow, last_seen)`.
+type ModelSet = [Option<(FiveTuple, u64)>; NEG_WAYS];
+
+/// `FlowTable`'s documented semantics over std maps.
+#[derive(Debug)]
+struct ModelTable {
+    pos: HashMap<FiveTuple, ModelPos>,
+    /// Negative sets by index `stable_hash % set_count`.
+    neg: HashMap<usize, ModelSet>,
+    set_count: usize,
+    ttl: u64,
+    stats: FlowTableStats,
+    evictions: u64,
+}
+
+impl ModelTable {
+    fn new(ttl: u64, set_count: usize) -> Self {
+        ModelTable {
+            pos: HashMap::new(),
+            neg: HashMap::new(),
+            set_count,
             ttl,
             stats: FlowTableStats::default(),
+            evictions: 0,
         }
     }
 
-    fn lookup(&mut self, ft: &FiveTuple, now: SimTime, weight: u64) -> Option<FlowEntry> {
-        let pos_stale = self
-            .pos
-            .get(ft)
-            .map(|e| now.0.saturating_sub(e.last_seen) >= self.ttl);
-        match pos_stale {
-            Some(true) => {
+    fn set_of(&mut self, ft: &FiveTuple) -> &mut ModelSet {
+        let idx = (ft.stable_hash() % self.set_count as u64) as usize;
+        self.neg.entry(idx).or_insert([None; NEG_WAYS])
+    }
+
+    fn neg_way(&mut self, ft: &FiveTuple) -> Option<&mut Option<(FiveTuple, u64)>> {
+        self.set_of(ft)
+            .iter_mut()
+            .find(|w| matches!(w, Some((k, _)) if k == ft))
+    }
+
+    fn stale(&self, last_seen: u64, now: SimTime) -> bool {
+        now.0.saturating_sub(last_seen) >= self.ttl
+    }
+
+    fn lookup(&mut self, ft: &FiveTuple, now: SimTime, weight: u64) -> Option<View> {
+        if let Some(e) = self.pos.get(ft) {
+            if self.stale(e.last_seen, now) {
                 self.pos.remove(ft);
                 self.stats.expired += 1;
                 self.stats.misses += weight;
                 return None;
             }
-            Some(false) => {
-                self.stats.hits += weight;
-                let e = self.pos.get_mut(ft).expect("present");
-                e.last_seen = now.0;
-                return Some(FlowEntry {
-                    action: Some((e.policy, e.actions.clone())),
-                    label: e.label,
-                    label_switched: e.label_switched,
-                    pinned_next: e.pinned,
-                });
-            }
-            None => {}
+            let e = self.pos.get_mut(ft).expect("present");
+            e.last_seen = now.0;
+            self.stats.hits += weight;
+            return Some((
+                Some((e.policy, e.actions.clone())),
+                e.label,
+                e.label_switched,
+                e.pinned,
+            ));
         }
-        let neg_stale = self.neg.get(ft).map(|ls| now.0.saturating_sub(*ls) >= self.ttl);
-        match neg_stale {
-            Some(true) => {
-                self.neg.remove(ft);
-                self.stats.expired += 1;
-                self.stats.misses += weight;
-                None
-            }
-            Some(false) => {
-                self.stats.hits += weight;
-                self.stats.negative_hits += weight;
-                *self.neg.get_mut(ft).expect("present") = now.0;
-                Some(FlowEntry {
-                    action: None,
-                    label: None,
-                    label_switched: false,
-                    pinned_next: None,
-                })
+        let ttl = self.ttl;
+        match self.neg_way(ft) {
+            Some(way) => {
+                let (_, last_seen) = way.as_mut().expect("resident");
+                if now.0.saturating_sub(*last_seen) >= ttl {
+                    *way = None;
+                    self.stats.expired += 1;
+                    self.stats.misses += weight;
+                    None
+                } else {
+                    *last_seen = now.0;
+                    self.stats.hits += weight;
+                    self.stats.negative_hits += weight;
+                    Some((None, None, false, None))
+                }
             }
             None => {
                 self.stats.misses += weight;
@@ -536,105 +568,230 @@ impl RefTable {
         }
     }
 
-    fn purge_expired(&mut self, now: SimTime) -> usize {
+    fn insert_negative(&mut self, ft: FiveTuple, now: SimTime) {
+        self.pos.remove(&ft);
+        if let Some(way) = self.neg_way(&ft) {
+            *way = Some((ft, now.0));
+            return;
+        }
+        let set = self.set_of(&ft);
+        let way = match set.iter().position(|w| w.is_none()) {
+            Some(free) => free,
+            None => {
+                // stalest way, lowest index on ties
+                let stalest = (0..NEG_WAYS)
+                    .min_by_key(|&w| set[w].map(|(_, seen)| seen))
+                    .expect("ways");
+                self.evictions += 1;
+                stalest
+            }
+        };
+        self.set_of(&ft)[way] = Some((ft, now.0));
+    }
+
+    fn purge(&mut self, now: SimTime) -> usize {
         let ttl = self.ttl;
-        let before = self.pos.len() + self.neg.len();
+        let before = self.len();
         self.pos.retain(|_, e| now.0.saturating_sub(e.last_seen) < ttl);
-        self.neg.retain(|_, ls| now.0.saturating_sub(*ls) < ttl);
-        let dropped = before - self.pos.len() - self.neg.len();
+        for set in self.neg.values_mut() {
+            for w in set.iter_mut() {
+                if matches!(w, Some((_, seen)) if now.0.saturating_sub(*seen) >= ttl) {
+                    *w = None;
+                }
+            }
+        }
+        let dropped = before - self.len();
         self.stats.expired += dropped as u64;
         dropped
     }
 
+    fn negative_len(&self) -> usize {
+        self.neg.values().flatten().filter(|w| w.is_some()).count()
+    }
+
     fn len(&self) -> usize {
-        self.pos.len() + self.neg.len()
+        self.pos.len() + self.negative_len()
+    }
+
+    fn update(&mut self, ft: &FiveTuple, f: impl FnOnce(&mut ModelPos)) -> OpOut {
+        OpOut::Flag(self.pos.get_mut(ft).map(f).is_some())
     }
 
     fn apply(&mut self, keys: &[FiveTuple], now: SimTime, op: TableOp) -> OpOut {
         match op {
             TableOp::Lookup { key, weight } => OpOut::Entry(self.lookup(&keys[key], now, weight)),
             TableOp::InsertPos { key, policy } => {
-                self.neg.remove(&keys[key]);
-                self.pos.insert(
-                    keys[key],
-                    RefPos {
-                        policy: PolicyId(policy),
-                        actions: actions_for(policy),
-                        label: None,
-                        pinned: None,
-                        label_switched: false,
-                        last_seen: now.0,
-                    },
-                );
+                if let Some(way) = self.neg_way(&keys[key]) {
+                    *way = None;
+                }
+                let entry = ModelPos {
+                    policy: PolicyId(policy),
+                    actions: actions_for(policy),
+                    label: None,
+                    pinned: None,
+                    label_switched: false,
+                    last_seen: now.0,
+                };
+                self.pos.insert(keys[key], entry);
                 OpOut::Count(0)
             }
             TableOp::InsertNeg { key } => {
-                self.pos.remove(&keys[key]);
-                self.neg.insert(keys[key], now.0);
+                self.insert_negative(keys[key], now);
                 OpOut::Count(0)
             }
-            TableOp::SetLabel { key, label } => OpOut::Flag(match self.pos.get_mut(&keys[key]) {
-                Some(e) => {
-                    e.label = Some(Label(label));
-                    true
-                }
-                None => false,
-            }),
-            TableOp::PinNext { key, next } => OpOut::Flag(match self.pos.get_mut(&keys[key]) {
-                Some(e) => {
-                    e.pinned = Some(next);
-                    true
-                }
-                None => false,
-            }),
-            TableOp::FlagSwitched { key } => OpOut::Flag(match self.pos.get_mut(&keys[key]) {
-                Some(e) => {
-                    e.label_switched = true;
-                    true
-                }
-                None => false,
-            }),
+            TableOp::SetLabel { key, label } => {
+                self.update(&keys[key], |e| e.label = Some(Label(label)))
+            }
+            TableOp::PinNext { key, next } => self.update(&keys[key], |e| e.pinned = Some(next)),
+            TableOp::FlagSwitched { key } => self.update(&keys[key], |e| e.label_switched = true),
             TableOp::ReadPin { key } => {
                 OpOut::Pin(self.pos.get(&keys[key]).and_then(|e| e.pinned))
             }
-            TableOp::Purge => OpOut::Count(self.purge_expired(now)),
+            TableOp::Purge => OpOut::Count(self.purge(now)),
         }
     }
 }
 
-/// The open-addressed flow table is observationally equivalent to the old
-/// FxHashMap implementation: identical lookup views, mutator returns, purge
-/// counts, stats and len after every op of a random sequence.
+/// `FlowTable` is observationally the std-map model: identical lookup
+/// views, mutator returns, purge counts, stats, lengths and negative
+/// evictions after every op. A slow clock keeps up to a few hundred flows
+/// live (several probe-array grows), a short ttl makes both sides expire,
+/// and one or two negative sets (8–16 markers) keep the negative cache
+/// evicting.
 #[test]
-fn flow_table_matches_fxhashmap_reference() {
+fn flow_table_matches_hashmap_model() {
     check(
-        "flow_table_matches_fxhashmap_reference",
-        &Config::with_cases(256),
+        "flow_table_matches_hashmap_model",
+        &Config::with_cases(128),
         |rng: &mut StdRng| {
             (
-                rng.gen_range(1usize..48),
-                rng.gen_range(1usize..150),
-                rng.gen_range(2u64..60),
+                rng.gen_range(1usize..300),
+                rng.gen_range(1usize..900),
+                rng.gen_range(2u64..12),
+                rng.gen_range(1u32..64),
+                rng.gen_range(1usize..3),
                 rng.next_u64(),
             )
         },
-        |&(n_keys, n_ops, ttl, seed)| {
+        |&(n_keys, n_ops, ttl, tick_one_in, neg_sets, seed)| {
             let n_keys = n_keys.max(1);
             let ttl = ttl.max(1);
+            let neg_sets = if neg_sets >= 2 { 2 } else { 1 };
             let keys = gen_packets(n_keys, seed ^ 0x0A7A);
-            let ops = gen_table_ops(n_keys, n_ops, ttl, seed, false);
-            // Default negative capacity (64k) dwarfs the key population, so
-            // the capless model stays comparable: no evictions can occur.
-            let mut real = FlowTable::new(ttl);
-            let mut model = RefTable::new(ttl);
-            for (step, &(now, op)) in ops.iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut real = FlowTable::with_negative_sets(ttl, neg_sets);
+            let mut model = ModelTable::new(ttl, neg_sets);
+            let mut now = 0u64;
+            for step in 0..n_ops {
+                now += u64::from(rng.gen_range(0..tick_one_in.max(1)) == 0);
+                let op = gen_op(&mut rng, n_keys, false);
+                let now = SimTime(now);
                 let a = apply_real(&mut real, &keys, now, op);
                 let b = model.apply(&keys, now, op);
                 prop_assert_eq!(&a, &b, "step {} ({:?} at {:?})", step, op, now);
                 prop_assert_eq!(real.stats(), model.stats, "stats after step {}", step);
                 prop_assert_eq!(real.len(), model.len(), "len after step {}", step);
+                prop_assert_eq!(real.negative_len(), model.negative_len(), "step {}", step);
+                prop_assert_eq!(real.negative_evictions(), model.evictions, "step {}", step);
             }
-            prop_assert_eq!(real.negative_evictions(), 0, "capless regime violated");
+            Ok(())
+        },
+    );
+}
+
+#[derive(Debug, Clone, Copy)]
+enum LabelOp {
+    Insert { policy: u32, position: usize, last: bool },
+    Lookup,
+    Remove,
+}
+
+/// What a label-table lookup or removal reports, by content.
+type LabelView = (ActionList, PolicyId, usize, Option<Ipv4Addr>, Option<Ipv4Addr>);
+
+/// `LabelTable` is observationally a std map with `age >= ttl` expiry on
+/// lookup: identical lookup and removal results and lengths after every
+/// op, over enough keys to cross several probe-array grows.
+#[test]
+fn label_table_matches_hashmap_model() {
+    check(
+        "label_table_matches_hashmap_model",
+        &Config::with_cases(128),
+        |rng: &mut StdRng| {
+            (
+                rng.gen_range(1usize..400),
+                rng.gen_range(1usize..900),
+                rng.gen_range(1u64..12),
+                rng.gen_range(1u32..64),
+                rng.next_u64(),
+            )
+        },
+        |&(n_keys, n_ops, ttl, tick_one_in, seed)| {
+            let n_keys = n_keys.max(1);
+            let ttl = ttl.max(1);
+            let mut rng = StdRng::seed_from_u64(seed);
+            // a few sources × many labels: shared sources, distinct keys
+            let keys: Vec<LabelKey> = (0..n_keys)
+                .map(|i| LabelKey {
+                    src: Ipv4Addr(0x0a00_0000 + rng.gen_range(0u32..4)),
+                    label: Label(i as u16),
+                })
+                .collect();
+            let mut real = LabelTable::new(ttl);
+            let mut model: HashMap<LabelKey, (LabelView, u64)> = HashMap::new();
+            let mut now = 0u64;
+            for step in 0..n_ops {
+                now += u64::from(rng.gen_range(0..tick_one_in.max(1)) == 0);
+                let key = rng.gen_range(0..n_keys);
+                let op = match rng.gen_range(0u8..8) {
+                    0..=2 => LabelOp::Insert {
+                        policy: rng.gen_range(0u32..5),
+                        position: rng.gen_range(0usize..3),
+                        last: rng.gen_bool(0.5),
+                    },
+                    3..=6 => LabelOp::Lookup,
+                    _ => LabelOp::Remove,
+                };
+                let k = keys[key];
+                let (a, b) = match op {
+                    LabelOp::Insert { policy, position, last } => {
+                        let (next, dst) = if last {
+                            (None, Some(Ipv4Addr(0x0b00_0000 + policy)))
+                        } else {
+                            (Some(Ipv4Addr(0xac10_0000 + policy)), None)
+                        };
+                        let v = (actions_for(policy), PolicyId(policy), position, next, dst);
+                        real.insert(k, v.0.clone(), v.1, v.2, v.3, v.4, SimTime(now));
+                        model.insert(k, (v, now));
+                        (None, None)
+                    }
+                    LabelOp::Lookup => {
+                        let a = real.lookup(k, SimTime(now)).map(|e| {
+                            (e.actions.clone(), e.policy, e.position, e.next_hop, e.final_dst)
+                        });
+                        let b = match model.get_mut(&k) {
+                            Some((_, seen)) if now.saturating_sub(*seen) >= ttl => {
+                                model.remove(&k);
+                                None
+                            }
+                            Some((v, seen)) => {
+                                *seen = now;
+                                Some(v.clone())
+                            }
+                            None => None,
+                        };
+                        (a, b)
+                    }
+                    LabelOp::Remove => {
+                        let a = real.remove(k).map(|e| {
+                            (e.actions, e.policy, e.position, e.next_hop, e.final_dst)
+                        });
+                        (a, model.remove(&k).map(|(v, _)| v))
+                    }
+                };
+                prop_assert_eq!(&a, &b, "step {} ({:?} of {} at {})", step, op, k, now);
+                prop_assert_eq!(real.len(), model.len(), "len after step {}", step);
+            }
             Ok(())
         },
     );
@@ -835,8 +992,8 @@ fn flow_table_soft_state() {
             let ft = gen_packet(&mut StdRng::seed_from_u64(seed));
             let mut table = FlowTable::new(ttl);
             table.insert_positive(ft, PolicyId(0), ActionList::permit(), SimTime(0));
-            let found = table.lookup(&ft, SimTime(gap), 1).is_some();
-            prop_assert_eq!(found, gap <= ttl);
+            let found = table.lookup(ft, SimTime(gap), 1).is_some();
+            prop_assert_eq!(found, gap < ttl, "an entry lives exactly ttl ticks");
             Ok(())
         },
     );

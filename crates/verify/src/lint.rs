@@ -18,10 +18,11 @@
 //!   surface as a counted drop, not a worker-thread abort.
 //! * **`per-flow-map`** — `FxHashMap<FiveTuple, _>` is banned in the
 //!   data-plane crates: per-flow soft state belongs in the
-//!   open-addressed `FlowTable`/`OaTable` (slab storage, incremental
-//!   rehash, deterministic iteration, bounded negative cache), not an ad
-//!   hoc hash map that reintroduces resize spikes and unbounded
-//!   exhaustion-attack memory.
+//!   open-addressed `FlowTable`/`OaTable` (entries stay put in a slab and
+//!   a grow re-places only 16-byte probe cells, keys are hashed once per
+//!   device visit, iteration is in deterministic slab order, the negative
+//!   cache is bounded), not an ad hoc hash map that moves every entry on
+//!   resize and leaves exhaustion-attack memory unbounded.
 //! * **`set-iteration-order`** — `HashSet` *and* `FxHashSet` are banned
 //!   in the diagnostic crates ([`DIAGNOSTIC_CRATES`]): verifier reports
 //!   (`V0xx`/`R0xx`) are sorted, deduplicated and byte-diffed in CI, and
@@ -37,8 +38,11 @@
 //! * **`doc-path`** — every backticked token in the top-level documents
 //!   ([`DOC_FILES`]) that contains a `/` and ends in a source or data
 //!   extension ([`DOC_PATH_EXTENSIONS`]) must exist, relative to the root
-//!   or to `crates/`. Docs name files so a reader can open them; a
-//!   deletion PR that leaves the name behind fails here.
+//!   or to `crates/`, and every backticked `UPPER_SNAKE` token (a
+//!   constant, environment variable or diagnostic code, e.g. `SDM_SHARDS`
+//!   or `V015`) must occur as a word in some scanned source. Docs name
+//!   files and symbols so a reader can find them; a deletion that leaves
+//!   the name behind fails here.
 //!
 //! The scanner tokenizes rather than greps: identifiers are matched
 //! whole (`FxHashMap` does not match `HashMap`), and comments, strings
@@ -46,6 +50,7 @@
 //! suppressed in place with a `// lint:allow(<rule>)` comment on the
 //! flagged line or the line above it.
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -172,6 +177,8 @@ pub fn lint_workspace(config: &LintConfig) -> io::Result<Vec<LintViolation>> {
         crate_dirs.push(config.root.clone());
     }
 
+    // Every `UPPER_SNAKE` word of the scanned sources, for `doc-path`.
+    let mut symbols = BTreeSet::new();
     for dir in &crate_dirs {
         let crate_name = crate_name_of(dir);
         check_unsafe_attribute(config, dir, &crate_name, &mut violations);
@@ -183,12 +190,17 @@ pub fn lint_workspace(config: &LintConfig) -> io::Result<Vec<LintViolation>> {
             let text = fs::read_to_string(&file)?;
             let rel = relative_to(&file, &config.root);
             lint_source(&rel, &crate_name, &text, &mut violations);
+            symbols.extend(
+                text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                    .filter(|w| is_upper_snake(w))
+                    .map(str::to_string),
+            );
         }
     }
 
     for doc in DOC_FILES {
         if let Ok(text) = fs::read_to_string(config.root.join(doc)) {
-            lint_doc_paths(&config.root, doc, &text, &mut violations);
+            lint_doc_paths(&config.root, doc, &text, &symbols, &mut violations);
         }
     }
 
@@ -198,22 +210,47 @@ pub fn lint_workspace(config: &LintConfig) -> io::Result<Vec<LintViolation>> {
     Ok(violations)
 }
 
+/// True for a token the `doc-path` rule reads as a source symbol: two or
+/// more of `A-Z`, `0-9` and `_`, starting with a letter.
+fn is_upper_snake(token: &str) -> bool {
+    token.len() >= 2
+        && token.starts_with(|c: char| c.is_ascii_uppercase())
+        && token
+            .chars()
+            .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
+}
+
 /// The `doc-path` rule over one document: backticked spans are the odd
-/// pieces of each line split on `` ` ``.
-fn lint_doc_paths(root: &Path, doc: &str, text: &str, out: &mut Vec<LintViolation>) {
+/// pieces of each line split on `` ` ``. A file path must exist; an
+/// `UPPER_SNAKE` symbol must be in `symbols`, the scanned sources' words.
+fn lint_doc_paths(
+    root: &Path,
+    doc: &str,
+    text: &str,
+    symbols: &BTreeSet<String>,
+    out: &mut Vec<LintViolation>,
+) {
     for (i, line) in text.lines().enumerate() {
         for token in line.split('`').skip(1).step_by(2) {
             let is_path = token.contains('/')
                 && !token.contains(char::is_whitespace)
                 && DOC_PATH_EXTENSIONS.iter().any(|ext| token.ends_with(ext));
-            if is_path && !root.join(token).exists() && !root.join("crates").join(token).exists() {
-                out.push(LintViolation {
-                    rule: RULE_DOC_PATH,
-                    file: doc.to_string(),
-                    line: i + 1,
-                    detail: format!("`{token}` names a file that does not exist"),
-                });
-            }
+            let detail = if is_path
+                && !root.join(token).exists()
+                && !root.join("crates").join(token).exists()
+            {
+                format!("`{token}` names a file that does not exist")
+            } else if is_upper_snake(token) && !symbols.contains(token) {
+                format!("`{token}` names a symbol no scanned source contains")
+            } else {
+                continue;
+            };
+            out.push(LintViolation {
+                rule: RULE_DOC_PATH,
+                file: doc.to_string(),
+                line: i + 1,
+                detail,
+            });
         }
     }
 }
@@ -618,8 +655,8 @@ hot path; handle the None/Err arm or annotate lint:allow(hot-path-panic)"
                     rule: RULE_PER_FLOW_MAP,
                     file: rel.to_string(),
                     line: *line,
-                    detail: "`FxHashMap<FiveTuple, _>` reintroduces resize \
-spikes and unbounded per-flow memory; keep per-flow state in the \
+                    detail: "`FxHashMap<FiveTuple, _>` moves every entry on \
+resize and leaves per-flow memory unbounded; keep per-flow state in the \
 open-addressed FlowTable/OaTable (or annotate lint:allow(per-flow-map))"
                         .to_string(),
                 });
@@ -791,12 +828,16 @@ fn g() { let _m: HashMap<u8, u8>; }\n";
     fn doc_paths_must_exist() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let text = "see `crates/verify/src/lint.rs`, `verify/src/plan.rs` and `ci.sh`;\n\
-                    `results/no_such_golden.txt` is gone, `a/b` and `cargo run x/y.rs` are not paths\n";
+                    `results/no_such_golden.txt` is gone, `a/b` and `cargo run x/y.rs` are not paths\n\
+                    `SDM_SHARDS` and `V015` are symbols, `OLD_BUDGET` is gone, `A`, `Ab_C` are not\n";
+        let symbols: BTreeSet<String> = ["SDM_SHARDS", "V015"].map(String::from).into();
         let mut v = Vec::new();
-        lint_doc_paths(&root, "README.md", text, &mut v);
-        assert_eq!(v.len(), 1, "{v:?}");
+        lint_doc_paths(&root, "README.md", text, &symbols, &mut v);
+        assert_eq!(v.len(), 2, "{v:?}");
         assert_eq!((v[0].rule, v[0].line), (RULE_DOC_PATH, 2));
         assert!(v[0].detail.contains("results/no_such_golden.txt"), "{v:?}");
+        assert_eq!((v[1].rule, v[1].line), (RULE_DOC_PATH, 3));
+        assert!(v[1].detail.contains("`OLD_BUDGET` names a symbol"), "{v:?}");
     }
 
     #[test]

@@ -42,6 +42,12 @@ fn fixture_trips_every_rule() {
             && v.file.ends_with("core/src/epoch.rs")),
         "expect() in the epoch fixture must trip hot-path-panic: {violations:?}"
     );
+    // `doc-path` reports a stale symbol as well as a stale file name.
+    assert!(
+        violations.iter().any(|v| v.rule == sdm_verify::lint::RULE_DOC_PATH
+            && v.detail.contains("`RETIRED_BUDGET` names a symbol")),
+        "a backticked constant no source defines must trip doc-path: {violations:?}"
+    );
     // The missing #![forbid(unsafe_code)] attribute is reported at line 0
     // of lib.rs, distinct from the `unsafe` block inside the function.
     assert!(

@@ -65,10 +65,10 @@ fn chain_order_is_enforced() {
         src: ft.src,
         label: sdm::netsim::Label(0),
     };
-    let fw_entry = fw_tbl.labels.lookup(&key, SimTime(10_000)).expect("FW entry");
+    let fw_entry = fw_tbl.labels.lookup(key, SimTime(10_000)).expect("FW entry");
     assert_eq!(fw_entry.next_hop, Some(ids_addr), "FW must forward to IDS");
     assert_eq!(fw_entry.final_dst, None);
-    let ids_entry = ids_tbl.labels.lookup(&key, SimTime(10_000)).expect("IDS entry");
+    let ids_entry = ids_tbl.labels.lookup(key, SimTime(10_000)).expect("IDS entry");
     assert_eq!(ids_entry.next_hop, None);
     assert_eq!(ids_entry.final_dst, Some(ft.dst), "IDS must restore dst");
 }
@@ -105,11 +105,11 @@ fn reversed_chain_reverses_roles() {
     let fw_addr = enf.config().mbox_addr(fw);
     let ids_state = enf.mbox_state(ids);
     let mut ids_tbl = ids_state.lock();
-    let e = ids_tbl.labels.lookup(&key, SimTime(10_000)).expect("IDS entry");
+    let e = ids_tbl.labels.lookup(key, SimTime(10_000)).expect("IDS entry");
     assert_eq!(e.next_hop, Some(fw_addr), "IDS now forwards to FW");
     let fw_state = enf.mbox_state(fw);
     let mut fw_tbl = fw_state.lock();
-    let e = fw_tbl.labels.lookup(&key, SimTime(10_000)).expect("FW entry");
+    let e = fw_tbl.labels.lookup(key, SimTime(10_000)).expect("FW entry");
     assert_eq!(e.final_dst, Some(ft.dst), "FW is now the last hop");
 }
 

@@ -178,7 +178,7 @@ fn live_flows_stay_sticky_across_a_weight_update() {
                 let enf = &ep.shards()[shard_of(&s.flow, n)];
                 let src_stub = c.addr_plan().stub_of(s.flow.src).expect("stub-homed source");
                 let st = enf.proxy_state(src_stub);
-                let pin = st.lock().flows.pinned_next(&s.flow);
+                let pin = st.lock().flows.pinned_next(s.flow);
                 assert!(pin.is_some(), "epoch-1 flow must have been pinned");
                 pin
             })
@@ -197,7 +197,7 @@ fn live_flows_stay_sticky_across_a_weight_update() {
                 let src_stub = c.addr_plan().stub_of(s.flow.src).expect("stub-homed source");
                 let st = enf.proxy_state(src_stub);
                 let guard = st.lock();
-                guard.flows.pinned_next(&s.flow)
+                guard.flows.pinned_next(s.flow)
             })
             .collect();
         assert_eq!(
