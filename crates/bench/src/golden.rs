@@ -36,6 +36,8 @@ pub struct Golden {
 
 const ANY: &[Corner] = &[&[]];
 const SHARDS_1_4: &[Corner] = &[&[("SDM_SHARDS", "1")], &[("SDM_SHARDS", "4")]];
+/// The reach checker's worker count: every core, and one.
+const THREADS_ALL_1: &[Corner] = &[&[], &[("SDM_THREADS", "1")]];
 
 const fn entry(name: &'static str, file: &'static str, argv: &'static [&'static str]) -> Golden {
     Golden { name, file, argv, side: None, corners: ANY }
@@ -72,6 +74,7 @@ pub static GOLDENS: &[Golden] = &[
     entry("verify-plan", "verify_plan.txt", &["verify-plan"]),
     Golden {
         side: Some(("--corpus-out", "reach_corpus.json")),
+        corners: THREADS_ALL_1,
         ..entry(
             "reach",
             "reach_golden.json",
@@ -84,11 +87,14 @@ pub static GOLDENS: &[Golden] = &[
             ],
         )
     },
-    entry(
-        "reach-waxman",
-        "reach_waxman_golden.json",
-        &["reach", "--waxman-assertions", "results/assertions_campus.txt"],
-    ),
+    Golden {
+        corners: THREADS_ALL_1,
+        ..entry(
+            "reach-waxman",
+            "reach_waxman_golden.json",
+            &["reach", "--waxman-assertions", "results/assertions_campus.txt"],
+        )
+    },
     Golden {
         corners: SHARDS_1_4,
         ..entry("reach-replay", "reach_replay.json", &["reach", "--replay", "results/reach_corpus.json"])

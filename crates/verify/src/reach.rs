@@ -28,7 +28,11 @@
 //! Everything here is deterministic by construction: ordered containers
 //! only (`BTreeSet`, sorted `Vec`s — enforced by `sdm-lint`'s
 //! `set-iteration-order` rule), findings sorted and deduplicated exactly
-//! like the `V0xx` report.
+//! like the `V0xx` report. That holds on every core too: each
+//! assertion's ingress pieces are traced in contiguous chunks by
+//! `sdm_util::par` workers, whose outputs are merged in piece order and
+//! whose counters are summed, so the report does not depend on the
+//! worker count.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -36,6 +40,7 @@ use std::fmt;
 use sdm_netsim::{FiveTuple, Ipv4Addr, Prefix};
 use sdm_policy::{NetworkFunction, TrafficDescriptor};
 use sdm_util::json::Json;
+use sdm_util::par::{par_map_with, thread_count};
 
 use crate::plan::{CandidateSet, PlanView, Point, WeightColumn, WeightsView};
 use crate::witness::{protocol_from_number, ReplayScenario, ReplayStep, StepExpect, WitnessFlow};
@@ -53,7 +58,11 @@ const FULL_PORT_RANGE: (u16, u16) = (0, u16::MAX);
 /// the checker reads exactly the simulator's forwarding on the campus
 /// topology and stays memory-proportional on the ~21k-node hierarchical
 /// one; tests implement it to inject broken routing.
-pub trait RouteView {
+///
+/// `Sync`, because [`check_assertions`] fans its flow classes out over
+/// worker threads that all read the one view (`RoutingTables` fills its
+/// rows through `OnceLock`s, so concurrent first reads are safe).
+pub trait RouteView: Sync {
     /// The node `from` forwards to when routing towards `dst`, or `None`
     /// when `dst` is unreachable (or equals `from`).
     fn next_hop(&self, from: u32, dst: u32) -> Option<u32>;
@@ -311,69 +320,48 @@ impl FlowClass {
     /// result has at most `2·32 + 2·2 + 1` pieces and is sorted, so
     /// downstream reports are deterministic.
     pub fn subtract(&self, other: &FlowClass) -> Vec<FlowClass> {
-        let Some(_) = self.intersect(other) else {
-            return vec![*self];
+        let mut out = Vec::new();
+        self.subtract_into(other, &mut out);
+        out
+    }
+
+    /// [`FlowClass::subtract`] appended to `out`, which the caller owns
+    /// and reuses: the pieces of `self \ other`, sorted among themselves
+    /// — `self` alone when the two are disjoint.
+    fn subtract_into(&self, other: &FlowClass, out: &mut Vec<FlowClass>) {
+        let Some(meet) = self.intersect(other) else {
+            return out.push(*self);
         };
-        let mut out: Vec<FlowClass> = Vec::new();
+        let start = out.len();
         // Field 1: src addresses outside other.src.
-        for p in prefix_subtract(self.src, other.src) {
-            out.push(FlowClass { src: p, ..*self });
-        }
-        let src = match prefix_intersect(self.src, other.src) {
-            Some(p) => p,
-            None => {
-                out.sort();
-                return out;
-            }
-        };
+        prefix_subtract(self.src, other.src, |src| out.push(FlowClass { src, ..*self }));
         // Field 2: dst addresses outside other.dst (src already narrowed).
-        for p in prefix_subtract(self.dst, other.dst) {
-            out.push(FlowClass { src, dst: p, ..*self });
-        }
-        let Some(dst) = prefix_intersect(self.dst, other.dst) else {
-            out.sort();
-            return out;
-        };
+        prefix_subtract(self.dst, other.dst, |dst| {
+            out.push(FlowClass { src: meet.src, dst, ..*self });
+        });
         // Field 3: source ports.
-        for iv in interval_subtract(self.src_ports, other.src_ports) {
+        interval_subtract(self.src_ports, other.src_ports, |src_ports| {
             out.push(FlowClass {
-                src,
-                dst,
-                src_ports: iv,
-                ..*self
-            });
-        }
-        let Some(src_ports) = interval_intersect(self.src_ports, other.src_ports) else {
-            out.sort();
-            return out;
-        };
-        // Field 4: destination ports.
-        for iv in interval_subtract(self.dst_ports, other.dst_ports) {
-            out.push(FlowClass {
-                src,
-                dst,
+                src: meet.src,
+                dst: meet.dst,
                 src_ports,
-                dst_ports: iv,
                 ..*self
             });
-        }
-        let Some(dst_ports) = interval_intersect(self.dst_ports, other.dst_ports) else {
-            out.sort();
-            return out;
-        };
+        });
+        // Field 4: destination ports.
+        interval_subtract(self.dst_ports, other.dst_ports, |dst_ports| {
+            out.push(FlowClass {
+                dst_ports,
+                protos: self.protos,
+                ..meet
+            });
+        });
         // Field 5: protocols.
         let protos = self.protos.subtract(other.protos);
         if !protos.is_empty() {
-            out.push(FlowClass {
-                src,
-                dst,
-                src_ports,
-                dst_ports,
-                protos,
-            });
+            out.push(FlowClass { protos, ..meet });
         }
-        out.sort();
-        out
+        out[start..].sort_unstable();
     }
 
     /// A concrete member of the class, used to seed witnesses. The source
@@ -452,34 +440,30 @@ fn prefix_intersect(a: Prefix, b: Prefix) -> Option<Prefix> {
     Some(if a.len() >= b.len() { a } else { b })
 }
 
-/// `a \ b` as a disjoint set of prefixes: empty when `a ⊆ b`, `{a}` when
-/// disjoint, otherwise the sibling prefixes peeled off while descending
-/// from `a` to `b`.
-fn prefix_subtract(a: Prefix, b: Prefix) -> Vec<Prefix> {
+/// `a \ b` as a disjoint set of prefixes, handed to `emit` in ascending
+/// `(address, length)` order: nothing when `a ⊆ b`, `a` when disjoint,
+/// otherwise the siblings peeled off while descending from `a` to `b`.
+/// The sibling at depth `l` is `b`'s ancestor at `l` with its last bit
+/// flipped; those below `b` (flipped 1 → 0) rise with depth and those
+/// above it (0 → 1) fall, so shallowest-first then deepest-first is
+/// already address order and nothing is collected or sorted.
+fn prefix_subtract(a: Prefix, b: Prefix, mut emit: impl FnMut(Prefix)) {
     if !a.overlaps(b) {
-        return vec![a];
+        return emit(a);
     }
     if a.is_subset_of(b) {
-        return Vec::new();
+        return;
     }
     // b is a strict subset of a: peel siblings.
-    let mut out = Vec::new();
-    let mut cur = a;
-    while cur.len() < b.len() {
-        let child_len = cur.len() + 1;
-        let bit = 1u32 << (32 - child_len as u32);
-        let low = Prefix::new(cur.addr(), child_len);
-        let high = Prefix::new(Ipv4Addr(cur.addr().0 | bit), child_len);
-        if b.addr().0 & bit == 0 {
-            out.push(high);
-            cur = low;
-        } else {
-            out.push(low);
-            cur = high;
-        }
+    let bit = |len: u8| 1u32 << (32 - len as u32);
+    let sibling = |len: u8| Prefix::new(Ipv4Addr(b.addr().0 ^ bit(len)), len);
+    let depths = a.len() + 1..=b.len();
+    for len in depths.clone().filter(|&l| b.addr().0 & bit(l) != 0) {
+        emit(sibling(len));
     }
-    out.sort_by_key(|p| (p.addr().0, p.len()));
-    out
+    for len in depths.rev().filter(|&l| b.addr().0 & bit(l) == 0) {
+        emit(sibling(len));
+    }
 }
 
 fn interval_intersect(a: (u16, u16), b: (u16, u16)) -> Option<(u16, u16)> {
@@ -492,18 +476,17 @@ fn interval_intersect(a: (u16, u16), b: (u16, u16)) -> Option<(u16, u16)> {
     }
 }
 
-fn interval_subtract(a: (u16, u16), b: (u16, u16)) -> Vec<(u16, u16)> {
+/// `a \ b` as at most two intervals, handed to `emit` lowest first.
+fn interval_subtract(a: (u16, u16), b: (u16, u16), mut emit: impl FnMut((u16, u16))) {
     if b.1 < a.0 || b.0 > a.1 {
-        return vec![a];
+        return emit(a);
     }
-    let mut out = Vec::new();
     if b.0 > a.0 {
-        out.push((a.0, b.0 - 1));
+        emit((a.0, b.0 - 1));
     }
     if b.1 < a.1 {
-        out.push((b.1 + 1, a.1));
+        emit((b.1 + 1, a.1));
     }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -567,34 +550,139 @@ impl fmt::Display for Assertion {
 /// waypoint 10.0.0.0/20 -> * via FW
 /// loop-free ttl 64
 /// ```
+///
+/// An error names the line and the column (1-based, in characters) of
+/// the offending token — the end of the line when one is missing — and
+/// quotes the line.
 pub fn parse_assertions(text: &str) -> Result<Vec<Assertion>, String> {
+    parse_assertions_at(text).map_err(|e| e.to_string())
+}
+
+/// Where and why an assertion file does not parse.
+#[derive(Debug)]
+struct ParseError {
+    line: usize,
+    column: usize,
+    message: String,
+    text: String,
+}
+
+impl fmt::Display for ParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "line {}, column {}: {} (in '{}')",
+            self.line, self.column, self.message, self.text
+        )
+    }
+}
+
+fn parse_assertions_at(text: &str) -> Result<Vec<Assertion>, ParseError> {
     let mut out = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
+        let code = raw.split('#').next().unwrap_or("");
+        let mut words = Words::new(code);
+        if words.words.is_empty() {
             continue;
         }
-        let err = |msg: &str| format!("line {}: {msg}: '{line}'", lineno + 1);
-        let words: Vec<&str> = line.split_whitespace().collect();
-        let parsed = match words.as_slice() {
-            ["isolate", src, "->", dst] => Assertion::Isolated {
-                src: parse_prefix(src).map_err(|m| err(&m))?,
-                dst: parse_prefix(dst).map_err(|m| err(&m))?,
-            },
-            ["waypoint", src, "->", dst, "via", via] => Assertion::Waypoint {
-                src: parse_prefix(src).map_err(|m| err(&m))?,
-                dst: parse_prefix(dst).map_err(|m| err(&m))?,
-                via: NetworkFunction::from_abbrev(via)
-                    .ok_or_else(|| err("unknown network function"))?,
-            },
-            ["loop-free", "ttl", ttl] => Assertion::LoopFree {
-                ttl: ttl.parse().map_err(|_| err("bad ttl"))?,
-            },
-            _ => return Err(err("unrecognized assertion")),
-        };
+        let parsed = parse_line(&mut words).map_err(|(column, message)| ParseError {
+            line: lineno + 1,
+            column,
+            message,
+            text: code.trim().to_string(),
+        })?;
         out.push(parsed);
     }
     Ok(out)
+}
+
+/// A token error: the 1-based column it points at, and what is wrong.
+type TokenError = (usize, String);
+
+/// The words of one assertion line, each with the column it starts at,
+/// consumed left to right.
+struct Words<'t> {
+    words: Vec<(usize, &'t str)>,
+    next: usize,
+    /// The column just past the last word, where a missing one is due.
+    end: usize,
+}
+
+impl<'t> Words<'t> {
+    fn new(line: &'t str) -> Self {
+        let column = |byte: usize| line[..byte].chars().count() + 1;
+        // A word is a subslice of `line`; its address gives its offset.
+        let offset = |word: &str| word.as_ptr() as usize - line.as_ptr() as usize;
+        Words {
+            words: line.split_whitespace().map(|w| (column(offset(w)), w)).collect(),
+            next: 0,
+            end: column(line.trim_end().len()),
+        }
+    }
+
+    /// The next word, or an error at the end of the line naming `what`
+    /// is missing.
+    fn take(&mut self, what: &str) -> Result<(usize, &'t str), TokenError> {
+        let word = self.words.get(self.next).copied();
+        self.next += 1;
+        word.ok_or_else(|| (self.end, format!("missing {what}")))
+    }
+
+    fn keyword(&mut self, keyword: &str) -> Result<(), TokenError> {
+        match self.take(&format!("'{keyword}'"))? {
+            (_, word) if word == keyword => Ok(()),
+            (column, word) => Err((column, format!("expected '{keyword}', found '{word}'"))),
+        }
+    }
+
+    fn prefix(&mut self, what: &str) -> Result<Prefix, TokenError> {
+        let (column, word) = self.take(what)?;
+        parse_prefix(word).map_err(|m| (column, m))
+    }
+
+    /// Refuses a word left over after a complete assertion.
+    fn finish(&self) -> Result<(), TokenError> {
+        match self.words.get(self.next) {
+            Some(&(column, word)) => Err((column, format!("unexpected '{word}' after the assertion"))),
+            None => Ok(()),
+        }
+    }
+}
+
+fn parse_line(words: &mut Words<'_>) -> Result<Assertion, TokenError> {
+    let (column, head) = words.take("assertion")?;
+    let parsed = match head {
+        "isolate" => {
+            let src = words.prefix("source prefix")?;
+            words.keyword("->")?;
+            let dst = words.prefix("destination prefix")?;
+            Assertion::Isolated { src, dst }
+        }
+        "waypoint" => {
+            let src = words.prefix("source prefix")?;
+            words.keyword("->")?;
+            let dst = words.prefix("destination prefix")?;
+            words.keyword("via")?;
+            let (column, via) = words.take("network function")?;
+            let via = NetworkFunction::from_abbrev(via)
+                .ok_or_else(|| (column, format!("unknown network function '{via}'")))?;
+            Assertion::Waypoint { src, dst, via }
+        }
+        "loop-free" => {
+            words.keyword("ttl")?;
+            let (column, ttl) = words.take("ttl")?;
+            let ttl = ttl.parse().map_err(|_| (column, format!("bad ttl '{ttl}'")))?;
+            Assertion::LoopFree { ttl }
+        }
+        other => {
+            return Err((
+                column,
+                format!("unrecognized assertion '{other}' (expected isolate, waypoint or loop-free)"),
+            ))
+        }
+    };
+    words.finish()?;
+    Ok(parsed)
 }
 
 fn parse_prefix(s: &str) -> Result<Prefix, String> {
@@ -670,30 +758,47 @@ pub struct ReachView {
     pub hazards: Option<HazardView>,
 }
 
+/// The two generations of remainders [`ReachView::peel`] alternates
+/// between: what is still unmatched, and what the current rule leaves.
+#[derive(Default)]
+struct PeelBufs {
+    remaining: Vec<FlowClass>,
+    next: Vec<FlowClass>,
+}
+
 impl ReachView {
-    /// First-match compilation of `class` against the policy table: the
-    /// disjoint pieces of `class`, each tagged with the rule that governs
-    /// it (`None` = default permit). Pieces and order are deterministic.
-    fn peel(&self, class: FlowClass) -> Vec<(FlowClass, Option<&RuleView>)> {
-        let mut remaining = vec![class];
-        let mut out: Vec<(FlowClass, Option<&RuleView>)> = Vec::new();
+    /// First-match compilation of `class` against the policy table into
+    /// `out` (cleared first): the disjoint pieces of `class`, each tagged
+    /// with the rule that governs it (`None` = default permit). Pieces
+    /// and order are deterministic; `out` and `bufs` are the caller's, so
+    /// a warm caller allocates nothing.
+    fn peel<'v>(
+        &'v self,
+        class: FlowClass,
+        bufs: &mut PeelBufs,
+        out: &mut Vec<(FlowClass, Option<&'v RuleView>)>,
+    ) {
+        out.clear();
+        let PeelBufs { remaining, next } = bufs;
+        remaining.clear();
+        remaining.push(class);
         for rule in &self.rules {
-            let mut next_remaining = Vec::new();
-            for piece in remaining {
-                if let Some(hit) = piece.intersect(&rule.class) {
-                    out.push((hit, Some(rule)));
+            next.clear();
+            for piece in remaining.iter() {
+                match piece.intersect(&rule.class) {
+                    Some(hit) => {
+                        out.push((hit, Some(rule)));
+                        piece.subtract_into(&rule.class, next);
+                    }
+                    None => next.push(*piece),
                 }
-                next_remaining.extend(piece.subtract(&rule.class));
             }
-            remaining = next_remaining;
+            std::mem::swap(remaining, next);
             if remaining.is_empty() {
                 break;
             }
         }
-        for piece in remaining {
-            out.push((piece, None));
-        }
-        out
+        out.extend(remaining.iter().map(|&piece| (piece, None)));
     }
 
     fn ingress_router(&self, ingress: Ingress) -> Option<u32> {
@@ -882,6 +987,18 @@ pub struct ReachStats {
     pub route_legs_walked: usize,
 }
 
+impl ReachStats {
+    /// Adds `other`'s counts: the workers of a pass each count their own
+    /// pieces, and the sums are what one worker would have counted.
+    fn absorb(&mut self, other: &ReachStats) {
+        self.ingress_pieces += other.ingress_pieces;
+        self.peeled_classes += other.peeled_classes;
+        self.classes_traced += other.classes_traced;
+        self.witnesses_rendered += other.witnesses_rendered;
+        self.route_legs_walked += other.route_legs_walked;
+    }
+}
+
 impl ReachReport {
     /// True if every assertion holds and no hazard fired.
     pub fn is_clean(&self) -> bool {
@@ -1025,32 +1142,79 @@ impl StubIndex {
         StubIndex { sorted, lens }
     }
 
-    /// The stub indices whose subnet overlaps `q`, ascending — the only
-    /// iterations of a loop over every stub that are not no-ops.
-    fn overlapping(&self, q: Prefix) -> Vec<u32> {
+    /// The stub indices whose subnet overlaps `q`, ascending, into `out`
+    /// (cleared first) — the only iterations of a loop over every stub
+    /// that are not no-ops.
+    fn overlapping(&self, q: Prefix, out: &mut Vec<u32>) {
+        out.clear();
+        out.extend(self.based_inside(q).iter().map(|e| e.2));
+        out.extend(self.based_below(q).map(|e| e.2));
+        out.sort_unstable();
+    }
+
+    /// The entries based inside `q`: its descendants, `q` itself and any
+    /// ancestor sharing its base, in `(base, length)` order.
+    fn based_inside(&self, q: Prefix) -> &[(u32, u8, u32)] {
         let first = q.addr().0;
         let last = first | u32::MAX.checked_shr(q.len() as u32).unwrap_or(0);
         let from = self.sorted.partition_point(|e| e.0 < first);
-        let mut out: Vec<u32> = self.sorted[from..]
-            .iter()
-            .take_while(|e| e.0 <= last)
-            .map(|e| e.2)
-            .collect();
-        for len in (0..q.len()).filter(|l| self.lens >> l & 1 == 1) {
-            let base = Prefix::new(q.addr(), len).addr().0;
-            if base == first {
-                continue; // based inside q: already in the run above
-            }
-            let from = self.sorted.partition_point(|e| (e.0, e.1) < (base, len));
-            out.extend(
-                self.sorted[from..]
-                    .iter()
-                    .take_while(|e| (e.0, e.1) == (base, len))
-                    .map(|e| e.2),
-            );
+        let to = from + self.sorted[from..].partition_point(|e| e.0 <= last);
+        &self.sorted[from..to]
+    }
+
+    /// The entries that contain `q` and are based below it: one exact-key
+    /// run per shorter length present.
+    fn based_below(&self, q: Prefix) -> impl Iterator<Item = &(u32, u8, u32)> + '_ {
+        (0..q.len())
+            .filter(move |l| self.lens >> l & 1 == 1)
+            .map(move |len| (Prefix::new(q.addr(), len).addr().0, len))
+            .filter(move |&(base, _)| base != q.addr().0) // else based inside q
+            .flat_map(move |key| {
+                let from = self.sorted.partition_point(|e| (e.0, e.1) < key);
+                self.sorted[from..].iter().take_while(move |e| (e.0, e.1) == key)
+            })
+    }
+
+    /// Hands `emit` what is left of `q` once every subnet is taken out, as
+    /// the largest aligned prefixes, in ascending address order.
+    ///
+    /// Taking the overlapping subnets out one at a time by sibling peeling
+    /// gives this same list whatever the order: each piece peeling keeps
+    /// is a largest prefix inside what is left (its parent meets a
+    /// subnet), the largest prefixes inside a set are unique, and pieces
+    /// replace their parent in place, so the list stays in address order.
+    /// Here it comes from one sweep over the subnets based inside `q`,
+    /// not from re-collecting the remainder once per subnet.
+    fn uncovered(&self, q: Prefix, mut emit: impl FnMut(Prefix)) {
+        if self.based_below(q).next().is_some() {
+            return; // a subnet contains q
         }
-        out.sort_unstable();
-        out
+        let first = u64::from(q.addr().0);
+        let end = first + (1u64 << (32 - q.len()));
+        // Everything below `next` is covered or already emitted.
+        let mut next = first;
+        for &(base, len, _) in self.based_inside(q) {
+            let base = u64::from(base);
+            if base > next {
+                emit_range(next, base, &mut emit);
+            }
+            next = next.max(base + (1u64 << (32 - len)));
+        }
+        if next < end {
+            emit_range(next, end, &mut emit);
+        }
+    }
+}
+
+/// Hands `emit` the largest aligned prefixes that tile the addresses
+/// `[lo, end)`, ascending.
+fn emit_range(mut lo: u64, end: u64, emit: &mut impl FnMut(Prefix)) {
+    while lo < end {
+        let aligned = lo.trailing_zeros().min(32);
+        let fits = 63 - (end - lo).leading_zeros();
+        let host_bits = aligned.min(fits);
+        emit(Prefix::new(Ipv4Addr(lo as u32), (32 - host_bits) as u8));
+        lo += 1u64 << host_bits;
     }
 }
 
@@ -1116,6 +1280,17 @@ struct PathTrace {
     support_union: Vec<u32>,
 }
 
+impl PathTrace {
+    /// Empties the trace for the next one, keeping its buffers.
+    fn clear(&mut self) {
+        self.ingress_router = 0;
+        self.stages.clear();
+        self.steps.clear();
+        self.router_hops = 0;
+        self.support_union.clear();
+    }
+}
+
 /// How a traced path ends.
 #[derive(Clone, Copy)]
 enum End {
@@ -1129,20 +1304,44 @@ enum End {
     NoRoute,
 }
 
-/// One `check_assertions` call: the inputs, the indices built once over
-/// them, a walk buffer and the work counters.
+/// The read-only half of one `check_assertions` call: the inputs and the
+/// indices built once over them. Every worker of a class pass borrows
+/// it; what a worker writes lives in its own [`Worker`].
 struct Checker<'a> {
     view: &'a ReachView,
     routes: &'a dyn RouteView,
     stubs: StubIndex,
     candidates: FirstByKey<(Point, NetworkFunction), &'a CandidateSet>,
     columns: Columns<'a>,
+    /// Workers per class pass; `None` asks `sdm_util::par::thread_count`.
+    workers: Option<usize>,
+}
+
+/// One worker's scratch: the walk buffer, the support buffer, and the
+/// work counters of the pieces it traced.
+#[derive(Default)]
+struct Worker {
     path: Vec<u32>,
+    support: Vec<u32>,
+    stats: ReachStats,
+}
+
+/// Ingress pieces a worker must have before a pass spreads: a thread
+/// costs tens of microseconds to start, about what a few dozen pieces
+/// cost to trace, so a pass of a handful of pieces (an `isolate` between
+/// two subnets) stays on the calling thread.
+const PIECES_PER_WORKER: usize = 64;
+
+/// What one class pass found: the visit outputs in piece order, the
+/// number of classes and the summed work counters.
+struct Pass<T> {
+    found: Vec<T>,
+    classes: usize,
     stats: ReachStats,
 }
 
 impl<'a> Checker<'a> {
-    fn new(view: &'a ReachView, routes: &'a dyn RouteView) -> Self {
+    fn new(view: &'a ReachView, routes: &'a dyn RouteView, workers: Option<usize>) -> Self {
         Checker {
             view,
             routes,
@@ -1151,14 +1350,15 @@ impl<'a> Checker<'a> {
                 view.plan.candidates.iter().map(|c| ((c.point, c.function), c)),
             ),
             columns: columns(view.plan.weights.as_ref()),
-            path: Vec::new(),
-            stats: ReachStats::default(),
+            workers,
         }
     }
 
     /// The set of middleboxes a fresh flow can be steered to at `point`
     /// for chain stage `next_index` of `policy` (function `f`), under the
-    /// weight `columns`. Sorted; empty when the decision blackholes.
+    /// weight `columns`, into `out` (cleared first). Sorted; empty when
+    /// the decision blackholes.
+    #[allow(clippy::too_many_arguments)]
     fn support(
         &self,
         point: Point,
@@ -1167,7 +1367,8 @@ impl<'a> Checker<'a> {
         f: NetworkFunction,
         columns: &Columns<'_>,
         include_failed: bool,
-    ) -> Vec<u32> {
+        out: &mut Vec<u32>,
+    ) {
         let members: &[u32] = self
             .candidates
             .get((point, f))
@@ -1181,101 +1382,88 @@ impl<'a> Checker<'a> {
                     .get(*m as usize)
                     .is_some_and(|mb| mb.available)
         };
-        let hot_potato = || -> Vec<u32> { members.iter().copied().filter(alive).take(1).collect() };
-        let mut out = match self.view.strategy {
-            StrategyView::HotPotato => hot_potato(),
-            StrategyView::Random => members.iter().copied().filter(alive).collect(),
-            StrategyView::LoadBalanced => {
-                let positive: Vec<u32> = columns
-                    .get((point, policy, next_index))
-                    .map(|c| {
-                        c.weights
-                            .iter()
-                            .filter(|&&(m, v)| v > 0.0 && members.contains(&m))
-                            .map(|&(m, _)| m)
-                            .filter(alive)
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                if positive.is_empty() {
-                    hot_potato()
-                } else {
-                    positive
-                }
+        out.clear();
+        if self.view.strategy == StrategyView::LoadBalanced {
+            if let Some(c) = columns.get((point, policy, next_index)) {
+                out.extend(
+                    c.weights
+                        .iter()
+                        .filter(|&&(m, v)| v > 0.0 && members.contains(&m))
+                        .map(|&(m, _)| m)
+                        .filter(alive),
+                );
             }
+        }
+        let take = match self.view.strategy {
+            StrategyView::Random => usize::MAX,
+            // Load-balanced falls back to hot-potato without a positive
+            // column member.
+            StrategyView::HotPotato | StrategyView::LoadBalanced => 1,
         };
+        if out.is_empty() {
+            out.extend(members.iter().copied().filter(alive).take(take));
+        }
         out.sort_unstable();
         out.dedup();
-        out
     }
 
-    /// Splits `class` by where its sources enter the network: one piece
-    /// per overlapping stub proxy, plus (if any source space is left
-    /// outside every stub) the gateway ingress for external sources.
-    fn ingresses(&self, class: FlowClass) -> Vec<(Ingress, FlowClass)> {
-        let mut out = Vec::new();
-        let mut external_src = vec![class.src];
-        for s in self.stubs.overlapping(class.src) {
+    /// Splits `class` by where its sources enter the network into `out`
+    /// (cleared first): one piece per overlapping stub proxy, plus (if
+    /// any source space is left outside every stub) the gateway ingress
+    /// for external sources. `stubs` is a scratch buffer.
+    fn ingresses(&self, class: FlowClass, stubs: &mut Vec<u32>, out: &mut Vec<(Ingress, FlowClass)>) {
+        out.clear();
+        self.stubs.overlapping(class.src, stubs);
+        for &s in stubs.iter() {
             let subnet = self.view.plan.stub_subnets[s as usize];
             if let Some(src) = prefix_intersect(class.src, subnet) {
                 // Traffic that stays inside the subnet never crosses the
                 // stub's proxy — it is switched locally, outside the
                 // steering fabric this checker models — so peel the
                 // stub's own subnet off the destination space.
-                for dst in prefix_subtract(class.dst, subnet) {
+                prefix_subtract(class.dst, subnet, |dst| {
                     out.push((Ingress::Stub(s), FlowClass { src, dst, ..class }));
-                }
+                });
             }
-            external_src = external_src
-                .into_iter()
-                .flat_map(|p| prefix_subtract(p, subnet))
-                .collect();
         }
-        for src in external_src {
+        let gateways = self.view.gateway_routers.len() as u32;
+        self.stubs.uncovered(class.src, |src| {
             // Sources inside the enterprise but in no stub don't exist;
             // everything else enters through the gateways.
-            if src.is_subset_of(self.view.enterprise) {
-                continue;
+            if !src.is_subset_of(self.view.enterprise) {
+                out.extend((0..gateways).map(|g| (Ingress::Gateway(g), FlowClass { src, ..class })));
             }
-            for (g, _) in self.view.gateway_routers.iter().enumerate() {
-                out.push((Ingress::Gateway(g as u32), FlowClass { src, ..class }));
-            }
-        }
-        out
+        });
     }
 
     /// Classifies where the destination space of `class` can be
-    /// delivered: internal stubs, the external world, or nowhere.
-    fn egresses(&self, class: FlowClass) -> Vec<(Egress, FlowClass)> {
-        let mut out = Vec::new();
-        let mut rest = vec![class.dst];
-        for s in self.stubs.overlapping(class.dst) {
+    /// delivered — internal stubs, the external world, or nowhere — into
+    /// `out` (cleared first). `stubs` is a scratch buffer.
+    fn egresses(&self, class: FlowClass, stubs: &mut Vec<u32>, out: &mut Vec<(Egress, FlowClass)>) {
+        out.clear();
+        self.stubs.overlapping(class.dst, stubs);
+        for &s in stubs.iter() {
             let subnet = self.view.plan.stub_subnets[s as usize];
             if let Some(dst) = prefix_intersect(class.dst, subnet) {
                 out.push((Egress::Stub(s), FlowClass { dst, ..class }));
             }
-            rest = rest
-                .into_iter()
-                .flat_map(|p| prefix_subtract(p, subnet))
-                .collect();
         }
-        for dst in rest {
-            if dst.is_subset_of(self.view.enterprise) {
-                // Enterprise space with no stub behind it: unroutable.
-                continue;
-            }
-            if !self.view.gateway_routers.is_empty() {
+        if self.view.gateway_routers.is_empty() {
+            return;
+        }
+        self.stubs.uncovered(class.dst, |dst| {
+            // Enterprise space with no stub behind it is unroutable.
+            if !dst.is_subset_of(self.view.enterprise) {
                 out.push((Egress::External, FlowClass { dst, ..class }));
             }
-        }
-        out
+        });
     }
 
-    /// Walks one routed leg into the shared buffer.
-    fn walk(&mut self, from: u32, to: u32) -> Leg {
-        self.stats.route_legs_walked += 1;
+    /// Walks one routed leg into the worker's buffer.
+    fn walk(&self, w: &mut Worker, from: u32, to: u32) -> Leg {
+        w.stats.route_legs_walked += 1;
         let budget = self.view.plan.node_count.max(2);
-        walk_into(self.routes, from, to, budget, &mut self.path)
+        walk_into(self.routes, from, to, budget, &mut w.path)
     }
 
     /// Traces the steering stages of `rule` from `ingress`: the strategy's
@@ -1283,18 +1471,20 @@ impl<'a> Checker<'a> {
     /// at `Ok(router)` of the last stage or at the `Err` that stopped it.
     /// What is left of a path — the leg to the egress router — depends on
     /// the class's egress alone, so one staged trace serves every egress
-    /// piece of a peeled class.
+    /// piece of a peeled class. The trace is written into `trace`.
     fn trace_stages(
-        &mut self,
+        &self,
+        w: &mut Worker,
+        trace: &mut PathTrace,
         ingress: Ingress,
         rule: Option<&RuleView>,
-    ) -> (PathTrace, Result<u32, End>) {
+    ) -> Result<u32, End> {
         let view = self.view;
         let chain: &[NetworkFunction] = rule.map(|r| r.chain.as_slice()).unwrap_or(&[]);
         let policy = rule.map(|r| r.policy).unwrap_or(0);
-        let mut trace = PathTrace::default();
+        trace.clear();
         let Some(mut at_router) = view.ingress_router(ingress) else {
-            return (trace, Err(End::NoRoute));
+            return Err(End::NoRoute);
         };
         trace.ingress_router = at_router;
         let mut point = view.ingress_point(ingress);
@@ -1306,17 +1496,18 @@ impl<'a> Checker<'a> {
                     continue;
                 }
             }
-            let support = self.support(point, policy, stage_index as u16, f, &self.columns, false);
-            let Some(&target) = support.first() else {
-                return (trace, Err(End::Blackhole(f)));
+            let next_index = stage_index as u16;
+            self.support(point, policy, next_index, f, &self.columns, false, &mut w.support);
+            let Some(&target) = w.support.first() else {
+                return Err(End::Blackhole(f));
             };
-            trace.support_union.extend(support);
+            trace.support_union.extend_from_slice(&w.support);
             let target_router = view.plan.middleboxes[target as usize].router as u32;
             trace.steps.push(Step::Route(at_router, target_router));
-            match self.walk(at_router, target_router) {
-                Leg::Arrived => trace.router_hops += self.path.len() - 1,
-                Leg::Looped => return (trace, Err(End::Looped)),
-                Leg::Unreachable => return (trace, Err(End::NoRoute)),
+            match self.walk(w, at_router, target_router) {
+                Leg::Arrived => trace.router_hops += w.path.len() - 1,
+                Leg::Looped => return Err(End::Looped),
+                Leg::Unreachable => return Err(End::NoRoute),
             }
             trace.steps.push(Step::Mbox(target));
             trace.stages.push(target);
@@ -1325,43 +1516,87 @@ impl<'a> Checker<'a> {
         }
         trace.support_union.sort_unstable();
         trace.support_union.dedup();
-        (trace, Ok(at_router))
+        Ok(at_router)
     }
 
     /// Streams the (ingress, rule, egress) pieces of the traffic
     /// `src -> dst` — each with a single governing rule, ingress point
     /// and egress kind — through `visit`, one traced class at a time:
-    /// nothing per class outlives its visit. Returns the number of
-    /// classes.
-    fn for_each_class(
-        &mut self,
-        src: Prefix,
-        dst: Prefix,
-        mut visit: impl FnMut(&mut Self, Ingress, FlowClass, Option<&'a RuleView>, &PathTrace, End),
-    ) -> usize {
+    /// nothing per class outlives its visit but what `visit` returns.
+    ///
+    /// This is the one class pipeline. The ingress pieces are cut into
+    /// contiguous chunks, one per worker (`sdm_util::par`); each worker
+    /// traces its chunk with its own [`Worker`] scratch, and the chunks'
+    /// outputs are concatenated in chunk order and their counters summed.
+    /// A class's trace depends only on its piece and the read-only
+    /// [`Checker`], so the [`Pass`] is the same at every worker count.
+    fn for_each_class<T, V>(&self, src: Prefix, dst: Prefix, visit: V) -> Pass<T>
+    where
+        T: Send,
+        V: Fn(&Self, &mut Worker, Ingress, FlowClass, Option<&'a RuleView>, &PathTrace, End) -> Option<T>
+            + Sync,
+    {
+        let mut pieces = Vec::new();
+        self.ingresses(FlowClass::between(src, dst), &mut Vec::new(), &mut pieces);
+        let workers = self
+            .workers
+            .unwrap_or_else(|| thread_count(pieces.len().div_ceil(PIECES_PER_WORKER)))
+            .max(1);
+        let chunk_len = pieces.len().div_ceil(workers).max(1);
+        let chunks: Vec<&[(Ingress, FlowClass)]> = pieces.chunks(chunk_len).collect();
+        let parts = par_map_with(workers, &chunks, |_, chunk| self.trace_pieces(chunk, &visit));
+        let mut pass = Pass {
+            found: Vec::new(),
+            classes: 0,
+            stats: ReachStats::default(),
+        };
+        for part in parts {
+            pass.found.extend(part.found);
+            pass.classes += part.classes;
+            pass.stats.absorb(&part.stats);
+        }
+        pass
+    }
+
+    /// One worker's share of [`Checker::for_each_class`]: `pieces` peeled,
+    /// split by egress, traced and visited in order, every buffer reused
+    /// from one piece to the next.
+    fn trace_pieces<T, V>(&self, pieces: &[(Ingress, FlowClass)], visit: &V) -> Pass<T>
+    where
+        V: Fn(&Self, &mut Worker, Ingress, FlowClass, Option<&'a RuleView>, &PathTrace, End) -> Option<T>,
+    {
         let view = self.view;
+        let mut w = Worker::default();
+        let mut peel_bufs = PeelBufs::default();
+        let mut peeled = Vec::new();
+        let mut egresses = Vec::new();
+        let mut stubs = Vec::new();
+        let mut trace = PathTrace::default();
+        let mut found = Vec::new();
         let mut classes = 0usize;
-        for (ingress, in_class) in self.ingresses(FlowClass::between(src, dst)) {
-            self.stats.ingress_pieces += 1;
-            for (peeled, rule) in view.peel(in_class) {
-                self.stats.peeled_classes += 1;
-                let mut staged: Option<(PathTrace, Result<u32, End>)> = None;
-                for (egress, class) in self.egresses(peeled) {
+        for &(ingress, in_class) in pieces {
+            w.stats.ingress_pieces += 1;
+            view.peel(in_class, &mut peel_bufs, &mut peeled);
+            for &(peeled_class, rule) in &peeled {
+                w.stats.peeled_classes += 1;
+                self.egresses(peeled_class, &mut stubs, &mut egresses);
+                let mut staged: Option<Result<u32, End>> = None;
+                for &(egress, class) in &egresses {
                     classes += 1;
                     let Some(out_router) = egress_router(view, egress) else {
                         continue;
                     };
-                    self.stats.classes_traced += 1;
-                    let (trace, stages) =
-                        staged.get_or_insert_with(|| self.trace_stages(ingress, rule));
+                    w.stats.classes_traced += 1;
+                    let stages = *staged
+                        .get_or_insert_with(|| self.trace_stages(&mut w, &mut trace, ingress, rule));
                     let staged_len = (trace.steps.len(), trace.router_hops);
-                    let end = match *stages {
+                    let end = match stages {
                         Err(end) => end,
                         Ok(at_router) => {
                             trace.steps.push(Step::Route(at_router, out_router));
-                            match self.walk(at_router, out_router) {
+                            match self.walk(&mut w, at_router, out_router) {
                                 Leg::Arrived => {
-                                    trace.router_hops += self.path.len() - 1;
+                                    trace.router_hops += w.path.len() - 1;
                                     trace.steps.push(Step::Deliver(out_router));
                                     End::Delivered
                                 }
@@ -1370,19 +1605,23 @@ impl<'a> Checker<'a> {
                             }
                         }
                     };
-                    visit(self, ingress, class, rule, trace, end);
+                    found.extend(visit(self, &mut w, ingress, class, rule, &trace, end));
                     trace.steps.truncate(staged_len.0);
                     trace.router_hops = staged_len.1;
                 }
             }
         }
-        classes
+        Pass {
+            found,
+            classes,
+            stats: w.stats,
+        }
     }
 
     /// Renders a structural trace as the hop-by-hop witness path of a
     /// finding, walking its routed legs again for their nodes.
-    fn render(&mut self, ingress: Ingress, trace: &PathTrace) -> Vec<String> {
-        self.stats.witnesses_rendered += 1;
+    fn render(&self, w: &mut Worker, ingress: Ingress, trace: &PathTrace) -> Vec<String> {
+        w.stats.witnesses_rendered += 1;
         let mut hops = vec![format!("{ingress}@n{}", trace.ingress_router)];
         for step in &trace.steps {
             hops.push(match *step {
@@ -1392,11 +1631,11 @@ impl<'a> Checker<'a> {
                 Step::Route(from, to) => {
                     // A leg without a route ends its trace unshown, so
                     // only arrivals and loops are ever rendered.
-                    let label = match self.walk(from, to) {
+                    let label = match self.walk(w, from, to) {
                         Leg::Looped => "loop",
                         Leg::Arrived | Leg::Unreachable => "route",
                     };
-                    let nodes: Vec<String> = self.path.iter().map(|n| format!("n{n}")).collect();
+                    let nodes: Vec<String> = w.path.iter().map(|n| format!("n{n}")).collect();
                     format!("{label}[{}]", nodes.join("->"))
                 }
             });
@@ -1413,37 +1652,46 @@ impl<'a> Checker<'a> {
 /// are found through an index built once per call, classes are traced
 /// as they are produced and dropped, and a witness path is rendered only
 /// for a class that becomes a finding ([`ReachReport::stats`] counts
-/// each stage).
+/// each stage). Each assertion's classes are spread over
+/// `sdm_util::par::thread_count` workers (`SDM_THREADS` caps them; a
+/// pass with fewer than 64 ingress pieces per worker uses fewer) that
+/// share the read-only inputs and reuse their own buffers, so a class
+/// costs no allocation. The report — findings, verdicts, `to_json` and
+/// `stats` — is the same at every worker count: outputs are merged in
+/// ingress-piece order and counters summed.
 pub fn check_assertions(
     view: &ReachView,
     routes: &dyn RouteView,
     assertions: &[Assertion],
 ) -> ReachReport {
-    let mut cx = Checker::new(view, routes);
+    run_checks(&Checker::new(view, routes, None), assertions)
+}
+
+/// [`check_assertions`] over a built checker, whose worker count tests
+/// may fix.
+fn run_checks(cx: &Checker<'_>, assertions: &[Assertion]) -> ReachReport {
     let mut findings: Vec<ReachFinding> = Vec::new();
     let mut results: Vec<AssertionResult> = Vec::new();
     let mut flow_classes = 0usize;
+    let mut stats = ReachStats::default();
 
     for assertion in assertions {
-        let before = findings.len();
-        let checked = match assertion {
-            Assertion::Isolated { src, dst } => {
-                check_isolation(&mut cx, *src, *dst, assertion, &mut findings)
-            }
-            Assertion::Waypoint { src, dst, via } => {
-                check_waypoint(&mut cx, *src, *dst, *via, assertion, &mut findings)
-            }
-            Assertion::LoopFree { ttl } => check_loop_free(&mut cx, *ttl, assertion, &mut findings),
+        let pass = match *assertion {
+            Assertion::Isolated { src, dst } => check_isolation(cx, src, dst, assertion),
+            Assertion::Waypoint { src, dst, via } => check_waypoint(cx, src, dst, via, assertion),
+            Assertion::LoopFree { ttl } => check_loop_free(cx, ttl, assertion),
         };
-        flow_classes += checked;
+        flow_classes += pass.classes;
+        stats.absorb(&pass.stats);
         results.push(AssertionResult {
             assertion: assertion.to_string(),
-            holds: findings.len() == before,
-            classes_checked: checked,
+            holds: pass.found.is_empty(),
+            classes_checked: pass.classes,
         });
+        findings.extend(pass.found);
     }
 
-    check_hazards(&cx, &mut findings);
+    check_hazards(cx, &mut findings);
 
     findings.sort_by(|a, b| {
         (a.code, &a.subject, &a.detail).cmp(&(b.code, &b.subject, &b.detail))
@@ -1453,7 +1701,7 @@ pub fn check_assertions(
         results,
         findings,
         flow_classes,
-        stats: cx.stats,
+        stats,
     }
 }
 
@@ -1468,13 +1716,14 @@ pub fn render_all_classes(
     src: Prefix,
     dst: Prefix,
 ) -> Vec<(FlowClass, Vec<String>)> {
-    let mut out = Vec::new();
-    Checker::new(view, routes).for_each_class(src, dst, |cx, ingress, class, _, trace, end| {
-        if matches!(end, End::Delivered | End::Looped) {
-            out.push((class, cx.render(ingress, trace)));
-        }
-    });
-    out
+    render_classes(&Checker::new(view, routes, None), src, dst)
+}
+
+fn render_classes(cx: &Checker<'_>, src: Prefix, dst: Prefix) -> Vec<(FlowClass, Vec<String>)> {
+    cx.for_each_class(src, dst, |cx, w, ingress, class, _, trace, end| {
+        matches!(end, End::Delivered | End::Looped).then(|| (class, cx.render(w, ingress, trace)))
+    })
+    .found
 }
 
 fn egress_router(view: &ReachView, egress: Egress) -> Option<u32> {
@@ -1494,13 +1743,12 @@ fn policy_label(rule: Option<&RuleView>, permit: &str) -> String {
 }
 
 fn check_isolation(
-    cx: &mut Checker<'_>,
+    cx: &Checker<'_>,
     src: Prefix,
     dst: Prefix,
     assertion: &Assertion,
-    findings: &mut Vec<ReachFinding>,
-) -> usize {
-    cx.for_each_class(src, dst, |cx, ingress, class, rule, trace, end| match end {
+) -> Pass<ReachFinding> {
+    cx.for_each_class(src, dst, |cx, w, ingress, class, rule, trace, end| match end {
         End::Delivered => {
             let scenario = make_scenario(
                 cx.view,
@@ -1510,7 +1758,7 @@ fn check_isolation(
                 ReachCode::IsolationBreach,
                 assertion,
             );
-            findings.push(ReachFinding {
+            Some(ReachFinding {
                 code: ReachCode::IsolationBreach,
                 subject: assertion.to_string(),
                 detail: format!(
@@ -1520,30 +1768,29 @@ nothing on its path drops it",
                 ),
                 witness: Some(ReachWitness {
                     class,
-                    path: cx.render(ingress, trace),
+                    path: cx.render(w, ingress, trace),
                     scenario,
                 }),
-            });
+            })
         }
-        End::Blackhole(stage) => findings.push(blackhole_finding(assertion, &class, stage)),
+        End::Blackhole(stage) => Some(blackhole_finding(assertion, &class, stage)),
         // Looping or unroutable traffic is not *delivered*, so the
         // isolation assertion is not refuted by it.
-        End::Looped | End::NoRoute => {}
+        End::Looped | End::NoRoute => None,
     })
 }
 
 fn check_waypoint(
-    cx: &mut Checker<'_>,
+    cx: &Checker<'_>,
     src: Prefix,
     dst: Prefix,
     via: NetworkFunction,
     assertion: &Assertion,
-    findings: &mut Vec<ReachFinding>,
-) -> usize {
-    cx.for_each_class(src, dst, |cx, ingress, class, rule, trace, end| match end {
+) -> Pass<ReachFinding> {
+    cx.for_each_class(src, dst, |cx, w, ingress, class, rule, trace, end| match end {
         End::Delivered => {
             if rule.is_some_and(|r| r.chain.contains(&via)) {
-                return; // every support member of the via stage implements it
+                return None; // every support member of the via stage implements it
             }
             // Delivered without the function on its chain: bypass.
             // The claim "no box implementing `via` processed it" is
@@ -1554,7 +1801,7 @@ fn check_waypoint(
                 .map(|(i, _)| i)
                 .collect();
             let scenario = make_bypass_scenario(cx.view, ingress, &class, trace, &avoided);
-            findings.push(ReachFinding {
+            Some(ReachFinding {
                 code: ReachCode::WaypointBypass,
                 subject: assertion.to_string(),
                 detail: format!(
@@ -1564,22 +1811,17 @@ whose chain does not include {via}",
                 ),
                 witness: Some(ReachWitness {
                     class,
-                    path: cx.render(ingress, trace),
+                    path: cx.render(w, ingress, trace),
                     scenario,
                 }),
-            });
+            })
         }
-        End::Blackhole(stage) => findings.push(blackhole_finding(assertion, &class, stage)),
-        End::Looped | End::NoRoute => {}
+        End::Blackhole(stage) => Some(blackhole_finding(assertion, &class, stage)),
+        End::Looped | End::NoRoute => None,
     })
 }
 
-fn check_loop_free(
-    cx: &mut Checker<'_>,
-    ttl: u32,
-    assertion: &Assertion,
-    findings: &mut Vec<ReachFinding>,
-) -> usize {
+fn check_loop_free(cx: &Checker<'_>, ttl: u32, assertion: &Assertion) -> Pass<ReachFinding> {
     // Loop freedom quantifies over *all* enforced traffic: check every
     // policy rule's class from every ingress it can enter at, plus the
     // default-permit class between every stub pair is covered by the
@@ -1587,7 +1829,7 @@ fn check_loop_free(
     // shortest paths, which are loop-free iff the routed walks are — and
     // those are exercised by the per-rule traces below plus V005's
     // tunnel-edge walks).
-    cx.for_each_class(Prefix::ANY, Prefix::ANY, |cx, ingress, class, _, trace, end| {
+    cx.for_each_class(Prefix::ANY, Prefix::ANY, |cx, w, ingress, class, _, trace, end| {
         let detail = match end {
             End::Delivered if trace.router_hops as u32 > ttl => format!(
                 "flow class {class} from {ingress} needs {} router hops, \
@@ -1598,21 +1840,19 @@ exceeding the ttl budget {ttl}",
                 "flow class {class} from {ingress} enters a routed \
 forwarding loop; packets die by TTL, never by delivery"
             ),
-            End::Blackhole(stage) => {
-                return findings.push(blackhole_finding(assertion, &class, stage));
-            }
-            End::Delivered | End::NoRoute => return,
+            End::Blackhole(stage) => return Some(blackhole_finding(assertion, &class, stage)),
+            End::Delivered | End::NoRoute => return None,
         };
-        findings.push(ReachFinding {
+        Some(ReachFinding {
             code: ReachCode::TtlExceeded,
             subject: assertion.to_string(),
             detail,
             witness: Some(ReachWitness {
                 class,
-                path: cx.render(ingress, trace),
+                path: cx.render(w, ingress, trace),
                 scenario: None,
             }),
-        });
+        })
     })
 }
 
@@ -1669,11 +1909,13 @@ its flow entry expires after {}; a reallocated label can collide with the stale 
     }
     let prev_columns = hazards.prev_weights.as_ref().map(|w| columns(Some(w)));
     let prev_columns = prev_columns.as_ref().unwrap_or(&cx.columns);
+    let (mut stubs, mut ingresses, mut prev_support) = (Vec::new(), Vec::new(), Vec::new());
     for rule in view.rules.iter().filter(|r| !r.chain.is_empty()) {
-        for (ingress, class) in cx.ingresses(rule.class) {
+        cx.ingresses(rule.class, &mut stubs, &mut ingresses);
+        for &(ingress, class) in &ingresses {
             let point = view.ingress_point(ingress);
             let f = rule.chain[0];
-            let prev_support = cx.support(point, rule.policy, 0, f, prev_columns, true);
+            cx.support(point, rule.policy, 0, f, prev_columns, true, &mut prev_support);
             let stale: Vec<u32> = prev_support
                 .iter()
                 .copied()
@@ -1869,11 +2111,18 @@ mod tests {
 
     // -- flow-class algebra --------------------------------------------
 
+    /// The pieces [`prefix_subtract`] emits, collected.
+    fn prefix_pieces(a: Prefix, b: Prefix) -> Vec<Prefix> {
+        let mut out = Vec::new();
+        prefix_subtract(a, b, |p| out.push(p));
+        out
+    }
+
     #[test]
     fn prefix_subtract_peels_siblings() {
         let a = prefix("10.0.0.0/8");
         let b = prefix("10.0.48.0/20");
-        let pieces = prefix_subtract(a, b);
+        let pieces = prefix_pieces(a, b);
         // 12 sibling prefixes (one per bit between /8 and /20).
         assert_eq!(pieces.len(), 12);
         // Disjoint, none contains b, and together with b they cover a.
@@ -1883,49 +2132,258 @@ mod tests {
             assert!(!p.overlaps(b), "{p} overlaps {b}");
             assert!(p.is_subset_of(a));
         }
-        assert!(prefix_subtract(b, a).is_empty());
-        assert_eq!(prefix_subtract(b, prefix("11.0.0.0/8")), vec![b]);
+        assert!(prefix_pieces(b, a).is_empty());
+        assert_eq!(prefix_pieces(b, prefix("11.0.0.0/8")), vec![b]);
+    }
+
+    // The class algebra as it was before it wrote into caller-owned
+    // buffers, kept verbatim as the reference the properties compare
+    // against.
+
+    fn prefix_subtract_ref(a: Prefix, b: Prefix) -> Vec<Prefix> {
+        if !a.overlaps(b) {
+            return vec![a];
+        }
+        if a.is_subset_of(b) {
+            return Vec::new();
+        }
+        // b is a strict subset of a: peel siblings.
+        let mut out = Vec::new();
+        let mut cur = a;
+        while cur.len() < b.len() {
+            let child_len = cur.len() + 1;
+            let bit = 1u32 << (32 - child_len as u32);
+            let low = Prefix::new(cur.addr(), child_len);
+            let high = Prefix::new(Ipv4Addr(cur.addr().0 | bit), child_len);
+            if b.addr().0 & bit == 0 {
+                out.push(high);
+                cur = low;
+            } else {
+                out.push(low);
+                cur = high;
+            }
+        }
+        out.sort_by_key(|p| (p.addr().0, p.len()));
+        out
+    }
+
+    fn interval_subtract_ref(a: (u16, u16), b: (u16, u16)) -> Vec<(u16, u16)> {
+        if b.1 < a.0 || b.0 > a.1 {
+            return vec![a];
+        }
+        let mut out = Vec::new();
+        if b.0 > a.0 {
+            out.push((a.0, b.0 - 1));
+        }
+        if b.1 < a.1 {
+            out.push((b.1 + 1, a.1));
+        }
+        out
+    }
+
+    impl FlowClass {
+        fn subtract_ref(&self, other: &FlowClass) -> Vec<FlowClass> {
+            let Some(_) = self.intersect(other) else {
+                return vec![*self];
+            };
+            let mut out: Vec<FlowClass> = Vec::new();
+            // Field 1: src addresses outside other.src.
+            for p in prefix_subtract_ref(self.src, other.src) {
+                out.push(FlowClass { src: p, ..*self });
+            }
+            let src = match prefix_intersect(self.src, other.src) {
+                Some(p) => p,
+                None => {
+                    out.sort();
+                    return out;
+                }
+            };
+            // Field 2: dst addresses outside other.dst (src already narrowed).
+            for p in prefix_subtract_ref(self.dst, other.dst) {
+                out.push(FlowClass { src, dst: p, ..*self });
+            }
+            let Some(dst) = prefix_intersect(self.dst, other.dst) else {
+                out.sort();
+                return out;
+            };
+            // Field 3: source ports.
+            for iv in interval_subtract_ref(self.src_ports, other.src_ports) {
+                out.push(FlowClass {
+                    src,
+                    dst,
+                    src_ports: iv,
+                    ..*self
+                });
+            }
+            let Some(src_ports) = interval_intersect(self.src_ports, other.src_ports) else {
+                out.sort();
+                return out;
+            };
+            // Field 4: destination ports.
+            for iv in interval_subtract_ref(self.dst_ports, other.dst_ports) {
+                out.push(FlowClass {
+                    src,
+                    dst,
+                    src_ports,
+                    dst_ports: iv,
+                    ..*self
+                });
+            }
+            let Some(dst_ports) = interval_intersect(self.dst_ports, other.dst_ports) else {
+                out.sort();
+                return out;
+            };
+            // Field 5: protocols.
+            let protos = self.protos.subtract(other.protos);
+            if !protos.is_empty() {
+                out.push(FlowClass {
+                    src,
+                    dst,
+                    src_ports,
+                    dst_ports,
+                    protos,
+                });
+            }
+            out.sort();
+            out
+        }
+    }
+
+    impl ReachView {
+        fn peel_ref(&self, class: FlowClass) -> Vec<(FlowClass, Option<&RuleView>)> {
+            let mut remaining = vec![class];
+            let mut out: Vec<(FlowClass, Option<&RuleView>)> = Vec::new();
+            for rule in &self.rules {
+                let mut next_remaining = Vec::new();
+                for piece in remaining {
+                    if let Some(hit) = piece.intersect(&rule.class) {
+                        out.push((hit, Some(rule)));
+                    }
+                    next_remaining.extend(piece.subtract_ref(&rule.class));
+                }
+                remaining = next_remaining;
+                if remaining.is_empty() {
+                    break;
+                }
+            }
+            for piece in remaining {
+                out.push((piece, None));
+            }
+            out
+        }
+    }
+
+    /// A class from small numbers: pool prefixes (nested, equal and
+    /// neighbouring ones likely, lengths 0–32), port intervals with ends
+    /// drawn from corners that touch 0 and 65535, and any, TCP or UDP.
+    type ClassSpec = ((u8, u8), (u8, u8), (u8, u8), (u8, u8), u8);
+
+    fn pool_class((src, dst, src_ports, dst_ports, proto): ClassSpec) -> FlowClass {
+        const PORTS: [u16; 9] = [0, 1, 79, 80, 81, 1023, 1024, 65534, 65535];
+        let interval = |(a, b): (u8, u8)| {
+            let (a, b) = (PORTS[a as usize % PORTS.len()], PORTS[b as usize % PORTS.len()]);
+            (a.min(b), a.max(b))
+        };
+        FlowClass {
+            src: pool_prefix(src),
+            dst: pool_prefix(dst),
+            src_ports: interval(src_ports),
+            dst_ports: interval(dst_ports),
+            protos: match proto % 4 {
+                0 | 1 => ProtoSet::ANY,
+                2 => ProtoSet::single(6),
+                _ => ProtoSet::single(17),
+            },
+        }
+    }
+
+    fn gen_spec(rng: &mut sdm_util::StdRng) -> ClassSpec {
+        let mut pair = || (rng.next_u32() as u8, rng.next_u32() as u8);
+        (pair(), pair(), pair(), pair(), rng.next_u32() as u8)
+    }
+
+    /// The number of five-tuples in `c`.
+    fn volume(c: &FlowClass) -> u128 {
+        let prefix = |p: Prefix| 1u128 << (32 - p.len());
+        let ports = |(lo, hi): (u16, u16)| u128::from(hi - lo) + 1;
+        let protos: u32 = c.protos.0.iter().map(|w| w.count_ones()).sum();
+        prefix(c.src) * prefix(c.dst) * ports(c.src_ports) * ports(c.dst_ports) * u128::from(protos)
     }
 
     #[test]
     fn class_subtract_is_disjoint_and_covering() {
-        let a = FlowClass::between(prefix("10.0.0.0/16"), Prefix::ANY);
-        let b = FlowClass {
-            src: prefix("10.0.1.0/24"),
-            dst: Prefix::ANY,
-            src_ports: (0, 1023),
-            dst_ports: (80, 80),
-            protos: ProtoSet::single(6),
-        };
-        let pieces = a.subtract(&b);
-        // No piece intersects b.
-        for p in &pieces {
-            assert!(p.intersect(&b).is_none(), "{p} intersects {b}");
-        }
-        // A member of a \ b is in exactly one piece; a member of a ∩ b in none.
-        let inside = FiveTuple {
-            src: "10.0.1.5".parse().unwrap(),
-            dst: "10.9.9.9".parse().unwrap(),
-            src_port: 100,
-            dst_port: 80,
-            proto: protocol_from_number(6),
-        };
-        let outside = FiveTuple {
-            src: "10.0.1.5".parse().unwrap(),
-            dst: "10.9.9.9".parse().unwrap(),
-            src_port: 100,
-            dst_port: 443,
-            proto: protocol_from_number(6),
-        };
-        let member = |c: &FlowClass, t: &FiveTuple| {
-            c.src.contains(t.src)
-                && c.dst.contains(t.dst)
-                && (c.src_ports.0..=c.src_ports.1).contains(&t.src_port)
-                && (c.dst_ports.0..=c.dst_ports.1).contains(&t.dst_port)
-                && c.protos.contains(t.proto.number())
-        };
-        assert_eq!(pieces.iter().filter(|p| member(p, &inside)).count(), 0);
-        assert_eq!(pieces.iter().filter(|p| member(p, &outside)).count(), 1);
+        use sdm_util::prop::{check, Config};
+        check(
+            "a.subtract(b) partitions a \\ b",
+            &Config::with_cases(2_000),
+            |rng| (gen_spec(rng), gen_spec(rng)),
+            |&(a, b)| {
+                let (a, b) = (pool_class(a), pool_class(b));
+                let pieces = a.subtract(&b);
+                for (i, p) in pieces.iter().enumerate() {
+                    sdm_util::prop_assert_eq!(p.intersect(&a), Some(*p), "{p} lies inside {a}");
+                    sdm_util::prop_assert!(p.intersect(&b).is_none(), "{p} intersects {b}");
+                    for q in &pieces[i + 1..] {
+                        sdm_util::prop_assert!(p.intersect(q).is_none(), "{p} overlaps {q}");
+                    }
+                }
+                // Disjoint pieces inside a \ b whose sizes add up to it
+                // cover it.
+                let meet = a.intersect(&b).map_or(0, |m| volume(&m));
+                let covered: u128 = pieces.iter().map(volume).sum();
+                sdm_util::prop_assert_eq!(covered + meet, volume(&a));
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn buffered_class_algebra_equals_the_reference() {
+        use sdm_util::prop::{check, Config};
+        check(
+            "subtract / prefix_subtract / interval_subtract / peel == reference",
+            &Config::with_cases(2_000),
+            |rng| {
+                let rules = rng.gen_range(0..8usize);
+                (gen_spec(rng), gen_spec(rng), (0..rules).map(|_| gen_spec(rng)).collect::<Vec<_>>())
+            },
+            |(a, b, rules)| {
+                let (a, b) = (pool_class(*a), pool_class(*b));
+                for (x, y) in [(a.src, b.src), (a.dst, b.dst), (a.src, b.dst), (b.src, a.src)] {
+                    sdm_util::prop_assert_eq!(prefix_pieces(x, y), prefix_subtract_ref(x, y), "{x} \\ {y}");
+                }
+                for (x, y) in [(a.src_ports, b.src_ports), (a.dst_ports, b.dst_ports)] {
+                    let mut got = Vec::new();
+                    interval_subtract(x, y, |iv| got.push(iv));
+                    sdm_util::prop_assert_eq!(got, interval_subtract_ref(x, y));
+                }
+                sdm_util::prop_assert_eq!(a.subtract(&b), a.subtract_ref(&b), "{a} \\ {b}");
+                // Appending leaves what the buffer held alone.
+                let mut out = vec![b];
+                a.subtract_into(&b, &mut out);
+                sdm_util::prop_assert_eq!(out[0], b);
+                sdm_util::prop_assert_eq!(out[1..].to_vec(), a.subtract_ref(&b));
+
+                let (view, _) = line_view();
+                let view = ReachView {
+                    rules: (0u32..)
+                        .zip(rules)
+                        .map(|(policy, &spec)| RuleView { policy, class: pool_class(spec), chain: Vec::new() })
+                        .collect(),
+                    ..view
+                };
+                let tagged = |pieces: &[(FlowClass, Option<&RuleView>)]| -> Vec<(FlowClass, Option<u32>)> {
+                    pieces.iter().map(|&(c, r)| (c, r.map(|r| r.policy))).collect()
+                };
+                // One set of buffers, reused across classes.
+                let (mut bufs, mut peeled) = (PeelBufs::default(), Vec::new());
+                for class in [a, b, FlowClass::any()] {
+                    view.peel(class, &mut bufs, &mut peeled);
+                    sdm_util::prop_assert_eq!(tagged(&peeled), tagged(&view.peel_ref(class)), "peel {class}");
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]
@@ -1983,10 +2441,71 @@ loop-free ttl 64   # trailing comment
 
     #[test]
     fn assertion_parse_errors_name_the_line() {
-        let err = parse_assertions("isolate 10.0.0.0/20 10.0.48.0/20").unwrap_err();
-        assert!(err.contains("line 1"), "{err}");
-        let err = parse_assertions("waypoint * -> * via BOGUS").unwrap_err();
-        assert!(err.contains("unknown network function"), "{err}");
+        // (text, line, column, what the message says)
+        let cases = [
+            ("isolate 10.0.0.0/20 10.0.48.0/20", 1, 21, "expected '->', found '10.0.48.0/20'"),
+            ("waypoint * -> * via BOGUS", 1, 21, "unknown network function 'BOGUS'"),
+            ("waypoint * -> * by FW", 1, 17, "expected 'via', found 'by'"),
+            ("# header\n\nisolate 10.0.0.0/33 -> *", 3, 9, "'10.0.0.0/33' is not an address prefix"),
+            ("loop-free ttl 64\n  isolate * -> * extra  # comment", 2, 18, "unexpected 'extra'"),
+            ("frobnicate * -> *", 1, 1, "unrecognized assertion 'frobnicate'"),
+            ("isolate 10.0.0.0/20", 1, 20, "missing '->'"),
+            ("isolate 10.0.0.0/20 ->  # no destination", 1, 23, "missing destination prefix"),
+            ("loop-free ttl sixty", 1, 15, "bad ttl 'sixty'"),
+            ("loop-free", 1, 10, "missing 'ttl'"),
+            ("\tisolate é -> *", 1, 10, "'é' is not an address prefix"),
+        ];
+        for (text, line, column, message) in cases {
+            let err = parse_assertions_at(text).unwrap_err();
+            assert_eq!((err.line, err.column), (line, column), "{text:?}: {err}");
+            assert!(err.message.contains(message), "{text:?}: {err}");
+            let shown = parse_assertions(text).unwrap_err();
+            assert!(shown.starts_with(&format!("line {line}, column {column}: ")), "{shown}");
+        }
+    }
+
+    #[test]
+    fn mutated_assertion_files_never_panic_and_errors_point_inside_them() {
+        use sdm_util::prop::{check, Config};
+        const FILES: [&str; 2] = [
+            include_str!("../../../results/assertions_campus.txt"),
+            include_str!("../../../results/assertions_hier.txt"),
+        ];
+        // Bytes the grammar cares about, and ones that break UTF-8.
+        const BYTES: &[u8] = b" \t\r\n#*->/.0123456789abcdefviaFWIDSttl\xc3\xa9\xff";
+        check(
+            "parse_assertions over byte-mutated assertion files",
+            &Config::with_cases(2_000),
+            |rng| {
+                let n = rng.gen_range(1..9usize);
+                let mutations: Vec<(u8, u16, u8)> = (0..n)
+                    .map(|_| (rng.next_u32() as u8, rng.next_u32() as u16, rng.next_u32() as u8))
+                    .collect();
+                (rng.next_u32() as u8, mutations)
+            },
+            |(file, mutations)| {
+                let mut bytes = FILES[*file as usize % FILES.len()].as_bytes().to_vec();
+                for &(kind, at, byte) in mutations {
+                    let at = at as usize % (bytes.len() + 1);
+                    match kind % 3 {
+                        0 => bytes.insert(at, BYTES[byte as usize % BYTES.len()]),
+                        1 if at < bytes.len() => {
+                            bytes.remove(at);
+                        }
+                        2 if at < bytes.len() => bytes[at] ^= 1 << (byte % 8),
+                        _ => {}
+                    }
+                }
+                let text = String::from_utf8_lossy(&bytes);
+                if let Err(e) = parse_assertions_at(&text) {
+                    let line = text.lines().nth(e.line.wrapping_sub(1));
+                    sdm_util::prop_assert!(line.is_some(), "{e}: the text has {} lines", text.lines().count());
+                    let chars = line.unwrap_or_default().chars().count();
+                    sdm_util::prop_assert!((1..=chars + 1).contains(&e.column), "{e}: the line has {chars} characters");
+                }
+                Ok(())
+            },
+        );
     }
 
     // -- walk_route ----------------------------------------------------
@@ -2383,7 +2902,7 @@ loop-free ttl 64   # trailing comment
                     // stub's proxy — it is switched locally, outside the
                     // steering fabric this checker models — so peel the
                     // stub's own subnet off the destination space.
-                    for dst in prefix_subtract(class.dst, *subnet) {
+                    for dst in prefix_subtract_ref(class.dst, *subnet) {
                         out.push((
                             Ingress::Stub(s as u32),
                             FlowClass { src, dst, ..class },
@@ -2392,7 +2911,7 @@ loop-free ttl 64   # trailing comment
                 }
                 external_src = external_src
                     .into_iter()
-                    .flat_map(|p| prefix_subtract(p, *subnet))
+                    .flat_map(|p| prefix_subtract_ref(p, *subnet))
                     .collect();
             }
             for src in external_src {
@@ -2417,7 +2936,7 @@ loop-free ttl 64   # trailing comment
                 }
                 rest = rest
                     .into_iter()
-                    .flat_map(|p| prefix_subtract(p, *subnet))
+                    .flat_map(|p| prefix_subtract_ref(p, *subnet))
                     .collect();
             }
             for dst in rest {
@@ -2449,8 +2968,9 @@ loop-free ttl 64   # trailing comment
             format!("{label}[{}]", nodes.join("->"))
         };
         let mut out = Vec::new();
+        let mut support = Vec::new();
         for (ingress, in_class) in view.ingresses_ref(FlowClass::between(src, dst)) {
-            for (peeled, rule) in view.peel(in_class) {
+            for (peeled, rule) in view.peel_ref(in_class) {
                 'class: for (egress, class) in view.egresses_ref(peeled) {
                     let Some(egress_router) = egress_router(view, egress) else {
                         continue;
@@ -2469,8 +2989,8 @@ loop-free ttl 64   # trailing comment
                                 continue;
                             }
                         }
-                        let support =
-                            cx.support(point, policy, stage_index as u16, f, &cx.columns, false);
+                        let next_index = stage_index as u16;
+                        cx.support(point, policy, next_index, f, &cx.columns, false, &mut support);
                         let Some(&target) = support.first() else {
                             continue 'class;
                         };
@@ -2555,7 +3075,7 @@ loop-free ttl 64   # trailing comment
                         view.stub_routers.extend([2, 3]);
                     }
                 }
-                let cx = Checker::new(&view, &routes);
+                let cx = Checker::new(&view, &routes, None);
                 let eager = rendered_classes_ref(&cx, Prefix::ANY, Prefix::ANY);
                 let lazy = render_all_classes(&view, &routes, Prefix::ANY, Prefix::ANY);
                 assert_eq!(lazy, eager, "{strategy:?} variant {variant}");
@@ -2624,18 +3144,33 @@ loop-free ttl 64   # trailing comment
                     hazards: None,
                 };
                 let routes = TableRoutes { next: Vec::new() };
-                let cx = Checker::new(&view, &routes);
+                let cx = Checker::new(&view, &routes, None);
                 let class = FlowClass::between(pool_prefix(*src), pool_prefix(*dst));
-                sdm_util::prop_assert_eq!(cx.ingresses(class), view.ingresses_ref(class));
-                sdm_util::prop_assert_eq!(cx.egresses(class), view.egresses_ref(class));
-                // The same through the overlap query alone.
+                // Buffers that held something else before: each split
+                // clears what it writes.
+                let mut stubs = vec![7];
+                let mut ingresses = vec![(Ingress::Gateway(9), FlowClass::any())];
+                let mut egresses = vec![(Egress::External, FlowClass::any())];
+                cx.ingresses(class, &mut stubs, &mut ingresses);
+                sdm_util::prop_assert_eq!(ingresses, view.ingresses_ref(class));
+                cx.egresses(class, &mut stubs, &mut egresses);
+                sdm_util::prop_assert_eq!(egresses, view.egresses_ref(class));
+                // The same through the overlap and remainder queries alone.
                 for q in [class.src, class.dst] {
                     let brute: Vec<u32> = (0u32..)
                         .zip(&view.plan.stub_subnets)
                         .filter(|(_, p)| p.overlaps(q))
                         .map(|(s, _)| s)
                         .collect();
-                    sdm_util::prop_assert_eq!(cx.stubs.overlapping(q), brute);
+                    cx.stubs.overlapping(q, &mut stubs);
+                    sdm_util::prop_assert_eq!(stubs, brute);
+                    let mut rest = vec![q];
+                    for subnet in &view.plan.stub_subnets {
+                        rest = rest.into_iter().flat_map(|p| prefix_subtract_ref(p, *subnet)).collect();
+                    }
+                    let mut uncovered = Vec::new();
+                    cx.stubs.uncovered(q, |p| uncovered.push(p));
+                    sdm_util::prop_assert_eq!(uncovered, rest, "what {q} keeps");
                 }
                 Ok(())
             },
@@ -2678,7 +3213,7 @@ loop-free ttl 64   # trailing comment
                         })
                         .collect(),
                 };
-                let cx = Checker::new(&view, &routes);
+                let cx = Checker::new(&view, &routes, None);
                 let cols = columns(Some(&weights));
                 for point in points {
                     for (f, function) in [Firewall, Ids].into_iter().enumerate() {
@@ -2699,5 +3234,174 @@ loop-free ttl 64   # trailing comment
                 Ok(())
             },
         );
+    }
+
+    // -- the fan-out: one report at every worker count -----------------
+
+    /// An eight-router ring with four stubs, a gateway and three boxes,
+    /// routed the shorter way round (clockwise on a tie):
+    ///
+    ///   n0 (s0) - n1 [m0 FW] - n2 (s1) - n3 [m2 IDS] - n4 (s2) -
+    ///   n5 [m1 FW] - n6 (s3) - n7 (gateway) - back to n0
+    ///
+    /// Policies: p0 s0 -> s2 via FW; p1 s1 -> * tcp/80 via FW, IDS;
+    /// p2 * -> s3 via IDS.
+    fn ring_view() -> (ReachView, TableRoutes) {
+        const N: u32 = 8;
+        let subnets: Vec<Prefix> = (0..4).map(|s| prefix(&format!("10.0.{}.0/20", s * 16))).collect();
+        let mbox = |functions: Vec<NetworkFunction>, router: usize, i: u8| MboxView {
+            functions,
+            router,
+            capacity: 1.0,
+            available: true,
+            addr: Ipv4Addr::from_octets([172, 16, 0, 1 + i]),
+        };
+        let mut candidates = Vec::new();
+        for point in (0..4).map(Point::Proxy).chain([Point::Gateway(0)]) {
+            candidates.push(CandidateSet { point, function: Firewall, members: vec![0, 1] });
+            candidates.push(CandidateSet { point, function: Ids, members: vec![2] });
+        }
+        for m in 0..2 {
+            candidates.push(CandidateSet { point: Point::Middlebox(m), function: Ids, members: vec![2] });
+        }
+        let chain = |policy: u32, chain: Vec<NetworkFunction>| ChainView { policy, chain };
+        let plan = PlanView {
+            node_count: N as usize,
+            stub_subnets: subnets.clone(),
+            gateway_count: 1,
+            middleboxes: vec![
+                mbox(vec![Firewall], 1, 0),
+                mbox(vec![Firewall], 5, 1),
+                mbox(vec![Ids], 3, 2),
+            ],
+            policies: vec![
+                chain(0, vec![Firewall]),
+                chain(1, vec![Firewall, Ids]),
+                chain(2, vec![Ids]),
+            ],
+            k: vec![(Firewall, 2), (Ids, 1)],
+            candidates,
+            weights: None,
+            options: Some(OptionsView { flow_ttl: 1_000, label_ttl: 1_000, mtu: 1500 }),
+        };
+        let web = FlowClass {
+            dst_ports: (80, 80),
+            protos: ProtoSet::single(6),
+            ..FlowClass::between(subnets[1], Prefix::ANY)
+        };
+        let rule = |policy: u32, class: FlowClass, chain: Vec<NetworkFunction>| RuleView { policy, class, chain };
+        let view = ReachView {
+            plan,
+            rules: vec![
+                rule(0, FlowClass::between(subnets[0], subnets[2]), vec![Firewall]),
+                rule(1, web, vec![Firewall, Ids]),
+                rule(2, FlowClass::between(Prefix::ANY, subnets[3]), vec![Ids]),
+            ],
+            stub_routers: vec![0, 2, 4, 6],
+            gateway_routers: vec![7],
+            enterprise: prefix("10.0.0.0/8"),
+            strategy: StrategyView::HotPotato,
+            hazards: None,
+        };
+        let mut next = vec![vec![None; N as usize]; N as usize];
+        for from in 0..N {
+            for dst in (0..N).filter(|&d| d != from) {
+                let clockwise = (dst + N - from) % N;
+                next[from as usize][dst as usize] =
+                    Some(if clockwise <= N / 2 { (from + 1) % N } else { (from + N - 1) % N });
+            }
+        }
+        (view, TableRoutes { next })
+    }
+
+    /// The line deployment behind 25 stubs: nested, duplicate and
+    /// neighbouring subnets, a `/16` over the original `/20`s, routers
+    /// spread along the line, and every other new proxy without
+    /// candidates (its chained classes blackhole).
+    fn many_stub_view() -> (ReachView, TableRoutes) {
+        let (mut view, routes) = line_view();
+        let extra = [
+            "10.0.0.0/16", "10.0.16.0/20", "10.0.17.0/24", "10.0.32.0/20", "10.0.32.0/20",
+            "10.0.48.0/21", "10.0.56.0/21", "10.1.0.0/16", "10.1.0.0/17", "10.0.64.0/18",
+            "10.0.128.0/20", "10.0.144.0/20", "10.0.144.0/24", "10.0.145.0/24", "10.2.0.0/15",
+            "10.0.0.0/20", "10.0.160.0/19", "10.0.192.0/20", "10.0.208.0/20", "10.0.224.0/19",
+            "10.4.0.0/14", "10.4.0.0/32", "10.3.0.0/23",
+        ];
+        for (i, p) in (0u32..).zip(extra) {
+            let stub = view.plan.stub_subnets.len() as u32;
+            view.plan.stub_subnets.push(prefix(p));
+            view.stub_routers.push([0, 4, 2, 3, 1][i as usize % 5]);
+            if i % 2 == 0 {
+                view.plan.candidates.push(CandidateSet { point: Point::Proxy(stub), function: Firewall, members: vec![1, 0] });
+                view.plan.candidates.push(CandidateSet { point: Point::Proxy(stub), function: Ids, members: vec![2] });
+            }
+        }
+        view.rules.push(RuleView {
+            policy: 1,
+            class: FlowClass {
+                dst_ports: (0, 1023),
+                ..FlowClass::between(prefix("10.0.0.0/16"), prefix("10.1.0.0/16"))
+            },
+            chain: vec![Ids, Firewall],
+        });
+        (view, routes)
+    }
+
+    #[test]
+    fn reports_do_not_depend_on_the_worker_count() {
+        let assertions = parse_assertions(
+            "loop-free ttl 64\nloop-free ttl 3\nisolate * -> *\n\
+             isolate 10.0.0.0/20 -> 192.168.0.0/16\nwaypoint * -> * via FW\n\
+             waypoint 10.0.0.0/16 -> 10.0.16.0/20 via IDS",
+        )
+        .unwrap();
+        let column = |point, policy, weights| WeightColumn { point, policy, next_index: 0, weights };
+        let weights = WeightsView {
+            lambda: 1.0,
+            columns: (0..4)
+                .map(Point::Proxy)
+                .chain([Point::Gateway(0)])
+                .flat_map(|p| [column(p, 0, vec![(0, 0.0), (1, 0.7)]), column(p, 1, vec![(0, 0.5), (1, 0.5)])])
+                .collect(),
+        };
+        type Fixture = fn() -> (ReachView, TableRoutes);
+        let fixtures: [(&str, Fixture); 3] =
+            [("line", line_view), ("ring", ring_view), ("many-stub", many_stub_view)];
+        let mut worlds = Vec::new();
+        for (name, build) in fixtures {
+            for strategy in [StrategyView::HotPotato, StrategyView::Random, StrategyView::LoadBalanced] {
+                let (mut view, routes) = build();
+                view.strategy = strategy;
+                view.plan.weights = Some(weights.clone());
+                worlds.push((format!("{name} {strategy:?}"), view, routes));
+            }
+            // Flows pinned under the previous weights to a box that has
+            // since failed, and label entries outliving flow entries.
+            let (mut view, routes) = build();
+            view.plan.middleboxes[0].available = false;
+            view.plan.options = Some(OptionsView { flow_ttl: 100, label_ttl: 1_000, mtu: 1500 });
+            view.hazards = Some(HazardView { prev_weights: Some(weights.clone()), failed_now: vec![0] });
+            worlds.push((format!("{name} hazard"), view, routes));
+        }
+        let mut piece_counts = Vec::new();
+        for (name, view, routes) in &worlds {
+            let on = |workers| Checker::new(view, routes, Some(workers));
+            let one = run_checks(&on(1), &assertions);
+            let rendered = render_classes(&on(1), Prefix::ANY, Prefix::ANY);
+            assert!(!one.findings.is_empty() && !rendered.is_empty(), "{name}");
+            let mut pieces = Vec::new();
+            on(1).ingresses(FlowClass::any(), &mut Vec::new(), &mut pieces);
+            piece_counts.push(pieces.len());
+            for workers in [2, 3, 8] {
+                let many = run_checks(&on(workers), &assertions);
+                let at = format!("{name} at {workers} workers");
+                assert_eq!(many.to_json().to_string(), one.to_json().to_string(), "{at}");
+                assert_eq!(many.stats, one.stats, "{at}");
+                assert_eq!(render_classes(&on(workers), Prefix::ANY, Prefix::ANY), rendered, "{at}");
+            }
+        }
+        // Chunks of unequal length are covered.
+        assert!(piece_counts.iter().any(|n| n % 3 != 0), "{piece_counts:?}");
+        assert!(piece_counts.iter().any(|n| n % 8 != 0), "{piece_counts:?}");
     }
 }
