@@ -8,7 +8,9 @@
 //! on the hierarchical fabric the first check also pays the on-demand
 //! per-destination Dijkstra fills, reported separately as
 //! `hier_check_cold`). `hier_build` is the one-off cost of generating the
-//! 21k-node fabric and assembling its symbolic view. The recorded
+//! 21k-node fabric, building its `Controller` (addressing, candidate sets
+//! and the structural plan verification `Controller::new` runs) and
+//! extracting its symbolic view. The recorded
 //! `*_flow_classes` counters are the number of symbolic classes examined
 //! — the checker's work unit; no packet is ever enumerated.
 
@@ -33,7 +35,7 @@ fn main() {
         ("waxman", ExperimentConfig::waxman(1)),
     ] {
         let wr = world_reach(&cfg);
-        let routes = wr.world.controller.routes();
+        let routes = wr.controller.routes();
         let report = check_assertions(&wr.view, routes, &assertions);
         runner.record(
             &format!("{name}_flow_classes"),
@@ -46,16 +48,16 @@ fn main() {
 
     let assertions = parse_assertions(HIER_ASSERTS).expect("hier assertions parse");
     let t = Instant::now();
-    let hr = hier_reach(1);
+    let wr = hier_reach(1);
     runner.record("hier_build", t.elapsed().as_nanos() as f64);
 
-    let routes = hr.plan.topology().routing_tables();
+    let routes = wr.controller.routes();
     let t = Instant::now();
-    let report = check_assertions(&hr.view, &routes, &assertions);
+    let report = check_assertions(&wr.view, routes, &assertions);
     runner.record("hier_check_cold", t.elapsed().as_nanos() as f64);
     runner.record("hier_flow_classes", report.flow_classes as f64);
     runner.bench("hier_check", || {
-        check_assertions(&hr.view, &routes, &assertions)
+        check_assertions(&wr.view, routes, &assertions)
     });
 
 }

@@ -248,10 +248,9 @@ pub(super) const REACH_FLAGS: &[Flag] = &[
 /// first is declared failed, and every stale-pinned-flow window (`R005`)
 /// is reported and lowered into the corpus.
 ///
-/// The hierarchical run never builds a controller (its 20,480 stubs exceed
-/// what `AddressPlan` can address); it checks the hand-assembled plan view
-/// against the topology's routing tables, which is why its witnesses are
-/// reported but not replayed.
+/// Every world — campus, the ≈21k-node hierarchical fabric and Waxman —
+/// is a live controller checked against its own routing tables, so every
+/// witness in the report can be replayed in the simulator.
 pub(super) fn reach(args: &Args) -> ExitCode {
     let seed: u64 = args.num("--seed");
 
@@ -273,7 +272,7 @@ pub(super) fn reach(args: &Args) -> ExitCode {
     if let Some(path) = args.value("--campus-assertions") {
         let assertions = load_assertions(path);
         let mut wr = world_reach(&ExperimentConfig::campus(seed));
-        let report = check_assertions(&wr.view, wr.world.controller.routes(), &assertions);
+        let report = check_assertions(&wr.view, wr.controller.routes(), &assertions);
         eprintln!("sdm reach: campus {:?}", report.stats);
         corpus.extend(report.scenarios());
 
@@ -296,20 +295,19 @@ pub(super) fn reach(args: &Args) -> ExitCode {
 
     if let Some(path) = args.value("--hier-assertions") {
         let assertions = load_assertions(path);
-        let hr = hier_reach(seed);
-        let routes = hr.plan.topology().routing_tables();
-        let report = check_assertions(&hr.view, &routes, &assertions);
+        let wr = hier_reach(seed);
+        let report = check_assertions(&wr.view, wr.controller.routes(), &assertions);
         eprintln!("sdm reach: hierarchical {:?}", report.stats);
         sections.push((
             "hierarchical",
-            sized(hr.view.plan.node_count, hr.view.stub_routers.len(), &report),
+            sized(wr.view.plan.node_count, wr.view.stub_routers.len(), &report),
         ));
     }
 
     if let Some(path) = args.value("--waxman-assertions") {
         let assertions = load_assertions(path);
         let wr = world_reach(&ExperimentConfig::waxman(seed));
-        let report = check_assertions(&wr.view, wr.world.controller.routes(), &assertions);
+        let report = check_assertions(&wr.view, wr.controller.routes(), &assertions);
         eprintln!("sdm reach: waxman {:?}", report.stats);
         sections.push((
             "waxman",
@@ -348,7 +346,7 @@ fn reach_replay(seed: u64, path: &str) -> ExitCode {
 
     let wr = world_reach(&ExperimentConfig::campus(seed));
     let (verdicts, all_agree) = replay_corpus(
-        &wr.world.controller,
+        &wr.controller,
         Strategy::HotPotato,
         None,
         wr.options,

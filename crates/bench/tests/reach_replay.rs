@@ -5,12 +5,13 @@
 //! that trivially replays clean.
 //!
 //! The corners are exercised in-process by setting the environment
-//! variable the replay reads; all replays happen inside one test so the
-//! process-global variable is never raced.
+//! variable the replay reads; every test that sets it holds one lock, so
+//! the process-global variable is never raced.
 
 use std::collections::BTreeMap;
+use std::sync::{Mutex, PoisonError};
 
-use sdm_bench::reach_worlds::{hazard_pass, world_reach};
+use sdm_bench::reach_worlds::{hazard_pass, hier_reach, world_reach, WorldReach};
 use sdm_bench::replay::replay_corpus;
 use sdm_bench::ExperimentConfig;
 use sdm_core::{EnforcementOptions, EpochLoop, LbOptions, MiddleboxId, Strategy};
@@ -19,15 +20,43 @@ use sdm_verify::reach::{
     check_assertions, parse_assertions, render_all_classes, Assertion, FlowClass, ReachCode,
     ReachStats,
 };
+use sdm_verify::ReplayScenario;
 use sdm_workload::to_flow_specs;
 
 const CAMPUS_ASSERTS: &str = include_str!("../../../results/assertions_campus.txt");
+const HIER_ASSERTS: &str = include_str!("../../../results/assertions_hier.txt");
+
+/// Held by every test that sets `SDM_SHARDS`.
+static SHARDS_ENV: Mutex<()> = Mutex::new(());
+
+/// Replays `corpus` against `wr`'s controller with sharding requested and
+/// not; the simulator must confirm every witness at both corners.
+fn assert_replays_at_both_corners(wr: &WorldReach, corpus: &[ReplayScenario]) {
+    let _env = SHARDS_ENV.lock().unwrap_or_else(PoisonError::into_inner);
+    for shards in ["1", "4"] {
+        std::env::set_var("SDM_SHARDS", shards);
+        let (verdicts, all_agree) =
+            replay_corpus(&wr.controller, Strategy::HotPotato, None, wr.options, corpus);
+        assert_eq!(verdicts.len(), corpus.len());
+        let disagreements: Vec<String> = verdicts
+            .iter()
+            .filter(|v| !v.agrees)
+            .map(|v| format!("{}: {:?}", v.name, v.mismatches))
+            .collect();
+        assert!(
+            all_agree,
+            "simulator disagreed at SDM_SHARDS={shards}:\n{}",
+            disagreements.join("\n")
+        );
+    }
+    std::env::remove_var("SDM_SHARDS");
+}
 
 #[test]
 fn every_witness_replays_with_predicted_outcome_at_all_corners() {
     let assertions = parse_assertions(CAMPUS_ASSERTS).expect("campus assertions parse");
     let mut wr = world_reach(&ExperimentConfig::campus(1));
-    let report = check_assertions(&wr.view, wr.world.controller.routes(), &assertions);
+    let report = check_assertions(&wr.view, wr.controller.routes(), &assertions);
     assert!(
         !report.is_clean(),
         "the committed assertion file must contain refutable assertions"
@@ -46,30 +75,22 @@ fn every_witness_replays_with_predicted_outcome_at_all_corners() {
         "the hazard pass must lower at least one stale-pin window to a scenario"
     );
 
-    // ...and the simulator must confirm every witness, with sharding
-    // requested and not.
-    for shards in ["1", "4"] {
-        std::env::set_var("SDM_SHARDS", shards);
-        let (verdicts, all_agree) = replay_corpus(
-            &wr.world.controller,
-            Strategy::HotPotato,
-            None,
-            wr.options,
-            &corpus,
-        );
-        assert_eq!(verdicts.len(), corpus.len());
-        let disagreements: Vec<String> = verdicts
-            .iter()
-            .filter(|v| !v.agrees)
-            .map(|v| format!("{}: {:?}", v.name, v.mismatches))
-            .collect();
-        assert!(
-            all_agree,
-            "simulator disagreed at SDM_SHARDS={shards}:\n{}",
-            disagreements.join("\n")
-        );
-    }
-    std::env::remove_var("SDM_SHARDS");
+    // ...and the simulator must confirm every witness.
+    assert_replays_at_both_corners(&wr, &corpus);
+}
+
+#[test]
+fn fabric_witnesses_replay_at_all_corners() {
+    // The ≈21k-node fabric is a controller world like the campus: its
+    // R001 and R002 witnesses replay on the same addressing, candidate
+    // sets and routes the checker verified.
+    let assertions = parse_assertions(HIER_ASSERTS).expect("hier assertions parse");
+    let wr = hier_reach(1);
+    let report = check_assertions(&wr.view, wr.controller.routes(), &assertions);
+    let corpus = report.scenarios();
+    let codes: Vec<&str> = corpus.iter().map(|s| s.code.as_str()).collect();
+    assert_eq!(codes, ["R001", "R002"]);
+    assert_replays_at_both_corners(&wr, &corpus);
 }
 
 #[test]
@@ -80,7 +101,7 @@ fn campus_check_work_counters_are_pinned() {
     // for the path-carrying witnesses of findings only.
     let assertions = parse_assertions(CAMPUS_ASSERTS).expect("campus assertions parse");
     let wr = world_reach(&ExperimentConfig::campus(1));
-    let report = check_assertions(&wr.view, wr.world.controller.routes(), &assertions);
+    let report = check_assertions(&wr.view, wr.controller.routes(), &assertions);
     assert_eq!(report.flow_classes, 1_302);
     assert_eq!(
         report.stats,
@@ -161,7 +182,7 @@ fn clean_deployment_produces_empty_corpus_and_replays_clean() {
         parse_assertions("loop-free ttl 64\nisolate 10.0.0.0/20 -> 10.200.0.0/16\n")
             .expect("assertions parse");
     let wr = world_reach(&ExperimentConfig::campus(1));
-    let report = check_assertions(&wr.view, wr.world.controller.routes(), &assertions);
+    let report = check_assertions(&wr.view, wr.controller.routes(), &assertions);
     assert!(
         report.is_clean(),
         "unexpected findings: {:?}",
@@ -172,7 +193,7 @@ fn clean_deployment_produces_empty_corpus_and_replays_clean() {
     assert!(corpus.is_empty());
 
     let (verdicts, all_agree) = replay_corpus(
-        &wr.world.controller,
+        &wr.controller,
         Strategy::HotPotato,
         None,
         wr.options,

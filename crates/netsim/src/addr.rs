@@ -196,15 +196,24 @@ impl fmt::Display for StubId {
     }
 }
 
-/// Bits of subnet space each stub receives (a /20: 4094 hosts).
-const SUBNET_SHIFT: u32 = 12;
 /// Base of the stub address space: `10.0.0.0/8`.
 const STUB_BASE: u32 = 10 << 24;
-/// Maximum number of stubs the plan supports within `10.0.0.0/8`.
-const MAX_STUBS: usize = 1 << (24 - SUBNET_SHIFT as usize);
+/// Bits of `10.0.0.0/8` left for stub index and host bits together.
+const STUB_SPACE_BITS: u32 = 24;
+/// Most host bits a stub subnet gets (a `/20`: 4094 hosts), used by every
+/// plan of up to 4,096 stubs.
+const MAX_HOST_BITS: u32 = 12;
+/// Fewest host bits a stub subnet keeps (a `/30`: 2 hosts), which bounds
+/// the plan at `2^22` stubs.
+const MIN_HOST_BITS: u32 = 2;
 
-/// The deterministic addressing plan of a generated network: one `/20` stub
+/// The deterministic addressing plan of a generated network: one stub
 /// subnet per edge router, carved out of `10.0.0.0/8` in edge-router order.
+///
+/// The subnet length is derived from the stub count `n`: `/len` with
+/// `len = max(20, 8 + ⌈log2 n⌉)`, so every network of up to 4,096 stubs
+/// gets `/20`s, and larger ones the longest prefix that still fits all
+/// stubs into the `/8` (20,480 stubs get `/23`s).
 ///
 /// Mirrors the paper's "subnet a" style addressing (§II, Table I): policies
 /// refer to stub networks by their address prefix.
@@ -219,10 +228,13 @@ const MAX_STUBS: usize = 1 << (24 - SUBNET_SHIFT as usize);
 /// let h = addrs.host(s0, 5);
 /// assert_eq!(addrs.stub_of(h), Some(s0));
 /// assert!(addrs.subnet(s0).contains(h));
+/// assert_eq!(addrs.subnet(s0).len(), 20);
 /// ```
 #[derive(Debug, Clone)]
 pub struct AddressPlan {
     edge_routers: Vec<NodeId>,
+    /// Host bits per stub subnet (`32 - len`), derived from the stub count.
+    shift: u32,
 }
 
 impl AddressPlan {
@@ -231,16 +243,19 @@ impl AddressPlan {
     ///
     /// # Panics
     ///
-    /// Panics if the network has more stubs than the `10.0.0.0/8` space
-    /// supports (4096).
+    /// Panics if the network has more stubs than `10.0.0.0/8` holds as
+    /// `/30`s (`2^22`).
     pub fn new(plan: &NetworkPlan) -> Self {
+        let n = plan.edges().len();
+        let stub_bits = n.next_power_of_two().trailing_zeros();
         assert!(
-            plan.edges().len() <= MAX_STUBS,
-            "too many stub networks: {} > {MAX_STUBS}",
-            plan.edges().len()
+            stub_bits <= STUB_SPACE_BITS - MIN_HOST_BITS,
+            "too many stub networks: {n} > {}",
+            1usize << (STUB_SPACE_BITS - MIN_HOST_BITS)
         );
         AddressPlan {
             edge_routers: plan.edges().to_vec(),
+            shift: MAX_HOST_BITS.min(STUB_SPACE_BITS - stub_bits),
         }
     }
 
@@ -255,6 +270,12 @@ impl AddressPlan {
         self.edge_routers.len()
     }
 
+    /// Usable host addresses per stub subnet: valid `host_index`es of
+    /// [`AddressPlan::host`] are `0..hosts_per_stub()`.
+    pub fn hosts_per_stub(&self) -> u32 {
+        (1 << self.shift) - 2
+    }
+
     /// All stub ids.
     pub fn stubs(&self) -> impl Iterator<Item = StubId> + '_ {
         (0..self.edge_routers.len() as u32).map(StubId)
@@ -267,7 +288,7 @@ impl AddressPlan {
     /// Panics if `stub` is out of range.
     pub fn subnet(&self, stub: StubId) -> Prefix {
         assert!(stub.index() < self.edge_routers.len(), "unknown stub {stub}");
-        Prefix::new(Ipv4Addr(STUB_BASE | (stub.0 << SUBNET_SHIFT)), 32 - SUBNET_SHIFT as u8)
+        Prefix::new(Ipv4Addr(STUB_BASE | (stub.0 << self.shift)), (32 - self.shift) as u8)
     }
 
     /// The `host_index`-th host address inside a stub subnet.
@@ -279,7 +300,7 @@ impl AddressPlan {
     pub fn host(&self, stub: StubId, host_index: u32) -> Ipv4Addr {
         let p = self.subnet(stub);
         assert!(
-            host_index < (1 << SUBNET_SHIFT) - 2,
+            host_index < self.hosts_per_stub(),
             "host index {host_index} outside subnet"
         );
         Ipv4Addr(p.addr().0 + 1 + host_index)
@@ -290,7 +311,7 @@ impl AddressPlan {
         if (a.0 >> 24) != 10 {
             return None;
         }
-        let idx = (a.0 & 0x00FF_FFFF) >> SUBNET_SHIFT;
+        let idx = (a.0 & 0x00FF_FFFF) >> self.shift;
         if (idx as usize) < self.edge_routers.len() {
             Some(StubId(idx))
         } else {
@@ -320,7 +341,18 @@ impl AddressPlan {
 mod tests {
     use super::*;
     use sdm_topology::campus::campus;
+    use sdm_topology::hierarchical::{hierarchical, HierarchicalConfig};
     use sdm_topology::waxman::waxman;
+    use sdm_topology::{NodeKind, Topology};
+
+    /// A plan of `n` unlinked edge routers: all `AddressPlan` reads.
+    fn stubs(n: usize) -> NetworkPlan {
+        let mut t = Topology::new();
+        let edges = (0..n)
+            .map(|i| t.add_node(NodeKind::EdgeRouter, format!("e{i}")))
+            .collect();
+        NetworkPlan::new(t, Vec::new(), Vec::new(), edges)
+    }
 
     #[test]
     fn addr_roundtrip_display_parse() {
@@ -431,5 +463,46 @@ mod tests {
         assert_eq!(plan.stub_of("172.16.0.1".parse().unwrap()), None);
         // inside 10/8 but beyond the allocated stub range
         assert_eq!(plan.stub_of("10.255.255.1".parse().unwrap()), None);
+    }
+
+    #[test]
+    fn subnet_length_follows_the_stub_count() {
+        for (n, len, hosts) in [
+            (0, 20, 4094),
+            (4_096, 20, 4094),
+            (4_097, 21, 2046),
+            (20_480, 23, 510),
+        ] {
+            let plan = AddressPlan::new(&stubs(n));
+            assert_eq!(plan.hosts_per_stub(), hosts, "{n} stubs");
+            if n > 0 {
+                assert_eq!(plan.subnet(StubId(0)).len(), len, "{n} stubs");
+                let last = plan.subnet(StubId(n as u32 - 1));
+                assert!(last.is_subset_of(plan.enterprise_prefix()), "{last}");
+            }
+        }
+    }
+
+    #[test]
+    fn fabric_plan_round_trips_and_stays_disjoint() {
+        let plan = AddressPlan::new(&hierarchical(&HierarchicalConfig::large(), 1));
+        assert_eq!(plan.stub_count(), 20_480);
+        let last_host = plan.hosts_per_stub() - 1;
+        for s in [StubId(0), StubId(20_479)] {
+            for h in [0, last_host] {
+                let a = plan.host(s, h);
+                assert_eq!(plan.stub_of(a), Some(s), "{a}");
+                assert!(plan.subnet(s).contains(a));
+            }
+        }
+        assert_eq!(plan.host(StubId(20_479), last_host).to_string(), "10.159.255.254");
+        // Consecutive subnets neither overlap nor leave a gap, so none overlap.
+        let subnets: Vec<Prefix> = plan.stubs().map(|s| plan.subnet(s)).collect();
+        for w in subnets.windows(2) {
+            assert!(!w[0].overlaps(w[1]), "{} overlaps {}", w[0], w[1]);
+            assert_eq!(w[0].addr().0 + (1 << (32 - w[0].len())), w[1].addr().0);
+        }
+        // the first address past the last stub belongs to none
+        assert_eq!(plan.stub_of("10.160.0.1".parse().unwrap()), None);
     }
 }

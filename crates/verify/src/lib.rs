@@ -30,6 +30,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod index;
 pub mod lint;
 pub mod plan;
 pub mod reach;

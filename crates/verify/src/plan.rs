@@ -21,6 +21,7 @@ use sdm_netsim::{Ipv4Addr, Prefix};
 use sdm_policy::NetworkFunction;
 use sdm_util::json::Json;
 
+use crate::index::{FirstByKey, StubIndex};
 use crate::reach::{walk_route, RouteView, Walk};
 
 /// Minimum MTU an IP-over-IP steering hop can work with: an outer header,
@@ -419,13 +420,6 @@ impl PlanView {
         out
     }
 
-    /// The candidate set installed for `(point, function)`, if any.
-    fn candidates_for(&self, point: Point, f: NetworkFunction) -> Option<&CandidateSet> {
-        self.candidates
-            .iter()
-            .find(|c| c.point == point && c.function == f)
-    }
-
     /// Available middleboxes implementing `f`.
     fn available_offering(&self, f: NetworkFunction) -> Vec<u32> {
         self.middleboxes
@@ -456,13 +450,30 @@ pub fn verify_plan_routed(view: &PlanView, routes: &dyn RouteView) -> VerifyRepo
     verify_with(view, Some(routes))
 }
 
+/// How one verification finds the candidate set installed for
+/// `(point, function)`: the first such entry of [`PlanView::candidates`].
+type CandidatesFor<'v, 'f> = &'f dyn Fn(Point, NetworkFunction) -> Option<&'v CandidateSet>;
+
 fn verify_with(view: &PlanView, routes: Option<&dyn RouteView>) -> VerifyReport {
+    let candidates = FirstByKey::new(view.candidates.iter().map(|c| ((c.point, c.function), c)));
+    verify_by(view, routes, &|point, f| candidates.get((point, f)), check_addressing)
+}
+
+/// Every check, with the candidate lookup and the addressing pass as
+/// given — the indexed ones in [`verify_with`], the linear references in
+/// the tests.
+fn verify_by<'v>(
+    view: &'v PlanView,
+    routes: Option<&dyn RouteView>,
+    candidates_for: CandidatesFor<'v, '_>,
+    check_addressing: fn(&PlanView, &mut Vec<VerifyError>),
+) -> VerifyReport {
     let mut diags: Vec<VerifyError> = Vec::new();
     check_chains(view, &mut diags);
     check_function_coverage(view, &mut diags);
-    check_candidate_totality(view, &mut diags);
-    check_steering_graph(view, routes, &mut diags);
-    check_weights(view, &mut diags);
+    check_candidate_totality(view, candidates_for, &mut diags);
+    check_steering_graph(view, candidates_for, routes, &mut diags);
+    check_weights(view, candidates_for, &mut diags);
     check_addressing(view, &mut diags);
     check_attachments(view, &mut diags);
     check_options(view, &mut diags);
@@ -528,7 +539,11 @@ fn check_function_coverage(view: &PlanView, diags: &mut Vec<VerifyError>) {
 /// The hot-potato nearest map must be total: every proxy and gateway needs
 /// a candidate for every first-chain function, and every middlebox that
 /// hands a packet onward to the next chain function needs one too.
-fn check_candidate_totality(view: &PlanView, diags: &mut Vec<VerifyError>) {
+fn check_candidate_totality<'v>(
+    view: &'v PlanView,
+    candidates_for: CandidatesFor<'v, '_>,
+    diags: &mut Vec<VerifyError>,
+) {
     let used = view.used_functions();
     // A function with no implementation at all is already reported by
     // check_function_coverage; an empty per-point set would only repeat it.
@@ -543,9 +558,7 @@ fn check_candidate_totality(view: &PlanView, diags: &mut Vec<VerifyError>) {
     points.extend((0..view.gateway_count as u32).map(Point::Gateway));
     for point in points {
         for &f in &covered {
-            let empty = view
-                .candidates_for(point, f)
-                .is_none_or(|c| c.members.is_empty());
+            let empty = candidates_for(point, f).is_none_or(|c| c.members.is_empty());
             if empty {
                 diags.push(VerifyError {
                     code: ErrorCode::UnreachableFunction,
@@ -571,9 +584,8 @@ map m_x^e is not total and matching flows would blackhole"
                 if mb.implements(next) {
                     continue; // applied locally, no steering decision
                 }
-                let empty = view
-                    .candidates_for(Point::Middlebox(m), next)
-                    .is_none_or(|c| c.members.is_empty());
+                let empty =
+                    candidates_for(Point::Middlebox(m), next).is_none_or(|c| c.members.is_empty());
                 if empty {
                     diags.push(VerifyError {
                         code: ErrorCode::UnreachableFunction,
@@ -599,8 +611,9 @@ the next function {next}",
 /// carried hop by hop by the underlying routers, and a forwarding
 /// micro-loop between their attachment routers loops the tunnel even
 /// when the candidate graph itself is acyclic.
-fn check_steering_graph(
-    view: &PlanView,
+fn check_steering_graph<'v>(
+    view: &'v PlanView,
+    candidates_for: CandidatesFor<'v, '_>,
     routes: Option<&dyn RouteView>,
     diags: &mut Vec<VerifyError>,
 ) {
@@ -608,9 +621,7 @@ fn check_steering_graph(
         // Successors of box m when steering towards f (only meaningful
         // while m does not implement f itself).
         let succ = |m: u32| -> &[u32] {
-            view.candidates_for(Point::Middlebox(m), f)
-                .map(|c| c.members.as_slice())
-                .unwrap_or(&[])
+            candidates_for(Point::Middlebox(m), f).map_or(&[], |c| c.members.as_slice())
         };
         let n = view.middleboxes.len();
         // 0 = unvisited, 1 = on stack, 2 = done
@@ -668,7 +679,7 @@ m{next} without reaching an implementing middlebox — an IP-over-IP tunnel loop
             if view.middleboxes[m as usize].implements(f) {
                 continue;
             }
-            let Some(c) = view.candidates_for(Point::Middlebox(m), f) else {
+            let Some(c) = candidates_for(Point::Middlebox(m), f) else {
                 continue;
             };
             for &s in &c.members {
@@ -699,7 +710,11 @@ n{to} ({}); the declared edge never arrives",
     }
 }
 
-fn check_weights(view: &PlanView, diags: &mut Vec<VerifyError>) {
+fn check_weights<'v>(
+    view: &'v PlanView,
+    candidates_for: CandidatesFor<'v, '_>,
+    diags: &mut Vec<VerifyError>,
+) {
     let Some(w) = &view.weights else { return };
 
     let routed: f64 = w
@@ -796,10 +811,8 @@ non-existent steering decision",
                 ),
             }),
             Some(f) => {
-                let members: &[u32] = view
-                    .candidates_for(col.point, f)
-                    .map(|c| c.members.as_slice())
-                    .unwrap_or(&[]);
+                let members: &[u32] =
+                    candidates_for(col.point, f).map_or(&[], |c| c.members.as_slice());
                 for &(m, v) in &col.weights {
                     if v.is_finite() && v > 0.0 && !members.contains(&m) {
                         diags.push(VerifyError {
@@ -841,20 +854,24 @@ the candidate set M_x^e for {f}"
     }
 }
 
+/// Overlapping stub subnets and colliding or aliasing middlebox
+/// addresses. The overlaps come from one [`StubIndex`], in the order the
+/// pairwise loops over every stub would find them.
 fn check_addressing(view: &PlanView, diags: &mut Vec<VerifyError>) {
-    for i in 0..view.stub_subnets.len() {
-        for j in i + 1..view.stub_subnets.len() {
-            let (a, b) = (view.stub_subnets[i], view.stub_subnets[j]);
-            if a.overlaps(b) {
-                diags.push(VerifyError {
-                    code: ErrorCode::AddressCollision,
-                    subject: format!("subnet({a})"),
-                    detail: format!(
-                        "stub subnets s{i} ({a}) and s{j} ({b}) overlap; source \
+    let stubs = StubIndex::new(&view.stub_subnets);
+    let mut hits = Vec::new();
+    for (i, &a) in view.stub_subnets.iter().enumerate() {
+        stubs.overlapping(a, &mut hits);
+        for j in hits.iter().map(|&j| j as usize).filter(|&j| j > i) {
+            let b = view.stub_subnets[j];
+            diags.push(VerifyError {
+                code: ErrorCode::AddressCollision,
+                subject: format!("subnet({a})"),
+                detail: format!(
+                    "stub subnets s{i} ({a}) and s{j} ({b}) overlap; source \
 addresses — and with them the src|l label space — are ambiguous"
-                    ),
-                });
-            }
+                ),
+            });
         }
     }
     for (i, m) in view.middleboxes.iter().enumerate() {
@@ -871,18 +888,18 @@ steering towards one can deliver to the other",
                 });
             }
         }
-        for (s, subnet) in view.stub_subnets.iter().enumerate() {
-            if subnet.contains(m.addr) {
-                diags.push(VerifyError {
-                    code: ErrorCode::AddressCollision,
-                    subject: format!("addr({})", m.addr),
-                    detail: format!(
-                        "middlebox m{i}'s device address {} lies inside stub \
+        stubs.overlapping(Prefix::host(m.addr), &mut hits);
+        for &s in &hits {
+            let subnet = view.stub_subnets[s as usize];
+            diags.push(VerifyError {
+                code: ErrorCode::AddressCollision,
+                subject: format!("addr({})", m.addr),
+                detail: format!(
+                    "middlebox m{i}'s device address {} lies inside stub \
 subnet s{s} ({subnet}); it aliases a host and corrupts the src|l label space",
-                        m.addr
-                    ),
-                });
-            }
+                    m.addr
+                ),
+            });
         }
     }
 }
@@ -1168,5 +1185,197 @@ mod tests {
         view.middleboxes[2].router = 21; // node_count is 10
         let report = verify_plan_routed(&view, &routes);
         assert!(report.has_code(ErrorCode::DanglingAttachment), "{report}");
+    }
+
+    // -- the indexed passes against their linear references ------------
+
+    /// The pairwise stub loop the [`StubIndex`] replaced, kept verbatim
+    /// as the reference the property below compares against.
+    fn check_addressing_ref(view: &PlanView, diags: &mut Vec<VerifyError>) {
+        for i in 0..view.stub_subnets.len() {
+            for j in i + 1..view.stub_subnets.len() {
+                let (a, b) = (view.stub_subnets[i], view.stub_subnets[j]);
+                if a.overlaps(b) {
+                    diags.push(VerifyError {
+                        code: ErrorCode::AddressCollision,
+                        subject: format!("subnet({a})"),
+                        detail: format!(
+                            "stub subnets s{i} ({a}) and s{j} ({b}) overlap; source \
+addresses — and with them the src|l label space — are ambiguous"
+                        ),
+                    });
+                }
+            }
+        }
+        for (i, m) in view.middleboxes.iter().enumerate() {
+            for (j, other) in view.middleboxes.iter().enumerate().skip(i + 1) {
+                if m.addr == other.addr {
+                    diags.push(VerifyError {
+                        code: ErrorCode::AddressCollision,
+                        subject: format!("addr({})", m.addr),
+                        detail: format!(
+                            "middleboxes m{i} and m{j} share device address {}; \
+steering towards one can deliver to the other",
+                            m.addr
+                        ),
+                    });
+                }
+            }
+            for (s, subnet) in view.stub_subnets.iter().enumerate() {
+                if subnet.contains(m.addr) {
+                    diags.push(VerifyError {
+                        code: ErrorCode::AddressCollision,
+                        subject: format!("addr({})", m.addr),
+                        detail: format!(
+                            "middlebox m{i}'s device address {} lies inside stub \
+subnet s{s} ({subnet}); it aliases a host and corrupts the src|l label space",
+                            m.addr
+                        ),
+                    });
+                }
+            }
+        }
+    }
+
+    /// [`verify_with`] over the linear candidate scan and the pairwise
+    /// addressing loop.
+    fn verify_ref(view: &PlanView, routes: Option<&dyn RouteView>) -> VerifyReport {
+        let candidates_for = |point: Point, f: NetworkFunction| {
+            view.candidates
+                .iter()
+                .find(|c| c.point == point && c.function == f)
+        };
+        verify_by(view, routes, &candidates_for, check_addressing_ref)
+    }
+
+    /// Raw material of one random plan, kept as plain tuples so the
+    /// harness can shrink it: stub subnets `(base pick, offset, length
+    /// pick)`, middleboxes `(function pick, address pick, available)`,
+    /// candidate sets `(point kind, point index, function, members)` and
+    /// weight columns `(point kind, point index, stage, (member, volume))`.
+    type Raw = (
+        Vec<(u8, u32, u8)>,
+        Vec<(u8, u8, bool)>,
+        Vec<(u8, u8, u8, Vec<u8>)>,
+        Vec<(u8, u8, u8, Vec<(u8, f64)>)>,
+    );
+
+    fn gen_raw(rng: &mut sdm_util::rng::StdRng) -> Raw {
+        let stubs = (0..rng.gen_range(0..9usize))
+            .map(|_| (rng.gen_range(0..5u8), rng.gen_range(0..4u32), rng.gen_range(0..7u8)))
+            .collect();
+        let boxes = (0..rng.gen_range(0..6usize))
+            .map(|_| (rng.gen_range(0..3u8), rng.gen_range(0..6u8), rng.gen_range(0..5u8) > 0))
+            .collect();
+        let members = |rng: &mut sdm_util::rng::StdRng| {
+            (0..rng.gen_range(0..4usize)).map(|_| rng.gen_range(0..6u8)).collect::<Vec<u8>>()
+        };
+        // Few distinct keys, so one key often carries several sets.
+        let candidates = (0..rng.gen_range(0..24usize))
+            .map(|_| {
+                let key = (rng.gen_range(0..3u8), rng.gen_range(0..3u8), rng.gen_range(0..2u8));
+                (key.0, key.1, key.2, members(rng))
+            })
+            .collect();
+        let columns = (0..rng.gen_range(0..6usize))
+            .map(|_| {
+                let weights = members(rng)
+                    .into_iter()
+                    .map(|m| (m, rng.gen_range(0..3u8) as f64))
+                    .collect();
+                (rng.gen_range(0..3u8), rng.gen_range(0..3u8), rng.gen_range(0..2u8), weights)
+            })
+            .collect();
+        (stubs, boxes, candidates, columns)
+    }
+
+    fn view_of(raw: &Raw) -> PlanView {
+        let (stubs, boxes, candidates, columns) = raw;
+        // Bases that nest in one another, so subnets overlap, duplicate
+        // and contain middlebox addresses; lengths from /0 to /32.
+        const BASES: [[u8; 4]; 5] =
+            [[10, 0, 0, 0], [10, 0, 16, 0], [10, 0, 16, 4], [10, 1, 0, 0], [172, 16, 0, 1]];
+        const LENS: [u8; 7] = [0, 8, 16, 20, 24, 30, 32];
+        let stub_subnets = stubs
+            .iter()
+            .map(|&(b, off, l)| {
+                let base = Ipv4Addr::from_octets(BASES[b as usize % 5]).0;
+                Prefix::new(Ipv4Addr(base + off * 4096), LENS[l as usize % 7])
+            })
+            .collect();
+        let fns = [vec![Firewall], vec![Ids], vec![Firewall, Ids]];
+        let middleboxes: Vec<MboxView> = boxes
+            .iter()
+            .enumerate()
+            .map(|(i, &(f, a, available))| MboxView {
+                functions: fns[f as usize % 3].clone(),
+                router: i,
+                capacity: 1.0,
+                available,
+                addr: Ipv4Addr(Ipv4Addr::from_octets(BASES[a as usize % 5]).0 + a as u32 / 5),
+            })
+            .collect();
+        let n = middleboxes.len();
+        let point = |kind: u8, i: u8| match kind % 3 {
+            0 => Point::Proxy(i as u32),
+            1 => Point::Gateway(i as u32),
+            _ => Point::Middlebox(i as u32),
+        };
+        let member = |m: u8| (m as usize % n.max(1)) as u32;
+        let candidates = candidates
+            .iter()
+            .map(|(kind, i, f, members)| CandidateSet {
+                point: point(*kind, *i),
+                function: [Firewall, Ids][*f as usize % 2],
+                members: match n {
+                    0 => Vec::new(),
+                    _ => members.iter().map(|&m| member(m)).collect(),
+                },
+            })
+            .collect();
+        let columns = columns
+            .iter()
+            .map(|(kind, i, stage, weights)| WeightColumn {
+                point: point(*kind, *i),
+                policy: 0,
+                next_index: *stage as u16 % 2,
+                weights: weights.iter().map(|&(m, v)| (member(m), v)).collect(),
+            })
+            .collect();
+        PlanView {
+            node_count: 8,
+            stub_subnets,
+            gateway_count: 2,
+            middleboxes,
+            policies: vec![
+                ChainView { policy: 0, chain: vec![Firewall, Ids] },
+                ChainView { policy: 1, chain: vec![Ids] },
+            ],
+            k: vec![(Firewall, 2), (Ids, 2)],
+            candidates,
+            weights: Some(WeightsView { lambda: 1.0, columns }),
+            options: None,
+        }
+    }
+
+    #[test]
+    fn indexed_verification_reports_what_the_linear_reference_reports() {
+        use sdm_util::prop::{check, Config};
+        check(
+            "verify_plan: indexed candidates and addressing == linear reference",
+            &Config::with_cases(400),
+            gen_raw,
+            |raw| {
+                let view = view_of(raw);
+                sdm_util::prop_assert_eq!(verify_plan(&view), verify_ref(&view, None));
+                // The routed pass reads the candidate sets as well.
+                let routes = LoopyRoutes { nodes: 8, bad_dsts: vec![0] };
+                sdm_util::prop_assert_eq!(
+                    verify_plan_routed(&view, &routes),
+                    verify_ref(&view, Some(&routes))
+                );
+                Ok(())
+            },
+        );
     }
 }

@@ -165,6 +165,9 @@ fn generate_into(
         "policy set contains none of the evaluation classes"
     );
     let n_stubs = addrs.stub_count() as u32;
+    // Host draws stay below 1000 (the `/20` worlds' stream) and inside
+    // the smaller subnets of a many-stub plan.
+    let hosts = addrs.hosts_per_stub().min(1000);
     let mut total: u64 = 0;
     let mut i = 0usize;
     loop {
@@ -209,8 +212,8 @@ fn generate_into(
             (ephemeral_port(rng), m.service)
         };
         let five_tuple = FiveTuple {
-            src: addrs.host(src_stub, rng.gen_range(0u32..1000)),
-            dst: addrs.host(dst_stub, rng.gen_range(0u32..1000)),
+            src: addrs.host(src_stub, rng.gen_range(0..hosts)),
+            dst: addrs.host(dst_stub, rng.gen_range(0..hosts)),
             src_port,
             dst_port,
             proto: Protocol::Tcp,
@@ -378,6 +381,33 @@ mod tests {
             if m.class == PolicyClass::OneToOne {
                 assert_eq!(addrs.stub_of(f.five_tuple.src), m.src);
                 assert_eq!(addrs.stub_of(f.five_tuple.dst), m.dst);
+            }
+        }
+    }
+
+    #[test]
+    fn flows_on_small_subnets_map_back_to_their_stubs() {
+        use sdm_topology::hierarchical::{hierarchical, HierarchicalConfig};
+        // 20,480 stubs get /23s: 510 hosts, fewer than the 1000 drawn
+        // from on the /20 worlds.
+        let addrs = AddressPlan::new(&hierarchical(&HierarchicalConfig::large(), 1));
+        assert_eq!(addrs.hosts_per_stub(), 510);
+        let gp = evaluation_policies(&addrs, PolicyClassCounts::default(), 3);
+        let cfg = WorkloadConfig {
+            seed: 1,
+            ..Default::default()
+        };
+        let flows = generate_flows_with_total(&gp, &addrs, &cfg, 200_000);
+        assert!(flows.len() > 100, "{} flows", flows.len());
+        for f in &flows {
+            let (src, dst) = (addrs.stub_of(f.five_tuple.src), addrs.stub_of(f.five_tuple.dst));
+            assert!(src.is_some() && dst.is_some(), "flow {} leaves the stubs", f.five_tuple);
+            let m = gp.endpoints(f.policy);
+            if m.src.is_some() {
+                assert_eq!(src, m.src, "flow {}", f.five_tuple);
+            }
+            if m.dst.is_some() {
+                assert_eq!(dst, m.dst, "flow {}", f.five_tuple);
             }
         }
     }

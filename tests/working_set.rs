@@ -197,18 +197,13 @@ fn source_route_state_is_freed_with_its_packet() {
 }
 
 /// Routing state follows the destinations packets are sent to, not the
-/// topology: on a 4,490-node hierarchical world the controller and the
-/// simulator each fill only the routing rows their traffic needs.
+/// topology: on the 21,130-node hierarchical fabric (20,480 stubs) the
+/// controller and the simulator each fill only the routing rows their
+/// traffic needs.
 #[test]
 fn routing_rows_follow_destinations() {
-    let plan = hierarchical(
-        &HierarchicalConfig {
-            edges_per_router: 6,
-            ..HierarchicalConfig::large()
-        },
-        1,
-    );
-    assert_eq!(plan.topology().node_count(), 4_490);
+    let plan = hierarchical(&HierarchicalConfig::large(), 1);
+    assert_eq!(plan.topology().node_count(), 21_130);
     let deployment = Deployment::evaluation_default(&plan, 7);
     let mut policies = PolicySet::new();
     policies.push(Policy::new(
@@ -221,13 +216,18 @@ fn routing_rows_follow_destinations() {
     let controller = Controller::new(plan, deployment, policies, KConfig::paper_default());
     let mut enf = controller.enforcement(Strategy::HotPotato, None, EnforcementOptions::default());
 
-    // 300 flows among 8 stubs spread over the fabric, half of them web.
+    // 300 flows among 8 stubs spread over the fabric, half of them web,
+    // and one more to the last stub.
     let addrs = controller.addr_plan();
-    let stubs: Vec<StubId> = (0..8).map(|i| StubId(i * 480)).collect();
+    let stubs: Vec<StubId> = (0..8).map(|i| StubId(i * 2_560)).collect();
+    let last = StubId(20_479);
     let controller_rows = targets.len();
     let mut injected = 0;
-    for i in 0..300u32 {
-        let (src, dst) = (stubs[i as usize % 8], stubs[(i as usize * 3 + 1) % 8]);
+    for i in 0..301u32 {
+        let (src, dst) = match i {
+            300 => (stubs[0], last),
+            _ => (stubs[i as usize % 8], stubs[(i as usize * 3 + 1) % 8]),
+        };
         targets.insert(addrs.edge_router(dst).index());
         let ft = FiveTuple {
             src: addrs.host(src, 1),
