@@ -14,9 +14,9 @@ use sdm_verify::reach::{check_assertions, parse_assertions, Assertion, ReachRepo
 use sdm_verify::witness::{corpus_from_json, corpus_to_json, ReplayScenario};
 use sdm_workload::{exhaustion_attack, to_flow_specs};
 
-use super::{packets, SEED};
+use super::{packets, timed, SEED};
 use crate::cli::{Args, Flag};
-use crate::reach_worlds::{hazard_pass, hier_reach, world_reach};
+use crate::reach_worlds::{hazard_pass, hier_reach, world_reach, WorldReach};
 use crate::replay::replay_corpus;
 use crate::{ExperimentConfig, World};
 
@@ -270,10 +270,8 @@ pub(super) fn reach(args: &Args) -> ExitCode {
     };
 
     if let Some(path) = args.value("--campus-assertions") {
-        let assertions = load_assertions(path);
-        let mut wr = world_reach(&ExperimentConfig::campus(seed));
-        let report = check_assertions(&wr.view, wr.controller.routes(), &assertions);
-        eprintln!("sdm reach: campus {:?}", report.stats);
+        let (mut wr, report) =
+            check_world("campus", path, || world_reach(&ExperimentConfig::campus(seed)));
         corpus.extend(report.scenarios());
 
         let (failed, hazard_report) = hazard_pass(&mut wr);
@@ -294,10 +292,7 @@ pub(super) fn reach(args: &Args) -> ExitCode {
     }
 
     if let Some(path) = args.value("--hier-assertions") {
-        let assertions = load_assertions(path);
-        let wr = hier_reach(seed);
-        let report = check_assertions(&wr.view, wr.controller.routes(), &assertions);
-        eprintln!("sdm reach: hierarchical {:?}", report.stats);
+        let (wr, report) = check_world("hierarchical", path, || hier_reach(seed));
         sections.push((
             "hierarchical",
             sized(wr.view.plan.node_count, wr.view.stub_routers.len(), &report),
@@ -305,10 +300,8 @@ pub(super) fn reach(args: &Args) -> ExitCode {
     }
 
     if let Some(path) = args.value("--waxman-assertions") {
-        let assertions = load_assertions(path);
-        let wr = world_reach(&ExperimentConfig::waxman(seed));
-        let report = check_assertions(&wr.view, wr.controller.routes(), &assertions);
-        eprintln!("sdm reach: waxman {:?}", report.stats);
+        let (wr, report) =
+            check_world("waxman", path, || world_reach(&ExperimentConfig::waxman(seed)));
         sections.push((
             "waxman",
             sized(wr.view.plan.node_count, wr.view.stub_routers.len(), &report),
@@ -367,6 +360,26 @@ fn reach_replay(seed: u64, path: &str) -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
+}
+
+/// Builds one world and checks the assertion file at `path` on it. The
+/// check's work counters and the host time of both steps go to stderr.
+fn check_world(
+    name: &str,
+    path: &str,
+    build: impl FnOnce() -> WorldReach,
+) -> (WorldReach, ReachReport) {
+    let assertions = load_assertions(path);
+    let (wr, built) = timed(build);
+    let (report, checked) =
+        timed(|| check_assertions(&wr.view, wr.controller.routes(), &assertions));
+    eprintln!("sdm reach: {name} {:?}", report.stats);
+    eprintln!(
+        "sdm reach: {name} built in {:.1} ms, checked in {:.1} ms",
+        built.as_secs_f64() * 1e3,
+        checked.as_secs_f64() * 1e3
+    );
+    (wr, report)
 }
 
 fn load_assertions(path: &str) -> Vec<Assertion> {

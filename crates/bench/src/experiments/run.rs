@@ -30,7 +30,11 @@ pub(super) const FLAGS: &[Flag] = &[
     ),
     Flag::optional("--save-flows", "FILE", "write the generated workload as a flow trace"),
     Flag::optional("--load-flows", "FILE", "replay a previously saved flow trace"),
-    Flag::switch("--fail-busiest-fw", "crash the busiest firewall and recover"),
+    Flag::switch(
+        "--fail-busiest-fw",
+        "crash the firewall nearest stub s0's proxy in the data\n\
+         plane only; no recovery (see `sdm failure-recovery`)",
+    ),
 ];
 
 /// Builds flows that match the loaded policies: for each policy in turn,

@@ -1,6 +1,5 @@
 //! Pre-packaged symbolic worlds for the reach checker — shared by the
-//! `sdm reach` subcommand, the `reach` bench group and the replay property
-//! tests.
+//! `sdm reach` subcommand and the replay property tests.
 //!
 //! Every world is a live [`Controller`] and the [`ReachView`]
 //! [`sdm_core::reach_view`] extracts from it, checked against

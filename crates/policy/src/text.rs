@@ -217,10 +217,7 @@ mod tests {
     use super::*;
     use sdm_netsim::FiveTuple;
 
-    #[test]
-    fn parses_table_one_style_lines() {
-        let set = parse_policies(
-            "
+    const TABLE_ONE: &str = "
             # Table I for subnet a = 10.0.0.0/8
             src=10.0.0.0/8 dst=10.0.0.0/8 dport=80 => permit
             src=10.0.0.0/8 dst=10.0.0.0/8 sport=80 => permit
@@ -228,9 +225,11 @@ mod tests {
             src=10.0.0.0/8 sport=80 => IDS, FW
             src=10.0.0.0/8 dport=80 => FW, IDS, WP
             dst=10.0.0.0/8 sport=80 => WP, IDS, FW
-            ",
-        )
-        .unwrap();
+            ";
+
+    #[test]
+    fn parses_table_one_style_lines() {
+        let set = parse_policies(TABLE_ONE).unwrap();
         assert_eq!(set.len(), 6);
         let ft = FiveTuple {
             src: "93.1.1.1".parse().unwrap(),
@@ -286,6 +285,25 @@ mod tests {
             let p2 = parse_policy_line(&rendered, 1).unwrap();
             assert_eq!(p, p2, "round trip of '{l}' via '{rendered}'");
         }
+    }
+
+    #[test]
+    fn mutated_policy_documents_never_panic_and_errors_point_inside_them() {
+        // Bytes the grammar cares about, and ones that break UTF-8.
+        const BYTES: &[u8] = b" \t\r\n#=>,-/.*0123456789srcdtpoFWIDSTMNPermitudp\xc3\xa9\xff";
+        sdm_util::prop::fuzz_text(
+            "parse_policies over a byte-mutated Table I document",
+            2_000,
+            &[TABLE_ONE],
+            BYTES,
+            |text| {
+                if let Err(e) = parse_policies(text) {
+                    let lines = text.lines().count();
+                    sdm_util::prop_assert!((1..=lines).contains(&e.line), "{e}: the text has {lines} lines");
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]

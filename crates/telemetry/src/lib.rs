@@ -24,9 +24,9 @@
 //!   is a goldenable CI artifact.
 //!
 //! No timestamps appear anywhere in this crate: data-plane time is
-//! sim-ticks owned by `sdm-netsim`, and wall-clock stays confined to the
-//! lint-exempt bench harness (`sdm-lint` enforces this for
-//! `sdm-telemetry` too).
+//! sim-ticks owned by `sdm-netsim`, and wall-clock stays confined to
+//! stderr timings marked `lint:allow(wall-clock)` (`sdm-lint` enforces
+//! this for `sdm-telemetry` too).
 //!
 //! # Example
 //!

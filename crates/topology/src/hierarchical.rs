@@ -54,8 +54,7 @@ impl Default for HierarchicalConfig {
 
 impl HierarchicalConfig {
     /// A preset that builds a network in the tens of thousands of nodes
-    /// (≈21k with these parameters) — the scale used by the `table_scale`
-    /// experiments.
+    /// (≈21k with these parameters) — the fabric `sdm reach` checks.
     pub fn large() -> Self {
         HierarchicalConfig {
             pairs: 4,

@@ -205,6 +205,7 @@ impl Json {
     /// whitespace).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            s: input,
             b: input.as_bytes(),
             i: 0,
         };
@@ -242,6 +243,7 @@ fn write_string(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
+    s: &'a str,
     b: &'a [u8],
     i: usize,
 }
@@ -386,13 +388,14 @@ impl<'a> Parser<'a> {
                     self.i += 1;
                 }
                 Some(_) => {
-                    // advance over one UTF-8 scalar
-                    let rest = &self.b[self.i..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.i += c.len_utf8();
+                    // copy the run up to the next quote or escape; both
+                    // are ASCII, so the run ends on a char boundary
+                    let run = self.b[self.i..]
+                        .iter()
+                        .position(|&c| c == b'"' || c == b'\\')
+                        .unwrap_or(self.b.len() - self.i);
+                    out.push_str(&self.s[self.i..self.i + run]);
+                    self.i += run;
                 }
             }
         }
@@ -486,6 +489,9 @@ mod tests {
         assert_eq!(arr[0].as_u64(), Some(1));
         assert_eq!(arr[1].as_f64(), Some(-250.0));
         assert_eq!(arr[2].as_str(), Some("xAy"));
+        // Unescaped runs, multi-byte characters included, copy through whole.
+        let s = Json::parse("\"é€\\n𝄞 \\\"q\\\" ok\"").unwrap();
+        assert_eq!(s.as_str(), Some("é€\n𝄞 \"q\" ok"));
     }
 
     #[test]
@@ -493,6 +499,28 @@ mod tests {
         for bad in ["{", "[1,", "tru", "\"unterminated", "{\"a\" 1}", "1 2"] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn mutated_documents_never_panic_and_errors_point_inside_them() {
+        const FILES: [&str; 2] = [
+            include_str!("../../../results/reach_corpus.json"),
+            include_str!("../../../results/telemetry_golden.json"),
+        ];
+        // Bytes the grammar cares about, and ones that break UTF-8.
+        const BYTES: &[u8] = b" \t\r\n{}[]:,\"\\/-+.eE0123456789truefalsnu\xc3\xa9\xff";
+        crate::prop::fuzz_text(
+            "Json::parse over byte-mutated result documents",
+            2_000,
+            &FILES,
+            BYTES,
+            |text| {
+                if let Err(e) = Json::parse(text) {
+                    crate::prop_assert!(e.at <= text.len(), "{e}: the text has {} bytes", text.len());
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! |---|---|---|
 //! | [`rng`] | `rand` | seeded SplitMix64/Xoshiro256** PRNG, `gen_range`, shuffle, sampling |
 //! | [`prop`] | `proptest` | seeded case generation, shrinking by halving/truncation, failure-seed reporting |
-//! | [`mod@bench`] | `criterion` | warmup + timed samples, median/p95, printed per benchmark |
 //! | [`json`] | `serde` | a tiny JSON value type, writer and recursive-descent parser |
 //! | [`par`] | `crossbeam` | scoped-thread ordered parallel map |
 //! | [`sync`] | `parking_lot` | `std::sync::Mutex` wrapper with a non-poisoning `lock()` |
@@ -21,7 +20,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod fxhash;
 pub mod json;
 pub mod par;

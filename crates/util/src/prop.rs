@@ -248,6 +248,49 @@ where
     }
 }
 
+/// Fuzzes a text parser. Each of `cases` cases picks one of `texts`,
+/// applies 1–8 byte edits (insert a byte of `alphabet`, delete a byte or
+/// flip a bit; positions fall within the first 64 KiB) and hands the
+/// lossily decoded result to `prop`. A panic inside `prop` fails the case
+/// as an `Err` does, so the edit list is shrunk either way.
+///
+/// # Panics
+///
+/// Panics (test failure) when `prop` fails or panics on any case.
+pub fn fuzz_text<P>(name: &str, cases: u32, texts: &[&str], alphabet: &[u8], prop: P)
+where
+    P: Fn(&str) -> Result<(), String>,
+{
+    check(
+        name,
+        &Config::with_cases(cases),
+        |rng| {
+            let n = rng.gen_range(1..9usize);
+            let edits: Vec<(u8, u16, u8)> = (0..n)
+                .map(|_| (rng.next_u32() as u8, rng.next_u32() as u16, rng.next_u32() as u8))
+                .collect();
+            (rng.next_u32() as u8, edits)
+        },
+        |(text, edits)| {
+            let mut bytes = texts[*text as usize % texts.len()].as_bytes().to_vec();
+            for &(kind, at, byte) in edits {
+                let at = at as usize % (bytes.len() + 1);
+                match kind % 3 {
+                    0 => bytes.insert(at, alphabet[byte as usize % alphabet.len()]),
+                    1 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    2 if at < bytes.len() => bytes[at] ^= 1 << (byte % 8),
+                    _ => {}
+                }
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            catch_unwind(AssertUnwindSafe(|| prop(&text)))
+                .unwrap_or_else(|_| Err("the parser panicked".to_string()))
+        },
+    );
+}
+
 fn shrink<T, P>(value: &T, msg: String, prop: &P, budget: u32) -> (T, u32, String)
 where
     T: Clone + Debug + Shrink,

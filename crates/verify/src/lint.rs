@@ -10,9 +10,9 @@
 //!   deterministic, so only `FxHashMap`/`FxHashSet` or the `BTree`
 //!   collections are allowed.
 //! * **`wall-clock`** — `Instant::now` / `SystemTime::now` are banned
-//!   everywhere except the benchmarking harness
-//!   ([`WALL_CLOCK_EXEMPT_SUFFIXES`]); simulated time must come from the
-//!   event queue, never the host clock.
+//!   everywhere; simulated time must come from the event queue, never the
+//!   host clock. A deliberate stderr timing carries an explicit
+//!   `// lint:allow(wall-clock)`.
 //! * **`hot-path-panic`** — `.unwrap()` / `.expect(` are flagged in the
 //!   packet hot path ([`HOT_PATH_SUFFIXES`]); a malformed packet must
 //!   surface as a counted drop, not a worker-thread abort.
@@ -108,10 +108,6 @@ pub const HOT_PATH_SUFFIXES: &[&str] = &[
     "policy/src/classifier.rs",
     "topology/src/routing.rs",
 ];
-
-/// Path suffixes exempt from the wall-clock rule: the benchmarking
-/// harness measures host time by design.
-pub const WALL_CLOCK_EXEMPT_SUFFIXES: &[&str] = &["util/src/bench.rs"];
 
 /// Crates allowed to skip the `#![forbid/deny(unsafe_code)]` attribute.
 /// Empty: every crate in the workspace forbids unsafe code. A crate named
@@ -577,7 +573,6 @@ fn lint_source(rel: &str, crate_name: &str, text: &str, out: &mut Vec<LintViolat
     let data_plane = DATA_PLANE_CRATES.contains(&crate_name);
     let diagnostic = DIAGNOSTIC_CRATES.contains(&crate_name);
     let hot_path = HOT_PATH_SUFFIXES.iter().any(|s| rel.ends_with(s));
-    let clock_exempt = WALL_CLOCK_EXEMPT_SUFFIXES.iter().any(|s| rel.ends_with(s));
 
     for (idx, (line, tok)) in scan.tokens.iter().enumerate() {
         if in_test(idx) {
@@ -609,8 +604,7 @@ data-plane iteration order must be deterministic — use Fx{word} or BTree{}",
                 });
             }
             "Instant" | "SystemTime"
-                if !clock_exempt
-                    && followed_by_path_seg("now")
+                if followed_by_path_seg("now")
                     && !allowed(&scan, *line, RULE_WALL_CLOCK) =>
             {
                 out.push(LintViolation {
@@ -732,12 +726,14 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_banned_outside_bench() {
+    fn wall_clock_banned_unless_allowed() {
         let src = "fn f() { let t = std::time::Instant::now(); }\n";
         let hits = lint_str("crates/bench/src/bin/x.rs", "bench", src);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].rule, RULE_WALL_CLOCK);
-        assert!(lint_str("crates/util/src/bench.rs", "util", src).is_empty());
+        // No path is exempt; an explicit allow on the line is the only escape.
+        let allowed = "fn f() { let t = std::time::Instant::now(); } // lint:allow(wall-clock)\n";
+        assert!(lint_str("crates/bench/src/bin/x.rs", "bench", allowed).is_empty());
         // `Instant` without `::now` (e.g. a type annotation) is fine.
         let decl = "fn g(t: Instant) {}\n";
         assert!(lint_str("crates/core/src/x.rs", "core", decl).is_empty());

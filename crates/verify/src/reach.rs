@@ -2342,38 +2342,19 @@ loop-free ttl 64   # trailing comment
 
     #[test]
     fn mutated_assertion_files_never_panic_and_errors_point_inside_them() {
-        use sdm_util::prop::{check, Config};
         const FILES: [&str; 2] = [
             include_str!("../../../results/assertions_campus.txt"),
             include_str!("../../../results/assertions_hier.txt"),
         ];
         // Bytes the grammar cares about, and ones that break UTF-8.
         const BYTES: &[u8] = b" \t\r\n#*->/.0123456789abcdefviaFWIDSttl\xc3\xa9\xff";
-        check(
+        sdm_util::prop::fuzz_text(
             "parse_assertions over byte-mutated assertion files",
-            &Config::with_cases(2_000),
-            |rng| {
-                let n = rng.gen_range(1..9usize);
-                let mutations: Vec<(u8, u16, u8)> = (0..n)
-                    .map(|_| (rng.next_u32() as u8, rng.next_u32() as u16, rng.next_u32() as u8))
-                    .collect();
-                (rng.next_u32() as u8, mutations)
-            },
-            |(file, mutations)| {
-                let mut bytes = FILES[*file as usize % FILES.len()].as_bytes().to_vec();
-                for &(kind, at, byte) in mutations {
-                    let at = at as usize % (bytes.len() + 1);
-                    match kind % 3 {
-                        0 => bytes.insert(at, BYTES[byte as usize % BYTES.len()]),
-                        1 if at < bytes.len() => {
-                            bytes.remove(at);
-                        }
-                        2 if at < bytes.len() => bytes[at] ^= 1 << (byte % 8),
-                        _ => {}
-                    }
-                }
-                let text = String::from_utf8_lossy(&bytes);
-                if let Err(e) = parse_assertions_at(&text) {
+            2_000,
+            &FILES,
+            BYTES,
+            |text| {
+                if let Err(e) = parse_assertions_at(text) {
                     let line = text.lines().nth(e.line.wrapping_sub(1));
                     sdm_util::prop_assert!(line.is_some(), "{e}: the text has {} lines", text.lines().count());
                     let chars = line.unwrap_or_default().chars().count();

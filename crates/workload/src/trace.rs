@@ -164,6 +164,32 @@ mod tests {
     }
 
     #[test]
+    fn mutated_traces_never_panic_and_errors_point_inside_them() {
+        let addrs = AddressPlan::new(&campus(1));
+        let gp = evaluation_policies(&addrs, PolicyClassCounts::default(), 3);
+        let config = WorkloadConfig {
+            flows: 40,
+            ..Default::default()
+        };
+        let trace = flows_to_text(&generate_flows(&gp, &addrs, &config));
+        // Bytes the grammar cares about, and ones that break UTF-8.
+        const BYTES: &[u8] = b" \t\r\n#.0123456789tcpudpipro\xc3\xa9\xff";
+        sdm_util::prop::fuzz_text(
+            "flows_from_text over a byte-mutated campus trace",
+            2_000,
+            &[&trace],
+            BYTES,
+            |text| {
+                if let Err(e) = flows_from_text(text) {
+                    let lines = text.lines().count();
+                    sdm_util::prop_assert!((1..=lines).contains(&e.line), "{e}: the text has {lines} lines");
+                }
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
     fn parses_comments_and_blanks() {
         let text = "# header\n\n10.0.0.1 10.3.0.2 1 2 udp 5 3 # trailing\n";
         let flows = flows_from_text(text).unwrap();

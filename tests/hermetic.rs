@@ -3,7 +3,8 @@
 //! of the workspace must be an in-tree path dependency (or a
 //! `workspace = true` inheritance of one). A registry dependency sneaking
 //! in breaks `--offline` builds, so it fails this test *before* it breaks
-//! CI boxes without a crates.io mirror.
+//! CI boxes without a crates.io mirror. A last guard keeps `benchmark/`
+//! the only performance record: no package declares a `cargo bench` target.
 
 use std::path::{Path, PathBuf};
 
@@ -138,4 +139,27 @@ fn util_crate_is_dependency_free() {
             "crates/util must stay dependency-free, found [{section}] {line}"
         );
     }
+}
+
+/// `benchmark/` (declared in `BENCHMARK.json`) is the one performance
+/// record: no workspace package may grow a second one as a `cargo bench`
+/// target, declared or auto-discovered from a `benches/` directory.
+#[test]
+fn no_cargo_bench_targets() {
+    let mut found = Vec::new();
+    for manifest in workspace_manifests() {
+        let text = std::fs::read_to_string(&manifest).unwrap();
+        if text.lines().any(|l| l.trim() == "[[bench]]") {
+            found.push(format!("{}: declares a [[bench]] target", manifest.display()));
+        }
+        let benches = manifest.parent().unwrap().join("benches");
+        if benches.exists() {
+            found.push(format!("{} exists", benches.display()));
+        }
+    }
+    assert!(
+        found.is_empty(),
+        "performance is measured by benchmark/ only:\n  {}",
+        found.join("\n  ")
+    );
 }
