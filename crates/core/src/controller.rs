@@ -474,7 +474,6 @@ impl Controller {
 
         // One proxy per stub network (§III.A). In-path attachment: the
         // proxy sits between the stub and its edge router.
-        let mut proxy_devices = Vec::with_capacity(self.plan.edges().len());
         let mut proxy_states = Vec::with_capacity(self.plan.edges().len());
         for stub in self.addr_plan.stubs() {
             let state: Shared<ProxyState> =
@@ -492,7 +491,6 @@ impl Controller {
                 Box::new(device),
             );
             sim.set_stub_handler(stub, dev);
-            proxy_devices.push(dev);
             proxy_states.push(state);
         }
 
@@ -517,7 +515,6 @@ impl Controller {
         Enforcement {
             sim,
             mbox_devices,
-            proxy_devices,
             mbox_states,
             proxy_states,
             ingress_states,
@@ -534,7 +531,6 @@ impl Controller {
 pub struct Enforcement {
     sim: Simulator,
     mbox_devices: Vec<sdm_netsim::DeviceId>,
-    proxy_devices: Vec<sdm_netsim::DeviceId>,
     mbox_states: Vec<Shared<MboxState>>,
     proxy_states: Vec<Shared<ProxyState>>,
     ingress_states: Vec<Shared<ProxyState>>,
@@ -676,11 +672,30 @@ impl Enforcement {
             .inject_stream_from_stub(stub, flow, payload, packets, start, gap);
     }
 
-    /// Runs the simulation to completion; returns events processed.
+    /// Runs the simulation to completion and settles every soft-state
+    /// table at its last tick ([`sdm_policy::FlowTable::settle`]), so the
+    /// record counts exactly the entries alive then; returns events
+    /// processed.
     pub fn run(&mut self) -> u64 {
         let events = self.sim.run_until_idle();
         self.events += events;
+        self.settle(self.sim.now());
         events
+    }
+
+    /// Reclaims every flow-cache and label-table entry stale at `now`
+    /// (one full pass per table, free while nothing can be stale), so the
+    /// footprint counts exactly the entries alive at `now`, whatever
+    /// order the inserts ran in.
+    pub(crate) fn settle(&self, now: SimTime) {
+        for state in self.proxy_states.iter().chain(&self.ingress_states) {
+            state.lock().flows.settle(now);
+        }
+        for state in &self.mbox_states {
+            let mut st = state.lock();
+            st.flows.settle(now);
+            st.labels.settle(now);
+        }
     }
 
     /// Per-middlebox packet loads (indexed by [`MiddleboxId`]) — the
@@ -755,11 +770,6 @@ impl Enforcement {
     /// Restores a crashed middlebox inside this running simulation.
     pub fn restore_middlebox(&mut self, id: MiddleboxId) {
         self.mbox_states[id.index()].lock().failed = false;
-    }
-
-    /// Device id of a proxy inside the simulator.
-    pub fn proxy_device(&self, stub: StubId) -> sdm_netsim::DeviceId {
-        self.proxy_devices[stub.index()]
     }
 
     /// Device id of a middlebox inside the simulator.

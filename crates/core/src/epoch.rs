@@ -85,7 +85,7 @@ pub struct EpochReport {
 /// matrix and the deterministic LP, so they are byte-identical across
 /// `SDM_SHARDS` settings.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LpTelemetry {
+pub(crate) struct LpTelemetry {
     /// LP re-solves that ran cold (no reusable retained state).
     pub solves_cold: u64,
     /// LP re-solves that re-entered the previous epoch's tableaus.
@@ -348,11 +348,6 @@ impl<'a> EpochLoop<'a> {
     /// The per-shard enforcement simulations (shard-index order).
     pub fn shards(&self) -> &[Enforcement] {
         &self.shards
-    }
-
-    /// Control-plane LP/epoch counters accumulated so far.
-    pub fn lp_telemetry(&self) -> &LpTelemetry {
-        &self.lp_tel
     }
 
     /// Adds the control-plane counters to `snap` under the

@@ -72,7 +72,7 @@ mod verify;
 
 pub use controller::{ConfigFootprint, Controller, Enforcement, EnforcementOptions};
 pub use deployment::{Deployment, MiddleboxId, MiddleboxSpec};
-pub use epoch::{EpochError, EpochLoop, EpochReport, LpTelemetry};
+pub use epoch::{EpochError, EpochLoop, EpochReport};
 pub use lp_model::{
     build_full, build_reduced, build_reduced_with_cache, LbError, LbOptions, LbReport,
     LbWarmCache,

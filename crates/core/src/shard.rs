@@ -222,9 +222,11 @@ impl Controller {
     /// Flows are bucketed by [`shard_of`] (preserving input order inside a
     /// bucket); each worker builds its own [`Enforcement`] — a cheap clone
     /// of the controller's read-only plan, assignments and weights —
-    /// injects its bucket, runs to completion and takes its
-    /// [`Enforcement::snapshot`]. The records are folded in shard-index
-    /// order, so the result is independent of thread scheduling:
+    /// injects its bucket and runs to completion. Every shard then settles
+    /// its soft state at the last tick over *all* shards — the tick a
+    /// single-shard run ends at — and takes its [`Enforcement::snapshot`].
+    /// The records are folded in shard-index order, so the result is
+    /// independent of thread scheduling:
     /// `run_sharded(n)` is bit-identical to `run_sharded(1)` and, `shards`
     /// aside, to the snapshot of one `Enforcement` over the same flow list.
     ///
@@ -254,12 +256,17 @@ impl Controller {
         assert!(!report.has_errors(), "{report}");
 
         let buckets = bucket_flows(flows, shards.max(1));
-        ShardedRun::fold(par::par_map(&buckets, |_, bucket| {
+        let ran = par::par_map(&buckets, |_, bucket| {
             let mut enf = self.enforcement(strategy, weights.cloned(), options);
             for spec in bucket {
                 enf.inject_flow(spec.flow, spec.packets, spec.payload);
             }
             enf.run();
+            enf
+        });
+        let last = ran.iter().map(|enf| enf.sim().now()).max().unwrap_or_default();
+        ShardedRun::fold(ran.iter().map(|enf| {
+            enf.settle(last);
             enf.snapshot()
         }))
     }
@@ -392,6 +399,32 @@ mod tests {
             );
             assert_eq!(folded.shards, shards);
             assert_same_record(&folded, &one_inbound, &format!("{shards} shards, inbound"));
+        }
+    }
+
+    /// Under a TTL shorter than the run, shards that go idle early are
+    /// settled at the last tick over all shards, so the soft-state
+    /// footprint is the single run's at every shard count: a handful of
+    /// flows keeps the shards' last ticks apart, and a TTL about one path
+    /// long leaves entries alive at a shard's own last tick but not at
+    /// the run's.
+    #[test]
+    fn shards_settle_at_the_last_tick_of_the_whole_run() {
+        let c = controller();
+        let options = EnforcementOptions {
+            flow_ttl: 6,
+            label_ttl: 6,
+            ..Default::default()
+        };
+        for n in [8u16, 20] {
+            let specs = flows(&c, n);
+            let one = c.run_sharded(Strategy::HotPotato, None, options, &specs, 1);
+            let expired: u64 = one.footprint.mbox_flow_stats.iter().map(|s| s.expired).sum();
+            assert!(expired > 0, "{n} flows: entries expire within the run");
+            for shards in [2usize, 3, 4] {
+                let sharded = c.run_sharded(Strategy::HotPotato, None, options, &specs, shards);
+                assert_same_record(&sharded, &one, &format!("{n} flows, {shards} shards"));
+            }
         }
     }
 

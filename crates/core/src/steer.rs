@@ -323,14 +323,6 @@ impl SteeringWeights {
         self.weights.iter().map(|(k, v)| (k, v.as_slice()))
     }
 
-    /// Iterates over every per-commodity column (empty unless produced by
-    /// the full Eq. (1) formulation).
-    pub fn iter_fine(
-        &self,
-    ) -> impl Iterator<Item = (&CommodityKey, &[(MiddleboxId, f64)])> + '_ {
-        self.fine.iter().map(|(k, v)| (k, v.as_slice()))
-    }
-
     /// Estimated bytes the controller must push to the data plane to
     /// install these weights: each aggregate entry costs one key (12 B)
     /// plus 12 B per `(middlebox, weight)` pair, each per-commodity entry

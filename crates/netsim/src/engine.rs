@@ -141,8 +141,9 @@ pub enum Attachment {
 /// Packets are handed over as arena ids — read or mutate them in place via
 /// [`DeviceCtx::pkt`] / [`DeviceCtx::pkt_mut`], then [`DeviceCtx::forward`]
 /// or [`DeviceCtx::deliver_local`] the id (or [`DeviceCtx::drop_pkt`] to
-/// consume it).
-pub trait Device {
+/// consume it). Devices are `Send` so a whole simulator can move between
+/// threads (a sharded run settles its shards together after they finish).
+pub trait Device: Send {
     /// Called with a *run* of packets addressed to this device (or
     /// intercepted by it) that arrived at the same tick, see the module
     /// docs. `pkts` is in arrival (FIFO) order and is never empty.

@@ -13,6 +13,10 @@
 //! builds one per same-flow stretch. A hit is one probe, a miss hands its
 //! probe cell to the insert that follows, and a pin or label update on
 //! the entry a lookup just found does not probe at all.
+//!
+//! Soft state expires on the table's own insert path: every positive
+//! insert runs one [`Reclaim`] step over the positive slab, so resident
+//! state follows the flows alive within one TTL, not the whole workload.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -21,7 +25,9 @@ use sdm_netsim::{FiveTuple, Label, SimTime};
 use sdm_util::FxHashMap;
 
 use crate::action::ActionList;
-use crate::oa_table::{FlowKey, NegativeCache, OaTable, DEFAULT_NEG_SETS};
+use crate::oa_table::{
+    expired, FlowKey, NegativeCache, OaTable, Reclaim, SoftState, DEFAULT_NEG_SETS,
+};
 use crate::policy::PolicyId;
 
 /// Sentinel for the packed `Option<u32>` fields of [`PosEntry`].
@@ -103,6 +109,12 @@ struct PosEntry {
     last_seen: SimTime,
 }
 
+impl SoftState for PosEntry {
+    fn last_seen(&self) -> SimTime {
+        self.last_seen
+    }
+}
+
 /// What the cache knows about one flow — the `Copy` view
 /// [`FlowTable::lookup`] reads out of the packed resident entry. The action
 /// list stays in the table: borrow it with [`FlowTable::actions`]. The
@@ -143,7 +155,9 @@ pub struct FlowTableStats {
     pub negative_hits: u64,
     /// Weighted lookups that found nothing (or only an expired entry).
     pub misses: u64,
-    /// Entries dropped by soft-state expiry.
+    /// Entries reclaimed after their soft-state TTL, each counted once
+    /// however it went: by a lookup, a reclaim step, a sweep, a settle,
+    /// or displaced (or replaced) by an insert.
     pub expired: u64,
 }
 
@@ -163,9 +177,24 @@ impl FlowTableStats {
 ///
 /// Expiry boundary: an entry last refreshed at time `t` is alive for
 /// lookups at `t .. t + ttl - 1` and expired from `t + ttl` on — i.e. it
-/// lives for exactly `ttl` ticks. [`FlowTable::lookup`] and
-/// [`FlowTable::sweep`] apply the same rule, so a sweep followed by a
-/// lookup at the same `now` can never resurrect an entry.
+/// lives for exactly `ttl` ticks. Every path that drops a stale entry
+/// applies that one rule, so a reclaim followed by a lookup at the same
+/// `now` can never resurrect an entry, and what a lookup observes never
+/// depends on when reclaim ran.
+///
+/// Reclaim: each [`FlowTable::insert_positive`] first examines a few
+/// positive slab slots from a persistent cursor and removes the stale
+/// entries — skipped for one comparison while the cursor's floor proves
+/// nothing can be stale. The negative side is never walked that way: it
+/// stays capacity-capped, so its way layout (and eviction order) is a
+/// function of each set's own history. [`FlowTable::settle`] is one full
+/// pass over both sides, after which [`FlowTable::len`] counts exactly the
+/// entries alive at that instant.
+///
+/// The table's clock is the latest `now` any operation gave it. An entry
+/// stale at that clock is gone for every operation, reclaimed or not: the
+/// label, pin and flag updates and [`FlowTable::pinned_next`] treat it as
+/// absent, so no result depends on the reclaim cadence.
 ///
 /// Positive entries live in an open-addressed slab table that grows by
 /// rebuilding its probe array; negative markers live in a capacity-capped
@@ -204,21 +233,21 @@ pub struct FlowTable {
     classes: ClassInterner,
     ttl: u64,
     stats: FlowTableStats,
-    /// Completed [`FlowTable::sweep`] calls (not part of
-    /// [`FlowTableStats`]: sweep cadence is an engine-mechanics detail
-    /// that varies with sharding/batching, while the stats struct is
-    /// compared bit-for-bit across those corners).
+    /// Reclaim walks that ran: steps past the guard, sweeps and settles
+    /// (not part of [`FlowTableStats`]: the cadence depends on each
+    /// table's insert order, which varies with sharding, while the stats
+    /// struct is compared bit-for-bit across those corners).
     sweeps: u64,
-    /// Latest `now` observed, for the monotonicity debug-assert: lookups
-    /// use `now - last_seen` with a saturating subtraction, so a clock
-    /// that runs backwards would silently read refreshed-in-the-future
-    /// entries as fresh forever instead of failing loudly.
+    /// The table's clock: the latest `now` any operation passed. Debug
+    /// builds assert it never runs backwards: ages use a saturating
+    /// subtraction, so a clock that runs backwards would silently read
+    /// refreshed-in-the-future entries as fresh forever instead of
+    /// failing loudly.
     watermark: SimTime,
-    /// Resume position of the budgeted [`FlowTable::sweep`] cursor over
-    /// the virtual slot space (positive slab slots, then negative-cache
-    /// slots). Replaces the old key-snapshot queue: no allocation per
-    /// sweep cycle, regardless of table size.
-    sweep_cursor: usize,
+    /// The positive slab's reclaim cursor: insert steps, sweeps, settles.
+    pos_reclaim: Reclaim,
+    /// The negative cache's cursor: sweeps and settles only.
+    neg_reclaim: Reclaim,
 }
 
 impl FlowTable {
@@ -250,8 +279,25 @@ impl FlowTable {
             stats: FlowTableStats::default(),
             sweeps: 0,
             watermark: SimTime(0),
-            sweep_cursor: 0,
+            pos_reclaim: Reclaim::default(),
+            neg_reclaim: Reclaim::default(),
         }
+    }
+
+    /// Moves the table's clock to `now`.
+    fn advance(&mut self, now: SimTime) {
+        debug_assert!(
+            now >= self.watermark,
+            "flow-table clock moved backwards: {now:?} < {:?}",
+            self.watermark
+        );
+        self.watermark = now;
+    }
+
+    /// The flow's positive entry if it is alive at the table's clock.
+    fn live_mut(&mut self, key: FlowKey) -> Option<&mut PosEntry> {
+        let (now, ttl) = (self.watermark, self.ttl);
+        self.pos.get_mut(key).filter(|e| !expired(e.last_seen, now, ttl))
     }
 
     /// The `Copy` view of a positive entry.
@@ -292,16 +338,11 @@ impl FlowTable {
         weight: u64,
     ) -> Option<FlowEntry> {
         let key = key.into();
-        debug_assert!(
-            now >= self.watermark,
-            "flow-table clock moved backwards: {now:?} < {:?}",
-            self.watermark
-        );
-        self.watermark = now;
+        self.advance(now);
         let ttl = self.ttl;
         // Positive table first (a flow is resident in at most one side).
         if let Some(e) = self.pos.get_mut(key) {
-            if now.0.saturating_sub(e.last_seen.0) < ttl {
+            if !expired(e.last_seen, now, ttl) {
                 e.last_seen = now;
                 let e = *e;
                 self.absent = None;
@@ -312,7 +353,7 @@ impl FlowTable {
             self.stats.expired += 1;
         } else {
             match self.neg.get_mut(&key) {
-                Some(ls) if now.0.saturating_sub(ls.0) < ttl => {
+                Some(ls) if !expired(*ls, now, ttl) => {
                     *ls = now;
                     self.absent = None;
                     self.stats.hits += weight;
@@ -358,6 +399,11 @@ impl FlowTable {
     /// Inserts (or replaces) a positive entry mapping the flow to a policy's
     /// action list, and returns its view. The list is interned: the
     /// resident entry stores a 4-byte [`PolicyClassId`], not a clone.
+    ///
+    /// First runs one reclaim step (see the type docs), so the insert
+    /// still leaves its probe cell for the label and pin updates that
+    /// follow. A stale entry of the same flow that the insert replaces
+    /// counts as expired.
     pub fn insert_positive(
         &mut self,
         key: impl Into<FlowKey>,
@@ -366,11 +412,19 @@ impl FlowTable {
         now: SimTime,
     ) -> FlowEntry {
         let key = key.into();
+        self.advance(now);
+        let ttl = self.ttl;
         if self.absent.take() != Some(key) {
-            self.neg.remove(&key);
+            if let Some(seen) = self.neg.remove(&key) {
+                self.stats.expired += u64::from(expired(seen, now, ttl));
+            }
+        }
+        if let Some(n) = self.pos_reclaim.step(&mut self.pos, now, ttl) {
+            self.sweeps += 1;
+            self.stats.expired += n as u64;
         }
         let class = self.classes.intern(policy, actions.borrow());
-        self.pos.insert(
+        let replaced = self.pos.insert(
             key,
             PosEntry {
                 class,
@@ -380,6 +434,9 @@ impl FlowTable {
                 last_seen: now,
             },
         );
+        if let Some(old) = replaced {
+            self.stats.expired += u64::from(expired(old.last_seen, now, ttl));
+        }
         FlowEntry {
             action: Some((policy, class)),
             ..FlowEntry::default()
@@ -389,22 +446,27 @@ impl FlowTable {
     /// Inserts the negative marker `⟨f, null⟩` so later packets of the flow
     /// skip the policy table entirely (§III.D), and returns its view.
     /// Subject to the negative cache's capacity cap: a full set
-    /// deterministically evicts its stalest marker (an eviction only
-    /// re-exposes that flow to one policy lookup — correctness is
-    /// unaffected).
+    /// deterministically displaces its stalest marker. Displacing a live
+    /// marker is an eviction (it only re-exposes that flow to one policy
+    /// lookup — correctness is unaffected); displacing a stale one is an
+    /// expiry.
     pub fn insert_negative(&mut self, key: impl Into<FlowKey>, now: SimTime) -> FlowEntry {
         let key = key.into();
+        self.advance(now);
+        let ttl = self.ttl;
         self.absent = None;
-        self.pos.remove(key);
-        self.neg.insert(&key, now);
+        if let Some(old) = self.pos.remove(key) {
+            self.stats.expired += u64::from(expired(old.last_seen, now, ttl));
+        }
+        self.stats.expired += u64::from(self.neg.insert(&key, now, ttl));
         FlowEntry::default()
     }
 
-    /// Applies `update` to the flow's positive entry; false if the flow is
-    /// unknown or negative-cached. No probe when the last lookup or insert
-    /// was of this flow.
+    /// Applies `update` to the flow's live positive entry; false if the
+    /// flow is unknown, stale or negative-cached. No probe when the last
+    /// lookup or insert was of this flow.
     fn update(&mut self, key: impl Into<FlowKey>, update: impl FnOnce(&mut PosEntry)) -> bool {
-        self.pos.get_mut(key.into()).map(update).is_some()
+        self.live_mut(key.into()).map(update).is_some()
     }
 
     /// Attaches a steering label to an existing *positive* entry
@@ -417,10 +479,11 @@ impl FlowTable {
     /// Reads a flow's pinned next hop without refreshing soft state or
     /// touching the hit/miss counters. Callers must have resolved the flow
     /// with [`FlowTable::lookup`] at the current instant first (so an
-    /// expired entry cannot leak a stale pin).
+    /// entry that expired since the table's clock cannot leak a stale pin).
     pub fn pinned_next(&self, key: impl Into<FlowKey>) -> Option<u32> {
         self.pos
             .get(key.into())
+            .filter(|e| !expired(e.last_seen, self.watermark, self.ttl))
             .and_then(|e| if e.pinned == NONE_U32 { None } else { Some(e.pinned) })
     }
 
@@ -439,63 +502,48 @@ impl FlowTable {
         self.update(key, |e| e.label_switched = true)
     }
 
-    /// Amortized expiry sweep: examines at most `budget` slots per call,
-    /// resuming where the previous call stopped, and drops entries whose
-    /// age reached the ttl (the same boundary as [`FlowTable::lookup`]).
-    /// Returns how many were dropped. A budget of `usize::MAX` is one full
-    /// cursor cycle: every slot is visited once, so every stale entry goes.
+    /// Explicit budgeted expiry walk: examines at most `budget` positive
+    /// slab slots and at most `budget` negative-cache slots, each from its
+    /// side's persistent cursor (the positive one is the cursor insert
+    /// steps advance), and drops the stale entries. Returns how many it
+    /// dropped. Not guarded: a budget of `usize::MAX` visits every slot
+    /// of both sides once. Allocation-free at any table size.
     ///
-    /// The cursor walks the virtual slot space — positive slab slots, then
-    /// negative-cache slots — directly, so a sweep cycle is allocation-free
-    /// at any table size (the old implementation re-snapshotted the key set
-    /// each cycle: an O(n) allocation spike at a million entries). Each
-    /// call costs O(budget); combined with the purge-on-lookup that
-    /// [`FlowTable::lookup`] already performs, a full pass completes every
-    /// `ceil(slots / budget)` calls. Entries inserted mid-cycle into
-    /// already-passed slots are picked up by the next cycle; stale entries
-    /// are never resurrected (lookup rejects them regardless).
+    /// The data path never calls this — inserts reclaim on their own and
+    /// [`FlowTable::settle`] finishes a run — so a walk here only moves
+    /// *when* a stale entry is counted, never what a lookup observes.
     pub fn sweep(&mut self, now: SimTime, budget: usize) -> usize {
-        debug_assert!(
-            now >= self.watermark,
-            "flow-table clock moved backwards: {now:?} < {:?}",
-            self.watermark
-        );
-        self.watermark = now;
+        self.advance(now);
         self.sweeps += 1;
-        let pos_slots = self.pos.slot_count();
-        let total = pos_slots + self.neg.slot_count();
-        let mut dropped = 0usize;
-        if total > 0 {
-            if self.sweep_cursor >= total {
-                self.sweep_cursor = 0;
-            }
-            let ttl = self.ttl;
-            for _ in 0..budget.min(total) {
-                let i = self.sweep_cursor;
-                self.sweep_cursor = (self.sweep_cursor + 1) % total;
-                if i < pos_slots {
-                    let stale_key = match self.pos.slot(i) {
-                        Some((k, e)) if now.0.saturating_sub(e.last_seen.0) >= ttl => Some(*k),
-                        _ => None,
-                    };
-                    if let Some(k) = stale_key {
-                        self.pos.remove(k);
-                        dropped += 1;
-                    }
-                } else if let Some((k, ls)) = self.neg.slot(i - pos_slots) {
-                    if now.0.saturating_sub(ls.0) >= ttl {
-                        self.neg.remove(&FlowKey::new(k));
-                        dropped += 1;
-                    }
-                }
-            }
-        }
+        let ttl = self.ttl;
+        let dropped = self.pos_reclaim.walk(&mut self.pos, now, ttl, budget)
+            + self.neg_reclaim.walk(&mut self.neg, now, ttl, budget);
         self.stats.expired += dropped as u64;
         dropped
     }
 
-    /// Live entry count (including possibly-stale entries not yet purged),
-    /// positive and negative sides combined.
+    /// Reclaims every entry stale at `now`: one full pass over each side,
+    /// skipped (one comparison) for a side whose floor proves nothing can
+    /// be stale. Afterwards [`FlowTable::len`] is exactly the number of
+    /// entries alive at `now` — independent of how inserts were
+    /// interleaved — which is what makes end-of-run footprints identical
+    /// across shard counts and drain limits. Returns how many it dropped.
+    pub fn settle(&mut self, now: SimTime) -> usize {
+        self.advance(now);
+        let ttl = self.ttl;
+        let pos = self.pos_reclaim.settle(&mut self.pos, now, ttl);
+        let neg = self.neg_reclaim.settle(&mut self.neg, now, ttl);
+        if pos.is_some() || neg.is_some() {
+            self.sweeps += 1;
+        }
+        let dropped = pos.unwrap_or(0) + neg.unwrap_or(0);
+        self.stats.expired += dropped as u64;
+        dropped
+    }
+
+    /// Resident entry count, positive and negative sides combined: every
+    /// entry alive at the last instant, plus stale ones not yet reclaimed
+    /// (none right after a [`FlowTable::settle`]).
     pub fn len(&self) -> usize {
         self.pos.len() + self.neg.len()
     }
@@ -510,7 +558,8 @@ impl FlowTable {
         self.stats
     }
 
-    /// Completed [`FlowTable::sweep`] calls over this table's lifetime.
+    /// Reclaim walks that ran over this table's lifetime: insert steps
+    /// past the guard, [`FlowTable::sweep`] calls and settles.
     pub fn sweeps(&self) -> u64 {
         self.sweeps
     }
@@ -525,9 +574,10 @@ impl FlowTable {
         self.neg.capacity()
     }
 
-    /// Negative markers displaced by capacity eviction (an exhaustion
-    /// attack shows up here; invariant across power-of-two shard counts,
-    /// see [`crate::oa_table`]).
+    /// Live negative markers displaced by capacity eviction (an exhaustion
+    /// attack shows up here; a displaced marker that had already expired
+    /// counts in [`FlowTableStats::expired`] instead). Invariant across
+    /// power-of-two shard counts, see [`crate::oa_table`].
     pub fn negative_evictions(&self) -> u64 {
         self.neg.evictions()
     }
@@ -926,9 +976,9 @@ mod tests {
 
     #[test]
     fn sweep_never_allocates() {
-        // the old implementation re-snapshotted the key set at each cycle
-        // start — an O(n) allocation spike; the cursor walk must keep the
-        // table's heap footprint bit-stable across arbitrarily many sweeps
+        // a cursor walk must keep the table's heap footprint bit-stable
+        // across arbitrarily many sweeps
+        use crate::oa_table::Slots;
         let mut t = FlowTable::new(50);
         for p in 0..2000u16 {
             t.insert_positive(ft(p + 1), PolicyId(0), ActionList::permit(), SimTime(0));
@@ -949,6 +999,68 @@ mod tests {
             assert!(t.allocated_bytes() <= baseline, "sweep must not allocate");
         }
         assert!(t.is_empty(), "everything expired across the cycles");
+    }
+
+    #[test]
+    fn a_stale_displacement_counts_as_expired_not_evicted() {
+        // one 8-way set of markers, all stale by tick 20
+        let mut t = FlowTable::with_negative_sets(10, 1);
+        for p in 0..8u16 {
+            t.insert_negative(ft(p + 1), SimTime(p as u64));
+        }
+        let (evicted, expired) = (t.negative_evictions(), t.stats().expired);
+        t.insert_negative(ft(100), SimTime(20));
+        assert_eq!(t.negative_evictions(), evicted, "evictions +0");
+        assert_eq!(t.stats().expired, expired + 1, "expired +1");
+        assert_eq!(t.negative_len(), 8);
+    }
+
+    #[test]
+    fn inserts_reclaim_what_lookups_never_revisit() {
+        // one-packet flows, one per tick, ttl 50: only the inserts run
+        // reclaim, yet the table stays near one TTL window of flows
+        let mut t = FlowTable::new(50);
+        for p in 0..5000u16 {
+            let now = SimTime(p as u64);
+            assert!(t.lookup(ft(p), now, 1).is_none());
+            t.insert_positive(ft(p), PolicyId(0), ActionList::permit(), now);
+            assert!(t.len() <= 100, "len {} after flow {p}", t.len());
+        }
+        let s = t.stats();
+        assert_eq!(t.len() as u64 + s.expired, 5000, "every entry resident or expired");
+        assert_eq!((s.hits, s.misses), (0, 5000), "reclaim is invisible to lookups");
+        assert!(t.sweeps() > 0);
+        // settling leaves exactly the flows alive at the last instant
+        t.settle(SimTime(4999));
+        assert_eq!(t.len(), 50);
+        assert_eq!(t.stats().expired, 4950);
+        assert!(t.allocated_bytes() < 50 * 1000, "{} bytes", t.allocated_bytes());
+    }
+
+    #[test]
+    fn reclaim_is_free_while_nothing_can_be_stale() {
+        let mut t = FlowTable::new(1_000_000);
+        for p in 0..1000u16 {
+            t.insert_positive(ft(p), PolicyId(0), ActionList::permit(), SimTime(p as u64));
+        }
+        assert_eq!(t.settle(SimTime(999)), 0);
+        assert_eq!(t.sweeps(), 0, "every step and the settle stopped at the guard");
+        assert_eq!(t.len(), 1000);
+    }
+
+    #[test]
+    fn replacing_a_stale_entry_counts_it_expired() {
+        let mut t = FlowTable::new(10);
+        t.insert_positive(ft(1), PolicyId(0), ActionList::permit(), SimTime(0));
+        t.insert_positive(ft(1), PolicyId(0), ActionList::permit(), SimTime(5));
+        assert_eq!(t.stats().expired, 0, "replacing a live entry is not an expiry");
+        t.insert_positive(ft(1), PolicyId(0), ActionList::permit(), SimTime(15));
+        assert_eq!(t.stats().expired, 1);
+        t.insert_negative(ft(1), SimTime(30));
+        assert_eq!(t.stats().expired, 2, "a stale positive entry the marker replaces");
+        t.insert_positive(ft(1), PolicyId(0), ActionList::permit(), SimTime(45));
+        assert_eq!(t.stats().expired, 3, "a stale marker the entry replaces");
+        assert_eq!(t.len(), 1);
     }
 
     #[test]

@@ -7,14 +7,15 @@
 //! cache (slab-backed, whole rebuild on grow, backward-shift deletion) —
 //! see [`crate::oa_table`]. Operations take a [`Hashed`] key, so a
 //! middlebox hashes a label key once per same-key stretch, and a lookup,
-//! hit or expired, is one probe.
+//! hit or expired, is one probe. Stale entries are reclaimed on the
+//! insert path, by the same [`Reclaim`] walk the flow cache uses.
 
 use std::fmt;
 
 use sdm_netsim::{Ipv4Addr, Label, SimTime};
 
 use crate::action::ActionList;
-use crate::oa_table::{Hashed, OaKey, OaTable};
+use crate::oa_table::{expired, Hashed, OaKey, OaTable, Reclaim, SoftState};
 use crate::policy::PolicyId;
 
 /// The lookup key `src | l`: source address concatenated with label.
@@ -71,11 +72,22 @@ pub struct LabelEntry {
     last_seen: SimTime,
 }
 
+impl SoftState for LabelEntry {
+    fn last_seen(&self) -> SimTime {
+        self.last_seen
+    }
+}
+
 /// Soft-state label table (§III.E), one per middlebox.
 ///
 /// Expiry boundary, the same as [`crate::FlowTable`]'s: an entry last
 /// refreshed at time `t` is alive for lookups at `t .. t + ttl - 1` and
 /// expired from `t + ttl` on — it lives for exactly `ttl` ticks.
+///
+/// Every [`LabelTable::insert`] first runs one reclaim step over the slab
+/// (free while nothing can be stale); [`LabelTable::settle`] is one full
+/// pass. A label entry that is never looked up again is reclaimed all
+/// the same. The label itself is not returned to the proxy's allocator.
 ///
 /// # Example
 ///
@@ -93,6 +105,9 @@ pub struct LabelEntry {
 pub struct LabelTable {
     entries: OaTable<LabelKey, LabelEntry>,
     ttl: u64,
+    reclaim: Reclaim,
+    /// Entries reclaimed after their TTL, each counted once.
+    expired: u64,
 }
 
 impl LabelTable {
@@ -106,10 +121,13 @@ impl LabelTable {
         LabelTable {
             entries: OaTable::new(),
             ttl,
+            reclaim: Reclaim::default(),
+            expired: 0,
         }
     }
 
-    /// Installs an entry for `key`. Replaces any previous entry.
+    /// Installs an entry for `key`, after one reclaim step. Replaces any
+    /// previous entry (a stale one counts as expired).
     #[allow(clippy::too_many_arguments)]
     pub fn insert(
         &mut self,
@@ -121,7 +139,11 @@ impl LabelTable {
         final_dst: Option<Ipv4Addr>,
         now: SimTime,
     ) {
-        self.entries.insert(
+        let ttl = self.ttl;
+        if let Some(n) = self.reclaim.step(&mut self.entries, now, ttl) {
+            self.expired += n as u64;
+        }
+        let replaced = self.entries.insert(
             key,
             LabelEntry {
                 actions,
@@ -132,6 +154,9 @@ impl LabelTable {
                 last_seen: now,
             },
         );
+        if let Some(old) = replaced {
+            self.expired += u64::from(expired(old.last_seen, now, ttl));
+        }
     }
 
     /// Looks up a label key, refreshing its soft state; expired entries are
@@ -143,9 +168,9 @@ impl LabelTable {
         now: SimTime,
     ) -> Option<&LabelEntry> {
         let key = key.into();
-        let expired = now.0.saturating_sub(self.entries.get_mut(key)?.last_seen.0) >= self.ttl;
-        if expired {
+        if expired(self.entries.get_mut(key)?.last_seen, now, self.ttl) {
             self.entries.remove(key);
+            self.expired += 1;
             return None;
         }
         let e = self.entries.get_mut(key)?;
@@ -153,12 +178,23 @@ impl LabelTable {
         Some(e)
     }
 
-    /// Removes an entry, returning it if present.
-    pub fn remove(&mut self, key: impl Into<Hashed<LabelKey>>) -> Option<LabelEntry> {
-        self.entries.remove(key)
+    /// Reclaims every entry stale at `now` in one full pass (skipped while
+    /// nothing can be stale), so [`LabelTable::len`] is then exactly the
+    /// entries alive at `now`. Returns how many it dropped.
+    pub fn settle(&mut self, now: SimTime) -> usize {
+        let dropped = self.reclaim.settle(&mut self.entries, now, self.ttl).unwrap_or(0);
+        self.expired += dropped as u64;
+        dropped
     }
 
-    /// Number of live entries.
+    /// Entries reclaimed after their TTL over this table's lifetime: by a
+    /// lookup, a reclaim step, a settle or a replacing insert.
+    pub fn expired(&self) -> u64 {
+        self.expired
+    }
+
+    /// Resident entries: every entry alive at the last instant, plus
+    /// stale ones not yet reclaimed (none right after a settle).
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -188,7 +224,7 @@ mod tests {
     }
 
     #[test]
-    fn insert_lookup_remove() {
+    fn insert_then_lookup() {
         let mut t = LabelTable::new(100);
         t.insert(
             key(1),
@@ -204,8 +240,7 @@ mod tests {
         assert_eq!(e.position, 0);
         assert_eq!(e.next_hop, Some("172.16.0.5".parse().unwrap()));
         assert_eq!(e.final_dst, None);
-        assert!(t.remove(key(1)).is_some());
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 1);
     }
 
     #[test]
@@ -291,13 +326,24 @@ mod tests {
         for l in 0..2000u16 {
             assert!(t.lookup(key(l), SimTime(1)).is_some(), "label {l}");
         }
-        for l in (0..2000u16).step_by(2) {
-            assert!(t.remove(key(l)).is_some());
+    }
+
+    #[test]
+    fn inserts_reclaim_entries_nobody_looks_up() {
+        // one insert per tick, ttl 10: a table without reclaim would hold
+        // all 1000; the insert steps keep it near one TTL window
+        let mut t = LabelTable::new(10);
+        for l in 0..1000u16 {
+            t.insert(key(l), ActionList::permit(), PolicyId(0), 0, None, None, SimTime(l as u64));
+            assert!(t.len() <= 20, "len {} at insert {l}", t.len());
         }
-        assert_eq!(t.len(), 1000);
-        for l in (1..2000u16).step_by(2) {
-            assert!(t.lookup(key(l), SimTime(2)).is_some());
-        }
+        assert_eq!(t.len() as u64 + t.expired(), 1000, "every entry resident or expired");
+        // settling at the last instant leaves exactly the live window
+        t.settle(SimTime(999));
+        assert_eq!(t.len(), 10);
+        assert_eq!(t.expired(), 990);
+        assert!(t.lookup(key(990), SimTime(999)).is_some());
+        assert!(t.lookup(key(989), SimTime(999)).is_none());
     }
 
     #[test]

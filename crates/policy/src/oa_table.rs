@@ -16,12 +16,16 @@
 //!   must survive adversarial fill (millions of one-packet flows that
 //!   match no policy), so it has a hard capacity and a deterministic
 //!   stalest-entry eviction instead of growing.
+//! * `Reclaim` — the one expiry walk both soft-state tables share: a
+//!   persistent cursor that examines a few slots per insert and removes
+//!   the entries `expired` says are stale, skipped outright while its
+//!   floor proves nothing can be.
 //!
 //! # Determinism
 //!
 //! Every operation is a pure function of the operation sequence: probe
 //! order depends only on key hashes and insertion history, iteration and
-//! the [`OaTable::slot`] cursor walk the slab in slot order, and the negative
+//! a `Reclaim` cursor walk the slab in slot order, and the negative
 //! cache's set index uses the *raw low bits* of [`FiveTuple::stable_hash`]
 //! (a grow moves buckets, never slab slots, so its timing is unobservable).
 //! That last choice is load-bearing: flow sharding assigns a flow to shard
@@ -92,6 +96,15 @@ impl<K: OaKey> From<&K> for Hashed<K> {
 /// A flow identifier with its [`FiveTuple::stable_hash`]: the key of the
 /// flow cache and of the negative cache.
 pub type FlowKey = Hashed<FiveTuple>;
+
+/// The soft-state boundary rule every table applies: an entry last
+/// refreshed at `last_seen` is alive at `last_seen .. last_seen + ttl - 1`
+/// and expired from `last_seen + ttl` on — it lives for exactly `ttl`
+/// ticks. Lookups, displacement, reclaim steps and settling all ask this
+/// one function, so none of them can disagree at the boundary.
+pub(crate) fn expired(last_seen: SimTime, now: SimTime, ttl: u64) -> bool {
+    now.0.saturating_sub(last_seen.0) >= ttl
+}
 
 /// Sentinel marking an empty bucket.
 const EMPTY: u32 = u32::MAX;
@@ -188,7 +201,7 @@ fn backward_shift_remove(buckets: &mut [Bucket], i: usize) -> Bucket {
 
 /// Open-addressed hash table: linear probing over `{hash, slot}` buckets,
 /// slab-backed values, whole-array rebuild on grow and backward-shift
-/// deletion. Deterministic: iteration and the [`OaTable::slot`] cursor run in
+/// deletion. Deterministic: iteration and a reclaim cursor run in
 /// slab order, which is a pure function of the operation history.
 ///
 /// The table keeps a *finger* on the last key it walked for. Every
@@ -381,22 +394,6 @@ impl<K: OaKey, V> OaTable<K, V> {
         })
     }
 
-    /// Slab length — the bound for [`OaTable::slot`] indices. Vacant slots
-    /// are included; the slab never shrinks, so a cursor over `0..slot_count()`
-    /// is stable across removals.
-    pub fn slot_count(&self) -> usize {
-        self.slab.len()
-    }
-
-    /// Peeks slab slot `i` (None if vacant or out of range). Lets callers
-    /// run budgeted cursor sweeps without allocating a key snapshot.
-    pub fn slot(&self, i: usize) -> Option<(&K, &V)> {
-        match self.slab.get(i) {
-            Some(Slot::Occupied(k, v)) => Some((k, v)),
-            _ => None,
-        }
-    }
-
     /// Doubles the probe array and re-places every bucket in one
     /// sequential pass over the old one. Buckets carry their hash, so no
     /// key is rehashed, and slab slots do not move. Runs once per doubling:
@@ -436,6 +433,132 @@ impl<K: OaKey, V> OaTable<K, V> {
             Slot::Occupied(_, v) => Some(v),
             Slot::Vacant(_) => None,
         }
+    }
+}
+
+/// A value that carries its soft-state clock: the time of the last
+/// packet that refreshed it.
+pub(crate) trait SoftState {
+    fn last_seen(&self) -> SimTime;
+}
+
+/// What examining one slot of a [`Slots`] space found.
+pub(crate) enum Examined {
+    Vacant,
+    /// A live entry, refreshed at this time.
+    Kept(SimTime),
+    /// A stale entry, now removed.
+    Reclaimed,
+}
+
+/// A slot space a [`Reclaim`] cursor walks: slab slots of an [`OaTable`],
+/// or the virtual `set * NEG_WAYS + way` slots of a [`NegativeCache`].
+/// Slot spaces never shrink, so a cursor stays in range across removals.
+pub(crate) trait Slots {
+    fn slot_count(&self) -> usize;
+    /// Removes slot `i`'s entry if it is [`expired`] at `now`.
+    fn examine(&mut self, i: usize, now: SimTime, ttl: u64) -> Examined;
+}
+
+impl<K: OaKey, V: SoftState> Slots for OaTable<K, V> {
+    fn slot_count(&self) -> usize {
+        self.slab.len()
+    }
+
+    fn examine(&mut self, i: usize, now: SimTime, ttl: u64) -> Examined {
+        let key = match &self.slab[i] {
+            Slot::Occupied(k, v) if expired(v.last_seen(), now, ttl) => *k,
+            Slot::Occupied(_, v) => return Examined::Kept(v.last_seen()),
+            Slot::Vacant(_) => return Examined::Vacant,
+        };
+        self.remove(key);
+        Examined::Reclaimed
+    }
+}
+
+/// Slots one insert-driven reclaim step examines. A cycle over `n` slots
+/// then takes `n / RECLAIM_STEP` inserts, so a table holds the entries of
+/// about `1 + 1 / RECLAIM_STEP` TTL windows of inserts at most.
+pub(crate) const RECLAIM_STEP: usize = 4;
+
+/// The persistent cursor of a table's expiry walk. Each positive insert
+/// runs one [`Reclaim::step`]; [`Reclaim::settle`] is one full pass.
+///
+/// `floor` is a lower bound on the `last_seen` of every resident entry: 0
+/// at construction, raised at the end of each full cycle to the oldest
+/// refresh that cycle kept (or the cycle's start, which bounds every
+/// entry inserted behind the cursor). Refreshes only raise `last_seen`,
+/// so the bound holds between cycles, and while `now < floor + ttl` no
+/// entry can be stale: a step or settle then costs one comparison.
+#[derive(Debug, Default)]
+pub(crate) struct Reclaim {
+    /// Next slot to examine.
+    cursor: usize,
+    floor: SimTime,
+    /// The current cycle's candidate floor.
+    low: SimTime,
+}
+
+impl Reclaim {
+    /// True while the floor proves nothing resident is stale at `now`.
+    fn idle(&self, now: SimTime, ttl: u64) -> bool {
+        now.0 < self.floor.0.saturating_add(ttl)
+    }
+
+    /// Examines up to `budget` slots from the cursor, removing the stale
+    /// entries, and returns how many it removed. Unguarded: a budget of
+    /// `usize::MAX` visits every slot once.
+    pub(crate) fn walk(
+        &mut self,
+        slots: &mut impl Slots,
+        now: SimTime,
+        ttl: u64,
+        budget: usize,
+    ) -> usize {
+        let n = slots.slot_count();
+        let mut reclaimed = 0;
+        for _ in 0..budget.min(n) {
+            if self.cursor == 0 {
+                self.low = now;
+            }
+            match slots.examine(self.cursor, now, ttl) {
+                Examined::Reclaimed => reclaimed += 1,
+                Examined::Kept(seen) => self.low = self.low.min(seen),
+                Examined::Vacant => {}
+            }
+            self.cursor += 1;
+            if self.cursor == n {
+                self.cursor = 0;
+                self.floor = self.low;
+            }
+        }
+        reclaimed
+    }
+
+    /// One insert's share of the walk: [`RECLAIM_STEP`] slots, or nothing
+    /// (`None`) while no entry can be stale.
+    pub(crate) fn step(
+        &mut self,
+        slots: &mut impl Slots,
+        now: SimTime,
+        ttl: u64,
+    ) -> Option<usize> {
+        (!self.idle(now, ttl)).then(|| self.walk(slots, now, ttl, RECLAIM_STEP))
+    }
+
+    /// One full cycle from slot 0, so every stale entry goes and the floor
+    /// rises past `now - ttl`; `None` while no entry can be stale.
+    pub(crate) fn settle(
+        &mut self,
+        slots: &mut impl Slots,
+        now: SimTime,
+        ttl: u64,
+    ) -> Option<usize> {
+        if self.idle(now, ttl) {
+            return None;
+        }
+        self.cursor = 0;
+        Some(self.walk(slots, now, ttl, usize::MAX))
     }
 }
 
@@ -521,7 +644,8 @@ impl NegativeCache {
         self.set_count
     }
 
-    /// Entries displaced by capacity eviction over this cache's lifetime.
+    /// Live markers displaced by capacity eviction over this cache's
+    /// lifetime (a displaced marker that had already expired is not one).
     pub fn evictions(&self) -> u64 {
         self.evicted
     }
@@ -549,26 +673,26 @@ impl NegativeCache {
             .map(|w| &mut w.last_seen)
     }
 
-    /// Removes a marker. Returns true if it was resident.
-    pub fn remove(&mut self, key: &FlowKey) -> bool {
+    /// Removes a marker, returning its refresh time if it was resident.
+    pub fn remove(&mut self, key: &FlowKey) -> Option<SimTime> {
         let idx = self.set_index(key);
-        if let Some(Some(set)) = self.sets.get_mut(idx) {
-            for w in set.iter_mut() {
-                if matches!(w, Some(x) if x.key == key.key) {
-                    *w = None;
-                    self.len -= 1;
-                    return true;
-                }
-            }
-        }
-        false
+        let set = self.sets.get_mut(idx)?.as_mut()?;
+        let way = set.iter_mut().find(|w| matches!(w, Some(x) if x.key == key.key))?;
+        let seen = way.take().map(|w| w.last_seen);
+        self.len -= 1;
+        seen
     }
 
     /// Inserts (or refreshes) a marker. When the set is full, the stalest
-    /// way — minimum `last_seen`, lowest way index on ties — is evicted:
+    /// way — minimum `last_seen`, lowest way index on ties — is displaced:
     /// deterministic, and exactly what an attacker's one-packet flows are
     /// (never refreshed, hence stalest first).
-    pub fn insert(&mut self, key: &FlowKey, now: SimTime) {
+    ///
+    /// Returns true if the insert ended a marker that had already
+    /// expired at `now` under `ttl` — the displaced way, or the key's
+    /// own stale marker it refreshed. That is an expiry, not an eviction:
+    /// only a live displaced marker counts in [`NegativeCache::evictions`].
+    pub fn insert(&mut self, key: &FlowKey, now: SimTime, ttl: u64) -> bool {
         if self.sets.is_empty() {
             self.sets.resize_with(self.set_count, || None);
         }
@@ -581,8 +705,9 @@ impl NegativeCache {
         for (w, cell) in set.iter_mut().enumerate() {
             match cell {
                 Some(x) if x.key == ft => {
+                    let stale = expired(x.last_seen, now, ttl);
                     x.last_seen = now;
-                    return;
+                    return stale;
                 }
                 Some(x) => {
                     if x.last_seen < stalest_seen {
@@ -597,26 +722,42 @@ impl NegativeCache {
                 }
             }
         }
+        let marker = Some(NegWay { key: ft, last_seen: now });
         if let Some(w) = free_way {
-            set[w] = Some(NegWay { key: ft, last_seen: now });
+            set[w] = marker;
             self.len += 1;
-        } else {
-            set[stalest] = Some(NegWay { key: ft, last_seen: now });
+            return false;
+        }
+        set[stalest] = marker;
+        let stale = expired(stalest_seen, now, ttl);
+        if !stale {
             self.evicted += 1;
         }
+        stale
     }
+}
 
-    /// Virtual slot-space size for budgeted sweeps: `allocated_sets *
-    /// NEG_WAYS`. Zero until the first insert, so never-negative tables
-    /// cost sweep cursors nothing.
-    pub fn slot_count(&self) -> usize {
+/// Virtual slots `set * NEG_WAYS + way`: zero until the first insert, so
+/// a never-negative table costs its cursor nothing.
+impl Slots for NegativeCache {
+    fn slot_count(&self) -> usize {
         self.sets.len() * NEG_WAYS
     }
 
-    /// Peeks virtual slot `i` (set `i / NEG_WAYS`, way `i % NEG_WAYS`).
-    pub fn slot(&self, i: usize) -> Option<(FiveTuple, SimTime)> {
-        let set = self.sets.get(i / NEG_WAYS)?.as_ref()?;
-        set[i % NEG_WAYS].map(|w| (w.key, w.last_seen))
+    fn examine(&mut self, i: usize, now: SimTime, ttl: u64) -> Examined {
+        let Some(set) = self.sets[i / NEG_WAYS].as_mut() else {
+            return Examined::Vacant;
+        };
+        let way = &mut set[i % NEG_WAYS];
+        match *way {
+            Some(w) if expired(w.last_seen, now, ttl) => {
+                *way = None;
+                self.len -= 1;
+                Examined::Reclaimed
+            }
+            Some(w) => Examined::Kept(w.last_seen),
+            None => Examined::Vacant,
+        }
     }
 }
 
@@ -775,19 +916,47 @@ mod tests {
         assert_eq!(a[19].1, 99);
     }
 
+    impl SoftState for u64 {
+        fn last_seen(&self) -> SimTime {
+            SimTime(*self)
+        }
+    }
+
     #[test]
-    fn slot_cursor_sees_every_entry() {
-        let mut t: OaTable<K, u32> = OaTable::new();
-        for i in 0..17u32 {
-            t.insert(K { h: i as u64 * 3, tag: i }, i);
+    fn reclaim_walk_removes_exactly_the_stale_slots() {
+        // value = last_seen; at now 20 with ttl 10, tags 0..=10 are stale
+        let mut t: OaTable<K, u64> = OaTable::new();
+        for i in 0..17u64 {
+            t.insert(K { h: i * 3, tag: i as u32 }, i);
         }
-        let mut seen = 0;
-        for i in 0..t.slot_count() {
-            if t.slot(i).is_some() {
-                seen += 1;
-            }
+        let mut r = Reclaim::default();
+        let mut dropped = 0;
+        for _ in 0..5 {
+            dropped += r.walk(&mut t, SimTime(20), 10, 4); // 20 slots > 17
         }
-        assert_eq!(seen, 17);
+        assert_eq!(dropped, 11);
+        assert_eq!(t.len(), 6);
+        assert!((11..17).all(|i| t.get(K { h: i * 3, tag: i as u32 }).is_some()));
+    }
+
+    #[test]
+    fn reclaim_floor_skips_steps_until_something_can_be_stale() {
+        let mut t: OaTable<K, u64> = OaTable::new();
+        let mut r = Reclaim::default();
+        for i in 0..8u64 {
+            t.insert(K { h: i, tag: 0 }, 100 + i);
+        }
+        // floor 0, ttl 50: before tick 50 nothing can be stale
+        assert_eq!(r.step(&mut t, SimTime(49), 50), None);
+        // a full cycle at 120 keeps everything and raises the floor to 100
+        assert_eq!(r.settle(&mut t, SimTime(120), 50), Some(0));
+        assert_eq!(r.floor, SimTime(100));
+        assert_eq!(r.step(&mut t, SimTime(149), 50), None, "oldest entry alive until 150");
+        assert_eq!(r.step(&mut t, SimTime(150), 50), Some(1));
+        // settling at 160 drops what is stale then and lifts the floor past 110
+        assert_eq!(r.settle(&mut t, SimTime(160), 50), Some(7));
+        assert_eq!(t.len(), 0);
+        assert_eq!(r.settle(&mut t, SimTime(160), 50), None, "a second settle is free");
     }
 
     #[test]
@@ -807,13 +976,13 @@ mod tests {
     fn negative_cache_caps_and_evicts_stalest() {
         let mut c = NegativeCache::new(1); // one 8-way set: everything collides
         for i in 0..NEG_WAYS as u16 {
-            c.insert(&ft(i + 1, 80), SimTime(i as u64));
+            c.insert(&ft(i + 1, 80), SimTime(i as u64), 1000);
         }
         assert_eq!(c.len(), NEG_WAYS);
         assert_eq!(c.evictions(), 0);
         // Refresh the stalest so the *second*-stalest is evicted next.
         *c.get_mut(&ft(1, 80)).unwrap() = SimTime(100);
-        c.insert(&ft(200, 80), SimTime(101));
+        assert!(!c.insert(&ft(200, 80), SimTime(101), 1000), "a live way is evicted");
         assert_eq!(c.len(), NEG_WAYS, "capacity is a hard cap");
         assert_eq!(c.evictions(), 1);
         assert!(c.get_mut(&ft(2, 80)).is_none(), "stalest way evicted");
@@ -822,22 +991,39 @@ mod tests {
     }
 
     #[test]
+    fn a_stale_displacement_is_an_expiry_not_an_eviction() {
+        let mut c = NegativeCache::new(1);
+        for i in 0..NEG_WAYS as u16 {
+            c.insert(&ft(i + 1, 80), SimTime(i as u64), 10);
+        }
+        // at tick 10 only way 0 (refreshed at 0) is stale: it goes first
+        assert!(c.insert(&ft(100, 80), SimTime(10), 10), "stale way displaced");
+        assert_eq!(c.evictions(), 0);
+        assert!(c.get_mut(&ft(1, 80)).is_none());
+        // the stalest is now live: displacing it is an eviction
+        assert!(!c.insert(&ft(101, 80), SimTime(10), 10));
+        assert_eq!(c.evictions(), 1);
+        assert_eq!(c.len(), NEG_WAYS);
+    }
+
+    #[test]
     fn negative_cache_insert_refreshes_existing() {
         let mut c = NegativeCache::new(4);
-        c.insert(&ft(1, 80), SimTime(0));
-        c.insert(&ft(1, 80), SimTime(50));
+        assert!(!c.insert(&ft(1, 80), SimTime(0), 100));
+        assert!(!c.insert(&ft(1, 80), SimTime(50), 100), "refreshing a live marker");
+        assert!(c.insert(&ft(1, 80), SimTime(150), 100), "refreshing a stale one ends it");
         assert_eq!(c.len(), 1);
-        assert_eq!(c.get_mut(&ft(1, 80)).copied(), Some(SimTime(50)));
+        assert_eq!(c.get_mut(&ft(1, 80)).copied(), Some(SimTime(150)));
     }
 
     #[test]
     fn negative_cache_remove() {
         let mut c = NegativeCache::new(16);
         for i in 0..10u16 {
-            c.insert(&ft(i + 1, 80), SimTime(i as u64));
+            c.insert(&ft(i + 1, 80), SimTime(i as u64), 100);
         }
-        assert!(c.remove(&ft(1, 80)));
-        assert!(!c.remove(&ft(1, 80)));
+        assert_eq!(c.remove(&ft(1, 80)), Some(SimTime(0)));
+        assert_eq!(c.remove(&ft(1, 80)), None);
         assert_eq!(c.len(), 9);
     }
 
@@ -847,7 +1033,7 @@ mod tests {
         assert_eq!(c.allocated_bytes(), 0);
         assert_eq!(c.slot_count(), 0, "no virtual slots before first insert");
         let mut c = c;
-        c.insert(&ft(1, 80), SimTime(0));
+        c.insert(&ft(1, 80), SimTime(0), 100);
         assert_eq!(c.slot_count(), DEFAULT_NEG_SETS * NEG_WAYS);
         // One boxed set plus the directory; far below full allocation.
         assert!(c.allocated_bytes() < DEFAULT_NEG_SETS * 64);
@@ -879,8 +1065,8 @@ mod tests {
         let mut sharded: Vec<NegativeCache> = (0..4).map(|_| NegativeCache::new(8)).collect();
         for (i, f) in flows.iter().enumerate() {
             let now = SimTime(i as u64);
-            single.insert(f, now);
-            sharded[(f.key().stable_hash() % 4) as usize].insert(f, now);
+            single.insert(f, now, 1_000_000);
+            sharded[(f.key().stable_hash() % 4) as usize].insert(f, now, 1_000_000);
         }
         assert_eq!(
             single.len(),

@@ -210,7 +210,8 @@ impl_shrink_tuple!(
     (A: 0, B: 1, C: 2),
     (A: 0, B: 1, C: 2, D: 3),
     (A: 0, B: 1, C: 2, D: 3, E: 4),
-    (A: 0, B: 1, C: 2, D: 3, E: 4, F: 5)
+    (A: 0, B: 1, C: 2, D: 3, E: 4, F: 5),
+    (A: 0, B: 1, C: 2, D: 3, E: 4, F: 5, G: 6)
 );
 
 /// Runs `prop` over `cfg.cases` generated inputs.

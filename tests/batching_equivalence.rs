@@ -4,8 +4,8 @@
 //! engage), a small odd limit (3) and the default (256) is
 //! **bit-identical** — simulator stats, middlebox loads, traffic
 //! measurements, per-device counters and soft-state footprints, all read
-//! off `Enforcement::snapshot` — across randomized deployments, strategies
-//! and steering encodings.
+//! off `Enforcement::snapshot` — across randomized deployments, strategies,
+//! steering encodings and soft-state TTLs.
 //!
 //! Drain limits are set per-`Enforcement` via `sim_mut().set_batch_size`,
 //! the same loop at every limit.
@@ -22,7 +22,7 @@ use sdm_bench::{ExperimentConfig, World};
 use sdm_workload::{to_flow_specs, WorkloadConfig};
 
 mod common;
-use common::compare;
+use common::{compare, with_ttl, TTL_DRAWS};
 
 fn run_with_batch(
     controller: &Controller,
@@ -60,9 +60,10 @@ fn batched_runs_are_bit_identical_to_scalar() {
             // LabelSwitching / SourceRouting).
             let mode = rng.gen_range(0u8..6);
             let batch = rng.gen_range(2usize..32);
-            (seed, mbox_counts, packets, flow_seed, mode, batch)
+            let ttl = rng.gen_range(TTL_DRAWS);
+            (seed, mbox_counts, packets, flow_seed, mode, batch, ttl)
         },
-        |&(seed, mbox_counts, packets, flow_seed, mode, batch)| {
+        |&(seed, mbox_counts, packets, flow_seed, mode, batch, ttl)| {
             let cfg = ExperimentConfig {
                 mbox_counts,
                 ..ExperimentConfig::campus(seed)
@@ -90,6 +91,7 @@ fn batched_runs_are_bit_identical_to_scalar() {
                 },
                 ..Default::default()
             };
+            let options = with_ttl(options, ttl);
 
             let scalar = run_with_batch(&world.controller, strategy, options, &specs, 1);
             let small = run_with_batch(&world.controller, strategy, options, &specs, batch);

@@ -2,7 +2,8 @@
 //! `run_sharded(N)` is **bit-identical** to `run_sharded(1)` — the
 //! one-`Enforcement` run — in loads, delivery/drop counters, traffic
 //! measurements, per-device counters and soft-state footprints, on
-//! randomized deployments, strategies and flow populations.
+//! randomized deployments, strategies, flow populations and soft-state
+//! TTLs (short ones make entries expire and get reclaimed mid-run).
 
 use sdm::core::{
     EnforcementOptions, LbOptions, ShardedRun, SteeringWeights, Strategy as Steering,
@@ -14,7 +15,7 @@ use sdm_bench::{ExperimentConfig, World};
 use sdm_workload::{to_flow_specs, WorkloadConfig};
 
 mod common;
-use common::compare;
+use common::{compare, with_ttl, TTL_DRAWS};
 
 #[test]
 fn sharded_runs_are_bit_identical_to_legacy() {
@@ -35,9 +36,10 @@ fn sharded_runs_are_bit_identical_to_legacy() {
             // (HP / Random), label switching when mode >= 2
             let mode = rng.gen_range(0u8..4);
             let shards = rng.gen_range(2usize..6);
-            (seed, mbox_counts, packets, flow_seed, mode, shards)
+            let ttl = rng.gen_range(TTL_DRAWS);
+            (seed, mbox_counts, packets, flow_seed, mode, shards, ttl)
         },
-        |&(seed, mbox_counts, packets, flow_seed, mode, shards)| {
+        |&(seed, mbox_counts, packets, flow_seed, mode, shards, ttl)| {
             let (strategy_pick, label_switching) = (mode % 2, mode >= 2);
             let cfg = ExperimentConfig {
                 mbox_counts,
@@ -68,6 +70,7 @@ fn sharded_runs_are_bit_identical_to_legacy() {
                 },
                 ..Default::default()
             };
+            let options = with_ttl(options, ttl);
 
             let one = world
                 .controller

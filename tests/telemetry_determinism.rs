@@ -1,8 +1,8 @@
 //! Property test for the telemetry subsystem (ISSUE 8 tentpole): the
 //! invariant-family snapshot export is **byte-identical** across the two
 //! execution axes — `SDM_SHARDS` (1 vs 4, merged in shard-index order)
-//! and the drain limit (1 vs 256) — on randomized deployments and flow
-//! populations.
+//! and the drain limit (1 vs 256) — on randomized deployments, flow
+//! populations and soft-state TTLs.
 //!
 //! Non-invariant families (queue-occupancy / run-length histograms,
 //! pinned-replay counts) legitimately depend on the execution
@@ -22,6 +22,9 @@ use sdm::util::rng::StdRng;
 use sdm_bench::{ExperimentConfig, World};
 use sdm_workload::{to_flow_specs, WorkloadConfig};
 
+mod common;
+use common::{with_ttl, TTL_DRAWS};
+
 #[test]
 fn telemetry_snapshots_are_corner_invariant() {
     check(
@@ -37,9 +40,10 @@ fn telemetry_snapshots_are_corner_invariant() {
             ];
             let packets = rng.gen_range(5_000u64..20_000);
             let flow_seed = rng.next_u64();
-            (seed, mbox_counts, packets, flow_seed)
+            let ttl = rng.gen_range(TTL_DRAWS);
+            (seed, mbox_counts, packets, flow_seed, ttl)
         },
-        |&(seed, mbox_counts, packets, flow_seed)| {
+        |&(seed, mbox_counts, packets, flow_seed, ttl)| {
             let cfg = ExperimentConfig {
                 mbox_counts,
                 ..ExperimentConfig::campus(seed)
@@ -55,10 +59,13 @@ fn telemetry_snapshots_are_corner_invariant() {
                 packets,
             );
             let specs = to_flow_specs(&flows, 512);
-            let options = EnforcementOptions {
-                telemetry: Some(true),
-                ..Default::default()
-            };
+            let options = with_ttl(
+                EnforcementOptions {
+                    telemetry: Some(true),
+                    ..Default::default()
+                },
+                ttl,
+            );
 
             // Shard axis: the merged snapshot of a 4-shard run must export
             // the same invariant bytes as the single-shard run.

@@ -3,17 +3,22 @@
 //! of its packets in the arena and the event queue at any one time. This
 //! is the deterministic count behind the benchmark's `peak_rss_mb` on the
 //! paced workloads — no wall clock, no allocator. Likewise, routing state
-//! follows the destinations traffic is sent to, not the node count, and
-//! the per-packet state that does not fit a packet record lives and dies
-//! with its packet.
+//! follows the destinations traffic is sent to, not the node count, the
+//! per-packet state that does not fit a packet record lives and dies
+//! with its packet, and the soft-state tables hold the flows alive within
+//! one TTL, not every flow the run has seen.
 
 use std::collections::BTreeSet;
 
 use sdm::core::{
-    Controller, Deployment, Enforcement, EnforcementOptions, KConfig, SteeringEncoding, Strategy,
+    Controller, Deployment, Enforcement, EnforcementOptions, KConfig, MiddleboxId, MiddleboxSpec,
+    SteeringEncoding, Strategy,
 };
-use sdm::netsim::{FiveTuple, FragmentationMode, Packet, Protocol, SimTime, StubId};
-use sdm::policy::{ActionList, NetworkFunction, Policy, PolicySet, TrafficDescriptor};
+use sdm::netsim::{FiveTuple, FragmentationMode, Label, Packet, Protocol, SimTime, StubId};
+use sdm::policy::{
+    ActionList, FlowTable, LabelKey, LabelTable, NetworkFunction, Policy, PolicyId, PolicySet,
+    TrafficDescriptor,
+};
 use sdm::topology::hierarchical::{hierarchical, HierarchicalConfig};
 use sdm_bench::{ExperimentConfig, World};
 use sdm_workload::WorkloadConfig;
@@ -100,6 +105,87 @@ fn paced_run_holds_the_in_flight_window_not_the_workload() {
         expanded.sim().arena().allocations(),
         sim.arena().allocations()
     );
+}
+
+/// One-packet flows, one per tick, under a TTL a hundredth of the run:
+/// every flow matches a policy, so each leaves a positive flow entry at
+/// its proxy and at the firewall and a label entry at the firewall, and
+/// none is ever looked up again. The insert path alone must reclaim them:
+/// every flow and label table stays within what the flows of one TTL
+/// window need — in entries at the end, and in bytes at its peak — not
+/// what the workload's 20,000 flows would.
+#[test]
+fn flow_state_follows_live_flows_not_the_workload() {
+    use NetworkFunction::Firewall;
+    const ONE_PACKET_FLOWS: u64 = 20_000;
+    const TTL: u64 = 200;
+    let plan = sdm::topology::campus::campus(1);
+    let mut dep = Deployment::new();
+    dep.add(MiddleboxSpec::new(Firewall, plan.cores()[0], 1.0));
+    let mut policies = PolicySet::new();
+    policies.push(Policy::new(TrafficDescriptor::new(), ActionList::chain([Firewall])));
+    let c = Controller::new(plan, dep, policies, KConfig::uniform(1));
+    let options = EnforcementOptions {
+        encoding: SteeringEncoding::LabelSwitching,
+        flow_ttl: TTL,
+        label_ttl: TTL,
+        ..Default::default()
+    };
+    let mut enf = c.enforcement(Strategy::HotPotato, None, options);
+    let addrs = c.addr_plan();
+    let stubs = addrs.stubs().count() as u32;
+    let flow = |i: u64| {
+        let s = i as u32 % stubs;
+        FiveTuple {
+            src: addrs.host(StubId(s), 1 + i as u32 % 200),
+            dst: addrs.host(StubId((s + 1) % stubs), 1),
+            src_port: (i % 60_000) as u16,
+            dst_port: 80,
+            proto: Protocol::Tcp,
+        }
+    };
+    for i in 0..ONE_PACKET_FLOWS {
+        enf.inject_flow_packets(flow(i), 1, PAYLOAD, SimTime(i), 1);
+    }
+    enf.run();
+    let stats = enf.sim().stats();
+    assert_eq!(stats.delivered + stats.delivered_external, ONE_PACKET_FLOWS);
+
+    // What the flows of one TTL window occupy, with room to spare: tables
+    // holding four windows' worth.
+    let actions = ActionList::chain([Firewall]);
+    let mut flow_window = FlowTable::new(TTL);
+    let mut label_window = LabelTable::new(TTL);
+    for i in 0..4 * TTL {
+        flow_window.insert_positive(flow(i), PolicyId(0), &actions, SimTime(0));
+        let key = LabelKey {
+            src: flow(i).src,
+            label: Label(i as u16),
+        };
+        label_window.insert(key, actions.clone(), PolicyId(0), 0, None, None, SimTime(0));
+    }
+    let fw = enf.mbox_state(MiddleboxId(0));
+    let fw = fw.lock();
+    assert_eq!(fw.flows.stats().misses, ONE_PACKET_FLOWS, "every flow met the firewall");
+    let mut tables: Vec<(usize, usize, usize)> = addrs
+        .stubs()
+        .map(|s| {
+            let p = enf.proxy_state(s);
+            let p = p.lock();
+            (p.flows.len(), p.flows.allocated_bytes(), flow_window.allocated_bytes())
+        })
+        .collect();
+    tables.push((fw.flows.len(), fw.flows.allocated_bytes(), flow_window.allocated_bytes()));
+    tables.push((fw.labels.len(), fw.labels.allocated_bytes(), label_window.allocated_bytes()));
+    for (len, bytes, window) in tables {
+        assert!(len as u64 <= TTL, "{len} entries resident after the run");
+        assert!(
+            bytes <= window,
+            "{bytes} bytes of table at its peak, {window} for four TTL windows of flows"
+        );
+    }
+    assert!(fw.flows.stats().expired > 0, "flow entries were reclaimed");
+    assert!(fw.labels.expired() > 0, "label entries were reclaimed");
 }
 
 /// What a 64-byte packet record cannot hold lives beside the arena and is
