@@ -736,6 +736,10 @@ fn queueing(args: &Args) -> ExitCode {
     let n_flows: usize = args.num("--flows");
     let window: u64 = args.num("--window");
     let service: u64 = args.num("--service");
+    if window == 0 {
+        eprintln!("--window: must be at least 1");
+        return ExitCode::FAILURE;
+    }
 
     println!("# Ablation H — queueing delay under finite middlebox capacity,");
     println!("# campus topology, {n_flows} flows over a {window}-tick window,");

@@ -17,7 +17,7 @@ use sdm_workload::{exhaustion_attack, to_flow_specs};
 use super::{packets, timed, SEED};
 use crate::cli::{Args, Flag};
 use crate::reach_worlds::{hazard_pass, hier_reach, world_reach, WorldReach};
-use crate::replay::replay_corpus;
+use crate::replay::{check_corpus, replay_corpus};
 use crate::{ExperimentConfig, World};
 
 pub(super) const EXHAUSTION_FLAGS: &[Flag] = &[
@@ -338,6 +338,10 @@ fn reach_replay(seed: u64, path: &str) -> ExitCode {
     };
 
     let wr = world_reach(&ExperimentConfig::campus(seed));
+    if let Err(e) = check_corpus(&wr.controller, &corpus) {
+        eprintln!("sdm reach: '{path}' {e}");
+        return ExitCode::from(2);
+    }
     let (verdicts, all_agree) = replay_corpus(
         &wr.controller,
         Strategy::HotPotato,

@@ -186,6 +186,40 @@ fn dropped_failed(run: &ShardedRun) -> u64 {
     run.mbox_counters.iter().map(|c| c.dropped_failed).sum()
 }
 
+/// Refuses a corpus that names what `controller`'s world lacks: an
+/// ingress stub past the stub count, a witness source outside that
+/// stub's subnet, or a failed, restored, must-process or
+/// must-not-process middlebox past the deployment. The error reads
+/// `scenario <i> (<name>): <reason>`.
+pub(crate) fn check_corpus(
+    controller: &Controller,
+    corpus: &[ReplayScenario],
+) -> Result<(), String> {
+    let boxes = controller.deployment().len();
+    let addr_plan = controller.addr_plan();
+    let stubs = addr_plan.stub_count();
+    for (i, sc) in corpus.iter().enumerate() {
+        let refuse = |reason: String| Err(format!("scenario {i} ({}): {reason}", sc.name));
+        let (stub, src) = (sc.stub, sc.flow.src);
+        if stub as usize >= stubs {
+            return refuse(format!("stub {stub} is out of range ({stubs} stubs)"));
+        }
+        if addr_plan.stub_of(src) != Some(StubId(stub)) {
+            return refuse(format!("flow source {src} lies outside stub {stub}"));
+        }
+        let mut ids = sc.steps.iter().flat_map(|step| match step {
+            ReplayStep::FailMbox(m) | ReplayStep::RestoreMbox(m) => vec![*m],
+            ReplayStep::Inject { expect, .. } => {
+                [&expect.must_process[..], &expect.must_not_process[..]].concat()
+            }
+        });
+        if let Some(m) = ids.find(|&m| m as usize >= boxes) {
+            return refuse(format!("middlebox m{m} is out of range ({boxes} boxes)"));
+        }
+    }
+    Ok(())
+}
+
 /// Replays every scenario and returns the verdicts plus overall
 /// agreement (used by both the `sdm reach --replay` gate and the
 /// property tests).

@@ -218,7 +218,7 @@ fn epoch_loop_exposes_stale_pin_hazard_to_the_checker() {
     let specs = to_flow_specs(&flows, 512);
     ep.run_epoch(&specs).expect("epoch must solve");
 
-    let clean = ep.verify_reach();
+    let clean = ep.verify_reach(&[]);
     assert!(
         !clean.has_code(ReachCode::StalePinnedFlow),
         "no stale-pin window before any failure"
@@ -227,13 +227,13 @@ fn epoch_loop_exposes_stale_pin_hazard_to_the_checker() {
     for m in 0..world.deployment.len() as u32 {
         ep.fail_middlebox(MiddleboxId(m));
     }
-    let report = ep.verify_reach();
+    let report = ep.verify_reach(&[]);
     assert!(
         report.has_code(ReachCode::StalePinnedFlow),
         "all boxes failed mid-epoch: every pinned flow is stale"
     );
 
     ep.restore_middlebox(MiddleboxId(0));
-    let partial = ep.verify_reach();
+    let partial = ep.verify_reach(&[]);
     assert!(partial.has_code(ReachCode::StalePinnedFlow));
 }

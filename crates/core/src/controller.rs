@@ -123,7 +123,6 @@ pub struct Controller {
     policies: PolicySet,
     k: KConfig,
     assignments: Assignments,
-    assertions: Vec<sdm_verify::reach::Assertion>,
 }
 
 impl Controller {
@@ -179,7 +178,6 @@ impl Controller {
             policies,
             k,
             assignments,
-            assertions: Vec::new(),
         };
         let report = crate::verify::verify_controller(&controller);
         if report.has_errors() {
@@ -221,19 +219,6 @@ impl Controller {
     /// The computed candidate sets `M_x^e`.
     pub fn assignments(&self) -> &Assignments {
         &self.assignments
-    }
-
-    /// Installs the operator's isolation/waypoint assertions. They are
-    /// carried on the controller so every reach verification — the
-    /// converged checks ([`crate::verify_reach`]) and the epoch-hazard
-    /// checks ([`crate::EpochLoop::verify_reach`]) — tests the same set.
-    pub fn set_assertions(&mut self, assertions: Vec<sdm_verify::reach::Assertion>) {
-        self.assertions = assertions;
-    }
-
-    /// The installed isolation/waypoint assertions.
-    pub fn assertions(&self) -> &[sdm_verify::reach::Assertion] {
-        &self.assertions
     }
 
     /// Reacts to a middlebox failure: marks it failed in the deployment

@@ -300,20 +300,23 @@ impl<'a> EpochLoop<'a> {
         }
     }
 
-    /// Runs the reach (isolation) checker against the controller's
-    /// installed assertions in the loop's *current* state — including the
-    /// mid-epoch hazards ([`Self::hazard_view`]) the converged-plan
-    /// checks cannot see: stale pinned flows across the last weight swap
-    /// and middleboxes failed between epochs.
-    pub fn verify_reach(&self) -> sdm_verify::reach::ReachReport {
-        crate::reach::verify_reach_hazards(
+    /// Runs the reach (isolation) checker on `assertions` in the loop's
+    /// *current* state — including the mid-epoch hazards
+    /// ([`Self::hazard_view`]) the converged-plan checks cannot see: stale
+    /// pinned flows across the last weight swap and middleboxes failed
+    /// between epochs.
+    pub fn verify_reach(
+        &self,
+        assertions: &[sdm_verify::reach::Assertion],
+    ) -> sdm_verify::reach::ReachReport {
+        let mut view = crate::reach::reach_view(
             self.controller,
             Strategy::LoadBalanced,
             self.current_weights.as_ref(),
             &self.options,
-            self.hazard_view(),
-            self.controller.assertions(),
-        )
+        );
+        view.hazards = Some(self.hazard_view());
+        sdm_verify::reach::check_assertions(&view, self.controller.routes(), assertions)
     }
 
     /// The loop's run record so far: its shards' records
@@ -338,11 +341,6 @@ impl<'a> EpochLoop<'a> {
     /// Packets dropped by crashed middleboxes across all shards.
     pub fn dropped_failed(&self) -> u64 {
         self.snapshot().mbox_counters.iter().map(|c| c.dropped_failed).sum()
-    }
-
-    /// Epochs run so far.
-    pub fn epochs_run(&self) -> u32 {
-        self.epoch
     }
 
     /// The per-shard enforcement simulations (shard-index order).
@@ -432,7 +430,7 @@ mod tests {
             r2.pivots,
             r1.pivots
         );
-        assert_eq!(ep.epochs_run(), 2);
+        assert_eq!(r2.epoch, 2);
         assert!(ep.delivered() > 0);
     }
 

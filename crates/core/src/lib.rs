@@ -12,10 +12,10 @@
 //!   LPs (§III.B–C).
 //! * [`Strategy`] — hot-potato, flow-sticky random, and load-balanced
 //!   enforcement with hash-based probabilistic selection (§III.B–C, §IV.B).
-//! * [`ProxyDevice`] / [`MiddleboxDevice`] — the data-plane devices, with
-//!   the §III.D flow cache (negative caching included) and the §III.E
-//!   label-switching enhancement that avoids packet fragmentation.
-//! * [`Enforcement`] — a wired-up simulation: inject flows, run, read the
+//! * [`Enforcement`] — a wired-up simulation of the data-plane devices —
+//!   policy proxies and middleboxes, with the §III.D flow cache (negative
+//!   caching included) and the §III.E label-switching enhancement that
+//!   avoids packet fragmentation: inject flows, run, read the
 //!   per-middlebox loads the paper's figures report — or the whole run
 //!   record, [`ShardedRun`], which [`Controller::run_sharded`] and
 //!   [`EpochLoop`] report too.
@@ -73,13 +73,8 @@ mod verify;
 pub use controller::{ConfigFootprint, Controller, Enforcement, EnforcementOptions};
 pub use deployment::{Deployment, MiddleboxId, MiddleboxSpec};
 pub use epoch::{EpochError, EpochLoop, EpochReport};
-pub use lp_model::{
-    build_full, build_reduced, build_reduced_with_cache, LbError, LbOptions, LbReport,
-    LbWarmCache,
-};
+pub use lp_model::{LbError, LbOptions, LbReport, LbWarmCache};
 pub use measure::{DestKey, TrafficMatrix};
-pub use middlebox::MiddleboxDevice;
-pub use proxy::ProxyDevice;
 pub use report::{LoadReport, LoadRow};
 pub use runtime::{
     MboxCounters, MboxState, ProxyCounters, ProxyState, RuntimeConfig, Shared, WeightsCell,
@@ -89,5 +84,5 @@ pub use steer::{
     select_next, Assignments, CommodityKey, KConfig, SteerPoint, SteeringEncoding,
     SteeringWeights, Strategy, WeightKey,
 };
-pub use reach::{reach_view, strategy_view, verify_reach, verify_reach_hazards};
+pub use reach::{reach_view, strategy_view};
 pub use verify::{plan_view, verify_controller, verify_enforcement, weights_view};

@@ -90,7 +90,7 @@ pub struct LbReport {
 }
 
 /// Warm-start cache for the online re-steer loop: the solved tableau of
-/// each of the two solves inside [`build_reduced_with_cache`] (the min-λ
+/// each of the two solves of the reduced Eq. (2) formulation (the min-λ
 /// pass and the lexicographic refinement pass). As long as the epoch's
 /// traffic matrix keeps the same support (cells, sources, candidate sets)
 /// over the same deployment, the traffic enters Eq. (2) through

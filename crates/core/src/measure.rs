@@ -42,7 +42,6 @@ impl fmt::Display for DestKey {
 /// tm.record(StubId(2), DestKey::Stub(StubId(1)), PolicyId(0), 50.0);
 /// assert_eq!(tm.total(PolicyId(0)), 150.0);
 /// assert_eq!(tm.from_source(StubId(0), PolicyId(0)), 100.0);
-/// assert_eq!(tm.to_dest(DestKey::Stub(StubId(1)), PolicyId(0)), 150.0);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TrafficMatrix {
@@ -100,15 +99,6 @@ impl TrafficMatrix {
             .sum()
     }
 
-    /// `T_{d,p}`: volume towards destination `d` matching `p`.
-    pub fn to_dest(&self, d: DestKey, p: PolicyId) -> f64 {
-        self.cells
-            .iter()
-            .filter(|((_, dd, pp), _)| *dd == d && *pp == p)
-            .map(|(_, v)| v)
-            .sum()
-    }
-
     /// All policies with nonzero measured traffic.
     pub fn policies(&self) -> Vec<PolicyId> {
         let mut v: Vec<PolicyId> = self.cells.keys().map(|&(_, _, p)| p).collect();
@@ -126,22 +116,6 @@ impl TrafficMatrix {
             .map(|&(s, _, _)| s)
             .collect();
         v.sort();
-        v.dedup();
-        v
-    }
-
-    /// All destinations with nonzero traffic for `p`.
-    pub fn dests_for(&self, p: PolicyId) -> Vec<DestKey> {
-        let mut v: Vec<DestKey> = self
-            .cells
-            .keys()
-            .filter(|&&(_, _, pp)| pp == p)
-            .map(|&(_, d, _)| d)
-            .collect();
-        v.sort_by_key(|d| match d {
-            DestKey::Stub(s) => s.0 as i64,
-            DestKey::External => -1,
-        });
         v.dedup();
         v
     }
@@ -188,8 +162,6 @@ mod tests {
         assert_eq!(tm.total(p(0)), 35.0);
         assert_eq!(tm.total(p(1)), 7.0);
         assert_eq!(tm.from_source(s(0), p(0)), 30.0);
-        assert_eq!(tm.to_dest(DestKey::Stub(s(1)), p(0)), 15.0);
-        assert_eq!(tm.to_dest(DestKey::External, p(1)), 7.0);
         assert_eq!(tm.volume(s(3), DestKey::Stub(s(1)), p(0)), 5.0);
         assert_eq!(tm.grand_total(), 42.0);
     }
@@ -254,9 +226,5 @@ mod tests {
         tm.record(s(3), DestKey::Stub(s(1)), p(0), 1.0);
         assert_eq!(tm.policies(), vec![p(0), p(2)]);
         assert_eq!(tm.sources_for(p(2)), vec![s(3), s(5)]);
-        assert_eq!(
-            tm.dests_for(p(2)),
-            vec![DestKey::External, DestKey::Stub(s(1))]
-        );
     }
 }

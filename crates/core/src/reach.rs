@@ -6,19 +6,16 @@
 //! plan plus the symbolic policy table ([`RuleView`] per policy, with the
 //! traffic descriptor compiled into a [`FlowClass`]), the ingress
 //! attachment routers, the enterprise address space and the steering
-//! strategy. [`verify_reach`] then runs
-//! [`sdm_verify::reach::check_assertions`] against the controller's
-//! routing tables — the *same* next-hop function the simulated routers
-//! forward by, which is what makes every witness replayable.
+//! strategy. Callers run [`sdm_verify::reach::check_assertions`] on it
+//! against the controller's routing tables — the *same* next-hop function
+//! the simulated routers forward by, which is what makes every witness
+//! replayable.
 //!
 //! Hazard-state checking for the epoch loop lives on
 //! [`crate::EpochLoop::verify_reach`], which extends the view with the
 //! pre-swap weights and the currently-failed middlebox set.
 
-use sdm_verify::reach::{
-    check_assertions, Assertion, FlowClass, HazardView, ReachReport, ReachView, RuleView,
-    StrategyView,
-};
+use sdm_verify::reach::{FlowClass, ReachView, RuleView, StrategyView};
 
 use crate::controller::{Controller, EnforcementOptions};
 use crate::steer::{Strategy, SteeringWeights};
@@ -70,35 +67,4 @@ pub fn reach_view(
         strategy: strategy_view(strategy),
         hazards: None,
     }
-}
-
-/// Checks `assertions` against the converged deployment under `strategy`
-/// and `weights`, using the controller's own routing tables as the
-/// next-hop view.
-pub fn verify_reach(
-    controller: &Controller,
-    strategy: Strategy,
-    weights: Option<&SteeringWeights>,
-    options: &EnforcementOptions,
-    assertions: &[Assertion],
-) -> ReachReport {
-    let view = reach_view(controller, strategy, weights, options);
-    check_assertions(&view, controller.routes(), assertions)
-}
-
-/// Like [`verify_reach`] but with an explicit hazard state — the
-/// pre-swap weights and the middleboxes failed right now — so the
-/// stale-pinned-flow (R005) and label-TTL-skew (R006) windows are
-/// checked too.
-pub fn verify_reach_hazards(
-    controller: &Controller,
-    strategy: Strategy,
-    weights: Option<&SteeringWeights>,
-    options: &EnforcementOptions,
-    hazards: HazardView,
-    assertions: &[Assertion],
-) -> ReachReport {
-    let mut view = reach_view(controller, strategy, weights, options);
-    view.hazards = Some(hazards);
-    check_assertions(&view, controller.routes(), assertions)
 }

@@ -31,16 +31,6 @@ impl LoadRow {
             self.total as f64 / self.count as f64
         }
     }
-
-    /// Imbalance ratio max/min (∞ when min is 0, 1.0 for a perfectly even
-    /// spread).
-    pub fn imbalance(&self) -> f64 {
-        if self.min == 0 {
-            f64::INFINITY
-        } else {
-            self.max as f64 / self.min as f64
-        }
-    }
 }
 
 /// Per-type load report computed from per-middlebox packet loads.
@@ -149,17 +139,10 @@ mod tests {
         let fw = report.row(Firewall).unwrap();
         assert_eq!((fw.max, fw.min, fw.total, fw.count), (40, 10, 50, 2));
         assert_eq!(fw.mean(), 25.0);
-        assert_eq!(fw.imbalance(), 4.0);
         let ids = report.row(Ids).unwrap();
         assert_eq!((ids.max, ids.min), (25, 25));
         assert_eq!(report.overall_max(), 40);
         assert!(report.row(WebProxy).is_none());
-    }
-
-    #[test]
-    fn zero_min_reports_infinite_imbalance() {
-        let report = LoadReport::from_loads(&dep3(), &[0, 40, 5]);
-        assert!(report.row(Firewall).unwrap().imbalance().is_infinite());
     }
 
     #[test]

@@ -136,11 +136,6 @@ impl LinearProgram {
         self.constraints.len()
     }
 
-    /// The name given to a variable.
-    pub fn var_name(&self, v: VarId) -> &str {
-        &self.names[v.index()]
-    }
-
     /// Evaluates the objective at a point.
     ///
     /// # Panics
@@ -253,7 +248,7 @@ mod tests {
         lp.add_constraint(vec![(x, 1.0), (y, -1.0)], Relation::Le, 2.0);
         assert_eq!(lp.num_vars(), 2);
         assert_eq!(lp.num_constraints(), 1);
-        assert_eq!(lp.var_name(y), "lambda");
+        assert_eq!(lp.names[y.index()], "lambda");
     }
 
     #[test]

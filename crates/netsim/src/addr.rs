@@ -327,14 +327,6 @@ impl AddressPlan {
     pub fn edge_router(&self, stub: StubId) -> NodeId {
         self.edge_routers[stub.index()]
     }
-
-    /// The stub network attached to an edge router, if any.
-    pub fn stub_at(&self, router: NodeId) -> Option<StubId> {
-        self.edge_routers
-            .iter()
-            .position(|&r| r == router)
-            .map(|i| StubId(i as u32))
-    }
 }
 
 #[cfg(test)]
@@ -443,18 +435,6 @@ mod tests {
         let last = StubId(399);
         let a = plan.host(last, 9);
         assert_eq!(plan.stub_of(a), Some(last));
-    }
-
-    #[test]
-    fn plan_edge_router_roundtrip() {
-        let net = campus(1);
-        let plan = AddressPlan::new(&net);
-        for s in plan.stubs() {
-            let r = plan.edge_router(s);
-            assert_eq!(plan.stub_at(r), Some(s));
-        }
-        // a core router hosts no stub
-        assert_eq!(plan.stub_at(net.cores()[0]), None);
     }
 
     #[test]

@@ -107,19 +107,6 @@ pub enum FragmentationMode {
     Emulate,
 }
 
-/// Router forwarding discipline for equal-cost shortest paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EcmpMode {
-    /// Single deterministic next hop per destination (the tie-broken
-    /// Dijkstra tables) — the default, matching an ECMP-free OSPF config.
-    #[default]
-    Disabled,
-    /// OSPF equal-cost multipath: routers split flows across all
-    /// equal-cost next hops by hashing the flow identifier, keeping each
-    /// flow on one path.
-    FlowHash,
-}
-
 /// How a device is wired to its router (§III.A, Figure 1): *in-path* devices
 /// sit on the wire (no extra hop), *off-path* devices hang off the router on
 /// an access link (one extra link traversal each way).
@@ -439,8 +426,8 @@ pub struct Simulator {
     stub_handler: Vec<Option<DeviceId>>,
     /// Per-router ingress interceptor (indexed by [`NodeId`]).
     ingress_handler: Vec<Option<DeviceId>>,
-    /// Stub attached at each router, [`NONE_U32`] if none (flat version of
-    /// [`AddressPlan::stub_at`], consulted on every local delivery).
+    /// Stub attached at each router, [`NONE_U32`] if none (the inverse of
+    /// [`AddressPlan::edge_router`], consulted on every local delivery).
     stub_at_node: Vec<u32>,
     /// Nearest gateway per router (ties broken towards the smaller node
     /// id, matching a `min` over `(distance, node)`); rebuilt on routing
@@ -468,7 +455,6 @@ pub struct Simulator {
     /// Hot-path telemetry collector (disabled by default; see
     /// [`Simulator::set_telemetry`]).
     tel: std::sync::Arc<sdm_telemetry::ShardTelemetry>,
-    ecmp: EcmpMode,
     frag_mode: FragmentationMode,
     /// Per-split reassembly state, keyed by the parent packet, which stays
     /// parked in the arena until the last fragment arrives.
@@ -574,7 +560,6 @@ impl Simulator {
             trace_dropped: 0,
             trace_pending: Vec::new(),
             tel: std::sync::Arc::new(sdm_telemetry::ShardTelemetry::new(false)),
-            ecmp: EcmpMode::Disabled,
             frag_mode: FragmentationMode::CountOnly,
             reassembly: FxHashMap::default(),
             service: Vec::new(),
@@ -617,11 +602,6 @@ impl Simulator {
     /// Selects how over-MTU packets are treated.
     pub fn set_fragmentation(&mut self, mode: FragmentationMode) {
         self.frag_mode = mode;
-    }
-
-    /// Selects the router forwarding discipline for equal-cost paths.
-    pub fn set_ecmp(&mut self, mode: EcmpMode) {
-        self.ecmp = mode;
     }
 
     /// Fails a link: routing reconverges immediately (the OSPF reaction to
@@ -1180,7 +1160,7 @@ impl Simulator {
     }
 
     fn forward_towards(&mut self, node: NodeId, target: NodeId, id: PacketId) {
-        let Some((nh, link)) = self.pick_next_hop(node, target, id) else {
+        let Some((nh, link)) = self.routes.next_hop_link(node, target) else {
             self.stats.unroutable += self.arena.get(id).weight();
             self.arena.free(id);
             return;
@@ -1241,36 +1221,6 @@ impl Simulator {
         }
         let at = self.now.after(1);
         self.queue.push(at, EventKind::Arrive { node: nh, pkt: id });
-    }
-
-    /// The next hop (and the link to it) for the packet from `node`
-    /// towards `target`: the deterministic table entry, or under ECMP a
-    /// flow-hash pick among all equal-cost next hops.
-    fn pick_next_hop(
-        &self,
-        node: NodeId,
-        target: NodeId,
-        id: PacketId,
-    ) -> Option<(NodeId, sdm_topology::LinkId)> {
-        match self.ecmp {
-            EcmpMode::Disabled => self.routes.next_hop_link(node, target),
-            EcmpMode::FlowHash => {
-                let candidates = self.routes.equal_cost_hops(node, target);
-                if candidates.is_empty() {
-                    return None;
-                }
-                // flow-sticky pick, decorrelated per router
-                let mut z = self
-                    .arena
-                    .original(id)
-                    .stable_hash()
-                    .wrapping_add(0x9E3779B97F4A7C15u64.wrapping_mul(node.index() as u64 + 1));
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-                z ^= z >> 31;
-                Some(candidates[(z % candidates.len() as u64) as usize])
-            }
-        }
     }
 
     /// Consumes a fragment into its split's reassembly state; returns the

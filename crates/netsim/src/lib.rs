@@ -54,7 +54,7 @@ mod schedule;
 pub use addr::{AddressPlan, Ipv4Addr, ParseAddrError, Prefix, StubId};
 pub use arena::{PacketArena, PacketId};
 pub use engine::{
-    preassigned_device_addr, Attachment, Device, DeviceCtx, DeviceId, EcmpMode,
+    preassigned_device_addr, Attachment, Device, DeviceCtx, DeviceId,
     FragmentationMode, SimStats, SimTime, Simulator, TraceEvent, TraceLocation,
 };
 pub use queue::CalendarQueue;

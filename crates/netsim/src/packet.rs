@@ -424,7 +424,7 @@ impl Packet {
     }
 
     /// The flow identifier at creation time, immutable bookkeeping used by
-    /// measurements, traces and ECMP even after label switching or a
+    /// measurements and traces even after label switching or a
     /// source route rewrites the inner destination. A fragment's headers
     /// are its parent's outermost ones; its flow is resolved through the
     /// parent by [`PacketArena::original`](crate::PacketArena::original).

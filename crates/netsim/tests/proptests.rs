@@ -482,77 +482,6 @@ mod engine_features {
     }
 }
 
-/// ECMP forwarding tests.
-mod ecmp {
-    use super::*;
-    use sdm_netsim::EcmpMode;
-    use sdm_topology::{NodeKind, Topology, NetworkPlan};
-
-    /// A diamond: e0 - a - {b, c} - d - e1, two equal-cost paths b / c.
-    fn diamond() -> NetworkPlan {
-        let mut t = Topology::new();
-        let e0 = t.add_node(NodeKind::EdgeRouter, "e0");
-        let a = t.add_node(NodeKind::CoreRouter, "a");
-        let b = t.add_node(NodeKind::CoreRouter, "b");
-        let c = t.add_node(NodeKind::CoreRouter, "c");
-        let d = t.add_node(NodeKind::CoreRouter, "d");
-        let e1 = t.add_node(NodeKind::EdgeRouter, "e1");
-        t.add_link(e0, a, 1).unwrap();
-        t.add_link(a, b, 1).unwrap();
-        t.add_link(a, c, 1).unwrap();
-        t.add_link(b, d, 1).unwrap();
-        t.add_link(c, d, 1).unwrap();
-        t.add_link(d, e1, 1).unwrap();
-        NetworkPlan::new(t, vec![], vec![a, b, c, d], vec![e0, e1])
-    }
-
-    #[test]
-    fn ecmp_spreads_flows_across_equal_cost_paths() {
-        let plan = diamond();
-        let mut sim = Simulator::new(&plan);
-        sim.set_ecmp(EcmpMode::FlowHash);
-        for sp in 0..400u16 {
-            let ft = flow(&sim, 0, 1, 1000 + sp);
-            sim.inject_from_stub(StubId(0), Packet::data(ft, 100));
-        }
-        sim.run_until_idle();
-        assert_eq!(sim.stats().delivered, 400);
-        // links a-b (index 1) and a-c (index 2) both carry a fair share
-        let (ab, ac) = (sim.stats().link_load[1], sim.stats().link_load[2]);
-        assert_eq!(ab + ac, 400);
-        assert!(ab > 120 && ac > 120, "unbalanced ECMP split: {ab}/{ac}");
-    }
-
-    #[test]
-    fn disabled_ecmp_uses_single_path() {
-        let plan = diamond();
-        let mut sim = Simulator::new(&plan);
-        for sp in 0..100u16 {
-            let ft = flow(&sim, 0, 1, 1000 + sp);
-            sim.inject_from_stub(StubId(0), Packet::data(ft, 100));
-        }
-        sim.run_until_idle();
-        let (ab, ac) = (sim.stats().link_load[1], sim.stats().link_load[2]);
-        assert_eq!(ab + ac, 100);
-        assert!(ab == 0 || ac == 0, "deterministic tables must pick one path");
-    }
-
-    #[test]
-    fn ecmp_is_flow_sticky() {
-        // the same flow's packets always take the same path
-        let plan = diamond();
-        let mut sim = Simulator::new(&plan);
-        sim.set_ecmp(EcmpMode::FlowHash);
-        let ft = flow(&sim, 0, 1, 7777);
-        for _ in 0..50 {
-            sim.inject_from_stub(StubId(0), Packet::data(ft, 100));
-        }
-        sim.run_until_idle();
-        let (ab, ac) = (sim.stats().link_load[1], sim.stats().link_load[2]);
-        assert!(ab == 50 || ac == 50, "flow split across paths: {ab}/{ac}");
-    }
-}
-
 /// Emulated fragmentation and reassembly.
 mod fragmentation {
     use super::*;

@@ -75,8 +75,8 @@ impl fmt::Display for NetworkFunction {
 /// let chain = ActionList::chain([NetworkFunction::Firewall, NetworkFunction::Ids]);
 /// assert_eq!(chain.len(), 2);
 /// assert_eq!(chain.first(), Some(NetworkFunction::Firewall));
-/// assert_eq!(chain.next_after(0), Some(NetworkFunction::Ids));
-/// assert_eq!(chain.next_after(1), None);
+/// assert_eq!(chain.get(1), Some(NetworkFunction::Ids));
+/// assert_eq!(chain.get(2), None);
 /// assert!(ActionList::permit().is_permit());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -128,11 +128,6 @@ impl ActionList {
         self.0.get(index).copied()
     }
 
-    /// The function following position `index`, or `None` at the end.
-    pub fn next_after(&self, index: usize) -> Option<NetworkFunction> {
-        self.0.get(index + 1).copied()
-    }
-
     /// Position of the first occurrence of `f` in the chain.
     pub fn position(&self, f: NetworkFunction) -> Option<usize> {
         self.0.iter().position(|&g| g == f)
@@ -142,12 +137,6 @@ impl ActionList {
     /// policies are relevant to a middlebox (§III.B).
     pub fn contains(&self, f: NetworkFunction) -> bool {
         self.0.contains(&f)
-    }
-
-    /// Pairs of adjacent functions `(e, e')` in the chain — the paper's
-    /// indicator `I_p(e, e')` is 1 exactly for these pairs.
-    pub fn adjacent_pairs(&self) -> impl Iterator<Item = (NetworkFunction, NetworkFunction)> + '_ {
-        self.0.windows(2).map(|w| (w[0], w[1]))
     }
 }
 
@@ -188,20 +177,9 @@ mod tests {
         assert_eq!(c.len(), 3);
         assert_eq!(c.first(), Some(Firewall));
         assert_eq!(c.last(), Some(WebProxy));
-        assert_eq!(c.next_after(0), Some(Ids));
-        assert_eq!(c.next_after(2), None);
         assert_eq!(c.position(Ids), Some(1));
         assert_eq!(c.position(TrafficMonitor), None);
         assert!(c.contains(WebProxy));
-    }
-
-    #[test]
-    fn adjacent_pairs_match_indicator_semantics() {
-        let c = ActionList::chain([Firewall, Ids, WebProxy]);
-        let pairs: Vec<_> = c.adjacent_pairs().collect();
-        assert_eq!(pairs, vec![(Firewall, Ids), (Ids, WebProxy)]);
-        assert_eq!(ActionList::permit().adjacent_pairs().count(), 0);
-        assert_eq!(ActionList::chain([Ids]).adjacent_pairs().count(), 0);
     }
 
     #[test]

@@ -178,12 +178,6 @@ impl TrafficDescriptor {
         self.src.overlaps(subnet)
     }
 
-    /// True if any destination address matched by this descriptor lies
-    /// inside `subnet`.
-    pub fn dest_overlaps(&self, subnet: Prefix) -> bool {
-        self.dst.overlaps(subnet)
-    }
-
     /// True if every packet matched by `self` is also matched by `other` —
     /// i.e. `other` *covers* `self`. Used to detect shadowed policies
     /// under first-match semantics.
@@ -306,7 +300,6 @@ mod tests {
         let subnet: Prefix = "10.3.0.0/16".parse().unwrap();
         let d_any = TrafficDescriptor::new();
         assert!(d_any.source_overlaps(subnet));
-        assert!(d_any.dest_overlaps(subnet));
         let d_in = TrafficDescriptor::new().src_prefix("10.3.128.0/17".parse().unwrap());
         assert!(d_in.source_overlaps(subnet));
         let d_out = TrafficDescriptor::new().src_prefix("10.4.0.0/16".parse().unwrap());

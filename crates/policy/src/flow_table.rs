@@ -569,22 +569,12 @@ impl FlowTable {
         self.neg.len()
     }
 
-    /// Hard cap on resident negative markers.
-    pub fn negative_capacity(&self) -> usize {
-        self.neg.capacity()
-    }
-
     /// Live negative markers displaced by capacity eviction (an exhaustion
     /// attack shows up here; a displaced marker that had already expired
     /// counts in [`FlowTableStats::expired`] instead). Invariant across
     /// power-of-two shard counts, see [`crate::oa_table`].
     pub fn negative_evictions(&self) -> u64 {
         self.neg.evictions()
-    }
-
-    /// Distinct policy classes interned by this table's positive entries.
-    pub fn policy_classes(&self) -> usize {
-        self.classes.len()
     }
 
     /// Heap bytes held by the table (probe arrays, slab, negative sets,
@@ -914,7 +904,7 @@ mod tests {
             );
         }
         assert_eq!(t.len(), 1000);
-        assert_eq!(t.policy_classes(), 3);
+        assert_eq!(t.classes.len(), 3);
         // every flow still resolves to its policy
         let e = t.lookup(ft(1), SimTime(1), 1).unwrap();
         assert_eq!(e.action.unwrap().0, PolicyId(0));
@@ -927,7 +917,7 @@ mod tests {
         for p in 0..5000u16 {
             t.insert_negative(ft(p + 1), SimTime(p as u64));
         }
-        assert_eq!(t.negative_capacity(), 16);
+        assert_eq!(t.neg.capacity(), 16);
         assert!(t.negative_len() <= 16);
         assert_eq!(
             t.negative_evictions(),

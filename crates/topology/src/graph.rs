@@ -79,13 +79,6 @@ pub enum NodeKind {
     EdgeRouter,
 }
 
-impl NodeKind {
-    /// Whether a stub network (and hence a policy proxy) sits behind this node.
-    pub fn hosts_stub(self) -> bool {
-        matches!(self, NodeKind::EdgeRouter)
-    }
-}
-
 impl fmt::Display for NodeKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -250,15 +243,6 @@ impl Topology {
         (0..self.nodes.len() as u32).map(NodeId)
     }
 
-    /// Iterates over all node ids of the given kind.
-    pub fn nodes_of_kind(&self, kind: NodeKind) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(move |(_, n)| n.kind == kind)
-            .map(|(i, _)| NodeId(i as u32))
-    }
-
     /// Iterates over the neighbors of `node` as `(neighbor, cost)` pairs.
     ///
     /// # Panics
@@ -411,14 +395,6 @@ mod tests {
     #[test]
     fn empty_topology_is_connected() {
         assert!(Topology::new().is_connected());
-    }
-
-    #[test]
-    fn nodes_of_kind_filters() {
-        let (t, a, _, c) = triangle();
-        let edges: Vec<_> = t.nodes_of_kind(NodeKind::EdgeRouter).collect();
-        assert_eq!(edges, vec![a, c]);
-        assert_eq!(t.nodes_of_kind(NodeKind::Gateway).count(), 0);
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! A hierarchical two-tier × Waxman composition for policy-state scaling
-//! experiments (PR 9): a regular two-tier distribution backbone (pairs of
-//! distribution routers fully meshed to each other and to the gateways,
-//! exactly as in [`crate::two_tier`]) whose "edge" slots are replaced by
-//! *pods* — small Waxman-style random core meshes, each dual-homed to its
-//! distribution pair, fanning out to many edge routers.
+//! A hierarchical backbone × Waxman composition for policy-state scaling
+//! experiments: a regular distribution backbone (pairs of
+//! distribution routers, each pair internally linked, meshed across pairs
+//! and uplinked to every gateway — the textbook collapsed-core enterprise
+//! design) whose edge slots are replaced by *pods* — small Waxman-style
+//! random core meshes, each dual-homed to its distribution pair, fanning
+//! out to many edge routers.
 //!
 //! The composition scales to tens of thousands of nodes (see
 //! [`HierarchicalConfig::large`]) while keeping the backbone diameter
@@ -77,11 +78,12 @@ impl HierarchicalConfig {
     }
 }
 
-/// Generates a hierarchical two-tier × Waxman network.
+/// Generates a hierarchical backbone × Waxman network.
 ///
-/// Backbone: `pairs` distribution pairs built exactly like
-/// [`crate::two_tier::two_tier`] (intra-pair link, polarity mesh across
-/// pairs, uplinks to every gateway). Each pair then anchors
+/// Backbone: `pairs` distribution pairs, each router linked to its pair
+/// partner, to every router of the same polarity in other pairs and
+/// (from each pair's `a` router) to the next pair's `b` router, and
+/// uplinked to every gateway. Each pair then anchors
 /// `pods_per_pair` pods: `routers_per_pod` core routers placed uniformly
 /// at random in a 100×100 region and meshed with Waxman link
 /// probabilities (components stitched by nearest pairs, as in
@@ -115,7 +117,7 @@ pub fn hierarchical(config: &HierarchicalConfig, seed: u64) -> NetworkPlan {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut t = Topology::new();
 
-    // --- backbone: identical construction to `two_tier` -----------------
+    // --- backbone: distribution pairs, polarity mesh, gateway uplinks ---
     let gateways: Vec<_> = (0..config.gateways)
         .map(|i| t.add_node(NodeKind::Gateway, format!("gw{i}")))
         .collect();

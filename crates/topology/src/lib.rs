@@ -43,7 +43,6 @@ mod routing;
 
 pub mod campus;
 pub mod hierarchical;
-pub mod two_tier;
 pub mod waxman;
 
 pub use graph::{LinkId, NodeId, NodeKind, Topology, TopologyError};

@@ -74,9 +74,4 @@ impl NetworkPlan {
     pub fn stub_count(&self) -> usize {
         self.edges.len()
     }
-
-    /// Consumes the plan, returning the underlying topology.
-    pub fn into_topology(self) -> Topology {
-        self.topology
-    }
 }

@@ -29,11 +29,6 @@ impl Path {
     pub fn cost(&self) -> u32 {
         self.cost
     }
-
-    /// Number of hops (links) traversed.
-    pub fn hops(&self) -> usize {
-        self.nodes.len().saturating_sub(1)
-    }
 }
 
 /// Shortest-path routing state, as computed by every OSPF router from the
@@ -210,21 +205,6 @@ impl RoutingTables {
         Some((self.far_end(link, src)?, LinkId(link)))
     }
 
-    /// Every neighbor of `src` on *some* shortest path to `dst`, with the
-    /// link to it, in the topology's adjacency order — the ECMP next-hop
-    /// set. Empty if `dst` is unreachable or equals `src`.
-    pub fn equal_cost_hops(&self, src: NodeId, dst: NodeId) -> Vec<(NodeId, LinkId)> {
-        // src == dst: total 0, and every neighbor is at least a cost 1 away.
-        let (Some(total), Some(row)) = (self.dist(src, dst), self.row(dst)) else {
-            return Vec::new();
-        };
-        self.neighbors(src.index())
-            .iter()
-            .filter(|&&(v, _, c)| row[v.index()].dist.saturating_add(c) == total)
-            .map(|&(v, l, _)| (v, l))
-            .collect()
-    }
-
     /// Reconstructs the full shortest path from `src` to `dst` by chaining
     /// next-hop lookups, or `None` if unreachable.
     pub fn path(&self, src: NodeId, dst: NodeId) -> Option<Path> {
@@ -323,7 +303,6 @@ mod tests {
         assert_eq!(rt.dist(a, b), None);
         assert_eq!(rt.next_hop(a, b), None);
         assert!(rt.path(a, b).is_none());
-        assert!(rt.equal_cost_hops(a, b).is_empty());
     }
 
     /// Regression: an id past the last node answered another pair's
@@ -339,7 +318,6 @@ mod tests {
             assert_eq!(rt.next_hop(ids[0], ghost), None);
             assert_eq!(rt.next_hop(ghost, ids[0]), None);
             assert!(rt.path(ghost, ids[0]).is_none());
-            assert!(rt.equal_cost_hops(ghost, ids[0]).is_empty());
         }
     }
 
@@ -351,15 +329,13 @@ mod tests {
         let b = t.add_node(NodeKind::CoreRouter, "b");
         let c = t.add_node(NodeKind::CoreRouter, "c");
         let d = t.add_node(NodeKind::CoreRouter, "d");
-        let ac = t.add_link(a, c, 1).unwrap(); // insert c-link first to stress tie-break
-        let ab = t.add_link(a, b, 1).unwrap();
+        t.add_link(a, c, 1).unwrap(); // insert c-link first to stress tie-break
+        t.add_link(a, b, 1).unwrap();
         t.add_link(c, d, 1).unwrap();
         t.add_link(b, d, 1).unwrap();
         let rt = t.routing_tables();
         assert_eq!(rt.dist(a, d), Some(2));
         assert_eq!(rt.next_hop(a, d), Some(b));
-        // ECMP sees both, in adjacency order.
-        assert_eq!(rt.equal_cost_hops(a, d), vec![(c, ac), (b, ab)]);
     }
 
     #[test]
@@ -382,7 +358,6 @@ mod tests {
         let (t, ids) = line(6);
         let rt = t.routing_tables();
         let p = rt.path(ids[0], ids[5]).unwrap();
-        assert_eq!(p.hops(), 5);
         assert_eq!(p.cost(), 5);
         assert_eq!(p.nodes().first(), Some(&ids[0]));
         assert_eq!(p.nodes().last(), Some(&ids[5]));

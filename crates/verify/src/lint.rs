@@ -40,9 +40,13 @@
 //!   extension ([`DOC_PATH_EXTENSIONS`]) must exist, relative to the root
 //!   or to `crates/`, and every backticked `UPPER_SNAKE` token (a
 //!   constant, environment variable or diagnostic code, e.g. `SDM_SHARDS`
-//!   or `V015`) must occur as a word in some scanned source. Docs name
-//!   files and symbols so a reader can find them; a deletion that leaves
-//!   the name behind fails here.
+//!   or `V015`) must occur as a word in some scanned source. So must
+//!   every segment of a backticked Rust symbol — a `CamelCase` identifier
+//!   or a `::` path such as `Controller::run_sharded` — where a trailing
+//!   `*` matches a prefix (`ShardTelemetry::record_*`) and a path that
+//!   starts with a file (`tests/cli.rs::help_prints_usage`) must name a
+//!   word of that file. Docs name files and symbols so a reader can find
+//!   them; a deletion that leaves the name behind fails here.
 //!
 //! The scanner tokenizes rather than greps: identifiers are matched
 //! whole (`FxHashMap` does not match `HashMap`), and comments, strings
@@ -173,7 +177,7 @@ pub fn lint_workspace(config: &LintConfig) -> io::Result<Vec<LintViolation>> {
         crate_dirs.push(config.root.clone());
     }
 
-    // Every `UPPER_SNAKE` word of the scanned sources, for `doc-path`.
+    // Every word of the scanned sources, for `doc-path`.
     let mut symbols = BTreeSet::new();
     for dir in &crate_dirs {
         let crate_name = crate_name_of(dir);
@@ -186,11 +190,7 @@ pub fn lint_workspace(config: &LintConfig) -> io::Result<Vec<LintViolation>> {
             let text = fs::read_to_string(&file)?;
             let rel = relative_to(&file, &config.root);
             lint_source(&rel, &crate_name, &text, &mut violations);
-            symbols.extend(
-                text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-                    .filter(|w| is_upper_snake(w))
-                    .map(str::to_string),
-            );
+            symbols.extend(words(&text).map(str::to_string));
         }
     }
 
@@ -206,6 +206,12 @@ pub fn lint_workspace(config: &LintConfig) -> io::Result<Vec<LintViolation>> {
     Ok(violations)
 }
 
+/// The identifier words of `text`.
+fn words(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|w| !w.is_empty())
+}
+
 /// True for a token the `doc-path` rule reads as a source symbol: two or
 /// more of `A-Z`, `0-9` and `_`, starting with a letter.
 fn is_upper_snake(token: &str) -> bool {
@@ -216,9 +222,62 @@ fn is_upper_snake(token: &str) -> bool {
             .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
 }
 
+/// True when `word`, or with a trailing `*` some word it prefixes, is in
+/// `words`.
+fn has_word(words: &BTreeSet<String>, word: &str) -> bool {
+    match word.strip_suffix('*') {
+        Some(prefix) => words.iter().any(|w| w.starts_with(prefix)),
+        None => words.contains(word),
+    }
+}
+
+/// Why a backticked token is stale, or `None` when it is fine or names
+/// neither a file nor a source symbol. A file must exist. A symbol — an
+/// `UPPER_SNAKE` or `CamelCase` identifier, or a `::` path — must have
+/// every segment among `symbols`, the scanned sources' words, or, for a
+/// path that starts with a file, among that file's words.
+fn stale_doc_token(root: &Path, token: &str, symbols: &BTreeSet<String>) -> Option<String> {
+    let is_file = |t: &str| t.contains('/') && DOC_PATH_EXTENSIONS.iter().any(|e| t.ends_with(e));
+    let (file, path) = match token.split_once("::") {
+        Some((file, path)) if is_file(file) => (Some(file), path),
+        _ if is_file(token) => (Some(token), ""),
+        _ => (None, token),
+    };
+    if token.contains(char::is_whitespace) {
+        return None;
+    }
+    let mut in_file = BTreeSet::new();
+    if let Some(file) = file {
+        let candidates = [root.join(file), root.join("crates").join(file)];
+        let Some(found) = candidates.into_iter().find(|p| p.exists()) else {
+            return Some(format!("`{token}` names a file that does not exist"));
+        };
+        if !path.is_empty() {
+            in_file.extend(words(&fs::read_to_string(found).ok()?).map(str::to_string));
+        }
+    }
+    let segments: Vec<&str> = path.trim_end_matches("()").split("::").collect();
+    let identifier = |seg: &&str| {
+        let seg = seg.strip_suffix('*').unwrap_or(seg);
+        !seg.is_empty() && seg.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+    };
+    let camel_case = path.starts_with(|c: char| c.is_ascii_uppercase())
+        && path.contains(|c: char| c.is_ascii_lowercase())
+        && !path.contains('_');
+    let is_symbol = file.is_some() || segments.len() > 1 || is_upper_snake(path) || camel_case;
+    if path.is_empty() || !is_symbol || !segments.iter().all(identifier) {
+        return None;
+    }
+    let known = if file.is_some() { &in_file } else { symbols };
+    let missing = segments.into_iter().find(|seg| !has_word(known, seg))?;
+    Some(match file {
+        Some(file) => format!("`{token}`: `{missing}` is not a word of {file}"),
+        None => format!("`{token}` names a symbol no scanned source contains"),
+    })
+}
+
 /// The `doc-path` rule over one document: backticked spans are the odd
-/// pieces of each line split on `` ` ``. A file path must exist; an
-/// `UPPER_SNAKE` symbol must be in `symbols`, the scanned sources' words.
+/// pieces of each line split on `` ` ``; [`stale_doc_token`] judges each.
 fn lint_doc_paths(
     root: &Path,
     doc: &str,
@@ -228,25 +287,14 @@ fn lint_doc_paths(
 ) {
     for (i, line) in text.lines().enumerate() {
         for token in line.split('`').skip(1).step_by(2) {
-            let is_path = token.contains('/')
-                && !token.contains(char::is_whitespace)
-                && DOC_PATH_EXTENSIONS.iter().any(|ext| token.ends_with(ext));
-            let detail = if is_path
-                && !root.join(token).exists()
-                && !root.join("crates").join(token).exists()
-            {
-                format!("`{token}` names a file that does not exist")
-            } else if is_upper_snake(token) && !symbols.contains(token) {
-                format!("`{token}` names a symbol no scanned source contains")
-            } else {
-                continue;
-            };
-            out.push(LintViolation {
-                rule: RULE_DOC_PATH,
-                file: doc.to_string(),
-                line: i + 1,
-                detail,
-            });
+            if let Some(detail) = stale_doc_token(root, token, symbols) {
+                out.push(LintViolation {
+                    rule: RULE_DOC_PATH,
+                    file: doc.to_string(),
+                    line: i + 1,
+                    detail,
+                });
+            }
         }
     }
 }
@@ -825,15 +873,26 @@ fn g() { let _m: HashMap<u8, u8>; }\n";
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let text = "see `crates/verify/src/lint.rs`, `verify/src/plan.rs` and `ci.sh`;\n\
                     `results/no_such_golden.txt` is gone, `a/b` and `cargo run x/y.rs` are not paths\n\
-                    `SDM_SHARDS` and `V015` are symbols, `OLD_BUDGET` is gone, `A`, `Ab_C` are not\n";
-        let symbols: BTreeSet<String> = ["SDM_SHARDS", "V015"].map(String::from).into();
+                    `SDM_SHARDS` and `V015` are symbols, `OLD_BUDGET` is gone, `A`, `Ab_C` are not\n\
+                    `Controller`, `Controller::run_sharded()` and `Shard::record_*` are symbols\n\
+                    `RetiredMode` is gone, `Controller::retired_setter` is gone, `a::b c` is not a symbol\n\
+                    `tests/cli.rs::help_prints_usage` names a test, `tests/cli.rs::no_such_test` is gone\n";
+        let names = "SDM_SHARDS V015 Controller run_sharded Shard record_hit";
+        let symbols: BTreeSet<String> = words(names).map(str::to_string).collect();
         let mut v = Vec::new();
         lint_doc_paths(&root, "README.md", text, &symbols, &mut v);
-        assert_eq!(v.len(), 2, "{v:?}");
-        assert_eq!((v[0].rule, v[0].line), (RULE_DOC_PATH, 2));
-        assert!(v[0].detail.contains("results/no_such_golden.txt"), "{v:?}");
-        assert_eq!((v[1].rule, v[1].line), (RULE_DOC_PATH, 3));
-        assert!(v[1].detail.contains("`OLD_BUDGET` names a symbol"), "{v:?}");
+        assert!(v.iter().all(|v| v.rule == RULE_DOC_PATH), "{v:?}");
+        let found = v.iter().map(|v| format!("{}: {}", v.line, v.detail));
+        assert_eq!(
+            found.collect::<Vec<_>>(),
+            [
+                "2: `results/no_such_golden.txt` names a file that does not exist",
+                "3: `OLD_BUDGET` names a symbol no scanned source contains",
+                "5: `RetiredMode` names a symbol no scanned source contains",
+                "5: `Controller::retired_setter` names a symbol no scanned source contains",
+                "6: `tests/cli.rs::no_such_test`: `no_such_test` is not a word of tests/cli.rs",
+            ]
+        );
     }
 
     #[test]

@@ -5,9 +5,6 @@
 //! * [`flash_crowd`] — a thundering herd of distinct sources hammering one
 //!   policy's destination service: positive-cache churn concentrated on
 //!   one device chain.
-//! * [`elephant_skew`] — a few enormous flows among swarms of mice: the
-//!   per-packet cache hit path dominated by a handful of entries while the
-//!   table still fills with one-hit wonders.
 //! * [`exhaustion_attack`] — millions of one-packet flows that match *no*
 //!   policy: every packet is a classification miss that installs a
 //!   negative-cache entry, the paper's flow-table exhaustion attack
@@ -89,68 +86,6 @@ pub fn flash_crowd(
             packets: 1 + (i as u64 % 3),
             policy: p,
         });
-    }
-    out
-}
-
-/// Parameters of the elephant-skew generator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ElephantSkewConfig {
-    /// Total flows to generate.
-    pub flows: usize,
-    /// How many of them are elephants (the rest are mice).
-    pub elephants: usize,
-    /// Packets per mouse flow.
-    pub mouse_packets: u64,
-    /// Packets per elephant flow.
-    pub elephant_packets: u64,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for ElephantSkewConfig {
-    fn default() -> Self {
-        ElephantSkewConfig {
-            flows: 10_000,
-            elephants: 10,
-            mouse_packets: 1,
-            elephant_packets: 50_000,
-            seed: 1,
-        }
-    }
-}
-
-/// Generates an elephant/mice mix: `elephants` flows of
-/// `elephant_packets` packets interleaved (deterministically, spread
-/// evenly) among mice of `mouse_packets` packets. All flows first-match
-/// real policies, rotating over the available evaluation classes like
-/// [`crate::generate_flows`].
-///
-/// # Panics
-///
-/// Panics if `cfg.elephants > cfg.flows`, `policies` is empty, or the plan
-/// has fewer than two stubs.
-pub fn elephant_skew(
-    policies: &GeneratedPolicies,
-    addrs: &AddressPlan,
-    cfg: &ElephantSkewConfig,
-) -> Vec<Flow> {
-    assert!(cfg.elephants <= cfg.flows, "more elephants than flows");
-    let mut out = crate::generate_flows(
-        policies,
-        addrs,
-        &crate::WorkloadConfig {
-            flows: cfg.flows,
-            size_min: cfg.mouse_packets.max(1),
-            size_max: cfg.mouse_packets.max(1),
-            seed: cfg.seed,
-            ..Default::default()
-        },
-    );
-    if let Some(stride) = cfg.flows.checked_div(cfg.elephants) {
-        for e in 0..cfg.elephants {
-            out[e * stride.max(1)].packets = cfg.elephant_packets;
-        }
     }
     out
 }
@@ -274,28 +209,6 @@ mod tests {
         let (gp, addrs) = world();
         assert_eq!(flash_crowd(&gp, &addrs, 100, 5), flash_crowd(&gp, &addrs, 100, 5));
         assert_ne!(flash_crowd(&gp, &addrs, 100, 5), flash_crowd(&gp, &addrs, 100, 6));
-    }
-
-    #[test]
-    fn elephant_skew_shapes_sizes() {
-        let (gp, addrs) = world();
-        let cfg = ElephantSkewConfig {
-            flows: 1000,
-            elephants: 5,
-            mouse_packets: 2,
-            elephant_packets: 9999,
-            seed: 3,
-        };
-        let flows = elephant_skew(&gp, &addrs, &cfg);
-        assert_eq!(flows.len(), 1000);
-        let big = flows.iter().filter(|f| f.packets == 9999).count();
-        let small = flows.iter().filter(|f| f.packets == 2).count();
-        assert_eq!(big, 5);
-        assert_eq!(big + small, 1000);
-        for f in &flows {
-            let (id, _) = gp.set.first_match(&f.five_tuple).unwrap();
-            assert_eq!(id, f.policy);
-        }
     }
 
     #[test]

@@ -20,9 +20,7 @@ mod policies;
 mod shard;
 mod trace;
 
-pub use adversarial::{
-    elephant_skew, exhaustion_attack, flash_crowd, ElephantSkewConfig, NO_POLICY,
-};
+pub use adversarial::{exhaustion_attack, flash_crowd, NO_POLICY};
 pub use flows::{generate_flows, generate_flows_with_total, Flow, WorkloadConfig};
 pub use shard::to_flow_specs;
 pub use policies::{evaluation_policies, GeneratedPolicies, PolicyClass, PolicyClassCounts};

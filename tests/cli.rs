@@ -45,10 +45,12 @@ fn bad_arguments_fail_cleanly() {
         vec!["--packets"],
         vec!["fig", "--volume", "1"],
         vec!["frobnicate"],
+        // a value that parses but cannot run
+        vec!["queueing", "--window", "0"],
     ] {
         let out = sdm().args(&args).output().expect("binary runs");
-        assert!(!out.status.success(), "{args:?} should fail");
         let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
         assert!(
             args.iter().any(|a| a.starts_with("--") && err.contains(a))
                 || err.contains(args.last().unwrap()),
@@ -154,5 +156,47 @@ fn flow_trace_round_trip_via_cli() {
     std::fs::write(&path, "8.8.8.8 10.0.1.1 1000 80 tcp 5 100\n").unwrap();
     let out = sdm().arg("--load-flows").arg(&path).output().expect("binary runs");
     assert_refused(&out, &path, "8.8.8.8:1000");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A reach corpus that parses but names middleboxes, stubs or sources
+/// the campus world does not have is refused with exit code 2, naming the
+/// file and the scenario — before anything replays, never a panic.
+#[test]
+fn replay_refuses_a_corpus_the_world_cannot_run() {
+    use sdm::verify::witness::{corpus_from_json, corpus_to_json, ReplayScenario, ReplayStep};
+
+    let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/results/reach_corpus.json");
+    let corpus = corpus_from_json(&std::fs::read_to_string(committed).unwrap()).unwrap();
+    let path = std::env::temp_dir().join("sdm_cli_test_corpus.json");
+    let refused = |reason: &str, edit: &dyn Fn(&mut ReplayScenario)| {
+        let mut bad = corpus.clone();
+        edit(&mut bad[3]);
+        std::fs::write(&path, corpus_to_json(&bad).to_string()).unwrap();
+        let out = sdm()
+            .args(["reach", "--replay"])
+            .arg(&path)
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{reason}: {err}");
+        let name = &bad[3].name;
+        let at = format!("sdm reach: '{}' scenario 3 ({name}): ", path.display());
+        assert!(err.contains(&(at + reason)), "{err}");
+    };
+    refused("middlebox m99999 is out of range", &|sc| {
+        sc.steps.push(ReplayStep::FailMbox(99_999))
+    });
+    refused(
+        "middlebox m99999 is out of range",
+        &|sc| match &mut sc.steps[0] {
+            ReplayStep::Inject { expect, .. } => expect.must_not_process.push(99_999),
+            step => panic!("scenario starts with {step:?}"),
+        },
+    );
+    refused("stub 999 is out of range", &|sc| sc.stub = 999);
+    refused("flow source 8.8.8.8 lies outside stub 0", &|sc| {
+        sc.flow.src = "8.8.8.8".parse().unwrap()
+    });
     let _ = std::fs::remove_file(&path);
 }

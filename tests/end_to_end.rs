@@ -418,37 +418,6 @@ fn enforcement_survives_link_failure() {
     assert_eq!(enf.middlebox_loads(), vec![20, 20]);
 }
 
-/// Middlebox loads are invariant to the routers' ECMP discipline: steering
-/// is by middlebox address, so which equal-cost path the routers take
-/// underneath cannot change who processes what.
-#[test]
-fn ecmp_does_not_change_enforcement() {
-    use sdm::netsim::EcmpMode;
-    let plan = campus(2);
-    let mut dep = Deployment::new();
-    dep.add(MiddleboxSpec::new(Firewall, plan.cores()[1], 1.0));
-    dep.add(MiddleboxSpec::new(Firewall, plan.cores()[12], 1.0));
-    dep.add(MiddleboxSpec::new(Ids, plan.cores()[9], 1.0));
-    let mut pol = PolicySet::new();
-    pol.push(Policy::new(
-        TrafficDescriptor::new().dst_port(80),
-        ActionList::chain([Firewall, Ids]),
-    ));
-    let c = Controller::new(plan, dep, pol, KConfig::uniform(2));
-    let mut outcomes = Vec::new();
-    for ecmp in [EcmpMode::Disabled, EcmpMode::FlowHash] {
-        let mut enf = c.enforcement(Strategy::HotPotato, None, EnforcementOptions::default());
-        enf.sim_mut().set_ecmp(ecmp);
-        for i in 0..80u16 {
-            enf.inject_flow(flow(&c, (i % 10) as u32, ((i + 4) % 10) as u32, 2000 + i, 80), 3, 200);
-        }
-        enf.run();
-        outcomes.push((enf.sim().stats().delivered, enf.middlebox_loads()));
-    }
-    assert_eq!(outcomes[0], outcomes[1]);
-    assert_eq!(outcomes[0].0, 240);
-}
-
 /// Chains that repeat a function are rejected up front: the data plane
 /// resolves chain position by function, so `FW -> IDS -> FW` would be
 /// ambiguous at the second firewall.
@@ -573,11 +542,23 @@ fn gateway_inbound_traffic_is_enforced() {
 }
 
 /// The enforcement machinery is topology-agnostic: the full HP pipeline
-/// works unchanged on the two-tier enterprise design.
+/// works unchanged on a small hierarchical fabric (distribution backbone,
+/// Waxman pods, 24 edge routers).
 #[test]
-fn enforcement_on_two_tier_topology() {
-    use sdm::topology::two_tier::{two_tier, TwoTierConfig};
-    let plan = two_tier(TwoTierConfig::default());
+fn enforcement_on_hierarchical_topology() {
+    use sdm::topology::hierarchical::{hierarchical, HierarchicalConfig};
+    let plan = hierarchical(
+        &HierarchicalConfig {
+            pairs: 2,
+            pods_per_pair: 1,
+            routers_per_pod: 4,
+            edges_per_router: 3,
+            gateways: 2,
+            ..HierarchicalConfig::default()
+        },
+        1,
+    );
+    assert_eq!(plan.edges().len(), 24);
     let mut dep = Deployment::new();
     dep.add(MiddleboxSpec::new(Firewall, plan.cores()[0], 1.0));
     dep.add(MiddleboxSpec::new(Ids, plan.cores()[5], 1.0));

@@ -180,7 +180,10 @@ fn packets_conserved_and_functions_applied() {
 }
 
 /// The LP never does worse than hot-potato: λ* ≤ max hot-potato load,
-/// and the LP weights are non-negative and flow-conserving.
+/// and the LP weights are non-negative and flow-conserving. Two laws of
+/// the formulation ride on the same draw: the full program (Eq. 1)
+/// reaches the same λ* as the reduced one (Eq. 2), and re-measuring with
+/// every flow three times as long triples λ*.
 #[test]
 fn lp_lambda_bounded_by_hot_potato() {
     check(
@@ -194,18 +197,23 @@ fn lp_lambda_bounded_by_hot_potato() {
             }
             let c = build_controller(&w);
             let flows = flows_of(&w, &c);
-            let mut hp = c.enforcement(Steering::HotPotato, None, EnforcementOptions::default());
-            for &(ft, pkts) in &flows {
-                hp.inject_flow(ft, pkts, 256);
-            }
-            hp.run();
+            // hot-potato run with every flow `scale` times as long
+            let measure = |scale: u64| {
+                let mut hp =
+                    c.enforcement(Steering::HotPotato, None, EnforcementOptions::default());
+                for &(ft, pkts) in &flows {
+                    hp.inject_flow(ft, pkts * scale, 256);
+                }
+                hp.run();
+                hp
+            };
+            let hp = measure(1);
             let measurements = hp.measurements();
             if measurements.is_empty() {
                 return Ok(());
             }
-            let (weights, report) = c
-                .solve_load_balanced(&measurements, LbOptions::default())
-                .expect("deployment offers all functions");
+            let solve = |m| c.solve_load_balanced(m, LbOptions::default());
+            let (weights, report) = solve(&measurements).expect("deployment offers all functions");
             let hp_max = *hp.middlebox_loads().iter().max().unwrap() as f64;
             prop_assert!(
                 report.lambda <= hp_max + 1e-6,
@@ -215,6 +223,24 @@ fn lp_lambda_bounded_by_hot_potato() {
             );
             prop_assert!(report.lambda >= 0.0);
             prop_assert!(weights.lambda() == report.lambda);
+
+            let close = |got: f64, want: f64| (got - want).abs() <= 1e-9 * want.max(1.0);
+            let (_, full) = c
+                .solve_load_balanced_full(&measurements, LbOptions::default())
+                .expect("full formulation solves what the reduced one does");
+            prop_assert!(
+                close(full.lambda, report.lambda),
+                "full lambda {} != reduced lambda {}",
+                full.lambda,
+                report.lambda
+            );
+            let (_, tripled) = solve(&measure(3).measurements()).expect("same support solves");
+            prop_assert!(
+                close(tripled.lambda, 3.0 * report.lambda),
+                "tripled traffic: lambda {} != 3 x {}",
+                tripled.lambda,
+                report.lambda
+            );
             Ok(())
         },
     );
