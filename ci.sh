@@ -27,18 +27,21 @@ phase_end() {
 phase "cargo build --release --offline"
 cargo build --release --offline
 
+# clippy.toml and the crate roots' lint attributes carry the source
+# conventions: no std HashMap/HashSet, no host clock, no unwrap/expect on
+# the packet path.
 phase "cargo clippy --offline -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Includes the checks no compiler makes: docs name no lost file or symbol
+# (sdm-verify's lint module), every library forbids unsafe code
+# (tests/hermetic.rs).
 phase "cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
 phase "cargo doc --no-deps (rustdoc warnings are errors) + doc-examples"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 cargo test -q --doc --offline --workspace
-
-phase "sdm-lint: hermetic source-lint gate over the workspace"
-cargo run --release --offline -p sdm-verify --bin sdm-lint -- --root .
 
 phase "sdm golden --check: every figure, table, ablation, transcript and reach report byte-identical to results/"
 cargo run --release --offline --bin sdm -- golden --check

@@ -221,8 +221,12 @@ fn inject_and_run(enf: &mut Enforcement, flows: &[Flow], payload: u32) {
 }
 
 /// Runs `f` and reports how long the host took — for stderr only.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a host-clock timing printed to stderr only, never into a golden"
+)]
 fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let t = Instant::now(); // lint:allow(wall-clock)
+    let t = Instant::now();
     let out = f();
     (out, t.elapsed())
 }

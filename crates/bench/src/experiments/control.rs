@@ -38,6 +38,10 @@ pub(super) fn exhaustion(args: &Args) -> ExitCode {
     let seed: u64 = args.num("--seed");
     let n_flows: usize = args.num("--flows");
     let sets: usize = args.num("--sets");
+    if !sets.is_power_of_two() {
+        eprintln!("--sets: must be a power of two");
+        return ExitCode::FAILURE;
+    }
 
     println!("# Exhaustion attack — negative-cache memory bound");
     println!("# campus topology, {n_flows} one-packet no-match flows");

@@ -10,7 +10,6 @@
 use std::sync::Arc;
 
 use sdm_util::sync::Mutex;
-use sdm_util::FxHashMap;
 
 use sdm_netsim::{
     preassigned_device_addr, AddressPlan, Attachment, FiveTuple, Packet, SimTime, Simulator,
@@ -405,11 +404,6 @@ impl Controller {
         let mbox_addrs: Vec<_> = (0..self.deployment.len())
             .map(preassigned_device_addr)
             .collect();
-        let addr_to_mbox: FxHashMap<_, _> = mbox_addrs
-            .iter()
-            .enumerate()
-            .map(|(i, &a)| (a, MiddleboxId(i as u32)))
-            .collect();
         let tel = Arc::new(sdm_telemetry::ShardTelemetry::new(
             options.telemetry.unwrap_or_else(sdm_telemetry::env_enabled),
         ));
@@ -418,7 +412,6 @@ impl Controller {
             assignments: self.assignments.clone(),
             weights: WeightsCell::new(weights),
             mbox_addrs,
-            addr_to_mbox,
             addr_plan: self.addr_plan.clone(),
             encoding: options.encoding,
             mbox_functions: self
@@ -622,6 +615,10 @@ impl Enforcement {
     /// # Panics
     ///
     /// Panics if the flow's source address is not inside any stub subnet.
+    #[expect(
+        clippy::expect_used,
+        reason = "a flow outside every stub is a caller bug, documented under # Panics"
+    )]
     pub fn inject_flow(&mut self, flow: FiveTuple, packets: u64, payload: u32) {
         let stub = self
             .config
@@ -640,6 +637,10 @@ impl Enforcement {
     /// # Panics
     ///
     /// Panics if the flow's source address is not inside any stub subnet.
+    #[expect(
+        clippy::expect_used,
+        reason = "a flow outside every stub is a caller bug, documented under # Panics"
+    )]
     pub fn inject_flow_packets(
         &mut self,
         flow: FiveTuple,

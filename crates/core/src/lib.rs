@@ -54,6 +54,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The packet path never panics: a bad packet is a counted drop.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 mod controller;
 mod deployment;

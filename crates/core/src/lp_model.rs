@@ -766,7 +766,7 @@ mod tests {
         assert!(ws.iter().all(|&(_, v)| v >= -1e-9));
         // phase-2 refinement balances the two equal firewalls evenly in
         // aggregate (per-proxy splits may differ)
-        let mut agg = std::collections::HashMap::new();
+        let mut agg = std::collections::BTreeMap::new();
         for stub in [StubId(0), StubId(1)] {
             let key = WeightKey {
                 point: SteerPoint::Proxy(stub),

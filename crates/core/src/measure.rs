@@ -127,7 +127,9 @@ impl TrafficMatrix {
 
     /// Total measured volume across all policies.
     pub fn grand_total(&self) -> f64 {
-        self.cells.values().sum()
+        // From +0.0: `Iterator::sum` starts at -0.0, which an empty epoch
+        // would print as `-0`.
+        self.cells.values().fold(0.0, |total, v| total + v)
     }
 
     /// Number of nonzero cells.

@@ -422,7 +422,6 @@ mod tests {
             assignments,
             weights: crate::runtime::WeightsCell::new(None),
             mbox_addrs: vec![sdm_netsim::preassigned_device_addr(0)],
-            addr_to_mbox: Default::default(),
             addr_plan: AddressPlan::new(&plan),
             encoding: Default::default(),
             mbox_functions: dep.iter().map(|(_, s)| s.functions.clone()).collect(),

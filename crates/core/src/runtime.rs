@@ -5,7 +5,6 @@
 use std::sync::Arc;
 
 use sdm_util::sync::Mutex;
-use sdm_util::FxHashMap;
 
 use sdm_netsim::{AddressPlan, Ipv4Addr};
 use sdm_policy::{FlowTable, LabelAllocator, LabelTable};
@@ -66,9 +65,6 @@ pub struct RuntimeConfig {
     pub weights: WeightsCell,
     /// Tunnel endpoint address of each middlebox, by id.
     pub mbox_addrs: Vec<Ipv4Addr>,
-    /// Reverse map of `mbox_addrs`. Fx-hashed: this table sits on the
-    /// per-packet decapsulation path.
-    pub addr_to_mbox: FxHashMap<Ipv4Addr, MiddleboxId>,
     /// The network addressing plan (to resolve destination stubs).
     pub addr_plan: AddressPlan,
     /// How steering is encoded on the wire (§III.B/E, §V).
@@ -333,7 +329,6 @@ mod tests {
             assignments,
             weights: WeightsCell::new(None),
             mbox_addrs: (0..3).map(sdm_netsim::preassigned_device_addr).collect(),
-            addr_to_mbox: Default::default(),
             addr_plan: AddressPlan::new(&plan),
             encoding: SteeringEncoding::IpOverIp,
             mbox_functions: dep.iter().map(|(_, s)| s.functions.clone()).collect(),

@@ -203,6 +203,7 @@ impl ShardedRun {
     }
 
     /// Merges per-shard records in the order given (shard-index order).
+    #[expect(clippy::expect_used, reason = "both callers hold at least one shard")]
     pub(crate) fn fold(records: impl IntoIterator<Item = ShardedRun>) -> ShardedRun {
         records
             .into_iter()
@@ -210,7 +211,6 @@ impl ShardedRun {
                 run.merge(&record);
                 run
             })
-            // lint:allow(hot-path-panic) — both callers hold at least one shard
             .expect("at least one shard")
     }
 }

@@ -590,7 +590,7 @@ mod tests {
             assert_eq!(select_next(s, &c, None, &flow(42)), Some(first));
         }
         // across many flows, all candidates are used
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for p in 0..200 {
             seen.insert(select_next(s, &c, None, &flow(p)).unwrap());
         }

@@ -81,6 +81,10 @@ impl PacketArena {
     /// # Panics
     ///
     /// Panics if `id` was freed or never allocated.
+    #[expect(
+        clippy::expect_used,
+        reason = "a stale PacketId is an engine bug, documented under # Panics"
+    )]
     pub fn get(&self, id: PacketId) -> &Packet {
         self.slots[id.index()].as_ref().expect("stale PacketId")
     }
@@ -90,6 +94,10 @@ impl PacketArena {
     /// # Panics
     ///
     /// Panics if `id` was freed or never allocated.
+    #[expect(
+        clippy::expect_used,
+        reason = "a stale PacketId is an engine bug, documented under # Panics"
+    )]
     pub fn get_mut(&mut self, id: PacketId) -> &mut Packet {
         self.slots[id.index()].as_mut().expect("stale PacketId")
     }
@@ -101,6 +109,10 @@ impl PacketArena {
     /// # Panics
     ///
     /// Panics if `id` was freed or never allocated.
+    #[expect(
+        clippy::expect_used,
+        reason = "a stale PacketId is an engine bug, documented under # Panics"
+    )]
     pub fn free(&mut self, id: PacketId) -> Packet {
         let mut pkt = self.slots[id.index()].take().expect("stale PacketId");
         if pkt.has_source_route() {

@@ -80,7 +80,12 @@ impl fmt::Display for Protocol {
 /// The 5-element flow identifier the paper hashes for flow-sticky middlebox
 /// selection and flow-cache lookups (§III.C–D): source address, destination
 /// address, source port, destination port, protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+///
+/// Deliberately not `Hash` (nor `Ord`): per-flow state is keyed on
+/// [`FiveTuple::stable_hash`] through the policy crate's open-addressed
+/// flow and label tables, so a std or Fx hash map keyed by a flow does not
+/// compile.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FiveTuple {
     /// Source address.
     pub src: Ipv4Addr,

@@ -6,8 +6,6 @@
 //! (policy sets, packets) are rebuilt deterministically from the seed
 //! inside the property, so shrinking reduces the instance dimensions.
 
-use std::collections::HashMap;
-
 use sdm_netsim::{FiveTuple, Ipv4Addr, Label, Prefix, Protocol, SimTime};
 use sdm_policy::{
     ActionList, ClassifierKind, FlowEntry, FlowTable, FlowTableStats, LabelEntry, LabelKey,
@@ -16,7 +14,7 @@ use sdm_policy::{
 };
 use sdm_util::prop::{check, Config};
 use sdm_util::rng::StdRng;
-use sdm_util::{prop_assert, prop_assert_eq};
+use sdm_util::{prop_assert, prop_assert_eq, FxHashMap};
 
 fn gen_prefix(rng: &mut StdRng) -> Prefix {
     Prefix::new(Ipv4Addr(rng.next_u32()), rng.gen_range(0u8..=32))
@@ -346,10 +344,10 @@ fn shadowed_policies_never_fire() {
 }
 
 // ---------------------------------------------------------------------------
-// Soft-state tables against `std::collections::HashMap` models
+// Soft-state tables against plain hash-map models
 //
 // The reference models below are the documented semantics written plainly
-// over std maps — expiry at `age >= ttl`, one side per flow, the negative
+// over plain maps — expiry at `age >= ttl`, one side per flow, the negative
 // cache's sets and ways with stalest-first displacement — and *lazy*: a
 // stale entry stays until an op touches it. The tables also reclaim on
 // their insert path, at a cadence the models do not follow, so the
@@ -498,12 +496,19 @@ struct ModelPos {
 /// Negative-cache set: `NEG_WAYS` ways of `(flow, last_seen)`.
 type ModelSet = [Option<(FiveTuple, u64)>; NEG_WAYS];
 
-/// `FlowTable`'s documented semantics over std maps.
+/// A flow's fields as a map key: `FiveTuple` is deliberately not `Hash`.
+type FlowKey = (Ipv4Addr, Ipv4Addr, u16, u16, Protocol);
+
+fn flow_key(ft: &FiveTuple) -> FlowKey {
+    (ft.src, ft.dst, ft.src_port, ft.dst_port, ft.proto)
+}
+
+/// `FlowTable`'s documented semantics over plain maps.
 #[derive(Debug)]
 struct ModelTable {
-    pos: HashMap<FiveTuple, ModelPos>,
+    pos: FxHashMap<FlowKey, ModelPos>,
     /// Negative sets by index `stable_hash % set_count`.
-    neg: HashMap<usize, ModelSet>,
+    neg: FxHashMap<usize, ModelSet>,
     set_count: usize,
     ttl: u64,
     stats: FlowTableStats,
@@ -519,8 +524,8 @@ struct ModelTable {
 impl ModelTable {
     fn new(ttl: u64, set_count: usize) -> Self {
         ModelTable {
-            pos: HashMap::new(),
-            neg: HashMap::new(),
+            pos: FxHashMap::default(),
+            neg: FxHashMap::default(),
             set_count,
             ttl,
             stats: FlowTableStats::default(),
@@ -533,13 +538,13 @@ impl ModelTable {
     /// The flow's positive entry if it is alive at the clock.
     fn live_pos(&mut self, ft: &FiveTuple) -> Option<&mut ModelPos> {
         let (clock, ttl) = (self.clock, self.ttl);
-        self.pos.get_mut(ft).filter(|e| clock.0.saturating_sub(e.last_seen) < ttl)
+        self.pos.get_mut(&flow_key(ft)).filter(|e| clock.0.saturating_sub(e.last_seen) < ttl)
     }
 
     /// Ends the flow's current entry, if any, before an insert of either
     /// side: a live one carries over (no new life), a stale one expires.
     fn end_for_insert(&mut self, ft: &FiveTuple, now: SimTime) {
-        let seen = match self.pos.remove(ft) {
+        let seen = match self.pos.remove(&flow_key(ft)) {
             Some(e) => Some(e.last_seen),
             None => self.neg_way(ft).and_then(|w| w.take()).map(|(_, seen)| seen),
         };
@@ -569,14 +574,14 @@ impl ModelTable {
     }
 
     fn lookup(&mut self, ft: &FiveTuple, now: SimTime, weight: u64) -> Option<View> {
-        if let Some(e) = self.pos.get(ft) {
+        if let Some(e) = self.pos.get(&flow_key(ft)) {
             if self.stale(e.last_seen, now) {
-                self.pos.remove(ft);
+                self.pos.remove(&flow_key(ft));
                 self.stats.expired += 1;
                 self.stats.misses += weight;
                 return None;
             }
-            let e = self.pos.get_mut(ft).expect("present");
+            let e = self.pos.get_mut(&flow_key(ft)).expect("present");
             e.last_seen = now.0;
             self.stats.hits += weight;
             return Some((
@@ -691,7 +696,7 @@ impl ModelTable {
                     label_switched: false,
                     last_seen: now.0,
                 };
-                self.pos.insert(keys[key], entry);
+                self.pos.insert(flow_key(&keys[key]), entry);
                 OpOut::Count(0)
             }
             TableOp::InsertNeg { key } => {
@@ -799,11 +804,11 @@ enum LabelOp {
 /// What a label-table lookup reports, by content.
 type LabelView = (ActionList, PolicyId, usize, Option<Ipv4Addr>, Option<Ipv4Addr>);
 
-/// `LabelTable`'s documented semantics over a std map, lazy like
+/// `LabelTable`'s documented semantics over a plain map, lazy like
 /// [`ModelTable`]: a stale entry stays until a lookup or insert touches it.
 #[derive(Default)]
 struct LabelModel {
-    map: HashMap<LabelKey, (LabelView, u64)>,
+    map: FxHashMap<LabelKey, (LabelView, u64)>,
     expired: u64,
     lives: u64,
 }

@@ -25,8 +25,8 @@
 //!
 //! No timestamps appear anywhere in this crate: data-plane time is
 //! sim-ticks owned by `sdm-netsim`, and wall-clock stays confined to
-//! stderr timings marked `lint:allow(wall-clock)` (`sdm-lint` enforces
-//! this for `sdm-telemetry` too).
+//! stderr timings (the root `clippy.toml` bans `Instant::now` here as
+//! everywhere).
 //!
 //! # Example
 //!

@@ -5,6 +5,9 @@
 //! are oblivious to policies. All steering decisions made by proxies and
 //! middleboxes therefore ride on these tables.
 
+// Every hop of every packet looks up a route here: no panicking combinators.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::OnceLock;

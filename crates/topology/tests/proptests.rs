@@ -110,7 +110,7 @@ fn paths_are_valid() {
                     let p = rt.path(a, b).unwrap();
                     prop_assert_eq!(*p.nodes().first().unwrap(), a);
                     prop_assert_eq!(*p.nodes().last().unwrap(), b);
-                    let mut seen = std::collections::HashSet::new();
+                    let mut seen = std::collections::BTreeSet::new();
                     for &n in p.nodes() {
                         prop_assert!(seen.insert(n), "loop in path");
                     }

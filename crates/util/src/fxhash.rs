@@ -2,7 +2,7 @@
 //!
 //! The standard library's default `RandomState` (SipHash-1-3) is designed
 //! to resist hash-flooding from untrusted input; the simulator's per-hop
-//! tables (address → device, link endpoints → link id, flow → cache entry)
+//! tables (address → device, link endpoints → link id)
 //! are keyed by trusted, internally generated values, so they can use a
 //! multiply-rotate hash that is several times cheaper per lookup. The
 //! algorithm is the classic "Fx" hash used by the Rust compiler's interner:
@@ -15,7 +15,6 @@
 //! results should still sort (or use `BTreeMap`) — stable iteration order
 //! is an implementation detail, not a contract.
 
-use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// 64-bit Fx hash state.
@@ -25,9 +24,11 @@ pub struct FxHasher {
 }
 
 /// `HashMap` keyed with [`FxHasher`].
-pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-/// `HashSet` keyed with [`FxHasher`].
-pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
+#[allow(
+    clippy::disallowed_types,
+    reason = "the one sanctioned std hash map: a fixed hasher, no per-process seed"
+)]
+pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// Golden-ratio multiplier (2^64 / φ), the same constant rustc uses.
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -101,9 +102,6 @@ mod tests {
         m.insert(2, "b");
         assert_eq!(m.get(&1), Some(&"a"));
         assert_eq!(m.get(&3), None);
-        let mut s: FxHashSet<u64> = FxHashSet::default();
-        assert!(s.insert(7));
-        assert!(!s.insert(7));
     }
 
     #[test]

@@ -27,6 +27,6 @@ pub mod prop;
 pub mod rng;
 pub mod sync;
 
-pub use fxhash::{FxHashMap, FxHashSet};
+pub use fxhash::FxHashMap;
 pub use json::{Json, JsonError};
 pub use rng::{SliceRandom, StdRng};

@@ -15,14 +15,10 @@
 //!   and `Controller::run_sharded`; `sdm verify-plan` emits
 //!   the JSON report for CI.
 //!
-//! * [`lint`] — the **source lint** behind the `sdm-lint` binary: a
-//!   hermetic, zero-dependency token-level scanner over `crates/*/src`
-//!   that machine-enforces the workspace's determinism and robustness
-//!   conventions (no default-hasher maps in the data plane, no
-//!   wall-clock reads outside benchmarking code, no panicking
-//!   combinators in the packet hot path, `#![forbid/deny(unsafe_code)]`
-//!   in every crate). Violations are suppressed line-by-line with
-//!   `// lint:allow(<rule>)`.
+//! * [`lint`] — the **doc-path check**: [`lint::stale_doc_names`] lists
+//!   every file or source symbol that README, DESIGN or EXPERIMENTS names
+//!   in backticks and the tree no longer has. A `cargo test` of this
+//!   crate fails on any.
 //!
 //! Both passes are offline and deterministic: same input, same report,
 //! byte for byte.
@@ -36,7 +32,6 @@ pub mod plan;
 pub mod reach;
 pub mod witness;
 
-pub use lint::{lint_workspace, LintConfig, LintViolation};
 pub use plan::{
     verify_plan, verify_plan_routed, CandidateSet, ChainView, ErrorCode, MboxView, OptionsView,
     PlanView, Point, Severity, VerifyError, VerifyReport, WeightColumn, WeightsView,

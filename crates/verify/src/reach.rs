@@ -26,8 +26,8 @@
 //! mid-scenario, so the static verdict is confirmed by the data plane.
 //!
 //! Everything here is deterministic by construction: ordered containers
-//! only (`BTreeSet`, sorted `Vec`s — enforced by `sdm-lint`'s
-//! `set-iteration-order` rule), findings sorted and deduplicated exactly
+//! only (`BTreeSet`, sorted `Vec`s — the root `clippy.toml` bans
+//! `HashSet`), findings sorted and deduplicated exactly
 //! like the `V0xx` report. That holds on every core too: each
 //! assertion's ingress pieces are traced in contiguous chunks by
 //! `sdm_util::par` workers, whose outputs are merged in piece order and

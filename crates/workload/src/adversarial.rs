@@ -199,7 +199,7 @@ mod tests {
             assert_eq!(id, target);
         }
         // herd comes from many distinct sources
-        let sources: std::collections::HashSet<_> =
+        let sources: std::collections::BTreeSet<_> =
             flows.iter().map(|f| f.five_tuple.src).collect();
         assert!(sources.len() > 100, "distinct sources: {}", sources.len());
     }
@@ -216,7 +216,7 @@ mod tests {
         let (gp, addrs) = world();
         let flows = exhaustion_attack(&gp.set, &addrs, 5000);
         assert_eq!(flows.len(), 5000);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for f in &flows {
             assert_eq!(f.packets, 1);
             assert_eq!(f.policy, NO_POLICY);
@@ -225,7 +225,9 @@ mod tests {
                 "attack flow {} must not match",
                 f.five_tuple
             );
-            assert!(seen.insert(f.five_tuple), "duplicate {}", f.five_tuple);
+            let ft = f.five_tuple;
+            let key = (ft.src, ft.dst, ft.src_port, ft.dst_port, ft.proto);
+            assert!(seen.insert(key), "duplicate {ft}");
         }
     }
 

@@ -9,8 +9,8 @@
 //! * [`lp`] — linear-programming solver used for load-balanced enforcement.
 //! * [`core`] — controller, policy proxies, middleboxes and steering strategies.
 //! * [`workload`] — workload generation per the paper's evaluation section.
-//! * [`verify`] — static analysis: the enforcement-plan verifier and the
-//!   `sdm-lint` source scanner.
+//! * [`verify`] — static analysis: the enforcement-plan verifier, the
+//!   reachability checker and the docs' stale-name check.
 //! * [`telemetry`] — deterministic metrics registry, per-shard collectors
 //!   and JSON/Prometheus exporters.
 //! * [`util`] — in-tree infrastructure (PRNG, property-testing and bench

@@ -47,6 +47,8 @@ fn bad_arguments_fail_cleanly() {
         vec!["frobnicate"],
         // a value that parses but cannot run
         vec!["queueing", "--window", "0"],
+        vec!["exhaustion", "--sets", "0"],
+        vec!["exhaustion", "--sets", "3"],
     ] {
         let out = sdm().args(&args).output().expect("binary runs");
         let err = String::from_utf8_lossy(&out.stderr);

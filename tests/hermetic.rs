@@ -3,8 +3,9 @@
 //! of the workspace must be an in-tree path dependency (or a
 //! `workspace = true` inheritance of one). A registry dependency sneaking
 //! in breaks `--offline` builds, so it fails this test *before* it breaks
-//! CI boxes without a crates.io mirror. A last guard keeps `benchmark/`
-//! the only performance record: no package declares a `cargo bench` target.
+//! CI boxes without a crates.io mirror. Two more guards: every library
+//! root forbids unsafe code, and `benchmark/` stays the only performance
+//! record, so no package declares a `cargo bench` target.
 
 use std::path::{Path, PathBuf};
 
@@ -161,5 +162,26 @@ fn no_cargo_bench_targets() {
         found.is_empty(),
         "performance is measured by benchmark/ only:\n  {}",
         found.join("\n  ")
+    );
+}
+
+/// Every library root carries `#![forbid(unsafe_code)]`, so rustc rejects
+/// an `unsafe` block anywhere in the workspace's libraries.
+#[test]
+fn every_library_forbids_unsafe_code() {
+    let mut missing = Vec::new();
+    for manifest in workspace_manifests() {
+        let lib = manifest.parent().unwrap().join("src/lib.rs");
+        let Ok(text) = std::fs::read_to_string(&lib) else {
+            continue;
+        };
+        if !text.lines().any(|l| l.trim() == "#![forbid(unsafe_code)]") {
+            missing.push(lib.display().to_string());
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "crate roots without #![forbid(unsafe_code)]:\n  {}",
+        missing.join("\n  ")
     );
 }

@@ -180,10 +180,11 @@ fn packets_conserved_and_functions_applied() {
 }
 
 /// The LP never does worse than hot-potato: λ* ≤ max hot-potato load,
-/// and the LP weights are non-negative and flow-conserving. Two laws of
+/// and the LP weights are non-negative and flow-conserving. Three laws of
 /// the formulation ride on the same draw: the full program (Eq. 1)
-/// reaches the same λ* as the reduced one (Eq. 2), and re-measuring with
-/// every flow three times as long triples λ*.
+/// reaches the same λ* as the reduced one (Eq. 2), re-measuring with
+/// every flow three times as long triples λ*, and widening the candidate
+/// sets from k to k + 1 never raises λ* (the k-closest sets nest).
 #[test]
 fn lp_lambda_bounded_by_hot_potato() {
     check(
@@ -239,6 +240,18 @@ fn lp_lambda_bounded_by_hot_potato() {
                 close(tripled.lambda, 3.0 * report.lambda),
                 "tripled traffic: lambda {} != 3 x {}",
                 tripled.lambda,
+                report.lambda
+            );
+            let wider = build_controller(&SmallWorld { k: w.k + 1, ..w.clone() });
+            let (_, nested) = wider
+                .solve_load_balanced(&measurements, LbOptions::default())
+                .expect("wider candidate sets solve what narrower ones do");
+            prop_assert!(
+                nested.lambda <= report.lambda + 1e-9 * report.lambda.max(1.0),
+                "k {} -> {}: lambda {} > {}",
+                w.k,
+                w.k + 1,
+                nested.lambda,
                 report.lambda
             );
             Ok(())
