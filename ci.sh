@@ -35,13 +35,12 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # Includes the checks no compiler makes: docs name no lost file or symbol
 # (sdm-verify's lint module), every library forbids unsafe code
-# (tests/hermetic.rs).
-phase "cargo test -q --offline --workspace"
+# (tests/hermetic.rs). Also runs every crate's doc-examples.
+phase "cargo test -q --offline --workspace (unit, integration and doc tests)"
 cargo test -q --offline --workspace
 
-phase "cargo doc --no-deps (rustdoc warnings are errors) + doc-examples"
+phase "cargo doc --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
-cargo test -q --doc --offline --workspace
 
 phase "sdm golden --check: every figure, table, ablation, transcript and reach report byte-identical to results/"
 cargo run --release --offline --bin sdm -- golden --check

@@ -350,7 +350,7 @@ impl Controller {
     }
 
     /// Like [`Controller::solve_load_balanced`], but re-enters the solved
-    /// tableaus `cache` retained from the previous epoch's solve when the
+    /// bases `cache` retained from the previous epoch's solve when the
     /// traffic changed the program's right-hand sides only — the warm
     /// path of the online re-steer control loop. Falls back to a cold
     /// solve (and refreshes the cache) whenever the traffic support, the

@@ -1,7 +1,7 @@
 //! The online re-steer control loop (§III.C): at every epoch boundary the
 //! controller **measures** the traffic the proxies reported, **re-solves**
 //! the load-balancing LP — re-entering the previous epoch's solved
-//! tableaus via [`LbWarmCache`] — **verifies** the resulting plan
+//! bases via [`LbWarmCache`] — **verifies** the resulting plan
 //! with the static `sdm-verify` checks, and only then **re-steers** by
 //! swapping the new [`SteeringWeights`] into the running data plane.
 //!
@@ -70,7 +70,7 @@ pub struct EpochReport {
     pub lambda: f64,
     /// Simplex pivots the re-solve spent (both passes).
     pub pivots: u64,
-    /// Whether both solves re-entered the tableaus retained from the
+    /// Whether both solves re-entered the bases retained from the
     /// previous epoch.
     pub warm: bool,
     /// Whether new weights were activated (false for an empty epoch).
@@ -88,7 +88,7 @@ pub struct EpochReport {
 pub(crate) struct LpTelemetry {
     /// LP re-solves that ran cold (no reusable retained state).
     pub solves_cold: u64,
-    /// LP re-solves that re-entered the previous epoch's tableaus.
+    /// LP re-solves that re-entered the previous epoch's bases.
     pub solves_warm: u64,
     /// Simplex pivots across all solves (warm solves count their
     /// dual-repair pivots here).

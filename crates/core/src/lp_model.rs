@@ -84,20 +84,22 @@ pub struct LbReport {
     /// Simplex pivots spent.
     pub iterations: u64,
     /// `true` when both solves of the reduced formulation re-entered the
-    /// tableau retained in a [`LbWarmCache`] (the online epoch loop);
+    /// basis retained in a [`LbWarmCache`] (the online epoch loop);
     /// `false` on cold solves and for the full formulation.
     pub warm: bool,
 }
 
-/// Warm-start cache for the online re-steer loop: the solved tableau of
+/// Warm-start cache for the online re-steer loop: the solved basis of
 /// each of the two solves of the reduced Eq. (2) formulation (the min-λ
 /// pass and the lexicographic refinement pass). As long as the epoch's
 /// traffic matrix keeps the same support (cells, sources, candidate sets)
 /// over the same deployment, the traffic enters Eq. (2) through
-/// right-hand sides only, and each pass re-enters its retained tableau in
+/// right-hand sides only, and each pass re-enters its retained basis in
 /// a handful of pivots; any other difference is detected by an exact
 /// comparison of the programs and silently falls back to a cold solve.
-/// Holds two dense tableaus — ≈ 16 MB on the campus evaluation world.
+/// Each pass keeps its dense basis inverse, `m²` doubles for `m`
+/// constraints: 565² + 587² doubles, ≈ 5.3 MB, on the campus evaluation
+/// world.
 #[derive(Debug, Clone, Default)]
 pub struct LbWarmCache {
     lambda: Option<Retained>,
@@ -174,7 +176,7 @@ pub fn build_reduced(
 /// [`build_reduced`] with an optional warm-start cache: the online epoch
 /// loop keeps one [`LbWarmCache`] alive across re-solves, so each epoch's
 /// perturbed traffic matrix re-optimizes from the previous epoch's solved
-/// tableaus instead of running the full two-phase simplex. The cache is
+/// bases instead of running the full two-phase simplex. The cache is
 /// left holding this solve's final state (empty on a solver error).
 ///
 /// # Errors
@@ -205,7 +207,7 @@ fn solve_reduced(
     mut cache: Option<&mut LbWarmCache>,
 ) -> Result<(SteeringWeights, LbReport, f64), LbError> {
     // Phase 1: minimize the global maximum load factor λ.
-    let model = assemble_reduced(deployment, assignments, policies, traffic, options, None)?;
+    let mut model = assemble_reduced(deployment, assignments, policies, traffic, options)?;
     let vars = model.lp.num_vars();
     let cons = model.lp.num_constraints();
     let pass1 = solve_pass(&model.lp, cache.as_mut().map(|c| &mut c.lambda))?;
@@ -217,14 +219,7 @@ fn solve_reduced(
     // unbalanced; the paper's Table III shows *every* type balanced under
     // LB, which this second pass reproduces without disturbing λ.
     let bound = lambda_star * (1.0 + 1e-9) + 1e-6;
-    let model = assemble_reduced(
-        deployment,
-        assignments,
-        policies,
-        traffic,
-        options,
-        Some(bound),
-    )?;
+    model.refine(deployment, bound);
     let pass2 = solve_pass(&model.lp, cache.map(|c| &mut c.refine))?;
 
     let mut weights = SteeringWeights::new(lambda_star);
@@ -274,6 +269,38 @@ struct ReducedModel {
     lp: LinearProgram,
     lambda: VarId,
     all_vars: Vec<PolicyVars>,
+    /// Per middlebox, the inflow expression its capacity row bounds.
+    capacity_terms: Vec<Vec<(VarId, f64)>>,
+}
+
+impl ReducedModel {
+    /// Turns the min-λ program into the refinement program: λ leaves the
+    /// objective, `λ ≤ bound` is added, then per function type carrying
+    /// load a variable `μ_e` of objective 1 with one row
+    /// `inflow ≤ μ_e · capacity` per loaded box of that type. The objective
+    /// becomes the sum of the per-function maximum load factors.
+    fn refine(&mut self, deployment: &Deployment, bound: f64) {
+        let (lp, capacity_terms) = (&mut self.lp, &self.capacity_terms);
+        lp.set_objective(self.lambda, 0.0);
+        lp.add_constraint(vec![(self.lambda, 1.0)], Relation::Le, bound);
+        for e in deployment.functions() {
+            let boxes = deployment.offering(e);
+            // skip types with no load expression at all
+            if boxes.iter().all(|x| capacity_terms[x.index()].is_empty()) {
+                continue;
+            }
+            let mu = lp.add_var(1.0);
+            for &x in &boxes {
+                let terms = &capacity_terms[x.index()];
+                if terms.is_empty() {
+                    continue;
+                }
+                let mut row = terms.clone();
+                row.push((mu, -deployment.spec(x).capacity));
+                lp.add_constraint(row, Relation::Le, 0.0);
+            }
+        }
+    }
 }
 
 fn extract_weights(
@@ -345,9 +372,10 @@ struct ChainVars {
 }
 
 impl<'a> ChainProgram<'a> {
-    fn new(deployment: &'a Deployment, assignments: &'a Assignments, lambda_obj: f64) -> Self {
+    /// An empty program minimizing λ.
+    fn new(deployment: &'a Deployment, assignments: &'a Assignments) -> Self {
         let mut lp = LinearProgram::new();
-        let lambda = lp.add_var("lambda", lambda_obj);
+        let lambda = lp.add_var(1.0);
         ChainProgram {
             lp,
             lambda,
@@ -359,9 +387,9 @@ impl<'a> ChainProgram<'a> {
 
     /// Adds one chain's block — the part Eq. (1) and Eq. (2) share. Eq. (2)
     /// calls it once per policy with its source groups, Eq. (1) once per
-    /// `(s,d,p)` commodity with a single group; `tag` tells their variable
-    /// names apart. Each group is `(first-hop candidates, volume)`; `total`
-    /// is the volume that must leave the last stage.
+    /// `(s,d,p)` commodity with a single group. Each group is
+    /// `(first-hop candidates, volume)`; `total` is the volume that must
+    /// leave the last stage.
     ///
     /// Insertion order (it fixes the simplex pivot sequence): per group the
     /// first-hop variables and their sum row; the transition variables;
@@ -370,7 +398,6 @@ impl<'a> ChainProgram<'a> {
     fn add_chain_block(
         &mut self,
         p: PolicyId,
-        tag: &str,
         stages: &[Stage],
         groups: &[(&[MiddleboxId], f64)],
         total: f64,
@@ -380,10 +407,7 @@ impl<'a> ChainProgram<'a> {
 
         let mut first_hop = Vec::with_capacity(groups.len());
         for &(cands, volume) in groups {
-            let vars: Vec<VarId> = cands
-                .iter()
-                .map(|y| lp.add_var(format!("t1{tag}[{y}]"), 0.0))
-                .collect();
+            let vars: Vec<VarId> = cands.iter().map(|_| lp.add_var(0.0)).collect();
             // group total constraint: sum_y t1 = T_group
             lp.add_constraint(vars.iter().map(|&v| (v, 1.0)).collect(), Relation::Eq, volume);
             first_hop.push(vars);
@@ -398,7 +422,7 @@ impl<'a> ChainProgram<'a> {
                     return Err(LbError::MissingFunction(pair[1].function, p));
                 }
                 for y in succ {
-                    let v = lp.add_var(format!("t{tag}[{i}][{x}->{y}]"), 0.0);
+                    let v = lp.add_var(0.0);
                     transitions.push((i, x, y, v));
                 }
             }
@@ -406,7 +430,7 @@ impl<'a> ChainProgram<'a> {
         // final vars tf[x] for stage K boxes
         let mut finals: FxHashMap<MiddleboxId, VarId> = FxHashMap::default();
         for &x in &stages[k - 1].boxes {
-            finals.insert(x, lp.add_var(format!("tf{tag}[{x}]"), 0.0));
+            finals.insert(x, lp.add_var(0.0));
         }
 
         // --- flow conservation per stage and box ---
@@ -474,19 +498,16 @@ impl<'a> ChainProgram<'a> {
     }
 }
 
-/// Assembles the reduced LP. With `lambda_bound = None` the objective is
-/// `min λ`; with `Some(bound)` the constraint `λ ≤ bound` is added and the
-/// objective becomes the sum of per-function maximum load factors `μ_e`.
+/// Assembles the reduced LP with the objective `min λ`;
+/// [`ReducedModel::refine`] turns it into the refinement program.
 fn assemble_reduced(
     deployment: &Deployment,
     assignments: &Assignments,
     policies: &PolicySet,
     traffic: &TrafficMatrix,
     options: LbOptions,
-    lambda_bound: Option<f64>,
 ) -> Result<ReducedModel, LbError> {
-    let lambda_obj = if lambda_bound.is_none() { 1.0 } else { 0.0 };
-    let mut model = ChainProgram::new(deployment, assignments, lambda_obj);
+    let mut model = ChainProgram::new(deployment, assignments);
     let mut all_vars: Vec<PolicyVars> = Vec::new();
 
     for p in traffic.policies() {
@@ -528,8 +549,7 @@ fn assemble_reduced(
             .iter()
             .map(|(cands, (_, volume))| (cands.as_slice(), *volume))
             .collect();
-        let tag = format!("[{p}]");
-        let block = model.add_chain_block(p, &tag, &stages, &chain_groups, t_p)?;
+        let block = model.add_chain_block(p, &stages, &chain_groups, t_p)?;
         let first_hop = groups
             .iter()
             .zip(block.first_hop)
@@ -546,42 +566,11 @@ fn assemble_reduced(
     }
 
     model.add_capacity_rows(options);
-    let ChainProgram {
-        mut lp,
-        lambda,
-        capacity_terms,
-        ..
-    } = model;
-
-    // --- phase-2 refinement: per-function max load factors μ_e ---
-    if let Some(bound) = lambda_bound {
-        lp.add_constraint(vec![(lambda, 1.0)], Relation::Le, bound);
-        for e in deployment.functions() {
-            let boxes = deployment.offering(e);
-            // skip types with no load expression at all
-            if boxes
-                .iter()
-                .all(|x| capacity_terms[x.index()].is_empty())
-            {
-                continue;
-            }
-            let mu = lp.add_var(format!("mu[{e}]"), 1.0);
-            for &x in &boxes {
-                let terms = &capacity_terms[x.index()];
-                if terms.is_empty() {
-                    continue;
-                }
-                let mut row = terms.clone();
-                row.push((mu, -deployment.spec(x).capacity));
-                lp.add_constraint(row, Relation::Le, 0.0);
-            }
-        }
-    }
-
     Ok(ReducedModel {
-        lp,
-        lambda,
+        lp: model.lp,
+        lambda: model.lambda,
         all_vars,
+        capacity_terms: model.capacity_terms,
     })
 }
 
@@ -601,7 +590,7 @@ pub fn build_full(
     traffic: &TrafficMatrix,
     options: LbOptions,
 ) -> Result<(SteeringWeights, LbReport), LbError> {
-    let mut model = ChainProgram::new(deployment, assignments, 1.0);
+    let mut model = ChainProgram::new(deployment, assignments);
 
     struct CommodityVars {
         policy: PolicyId,
@@ -629,8 +618,7 @@ pub fn build_full(
             return Err(LbError::MissingFunction(stages[0].function, p));
         }
         // destination is implicit: the commodity ends at d
-        let tag = format!("[{s}->{d}][{p}]");
-        let mut block = model.add_chain_block(p, &tag, &stages, &[(cands, volume)], volume)?;
+        let mut block = model.add_chain_block(p, &stages, &[(cands, volume)], volume)?;
         let first: Vec<(MiddleboxId, VarId)> =
             cands.iter().copied().zip(block.first_hop.remove(0)).collect();
         all.push(CommodityVars {
@@ -975,7 +963,7 @@ mod tests {
                 for &seed in schedule {
                     let tm = matrix(seed);
                     let got = solve_world(&c, &tm, Some(&mut cache));
-                    // Both passes re-enter their tableaus exactly when the
+                    // Both passes re-enter their bases exactly when the
                     // support is the one the cache was left with.
                     let same_support = prev == Some(dropped(seed));
                     sdm_util::prop_assert_eq!(got.1.warm, same_support, "epoch seed {}", seed);
@@ -1009,7 +997,7 @@ mod tests {
 
         // A middlebox capacity change keeps every count, relation and
         // sparsity pattern: only the exact comparison of coefficients sees
-        // it. Reusing the tableau would answer for the old capacities.
+        // it. Reusing the basis would answer for the old capacities.
         let resized = {
             let mut dep = Deployment::new();
             for (x, spec) in c.deployment().iter() {
@@ -1040,8 +1028,8 @@ mod tests {
 
     #[test]
     fn long_warm_run_on_the_period_11_drift_still_matches_cold() {
-        // The retained tableaus are pivoted ≈ 2,000 epochs in a row and
-        // never rebuilt (unless the residual check sends a solve cold,
+        // The retained bases are pivoted ≈ 2,000 epochs in a row and
+        // never refactorized (unless the residual check sends a solve cold,
         // which is the check working); the answer at the end must be as
         // good as the one at the start.
         let (c, base) = campus_world(4);
@@ -1055,7 +1043,7 @@ mod tests {
                 matches_cold(&c, &period[e % 11], &got).unwrap();
             }
         }
-        assert!(warm >= 1_990, "only {warm} of 2000 epochs re-entered the tableau");
+        assert!(warm >= 1_990, "only {warm} of 2000 epochs re-entered the basis");
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //!   variables with `≤ / ≥ / =` constraints.
 //! * [`LinearProgram::solve`] — a from-scratch two-phase dense simplex
 //!   solver with a Bland's-rule fallback for degenerate instances.
-//! * [`LinearProgram::solve_warm`] — the same solver re-entering the
-//!   solved tableau a previous call [`Retained`], for the online re-steer
-//!   loop where consecutive epochs solve one program under drifting
-//!   right-hand sides.
+//! * [`LinearProgram::solve_warm`] — a revised simplex re-entering the
+//!   optimal basis and its inverse a previous call [`Retained`], for the
+//!   online re-steer loop where consecutive epochs solve one program under
+//!   drifting right-hand sides; falls back to the two-phase solver when
+//!   the program changed in more than right-hand sides.
 //!
 //! # Example
 //!
@@ -25,9 +26,9 @@
 //! use sdm_lp::{LinearProgram, Relation};
 //!
 //! let mut lp = LinearProgram::new();
-//! let t1 = lp.add_var("t1", 0.0);
-//! let t2 = lp.add_var("t2", 0.0);
-//! let lambda = lp.add_var("lambda", 1.0);
+//! let t1 = lp.add_var(0.0);
+//! let t2 = lp.add_var(0.0);
+//! let lambda = lp.add_var(1.0);
 //! lp.add_constraint(vec![(t1, 1.0), (t2, 1.0)], Relation::Eq, 15.0);
 //! lp.add_constraint(vec![(t1, 1.0), (lambda, -10.0)], Relation::Le, 0.0);
 //! lp.add_constraint(vec![(t2, 1.0), (lambda, -20.0)], Relation::Le, 0.0);

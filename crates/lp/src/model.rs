@@ -71,8 +71,8 @@ pub struct Constraint {
 /// use sdm_lp::{LinearProgram, Relation};
 ///
 /// let mut lp = LinearProgram::new();
-/// let x = lp.add_var("x", 1.0);
-/// let y = lp.add_var("y", 2.0);
+/// let x = lp.add_var(1.0);
+/// let y = lp.add_var(2.0);
 /// lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Ge, 4.0);
 /// lp.add_constraint(vec![(y, 1.0)], Relation::Le, 3.0);
 /// let sol = lp.solve()?;
@@ -82,7 +82,6 @@ pub struct Constraint {
 #[derive(Debug, Clone, Default)]
 pub struct LinearProgram {
     pub(crate) objective: Vec<f64>,
-    pub(crate) names: Vec<String>,
     pub(crate) constraints: Vec<Constraint>,
 }
 
@@ -94,11 +93,19 @@ impl LinearProgram {
 
     /// Adds a non-negative variable with the given objective coefficient
     /// (the objective is minimized).
-    pub fn add_var(&mut self, name: impl Into<String>, objective: f64) -> VarId {
+    pub fn add_var(&mut self, objective: f64) -> VarId {
         let id = VarId(self.objective.len() as u32);
         self.objective.push(objective);
-        self.names.push(name.into());
         id
+    }
+
+    /// Replaces the objective coefficient of `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` was not created by this program.
+    pub fn set_objective(&mut self, v: VarId, objective: f64) {
+        self.objective[v.index()] = objective;
     }
 
     /// Adds a constraint. Repeated variables in `terms` are summed; terms
@@ -147,18 +154,19 @@ impl LinearProgram {
     }
 
     /// Renders the program in CPLEX-LP-style text, for debugging and for
-    /// feeding to external solvers when cross-checking results.
+    /// feeding to external solvers when cross-checking results. Variables
+    /// are named by their [`VarId`]: `x0`, `x1`, ….
     ///
     /// # Example
     ///
     /// ```
     /// use sdm_lp::{LinearProgram, Relation};
     /// let mut lp = LinearProgram::new();
-    /// let x = lp.add_var("x", 1.0);
+    /// let x = lp.add_var(1.0);
     /// lp.add_constraint(vec![(x, 2.0)], Relation::Ge, 4.0);
     /// let text = lp.to_lp_format();
     /// assert!(text.contains("Minimize"));
-    /// assert!(text.contains("2 x >= 4"));
+    /// assert!(text.contains("2 x0 >= 4"));
     /// ```
     pub fn to_lp_format(&self) -> String {
         use std::fmt::Write as _;
@@ -168,7 +176,7 @@ impl LinearProgram {
             if c == 0.0 {
                 continue;
             }
-            let name = &self.names[i];
+            let name = VarId::from_index(i);
             if first {
                 let _ = write!(out, " {c} {name}");
                 first = false;
@@ -186,14 +194,13 @@ impl LinearProgram {
             let _ = write!(out, " c{ci}:");
             let mut first = true;
             for &(v, coef) in &con.terms {
-                let name = &self.names[v.index()];
                 if first {
-                    let _ = write!(out, " {coef} {name}");
+                    let _ = write!(out, " {coef} {v}");
                     first = false;
                 } else if coef < 0.0 {
-                    let _ = write!(out, " - {} {name}", -coef);
+                    let _ = write!(out, " - {} {v}", -coef);
                 } else {
-                    let _ = write!(out, " + {coef} {name}");
+                    let _ = write!(out, " + {coef} {v}");
                 }
             }
             if first {
@@ -207,8 +214,8 @@ impl LinearProgram {
             let _ = writeln!(out, " {rel} {}", con.rhs);
         }
         out.push_str("Bounds\n");
-        for name in &self.names {
-            let _ = writeln!(out, " 0 <= {name}");
+        for i in 0..self.num_vars() {
+            let _ = writeln!(out, " 0 <= {}", VarId::from_index(i));
         }
         out.push_str("End\n");
         out
@@ -243,27 +250,29 @@ mod tests {
     #[test]
     fn builder_tracks_vars_and_constraints() {
         let mut lp = LinearProgram::new();
-        let x = lp.add_var("x", 1.0);
-        let y = lp.add_var("lambda", 0.5);
+        let x = lp.add_var(1.0);
+        let y = lp.add_var(0.5);
         lp.add_constraint(vec![(x, 1.0), (y, -1.0)], Relation::Le, 2.0);
         assert_eq!(lp.num_vars(), 2);
         assert_eq!(lp.num_constraints(), 1);
-        assert_eq!(lp.names[y.index()], "lambda");
+        assert_eq!(lp.objective[y.index()], 0.5);
+        lp.set_objective(y, 0.0);
+        assert_eq!(lp.objective, [1.0, 0.0]);
     }
 
     #[test]
     #[should_panic(expected = "unknown variable")]
     fn rejects_foreign_variable() {
         let mut lp = LinearProgram::new();
-        let _x = lp.add_var("x", 1.0);
+        let _x = lp.add_var(1.0);
         lp.add_constraint(vec![(VarId(5), 1.0)], Relation::Le, 1.0);
     }
 
     #[test]
     fn feasibility_check() {
         let mut lp = LinearProgram::new();
-        let x = lp.add_var("x", 1.0);
-        let y = lp.add_var("y", 1.0);
+        let x = lp.add_var(1.0);
+        let y = lp.add_var(1.0);
         lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Ge, 4.0);
         lp.add_constraint(vec![(y, 1.0)], Relation::Le, 3.0);
         assert!(lp.is_feasible(&[4.0, 0.0], 1e-9));
@@ -276,8 +285,8 @@ mod tests {
     #[test]
     fn objective_eval() {
         let mut lp = LinearProgram::new();
-        let _ = lp.add_var("x", 2.0);
-        let _ = lp.add_var("y", -1.0);
+        let _ = lp.add_var(2.0);
+        let _ = lp.add_var(-1.0);
         assert_eq!(lp.objective_at(&[3.0, 4.0]), 2.0);
     }
 
@@ -285,7 +294,7 @@ mod tests {
     fn duplicate_terms_are_summed_by_solver_semantics() {
         // is_feasible must treat repeated variables additively
         let mut lp = LinearProgram::new();
-        let x = lp.add_var("x", 1.0);
+        let x = lp.add_var(1.0);
         lp.add_constraint(vec![(x, 1.0), (x, 1.0)], Relation::Eq, 4.0);
         assert!(lp.is_feasible(&[2.0], 1e-9));
         assert!(!lp.is_feasible(&[4.0], 1e-9));

@@ -1,4 +1,4 @@
-//! Two-phase dense simplex solver.
+//! Two-phase dense simplex solver, and a revised simplex for warm re-solves.
 //!
 //! Standard-form reduction: every constraint is normalized to a
 //! non-negative right-hand side; `≤` rows get a slack column, `≥` rows a
@@ -11,26 +11,32 @@
 //! # Warm re-solves
 //!
 //! [`LinearProgram::solve_warm`] keeps the *solved* program between calls
-//! in a [`Retained`]: the final tableau (which is `B⁻¹·[A | S | I]` for the
-//! optimal basis `B`), the basis, and per row the sign × equilibration
-//! factor its right-hand side was scaled by and the column that started
-//! as that row's identity column. When the next program differs from the
-//! retained one **only in right-hand sides** — objective, relations and
-//! sparse terms compared exactly, entry by entry — nothing of the tableau
-//! needs rebuilding: the identity columns now hold `B⁻¹`, so the new basic
-//! solution is `b̄ = B⁻¹·(factor ∘ rhs′)`, an `O(m²)` product. The old basis
-//! is still dual-feasible (reduced costs do not depend on the rhs), so a
-//! **dual-simplex repair** pivots primal feasibility back in a handful of
-//! pivots and the primal simplex finishes from there, all in place.
+//! in a [`Retained`]: the optimal basis, its inverse `B⁻¹` (`m × m`, read
+//! once off the final cold tableau — the columns that started as the rows'
+//! identity columns hold it — after which the tableau is dropped), the
+//! basic solution `b̄`, the reduced costs, per row the sign × equilibration
+//! factor its right-hand side was scaled by, and the normalized
+//! constraint columns as sparse `(row, value)` lists. When the next
+//! program differs from the retained one **only in right-hand sides** —
+//! objective, relations and sparse terms compared exactly, entry by entry
+//! — the new basic solution is `b̄ = B⁻¹·(factor ∘ rhs′)`, an `O(m²)`
+//! product. The old basis is still dual-feasible (reduced costs do not
+//! depend on the rhs), so a **dual-simplex repair** pivots primal
+//! feasibility back in a handful of pivots and the primal simplex
+//! finishes from there. Both run as a revised simplex: a pivot row is
+//! `(row r of B⁻¹)·A_N` over the sparse columns, a pivot column is
+//! `B⁻¹·A_q`, and a pivot is a rank-1 update of `B⁻¹` over the rows the
+//! pivot column touches — `O(m · |support|)` per pivot instead of the
+//! tableau's `O(m · (n + m))`, with the same selection rules.
 //!
 //! Everything else goes to the cold two-phase path and replaces the
 //! retained state: a term, relation, objective or rhs-sign mismatch, a
 //! repair that stalls, an artificial left basic at a nonzero value, or a
 //! warm result that fails the residual check against the original sparse
-//! rows (pivot roundoff accumulates in a tableau that is never rebuilt;
-//! the check is what bounds it). The Bland's-rule fallbacks inside
-//! [`Tableau::optimize`] and `dual_repair` double as the anti-cycling
-//! guards for the warm re-optimization.
+//! rows (pivot roundoff accumulates in a `B⁻¹` that is never
+//! refactorized; the check is what bounds it). The Bland's-rule fallbacks
+//! inside the repair and the re-optimization double as their
+//! anti-cycling guards.
 
 use std::fmt;
 
@@ -81,14 +87,32 @@ impl Solution {
 }
 
 /// A solved program kept for the next [`LinearProgram::solve_warm`]: the
-/// final tableau and basis plus what is needed to re-enter it with new
-/// right-hand sides (see the module docs), and the program's objective,
-/// relations and sparse terms, which the next program must equal exactly
-/// for the tableau to be reused. The dense tableau dominates its size:
-/// `constraints × (variables + slacks + artificials)` doubles.
+/// optimal basis, its inverse and the basic solution and reduced costs
+/// over it, plus what is needed to re-enter it with new right-hand sides
+/// (see the module docs), and the program's objective, relations and
+/// sparse terms, which the next program must equal exactly for the basis
+/// to be reused. The dense `B⁻¹` dominates its size: `constraints²`
+/// doubles.
 #[derive(Clone)]
 pub struct Retained {
-    p: Prepared,
+    /// `basis[r]`: the column basic in row `r`. Columns from
+    /// `reduced.len()` on are artificial.
+    basis: Vec<usize>,
+    /// `B⁻¹`, row-major `m × m`.
+    binv: Vec<f64>,
+    /// The basic solution `b̄`, per row.
+    b: Vec<f64>,
+    /// Phase-2 reduced costs of the non-artificial columns.
+    reduced: Vec<f64>,
+    /// Negative of the objective value.
+    obj: f64,
+    /// Per row, what the cold path multiplied the right-hand side by.
+    factor: Vec<f64>,
+    /// The normalized non-artificial columns.
+    columns: Columns,
+    /// Pivot budget of one solve, as the cold path sized it.
+    budget: u64,
+    /// The objective, as given.
     objective: Vec<f64>,
     /// Terms and relation of every constraint, as given.
     rows: Vec<(Vec<(VarId, f64)>, Relation)>,
@@ -97,13 +121,43 @@ pub struct Retained {
 impl fmt::Debug for Retained {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Retained")
-            .field("rows", &self.p.t.rows)
-            .field("cols", &self.p.t.cols)
+            .field("rows", &self.b.len())
+            .field("cols", &self.reduced.len())
             .finish_non_exhaustive()
     }
 }
 
 impl Retained {
+    /// The warm state of a program `lp` just solved cold in `p`, whose
+    /// non-artificial columns were read off before phase 1. Gathers `B⁻¹`
+    /// out of the tableau's identity columns; the tableau itself is
+    /// dropped.
+    fn new(lp: &LinearProgram, p: Prepared, columns: Columns) -> Self {
+        let (m, cols) = (p.t.rows, p.t.cols);
+        let mut binv = vec![0.0; m * m];
+        for r in 0..m {
+            for (k, &col) in p.ident.iter().enumerate() {
+                binv[r * m + k] = p.t.a[r * cols + col];
+            }
+        }
+        Retained {
+            budget: pivot_budget(&p),
+            reduced: p.t.c[..p.first_art].to_vec(),
+            binv,
+            obj: p.t.obj,
+            basis: p.t.basis,
+            b: p.t.b,
+            factor: p.factor,
+            columns,
+            objective: lp.objective.clone(),
+            rows: lp
+                .constraints
+                .iter()
+                .map(|con| (con.terms.clone(), con.relation))
+                .collect(),
+        }
+    }
+
     /// `true` when `lp` differs from the retained program in right-hand
     /// sides only, none of which changed sign (the sign decides a row's
     /// normalized relation, hence its slack and artificial columns).
@@ -114,20 +168,60 @@ impl Retained {
                 .rows
                 .iter()
                 .zip(&lp.constraints)
-                .zip(&self.p.factor)
+                .zip(&self.factor)
                 .all(|(((terms, rel), con), &f)| {
                     *rel == con.relation && (con.rhs < 0.0) == (f < 0.0) && *terms == con.terms
                 })
     }
+
+    /// Re-enters the basis with the right-hand sides of `lp` (which
+    /// [`Retained::matches`]): `b̄ = B⁻¹·(factor ∘ rhs)`, and the objective
+    /// value of that basic solution. The reduced costs are untouched —
+    /// they do not depend on the rhs. Returns `false` when an artificial
+    /// would be basic at a nonzero value, i.e. the retained basis does not
+    /// describe a solution of the real program.
+    fn reenter(&mut self, lp: &LinearProgram) -> bool {
+        let (m, n, first_art) = (self.b.len(), lp.num_vars(), self.reduced.len());
+        // Most rows of the enforcement LPs (conservation, capacity) have a
+        // zero rhs; only the others contribute.
+        let scaled: Vec<(usize, f64)> = lp
+            .constraints
+            .iter()
+            .zip(&self.factor)
+            .enumerate()
+            .filter(|(_, (con, _))| con.rhs != 0.0)
+            .map(|(k, (con, &f))| (k, con.rhs * f))
+            .collect();
+        self.obj = 0.0;
+        for r in 0..m {
+            let row = &self.binv[r * m..(r + 1) * m];
+            let mut b: f64 = scaled.iter().map(|&(k, v)| row[k] * v).sum();
+            let bc = self.basis[r];
+            // An artificial may only stay basic at (numerical) zero.
+            // Negative values are fine here: the dual-simplex repair
+            // restores primal feasibility.
+            if bc >= first_art && b.abs() > WARM_TOL {
+                return false;
+            }
+            if b < 0.0 && b > -WARM_TOL {
+                b = 0.0;
+            }
+            self.b[r] = b;
+            if bc < n {
+                self.obj -= lp.objective[bc] * b;
+            }
+        }
+        true
+    }
 }
 
 /// Result of [`LinearProgram::solve_warm`]: the solution and whether it
-/// came from the retained tableau or from a cold two-phase solve.
+/// came from the retained basis or from a cold two-phase solve.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WarmSolve {
     /// The optimal solution.
     pub solution: Solution,
-    /// `true` when the retained tableau was re-entered and phase 1 was
+    /// `true` when the retained basis was re-entered and phase 1 was
     /// skipped (including when a dual-simplex repair was needed first);
     /// `false` on a cold solve (nothing retained, a program that differs
     /// in more than right-hand sides, a repair that stalled, or a warm
@@ -137,7 +231,6 @@ pub struct WarmSolve {
 
 /// Dense simplex tableau: `rows × cols` coefficients, per-row rhs, and a
 /// cost row kept in reduced form.
-#[derive(Clone)]
 struct Tableau {
     rows: usize,
     cols: usize,
@@ -224,41 +317,10 @@ impl Tableau {
             if *budget == 0 {
                 return Err(SolveError::IterationLimit);
             }
-            let use_bland = iters_here > bland_after;
-            // entering column
-            let mut enter: Option<usize> = None;
-            if use_bland {
-                for c in 0..allowed {
-                    if self.c[c] < -EPS {
-                        enter = Some(c);
-                        break;
-                    }
-                }
-            } else {
-                let mut best = -EPS;
-                for c in 0..allowed {
-                    if self.c[c] < best {
-                        best = self.c[c];
-                        enter = Some(c);
-                    }
-                }
-            }
-            let Some(pc) = enter else {
+            let Some(pc) = entering(&self.c[..allowed], iters_here > bland_after) else {
                 return Ok(()); // optimal
             };
-            // leaving row: minimal ratio; Bland tie-break on basis index
-            let mut leave: Option<(f64, usize, usize)> = None; // (ratio, basis col, row)
-            for r in 0..self.rows {
-                let arc = self.at(r, pc);
-                if arc > EPS {
-                    let ratio = self.b[r] / arc;
-                    let key = (ratio, self.basis[r]);
-                    if leave.is_none_or(|(lr, lb, _)| key < (lr, lb)) {
-                        leave = Some((ratio, self.basis[r], r));
-                    }
-                }
-            }
-            let Some((_, _, pr)) = leave else {
+            let Some(pr) = leaving(&self.b, &self.basis, |r| self.at(r, pc)) else {
                 return Err(SolveError::Unbounded);
             };
             self.pivot(pr, pc);
@@ -268,10 +330,45 @@ impl Tableau {
     }
 }
 
+/// The primal entering column over `reduced` costs: the most negative
+/// one below `-EPS` (Dantzig's rule), or under `bland` the first one.
+/// `None` when the basis is optimal.
+fn entering(reduced: &[f64], bland: bool) -> Option<usize> {
+    if bland {
+        return reduced.iter().position(|&c| c < -EPS);
+    }
+    let mut enter = None;
+    let mut best = -EPS;
+    for (c, &v) in reduced.iter().enumerate() {
+        if v < best {
+            best = v;
+            enter = Some(c);
+        }
+    }
+    enter
+}
+
+/// The primal leaving row for an entering column whose entry in row `r`
+/// is `column(r)`: the minimal ratio `b[r] / column(r)` over entries above
+/// `EPS`, ties broken by the lower basic column (Bland). `None` when the
+/// column is unbounded.
+fn leaving(b: &[f64], basis: &[usize], column: impl Fn(usize) -> f64) -> Option<usize> {
+    let mut leave: Option<(f64, usize, usize)> = None; // (ratio, basis col, row)
+    for (r, (&br, &bc)) in b.iter().zip(basis).enumerate() {
+        let arc = column(r);
+        if arc > EPS {
+            let key = (br / arc, bc);
+            if leave.is_none_or(|(lr, lb, _)| key < (lr, lb)) {
+                leave = Some((key.0, bc, r));
+            }
+        }
+    }
+    leave.map(|(_, _, r)| r)
+}
+
 /// A program lowered to standard form: the tableau (trivial
 /// slack/artificial basis installed by `prepare`, then pivoted in place)
-/// plus the layout facts the solve phases and a later rhs re-entry need.
-#[derive(Clone)]
+/// plus the layout facts the solve phases and a [`Retained`] need.
 struct Prepared {
     t: Tableau,
     first_art: usize,
@@ -283,6 +380,276 @@ struct Prepared {
     /// of a `≤` row, the artificial of a `≥` or `=` row). After any
     /// sequence of pivots these columns hold `B⁻¹`.
     ident: Vec<usize>,
+}
+
+/// The non-artificial columns of a lowered program (structural, then
+/// slack/surplus) in compressed sparse column form: column `j`'s
+/// `(row, value)` entries, by row, are `entries[start[j]..start[j + 1]]`.
+#[derive(Clone)]
+struct Columns {
+    start: Vec<u32>,
+    entries: Vec<(u32, f64)>,
+}
+
+impl Columns {
+    /// Reads the columns off a freshly prepared tableau, before any pivot.
+    fn of(p: &Prepared) -> Self {
+        let (cols, first_art) = (p.t.cols, p.first_art);
+        let rows = || p.t.a.chunks_exact(cols.max(1)).map(|row| &row[..first_art]);
+        let mut start = vec![0u32; first_art + 1];
+        for row in rows() {
+            for (j, &v) in row.iter().enumerate() {
+                if v != 0.0 {
+                    start[j + 1] += 1;
+                }
+            }
+        }
+        for j in 0..first_art {
+            start[j + 1] += start[j];
+        }
+        let mut next = start.clone();
+        let mut entries = vec![(0u32, 0.0); start[first_art] as usize];
+        for (r, row) in rows().enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                if v != 0.0 {
+                    entries[next[j] as usize] = (r as u32, v);
+                    next[j] += 1;
+                }
+            }
+        }
+        Columns { start, entries }
+    }
+
+    fn get(&self, j: usize) -> &[(u32, f64)] {
+        &self.entries[self.start[j] as usize..self.start[j + 1] as usize]
+    }
+}
+
+/// One row of `B⁻¹` times one sparse column. The pivot row and the pivot
+/// column both go through here, so their shared pivot element is the
+/// same number.
+fn dot(binv_row: &[f64], column: &[(u32, f64)]) -> f64 {
+    column.iter().map(|&(k, a)| binv_row[k as usize] * a).sum()
+}
+
+/// One warm re-solve in progress: the retained state and the scratch the
+/// revised pivots work in.
+struct Revised<'a> {
+    s: &'a mut Retained,
+    /// Per non-artificial column, whether it is basic.
+    basic: Vec<bool>,
+    /// The pivot row `(row r of B⁻¹)·A_j` over the non-artificial columns,
+    /// zero on basic ones.
+    alpha_r: Vec<f64>,
+    /// The pivot column `B⁻¹·A_q`.
+    alpha_q: Vec<f64>,
+    /// Scratch copy of the scaled pivot row of `B⁻¹`, and its nonzero
+    /// support.
+    prow: Vec<f64>,
+    nz: Vec<u32>,
+}
+
+impl<'a> Revised<'a> {
+    fn new(s: &'a mut Retained) -> Self {
+        let (m, first_art) = (s.b.len(), s.reduced.len());
+        let mut basic = vec![false; first_art];
+        for &bc in &s.basis {
+            if bc < first_art {
+                basic[bc] = true;
+            }
+        }
+        Revised {
+            s,
+            basic,
+            alpha_r: vec![0.0; first_art],
+            alpha_q: vec![0.0; m],
+            prow: Vec::with_capacity(m),
+            nz: Vec::with_capacity(m),
+        }
+    }
+
+    /// Fills `alpha_r` with row `r` of `B⁻¹·A` (basic columns: 0).
+    fn pivot_row(&mut self, r: usize) {
+        let m = self.s.b.len();
+        let row = &self.s.binv[r * m..(r + 1) * m];
+        for (j, a) in self.alpha_r.iter_mut().enumerate() {
+            *a = if self.basic[j] {
+                0.0
+            } else {
+                dot(row, self.s.columns.get(j))
+            };
+        }
+    }
+
+    /// Fills `alpha_q` with `B⁻¹·A_q`.
+    fn pivot_column(&mut self, q: usize) {
+        let m = self.s.b.len();
+        let column = self.s.columns.get(q);
+        for (r, a) in self.alpha_q.iter_mut().enumerate() {
+            *a = dot(&self.s.binv[r * m..(r + 1) * m], column);
+        }
+    }
+
+    /// Brings column `pc` into the basis at row `pr`, with `alpha_r` and
+    /// `alpha_q` filled for that row and column: the rank-1 update of
+    /// `B⁻¹` and `b̄` over the rows the pivot column touches, and of the
+    /// reduced costs and the objective — the tableau pivot, restricted to
+    /// what is kept.
+    fn pivot(&mut self, pr: usize, pc: usize) {
+        let s = &mut *self.s;
+        let (m, first_art) = (s.b.len(), s.reduced.len());
+        let piv = self.alpha_q[pr];
+        debug_assert!(piv.abs() > EPS, "pivot too small");
+        let inv = 1.0 / piv;
+        let row = &mut s.binv[pr * m..(pr + 1) * m];
+        for v in row.iter_mut() {
+            *v *= inv;
+        }
+        s.b[pr] *= inv;
+        // Snapshot the scaled pivot row and its support, as the tableau
+        // pivot does.
+        self.prow.clear();
+        self.prow.extend_from_slice(row);
+        self.nz.clear();
+        for (k, &v) in self.prow.iter().enumerate() {
+            if v != 0.0 {
+                self.nz.push(k as u32);
+            }
+        }
+        for (r, &f) in self.alpha_q.iter().enumerate() {
+            if r == pr || f.abs() <= EPS {
+                continue;
+            }
+            let row = &mut s.binv[r * m..(r + 1) * m];
+            for &k in &self.nz {
+                let k = k as usize;
+                row[k] -= f * self.prow[k];
+            }
+            s.b[r] -= f * s.b[pr];
+        }
+        let leaving = s.basis[pr];
+        let cf = s.reduced[pc];
+        if cf.abs() > EPS {
+            for (d, &a) in s.reduced.iter_mut().zip(&self.alpha_r) {
+                if a != 0.0 {
+                    *d -= cf * (a * inv);
+                }
+            }
+            // The leaving column's pivot-row entry is 1 (it was basic in
+            // row `pr`); `alpha_r` holds 0 for it as for every basic one.
+            if leaving < first_art {
+                s.reduced[leaving] -= cf * inv;
+            }
+            s.reduced[pc] = 0.0;
+            s.obj -= cf * s.b[pr];
+        }
+        if leaving < first_art {
+            self.basic[leaving] = false;
+        }
+        self.basic[pc] = true;
+        s.basis[pr] = pc;
+    }
+
+    /// Dual-simplex repair after an rhs re-entry: the traffic perturbation
+    /// may have driven some right-hand sides negative under the retained
+    /// basis (primal infeasible), but the basis is still dual-feasible —
+    /// exactly the regime dual pivots handle. Repeatedly drop the most
+    /// negative row out of the basis, entering the column with the
+    /// smallest reduced-cost ratio, until the rhs is non-negative.
+    ///
+    /// Returns `false` (caller falls back to a cold solve) when a negative
+    /// row has no eligible pivot (primal infeasible under this basis),
+    /// when the pivot cap is exhausted (cycling / numerical trouble), or
+    /// when the repair would leave an artificial basic at a nonzero value.
+    fn dual_repair(&mut self, budget: &mut u64) -> bool {
+        let (m, first_art) = (self.s.b.len(), self.s.reduced.len());
+        let cap = 8 * m as u64 + 512;
+        let bland_after = 4 * m as u64 + 64;
+        let mut spent = 0u64;
+        loop {
+            // Leaving row: most negative rhs.
+            let mut pr = usize::MAX;
+            let mut most = -EPS;
+            for (r, &b) in self.s.b.iter().enumerate() {
+                if b < most {
+                    most = b;
+                    pr = r;
+                }
+            }
+            if pr == usize::MAX {
+                // Feasible. Reject if an artificial ended up basic at a
+                // nonzero value; clamp numerical dust.
+                for (b, &bc) in self.s.b.iter_mut().zip(&self.s.basis) {
+                    if bc >= first_art && *b > WARM_TOL {
+                        return false;
+                    }
+                    if *b < 0.0 {
+                        *b = 0.0;
+                    }
+                }
+                return true;
+            }
+            if spent >= cap || *budget == 0 {
+                return false;
+            }
+            // Entering column: smallest ratio of reduced cost to |pivot|
+            // among strictly negative pivot elements (artificials
+            // excluded); after the anti-cycling threshold, first eligible
+            // column wins (Bland). Roundoff can leave slightly negative
+            // reduced costs; clamping them to zero in the ratio keeps the
+            // rule well-defined and the primal pass restores optimality
+            // afterwards.
+            self.pivot_row(pr);
+            let mut pc = usize::MAX;
+            let mut best = f64::INFINITY;
+            let mut best_mag = 0.0f64;
+            for (j, (&cj, &a)) in self.s.reduced.iter().zip(&self.alpha_r).enumerate() {
+                if a < -WARM_TOL {
+                    if spent > bland_after {
+                        pc = j;
+                        break;
+                    }
+                    let ratio = cj.max(0.0) / -a;
+                    if ratio < best - EPS || (ratio < best + EPS && -a > best_mag) {
+                        best = ratio;
+                        best_mag = -a;
+                        pc = j;
+                    }
+                }
+            }
+            if pc == usize::MAX {
+                return false; // no pivot: infeasible under this basis
+            }
+            self.pivot_column(pc);
+            self.pivot(pr, pc);
+            *budget -= 1;
+            spent += 1;
+        }
+    }
+
+    /// Primal simplex over the non-artificial columns until optimal, with
+    /// the rules and the Bland's-rule threshold of the tableau's phase 2.
+    fn optimize(&mut self, budget: &mut u64) -> Result<(), SolveError> {
+        let (m, first_art) = (self.s.b.len(), self.s.reduced.len());
+        let bland_after = 4 * (m as u64 + first_art as u64) + 64;
+        let mut iters_here: u64 = 0;
+        loop {
+            if *budget == 0 {
+                return Err(SolveError::IterationLimit);
+            }
+            let Some(pc) = entering(&self.s.reduced, iters_here > bland_after) else {
+                return Ok(()); // optimal
+            };
+            self.pivot_column(pc);
+            let Some(pr) = leaving(&self.s.b, &self.s.basis, |r| self.alpha_q[r]) else {
+                return Err(SolveError::Unbounded);
+            };
+            self.pivot_row(pr);
+            self.pivot(pr, pc);
+            *budget -= 1;
+            iters_here += 1;
+        }
+    }
 }
 
 /// Tolerance for re-entered right-hand sides — looser than `EPS` so a
@@ -297,129 +664,14 @@ const WARM_TOL: f64 = 1e-7;
 /// introduce them, and `B⁻¹·rhs` leaves them with roundoff of that scale.
 const RESIDUAL_TOL: f64 = 1e-10;
 
-/// Re-enters a solved tableau with the right-hand sides of `lp` (which
-/// [`Retained::matches`]): `b̄ = B⁻¹·(factor ∘ rhs)` read off the identity
-/// columns, and the objective value of that basic solution. The reduced
-/// costs are untouched — they do not depend on the rhs. Returns `false`
-/// when an artificial would be basic at a nonzero value, i.e. the
-/// retained basis does not describe a solution of the real program.
-fn reenter_rhs(lp: &LinearProgram, p: &mut Prepared) -> bool {
-    let (m, cols, n) = (p.t.rows, p.t.cols, lp.num_vars());
-    // Most rows of the enforcement LPs (conservation, capacity) have a
-    // zero rhs; only the others contribute.
-    let scaled: Vec<(usize, f64)> = lp
-        .constraints
-        .iter()
-        .zip(p.ident.iter().zip(&p.factor))
-        .filter(|(con, _)| con.rhs != 0.0)
-        .map(|(con, (&col, &f))| (col, con.rhs * f))
-        .collect();
-    p.t.obj = 0.0;
-    for r in 0..m {
-        let row = &p.t.a[r * cols..(r + 1) * cols];
-        let mut b: f64 = scaled.iter().map(|&(col, v)| row[col] * v).sum();
-        let bc = p.t.basis[r];
-        // An artificial may only stay basic at (numerical) zero. Negative
-        // values are fine here: the dual-simplex repair restores primal
-        // feasibility.
-        if bc >= p.first_art && b.abs() > WARM_TOL {
-            return false;
-        }
-        if b < 0.0 && b > -WARM_TOL {
-            b = 0.0;
-        }
-        p.t.b[r] = b;
-        if bc < n {
-            p.t.obj -= lp.objective[bc] * b;
-        }
-    }
-    true
-}
-
 /// Whether `x` satisfies every original sparse row of `lp` within
-/// [`RESIDUAL_TOL`]. Run on every warm result: a retained tableau is
-/// pivoted for as long as the program keeps matching and never rebuilt,
-/// so this is what notices accumulated roundoff (and sends the solve to
-/// the cold path, which rebuilds).
+/// [`RESIDUAL_TOL`]. Run on every warm result: a retained `B⁻¹` is
+/// updated for as long as the program keeps matching and never
+/// refactorized, so this is what notices accumulated roundoff (and sends
+/// the solve to the cold path, which rebuilds).
 fn residual_ok(lp: &LinearProgram, x: &[f64]) -> bool {
     let rhs_norm = lp.constraints.iter().map(|c| c.rhs.abs()).fold(0.0, f64::max);
     lp.is_feasible(x, RESIDUAL_TOL * (1.0 + rhs_norm))
-}
-
-/// Dual-simplex repair after an rhs re-entry: the traffic perturbation
-/// may have driven some right-hand sides negative under the retained
-/// basis (primal infeasible), but the basis is still dual-feasible
-/// — exactly the regime dual pivots handle. Repeatedly drop the most
-/// negative row out of the basis, entering the column with the smallest
-/// reduced-cost ratio, until the rhs is non-negative. Requires the
-/// phase-2 reduced cost row to be priced out already.
-///
-/// Returns `false` (caller falls back to a cold solve) when a negative
-/// row has no eligible pivot (primal infeasible under this basis), when
-/// the pivot cap is exhausted (cycling / numerical trouble), or when the
-/// repair would leave an artificial basic at a nonzero value.
-fn dual_repair(p: &mut Prepared, budget: &mut u64) -> bool {
-    let (m, first_art) = (p.t.rows, p.first_art);
-    let cap = 8 * m as u64 + 512;
-    let bland_after = 4 * m as u64 + 64;
-    let mut spent = 0u64;
-    loop {
-        // Leaving row: most negative rhs.
-        let mut pr = usize::MAX;
-        let mut most = -EPS;
-        for r in 0..m {
-            if p.t.b[r] < most {
-                most = p.t.b[r];
-                pr = r;
-            }
-        }
-        if pr == usize::MAX {
-            // Feasible. Reject if an artificial ended up basic at a
-            // nonzero value; clamp numerical dust.
-            for r in 0..m {
-                if p.t.basis[r] >= first_art && p.t.b[r] > WARM_TOL {
-                    return false;
-                }
-                if p.t.b[r] < 0.0 {
-                    p.t.b[r] = 0.0;
-                }
-            }
-            return true;
-        }
-        if spent >= cap || *budget == 0 {
-            return false;
-        }
-        // Entering column: smallest ratio of reduced cost to |pivot|
-        // among strictly negative pivot elements (artificials excluded);
-        // after the anti-cycling threshold, first eligible column wins
-        // (Bland). Roundoff can leave slightly negative reduced costs;
-        // clamping them to zero in the ratio keeps the rule well-defined
-        // and phase 2 restores optimality afterwards.
-        let mut pc = usize::MAX;
-        let mut best = f64::INFINITY;
-        let mut best_mag = 0.0f64;
-        for (j, &cj) in p.t.c.iter().enumerate().take(first_art) {
-            let a = p.t.at(pr, j);
-            if a < -WARM_TOL {
-                if spent > bland_after {
-                    pc = j;
-                    break;
-                }
-                let ratio = cj.max(0.0) / -a;
-                if ratio < best - EPS || (ratio < best + EPS && -a > best_mag) {
-                    best = ratio;
-                    best_mag = -a;
-                    pc = j;
-                }
-            }
-        }
-        if pc == usize::MAX {
-            return false; // no pivot: infeasible under this basis
-        }
-        p.t.pivot(pr, pc);
-        *budget -= 1;
-        spent += 1;
-    }
 }
 
 /// Phase 1: minimize the sum of artificials from the trivial basis, then
@@ -503,16 +755,17 @@ fn pivot_budget(p: &Prepared) -> u64 {
     200 * (p.t.rows as u64 + p.t.cols as u64) + 20_000
 }
 
-/// Reads the solution off an optimal tableau.
-fn extract(n: usize, p: &Prepared, iterations: u64) -> Solution {
+/// Reads the solution off an optimal basis: its basic solution `b` and
+/// the negated objective value `obj`.
+fn extract(n: usize, basis: &[usize], b: &[f64], obj: f64, iterations: u64) -> Solution {
     let mut values = vec![0.0; n];
-    for r in 0..p.t.rows {
-        if p.t.basis[r] < n {
-            values[p.t.basis[r]] = p.t.b[r].max(0.0);
+    for (&bc, &v) in basis.iter().zip(b) {
+        if bc < n {
+            values[bc] = v.max(0.0);
         }
     }
     Solution {
-        objective: -p.t.obj,
+        objective: -obj,
         values,
         iterations,
     }
@@ -528,23 +781,25 @@ impl LinearProgram {
     /// [`SolveError::IterationLimit`] if the pivot budget is exhausted.
     pub fn solve(&self) -> Result<Solution, SolveError> {
         let mut iterations = 0;
-        let p = self.solve_cold(&mut iterations)?;
-        Ok(extract(self.num_vars(), &p, iterations))
+        let mut p = self.prepare();
+        self.solve_cold(&mut p, &mut iterations)?;
+        Ok(extract(self.num_vars(), &p.t.basis, &p.t.b, p.t.obj, iterations))
     }
 
-    /// Solves the program, re-entering the solved tableau in `retained`
-    /// when this program differs from the one solved there in right-hand
-    /// sides only, and leaves this solve's final state in `retained` for
-    /// the next call (`None` on error).
+    /// Solves the program, re-entering the basis in `retained` when this
+    /// program differs from the one solved there in right-hand sides only,
+    /// and leaves this solve's final state in `retained` for the next call
+    /// (`None` on error).
     ///
     /// On the warm path phase 1 and the tableau build are skipped: the new
     /// basic solution is computed from the retained `B⁻¹`, a dual-simplex
     /// repair restores primal feasibility if the new right-hand sides
-    /// drove it negative, and phase 2 re-optimizes from there.
-    /// `Solution::iterations` counts the repair and re-optimization
-    /// pivots. Whenever the retained state cannot be used or trusted —
-    /// see [`WarmSolve::warm_used`] — the solver transparently runs the
-    /// cold two-phase path and reports `warm_used: false`.
+    /// drove it negative, and the primal simplex re-optimizes from there,
+    /// both as revised-simplex pivots on `B⁻¹`. `Solution::iterations`
+    /// counts the repair and re-optimization pivots. Whenever the retained
+    /// state cannot be used or trusted — see [`WarmSolve::warm_used`] — the
+    /// solver transparently runs the cold two-phase path and reports
+    /// `warm_used: false`.
     ///
     /// # Errors
     ///
@@ -555,17 +810,17 @@ impl LinearProgram {
         let n = self.num_vars();
         let mut iterations: u64 = 0;
         if let Some(mut kept) = retained.take().filter(|r| r.matches(self)) {
-            let p = &mut kept.p;
-            let start = pivot_budget(p);
+            let start = kept.budget;
             let mut budget = start;
-            let reoptimized = reenter_rhs(self, p)
-                && dual_repair(p, &mut budget)
-                && p.t.optimize(p.first_art, &mut budget).is_ok();
+            let reoptimized = kept.reenter(self) && {
+                let mut w = Revised::new(&mut kept);
+                w.dual_repair(&mut budget) && w.optimize(&mut budget).is_ok()
+            };
             // A failed attempt's pivots stay counted — they were genuine
-            // work; its tableau is dropped.
+            // work; its state is dropped.
             iterations = start - budget;
             if reoptimized {
-                let solution = extract(n, p, iterations);
+                let solution = extract(n, &kept.basis, &kept.b, kept.obj, iterations);
                 if residual_ok(self, &solution.values) {
                     *retained = Some(kept);
                     return Ok(WarmSolve {
@@ -575,31 +830,23 @@ impl LinearProgram {
                 }
             }
         }
-        let p = self.solve_cold(&mut iterations)?;
-        let solution = extract(n, &p, iterations);
-        *retained = Some(Retained {
-            p,
-            objective: self.objective.clone(),
-            rows: self
-                .constraints
-                .iter()
-                .map(|con| (con.terms.clone(), con.relation))
-                .collect(),
-        });
+        let mut p = self.prepare();
+        let columns = Columns::of(&p);
+        self.solve_cold(&mut p, &mut iterations)?;
+        let solution = extract(n, &p.t.basis, &p.t.b, p.t.obj, iterations);
+        *retained = Some(Retained::new(self, p, columns));
         Ok(WarmSolve {
             solution,
             warm_used: false,
         })
     }
 
-    /// The cold path: lowers the program and runs both phases. Pivots are
-    /// added to `iterations`.
-    fn solve_cold(&self, iterations: &mut u64) -> Result<Prepared, SolveError> {
-        let mut p = self.prepare();
-        let mut budget = pivot_budget(&p);
-        phase1(&mut p, &mut budget, iterations)?;
-        phase2(self, &mut p, &mut budget, iterations)?;
-        Ok(p)
+    /// The cold path: runs both phases on the freshly prepared `p`. Pivots
+    /// are added to `iterations`.
+    fn solve_cold(&self, p: &mut Prepared, iterations: &mut u64) -> Result<(), SolveError> {
+        let mut budget = pivot_budget(p);
+        phase1(p, &mut budget, iterations)?;
+        phase2(self, p, &mut budget, iterations)
     }
 
     /// Lowers the program to standard form with the trivial basis.
@@ -722,8 +969,8 @@ mod tests {
     fn simple_minimization() {
         // min x + 2y  s.t. x + y >= 4, y <= 3  -> x=4, y=0, obj=4
         let mut lp = LinearProgram::new();
-        let x = lp.add_var("x", 1.0);
-        let y = lp.add_var("y", 2.0);
+        let x = lp.add_var(1.0);
+        let y = lp.add_var(2.0);
         lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Ge, 4.0);
         lp.add_constraint(vec![(y, 1.0)], Le, 3.0);
         let s = lp.solve().unwrap();
@@ -736,8 +983,8 @@ mod tests {
     fn maximization_via_negation() {
         // max 3x + 5y s.t. x<=4, 2y<=12, 3x+2y<=18 -> x=2,y=6, max=36
         let mut lp = LinearProgram::new();
-        let x = lp.add_var("x", -3.0);
-        let y = lp.add_var("y", -5.0);
+        let x = lp.add_var(-3.0);
+        let y = lp.add_var(-5.0);
         lp.add_constraint(vec![(x, 1.0)], Le, 4.0);
         lp.add_constraint(vec![(y, 2.0)], Le, 12.0);
         lp.add_constraint(vec![(x, 3.0), (y, 2.0)], Le, 18.0);
@@ -751,8 +998,8 @@ mod tests {
     fn equality_constraints() {
         // min x + y s.t. x + 2y = 6, x - y = 0 -> x=y=2, obj=4
         let mut lp = LinearProgram::new();
-        let x = lp.add_var("x", 1.0);
-        let y = lp.add_var("y", 1.0);
+        let x = lp.add_var(1.0);
+        let y = lp.add_var(1.0);
         lp.add_constraint(vec![(x, 1.0), (y, 2.0)], Eq, 6.0);
         lp.add_constraint(vec![(x, 1.0), (y, -1.0)], Eq, 0.0);
         let s = lp.solve().unwrap();
@@ -764,7 +1011,7 @@ mod tests {
     #[test]
     fn infeasible_detected() {
         let mut lp = LinearProgram::new();
-        let x = lp.add_var("x", 1.0);
+        let x = lp.add_var(1.0);
         lp.add_constraint(vec![(x, 1.0)], Le, 1.0);
         lp.add_constraint(vec![(x, 1.0)], Ge, 2.0);
         assert_eq!(lp.solve(), Err(SolveError::Infeasible));
@@ -774,7 +1021,7 @@ mod tests {
     fn unbounded_detected() {
         // min -x with x unconstrained above
         let mut lp = LinearProgram::new();
-        let x = lp.add_var("x", -1.0);
+        let x = lp.add_var(-1.0);
         lp.add_constraint(vec![(x, 1.0)], Ge, 0.0);
         assert_eq!(lp.solve(), Err(SolveError::Unbounded));
     }
@@ -783,7 +1030,7 @@ mod tests {
     fn negative_rhs_normalized() {
         // min x s.t. -x <= -3  (i.e. x >= 3)
         let mut lp = LinearProgram::new();
-        let x = lp.add_var("x", 1.0);
+        let x = lp.add_var(1.0);
         lp.add_constraint(vec![(x, -1.0)], Le, -3.0);
         let s = lp.solve().unwrap();
         assert!(approx(s.value(x), 3.0));
@@ -793,10 +1040,10 @@ mod tests {
     fn degenerate_problem_terminates() {
         // Beale's cycling example (classic); Bland fallback must terminate.
         let mut lp = LinearProgram::new();
-        let x1 = lp.add_var("x1", -0.75);
-        let x2 = lp.add_var("x2", 150.0);
-        let x3 = lp.add_var("x3", -0.02);
-        let x4 = lp.add_var("x4", 6.0);
+        let x1 = lp.add_var(-0.75);
+        let x2 = lp.add_var(150.0);
+        let x3 = lp.add_var(-0.02);
+        let x4 = lp.add_var(6.0);
         lp.add_constraint(vec![(x1, 0.25), (x2, -60.0), (x3, -0.04), (x4, 9.0)], Le, 0.0);
         lp.add_constraint(vec![(x1, 0.5), (x2, -90.0), (x3, -0.02), (x4, 3.0)], Le, 0.0);
         lp.add_constraint(vec![(x3, 1.0)], Le, 1.0);
@@ -809,9 +1056,9 @@ mod tests {
         // Two "middleboxes" with capacities 10 and 20 must absorb 15 units;
         // min lambda with load_i <= lambda * C_i. Optimum: lambda = 0.5.
         let mut lp = LinearProgram::new();
-        let t1 = lp.add_var("t1", 0.0);
-        let t2 = lp.add_var("t2", 0.0);
-        let lam = lp.add_var("lambda", 1.0);
+        let t1 = lp.add_var(0.0);
+        let t2 = lp.add_var(0.0);
+        let lam = lp.add_var(1.0);
         lp.add_constraint(vec![(t1, 1.0), (t2, 1.0)], Eq, 15.0);
         lp.add_constraint(vec![(t1, 1.0), (lam, -10.0)], Le, 0.0);
         lp.add_constraint(vec![(t2, 1.0), (lam, -20.0)], Le, 0.0);
@@ -826,9 +1073,9 @@ mod tests {
     fn lambda_cap_makes_overload_infeasible() {
         // 50 units into total capacity 30 with lambda <= 1: infeasible.
         let mut lp = LinearProgram::new();
-        let t1 = lp.add_var("t1", 0.0);
-        let t2 = lp.add_var("t2", 0.0);
-        let lam = lp.add_var("lambda", 1.0);
+        let t1 = lp.add_var(0.0);
+        let t2 = lp.add_var(0.0);
+        let lam = lp.add_var(1.0);
         lp.add_constraint(vec![(t1, 1.0), (t2, 1.0)], Eq, 50.0);
         lp.add_constraint(vec![(t1, 1.0), (lam, -10.0)], Le, 0.0);
         lp.add_constraint(vec![(t2, 1.0), (lam, -20.0)], Le, 0.0);
@@ -840,8 +1087,8 @@ mod tests {
     fn redundant_equalities_ok() {
         // x + y = 4 stated twice; min x -> x=0,y=4
         let mut lp = LinearProgram::new();
-        let x = lp.add_var("x", 1.0);
-        let y = lp.add_var("y", 0.0);
+        let x = lp.add_var(1.0);
+        let y = lp.add_var(0.0);
         lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Eq, 4.0);
         lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Eq, 4.0);
         let s = lp.solve().unwrap();
@@ -862,9 +1109,9 @@ mod tests {
         // volumes in the millions against unit capacities, mixed with a
         // tiny-coefficient row
         let mut lp = LinearProgram::new();
-        let t1 = lp.add_var("t1", 0.0);
-        let t2 = lp.add_var("t2", 0.0);
-        let lam = lp.add_var("lambda", 1.0);
+        let t1 = lp.add_var(0.0);
+        let t2 = lp.add_var(0.0);
+        let lam = lp.add_var(1.0);
         lp.add_constraint(vec![(t1, 1.0), (t2, 1.0)], Eq, 9_000_000.0);
         lp.add_constraint(vec![(t1, 1.0), (lam, -1.0)], Le, 0.0);
         lp.add_constraint(vec![(t2, 1.0), (lam, -1.0)], Le, 0.0);
@@ -881,16 +1128,16 @@ mod tests {
     #[test]
     fn lp_format_contains_whole_model() {
         let mut lp = LinearProgram::new();
-        let x = lp.add_var("x", 1.0);
-        let y = lp.add_var("y", -2.0);
+        let x = lp.add_var(1.0);
+        let y = lp.add_var(-2.0);
         lp.add_constraint(vec![(x, 1.0), (y, -3.0)], Ge, 4.0);
         lp.add_constraint(vec![(y, 1.0)], Le, 7.0);
         let text = lp.to_lp_format();
         assert!(text.contains("Minimize"), "{text}");
-        assert!(text.contains("- 2 y"), "{text}");
-        assert!(text.contains("1 x - 3 y >= 4"), "{text}");
-        assert!(text.contains("1 y <= 7"), "{text}");
-        assert!(text.contains("0 <= x"), "{text}");
+        assert!(text.contains("- 2 x1"), "{text}");
+        assert!(text.contains("1 x0 - 3 x1 >= 4"), "{text}");
+        assert!(text.contains("1 x1 <= 7"), "{text}");
+        assert!(text.contains("0 <= x0\n 0 <= x1\n"), "{text}");
         assert!(text.ends_with("End\n"), "{text}");
     }
 
@@ -898,10 +1145,10 @@ mod tests {
     /// units across three boxes of capacities `caps`, min λ.
     fn lb_with(total: f64, caps: [f64; 3]) -> LinearProgram {
         let mut lp = LinearProgram::new();
-        let t1 = lp.add_var("t1", 0.0);
-        let t2 = lp.add_var("t2", 0.0);
-        let t3 = lp.add_var("t3", 0.0);
-        let lam = lp.add_var("lambda", 1.0);
+        let t1 = lp.add_var(0.0);
+        let t2 = lp.add_var(0.0);
+        let t3 = lp.add_var(0.0);
+        let lam = lp.add_var(1.0);
         lp.add_constraint(vec![(t1, 1.0), (t2, 1.0), (t3, 1.0)], Eq, total);
         lp.add_constraint(vec![(t1, 1.0), (lam, -caps[0])], Le, 0.0);
         lp.add_constraint(vec![(t2, 1.0), (lam, -caps[1])], Le, 0.0);
@@ -923,7 +1170,7 @@ mod tests {
     }
 
     fn basic_columns(kept: &Option<Retained>) -> Vec<usize> {
-        let mut v = kept.as_ref().unwrap().p.t.basis.clone();
+        let mut v = kept.as_ref().unwrap().basis.clone();
         v.sort_unstable();
         v
     }
@@ -960,7 +1207,7 @@ mod tests {
     #[test]
     fn different_program_falls_back_to_cold_and_replaces_the_state() {
         let mut other = LinearProgram::new();
-        let x = other.add_var("x", 1.0);
+        let x = other.add_var(1.0);
         other.add_constraint(vec![(x, 1.0)], Ge, 4.0);
         let (_, mut kept) = retained_from(&other);
         let lp = lb_like(30.0);
@@ -975,7 +1222,7 @@ mod tests {
     fn changed_coefficient_of_the_same_shape_goes_cold() {
         // Same counts, same relations, same sparsity pattern: only an
         // exact comparison of the terms notices the capacity change, and
-        // re-entering the old tableau would answer the old program.
+        // re-entering the old basis would answer the old program.
         let (_, mut kept) = retained_from(&lb_like(30.0));
         let resized = lb_with(30.0, [10.0, 20.0, 60.0]);
         let got = resized.solve_warm(&mut kept).unwrap();
@@ -1014,7 +1261,7 @@ mod tests {
         // Ge (x >= 3) — same terms, different slack/artificial layout.
         let build = |rhs: f64| {
             let mut lp = LinearProgram::new();
-            let x = lp.add_var("x", 1.0);
+            let x = lp.add_var(1.0);
             lp.add_constraint(vec![(x, -1.0)], Le, rhs);
             lp
         };
@@ -1044,15 +1291,15 @@ mod tests {
 
     #[test]
     fn drifted_tableau_fails_the_residual_check_and_goes_cold() {
-        // Fake the roundoff a long-lived tableau accumulates: perturb the
-        // retained B⁻¹ so the re-entered solution misses the rows by more
+        // Fake the roundoff a long-lived B⁻¹ accumulates: perturb its
+        // first column so the re-entered solution misses the rows by more
         // than the tolerance. The result must be the cold one.
         let (_, mut kept) = retained_from(&lb_like(30.0));
         {
-            let p = &mut kept.as_mut().unwrap().p;
-            let (cols, col) = (p.t.cols, p.ident[0]);
-            for r in 0..p.t.rows {
-                p.t.a[r * cols + col] *= 1.0 + 1e-6;
+            let s = kept.as_mut().unwrap();
+            let m = s.b.len();
+            for r in 0..m {
+                s.binv[r * m] *= 1.0 + 1e-6;
             }
         }
         let lp = lb_like(33.0);
@@ -1071,7 +1318,7 @@ mod tests {
     #[test]
     fn warm_chain_across_drifting_traffic_stays_optimal() {
         // An epoch-loop in miniature: traffic drifts, each epoch re-enters
-        // the previous epoch's tableau; every answer must match cold.
+        // the previous epoch's basis; every answer must match cold.
         let mut kept = None;
         for step in 0..12u32 {
             let total = 12.0 + (step as f64) * 1.7;
@@ -1094,14 +1341,14 @@ mod tests {
     /// rhs also drifts (the refine pass's `λ ≤ bound`).
     fn random_program(volumes: &[f64], caps: &[f64], lambda_cap: f64) -> LinearProgram {
         let mut lp = LinearProgram::new();
-        let lam = lp.add_var("lambda", 1.0);
+        let lam = lp.add_var(1.0);
         let mut per_box: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); caps.len()];
         for (s, &vol) in volumes.iter().enumerate() {
             // every source reaches two neighbouring boxes
             let row: Vec<(VarId, f64)> = (0..2)
                 .map(|k| {
                     let x = (s + k) % caps.len();
-                    let v = lp.add_var(format!("t[{s}][{x}]"), 0.0);
+                    let v = lp.add_var(0.0);
                     per_box[x].push((v, 1.0));
                     (v, 1.0)
                 })
@@ -1161,9 +1408,9 @@ mod tests {
     #[test]
     fn solution_is_feasible_for_model() {
         let mut lp = LinearProgram::new();
-        let x = lp.add_var("x", 2.0);
-        let y = lp.add_var("y", 3.0);
-        let z = lp.add_var("z", 1.0);
+        let x = lp.add_var(2.0);
+        let y = lp.add_var(3.0);
+        let z = lp.add_var(1.0);
         lp.add_constraint(vec![(x, 1.0), (y, 1.0), (z, 1.0)], Ge, 10.0);
         lp.add_constraint(vec![(x, 1.0), (y, -1.0)], Le, 2.0);
         lp.add_constraint(vec![(z, 1.0)], Le, 7.0);

@@ -27,7 +27,7 @@ fn feasible_lp(n: usize, m: usize, seed: u64) -> FeasibleInstance {
     let mut lp = LinearProgram::new();
     let witness: Vec<f64> = (0..n).map(|_| (next().abs() * 10.0).round()).collect();
     let vars: Vec<_> = (0..n)
-        .map(|i| lp.add_var(format!("x{i}"), (next() * 5.0).round()))
+        .map(|_| lp.add_var((next() * 5.0).round()))
         .collect();
     for _ in 0..m {
         let terms: Vec<_> = vars

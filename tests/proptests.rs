@@ -2,7 +2,7 @@
 //! system on randomized small worlds.
 
 use sdm::core::{
-    Controller, Deployment, EnforcementOptions, KConfig, LbOptions, MiddleboxSpec,
+    Controller, Deployment, EnforcementOptions, KConfig, LbOptions, LbWarmCache, MiddleboxSpec,
     Strategy as Steering,
 };
 use sdm::netsim::{FiveTuple, Protocol, StubId};
@@ -235,7 +235,20 @@ fn lp_lambda_bounded_by_hot_potato() {
                 full.lambda,
                 report.lambda
             );
-            let (_, tripled) = solve(&measure(3).measurements()).expect("same support solves");
+            // Tripling every volume changes right-hand sides only, so the
+            // scale law also holds through the warm re-solve of the basis
+            // a cache primed on the original matrix kept.
+            let mut cache = LbWarmCache::new();
+            c.solve_load_balanced_with_cache(&measurements, LbOptions::default(), &mut cache)
+                .expect("same program as the cold solve");
+            let (_, tripled) = c
+                .solve_load_balanced_with_cache(
+                    &measure(3).measurements(),
+                    LbOptions::default(),
+                    &mut cache,
+                )
+                .expect("same support solves");
+            prop_assert!(tripled.warm, "tripled traffic went cold");
             prop_assert!(
                 close(tripled.lambda, 3.0 * report.lambda),
                 "tripled traffic: lambda {} != 3 x {}",
