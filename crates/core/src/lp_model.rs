@@ -22,7 +22,7 @@
 use sdm_util::FxHashMap;
 use std::fmt;
 
-use sdm_lp::{LinearProgram, Relation, Retained, SolveError, VarId, WarmSolve};
+use sdm_lp::{LinearProgram, Relation, Retained, SolveError, VarId};
 use sdm_netsim::StubId;
 use sdm_policy::{NetworkFunction, PolicyId, PolicySet};
 
@@ -176,8 +176,10 @@ pub fn build_reduced(
 /// [`build_reduced`] with an optional warm-start cache: the online epoch
 /// loop keeps one [`LbWarmCache`] alive across re-solves, so each epoch's
 /// perturbed traffic matrix re-optimizes from the previous epoch's solved
-/// bases instead of running the full two-phase simplex. The cache is
-/// left holding this solve's final state (empty on a solver error).
+/// bases and their inverses instead of running both simplex phases from
+/// the slack/artificial basis. Without a cache every pass is such a cold
+/// solve. The cache is left holding this solve's final state (empty on a
+/// solver error).
 ///
 /// # Errors
 ///
@@ -210,7 +212,9 @@ fn solve_reduced(
     let mut model = assemble_reduced(deployment, assignments, policies, traffic, options)?;
     let vars = model.lp.num_vars();
     let cons = model.lp.num_constraints();
-    let pass1 = solve_pass(&model.lp, cache.as_mut().map(|c| &mut c.lambda))?;
+    let pass1 = model
+        .lp
+        .solve_warm(cache.as_mut().map_or(&mut None, |c| &mut c.lambda))?;
     let lambda_star = pass1.solution.value(model.lambda);
 
     // Phase 2 (lexicographic refinement): pin λ at its optimum and minimize
@@ -220,7 +224,9 @@ fn solve_reduced(
     // LB, which this second pass reproduces without disturbing λ.
     let bound = lambda_star * (1.0 + 1e-9) + 1e-6;
     model.refine(deployment, bound);
-    let pass2 = solve_pass(&model.lp, cache.map(|c| &mut c.refine))?;
+    let pass2 = model
+        .lp
+        .solve_warm(cache.map_or(&mut None, |c| &mut c.refine))?;
 
     let mut weights = SteeringWeights::new(lambda_star);
     extract_weights(&model.all_vars, |v| pass2.solution.value(v), &mut weights);
@@ -235,21 +241,6 @@ fn solve_reduced(
         },
         pass2.solution.objective,
     ))
-}
-
-/// Solves one pass of the reduced formulation: through its retained
-/// state when there is a cache, cold otherwise.
-fn solve_pass(
-    lp: &LinearProgram,
-    kept: Option<&mut Option<Retained>>,
-) -> Result<WarmSolve, SolveError> {
-    match kept {
-        Some(kept) => lp.solve_warm(kept),
-        None => lp.solve().map(|solution| WarmSolve {
-            solution,
-            warm_used: false,
-        }),
-    }
 }
 
 /// One source group of the reduced model: the stubs sharing a candidate

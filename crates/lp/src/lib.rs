@@ -8,13 +8,14 @@
 //!
 //! * [`LinearProgram`] — a builder for minimization LPs over non-negative
 //!   variables with `≤ / ≥ / =` constraints.
-//! * [`LinearProgram::solve`] — a from-scratch two-phase dense simplex
-//!   solver with a Bland's-rule fallback for degenerate instances.
-//! * [`LinearProgram::solve_warm`] — a revised simplex re-entering the
+//! * [`LinearProgram::solve`] — a two-phase revised simplex over the
+//!   program's sparse columns and an explicit basis inverse, with a
+//!   Bland's-rule fallback for degenerate instances.
+//! * [`LinearProgram::solve_warm`] — the same simplex, re-entering the
 //!   optimal basis and its inverse a previous call [`Retained`], for the
 //!   online re-steer loop where consecutive epochs solve one program under
-//!   drifting right-hand sides; falls back to the two-phase solver when
-//!   the program changed in more than right-hand sides.
+//!   drifting right-hand sides; solves cold, from the slack/artificial
+//!   basis, when the program changed in more than right-hand sides.
 //!
 //! # Example
 //!
@@ -39,6 +40,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The solver runs inside every epoch of the control loop.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 mod model;
 mod simplex;

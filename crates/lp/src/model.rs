@@ -39,16 +39,6 @@ pub enum Relation {
     Eq,
 }
 
-impl fmt::Display for Relation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Relation::Le => "<=",
-            Relation::Ge => ">=",
-            Relation::Eq => "=",
-        })
-    }
-}
-
 /// One linear constraint: a sparse list of `(variable, coefficient)` terms,
 /// a relation and a right-hand side.
 #[derive(Debug, Clone, PartialEq)]
@@ -151,74 +141,6 @@ impl LinearProgram {
     pub fn objective_at(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.num_vars());
         self.objective.iter().zip(x).map(|(c, v)| c * v).sum()
-    }
-
-    /// Renders the program in CPLEX-LP-style text, for debugging and for
-    /// feeding to external solvers when cross-checking results. Variables
-    /// are named by their [`VarId`]: `x0`, `x1`, ….
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use sdm_lp::{LinearProgram, Relation};
-    /// let mut lp = LinearProgram::new();
-    /// let x = lp.add_var(1.0);
-    /// lp.add_constraint(vec![(x, 2.0)], Relation::Ge, 4.0);
-    /// let text = lp.to_lp_format();
-    /// assert!(text.contains("Minimize"));
-    /// assert!(text.contains("2 x0 >= 4"));
-    /// ```
-    pub fn to_lp_format(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("Minimize\n obj:");
-        let mut first = true;
-        for (i, &c) in self.objective.iter().enumerate() {
-            if c == 0.0 {
-                continue;
-            }
-            let name = VarId::from_index(i);
-            if first {
-                let _ = write!(out, " {c} {name}");
-                first = false;
-            } else if c < 0.0 {
-                let _ = write!(out, " - {} {name}", -c);
-            } else {
-                let _ = write!(out, " + {c} {name}");
-            }
-        }
-        if first {
-            out.push_str(" 0");
-        }
-        out.push_str("\nSubject To\n");
-        for (ci, con) in self.constraints.iter().enumerate() {
-            let _ = write!(out, " c{ci}:");
-            let mut first = true;
-            for &(v, coef) in &con.terms {
-                if first {
-                    let _ = write!(out, " {coef} {v}");
-                    first = false;
-                } else if coef < 0.0 {
-                    let _ = write!(out, " - {} {v}", -coef);
-                } else {
-                    let _ = write!(out, " + {coef} {v}");
-                }
-            }
-            if first {
-                out.push_str(" 0");
-            }
-            let rel = match con.relation {
-                Relation::Le => "<=",
-                Relation::Ge => ">=",
-                Relation::Eq => "=",
-            };
-            let _ = writeln!(out, " {rel} {}", con.rhs);
-        }
-        out.push_str("Bounds\n");
-        for i in 0..self.num_vars() {
-            let _ = writeln!(out, " 0 <= {}", VarId::from_index(i));
-        }
-        out.push_str("End\n");
-        out
     }
 
     /// Checks whether `x` satisfies every constraint (and non-negativity)

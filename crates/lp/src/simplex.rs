@@ -1,33 +1,39 @@
-//! Two-phase dense simplex solver, and a revised simplex for warm re-solves.
+//! Two-phase revised simplex solver, with warm re-solves.
 //!
 //! Standard-form reduction: every constraint is normalized to a
 //! non-negative right-hand side; `≤` rows get a slack column, `≥` rows a
-//! surplus plus an artificial column, `=` rows an artificial column.
-//! Phase 1 minimizes the sum of artificials from the trivial basis; phase 2
-//! optimizes the real objective. Pivoting uses Dantzig's rule and falls
-//! back to Bland's rule after an iteration budget to guarantee termination
-//! on degenerate problems.
+//! surplus plus an artificial column, `=` rows an artificial column. The
+//! program is lowered straight to sparse columns — repeated terms summed,
+//! each row equilibrated by its largest coefficient — and the solver keeps
+//! the basis inverse `B⁻¹` (`m × m`, row-major) next to them: a pivot row
+//! is `(row r of B⁻¹)·A_j` over the sparse columns, a pivot column is
+//! `B⁻¹·A_q`, and a pivot is a rank-1 update of `B⁻¹` over the rows the
+//! pivot column touches, with the reduced costs updated from the pivot
+//! row — `O(m · |support|)` per pivot, and no dense `m × (n + m)` copy of
+//! the program.
+//!
+//! Phase 1 starts from the slack/artificial basis (`B⁻¹ = I`), minimizes
+//! the sum of artificials with every column allowed to enter, and drives
+//! any artificial left basic at zero out of the basis; phase 2 prices the
+//! real objective with `y = c_B·B⁻¹` and optimizes over the non-artificial
+//! columns. Pivoting uses Dantzig's rule and falls back to Bland's rule
+//! after an iteration budget to guarantee termination on degenerate
+//! problems.
 //!
 //! # Warm re-solves
 //!
 //! [`LinearProgram::solve_warm`] keeps the *solved* program between calls
-//! in a [`Retained`]: the optimal basis, its inverse `B⁻¹` (`m × m`, read
-//! once off the final cold tableau — the columns that started as the rows'
-//! identity columns hold it — after which the tableau is dropped), the
-//! basic solution `b̄`, the reduced costs, per row the sign × equilibration
-//! factor its right-hand side was scaled by, and the normalized
-//! constraint columns as sparse `(row, value)` lists. When the next
-//! program differs from the retained one **only in right-hand sides** —
-//! objective, relations and sparse terms compared exactly, entry by entry
-//! — the new basic solution is `b̄ = B⁻¹·(factor ∘ rhs′)`, an `O(m²)`
-//! product. The old basis is still dual-feasible (reduced costs do not
-//! depend on the rhs), so a **dual-simplex repair** pivots primal
-//! feasibility back in a handful of pivots and the primal simplex
-//! finishes from there. Both run as a revised simplex: a pivot row is
-//! `(row r of B⁻¹)·A_N` over the sparse columns, a pivot column is
-//! `B⁻¹·A_q`, and a pivot is a rank-1 update of `B⁻¹` over the rows the
-//! pivot column touches — `O(m · |support|)` per pivot instead of the
-//! tableau's `O(m · (n + m))`, with the same selection rules.
+//! in a [`Retained`]: the state the solve ended in — the optimal basis,
+//! `B⁻¹`, the basic solution `b̄`, the reduced costs, per row the sign ×
+//! equilibration factor its right-hand side was scaled by, and the sparse
+//! columns. When the next program differs from the retained one **only in
+//! right-hand sides** — objective, relations and sparse terms compared
+//! exactly, entry by entry — the new basic solution is
+//! `b̄ = B⁻¹·(factor ∘ rhs′)`, an `O(m²)` product. The old basis is still
+//! dual-feasible (reduced costs do not depend on the rhs), so a
+//! **dual-simplex repair** pivots primal feasibility back in a handful of
+//! pivots and the primal simplex finishes from there, with the pivots and
+//! selection rules of the cold solve.
 //!
 //! Everything else goes to the cold two-phase path and replaces the
 //! retained state: a term, relation, objective or rhs-sign mismatch, a
@@ -95,22 +101,28 @@ impl Solution {
 /// doubles.
 #[derive(Clone)]
 pub struct Retained {
-    /// `basis[r]`: the column basic in row `r`. Columns from
-    /// `reduced.len()` on are artificial.
+    /// `basis[r]`: the column basic in row `r`. Columns from `first_art`
+    /// on are artificial.
     basis: Vec<usize>,
     /// `B⁻¹`, row-major `m × m`.
     binv: Vec<f64>,
     /// The basic solution `b̄`, per row.
     b: Vec<f64>,
-    /// Phase-2 reduced costs of the non-artificial columns.
+    /// Reduced costs of the columns allowed to enter: every column in
+    /// phase 1, the non-artificial ones from phase 2 on.
     reduced: Vec<f64>,
     /// Negative of the objective value.
     obj: f64,
-    /// Per row, what the cold path multiplied the right-hand side by.
+    /// Per row, what the lowering multiplied the right-hand side by: −1
+    /// for a row normalized from a negative rhs, times the equilibration
+    /// factor.
     factor: Vec<f64>,
-    /// The normalized non-artificial columns.
+    /// Every column of the lowered program: structural, slack/surplus,
+    /// then artificial.
     columns: Columns,
-    /// Pivot budget of one solve, as the cold path sized it.
+    /// The first artificial column.
+    first_art: usize,
+    /// Pivot budget of one solve (numerical trouble shows as exhaustion).
     budget: u64,
     /// The objective, as given.
     objective: Vec<f64>,
@@ -122,33 +134,99 @@ impl fmt::Debug for Retained {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Retained")
             .field("rows", &self.b.len())
-            .field("cols", &self.reduced.len())
+            .field("cols", &self.first_art)
             .finish_non_exhaustive()
     }
 }
 
 impl Retained {
-    /// The warm state of a program `lp` just solved cold in `p`, whose
-    /// non-artificial columns were read off before phase 1. Gathers `B⁻¹`
-    /// out of the tableau's identity columns; the tableau itself is
-    /// dropped.
-    fn new(lp: &LinearProgram, p: Prepared, columns: Columns) -> Self {
-        let (m, cols) = (p.t.rows, p.t.cols);
+    /// Lowers `lp` to standard form on its slack/artificial basis, where
+    /// `B⁻¹ = I`: rows normalized to a non-negative rhs, repeated terms
+    /// summed, and each row equilibrated by its largest |coefficient| so
+    /// that badly scaled models (traffic volumes in the millions next to
+    /// unit capacities) pivot stably. Column layout:
+    /// `[structural 0..n | slack/surplus | artificial]`.
+    fn lower(lp: &LinearProgram) -> Self {
+        let (n, m) = (lp.num_vars(), lp.num_constraints());
+        let first_art = n + lp
+            .constraints
+            .iter()
+            .filter(|con| con.relation != Relation::Eq)
+            .count();
+        let (mut next_slack, mut next_art) = (n, first_art);
+        let mut basis = Vec::with_capacity(m);
+        let mut b = Vec::with_capacity(m);
+        let mut factor = Vec::with_capacity(m);
+        // (column, row, value), in row order.
+        let mut entries: Vec<(usize, u32, f64)> = Vec::new();
+        let mut acc = vec![0.0; n];
+        let mut touched = vec![false; n];
+        let mut support = Vec::new();
+        for (i, con) in lp.constraints.iter().enumerate() {
+            let row = i as u32;
+            let sign = if con.rhs < 0.0 { -1.0 } else { 1.0 };
+            for &(v, coef) in &con.terms {
+                let j = v.index();
+                acc[j] += sign * coef;
+                if !touched[j] {
+                    touched[j] = true;
+                    support.push(j);
+                }
+            }
+            let (mut rhs, mut f) = (sign * con.rhs, sign);
+            let row_max = support.iter().map(|&j| acc[j].abs()).fold(0.0f64, f64::max);
+            if row_max > EPS && !(1e-4..=1e4).contains(&row_max) {
+                let inv = 1.0 / row_max;
+                for &j in &support {
+                    acc[j] *= inv;
+                }
+                rhs *= inv;
+                f *= inv;
+            }
+            for &j in &support {
+                if acc[j] != 0.0 {
+                    entries.push((j, row, acc[j]));
+                }
+                acc[j] = 0.0;
+                touched[j] = false;
+            }
+            support.clear();
+            // Normalizing by sign swaps `≤` and `≥`.
+            let relation = match con.relation {
+                Relation::Le if sign < 0.0 => Relation::Ge,
+                Relation::Ge if sign < 0.0 => Relation::Le,
+                r => r,
+            };
+            if relation != Relation::Eq {
+                let unit = if relation == Relation::Le { 1.0 } else { -1.0 };
+                entries.push((next_slack, row, unit));
+                next_slack += 1;
+            }
+            if relation == Relation::Le {
+                basis.push(next_slack - 1);
+            } else {
+                entries.push((next_art, row, 1.0));
+                basis.push(next_art);
+                next_art += 1;
+            }
+            b.push(rhs);
+            factor.push(f);
+        }
+        let cols = next_art;
         let mut binv = vec![0.0; m * m];
         for r in 0..m {
-            for (k, &col) in p.ident.iter().enumerate() {
-                binv[r * m + k] = p.t.a[r * cols + col];
-            }
+            binv[r * m + r] = 1.0;
         }
         Retained {
-            budget: pivot_budget(&p),
-            reduced: p.t.c[..p.first_art].to_vec(),
+            basis,
             binv,
-            obj: p.t.obj,
-            basis: p.t.basis,
-            b: p.t.b,
-            factor: p.factor,
-            columns,
+            b,
+            reduced: Vec::new(),
+            obj: 0.0,
+            factor,
+            columns: Columns::new(cols, &entries),
+            first_art,
+            budget: 200 * (m as u64 + cols as u64) + 20_000,
             objective: lp.objective.clone(),
             rows: lp
                 .constraints
@@ -181,7 +259,7 @@ impl Retained {
     /// would be basic at a nonzero value, i.e. the retained basis does not
     /// describe a solution of the real program.
     fn reenter(&mut self, lp: &LinearProgram) -> bool {
-        let (m, n, first_art) = (self.b.len(), lp.num_vars(), self.reduced.len());
+        let (m, n, first_art) = (self.b.len(), lp.num_vars(), self.first_art);
         // Most rows of the enforcement LPs (conservation, capacity) have a
         // zero rhs; only the others contribute.
         let scaled: Vec<(usize, f64)> = lp
@@ -229,107 +307,6 @@ pub struct WarmSolve {
     pub warm_used: bool,
 }
 
-/// Dense simplex tableau: `rows × cols` coefficients, per-row rhs, and a
-/// cost row kept in reduced form.
-struct Tableau {
-    rows: usize,
-    cols: usize,
-    /// a[r * cols + c]
-    a: Vec<f64>,
-    b: Vec<f64>,
-    /// reduced costs (cost row)
-    c: Vec<f64>,
-    /// negative of current objective value
-    obj: f64,
-    /// basis[r] = column basic in row r
-    basis: Vec<usize>,
-    /// scratch copy of the pivot row (avoids re-borrowing `a` in `pivot`)
-    prow: Vec<f64>,
-    /// scratch list of the pivot row's nonzero columns
-    nz: Vec<u32>,
-}
-
-impl Tableau {
-    fn at(&self, r: usize, c: usize) -> f64 {
-        self.a[r * self.cols + c]
-    }
-
-    fn pivot(&mut self, pr: usize, pc: usize) {
-        let cols = self.cols;
-        let piv = self.a[pr * cols + pc];
-        debug_assert!(piv.abs() > EPS, "pivot too small");
-        let inv = 1.0 / piv;
-        for c in 0..cols {
-            self.a[pr * cols + c] *= inv;
-        }
-        self.b[pr] *= inv;
-        self.a[pr * cols + pc] = 1.0; // fight rounding
-        // Snapshot the (scaled) pivot row and its nonzero support. Early
-        // tableaus are very sparse, so restricting every row update to the
-        // support — `x -= f * 0.0` can only flip the sign of a zero, which
-        // no later comparison or output observes — cuts the dominant
-        // O(rows x cols) cost of the solve by the row's sparsity factor.
-        self.prow.clear();
-        self.prow.extend_from_slice(&self.a[pr * cols..(pr + 1) * cols]);
-        self.nz.clear();
-        for (c, &v) in self.prow.iter().enumerate() {
-            if v != 0.0 {
-                self.nz.push(c as u32);
-            }
-        }
-        for r in 0..self.rows {
-            if r == pr {
-                continue;
-            }
-            let factor = self.a[r * cols + pc];
-            if factor.abs() <= EPS {
-                self.a[r * cols + pc] = 0.0;
-                continue;
-            }
-            // row_r -= factor * row_pr, on the pivot row's support only
-            let row = &mut self.a[r * cols..(r + 1) * cols];
-            for &c in &self.nz {
-                let c = c as usize;
-                row[c] -= factor * self.prow[c];
-            }
-            row[pc] = 0.0;
-            self.b[r] -= factor * self.b[pr];
-        }
-        let cf = self.c[pc];
-        if cf.abs() > EPS {
-            for &c in &self.nz {
-                let c = c as usize;
-                self.c[c] -= cf * self.prow[c];
-            }
-            self.c[pc] = 0.0;
-            self.obj -= cf * self.b[pr];
-        }
-        self.basis[pr] = pc;
-    }
-
-    /// Runs simplex iterations until optimal. `allowed` limits the columns
-    /// eligible to enter (used to keep artificials out in phase 2).
-    fn optimize(&mut self, allowed: usize, budget: &mut u64) -> Result<(), SolveError> {
-        // Switch to Bland's rule after a degeneracy-scaled threshold.
-        let bland_after = 4 * (self.rows as u64 + allowed as u64) + 64;
-        let mut iters_here: u64 = 0;
-        loop {
-            if *budget == 0 {
-                return Err(SolveError::IterationLimit);
-            }
-            let Some(pc) = entering(&self.c[..allowed], iters_here > bland_after) else {
-                return Ok(()); // optimal
-            };
-            let Some(pr) = leaving(&self.b, &self.basis, |r| self.at(r, pc)) else {
-                return Err(SolveError::Unbounded);
-            };
-            self.pivot(pr, pc);
-            *budget -= 1;
-            iters_here += 1;
-        }
-    }
-}
-
 /// The primal entering column over `reduced` costs: the most negative
 /// one below `-EPS` (Dantzig's rule), or under `bland` the first one.
 /// `None` when the basis is optimal.
@@ -366,25 +343,9 @@ fn leaving(b: &[f64], basis: &[usize], column: impl Fn(usize) -> f64) -> Option<
     leave.map(|(_, _, r)| r)
 }
 
-/// A program lowered to standard form: the tableau (trivial
-/// slack/artificial basis installed by `prepare`, then pivoted in place)
-/// plus the layout facts the solve phases and a [`Retained`] need.
-struct Prepared {
-    t: Tableau,
-    first_art: usize,
-    /// Per row, what `prepare` multiplied the right-hand side by: −1 for
-    /// a row normalized from a negative rhs, times the equilibration
-    /// factor.
-    factor: Vec<f64>,
-    /// Per row, the column that started as its identity column (the slack
-    /// of a `≤` row, the artificial of a `≥` or `=` row). After any
-    /// sequence of pivots these columns hold `B⁻¹`.
-    ident: Vec<usize>,
-}
-
-/// The non-artificial columns of a lowered program (structural, then
-/// slack/surplus) in compressed sparse column form: column `j`'s
-/// `(row, value)` entries, by row, are `entries[start[j]..start[j + 1]]`.
+/// The columns of a lowered program in compressed sparse column form:
+/// column `j`'s `(row, value)` entries, by row, are
+/// `entries[start[j]..start[j + 1]]`.
 #[derive(Clone)]
 struct Columns {
     start: Vec<u32>,
@@ -392,32 +353,27 @@ struct Columns {
 }
 
 impl Columns {
-    /// Reads the columns off a freshly prepared tableau, before any pivot.
-    fn of(p: &Prepared) -> Self {
-        let (cols, first_art) = (p.t.cols, p.first_art);
-        let rows = || p.t.a.chunks_exact(cols.max(1)).map(|row| &row[..first_art]);
-        let mut start = vec![0u32; first_art + 1];
-        for row in rows() {
-            for (j, &v) in row.iter().enumerate() {
-                if v != 0.0 {
-                    start[j + 1] += 1;
-                }
-            }
+    /// `cols` columns from `(column, row, value)` triples listed in row
+    /// order.
+    fn new(cols: usize, triples: &[(usize, u32, f64)]) -> Self {
+        let mut start = vec![0u32; cols + 1];
+        for &(j, _, _) in triples {
+            start[j + 1] += 1;
         }
-        for j in 0..first_art {
+        for j in 0..cols {
             start[j + 1] += start[j];
         }
         let mut next = start.clone();
-        let mut entries = vec![(0u32, 0.0); start[first_art] as usize];
-        for (r, row) in rows().enumerate() {
-            for (j, &v) in row.iter().enumerate() {
-                if v != 0.0 {
-                    entries[next[j] as usize] = (r as u32, v);
-                    next[j] += 1;
-                }
-            }
+        let mut entries = vec![(0u32, 0.0); triples.len()];
+        for &(j, r, v) in triples {
+            entries[next[j] as usize] = (r, v);
+            next[j] += 1;
         }
         Columns { start, entries }
+    }
+
+    fn len(&self) -> usize {
+        self.start.len() - 1
     }
 
     fn get(&self, j: usize) -> &[(u32, f64)] {
@@ -425,21 +381,21 @@ impl Columns {
     }
 }
 
-/// One row of `B⁻¹` times one sparse column. The pivot row and the pivot
-/// column both go through here, so their shared pivot element is the
-/// same number.
+/// One row of `B⁻¹` (or the pricing vector `y`) times one sparse column.
+/// The pivot row and the pivot column both go through here, so their
+/// shared pivot element is the same number.
 fn dot(binv_row: &[f64], column: &[(u32, f64)]) -> f64 {
     column.iter().map(|&(k, a)| binv_row[k as usize] * a).sum()
 }
 
-/// One warm re-solve in progress: the retained state and the scratch the
-/// revised pivots work in.
+/// One solve in progress: the state it works on (and leaves behind) and
+/// the scratch the revised pivots work in.
 struct Revised<'a> {
     s: &'a mut Retained,
-    /// Per non-artificial column, whether it is basic.
+    /// Per column, whether it is basic.
     basic: Vec<bool>,
-    /// The pivot row `(row r of B⁻¹)·A_j` over the non-artificial columns,
-    /// zero on basic ones.
+    /// The pivot row `(row r of B⁻¹)·A_j` over the columns allowed to
+    /// enter, zero on basic ones.
     alpha_r: Vec<f64>,
     /// The pivot column `B⁻¹·A_q`.
     alpha_q: Vec<f64>,
@@ -451,28 +407,28 @@ struct Revised<'a> {
 
 impl<'a> Revised<'a> {
     fn new(s: &'a mut Retained) -> Self {
-        let (m, first_art) = (s.b.len(), s.reduced.len());
-        let mut basic = vec![false; first_art];
+        let (m, cols) = (s.b.len(), s.columns.len());
+        let mut basic = vec![false; cols];
         for &bc in &s.basis {
-            if bc < first_art {
-                basic[bc] = true;
-            }
+            basic[bc] = true;
         }
         Revised {
             s,
             basic,
-            alpha_r: vec![0.0; first_art],
+            alpha_r: vec![0.0; cols],
             alpha_q: vec![0.0; m],
             prow: Vec::with_capacity(m),
             nz: Vec::with_capacity(m),
         }
     }
 
-    /// Fills `alpha_r` with row `r` of `B⁻¹·A` (basic columns: 0).
+    /// Fills `alpha_r` with row `r` of `B⁻¹·A` over the columns allowed to
+    /// enter (basic columns: 0).
     fn pivot_row(&mut self, r: usize) {
         let m = self.s.b.len();
         let row = &self.s.binv[r * m..(r + 1) * m];
-        for (j, a) in self.alpha_r.iter_mut().enumerate() {
+        let allowed = self.s.reduced.len();
+        for (j, a) in self.alpha_r[..allowed].iter_mut().enumerate() {
             *a = if self.basic[j] {
                 0.0
             } else {
@@ -493,11 +449,10 @@ impl<'a> Revised<'a> {
     /// Brings column `pc` into the basis at row `pr`, with `alpha_r` and
     /// `alpha_q` filled for that row and column: the rank-1 update of
     /// `B⁻¹` and `b̄` over the rows the pivot column touches, and of the
-    /// reduced costs and the objective — the tableau pivot, restricted to
-    /// what is kept.
+    /// reduced costs and the objective.
     fn pivot(&mut self, pr: usize, pc: usize) {
         let s = &mut *self.s;
-        let (m, first_art) = (s.b.len(), s.reduced.len());
+        let m = s.b.len();
         let piv = self.alpha_q[pr];
         debug_assert!(piv.abs() > EPS, "pivot too small");
         let inv = 1.0 / piv;
@@ -506,8 +461,11 @@ impl<'a> Revised<'a> {
             *v *= inv;
         }
         s.b[pr] *= inv;
-        // Snapshot the scaled pivot row and its support, as the tableau
-        // pivot does.
+        // Snapshot the scaled pivot row and its nonzero support. `B⁻¹`
+        // stays sparse for many pivots, so restricting every row update
+        // to the support — `x -= f * 0.0` can only flip the sign of a
+        // zero, which no later comparison or output observes — cuts the
+        // update by the row's sparsity factor.
         self.prow.clear();
         self.prow.extend_from_slice(row);
         self.nz.clear();
@@ -537,17 +495,87 @@ impl<'a> Revised<'a> {
             }
             // The leaving column's pivot-row entry is 1 (it was basic in
             // row `pr`); `alpha_r` holds 0 for it as for every basic one.
-            if leaving < first_art {
+            if leaving < s.reduced.len() {
                 s.reduced[leaving] -= cf * inv;
             }
             s.reduced[pc] = 0.0;
             s.obj -= cf * s.b[pr];
         }
-        if leaving < first_art {
-            self.basic[leaving] = false;
-        }
+        self.basic[leaving] = false;
         self.basic[pc] = true;
         s.basis[pr] = pc;
+    }
+
+    /// The cold solve of a freshly lowered program. Phase 1 minimizes the
+    /// sum of artificials from the slack/artificial basis, then drives any
+    /// leftover (degenerate) artificial out of the basis; phase 2 prices
+    /// the real objective over the basis reached and optimizes with the
+    /// artificial columns excluded from entering.
+    fn two_phase(&mut self, budget: &mut u64) -> Result<(), SolveError> {
+        let (m, first_art) = (self.s.b.len(), self.s.first_art);
+        if first_art < self.s.columns.len() {
+            let s = &mut *self.s;
+            // With `B⁻¹ = I`, pricing the artificial basis out subtracts
+            // every row an artificial is basic in.
+            let (basis, columns) = (&s.basis, &s.columns);
+            s.reduced = (0..columns.len())
+                .map(|j| {
+                    let cost = if j >= first_art { 1.0 } else { 0.0 };
+                    columns
+                        .get(j)
+                        .iter()
+                        .filter(|&&(r, _)| basis[r as usize] >= first_art)
+                        .fold(cost, |d, &(_, a)| d - a)
+                })
+                .collect();
+            s.obj =
+                s.b.iter()
+                    .zip(basis)
+                    .filter(|&(_, &bc)| bc >= first_art)
+                    .fold(0.0, |obj, (&b, _)| obj - b);
+            self.optimize(budget)?;
+            if -self.s.obj > 1e-6 {
+                return Err(SolveError::Infeasible);
+            }
+            // Phase 2 reprices every column, so the artificials' phase-1
+            // costs go now. A row whose artificial finds no pivot is
+            // redundant: harmless, the artificial stays at value 0 and can
+            // never re-enter.
+            self.s.reduced.truncate(first_art);
+            for r in 0..m {
+                if self.s.basis[r] >= first_art {
+                    self.pivot_row(r);
+                    if let Some(c) = self.alpha_r[..first_art].iter().position(|a| a.abs() > EPS) {
+                        self.pivot_column(c);
+                        self.pivot(r, c);
+                    }
+                }
+            }
+        }
+        let s = &mut *self.s;
+        let n = s.objective.len();
+        let cost = |j: usize| if j < n { s.objective[j] } else { 0.0 };
+        let mut y = vec![0.0; m];
+        s.obj = 0.0;
+        for (r, &bc) in s.basis.iter().enumerate() {
+            let cf = cost(bc);
+            if cf.abs() > EPS {
+                for (yk, &v) in y.iter_mut().zip(&s.binv[r * m..(r + 1) * m]) {
+                    *yk += cf * v;
+                }
+                s.obj -= cf * s.b[r];
+            }
+        }
+        s.reduced = (0..first_art)
+            .map(|j| {
+                if self.basic[j] {
+                    0.0
+                } else {
+                    cost(j) - dot(&y, s.columns.get(j))
+                }
+            })
+            .collect();
+        self.optimize(budget)
     }
 
     /// Dual-simplex repair after an rhs re-entry: the traffic perturbation
@@ -562,7 +590,7 @@ impl<'a> Revised<'a> {
     /// when the pivot cap is exhausted (cycling / numerical trouble), or
     /// when the repair would leave an artificial basic at a nonzero value.
     fn dual_repair(&mut self, budget: &mut u64) -> bool {
-        let (m, first_art) = (self.s.b.len(), self.s.reduced.len());
+        let (m, first_art) = (self.s.b.len(), self.s.first_art);
         let cap = 8 * m as u64 + 512;
         let bland_after = 4 * m as u64 + 64;
         let mut spent = 0u64;
@@ -627,11 +655,11 @@ impl<'a> Revised<'a> {
         }
     }
 
-    /// Primal simplex over the non-artificial columns until optimal, with
-    /// the rules and the Bland's-rule threshold of the tableau's phase 2.
+    /// Primal simplex over the columns allowed to enter until optimal,
+    /// switching to Bland's rule after a degeneracy-scaled threshold.
     fn optimize(&mut self, budget: &mut u64) -> Result<(), SolveError> {
-        let (m, first_art) = (self.s.b.len(), self.s.reduced.len());
-        let bland_after = 4 * (m as u64 + first_art as u64) + 64;
+        let (m, allowed) = (self.s.b.len(), self.s.reduced.len());
+        let bland_after = 4 * (m as u64 + allowed as u64) + 64;
         let mut iters_here: u64 = 0;
         loop {
             if *budget == 0 {
@@ -668,91 +696,10 @@ const RESIDUAL_TOL: f64 = 1e-10;
 /// [`RESIDUAL_TOL`]. Run on every warm result: a retained `B⁻¹` is
 /// updated for as long as the program keeps matching and never
 /// refactorized, so this is what notices accumulated roundoff (and sends
-/// the solve to the cold path, which rebuilds).
+/// the solve to the cold path, which starts over from `B⁻¹ = I`).
 fn residual_ok(lp: &LinearProgram, x: &[f64]) -> bool {
     let rhs_norm = lp.constraints.iter().map(|c| c.rhs.abs()).fold(0.0, f64::max);
     lp.is_feasible(x, RESIDUAL_TOL * (1.0 + rhs_norm))
-}
-
-/// Phase 1: minimize the sum of artificials from the trivial basis, then
-/// drive any leftover (degenerate) artificial out of the basis.
-fn phase1(p: &mut Prepared, budget: &mut u64, iterations: &mut u64) -> Result<(), SolveError> {
-    let (m, cols, first_art) = (p.t.rows, p.t.cols, p.first_art);
-    if first_art >= cols {
-        return Ok(());
-    }
-    for c in first_art..cols {
-        p.t.c[c] = 1.0;
-    }
-    // Price out the artificial basis columns.
-    for i in 0..m {
-        if p.t.basis[i] >= first_art {
-            for c in 0..cols {
-                let v = p.t.a[i * cols + c];
-                p.t.c[c] -= v;
-            }
-            p.t.obj -= p.t.b[i];
-        }
-    }
-    let before = *budget;
-    p.t.optimize(cols, budget)?;
-    *iterations += before - *budget;
-    let phase1_obj = -p.t.obj;
-    if phase1_obj > 1e-6 {
-        return Err(SolveError::Infeasible);
-    }
-    // Drive any artificial still in the basis out (degenerate rows). A row
-    // with no eligible pivot is redundant: harmless, the artificial stays
-    // at value 0 and can never re-enter (phase 2 excludes it).
-    for r in 0..m {
-        if p.t.basis[r] >= first_art {
-            for c in 0..first_art {
-                if p.t.at(r, c).abs() > EPS {
-                    p.t.pivot(r, c);
-                    break;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Phase 2: prices the real objective out over the current basis and
-/// optimizes with artificial columns excluded from entering.
-fn phase2(
-    lp: &LinearProgram,
-    p: &mut Prepared,
-    budget: &mut u64,
-    iterations: &mut u64,
-) -> Result<(), SolveError> {
-    let (m, cols) = (p.t.rows, p.t.cols);
-    p.t.c = vec![0.0; cols];
-    p.t.obj = 0.0;
-    for v in 0..lp.num_vars() {
-        p.t.c[v] = lp.objective[v];
-    }
-    // Price out the current basis.
-    for i in 0..m {
-        let bc = p.t.basis[i];
-        let cf = p.t.c[bc];
-        if cf.abs() > EPS {
-            for c in 0..cols {
-                let v = p.t.a[i * cols + c];
-                p.t.c[c] -= cf * v;
-            }
-            p.t.c[bc] = 0.0;
-            p.t.obj -= cf * p.t.b[i];
-        }
-    }
-    let before = *budget;
-    p.t.optimize(p.first_art, budget)?;
-    *iterations += before - *budget;
-    Ok(())
-}
-
-/// Pivot budget of one solve (numerical trouble shows as exhaustion).
-fn pivot_budget(p: &Prepared) -> u64 {
-    200 * (p.t.rows as u64 + p.t.cols as u64) + 20_000
 }
 
 /// Reads the solution off an optimal basis: its basic solution `b` and
@@ -772,7 +719,8 @@ fn extract(n: usize, basis: &[usize], b: &[f64], obj: f64, iterations: u64) -> S
 }
 
 impl LinearProgram {
-    /// Solves the program with the two-phase simplex method.
+    /// Solves the program with the two-phase simplex method: the cold path
+    /// of [`LinearProgram::solve_warm`] with nothing retained.
     ///
     /// # Errors
     ///
@@ -780,10 +728,7 @@ impl LinearProgram {
     /// [`SolveError::Unbounded`] if the objective is unbounded below,
     /// [`SolveError::IterationLimit`] if the pivot budget is exhausted.
     pub fn solve(&self) -> Result<Solution, SolveError> {
-        let mut iterations = 0;
-        let mut p = self.prepare();
-        self.solve_cold(&mut p, &mut iterations)?;
-        Ok(extract(self.num_vars(), &p.t.basis, &p.t.b, p.t.obj, iterations))
+        self.solve_warm(&mut None).map(|w| w.solution)
     }
 
     /// Solves the program, re-entering the basis in `retained` when this
@@ -791,15 +736,14 @@ impl LinearProgram {
     /// and leaves this solve's final state in `retained` for the next call
     /// (`None` on error).
     ///
-    /// On the warm path phase 1 and the tableau build are skipped: the new
+    /// On the warm path phase 1 and the lowering are skipped: the new
     /// basic solution is computed from the retained `B⁻¹`, a dual-simplex
     /// repair restores primal feasibility if the new right-hand sides
-    /// drove it negative, and the primal simplex re-optimizes from there,
-    /// both as revised-simplex pivots on `B⁻¹`. `Solution::iterations`
-    /// counts the repair and re-optimization pivots. Whenever the retained
-    /// state cannot be used or trusted — see [`WarmSolve::warm_used`] — the
-    /// solver transparently runs the cold two-phase path and reports
-    /// `warm_used: false`.
+    /// drove it negative, and the primal simplex re-optimizes from there.
+    /// `Solution::iterations` counts the repair and re-optimization
+    /// pivots. Whenever the retained state cannot be used or trusted — see
+    /// [`WarmSolve::warm_used`] — the solver transparently runs the cold
+    /// two-phase path and reports `warm_used: false`.
     ///
     /// # Errors
     ///
@@ -830,129 +774,18 @@ impl LinearProgram {
                 }
             }
         }
-        let mut p = self.prepare();
-        let columns = Columns::of(&p);
-        self.solve_cold(&mut p, &mut iterations)?;
-        let solution = extract(n, &p.t.basis, &p.t.b, p.t.obj, iterations);
-        *retained = Some(Retained::new(self, p, columns));
+        let mut cold = Retained::lower(self);
+        let start = cold.budget;
+        let mut budget = start;
+        let solved = Revised::new(&mut cold).two_phase(&mut budget);
+        iterations += start - budget;
+        solved?;
+        let solution = extract(n, &cold.basis, &cold.b, cold.obj, iterations);
+        *retained = Some(cold);
         Ok(WarmSolve {
             solution,
             warm_used: false,
         })
-    }
-
-    /// The cold path: runs both phases on the freshly prepared `p`. Pivots
-    /// are added to `iterations`.
-    fn solve_cold(&self, p: &mut Prepared, iterations: &mut u64) -> Result<(), SolveError> {
-        let mut budget = pivot_budget(p);
-        phase1(p, &mut budget, iterations)?;
-        phase2(self, p, &mut budget, iterations)
-    }
-
-    /// Lowers the program to standard form with the trivial basis.
-    fn prepare(&self) -> Prepared {
-        let n = self.num_vars();
-        let m = self.num_constraints();
-
-        // Normalize rows to rhs >= 0 and decide column layout.
-        // Layout: [original 0..n | slack/surplus | artificial]
-        let mut slack_of = vec![usize::MAX; m]; // column of slack/surplus
-        let mut art_of = vec![usize::MAX; m];
-        let mut next = n;
-        let mut rel = Vec::with_capacity(m);
-        let mut rhs = Vec::with_capacity(m);
-        for con in &self.constraints {
-            let (r, b) = if con.rhs < 0.0 {
-                // multiply by -1
-                let flipped = match con.relation {
-                    Relation::Le => Relation::Ge,
-                    Relation::Ge => Relation::Le,
-                    Relation::Eq => Relation::Eq,
-                };
-                (flipped, -con.rhs)
-            } else {
-                (con.relation, con.rhs)
-            };
-            rel.push(r);
-            rhs.push(b);
-        }
-        for (i, r) in rel.iter().enumerate() {
-            match r {
-                Relation::Le | Relation::Ge => {
-                    slack_of[i] = next;
-                    next += 1;
-                }
-                Relation::Eq => {}
-            }
-        }
-        let first_art = next;
-        for (i, r) in rel.iter().enumerate() {
-            let needs_artificial = matches!(r, Relation::Ge | Relation::Eq);
-            if needs_artificial {
-                art_of[i] = next;
-                next += 1;
-            }
-        }
-        let cols = next;
-
-        let mut t = Tableau {
-            rows: m,
-            cols,
-            a: vec![0.0; m * cols],
-            b: rhs,
-            c: vec![0.0; cols],
-            obj: 0.0,
-            basis: vec![usize::MAX; m],
-            prow: Vec::with_capacity(cols),
-            nz: Vec::with_capacity(cols),
-        };
-
-        let mut factor = vec![1.0; m];
-        // Fill coefficients (terms summed; sign flipped for normalized
-        // rows), then equilibrate each row by its largest |coefficient| so
-        // that badly scaled models (traffic volumes in the millions next
-        // to unit capacities) pivot stably.
-        for (i, con) in self.constraints.iter().enumerate() {
-            let sign = if con.rhs < 0.0 { -1.0 } else { 1.0 };
-            factor[i] = sign;
-            for &(v, coef) in &con.terms {
-                t.a[i * cols + v.index()] += sign * coef;
-            }
-            let row_max = (0..n)
-                .map(|v| t.a[i * cols + v].abs())
-                .fold(0.0f64, f64::max);
-            if row_max > EPS && !(1e-4..=1e4).contains(&row_max) {
-                let inv = 1.0 / row_max;
-                for v in 0..n {
-                    t.a[i * cols + v] *= inv;
-                }
-                t.b[i] *= inv;
-                factor[i] *= inv;
-            }
-            match rel[i] {
-                Relation::Le => {
-                    t.a[i * cols + slack_of[i]] = 1.0;
-                    t.basis[i] = slack_of[i];
-                }
-                Relation::Ge => {
-                    t.a[i * cols + slack_of[i]] = -1.0;
-                    t.a[i * cols + art_of[i]] = 1.0;
-                    t.basis[i] = art_of[i];
-                }
-                Relation::Eq => {
-                    t.a[i * cols + art_of[i]] = 1.0;
-                    t.basis[i] = art_of[i];
-                }
-            }
-        }
-
-        let ident = t.basis.clone();
-        Prepared {
-            t,
-            first_art,
-            factor,
-            ident,
-        }
     }
 }
 
@@ -1125,22 +958,6 @@ mod tests {
         assert!(lp.is_feasible(&s.values, 1.0));
     }
 
-    #[test]
-    fn lp_format_contains_whole_model() {
-        let mut lp = LinearProgram::new();
-        let x = lp.add_var(1.0);
-        let y = lp.add_var(-2.0);
-        lp.add_constraint(vec![(x, 1.0), (y, -3.0)], Ge, 4.0);
-        lp.add_constraint(vec![(y, 1.0)], Le, 7.0);
-        let text = lp.to_lp_format();
-        assert!(text.contains("Minimize"), "{text}");
-        assert!(text.contains("- 2 x1"), "{text}");
-        assert!(text.contains("1 x0 - 3 x1 >= 4"), "{text}");
-        assert!(text.contains("1 x1 <= 7"), "{text}");
-        assert!(text.contains("0 <= x0\n 0 <= x1\n"), "{text}");
-        assert!(text.ends_with("End\n"), "{text}");
-    }
-
     /// The LB-like min-max program used by the warm tests: route `total`
     /// units across three boxes of capacities `caps`, min λ.
     fn lb_with(total: f64, caps: [f64; 3]) -> LinearProgram {
@@ -1290,7 +1107,7 @@ mod tests {
     }
 
     #[test]
-    fn drifted_tableau_fails_the_residual_check_and_goes_cold() {
+    fn drifted_inverse_fails_the_residual_check_and_goes_cold() {
         // Fake the roundoff a long-lived B⁻¹ accumulates: perturb its
         // first column so the re-entered solution misses the rows by more
         // than the tolerance. The result must be the cold one.

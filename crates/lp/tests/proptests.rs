@@ -1,18 +1,26 @@
 //! Property tests for the simplex solver: on randomly generated LPs that
 //! are feasible *by construction*, the solver must return a feasible point
-//! whose objective is no worse than the construction witness.
+//! whose objective is no worse than the construction witness, and on tiny
+//! ones exactly the optimum a brute-force vertex enumeration finds.
 
-use sdm_lp::{LinearProgram, Relation, SolveError};
+use sdm_lp::{LinearProgram, Relation, SolveError, VarId};
 use sdm_util::prop::{check, Config};
-use sdm_util::prop_assert;
 use sdm_util::rng::StdRng;
+use sdm_util::{prop_assert, SliceRandom};
+
+/// One constraint of an instance: `(variable index, coefficient)` terms,
+/// relation, right-hand side.
+type Row = (Vec<(usize, f64)>, Relation, f64);
 
 /// A random LP built around a known feasible witness `x0 >= 0`:
 /// each constraint's rhs is chosen relative to `A x0` so `x0` satisfies it.
+/// `objective` and `rows` describe the same program as `lp`.
 #[derive(Debug, Clone)]
 struct FeasibleInstance {
     lp: LinearProgram,
     witness: Vec<f64>,
+    objective: Vec<f64>,
+    rows: Vec<Row>,
 }
 
 /// Deterministically expands `(vars, constraints, seed)` into an instance.
@@ -26,9 +34,9 @@ fn feasible_lp(n: usize, m: usize, seed: u64) -> FeasibleInstance {
     };
     let mut lp = LinearProgram::new();
     let witness: Vec<f64> = (0..n).map(|_| (next().abs() * 10.0).round()).collect();
-    let vars: Vec<_> = (0..n)
-        .map(|_| lp.add_var((next() * 5.0).round()))
-        .collect();
+    let objective: Vec<f64> = (0..n).map(|_| (next() * 5.0).round()).collect();
+    let vars: Vec<_> = objective.iter().map(|&c| lp.add_var(c)).collect();
+    let mut rows = Vec::new();
     for _ in 0..m {
         let terms: Vec<_> = vars
             .iter()
@@ -45,13 +53,24 @@ fn feasible_lp(n: usize, m: usize, seed: u64) -> FeasibleInstance {
         let slackness = (next().abs() * 5.0).round();
         // pick a relation satisfied by the witness
         let kind = (next().abs() * 3.0) as u8;
-        match kind {
-            0 => lp.add_constraint(terms, Relation::Le, lhs_at_witness + slackness),
-            1 => lp.add_constraint(terms, Relation::Ge, lhs_at_witness - slackness),
-            _ => lp.add_constraint(terms, Relation::Eq, lhs_at_witness),
-        }
+        let (relation, rhs) = match kind {
+            0 => (Relation::Le, lhs_at_witness + slackness),
+            1 => (Relation::Ge, lhs_at_witness - slackness),
+            _ => (Relation::Eq, lhs_at_witness),
+        };
+        rows.push((
+            terms.iter().map(|&(v, c)| (v.index(), c)).collect(),
+            relation,
+            rhs,
+        ));
+        lp.add_constraint(terms, relation, rhs);
     }
-    FeasibleInstance { lp, witness }
+    FeasibleInstance {
+        lp,
+        witness,
+        objective,
+        rows,
+    }
 }
 
 /// The solver never reports infeasible on a constructively feasible LP;
@@ -104,6 +123,165 @@ fn solves_feasible_instances() {
                 }
                 Err(e) => prop_assert!(false, "unexpected error {e} on feasible LP"),
             }
+            Ok(())
+        },
+    );
+}
+
+/// A [`feasible_lp`] instance of `n` variables and up to `m` rows, boxed
+/// by `Σx ≤ 100` (the witness sums to at most `10 n`) so that its optimum
+/// is attained at a vertex.
+fn bounded_lp(n: usize, m: usize, seed: u64) -> FeasibleInstance {
+    let mut inst = feasible_lp(n, m, seed);
+    let all: Vec<(usize, f64)> = (0..n).map(|j| (j, 1.0)).collect();
+    inst.lp.add_constraint(
+        all.iter()
+            .map(|&(j, c)| (VarId::from_index(j), c))
+            .collect(),
+        Relation::Le,
+        100.0,
+    );
+    inst.rows.push((all, Relation::Le, 100.0));
+    inst
+}
+
+/// Solves the square system `a x = b` (row-major `n × n`) by Gaussian
+/// elimination with partial pivoting; `None` when it is singular.
+fn solve_square(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
+    let n = b.len();
+    for col in 0..n {
+        let p = (col..n).max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs()))?;
+        if a[p][col].abs() < 1e-9 {
+            return None;
+        }
+        a.swap(col, p);
+        b.swap(col, p);
+        let (above, below) = a.split_at_mut(col + 1);
+        let (pivot, b_pivot) = (&above[col], b[col]);
+        for (row, rb) in below.iter_mut().zip(&mut b[col + 1..]) {
+            let f = row[col] / pivot[col];
+            for (x, &p) in row[col..].iter_mut().zip(&pivot[col..]) {
+                *x -= f * p;
+            }
+            *rb -= f * b_pivot;
+        }
+    }
+    let mut x = vec![0.0; n];
+    for r in (0..n).rev() {
+        let tail: f64 = (r + 1..n).map(|k| a[r][k] * x[k]).sum();
+        x[r] = (b[r] - tail) / a[r][r];
+    }
+    Some(x)
+}
+
+/// The minimum of the objective over the feasible vertices of `inst`, by
+/// brute force: every choice of `n` constraints from the rows (as
+/// equalities) and the bounds `x_j = 0` whose system has one solution
+/// names a candidate point, and the vertices are the feasible candidates.
+/// An equality row holds at every feasible point, so the feasibility test
+/// keeps it active. No shared code with the solver.
+fn vertex_minimum(inst: &FeasibleInstance) -> Option<f64> {
+    let n = inst.objective.len();
+    let mut planes: Vec<(Vec<f64>, f64)> = inst
+        .rows
+        .iter()
+        .map(|(terms, _, rhs)| {
+            let mut a = vec![0.0; n];
+            for &(j, c) in terms {
+                a[j] += c;
+            }
+            (a, *rhs)
+        })
+        .collect();
+    planes.extend((0..n).map(|j| {
+        let mut a = vec![0.0; n];
+        a[j] = 1.0;
+        (a, 0.0)
+    }));
+    let mut best: Option<f64> = None;
+    for pick in 0u32..1 << planes.len() {
+        if pick.count_ones() as usize != n {
+            continue;
+        }
+        let chosen = planes
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| pick >> i & 1 == 1);
+        let (a, b): (Vec<Vec<f64>>, Vec<f64>) = chosen.map(|(_, p)| p.clone()).unzip();
+        if let Some(x) = solve_square(a, b) {
+            if inst.lp.is_feasible(&x, 1e-7) {
+                let obj = inst.lp.objective_at(&x);
+                best = Some(best.map_or(obj, |b| b.min(obj)));
+            }
+        }
+    }
+    best
+}
+
+/// `inst` with its variables and rows reordered by `seed`: the same
+/// program, whose columns and rows the simplex meets in another order.
+fn permuted(inst: &FeasibleInstance, seed: u64) -> LinearProgram {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = inst.objective.len();
+    let mut at: Vec<usize> = (0..n).collect(); // at[j]: new index of variable j
+    at.shuffle(&mut rng);
+    let mut order: Vec<usize> = (0..inst.rows.len()).collect();
+    order.shuffle(&mut rng);
+    let mut objective = vec![0.0; n];
+    for (j, &c) in inst.objective.iter().enumerate() {
+        objective[at[j]] = c;
+    }
+    let mut lp = LinearProgram::new();
+    let vars: Vec<VarId> = objective.iter().map(|&c| lp.add_var(c)).collect();
+    for &i in &order {
+        let (terms, relation, rhs) = &inst.rows[i];
+        lp.add_constraint(
+            terms.iter().map(|&(j, c)| (vars[at[j]], c)).collect(),
+            *relation,
+            *rhs,
+        );
+    }
+    lp
+}
+
+/// On tiny bounded instances the solver reaches the exact optimum, as an
+/// enumeration of every vertex finds it, and reordering the rows and the
+/// columns (which sends the simplex down another pivot path) reaches the
+/// same objective.
+#[test]
+fn tiny_instances_reach_the_vertex_optimum_in_any_order() {
+    check(
+        "tiny_instances_reach_the_vertex_optimum_in_any_order",
+        &Config::with_cases(256),
+        |rng: &mut StdRng| {
+            (
+                rng.gen_range(1usize..5), // vars
+                rng.gen_range(1usize..7), // constraints
+                rng.next_u64(),           // seed
+            )
+        },
+        |&(n, m, seed)| {
+            let inst = bounded_lp(n.clamp(1, 4), m.clamp(1, 6), seed);
+            let sol = inst
+                .lp
+                .solve()
+                .map_err(|e| format!("{e} on a bounded feasible LP"))?;
+            let Some(best) = vertex_minimum(&inst) else {
+                return Err("no feasible vertex on a feasible LP".into());
+            };
+            prop_assert!(
+                (sol.objective - best).abs() <= 1e-6 * best.abs().max(1.0),
+                "objective {} != vertex optimum {}",
+                sol.objective,
+                best
+            );
+            let reordered = permuted(&inst, seed).solve().map_err(|e| e.to_string())?;
+            prop_assert!(
+                (reordered.objective - sol.objective).abs() <= 1e-9 * sol.objective.abs().max(1.0),
+                "reordered objective {} != {}",
+                reordered.objective,
+                sol.objective
+            );
             Ok(())
         },
     );

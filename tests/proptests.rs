@@ -87,16 +87,29 @@ fn world_policies() -> PolicySet {
 }
 
 fn build_controller(w: &SmallWorld) -> Controller {
+    controller_of(w, false)
+}
+
+/// The controller of `w`; `reversed` adds the same boxes to the
+/// deployment in reverse order, which renumbers every middlebox.
+fn controller_of(w: &SmallWorld, reversed: bool) -> Controller {
     let plan = campus(w.seed);
-    let mut dep = Deployment::new();
     let fns = [Firewall, Ids, WebProxy, TrafficMonitor];
     let mut s = w.seed;
+    let mut boxes = Vec::new();
     for (fi, &f) in fns.iter().enumerate() {
         for _ in 0..w.mbox_counts[fi] {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             let core = plan.cores()[(s >> 33) as usize % plan.cores().len()];
-            dep.add(MiddleboxSpec::new(f, core, 1.0));
+            boxes.push(MiddleboxSpec::new(f, core, 1.0));
         }
+    }
+    if reversed {
+        boxes.reverse();
+    }
+    let mut dep = Deployment::new();
+    for spec in boxes {
+        dep.add(spec);
     }
     Controller::new(plan, dep, world_policies(), KConfig::uniform(w.k))
 }
@@ -180,11 +193,12 @@ fn packets_conserved_and_functions_applied() {
 }
 
 /// The LP never does worse than hot-potato: λ* ≤ max hot-potato load,
-/// and the LP weights are non-negative and flow-conserving. Three laws of
+/// and the LP weights are non-negative and flow-conserving. Four laws of
 /// the formulation ride on the same draw: the full program (Eq. 1)
 /// reaches the same λ* as the reduced one (Eq. 2), re-measuring with
-/// every flow three times as long triples λ*, and widening the candidate
-/// sets from k to k + 1 never raises λ* (the k-closest sets nest).
+/// every flow three times as long triples λ*, widening the candidate
+/// sets from k to k + 1 never raises λ* (the k-closest sets nest), and
+/// renumbering the middleboxes leaves λ* where it was.
 #[test]
 fn lp_lambda_bounded_by_hot_potato() {
     check(
@@ -266,6 +280,23 @@ fn lp_lambda_bounded_by_hot_potato() {
                 w.k + 1,
                 nested.lambda,
                 report.lambda
+            );
+            // Relabeling: at k = 3 every replica is a candidate, so adding
+            // the boxes in reverse order renumbers them and reorders the
+            // LP's columns without changing its optimum.
+            let every = SmallWorld { k: 3, ..w.clone() };
+            let lambda_of = |c: &Controller| {
+                c.solve_load_balanced(&measurements, LbOptions::default())
+                    .map(|(_, r)| r.lambda)
+                    .expect("every function is deployed")
+            };
+            let forward = lambda_of(&build_controller(&every));
+            let backward = lambda_of(&controller_of(&every, true));
+            prop_assert!(
+                close(backward, forward),
+                "boxes added in reverse: lambda {} != {}",
+                backward,
+                forward
             );
             Ok(())
         },
