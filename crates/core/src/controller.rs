@@ -425,7 +425,6 @@ impl Controller {
         let mut sim = Simulator::new(&self.plan);
         sim.set_mtu(options.mtu);
         sim.set_telemetry(Arc::clone(&tel));
-        let measurements = Arc::new(Mutex::new(TrafficMatrix::new()));
 
         // Middleboxes first so their device ids (and addresses) are dense
         // from zero, matching `preassigned_device_addr`.
@@ -461,7 +460,6 @@ impl Controller {
                 LocalClassifier::new(self.proxy_policies(stub), options.classifier),
                 Arc::clone(&config),
                 Arc::clone(&state),
-                Arc::clone(&measurements),
             );
             let (dev, _) = sim.attach(
                 self.addr_plan.edge_router(stub),
@@ -483,7 +481,6 @@ impl Controller {
                 LocalClassifier::new(self.ingress_policies(), options.classifier),
                 Arc::clone(&config),
                 Arc::clone(&state),
-                Arc::clone(&measurements),
             );
             let (dev, _) = sim.attach(gw, Attachment::InPath, Box::new(device));
             sim.set_ingress_handler(gw, dev);
@@ -496,7 +493,6 @@ impl Controller {
             mbox_states,
             proxy_states,
             ingress_states,
-            measurements,
             config,
             tel,
             deployment_len: self.deployment.len(),
@@ -512,7 +508,6 @@ pub struct Enforcement {
     mbox_states: Vec<Shared<MboxState>>,
     proxy_states: Vec<Shared<ProxyState>>,
     ingress_states: Vec<Shared<ProxyState>>,
-    measurements: Arc<Mutex<TrafficMatrix>>,
     config: Arc<RuntimeConfig>,
     tel: Arc<sdm_telemetry::ShardTelemetry>,
     deployment_len: usize,
@@ -701,14 +696,30 @@ impl Enforcement {
 
     /// Snapshot of the traffic measurements the proxies collected.
     pub fn measurements(&self) -> TrafficMatrix {
-        self.measurements.lock().clone()
+        self.fold_measurements(false)
     }
 
-    /// Drains the accumulated traffic measurements, leaving an empty
-    /// matrix behind. The epoch control loop calls this at each epoch
+    /// Drains the accumulated traffic measurements, leaving every proxy's
+    /// tally empty. The epoch control loop calls this at each epoch
     /// boundary so every re-solve sees exactly one epoch's traffic.
     pub fn take_measurements(&self) -> TrafficMatrix {
-        std::mem::take(&mut *self.measurements.lock())
+        self.fold_measurements(true)
+    }
+
+    /// Every proxy's tally as one matrix, folded in stub order; `drain`
+    /// empties the tallies.
+    fn fold_measurements(&self, drain: bool) -> TrafficMatrix {
+        let mut tm = TrafficMatrix::new();
+        for (stub, state) in self.proxy_states.iter().enumerate() {
+            let mut state = state.lock();
+            for (&(dest, policy), &volume) in &state.measured {
+                tm.record(StubId(stub as u32), dest, policy, volume as f64);
+            }
+            if drain {
+                state.measured.clear();
+            }
+        }
+        tm
     }
 
     /// Swaps a new weight table into the shared runtime config (§III.C

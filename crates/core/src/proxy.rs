@@ -12,12 +12,10 @@
 
 use std::sync::Arc;
 
-use sdm_util::sync::Mutex;
-
 use sdm_netsim::{Device, DeviceCtx, Packet, PacketId, PacketKind, Prefix};
 use sdm_policy::{FlowEntry, FlowKey, LocalClassifier, PolicyId};
 
-use crate::measure::{DestKey, TrafficMatrix};
+use crate::measure::DestKey;
 use crate::runtime::{ProxyState, RuntimeConfig, Shared};
 use crate::steer::SteerPoint;
 
@@ -33,10 +31,9 @@ struct FlowRun {
 }
 
 /// The `T_{s,d,p}` volume of the current same-(destination, policy)
-/// stretch of a run, recorded into the shared matrix once per stretch and
-/// at the end of the run rather than under its lock once per packet.
-/// Weights are integers and every volume stays below 2^53, so the summed
-/// `f64` cells are exactly those per-packet recording produced.
+/// stretch of a run, added to the proxy's [`ProxyState::measured`] tally
+/// once per stretch and at the end of the run rather than once per
+/// packet.
 type Tally = Option<(DestKey, PolicyId, u64)>;
 
 /// The policy-proxy device for one stub network or one gateway.
@@ -48,7 +45,6 @@ pub struct ProxyDevice {
     policies: LocalClassifier,
     config: Arc<RuntimeConfig>,
     state: Shared<ProxyState>,
-    measurements: Arc<Mutex<TrafficMatrix>>,
 }
 
 impl ProxyDevice {
@@ -60,7 +56,6 @@ impl ProxyDevice {
         policies: LocalClassifier,
         config: Arc<RuntimeConfig>,
         state: Shared<ProxyState>,
-        measurements: Arc<Mutex<TrafficMatrix>>,
     ) -> Self {
         let subnet = match point {
             SteerPoint::Proxy(stub) => Some(config.addr_plan.subnet(stub)),
@@ -72,7 +67,6 @@ impl ProxyDevice {
             policies,
             config,
             state,
-            measurements,
         }
     }
 
@@ -113,23 +107,27 @@ impl ProxyDevice {
 
     /// Adds one steered packet to the run's measurement stretch, first
     /// recording the previous stretch if the key changed.
-    fn measure(&self, tally: &mut Tally, dest: DestKey, policy: PolicyId, weight: u64) {
+    fn measure(
+        state: &mut ProxyState,
+        tally: &mut Tally,
+        dest: DestKey,
+        policy: PolicyId,
+        weight: u64,
+    ) {
         match tally {
             Some((d, p, volume)) if *d == dest && *p == policy => *volume += weight,
             _ => {
-                self.record(tally.take());
+                Self::record(state, tally.take());
                 *tally = Some((dest, policy, weight));
             }
         }
     }
 
-    /// Records a finished measurement stretch (§III.C); gateways measure
-    /// nothing.
-    fn record(&self, tally: Tally) {
-        if let (SteerPoint::Proxy(stub), Some((dest, policy, volume))) = (self.point, tally) {
-            self.measurements
-                .lock()
-                .record(stub, dest, policy, volume as f64);
+    /// Records a finished measurement stretch in the proxy's tally
+    /// (§III.C).
+    fn record(state: &mut ProxyState, tally: Tally) {
+        if let Some((dest, policy, volume)) = tally {
+            *state.measured.entry((dest, policy)).or_insert(0) += volume;
         }
     }
 
@@ -328,13 +326,15 @@ impl Device for ProxyDevice {
                     run.insert(FlowRun { key, entry })
                 }
             };
-            // Measure T_{s,d,p} for the controller (§III.C).
+            // Measure T_{s,d,p} for the controller (§III.C); gateways
+            // measure nothing.
             if let (SteerPoint::Proxy(_), Some((policy, _))) = (self.point, run.entry.action) {
-                self.measure(&mut tally, self.dest_key(ctx.pkt(pkt)), policy, weight);
+                let dest = self.dest_key(ctx.pkt(pkt));
+                Self::measure(&mut state, &mut tally, dest, policy, weight);
             }
             self.steer_outbound(ctx, &mut state, pkt, weight, run);
         }
-        self.record(tally);
+        Self::record(&mut state, tally);
     }
 }
 
@@ -350,6 +350,7 @@ mod tests {
     use sdm_netsim::{AddressPlan, StubId};
     use sdm_policy::NetworkFunction::*;
     use sdm_topology::campus::campus;
+    use sdm_util::sync::Mutex;
 
     #[test]
     fn dest_key_resolves_stub_and_external() {
@@ -374,7 +375,6 @@ mod tests {
             LocalClassifier::new(Default::default(), Default::default()),
             config,
             Arc::new(Mutex::new(ProxyState::new(1000, sdm_policy::DEFAULT_NEG_SETS))),
-            Arc::new(Mutex::new(TrafficMatrix::new())),
         );
         let internal = Packet::data(
             sdm_netsim::FiveTuple {

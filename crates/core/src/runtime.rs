@@ -5,6 +5,7 @@
 use std::sync::Arc;
 
 use sdm_util::sync::Mutex;
+use sdm_util::FxHashMap;
 
 use sdm_netsim::{AddressPlan, Ipv4Addr};
 use sdm_policy::{FlowTable, LabelAllocator, LabelTable};
@@ -225,6 +226,11 @@ pub struct ProxyState {
     pub labels: LabelAllocator,
     /// Enforcement counters.
     pub counters: ProxyCounters,
+    /// Measured `T_{s,d,p}` volumes of this proxy's stub `s`, by
+    /// destination and policy, since the controller last drained them
+    /// (§III.C). Integer packets: the controller converts each cell to
+    /// `f64` once, which is exact below 2^53.
+    pub measured: FxHashMap<(DestKey, PolicyId), u64>,
 }
 
 impl ProxyState {
@@ -236,6 +242,7 @@ impl ProxyState {
             flows: FlowTable::with_negative_sets(flow_ttl, neg_sets),
             labels: LabelAllocator::new(),
             counters: ProxyCounters::default(),
+            measured: FxHashMap::default(),
         }
     }
 }

@@ -11,7 +11,8 @@
 //! * [`Topology`] — an undirected weighted graph with typed nodes
 //!   ([`NodeKind`]) built through a validating builder API.
 //! * [`RoutingTables`] — shortest-path distances and deterministic next
-//!   hops, one Dijkstra per destination computed on first use: exactly the
+//!   hops, one Dijkstra per transit destination computed on first use
+//!   (single-homed routers route through their router's row): exactly the
 //!   information an OSPF router derives from link-state flooding.
 //! * Topology generators reproducing the paper's two evaluation networks:
 //!   [`campus::campus`] (2 gateways, 16 core routers, 10 edge routers) and

@@ -1,5 +1,7 @@
-//! OSPF-style shortest-path routing: one destination-rooted Dijkstra per
-//! destination, run the first time anything routes towards it.
+//! OSPF-style shortest-path routing on the transit core: one
+//! destination-rooted Dijkstra per transit destination, run the first time
+//! anything routes towards it. Single-homed routers (leaves) get no row and
+//! no entry; they route through their attachment router's row.
 //!
 //! Routers in the paper's model forward packets along OSPF shortest paths and
 //! are oblivious to policies. All steering decisions made by proxies and
@@ -38,17 +40,37 @@ impl Path {
 /// flooded link-state database — the one routing oracle the controller,
 /// the simulator and the verifiers share.
 ///
-/// The table holds one *row* per destination: for every node `v`, the
-/// neighbor `v` forwards to, the link that hop takes, and `v`'s distance.
-/// A row is filled by one Dijkstra rooted at its destination the first
-/// time anything routes towards it, so memory follows the destinations
-/// actually queried (stub, gateway and middlebox routers), not `n²`. Rows
-/// are `OnceLock`s: the table is `Sync` and fills without a lock.
+/// **Leaves and the transit core.** A *leaf* is a node with exactly one
+/// surviving link, to a router `r` that itself has at least two; every
+/// other node is *transit*. Leaves are found on the adjacency left after
+/// the excluded links, so a failed link can make a leaf (its router lost
+/// every other link) or isolate one (its access link failed; it is then a
+/// transit node with no neighbor). A shortest path between two transit
+/// nodes never enters a leaf, and every `v ∉ {d, r}` reaches a leaf `d`
+/// of `r` at `dist(v, r) + c(r, d)` through its hop towards `r` (OSPF's
+/// stub-area argument, RFC 2328 §3.6). So:
+///
+/// * a leaf forwards everything on its access link;
+/// * `r` reaches its leaf `d` directly;
+/// * every other node reaches `d` by `r`'s row, plus `c(r, d)`.
+///
+/// A lookup takes at most one of these branches on each end; none
+/// recurses.
+///
+/// **Rows.** The table holds one *row* per transit destination, with one
+/// entry per transit source (a dense transit index): the node the source
+/// forwards to, the link it takes and the source's distance. A row is filled by one Dijkstra over the
+/// transit subgraph, rooted at its destination, the first time anything
+/// routes towards it or one of its leaves. Memory therefore follows the
+/// transit routers actually queried, not `n²`: Waxman-425 has 25 transit
+/// nodes. Rows are `OnceLock`s: the table is `Sync` and fills without a
+/// lock. [`RoutingTables::rows_built`] counts the transit rows filled.
 ///
 /// **Tie-break.** Among equal-cost paths, `v` forwards towards `dst` to
 /// the smallest-id neighbor `u` with `d(u, dst) + c(u, v) = d(v, dst)`.
 /// This mirrors a fixed ECMP-free OSPF configuration and makes
-/// simulations reproducible.
+/// simulations reproducible. The leaf rules keep it: towards a leaf `d`
+/// of `r`, `v`'s qualifying neighbors are exactly those towards `r`.
 ///
 /// Node ids outside the topology are unreachable: every query about them
 /// answers `None`.
@@ -68,39 +90,53 @@ impl Path {
 /// let p = rt.path(a, c).unwrap();
 /// assert_eq!(p.nodes(), &[a, b, c]);
 /// assert_eq!(p.cost(), 2);
-/// assert_eq!(rt.rows_built(), 1);
+/// // a and c are leaves of b, which reaches both directly: no row.
+/// assert_eq!(rt.rows_built(), 0);
 /// ```
 #[derive(Clone)]
 pub struct RoutingTables {
-    /// Neighbors of `v` over the surviving links are
-    /// `adj[start[v]..start[v + 1]]`, in the topology's adjacency order.
+    /// Where each node sits, by node id.
+    place: Vec<Place>,
+    /// Transit neighbors of transit index `t` over the surviving links
+    /// are `adj[start[t]..start[t + 1]]`: (transit index, link, cost), in
+    /// the topology's adjacency order.
     start: Vec<u32>,
-    adj: Vec<(NodeId, LinkId, u32)>,
-    /// `a ^ b` for every link `a — b`, by link id: a hop's link names its
-    /// next node (`v ^ ends[l]` from `v`), so a row entry needs no node
-    /// field. An xor rather than the endpoint pair keeps the per-hop
-    /// lookup free of a data-dependent branch (≈3 ns per hop on campus).
-    ends: Vec<u32>,
-    /// rows[dst]: entry `v` says how `v` reaches `dst`.
-    rows: Vec<OnceLock<Box<[Hop]>>>,
+    adj: Vec<(u32, u32, u32)>,
+    /// Node id of each transit index, ascending.
+    transit: Vec<u32>,
+    /// rows[t]: how every transit index reaches transit index `t`.
+    rows: Vec<OnceLock<Row>>,
 }
 
-/// How one node reaches a row's destination (8 bytes: rows are the
-/// table's memory).
+/// A node's place in the table: for a transit node, its own transit index
+/// and no access link ([`UNREACHABLE`]); for a leaf, its router's transit
+/// index and node id, its access link and that link's cost.
 #[derive(Clone, Copy)]
-struct Hop {
-    /// The link `v` forwards on; [`UNREACHABLE`] when none (unreachable,
-    /// or the destination itself).
-    link: u32,
-    /// Distance to the destination; [`UNREACHABLE`] when unreachable.
-    dist: u32,
+struct Place {
+    row: u32,
+    access: u32,
+    cost: u32,
+    router: u32,
+}
+
+/// One transit destination's row, by transit source index.
+#[derive(Clone)]
+struct Row {
+    /// The node the source forwards to and the link it takes, both
+    /// [`UNREACHABLE`] when none (unreachable, or the destination
+    /// itself). Naming the next node saves a hop-by-hop walk a second,
+    /// dependent load to turn the link into a node.
+    hops: Box<[(u32, u32)]>,
+    /// The source's distance; [`UNREACHABLE`] when unreachable.
+    dist: Box<[u32]>,
 }
 
 const UNREACHABLE: u32 = u32::MAX;
 
 impl RoutingTables {
     /// An empty table over `topo` as if the `excluded` links did not
-    /// exist: the adjacency is snapshotted once, without them.
+    /// exist: leaves are classified and the transit adjacency is
+    /// snapshotted once, without them.
     fn new(topo: &Topology, excluded: &[LinkId]) -> Self {
         let mut failed = vec![false; topo.link_count()];
         for l in excluded {
@@ -108,104 +144,159 @@ impl RoutingTables {
                 *f = true;
             }
         }
-        let n = topo.node_count();
-        let mut start = Vec::with_capacity(n + 1);
-        let mut adj = Vec::with_capacity(2 * topo.link_count());
-        start.push(0);
-        for v in topo.nodes() {
-            adj.extend(topo.adjacency(v).iter().filter(|(_, l, _)| !failed[l.index()]));
-            start.push(adj.len() as u32);
-        }
-        RoutingTables {
-            start,
-            adj,
-            ends: (0..topo.link_count())
-                .map(|l| {
-                    let (a, b, _) = topo.link(LinkId::from_index(l));
-                    a.0 ^ b.0
-                })
-                .collect(),
-            rows: (0..n).map(|_| OnceLock::new()).collect(),
-        }
-    }
-
-    fn neighbors(&self, v: usize) -> &[(NodeId, LinkId, u32)] {
-        &self.adj[self.start[v] as usize..self.start[v + 1] as usize]
-    }
-
-    /// The node `v` reaches over `link`; `None` for [`UNREACHABLE`].
-    fn far_end(&self, link: u32, v: NodeId) -> Option<NodeId> {
-        Some(NodeId(v.0 ^ self.ends.get(link as usize)?))
-    }
-
-    /// The row of `dst`, computed on first use; `None` for an id outside
-    /// the topology.
-    fn row(&self, dst: NodeId) -> Option<&[Hop]> {
-        let cell = self.rows.get(dst.index())?;
-        Some(cell.get_or_init(|| self.compute_row(dst.0)))
-    }
-
-    /// How `src` reaches `dst`, or `None` if either id is out of range.
-    fn hop(&self, src: NodeId, dst: NodeId) -> Option<Hop> {
-        self.row(dst)?.get(src.index()).copied()
-    }
-
-    /// Dijkstra rooted at `dst`. On an undirected graph the shortest
-    /// `v → dst` path reverses the tree path, so `v`'s forwarding hop is
-    /// its tree parent. Costs are positive, so every equal-cost parent of
-    /// `v` settles before `v` and relaxes it: keeping the smallest id on a
-    /// tie implements the tie-break.
-    fn compute_row(&self, dst: u32) -> Box<[Hop]> {
-        let none = Hop {
-            link: UNREACHABLE,
-            dist: UNREACHABLE,
+        let surviving = |v: NodeId| {
+            topo.adjacency(v)
+                .iter()
+                .filter(|(_, l, _)| !failed[l.index()])
         };
-        let mut row = vec![none; self.rows.len()];
-        row[dst as usize].dist = 0;
-        let mut heap = BinaryHeap::new();
-        heap.push(Reverse((0u32, dst)));
-        while let Some(Reverse((d, u))) = heap.pop() {
-            if d > row[u as usize].dist {
-                continue;
-            }
-            for &(v, link, c) in self.neighbors(u as usize) {
-                let nd = d.saturating_add(c);
-                let hop = row[v.index()];
-                if nd < hop.dist {
-                    heap.push(Reverse((nd, v.0)));
-                } else if nd > hop.dist || self.far_end(hop.link, v) <= Some(NodeId(u)) {
-                    continue; // longer, or tied with a parent of smaller id
+        let degree: Vec<usize> = topo.nodes().map(|v| surviving(v).count()).collect();
+        // A leaf's one surviving link, to a router with at least two.
+        let attach: Vec<Option<(NodeId, LinkId, u32)>> = topo
+            .nodes()
+            .map(|v| match surviving(v).next() {
+                Some(&(r, l, c)) if degree[v.index()] == 1 && degree[r.index()] >= 2 => {
+                    Some((r, l, c))
                 }
-                row[v.index()] = Hop {
-                    link: link.0,
-                    dist: nd,
+                _ => None,
+            })
+            .collect();
+        let mut place = Vec::with_capacity(topo.node_count());
+        let mut transit = Vec::new();
+        for (v, a) in attach.iter().enumerate() {
+            place.push(Place {
+                row: transit.len() as u32,
+                access: UNREACHABLE,
+                cost: 0,
+                router: UNREACHABLE,
+            });
+            if a.is_none() {
+                transit.push(v as u32);
+            }
+        }
+        // A leaf's router is transit, so its place is final by now.
+        for (v, a) in attach.iter().enumerate() {
+            if let Some((r, l, c)) = *a {
+                place[v] = Place {
+                    row: place[r.index()].row,
+                    access: l.0,
+                    cost: c,
+                    router: r.0,
                 };
             }
         }
-        row.into_boxed_slice()
+        let mut start = Vec::with_capacity(transit.len() + 1);
+        let mut adj = Vec::new();
+        start.push(0);
+        for &v in &transit {
+            for &(u, l, c) in surviving(NodeId(v)) {
+                if place[u.index()].access == UNREACHABLE {
+                    adj.push((place[u.index()].row, l.0, c));
+                }
+            }
+            start.push(adj.len() as u32);
+        }
+        RoutingTables {
+            place,
+            start,
+            adj,
+            rows: (0..transit.len()).map(|_| OnceLock::new()).collect(),
+            transit,
+        }
+    }
+
+    /// The row of transit index `t`, computed on first use; `None` when
+    /// out of range.
+    fn row(&self, t: u32) -> Option<&Row> {
+        let cell = self.rows.get(t as usize)?;
+        Some(cell.get_or_init(|| self.compute_row(t)))
+    }
+
+    /// Dijkstra over the transit subgraph, rooted at transit index `dst`.
+    /// On an undirected graph the shortest `v → dst` path reverses the
+    /// tree path, so `v`'s forwarding hop is its tree parent. Costs are
+    /// positive, so every equal-cost parent of `v` settles before `v` and
+    /// relaxes it: keeping the smallest id on a tie implements the
+    /// tie-break.
+    fn compute_row(&self, dst: u32) -> Row {
+        let n = self.rows.len();
+        let mut hops = vec![(UNREACHABLE, UNREACHABLE); n].into_boxed_slice();
+        let mut dist = vec![UNREACHABLE; n].into_boxed_slice();
+        dist[dst as usize] = 0;
+        let mut heap = BinaryHeap::new();
+        heap.push(Reverse((0u32, dst)));
+        while let Some(Reverse((d, u))) = heap.pop() {
+            if d > dist[u as usize] {
+                continue;
+            }
+            let (at, to) = (self.start[u as usize], self.start[u as usize + 1]);
+            let next = self.transit[u as usize];
+            for &(v, link, c) in &self.adj[at as usize..to as usize] {
+                let (v, nd) = (v as usize, d.saturating_add(c));
+                if nd < dist[v] {
+                    heap.push(Reverse((nd, v as u32)));
+                } else if nd > dist[v] || hops[v].0 <= next {
+                    continue; // longer, or tied with a parent of smaller id
+                }
+                hops[v] = (next, link);
+                dist[v] = nd;
+            }
+        }
+        Row { hops, dist }
     }
 
     /// Shortest-path cost from `src` to `dst`, or `None` if unreachable.
     pub fn dist(&self, src: NodeId, dst: NodeId) -> Option<u32> {
-        if src == dst && src.index() < self.rows.len() {
+        let s = *self.place.get(src.index())?;
+        let d = *self.place.get(dst.index())?;
+        if src == dst {
             return Some(0);
         }
-        match self.hop(src, dst)?.dist {
+        // Between the two ends' rows; a leaf adds its access link.
+        let between = if s.row == d.row {
+            0
+        } else {
+            match *self.row(d.row)?.dist.get(s.row as usize)? {
+                UNREACHABLE => return None,
+                x => x,
+            }
+        };
+        match between.saturating_add(s.cost).saturating_add(d.cost) {
             UNREACHABLE => None,
-            d => Some(d),
+            x => Some(x),
         }
     }
 
     /// The neighbor `src` forwards to when routing towards `dst`, or `None`
     /// if `dst` is unreachable or equals `src`.
+    // Inlined into other crates: the simulator and the reach checker
+    // call this (or `next_hop_link`) once per hop.
+    #[inline]
     pub fn next_hop(&self, src: NodeId, dst: NodeId) -> Option<NodeId> {
         self.next_hop_link(src, dst).map(|(v, _)| v)
     }
 
     /// [`RoutingTables::next_hop`] together with the link the hop takes.
+    /// Flat: at most one leaf rule applies, and none recurses.
+    #[inline]
     pub fn next_hop_link(&self, src: NodeId, dst: NodeId) -> Option<(NodeId, LinkId)> {
-        let link = self.hop(src, dst)?.link;
-        Some((self.far_end(link, src)?, LinkId(link)))
+        let s = *self.place.get(src.index())?;
+        let d = *self.place.get(dst.index())?;
+        let (next, link) = if s.access != UNREACHABLE {
+            // A leaf forwards everything its router reaches on its access
+            // link.
+            let reached = s.row == d.row
+                || self.row(d.row)?.hops.get(s.row as usize)?.1 != UNREACHABLE;
+            if src == dst || !reached {
+                return None;
+            }
+            (s.router, s.access)
+        } else if s.row == d.row {
+            // `dst` is `src` itself (no access link) or one of its leaves.
+            (dst.0, d.access)
+        } else {
+            *self.row(d.row)?.hops.get(s.row as usize)?
+        };
+        (link != UNREACHABLE).then_some((NodeId(next), LinkId(link)))
     }
 
     /// Reconstructs the full shortest path from `src` to `dst` by chaining
@@ -223,10 +314,11 @@ impl RoutingTables {
 
     /// Number of nodes these tables cover.
     pub fn node_count(&self) -> usize {
-        self.rows.len()
+        self.place.len()
     }
 
-    /// How many destination rows have been computed so far.
+    /// How many transit destination rows have been computed so far; at
+    /// most the number of transit nodes.
     pub fn rows_built(&self) -> usize {
         self.rows.iter().filter(|r| r.get().is_some()).count()
     }
@@ -394,6 +486,84 @@ mod tests {
         let rt = t.routing_tables_excluding(&[ab]);
         assert_eq!(rt.dist(a, b), None);
         assert!(rt.path(a, b).is_none());
+    }
+
+    /// How every node reaches `dst`, by the per-destination Dijkstra over
+    /// the whole graph that the transit rows replaced: the reference the
+    /// leaf rules must reproduce, tie-break included.
+    fn reference_row(t: &Topology, dst: NodeId) -> Vec<(Option<NodeId>, Option<u32>)> {
+        let mut best: Vec<(Option<NodeId>, u32)> = vec![(None, u32::MAX); t.node_count()];
+        best[dst.index()].1 = 0;
+        let mut heap = BinaryHeap::new();
+        heap.push(Reverse((0u32, dst)));
+        while let Some(Reverse((d, u))) = heap.pop() {
+            if d > best[u.index()].1 {
+                continue;
+            }
+            for (v, c) in t.neighbors(u) {
+                let nd = d + c;
+                let (parent, dv) = best[v.index()];
+                if nd < dv {
+                    heap.push(Reverse((nd, v)));
+                    best[v.index()] = (Some(u), nd);
+                } else if nd == dv && Some(u) < parent {
+                    best[v.index()].0 = Some(u);
+                }
+            }
+        }
+        best.into_iter()
+            .map(|(p, d)| (p, (d != u32::MAX).then_some(d)))
+            .collect()
+    }
+
+    /// Nodes that are not leaves on the intact graph (see
+    /// [`RoutingTables`]): the most rows the table may ever build.
+    fn non_leaves(t: &Topology) -> usize {
+        let degree = |v: NodeId| t.neighbors(v).count();
+        t.nodes()
+            .filter(|&v| {
+                let mut nbrs = t.neighbors(v);
+                !matches!((nbrs.next(), nbrs.next()), (Some((r, _)), None) if degree(r) >= 2)
+            })
+            .count()
+    }
+
+    /// Every pair on Waxman-425 answers as the whole-graph reference does,
+    /// while only the 25 transit routers ever get a row.
+    #[test]
+    fn waxman_rows_cover_only_the_transit_core() {
+        let plan = crate::waxman::waxman(3);
+        let t = plan.topology();
+        assert_eq!(non_leaves(t), 25);
+        let rt = t.routing_tables();
+        for dst in t.nodes() {
+            let want = reference_row(t, dst);
+            for src in t.nodes() {
+                assert_eq!(rt.next_hop(src, dst), want[src.index()].0, "{src} -> {dst}");
+                assert_eq!(rt.dist(src, dst), want[src.index()].1, "{src} -> {dst}");
+            }
+        }
+        assert!(rt.rows_built() <= 25, "{} rows", rt.rows_built());
+    }
+
+    /// The same bound on the 21k-node fabric, for a sample of
+    /// destinations against every source.
+    #[test]
+    fn fabric_rows_cover_only_the_transit_core() {
+        let plan = crate::hierarchical::hierarchical(&crate::hierarchical::HierarchicalConfig::large(), 1);
+        let t = plan.topology();
+        let transit = non_leaves(t);
+        assert!(transit * 20 < t.node_count(), "{transit} of {}", t.node_count());
+        let rt = t.routing_tables();
+        let step = t.node_count() / 40;
+        for dst in t.nodes().step_by(step).chain(plan.cores().iter().copied().take(4)) {
+            let want = reference_row(t, dst);
+            for src in t.nodes() {
+                assert_eq!(rt.next_hop(src, dst), want[src.index()].0, "{src} -> {dst}");
+                assert_eq!(rt.dist(src, dst), want[src.index()].1, "{src} -> {dst}");
+            }
+        }
+        assert!(rt.rows_built() <= transit, "{} rows of {transit}", rt.rows_built());
     }
 
     /// Cross-check Dijkstra against Floyd–Warshall on a fixed mesh.

@@ -158,14 +158,40 @@ fn next_hop_decreases_distance() {
     );
 }
 
-/// The one tie-break rule and the failure path, against brute force. A
-/// random sequence of `fail_link` / `restore_link` on a `Simulator` leaves
-/// a failure set `F`; then, for every destination row of
+/// Hangs single-homed leaves off `t`: some on random nodes (leaves
+/// included, which turns a leaf back into a transit router), and one
+/// isolated leaf pair, whose two ends are each other's only neighbor.
+/// Returns each added leaf with its access link.
+fn add_leaves(t: &mut Topology, seed: u64) -> Vec<(NodeId, LinkId)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut access = Vec::new();
+    for i in 0..rng.gen_range(0usize..8) {
+        let r = NodeId::from_index(rng.gen_range(0..t.node_count()));
+        let leaf = t.add_node(NodeKind::CoreRouter, format!("leaf{i}"));
+        let l = t.add_link(leaf, r, 1 + rng.gen_range(0u32..10)).unwrap();
+        access.push((leaf, l));
+    }
+    if rng.gen_range(0u32..2) == 0 {
+        let a = t.add_node(NodeKind::CoreRouter, "pair-a");
+        let b = t.add_node(NodeKind::CoreRouter, "pair-b");
+        let l = t.add_link(a, b, 1 + rng.gen_range(0u32..10)).unwrap();
+        access.extend([(a, l), (b, l)]);
+    }
+    access
+}
+
+/// The one tie-break rule, the leaf rules and the failure path, against
+/// brute force. A random graph gets random single-homed leaves and a leaf
+/// pair ([`add_leaves`]); a random sequence of `fail_link` /
+/// `restore_link` on a `Simulator`, then a random share of the access
+/// links failing, leaves a failure set `F`. Then, for every destination of
 /// `routing_tables_excluding(F)`:
 ///
 /// * distances equal Floyd–Warshall over the surviving links;
 /// * `v`'s next hop is the smallest-id neighbor `u` with
 ///   `d(u) + c(u, v) = d(v)`, over a surviving link that joins `v` and `u`;
+/// * a leaf whose access link failed is unreachable;
+/// * the rows built stay within the surviving non-leaf nodes;
 ///
 /// and the simulator routes exactly like that fresh table.
 #[test]
@@ -173,9 +199,17 @@ fn rows_match_brute_force_under_link_failures() {
     check(
         "rows_match_brute_force_under_link_failures",
         &Config::with_cases(128),
-        |rng: &mut StdRng| (rng.gen_range(2usize..24), rng.next_u64(), rng.next_u64()),
-        |&(n, seed, fail_seed)| {
-            let t = connected_graph(n, seed);
+        |rng: &mut StdRng| {
+            (
+                rng.gen_range(2usize..24),
+                rng.next_u64(),
+                rng.next_u64(),
+                rng.next_u64(),
+            )
+        },
+        |&(n, seed, fail_seed, leaf_seed)| {
+            let mut t = connected_graph(n, seed);
+            let access = add_leaves(&mut t, leaf_seed);
             let nodes: Vec<NodeId> = t.nodes().collect();
             let plan = NetworkPlan::new(t.clone(), vec![], nodes.clone(), vec![]);
             let mut sim = Simulator::new(&plan);
@@ -190,6 +224,12 @@ fn rows_match_brute_force_under_link_failures() {
                     sim.restore_link(LinkId::from_index(l));
                 }
             }
+            for &(_, l) in &access {
+                if rng.gen_range(0u32..4) == 0 && !failed[l.index()] {
+                    failed[l.index()] = true;
+                    sim.fail_link(l);
+                }
+            }
             let excluded: Vec<LinkId> = (0..t.link_count())
                 .filter(|&l| failed[l])
                 .map(LinkId::from_index)
@@ -200,6 +240,7 @@ fn rows_match_brute_force_under_link_failures() {
             let n = nodes.len();
             let mut d = vec![INF; n * n];
             let mut cost = vec![None; n * n];
+            let mut degree = vec![0usize; n];
             for i in 0..n {
                 d[i * n + i] = 0;
             }
@@ -210,6 +251,8 @@ fn rows_match_brute_force_under_link_failures() {
                 d[b * n + a] = c as u64;
                 cost[a * n + b] = Some((c as u64, l));
                 cost[b * n + a] = Some((c as u64, l));
+                degree[a] += 1;
+                degree[b] += 1;
             }
             for k in 0..n {
                 for i in 0..n {
@@ -233,6 +276,21 @@ fn rows_match_brute_force_under_link_failures() {
                     prop_assert_eq!(sim.routes().dist(vn, dn), want);
                 }
             }
+            for &(leaf, l) in &access {
+                if failed[l.index()] && t.neighbors(leaf).count() == 1 {
+                    for &v in nodes.iter().filter(|&&v| v != leaf) {
+                        prop_assert_eq!(rt.dist(v, leaf), None, "cut-off leaf {leaf}");
+                        prop_assert_eq!(rt.next_hop(leaf, v), None, "cut-off leaf {leaf}");
+                    }
+                }
+            }
+            let leaves = (0..n)
+                .filter(|&v| {
+                    degree[v] == 1
+                        && (0..n).any(|u| cost[u * n + v].is_some() && degree[u] >= 2)
+                })
+                .count();
+            prop_assert!(rt.rows_built() <= n - leaves, "{} rows", rt.rows_built());
             Ok(())
         },
     );

@@ -55,7 +55,7 @@ const FULL_PORT_RANGE: (u16, u16) = (0, u16::MAX);
 
 /// A checker-consumable view of routing: the per-hop forwarding function
 /// every router applies. [`sdm_topology::RoutingTables`] — the one
-/// routing oracle, filled per destination on demand — implements it, so
+/// routing oracle, filled per transit destination on demand — implements it, so
 /// the checker reads exactly the simulator's forwarding on the campus
 /// topology and stays memory-proportional on the ~21k-node hierarchical
 /// one; tests implement it to inject broken routing.
@@ -1698,13 +1698,11 @@ whose chain does not include {via}",
 }
 
 fn check_loop_free(cx: &Checker<'_>, ttl: u32, assertion: &Assertion) -> Pass<ReachFinding> {
-    // Loop freedom quantifies over *all* enforced traffic: check every
-    // policy rule's class from every ingress it can enter at, plus the
-    // default-permit class between every stub pair is covered by the
-    // rules' complement implicitly (default permit follows plain
-    // shortest paths, which are loop-free iff the routed walks are — and
-    // those are exercised by the per-rule traces below plus V005's
-    // tunnel-edge walks).
+    // Loop freedom quantifies over *all* traffic: every flow class from
+    // every ingress, traced and counted like any other. The ANY → ANY
+    // peel yields each policy rule's classes and the default-permit
+    // remainder (`rule` = `None`), which is traced over its plain
+    // shortest paths; both can end `Looped` or exceed the ttl.
     cx.for_each_class(Prefix::ANY, Prefix::ANY, |cx, w, ingress, class, _, trace, end| {
         let detail = match end {
             End::Delivered if trace.router_hops as u32 > ttl => format!(
