@@ -39,6 +39,12 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 phase "cargo test -q --offline --workspace (unit, integration and doc tests)"
 cargo test -q --offline --workspace
 
+# The reach checker's leg memo is exact only because next hops are
+# deterministic; the routing and reach properties pin both, here at
+# 1,000 drawn cases each instead of the default.
+phase "SDM_PROP_CASES=1000: routing and reach property tests"
+SDM_PROP_CASES=1000 cargo test -q --offline -p sdm-verify -p sdm-topology
+
 phase "cargo doc --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 

@@ -97,8 +97,10 @@ fn fabric_witnesses_replay_at_all_corners() {
 fn campus_check_work_counters_are_pinned() {
     // Where a from-scratch check of the committed campus assertions
     // spends its work: 1,302 classes traced (some peeled pieces are
-    // unroutable enterprise space and yield none), and text rendered
-    // for the path-carrying witnesses of findings only.
+    // unroutable enterprise space and yield none), 2,355 routed legs
+    // whose next hops are looked up only until a node with a known
+    // outcome, and text rendered for the path-carrying witnesses of
+    // findings only.
     let assertions = parse_assertions(CAMPUS_ASSERTS).expect("campus assertions parse");
     let wr = world_reach(&ExperimentConfig::campus(1));
     let report = check_assertions(&wr.view, wr.controller.routes(), &assertions);
@@ -111,6 +113,7 @@ fn campus_check_work_counters_are_pinned() {
             classes_traced: 1_302,
             witnesses_rendered: 8,
             route_legs_walked: 2_355,
+            route_hops_walked: 1_705,
         }
     );
     let with_path = report

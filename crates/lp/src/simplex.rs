@@ -270,10 +270,30 @@ impl Retained {
             .filter(|(_, (con, _))| con.rhs != 0.0)
             .map(|(k, (con, &f))| (k, con.rhs * f))
             .collect();
+        // Four rows at a time, with independent accumulators: one
+        // dependent add chain per row would leave the loop waiting on
+        // latency. Each row still sums its terms in order from the value
+        // `Iterator::sum` starts from, so b̄ is bit for bit a per-row sum.
+        let zero: f64 = std::iter::empty::<f64>().sum();
+        let quads = m / 4 * 4;
+        for r in (0..quads).step_by(4) {
+            let rows: [&[f64]; 4] =
+                std::array::from_fn(|l| &self.binv[(r + l) * m..(r + l + 1) * m]);
+            let mut acc = [zero; 4];
+            for &(k, v) in &scaled {
+                for (a, row) in acc.iter_mut().zip(rows) {
+                    *a += row[k] * v;
+                }
+            }
+            self.b[r..r + 4].copy_from_slice(&acc);
+        }
+        for r in quads..m {
+            let row = &self.binv[r * m..(r + 1) * m];
+            self.b[r] = scaled.iter().map(|&(k, v)| row[k] * v).sum();
+        }
         self.obj = 0.0;
         for r in 0..m {
-            let row = &self.binv[r * m..(r + 1) * m];
-            let mut b: f64 = scaled.iter().map(|&(k, v)| row[k] * v).sum();
+            let mut b = self.b[r];
             let bc = self.basis[r];
             // An artificial may only stay basic at (numerical) zero.
             // Negative values are fine here: the dual-simplex repair

@@ -26,21 +26,26 @@
 //! mid-scenario, so the static verdict is confirmed by the data plane.
 //!
 //! Everything here is deterministic by construction: ordered containers
-//! only (`BTreeSet`, sorted `Vec`s — the root `clippy.toml` bans
-//! `HashSet`), findings sorted and deduplicated exactly
-//! like the `V0xx` report. That holds on every core too: each
-//! assertion's ingress pieces are traced in contiguous chunks by
+//! wherever order reaches output (`BTreeSet`, sorted `Vec`s — the root
+//! `clippy.toml` bans `HashSet`; the per-chunk egress-split cache is an
+//! `FxHashMap` that is only looked up, never iterated), findings sorted
+//! and deduplicated exactly like the `V0xx` report. That holds on every
+//! core too: each assertion's ingress pieces are traced in fixed-size
+//! contiguous chunks, each with its own scratch and an empty leg memo, by
 //! `sdm_util::par` workers, whose outputs are merged in piece order and
-//! whose counters are summed, so the report does not depend on the
-//! worker count.
+//! whose counters are summed, so neither the report nor its work
+//! counters depend on the worker count.
 
+use std::cell::RefCell;
 use std::collections::BTreeSet;
+use std::convert::Infallible;
 use std::fmt;
 
 use sdm_netsim::{FiveTuple, Ipv4Addr, Prefix};
 use sdm_policy::{NetworkFunction, TrafficDescriptor};
 use sdm_util::json::Json;
 use sdm_util::par::{par_map_with, thread_count};
+use sdm_util::FxHashMap;
 
 use crate::index::{FirstByKey, StubIndex};
 use crate::plan::{CandidateSet, PlanView, Point, WeightColumn, WeightsView};
@@ -107,34 +112,47 @@ pub enum Walk {
 /// tiers can never disagree about what the routed path is.
 pub fn walk_route(routes: &dyn RouteView, from: u32, to: u32, budget: usize) -> Walk {
     let mut path = Vec::new();
-    match walk_into(routes, from, to, budget, &mut path) {
+    match walk_into(routes, from, to, budget, &mut path, |_| None::<Infallible>) {
         Leg::Arrived => Walk::Arrived(path),
         Leg::Looped => Walk::Looped(path),
         Leg::Unreachable => Walk::Unreachable,
+        Leg::Known(never) => match never {},
     }
 }
 
 /// How a walk written into a caller-owned buffer ended (see [`Walk`]).
-enum Leg {
+enum Leg<K> {
     Arrived,
     Looped,
     Unreachable,
+    /// At a node whose outcome `K` the caller already knew: the path's last.
+    Known(K),
+}
+
+impl<K> Leg<K> {
+    /// The next-hop lookups of the walk that wrote `path`: one per hop,
+    /// and at a dead end the one that found no next hop.
+    fn lookups(&self, path: &[u32]) -> usize {
+        path.len() - 1 + usize::from(matches!(self, Leg::Unreachable))
+    }
 }
 
 /// Walks shorter than this find a revisited node by scanning the path.
 const LINEAR_SCAN_NODES: usize = 32;
 
 /// [`walk_route`] into `path` (cleared first), so a caller tracing many
-/// legs reuses one buffer. Routed paths are a handful of hops: a revisit
-/// is found by a linear scan, and only a walk past
-/// [`LINEAR_SCAN_NODES`] builds an ordered set of the nodes seen so far.
-fn walk_into(
+/// legs reuses one buffer, stopping early at the first node after `from`
+/// (other than `to`) whose outcome `known` returns. Routed paths are a
+/// handful of hops: a revisit is found by a linear scan, and only a walk
+/// past [`LINEAR_SCAN_NODES`] builds an ordered set of the nodes seen.
+fn walk_into<K>(
     routes: &dyn RouteView,
     from: u32,
     to: u32,
     budget: usize,
     path: &mut Vec<u32>,
-) -> Leg {
+    mut known: impl FnMut(u32) -> Option<K>,
+) -> Leg<K> {
     path.clear();
     path.push(from);
     let mut seen: Option<BTreeSet<u32>> = None;
@@ -154,9 +172,155 @@ fn walk_into(
         if revisited || path.len() > budget {
             return Leg::Looped;
         }
+        if next != to {
+            if let Some(end) = known(next) {
+                return Leg::Known(end);
+            }
+        }
         at = next;
     }
     Leg::Arrived
+}
+
+/// What a trace needs of a routed leg: how it ends, not its nodes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Routed {
+    /// Arrived after this many router hops.
+    Arrived(usize),
+    /// A node was revisited first.
+    Looped,
+    /// Some hop had no route.
+    NoRoute,
+}
+
+impl Routed {
+    /// The outcome of a walk that takes `hops` more hops to get here.
+    fn after(self, hops: usize) -> Routed {
+        match self {
+            Routed::Arrived(h) => Routed::Arrived(h + hops),
+            other => other,
+        }
+    }
+}
+
+/// Leg outcomes per destination, for the nodes one chunk's walks passed
+/// through — the transit core of a routed topology, since a single-homed
+/// router is only ever a leg's endpoint. A row is kept per destination a
+/// leg was routed towards, one byte per such node: no n × n table.
+///
+/// Exact: a walk from `v` to `d` ends the same way whatever led to `v`
+/// (next hops are deterministic, and a budget of at least the node count
+/// never binds before a revisit), so every node a walk passed through
+/// shares its outcome, hop counts shortened by the hops before it. Nodes
+/// numbered past the plan's node count, and arrivals more hops away than
+/// a code holds, are simply walked.
+#[derive(Default)]
+struct LegMemo {
+    /// Each node's column in every row, or `NONE` while no walk passed it.
+    column: Vec<u32>,
+    /// Each destination's row, or `NONE` while no leg was routed to it.
+    row: Vec<u32>,
+    /// The node of each column, in column order.
+    passed: Vec<u32>,
+    /// The destination of each row, in row order.
+    dests: Vec<u32>,
+    /// One row of `width` codes per destination: 0 unknown, then a
+    /// [`Routed`] coded.
+    codes: Vec<u8>,
+    width: usize,
+}
+
+const NONE: u32 = u32::MAX;
+const LOOPED: u8 = 1;
+const NO_ROUTE: u8 = 2;
+const ARRIVED: u8 = 3;
+
+impl LegMemo {
+    fn new(nodes: usize) -> LegMemo {
+        LegMemo {
+            column: vec![NONE; nodes],
+            row: vec![NONE; nodes],
+            passed: Vec::new(),
+            dests: Vec::new(),
+            codes: Vec::new(),
+            width: 0,
+        }
+    }
+
+    /// Forgets every outcome, in time proportional to what was recorded
+    /// rather than to the node count.
+    fn clear(&mut self) {
+        for v in self.passed.drain(..) {
+            self.column[v as usize] = NONE;
+        }
+        for d in self.dests.drain(..) {
+            self.row[d as usize] = NONE;
+        }
+        self.codes.clear();
+    }
+
+    /// `to`'s row, made on first use; `None` past the node count.
+    fn row(&mut self, to: u32) -> Option<usize> {
+        let row = self.row.get_mut(to as usize)?;
+        if *row == NONE {
+            *row = self.dests.len() as u32;
+            self.dests.push(to);
+            self.codes.resize(self.dests.len() * self.width, 0);
+        }
+        Some(*row as usize)
+    }
+
+    /// The outcome recorded for `v` in `row`.
+    fn get(&self, row: usize, v: u32) -> Option<Routed> {
+        let column = *self.column.get(v as usize)?;
+        if column == NONE {
+            return None;
+        }
+        match self.codes[row * self.width + column as usize] {
+            0 => None,
+            LOOPED => Some(Routed::Looped),
+            NO_ROUTE => Some(Routed::NoRoute),
+            code => Some(Routed::Arrived((code - ARRIVED) as usize)),
+        }
+    }
+
+    /// Records `outcome` for `v` in `row`, giving `v` a column on first
+    /// use; an arrival too far for a code is not recorded.
+    fn set(&mut self, row: usize, v: u32, outcome: Routed) {
+        let code = match outcome {
+            Routed::Looped => LOOPED,
+            Routed::NoRoute => NO_ROUTE,
+            Routed::Arrived(h) => match u8::try_from(h).ok().and_then(|h| h.checked_add(ARRIVED)) {
+                Some(code) => code,
+                None => return,
+            },
+        };
+        let Some(column) = self.column.get_mut(v as usize) else {
+            return;
+        };
+        if *column == NONE {
+            *column = self.passed.len() as u32;
+            self.passed.push(v);
+        }
+        let column = *column as usize;
+        if column == self.width {
+            self.widen();
+        }
+        self.codes[row * self.width + column] = code;
+    }
+
+    /// Doubles the row width, keeping every row's codes.
+    fn widen(&mut self) {
+        let width = (self.width * 2).max(16);
+        let mut codes = vec![0; self.dests.len() * width];
+        if self.width > 0 {
+            for (new, old) in codes.chunks_mut(width).zip(self.codes.chunks(self.width)) {
+                new[..self.width].copy_from_slice(old);
+            }
+        }
+        self.codes = codes;
+        self.width = width;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -784,6 +948,11 @@ impl ReachView {
         remaining.clear();
         remaining.push(class);
         for rule in &self.rules {
+            // Every piece lies inside `class`, so a rule disjoint from it
+            // can neither match nor split one.
+            if class.intersect(&rule.class).is_none() {
+                continue;
+            }
             next.clear();
             for piece in remaining.iter() {
                 match piece.intersect(&rule.class) {
@@ -983,9 +1152,13 @@ pub struct ReachStats {
     /// Witness paths rendered to text — one per path-carrying finding,
     /// not one per class.
     pub witnesses_rendered: usize,
-    /// Routed legs walked hop by hop: one per leg traced, and again one
-    /// per leg of each rendered witness.
+    /// Routed legs followed: one per leg traced, and again one per leg
+    /// of each rendered witness.
     pub route_legs_walked: usize,
+    /// Next-hop lookups those legs made. A trace's leg stops at the first
+    /// node whose outcome its chunk's leg memo knows; a witness's leg is
+    /// walked hop by hop.
+    pub route_hops_walked: usize,
 }
 
 impl ReachStats {
@@ -997,6 +1170,7 @@ impl ReachStats {
         self.classes_traced += other.classes_traced;
         self.witnesses_rendered += other.witnesses_rendered;
         self.route_legs_walked += other.route_legs_walked;
+        self.route_hops_walked += other.route_hops_walked;
     }
 }
 
@@ -1191,22 +1365,59 @@ struct Checker<'a> {
     columns: Columns<'a>,
     /// Workers per class pass; `None` asks `sdm_util::par::thread_count`.
     workers: Option<usize>,
+    /// Ingress pieces per chunk: [`PIECES_PER_CHUNK`], fewer in tests
+    /// so that small worlds still spread.
+    chunk_len: usize,
 }
 
-/// One worker's scratch: the walk buffer, the support buffer, and the
-/// work counters of the pieces it traced.
-#[derive(Default)]
+thread_local! {
+    /// The leg memo of the chunks traced on this thread, emptied after
+    /// each. Its node index is as long as the node count, which the
+    /// chunks of a 21k-node fabric check should not each build afresh;
+    /// kept per thread, a memo never moves between allocator arenas.
+    static LEG_MEMO: RefCell<LegMemo> = RefCell::new(LegMemo::default());
+}
+
+/// One chunk's scratch: the walk buffer, the support buffer, the leg
+/// memo, and the work counters of the pieces it traced.
 struct Worker {
     path: Vec<u32>,
     support: Vec<u32>,
+    memo: LegMemo,
     stats: ReachStats,
 }
 
-/// Ingress pieces a worker must have before a pass spreads: a thread
-/// costs tens of microseconds to start, about what a few dozen pieces
-/// cost to trace, so a pass of a handful of pieces (an `isolate` between
-/// two subnets) stays on the calling thread.
-const PIECES_PER_WORKER: usize = 64;
+impl Worker {
+    fn new(memo: LegMemo) -> Worker {
+        Worker {
+            path: Vec::new(),
+            support: Vec::new(),
+            memo,
+            stats: ReachStats::default(),
+        }
+    }
+}
+
+/// Ingress pieces per chunk of a class pass. A chunk is traced with one
+/// [`Worker`]'s scratch, leg memo and egress splits included, and its
+/// boundaries do not depend on the worker count, so neither does any
+/// work counter. Both caches start empty in every chunk, so a chunk is
+/// long enough for them to fill and pay off (on Waxman-425, chunks of 64
+/// pieces made the check about a third slower than chunks of 1,024),
+/// and a pass of one chunk — an `isolate` between two subnets, the whole
+/// campus — stays on the calling thread.
+const PIECES_PER_CHUNK: usize = 1024;
+
+/// Where destination prefixes leave the network, split once per prefix a
+/// chunk meets: a peeled class's egress pieces depend on its destination
+/// alone. Only ever looked up, so its hashing order reaches no output.
+#[derive(Default)]
+struct EgressSplits {
+    /// Each split destination's run in `splits`.
+    runs: FxHashMap<Prefix, (usize, usize)>,
+    splits: Vec<(Egress, Prefix)>,
+    stubs: Vec<u32>,
+}
 
 /// What one class pass found: the visit outputs in piece order, the
 /// number of classes and the summed work counters.
@@ -1227,6 +1438,7 @@ impl<'a> Checker<'a> {
             ),
             columns: columns(view.plan.weights.as_ref()),
             workers,
+            chunk_len: PIECES_PER_CHUNK,
         }
     }
 
@@ -1312,34 +1524,74 @@ impl<'a> Checker<'a> {
         });
     }
 
-    /// Classifies where the destination space of `class` can be
-    /// delivered — internal stubs, the external world, or nowhere — into
-    /// `out` (cleared first). `stubs` is a scratch buffer.
-    fn egresses(&self, class: FlowClass, stubs: &mut Vec<u32>, out: &mut Vec<(Egress, FlowClass)>) {
-        out.clear();
-        self.stubs.overlapping(class.dst, stubs);
-        for &s in stubs.iter() {
-            let subnet = self.view.plan.stub_subnets[s as usize];
-            if let Some(dst) = prefix_intersect(class.dst, subnet) {
-                out.push((Egress::Stub(s), FlowClass { dst, ..class }));
+    /// Where the destination space `dst` can be delivered — internal
+    /// stubs, the external world, or nowhere — as `(egress, piece of
+    /// dst)` pairs, split on the first call for `dst` and looked up after.
+    fn egresses<'s>(&self, cache: &'s mut EgressSplits, dst: Prefix) -> &'s [(Egress, Prefix)] {
+        let EgressSplits { runs, splits, stubs } = cache;
+        let (start, end) = *runs.entry(dst).or_insert_with(|| {
+            let start = splits.len();
+            self.stubs.overlapping(dst, stubs);
+            for &s in stubs.iter() {
+                let subnet = self.view.plan.stub_subnets[s as usize];
+                if let Some(piece) = prefix_intersect(dst, subnet) {
+                    splits.push((Egress::Stub(s), piece));
+                }
             }
-        }
-        if self.view.gateway_routers.is_empty() {
-            return;
-        }
-        self.stubs.uncovered(class.dst, |dst| {
-            // Enterprise space with no stub behind it is unroutable.
-            if !dst.is_subset_of(self.view.enterprise) {
-                out.push((Egress::External, FlowClass { dst, ..class }));
+            if !self.view.gateway_routers.is_empty() {
+                self.stubs.uncovered(dst, |piece| {
+                    // Enterprise space with no stub behind it is unroutable.
+                    if !piece.is_subset_of(self.view.enterprise) {
+                        splits.push((Egress::External, piece));
+                    }
+                });
             }
+            (start, splits.len())
         });
+        &splits[start..end]
     }
 
-    /// Walks one routed leg into the worker's buffer.
-    fn walk(&self, w: &mut Worker, from: u32, to: u32) -> Leg {
+    /// Routes one leg through the chunk's leg memo: walked from `from`
+    /// until it arrives, loops, dead-ends or meets a node whose outcome
+    /// towards `to` is known, and every node passed records its own.
+    fn walk(&self, w: &mut Worker, from: u32, to: u32) -> Routed {
         w.stats.route_legs_walked += 1;
-        let budget = self.view.plan.node_count.max(2);
-        walk_into(self.routes, from, to, budget, &mut w.path)
+        let Worker { path, memo, stats, .. } = w;
+        let row = memo.row(to);
+        let known = |memo: &LegMemo, v: u32| row.and_then(|row| memo.get(row, v));
+        if let Some(outcome) = known(memo, from) {
+            return outcome;
+        }
+        // The memo holds only walks over nodes below the node count, the
+        // ones the budget never binds for.
+        let nodes = self.view.plan.node_count;
+        let mut in_range = (from as usize) < nodes;
+        let leg = walk_into(self.routes, from, to, self.budget(), path, |v| {
+            in_range &= (v as usize) < nodes;
+            known(memo, v).filter(|_| in_range)
+        });
+        stats.route_hops_walked += leg.lookups(path);
+        let end = match leg {
+            Leg::Arrived => Routed::Arrived(0),
+            Leg::Looped => Routed::Looped,
+            Leg::Unreachable => Routed::NoRoute,
+            Leg::Known(end) => end,
+        };
+        let hops = path.len() - 1;
+        if let Some(row) = row.filter(|_| path.iter().all(|&v| (v as usize) < nodes)) {
+            for (i, &v) in path.iter().enumerate().skip(1) {
+                if v != to && memo.get(row, v).is_none() {
+                    memo.set(row, v, end.after(hops - i));
+                }
+            }
+        }
+        end.after(hops)
+    }
+
+    /// The hop budget of a walk: at least the node count, so it only
+    /// binds on a node numbered past it.
+    fn budget(&self) -> usize {
+        self.view.plan.node_count.max(2)
     }
 
     /// Traces the steering stages of `rule` from `ingress`: the strategy's
@@ -1381,9 +1633,9 @@ impl<'a> Checker<'a> {
             let target_router = view.plan.middleboxes[target as usize].router as u32;
             trace.steps.push(Step::Route(at_router, target_router));
             match self.walk(w, at_router, target_router) {
-                Leg::Arrived => trace.router_hops += w.path.len() - 1,
-                Leg::Looped => return Err(End::Looped),
-                Leg::Unreachable => return Err(End::NoRoute),
+                Routed::Arrived(hops) => trace.router_hops += hops,
+                Routed::Looped => return Err(End::Looped),
+                Routed::NoRoute => return Err(End::NoRoute),
             }
             trace.steps.push(Step::Mbox(target));
             trace.stages.push(target);
@@ -1401,11 +1653,12 @@ impl<'a> Checker<'a> {
     /// nothing per class outlives its visit but what `visit` returns.
     ///
     /// This is the one class pipeline. The ingress pieces are cut into
-    /// contiguous chunks, one per worker (`sdm_util::par`); each worker
-    /// traces its chunk with its own [`Worker`] scratch, and the chunks'
-    /// outputs are concatenated in chunk order and their counters summed.
-    /// A class's trace depends only on its piece and the read-only
-    /// [`Checker`], so the [`Pass`] is the same at every worker count.
+    /// contiguous chunks of `chunk_len`, dealt to `sdm_util::par`
+    /// workers; each chunk is traced with its own [`Worker`] scratch, and
+    /// the chunks' outputs are concatenated in chunk order and their
+    /// counters summed. A class's trace depends only on its piece and the
+    /// read-only [`Checker`], and a chunk's counters only on its pieces,
+    /// so the [`Pass`] is the same at every worker count.
     fn for_each_class<T, V>(&self, src: Prefix, dst: Prefix, visit: V) -> Pass<T>
     where
         T: Send,
@@ -1414,12 +1667,8 @@ impl<'a> Checker<'a> {
     {
         let mut pieces = Vec::new();
         self.ingresses(FlowClass::between(src, dst), &mut Vec::new(), &mut pieces);
-        let workers = self
-            .workers
-            .unwrap_or_else(|| thread_count(pieces.len().div_ceil(PIECES_PER_WORKER)))
-            .max(1);
-        let chunk_len = pieces.len().div_ceil(workers).max(1);
-        let chunks: Vec<&[(Ingress, FlowClass)]> = pieces.chunks(chunk_len).collect();
+        let chunks: Vec<&[(Ingress, FlowClass)]> = pieces.chunks(self.chunk_len.max(1)).collect();
+        let workers = self.workers.unwrap_or_else(|| thread_count(chunks.len()));
         let parts = par_map_with(workers, &chunks, |_, chunk| self.trace_pieces(chunk, &visit));
         let mut pass = Pass {
             found: Vec::new(),
@@ -1442,11 +1691,14 @@ impl<'a> Checker<'a> {
         V: Fn(&Self, &mut Worker, Ingress, FlowClass, Option<&'a RuleView>, &PathTrace, End) -> Option<T>,
     {
         let view = self.view;
-        let mut w = Worker::default();
+        let mut memo = LEG_MEMO.take();
+        if memo.column.len() != view.plan.node_count {
+            memo = LegMemo::new(view.plan.node_count);
+        }
+        let mut w = Worker::new(memo);
         let mut peel_bufs = PeelBufs::default();
         let mut peeled = Vec::new();
-        let mut egresses = Vec::new();
-        let mut stubs = Vec::new();
+        let mut egresses = EgressSplits::default();
         let mut trace = PathTrace::default();
         let mut found = Vec::new();
         let mut classes = 0usize;
@@ -1455,9 +1707,9 @@ impl<'a> Checker<'a> {
             view.peel(in_class, &mut peel_bufs, &mut peeled);
             for &(peeled_class, rule) in &peeled {
                 w.stats.peeled_classes += 1;
-                self.egresses(peeled_class, &mut stubs, &mut egresses);
                 let mut staged: Option<Result<u32, End>> = None;
-                for &(egress, class) in &egresses {
+                for &(egress, dst) in self.egresses(&mut egresses, peeled_class.dst) {
+                    let class = FlowClass { dst, ..peeled_class };
                     classes += 1;
                     let Some(out_router) = egress_router(view, egress) else {
                         continue;
@@ -1471,13 +1723,13 @@ impl<'a> Checker<'a> {
                         Ok(at_router) => {
                             trace.steps.push(Step::Route(at_router, out_router));
                             match self.walk(&mut w, at_router, out_router) {
-                                Leg::Arrived => {
-                                    trace.router_hops += w.path.len() - 1;
+                                Routed::Arrived(hops) => {
+                                    trace.router_hops += hops;
                                     trace.steps.push(Step::Deliver(out_router));
                                     End::Delivered
                                 }
-                                Leg::Looped => End::Looped,
-                                Leg::Unreachable => End::NoRoute,
+                                Routed::Looped => End::Looped,
+                                Routed::NoRoute => End::NoRoute,
                             }
                         }
                     };
@@ -1487,6 +1739,8 @@ impl<'a> Checker<'a> {
                 }
             }
         }
+        w.memo.clear();
+        LEG_MEMO.set(w.memo);
         Pass {
             found,
             classes,
@@ -1507,9 +1761,15 @@ impl<'a> Checker<'a> {
                 Step::Route(from, to) => {
                     // A leg without a route ends its trace unshown, so
                     // only arrivals and loops are ever rendered.
-                    let label = match self.walk(w, from, to) {
+                    let path = &mut w.path;
+                    let leg =
+                        walk_into(self.routes, from, to, self.budget(), path, |_| None::<Infallible>);
+                    w.stats.route_legs_walked += 1;
+                    w.stats.route_hops_walked += leg.lookups(path);
+                    let label = match leg {
                         Leg::Looped => "loop",
                         Leg::Arrived | Leg::Unreachable => "route",
+                        Leg::Known(never) => match never {},
                     };
                     let nodes: Vec<String> = w.path.iter().map(|n| format!("n{n}")).collect();
                     format!("{label}[{}]", nodes.join("->"))
@@ -1528,13 +1788,18 @@ impl<'a> Checker<'a> {
 /// are found through an index built once per call, classes are traced
 /// as they are produced and dropped, and a witness path is rendered only
 /// for a class that becomes a finding ([`ReachReport::stats`] counts
-/// each stage). Each assertion's classes are spread over
+/// each stage). Work that cannot differ is done once: the peel skips
+/// the rules disjoint from an ingress piece, a destination prefix is
+/// split by egress once per chunk of ingress pieces, and a routed leg is
+/// followed only to the first node whose outcome towards the same
+/// destination the chunk's leg memo holds. Each assertion's ingress
+/// pieces are cut into fixed-size chunks (`PIECES_PER_CHUNK`), spread over
 /// `sdm_util::par::thread_count` workers (`SDM_THREADS` caps them; a
-/// pass with fewer than 64 ingress pieces per worker uses fewer) that
-/// share the read-only inputs and reuse their own buffers, so a class
-/// costs no allocation. The report — findings, verdicts, `to_json` and
-/// `stats` — is the same at every worker count: outputs are merged in
-/// ingress-piece order and counters summed.
+/// pass of one chunk stays on the calling thread) that share the
+/// read-only inputs and reuse their own buffers, so a class costs no
+/// allocation. The report — findings, verdicts, `to_json` and `stats` —
+/// is the same at every worker count: chunk boundaries do not depend on
+/// it, outputs are merged in ingress-piece order and counters summed.
 pub fn check_assertions(
     view: &ReachView,
     routes: &dyn RouteView,
@@ -3005,11 +3270,20 @@ loop-free ttl 64   # trailing comment
                 // clears what it writes.
                 let mut stubs = vec![7];
                 let mut ingresses = vec![(Ingress::Gateway(9), FlowClass::any())];
-                let mut egresses = vec![(Egress::External, FlowClass::any())];
                 cx.ingresses(class, &mut stubs, &mut ingresses);
                 sdm_util::prop_assert_eq!(ingresses, view.ingresses_ref(class));
-                cx.egresses(class, &mut stubs, &mut egresses);
-                sdm_util::prop_assert_eq!(egresses, view.egresses_ref(class));
+                // A cache that split other destinations first, and a
+                // second lookup of the same one.
+                let mut egresses = EgressSplits::default();
+                for dst in [class.src, class.dst, Prefix::ANY, class.dst] {
+                    let split: Vec<(Egress, FlowClass)> = cx
+                        .egresses(&mut egresses, dst)
+                        .iter()
+                        .map(|&(egress, dst)| (egress, FlowClass { dst, ..class }))
+                        .collect();
+                    let class = FlowClass { dst, ..class };
+                    sdm_util::prop_assert_eq!(split, view.egresses_ref(class), "{dst}");
+                }
                 // The same through the overlap and remainder queries alone.
                 for q in [class.src, class.dst] {
                     let brute: Vec<u32> = (0u32..)
@@ -3240,23 +3514,162 @@ loop-free ttl 64   # trailing comment
         }
         let mut piece_counts = Vec::new();
         for (name, view, routes) in &worlds {
-            let on = |workers| Checker::new(view, routes, Some(workers));
-            let one = run_checks(&on(1), &assertions);
-            let rendered = render_classes(&on(1), Prefix::ANY, Prefix::ANY);
+            let on = |chunk_len, workers| Checker {
+                chunk_len,
+                ..Checker::new(view, routes, Some(workers))
+            };
+            let one = run_checks(&on(PIECES_PER_CHUNK, 1), &assertions);
+            let rendered = render_classes(&on(PIECES_PER_CHUNK, 1), Prefix::ANY, Prefix::ANY);
             assert!(!one.findings.is_empty() && !rendered.is_empty(), "{name}");
             let mut pieces = Vec::new();
-            on(1).ingresses(FlowClass::any(), &mut Vec::new(), &mut pieces);
+            on(1, 1).ingresses(FlowClass::any(), &mut Vec::new(), &mut pieces);
             piece_counts.push(pieces.len());
+            // The fixtures' few dozen pieces only spread in small chunks.
+            let chunked = run_checks(&on(3, 1), &assertions);
+            assert_eq!(chunked.to_json().to_string(), one.to_json().to_string(), "{name} in chunks");
+            // A fresh leg memo per chunk walks more hops, and nothing else.
+            let hops = chunked.stats.route_hops_walked;
+            assert_eq!(chunked.stats, ReachStats { route_hops_walked: hops, ..one.stats }, "{name}");
+            assert!(hops >= one.stats.route_hops_walked, "{name}");
             for workers in [2, 3, 8] {
-                let many = run_checks(&on(workers), &assertions);
+                let many = run_checks(&on(3, workers), &assertions);
                 let at = format!("{name} at {workers} workers");
                 assert_eq!(many.to_json().to_string(), one.to_json().to_string(), "{at}");
-                assert_eq!(many.stats, one.stats, "{at}");
-                assert_eq!(render_classes(&on(workers), Prefix::ANY, Prefix::ANY), rendered, "{at}");
+                assert_eq!(many.stats, chunked.stats, "{at}");
+                assert_eq!(render_classes(&on(3, workers), Prefix::ANY, Prefix::ANY), rendered, "{at}");
             }
         }
-        // Chunks of unequal length are covered.
+        // A last chunk shorter than the others is covered.
         assert!(piece_counts.iter().any(|n| n % 3 != 0), "{piece_counts:?}");
-        assert!(piece_counts.iter().any(|n| n % 8 != 0), "{piece_counts:?}");
+    }
+
+    // -- the leg memo ----------------------------------------------------
+
+    /// No next hop, in a drawn next-hop column.
+    const DEAD_END: u16 = u16::MAX;
+
+    /// A drawn world of legs: the node count, next-hop columns towards a
+    /// few destinations (`column[v]` is `v`'s next hop, [`DEAD_END`] or a
+    /// node; entries past its end are dead ends), and legs as (source,
+    /// column) pairs.
+    type LegWorld = (u16, Vec<(u16, Vec<u16>)>, Vec<(u16, u8)>);
+
+    fn gen_leg_world(rng: &mut sdm_util::StdRng) -> LegWorld {
+        // A quarter of the worlds hold a chain through every node, longer
+        // than a memo code holds.
+        let long = rng.gen_bool(0.25);
+        let n = if long { rng.gen_range(260..=320u16) } else { rng.gen_range(2..=24u16) };
+        let below = |rng: &mut sdm_util::StdRng, k: u16| rng.below(u64::from(k)) as u16;
+        let columns = (0..rng.gen_range(1..=3usize))
+            .map(|_| {
+                let d = below(rng, n);
+                let mut column: Vec<u16> = (0..n)
+                    .map(|_| match rng.below(10) {
+                        0 => DEAD_END,
+                        1 | 2 => d,
+                        _ => below(rng, n),
+                    })
+                    .collect();
+                if long {
+                    // Every other node in a drawn order, the last one
+                    // arriving, bending back into the chain or dead-ending.
+                    let mut order: Vec<u16> = (0..n).filter(|&v| v != d).collect();
+                    for i in (1..order.len()).rev() {
+                        order.swap(i, below(rng, i as u16 + 1) as usize);
+                    }
+                    for pair in order.windows(2) {
+                        column[pair[0] as usize] = pair[1];
+                    }
+                    let last = order[order.len() - 1] as usize;
+                    column[last] = match rng.below(3) {
+                        0 => d,
+                        1 => order[below(rng, n / 2) as usize],
+                        _ => DEAD_END,
+                    };
+                    // A few side branches into the chain.
+                    for _ in 0..4 {
+                        let v = below(rng, n) as usize;
+                        column[v] = below(rng, n);
+                    }
+                }
+                (d, column)
+            })
+            .collect();
+        let legs = (0..rng.gen_range(1..=60usize)).map(|_| (below(rng, n), rng.next_u32() as u8)).collect();
+        (n, columns, legs)
+    }
+
+    #[test]
+    fn memoised_legs_end_like_their_walks() {
+        use sdm_util::prop::{check, Config};
+        check(
+            "leg memo == walk_route, and a node once passed is never walked again",
+            &Config::with_cases(300),
+            gen_leg_world,
+            |(n, columns, legs)| {
+                let n = (*n).max(2) as usize;
+                if columns.is_empty() {
+                    return Ok(());
+                }
+                let dests: Vec<u32> = columns.iter().map(|(d, _)| u32::from(*d) % n as u32).collect();
+                let mut next = vec![vec![None; n]; n];
+                for (&d, (_, column)) in dests.iter().zip(columns) {
+                    for (v, &hop) in column.iter().enumerate().take(n).filter(|&(v, _)| v != d as usize) {
+                        next[v][d as usize] = (hop != DEAD_END).then_some(u32::from(hop) % n as u32);
+                    }
+                }
+                let routes = TableRoutes { next };
+                let view = ReachView {
+                    plan: PlanView { node_count: n, ..PlanView::default() },
+                    rules: Vec::new(),
+                    stub_routers: Vec::new(),
+                    gateway_routers: Vec::new(),
+                    enterprise: Prefix::ANY,
+                    strategy: StrategyView::HotPotato,
+                    hazards: None,
+                };
+                let cx = Checker::new(&view, &routes, Some(1));
+                let mut w = Worker::new(LegMemo::new(n));
+                // Per destination, the nodes some earlier walk passed
+                // through whose outcome fits a code.
+                let mut passed = vec![BTreeSet::new(); n];
+                for &(from, column) in legs {
+                    // Now and then a memo emptied for the next chunk.
+                    if column % 16 == 15 {
+                        w.memo.clear();
+                        passed.iter_mut().for_each(BTreeSet::clear);
+                    }
+                    let (from, to) = (u32::from(from) % n as u32, dests[column as usize % dests.len()]);
+                    let hops_before = w.stats.route_hops_walked;
+                    let got = cx.walk(&mut w, from, to);
+                    let walk = walk_route(&routes, from, to, cx.budget());
+                    let (want, path) = match walk {
+                        Walk::Arrived(path) => (Routed::Arrived(path.len() - 1), path),
+                        Walk::Looped(path) => (Routed::Looped, path),
+                        Walk::Unreachable => (Routed::NoRoute, Vec::new()),
+                    };
+                    sdm_util::prop_assert_eq!(got, want, "leg n{from} -> n{to}");
+                    if passed[to as usize].contains(&from) {
+                        let walked = w.stats.route_hops_walked - hops_before;
+                        sdm_util::prop_assert_eq!(walked, 0, "n{from} was passed on the way to n{to}");
+                    }
+                    // An unreachable leg's nodes, up to its dead end.
+                    let path = if want == Routed::NoRoute {
+                        let mut path = vec![from];
+                        while let Some(hop) = routes.next_hop(path[path.len() - 1], to) {
+                            path.push(hop);
+                        }
+                        path
+                    } else {
+                        path
+                    };
+                    let fits = |i: usize| !matches!(want, Routed::Arrived(h) if h - i > usize::from(u8::MAX - ARRIVED));
+                    passed[to as usize].extend(
+                        path.iter().enumerate().skip(1).filter(|&(i, &v)| v != to && fits(i)).map(|(_, &v)| v),
+                    );
+                }
+                Ok(())
+            },
+        );
     }
 }
