@@ -125,7 +125,7 @@ pub(super) const METRICS_FLAGS: &[Flag] = &[
     SEED,
     Flag::switch(
         "--full",
-        "include the families that depend on SDM_SHARDS\n(histograms, pinned-replay counts)",
+        "include the families that depend on SDM_SHARDS\n(drain histograms, sweeps, trace drops)",
     ),
     Flag::switch("--prometheus", "Prometheus text exposition instead of JSON"),
 ];
@@ -206,7 +206,7 @@ pub(super) fn resteer(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Telemetry forced on; without `--full` the merged
+/// Drain histograms on; without `--full` the merged
 /// [`sdm_telemetry::Snapshot`] is byte-identical at any shard count.
 pub(super) fn metrics(args: &Args) -> ExitCode {
     let world = World::build(&ExperimentConfig::campus(args.num("--seed")));

@@ -4,7 +4,7 @@
 //! byte-for-byte. This is what "the goldens pin behaviour" means: every
 //! figure, table and ablation of the evaluation at full paper volume, the
 //! control-loop transcripts and the reach reports, at every shard and
-//! telemetry corner they are invariant over.
+//! thread corner they are invariant over.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
@@ -16,7 +16,7 @@ pub type Corner = &'static [(&'static str, &'static str)];
 
 /// Variables cleared before a corner is applied, so the caller's
 /// environment never leaks into a check.
-const CLEARED: [&str; 3] = ["SDM_SHARDS", "SDM_THREADS", "SDM_TELEMETRY"];
+const CLEARED: [&str; 2] = ["SDM_SHARDS", "SDM_THREADS"];
 
 /// One committed output.
 pub struct Golden {
@@ -47,14 +47,7 @@ const fn entry(name: &'static str, file: &'static str, argv: &'static [&'static 
 pub static GOLDENS: &[Golden] = &[
     entry("fig-campus", "fig_campus.txt", &["fig", "--topology", "campus"]),
     entry("fig-waxman", "fig_waxman.txt", &["fig", "--topology", "waxman"]),
-    Golden {
-        corners: &[
-            &[("SDM_SHARDS", "1")],
-            &[("SDM_SHARDS", "4")],
-            &[("SDM_SHARDS", "1"), ("SDM_TELEMETRY", "1")],
-        ],
-        ..entry("table3", "table3.txt", &["table3"])
-    },
+    Golden { corners: SHARDS_1_4, ..entry("table3", "table3.txt", &["table3"]) },
     entry("k-sweep", "k_sweep.txt", &["k-sweep"]),
     entry("lp-formulations", "lp_formulations.txt", &["lp-formulations"]),
     entry("label-switching", "label_switching.txt", &["label-switching"]),

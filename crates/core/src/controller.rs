@@ -45,9 +45,10 @@ pub struct EnforcementOptions {
     pub mtu: u32,
     /// Lookup structure for the per-device policy tables (§III.D).
     pub classifier: ClassifierKind,
-    /// Hot-path telemetry collection: `Some(b)` forces it on/off, `None`
-    /// defers to the `SDM_TELEMETRY` environment variable
-    /// ([`sdm_telemetry::env_enabled`]).
+    /// Whether the simulator records its two drain histograms
+    /// ([`sdm_netsim::Simulator::enable_drain_histograms`]): only
+    /// `Some(true)` does; `None` and `Some(false)` leave them off. Every
+    /// counter is recorded either way.
     pub telemetry: Option<bool>,
     /// Negative-cache sets per flow table (must be a power of two; the cap
     /// is `neg_cache_sets * `[`sdm_policy::NEG_WAYS`] markers). Bounds the
@@ -404,9 +405,6 @@ impl Controller {
         let mbox_addrs: Vec<_> = (0..self.deployment.len())
             .map(preassigned_device_addr)
             .collect();
-        let tel = Arc::new(sdm_telemetry::ShardTelemetry::new(
-            options.telemetry.unwrap_or_else(sdm_telemetry::env_enabled),
-        ));
         let config = Arc::new(RuntimeConfig {
             strategy,
             assignments: self.assignments.clone(),
@@ -419,12 +417,13 @@ impl Controller {
                 .iter()
                 .map(|(_, spec)| spec.functions.clone())
                 .collect(),
-            tel: Arc::clone(&tel),
         });
 
         let mut sim = Simulator::new(&self.plan);
         sim.set_mtu(options.mtu);
-        sim.set_telemetry(Arc::clone(&tel));
+        if options.telemetry == Some(true) {
+            sim.enable_drain_histograms();
+        }
 
         // Middleboxes first so their device ids (and addresses) are dense
         // from zero, matching `preassigned_device_addr`.
@@ -494,7 +493,6 @@ impl Controller {
             proxy_states,
             ingress_states,
             config,
-            tel,
             deployment_len: self.deployment.len(),
             events: 0,
         }
@@ -509,7 +507,6 @@ pub struct Enforcement {
     proxy_states: Vec<Shared<ProxyState>>,
     ingress_states: Vec<Shared<ProxyState>>,
     config: Arc<RuntimeConfig>,
-    tel: Arc<sdm_telemetry::ShardTelemetry>,
     deployment_len: usize,
     /// Events processed by every [`Enforcement::run`] so far.
     events: u64,
@@ -591,7 +588,7 @@ impl Enforcement {
             footprint,
             telemetry: sdm_telemetry::Snapshot::new(),
         };
-        crate::telemetry::scrape(&mut run, sweeps, self.sim.trace_dropped(), &self.tel);
+        crate::telemetry::scrape(&mut run, sweeps, &self.sim);
         run
     }
 
@@ -970,7 +967,7 @@ mod tests {
     /// whatever the drain limit.
     #[test]
     fn gateway_ingress_decisions_are_counted() {
-        use sdm_telemetry::{family, Hop};
+        use sdm_telemetry::family;
         let (c, opts) = world(false);
         let gw = c.plan().gateways()[0];
         let ft = FiveTuple {
@@ -978,10 +975,6 @@ mod tests {
             ..web_flow(&c, 0, 3, 443)
         };
         for batch in [1, 256] {
-            let opts = EnforcementOptions {
-                telemetry: Some(true),
-                ..opts
-            };
             let mut enf = c.enforcement(Strategy::HotPotato, None, opts);
             enf.sim_mut().set_batch_size(batch);
             for burst in [1, 5] {
@@ -991,10 +984,10 @@ mod tests {
                 enf.run();
             }
             assert_eq!(enf.sim().stats().delivered, 6);
+            // hop=proxy (label 0) counts the ingress proxies too
             let snap = enf.telemetry_snapshot();
-            let proxy = Hop::Proxy as usize;
-            assert_eq!(snap.value(family::STEER_DECISIONS, proxy), 1, "limit {batch}");
-            assert_eq!(snap.value(family::STEER_PINNED, proxy), 5, "limit {batch}");
+            assert_eq!(snap.value(family::STEER_DECISIONS, 0), 1, "limit {batch}");
+            assert_eq!(snap.value(family::STEER_PINNED, 0), 5, "limit {batch}");
         }
     }
 
@@ -1003,14 +996,9 @@ mod tests {
     /// whether the packets reach it one per run or as one run.
     #[test]
     fn stub_flow_pin_replays_are_drain_limit_invariant() {
-        use sdm_telemetry::{family, Hop};
         let (c, opts) = world(false);
         let ft = web_flow(&c, 0, 5, 3000);
         for batch in [1, 3, 256] {
-            let opts = EnforcementOptions {
-                telemetry: Some(true),
-                ..opts
-            };
             let mut enf = c.enforcement(Strategy::HotPotato, None, opts);
             enf.sim_mut().set_batch_size(batch);
             for _ in 0..5 {
@@ -1018,12 +1006,13 @@ mod tests {
             }
             enf.run();
             assert_eq!(enf.sim().stats().delivered, 5);
-            let snap = enf.telemetry_snapshot();
-            for hop in [Hop::Proxy, Hop::Middlebox] {
-                let h = hop as usize;
-                assert_eq!(snap.value(family::STEER_DECISIONS, h), 1, "{hop:?}, limit {batch}");
-                assert_eq!(snap.value(family::STEER_PINNED, h), 4, "{hop:?}, limit {batch}");
-            }
+            let run = enf.snapshot();
+            let proxy = &run.proxy_counters[0];
+            assert_eq!((proxy.steer_decisions, proxy.steer_pinned), (1, 4), "proxy, limit {batch}");
+            let mbox = run.mbox_counters.iter().fold((0, 0), |(d, p), m| {
+                (d + m.steer_decisions, p + m.steer_pinned)
+            });
+            assert_eq!(mbox, (1, 4), "middlebox, limit {batch}");
         }
     }
 

@@ -501,14 +501,13 @@ fn assemble_reduced(
     let mut model = ChainProgram::new(deployment, assignments);
     let mut all_vars: Vec<PolicyVars> = Vec::new();
 
-    for p in traffic.policies() {
+    for (p, (t_p, sources)) in traffic.marginals() {
         let Some(policy) = policies.get(p) else {
             continue;
         };
         if policy.actions.is_permit() {
             continue;
         }
-        let t_p = traffic.total(p);
         if t_p <= 0.0 {
             continue;
         }
@@ -520,8 +519,7 @@ fn assemble_reduced(
         // Value: the member stubs with their T_{s,p}, and the group total.
         type Group = (Vec<(StubId, f64)>, f64);
         let mut groups: std::collections::BTreeMap<Vec<MiddleboxId>, Group> = Default::default();
-        for s in traffic.sources_for(p) {
-            let t_sp = traffic.from_source(s, p);
+        for (s, t_sp) in sources {
             if t_sp <= 0.0 {
                 continue;
             }

@@ -41,7 +41,9 @@ impl fmt::Display for DestKey {
 /// tm.record(StubId(0), DestKey::Stub(StubId(1)), PolicyId(0), 100.0);
 /// tm.record(StubId(2), DestKey::Stub(StubId(1)), PolicyId(0), 50.0);
 /// assert_eq!(tm.total(PolicyId(0)), 150.0);
-/// assert_eq!(tm.from_source(StubId(0), PolicyId(0)), 100.0);
+/// let (t_p, sources) = &tm.marginals()[&PolicyId(0)];
+/// assert_eq!(*t_p, 150.0);
+/// assert_eq!(sources, &[(StubId(0), 100.0), (StubId(2), 50.0)]);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TrafficMatrix {
@@ -90,31 +92,28 @@ impl TrafficMatrix {
             .sum()
     }
 
-    /// `T_{s,p}`: volume from source `s` matching `p`.
-    pub fn from_source(&self, s: StubId, p: PolicyId) -> f64 {
-        self.cells
-            .iter()
-            .filter(|((ss, _, pp), _)| *ss == s && *pp == p)
-            .map(|(_, v)| v)
-            .sum()
+    /// `T_p` and the `T_{s,p}` of every policy with measured traffic, by
+    /// policy, sources in stub order — in one pass over the cells. Each
+    /// sum adds its cells in cell order, as [`TrafficMatrix::total`]'s
+    /// filtered scan does, so the two agree bit for bit.
+    pub fn marginals(&self) -> BTreeMap<PolicyId, (f64, Vec<(StubId, f64)>)> {
+        let mut out: BTreeMap<PolicyId, (f64, Vec<(StubId, f64)>)> = BTreeMap::new();
+        // Cells run in (s, d, p) order: a policy's sources arrive sorted,
+        // each one's cells contiguous among that policy's.
+        for (&(s, _, p), &v) in &self.cells {
+            let (t_p, sources) = out.entry(p).or_default();
+            *t_p += v;
+            match sources.last_mut() {
+                Some((last, t_sp)) if *last == s => *t_sp += v,
+                _ => sources.push((s, v)),
+            }
+        }
+        out
     }
 
     /// All policies with nonzero measured traffic.
     pub fn policies(&self) -> Vec<PolicyId> {
         let mut v: Vec<PolicyId> = self.cells.keys().map(|&(_, _, p)| p).collect();
-        v.sort();
-        v.dedup();
-        v
-    }
-
-    /// All sources with nonzero traffic for `p`, sorted.
-    pub fn sources_for(&self, p: PolicyId) -> Vec<StubId> {
-        let mut v: Vec<StubId> = self
-            .cells
-            .keys()
-            .filter(|&&(_, _, pp)| pp == p)
-            .map(|&(s, _, _)| s)
-            .collect();
         v.sort();
         v.dedup();
         v
@@ -163,7 +162,7 @@ mod tests {
         tm.record(s(0), DestKey::External, p(1), 7.0);
         assert_eq!(tm.total(p(0)), 35.0);
         assert_eq!(tm.total(p(1)), 7.0);
-        assert_eq!(tm.from_source(s(0), p(0)), 30.0);
+        assert_eq!(tm.marginals()[&p(0)], (35.0, vec![(s(0), 30.0), (s(3), 5.0)]));
         assert_eq!(tm.volume(s(3), DestKey::Stub(s(1)), p(0)), 5.0);
         assert_eq!(tm.grand_total(), 42.0);
     }
@@ -227,6 +226,48 @@ mod tests {
         tm.record(s(3), DestKey::External, p(2), 1.0);
         tm.record(s(3), DestKey::Stub(s(1)), p(0), 1.0);
         assert_eq!(tm.policies(), vec![p(0), p(2)]);
-        assert_eq!(tm.sources_for(p(2)), vec![s(3), s(5)]);
+        let sources: Vec<StubId> = tm.marginals()[&p(2)].1.iter().map(|&(s, _)| s).collect();
+        assert_eq!(sources, vec![s(3), s(5)]);
+    }
+
+    /// The one-pass marginals equal filtered scans bit for bit on a
+    /// matrix whose sums depend on addition order: many cells per
+    /// (s, p), spread over several destinations and interleaved with
+    /// other policies.
+    #[test]
+    fn marginals_equal_filtered_sums_bitwise() {
+        let mut tm = TrafficMatrix::new();
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        for src in 0..6 {
+            for dst in 0..9 {
+                for pol in 0..4 {
+                    if (src + dst + pol) % 3 == 0 {
+                        continue;
+                    }
+                    x = x
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    // volumes in [1, ~1.4e5) with full mantissas
+                    let v = 1.0 + (x >> 11) as f64 / (1u64 << 53) as f64 * 1e6 / 7.0;
+                    let d = if dst == 8 { DestKey::External } else { DestKey::Stub(s(dst)) };
+                    tm.record(s(src), d, p(pol), v);
+                }
+            }
+        }
+        let marginals = tm.marginals();
+        assert_eq!(marginals.keys().copied().collect::<Vec<_>>(), tm.policies());
+        for (&pol, (t_p, sources)) in &marginals {
+            let cells: Vec<_> = tm.iter().filter(|&(_, _, pp, _)| pp == pol).collect();
+            let want: f64 = cells.iter().map(|&(_, _, _, v)| v).sum();
+            assert_eq!(t_p.to_bits(), want.to_bits(), "T_p of {pol:?}");
+            let mut want_sources: Vec<StubId> = cells.iter().map(|&(ss, _, _, _)| ss).collect();
+            want_sources.dedup();
+            assert_eq!(sources.iter().map(|&(ss, _)| ss).collect::<Vec<_>>(), want_sources);
+            for &(src, t_sp) in sources {
+                let want: f64 =
+                    cells.iter().filter(|&&(ss, _, _, _)| ss == src).map(|&(_, _, _, v)| v).sum();
+                assert_eq!(t_sp.to_bits(), want.to_bits(), "T_(s,p) of {src:?}, {pol:?}");
+            }
+        }
     }
 }

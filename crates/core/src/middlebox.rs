@@ -151,7 +151,7 @@ impl MiddleboxDevice {
                 // this instant, or the one its first packet set.
                 let next = match run.pinned {
                     Some(raw) => {
-                        self.config.tel.steer_pin_replay(sdm_telemetry::Hop::Middlebox);
+                        state.counters.steer_pinned += 1;
                         MiddleboxId(raw)
                     }
                     None => {
@@ -170,7 +170,7 @@ impl MiddleboxDevice {
                         };
                         state.flows.pin_next(run.key, next.0);
                         run.pinned = Some(next.0);
-                        self.config.tel.steer_decision(sdm_telemetry::Hop::Middlebox);
+                        state.counters.steer_decisions += 1;
                         next
                     }
                 };
@@ -425,7 +425,6 @@ mod tests {
             addr_plan: AddressPlan::new(&plan),
             encoding: Default::default(),
             mbox_functions: dep.iter().map(|(_, s)| s.functions.clone()).collect(),
-            tel: Arc::new(sdm_telemetry::ShardTelemetry::new(false)),
         });
         MiddleboxDevice::new(
             MiddleboxId(0),

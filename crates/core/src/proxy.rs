@@ -187,7 +187,7 @@ impl ProxyDevice {
         let first_fn = actions.first();
         let next = match run.entry.pinned_next {
             Some(raw) => {
-                self.config.tel.steer_pin_replay(sdm_telemetry::Hop::Proxy);
+                state.counters.steer_pinned += 1;
                 crate::deployment::MiddleboxId(raw)
             }
             None => {
@@ -208,7 +208,7 @@ impl ProxyDevice {
                 // into runs.
                 state.flows.pin_next(run.key, next.0);
                 run.entry.pinned_next = Some(next.0);
-                self.config.tel.steer_decision(sdm_telemetry::Hop::Proxy);
+                state.counters.steer_decisions += 1;
                 next
             }
         };
@@ -368,7 +368,6 @@ mod tests {
             addr_plan: addr_plan.clone(),
             encoding: Default::default(),
             mbox_functions: dep.iter().map(|(_, s)| s.functions.clone()).collect(),
-            tel: Arc::new(sdm_telemetry::ShardTelemetry::new(false)),
         });
         let proxy = ProxyDevice::new(
             SteerPoint::Proxy(StubId(0)),

@@ -73,9 +73,6 @@ pub struct RuntimeConfig {
     /// Functions implemented per middlebox (by id); lets proxies emulate
     /// downstream selections when building strict source routes.
     pub mbox_functions: Vec<std::collections::BTreeSet<sdm_policy::NetworkFunction>>,
-    /// Hot-path telemetry collector shared with this shard's simulator
-    /// (disabled by default: every record site is then a single branch).
-    pub tel: Arc<sdm_telemetry::ShardTelemetry>,
 }
 
 impl RuntimeConfig {
@@ -200,6 +197,13 @@ pub struct ProxyCounters {
     pub control_received: u64,
     /// Packets dropped because no middlebox offers a required function.
     pub unenforceable: u64,
+    /// Fresh first-hop selections: one per flow that reaches the steering
+    /// step without a pin. Unweighted, unlike the fields above: an
+    /// aggregate of any weight is one decision.
+    pub steer_decisions: u64,
+    /// Steering lookups answered by the flow's pinned selection.
+    /// Unweighted: one per packet or aggregate that replays the pin.
+    pub steer_pinned: u64,
 }
 
 impl ProxyCounters {
@@ -213,6 +217,8 @@ impl ProxyCounters {
         self.label_switched += other.label_switched;
         self.control_received += other.control_received;
         self.unenforceable += other.unenforceable;
+        self.steer_decisions += other.steer_decisions;
+        self.steer_pinned += other.steer_pinned;
     }
 }
 
@@ -267,6 +273,12 @@ pub struct MboxCounters {
     pub unenforceable: u64,
     /// Packets dropped because this box has crashed.
     pub dropped_failed: u64,
+    /// Fresh next-middlebox selections: one per flow that reaches a chain
+    /// hop here without a pin. Unweighted, unlike the fields above.
+    pub steer_decisions: u64,
+    /// Next-middlebox lookups answered by the flow's pinned selection.
+    /// Unweighted: one per packet or aggregate that replays the pin.
+    pub steer_pinned: u64,
 }
 
 impl MboxCounters {
@@ -281,6 +293,8 @@ impl MboxCounters {
         self.unmatched += other.unmatched;
         self.unenforceable += other.unenforceable;
         self.dropped_failed += other.dropped_failed;
+        self.steer_decisions += other.steer_decisions;
+        self.steer_pinned += other.steer_pinned;
     }
 }
 
@@ -339,7 +353,6 @@ mod tests {
             addr_plan: AddressPlan::new(&plan),
             encoding: SteeringEncoding::IpOverIp,
             mbox_functions: dep.iter().map(|(_, s)| s.functions.clone()).collect(),
-            tel: Arc::new(sdm_telemetry::ShardTelemetry::new(false)),
         }
     }
 

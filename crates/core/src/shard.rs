@@ -162,11 +162,10 @@ pub struct ShardedRun {
     pub mbox_counters: Vec<MboxCounters>,
     /// Merged soft-state footprint.
     pub footprint: StateFootprint,
-    /// Merged telemetry snapshot, built from the fields above plus the
-    /// hot-path collector. The collector's families are all zeros unless
-    /// telemetry was enabled (`SDM_TELEMETRY` /
-    /// [`EnforcementOptions::telemetry`]); the scraped table/simulator
-    /// families are always live.
+    /// Merged telemetry snapshot, scraped from the fields above plus the
+    /// numbers each simulator keeps beside its record (trace truncation,
+    /// and the drain histograms, which stay empty unless
+    /// [`EnforcementOptions::telemetry`] was `Some(true)`).
     pub telemetry: sdm_telemetry::Snapshot,
 }
 

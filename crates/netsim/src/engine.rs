@@ -366,6 +366,19 @@ unroutable {}, control {}",
     }
 }
 
+/// How the event loop drained, recorded on request
+/// ([`Simulator::enable_drain_histograms`]). Both depend on the drain
+/// limit and on which flows share the simulator, so unlike [`SimStats`]
+/// they differ across shard and batch corners.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct DrainHistograms {
+    /// Events in flight (the drained batch plus the calendar queue) as
+    /// each tick's batch is drained.
+    pub queue_occupancy: sdm_telemetry::HistData,
+    /// Length of each same-device receive run.
+    pub run_length: sdm_telemetry::HistData,
+}
+
 #[derive(Debug, Clone, Copy)]
 enum EventKind {
     Arrive { node: NodeId, pkt: PacketId },
@@ -452,9 +465,9 @@ pub struct Simulator {
     /// lands right before that packet's delivery record whatever the run
     /// length (see [`Simulator::flush_pending_traces`]).
     trace_pending: Vec<(PacketId, DeviceId, FiveTuple, u64)>,
-    /// Hot-path telemetry collector (disabled by default; see
-    /// [`Simulator::set_telemetry`]).
-    tel: std::sync::Arc<sdm_telemetry::ShardTelemetry>,
+    /// The drain histograms, when recorded (see
+    /// [`Simulator::enable_drain_histograms`]).
+    drain_hists: Option<Box<DrainHistograms>>,
     frag_mode: FragmentationMode,
     /// Per-split reassembly state, keyed by the parent packet, which stays
     /// parked in the arena until the last fragment arrives.
@@ -559,7 +572,7 @@ impl Simulator {
             trace_limit: 0,
             trace_dropped: 0,
             trace_pending: Vec::new(),
-            tel: std::sync::Arc::new(sdm_telemetry::ShardTelemetry::new(false)),
+            drain_hists: None,
             frag_mode: FragmentationMode::CountOnly,
             reassembly: FxHashMap::default(),
             service: Vec::new(),
@@ -653,12 +666,16 @@ impl Simulator {
         self.trace_dropped
     }
 
-    /// Installs the hot-path telemetry collector this simulator records
-    /// into (shared with the devices' runtime via `Arc`). The default
-    /// collector is disabled, which costs one predictable branch per
-    /// record site.
-    pub fn set_telemetry(&mut self, tel: std::sync::Arc<sdm_telemetry::ShardTelemetry>) {
-        self.tel = tel;
+    /// Starts recording the drain histograms from empty. They describe
+    /// how this simulator's event loop drained, not what the packets did,
+    /// so they stay out of [`SimStats`].
+    pub fn enable_drain_histograms(&mut self) {
+        self.drain_hists = Some(Box::default());
+    }
+
+    /// The drain histograms (`None` unless enabled).
+    pub fn drain_histograms(&self) -> Option<&DrainHistograms> {
+        self.drain_hists.as_deref()
     }
 
     fn record_trace(&mut self, at: SimTime, location: TraceLocation, flow: FiveTuple, weight: u64) {
@@ -933,7 +950,9 @@ impl Simulator {
             n += scratch.len() as u64;
             let in_flight = scratch.len() + self.queue.len();
             self.queue_high_water = self.queue_high_water.max(in_flight);
-            self.tel.observe_queue_occupancy(in_flight as u64);
+            if let Some(h) = &mut self.drain_hists {
+                h.queue_occupancy.observe(in_flight as u64);
+            }
             let mut i = 0;
             while i < scratch.len() {
                 match scratch[i] {
@@ -957,7 +976,9 @@ impl Simulator {
                             i += 1;
                         }
                         if !ready.is_empty() {
-                            self.tel.observe_run_length(ready.len() as u64);
+                            if let Some(h) = &mut self.drain_hists {
+                                h.run_length.observe(ready.len() as u64);
+                            }
                             self.dispatch_device(dev, &ready);
                             self.flush_pending_traces(None);
                         }
@@ -1705,15 +1726,13 @@ mod tests {
     fn telemetry_records_drain_histograms() {
         let plan = campus(1);
         let mut sim = Simulator::new(&plan);
-        let tel = std::sync::Arc::new(sdm_telemetry::ShardTelemetry::new(true));
-        sim.set_telemetry(tel.clone());
+        sim.enable_drain_histograms();
         let ft = flow(&sim, StubId(0), StubId(3));
         sim.inject_from_stub(StubId(0), Packet::data(ft, 500));
         sim.run_until_idle();
-        let mut snap = sdm_telemetry::Snapshot::new();
-        tel.export_into(&mut snap);
+        let h = sim.drain_histograms().unwrap();
         assert!(
-            snap.value(sdm_telemetry::family::QUEUE_OCCUPANCY, 0) > 0,
+            h.queue_occupancy.count > 0,
             "every drained tick batch observes queue occupancy"
         );
     }

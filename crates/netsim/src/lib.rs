@@ -56,7 +56,7 @@ mod schedule;
 pub use addr::{AddressPlan, Ipv4Addr, ParseAddrError, Prefix, StubId};
 pub use arena::{PacketArena, PacketId};
 pub use engine::{
-    preassigned_device_addr, Attachment, Device, DeviceCtx, DeviceId,
+    preassigned_device_addr, Attachment, Device, DeviceCtx, DeviceId, DrainHistograms,
     FragmentationMode, SimStats, SimTime, Simulator, TraceEvent, TraceLocation,
 };
 pub use queue::CalendarQueue;

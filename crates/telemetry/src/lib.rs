@@ -11,13 +11,12 @@
 //!   fixed label set, and an *invariance class* — whether its value is
 //!   provably identical across `SDM_SHARDS` / drain-limit corners
 //!   (see [`FamilyDesc::invariant`]);
-//! * a **lock-free per-shard collector** ([`ShardTelemetry`]) for the
-//!   handful of families recorded on the data-plane hot path, using
-//!   relaxed atomics behind a single `enabled` check so a disabled
-//!   collector is one predictable branch;
-//! * a plain-`u64` [`Snapshot`] that control-plane code fills by
-//!   scraping existing counters, merged **in shard-index order** like
-//!   every other fold in the workspace;
+//! * a plain-`u64` [`Snapshot`] that the run record is scraped into.
+//!   Counters live as plain fields of the state that owns the event — a
+//!   device's counters, the simulator's statistics — and are folded with
+//!   the rest of that record **in shard-index order**, like every other
+//!   fold in the workspace; the two drain histograms are plain
+//!   [`HistData`] the simulator records when asked to;
 //! * two exporters — a deterministic JSON writer ([`Snapshot::to_json`])
 //!   and Prometheus text exposition ([`Snapshot::to_prometheus`]) —
 //!   which by default emit only the invariant families, so their output
@@ -31,14 +30,14 @@
 //! # Example
 //!
 //! ```
-//! use sdm_telemetry::{family, Hop, ShardTelemetry, Snapshot};
+//! use sdm_telemetry::{family, HistData, Snapshot};
 //!
-//! let tel = ShardTelemetry::new(true);
-//! tel.steer_decision(Hop::Proxy);
-//! tel.observe_run_length(17);
+//! let mut runs = HistData::default();
+//! runs.observe(17);
 //!
 //! let mut snap = Snapshot::new();
-//! tel.export_into(&mut snap);
+//! snap.add_labeled(family::STEER_DECISIONS, 0, 3); // hop=proxy
+//! snap.add_hist(family::BATCH_RUN_LENGTH, &runs);
 //! snap.add(family::PACKETS_DELIVERED, 1000);
 //! let json = snap.to_json(false); // invariant families only
 //! assert!(json.contains("sdm_steer_decisions_total"));
@@ -49,7 +48,6 @@
 #![warn(missing_docs)]
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of log2 buckets per histogram: bucket `i` holds observations
 /// `v` with `2^i <= v+ < 2^(i+1)` (bucket 0 also holds `v == 0`), so the
@@ -96,8 +94,9 @@ pub struct FamilyDesc {
     /// `true` iff the family's value is provably byte-identical across
     /// `SDM_SHARDS` and drain-limit corners (flow-partitioned additive
     /// counts). Non-invariant families — anything counting *engine
-    /// mechanics* such as batch coalescing runs, per-shard queue depths
-    /// or pinned-decision replays — are excluded from golden exports.
+    /// mechanics* such as batch coalescing runs, per-shard queue depths,
+    /// expiry sweep passes or per-shard trace truncation — are excluded
+    /// from golden exports.
     pub invariant: bool,
     /// Label scheme.
     pub labels: Labels,
@@ -238,9 +237,9 @@ pub const REGISTRY: &[FamilyDesc] = &[
         name: "sdm_steer_pinned_total",
         kind: MetricKind::Counter,
         help: "Steering lookups answered by a pinned per-flow decision \
-               (batch run-mates replay a cached pin without reaching this \
-               counter, so the value depends on batching)",
-        invariant: false,
+               (one per packet or aggregate after a flow's first, whatever \
+               the drain limit or shard count)",
+        invariant: true,
         labels: Labels::Fixed("hop", STEER_HOPS),
     },
     FamilyDesc {
@@ -337,12 +336,6 @@ pub const REGISTRY: &[FamilyDesc] = &[
     },
 ];
 
-/// Whether `SDM_TELEMETRY` asks for telemetry (any non-empty value other
-/// than `0`).
-pub fn env_enabled() -> bool {
-    std::env::var("SDM_TELEMETRY").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
 /// The log2 bucket index of an observation.
 #[inline]
 pub fn bucket_of(v: u64) -> usize {
@@ -350,134 +343,6 @@ pub fn bucket_of(v: u64) -> usize {
         0
     } else {
         ((63 - v.leading_zeros()) as usize).min(HIST_BUCKETS - 1)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Hot-path collector
-// ---------------------------------------------------------------------------
-
-/// A chain hop where a steering decision can be made.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Hop {
-    /// The stub's policy proxy (first hop of a chain).
-    Proxy = 0,
-    /// A middlebox forwarding to the next function in the chain.
-    Middlebox = 1,
-}
-
-/// A lock-free log2 histogram recorded with relaxed atomics.
-#[derive(Debug)]
-pub struct AtomicHist {
-    buckets: [AtomicU64; HIST_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-}
-
-impl AtomicHist {
-    fn new() -> AtomicHist {
-        AtomicHist {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one observation.
-    #[inline]
-    pub fn observe(&self, v: u64) {
-        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// A plain-integer copy of the current state.
-    pub fn load(&self) -> HistData {
-        HistData {
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// The per-shard hot-path collector. One lives behind an `Arc` per
-/// simulator/shard; data-plane code records through `&self` with relaxed
-/// atomics, so no hot-path lock is ever taken. When constructed disabled
-/// every record method is a single branch — the zero-perturbation
-/// guarantee CI checks by byte-diffing figure outputs with
-/// `SDM_TELEMETRY` on and off.
-#[derive(Debug)]
-pub struct ShardTelemetry {
-    enabled: bool,
-    steer_decisions: [AtomicU64; 2],
-    steer_pinned: [AtomicU64; 2],
-    queue_occupancy: AtomicHist,
-    batch_run_length: AtomicHist,
-}
-
-impl ShardTelemetry {
-    /// A new collector; a disabled one never records anything.
-    pub fn new(enabled: bool) -> ShardTelemetry {
-        ShardTelemetry {
-            enabled,
-            steer_decisions: [AtomicU64::new(0), AtomicU64::new(0)],
-            steer_pinned: [AtomicU64::new(0), AtomicU64::new(0)],
-            queue_occupancy: AtomicHist::new(),
-            batch_run_length: AtomicHist::new(),
-        }
-    }
-
-    /// Whether this collector records at all.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// A fresh next-middlebox selection for a flow at `hop`.
-    #[inline]
-    pub fn steer_decision(&self, hop: Hop) {
-        if self.enabled {
-            self.steer_decisions[hop as usize].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// A steering lookup answered by an existing per-flow pin at `hop`.
-    #[inline]
-    pub fn steer_pin_replay(&self, hop: Hop) {
-        if self.enabled {
-            self.steer_pinned[hop as usize].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Calendar-queue events pending as a tick batch starts draining.
-    #[inline]
-    pub fn observe_queue_occupancy(&self, v: u64) {
-        if self.enabled {
-            self.queue_occupancy.observe(v);
-        }
-    }
-
-    /// Length of one coalesced same-device receive run.
-    #[inline]
-    pub fn observe_run_length(&self, v: u64) {
-        if self.enabled {
-            self.batch_run_length.observe(v);
-        }
-    }
-
-    /// Copies this collector's families into `snap` (added to whatever
-    /// is already there, so shards can export into one snapshot in
-    /// shard-index order).
-    pub fn export_into(&self, snap: &mut Snapshot) {
-        for (i, c) in self.steer_decisions.iter().enumerate() {
-            snap.add_labeled(family::STEER_DECISIONS, i, c.load(Ordering::Relaxed));
-        }
-        for (i, c) in self.steer_pinned.iter().enumerate() {
-            snap.add_labeled(family::STEER_PINNED, i, c.load(Ordering::Relaxed));
-        }
-        snap.add_hist(family::QUEUE_OCCUPANCY, &self.queue_occupancy.load());
-        snap.add_hist(family::BATCH_RUN_LENGTH, &self.batch_run_length.load());
     }
 }
 
@@ -500,6 +365,16 @@ pub struct HistData {
 impl Default for HistData {
     fn default() -> HistData {
         HistData { buckets: [0; HIST_BUCKETS], count: 0, sum: 0 }
+    }
+}
+
+impl HistData {
+    /// Records one observation.
+    #[inline]
+    pub fn observe(&mut self, v: u64) {
+        self.buckets[bucket_of(v)] += 1;
+        self.count += 1;
+        self.sum += v;
     }
 }
 
@@ -796,42 +671,26 @@ mod tests {
     }
 
     #[test]
-    fn disabled_collector_records_nothing() {
-        let tel = ShardTelemetry::new(false);
-        tel.steer_decision(Hop::Proxy);
-        tel.steer_pin_replay(Hop::Middlebox);
-        tel.observe_queue_occupancy(100);
-        tel.observe_run_length(5);
-        let mut snap = Snapshot::new();
-        tel.export_into(&mut snap);
-        assert_eq!(snap, Snapshot::new());
-    }
-
-    #[test]
-    fn shard_folds_equal_single_collector() {
-        // Recording 10+7 decisions split over two "shards" and folding in
-        // shard order equals one collector seeing all 17.
-        let a = ShardTelemetry::new(true);
-        let b = ShardTelemetry::new(true);
-        let one = ShardTelemetry::new(true);
-        for _ in 0..10 {
-            a.steer_decision(Hop::Proxy);
-            one.steer_decision(Hop::Proxy);
-        }
-        for _ in 0..7 {
-            b.steer_decision(Hop::Proxy);
-            b.observe_run_length(3);
-            one.steer_decision(Hop::Proxy);
-            one.observe_run_length(3);
+    fn shard_folds_equal_single_histogram() {
+        // 10 + 7 observations split over two "shards" and folded in shard
+        // order equal one histogram seeing all 17.
+        let [mut a, mut b, mut one] = [(); 3].map(|_| HistData::default());
+        for v in 0..17 {
+            if v < 10 {
+                a.observe(v);
+            } else {
+                b.observe(v);
+            }
+            one.observe(v);
         }
         let mut folded = Snapshot::new();
-        a.export_into(&mut folded);
-        b.export_into(&mut folded);
+        folded.add_hist(family::BATCH_RUN_LENGTH, &a);
+        folded.add_hist(family::BATCH_RUN_LENGTH, &b);
         let mut single = Snapshot::new();
-        one.export_into(&mut single);
+        single.add_hist(family::BATCH_RUN_LENGTH, &one);
         assert_eq!(folded, single);
         assert_eq!(folded.to_json(true), single.to_json(true));
-        assert_eq!(folded.value(family::STEER_DECISIONS, Hop::Proxy as usize), 17);
+        assert_eq!(folded.value(family::BATCH_RUN_LENGTH, 0), 17);
     }
 
     #[test]
@@ -853,15 +712,15 @@ mod tests {
     #[test]
     fn json_export_is_deterministic_and_filters_invariance() {
         let mut snap = Snapshot::new();
-        snap.add_labeled(family::STEER_PINNED, 0, 9);
+        snap.add(family::FLOW_SWEEPS, 9);
         snap.add(family::PACKETS_DELIVERED, 123);
         let golden = snap.to_json(false);
         assert!(golden.contains("\"sdm_packets_delivered_total\""));
         assert!(golden.contains("123"));
-        assert!(!golden.contains("sdm_steer_pinned_total"));
+        assert!(!golden.contains("sdm_flow_table_sweeps_total"));
         assert!(!golden.contains("sdm_queue_occupancy"));
         let f = snap.to_json(true);
-        assert!(f.contains("\"sdm_steer_pinned_total\": {\"kind\": \"counter\", \"cells\": {\"hop=proxy\": 9, \"hop=middlebox\": 0}}"));
+        assert!(f.contains("\"sdm_flow_table_sweeps_total\": {\"kind\": \"counter\", \"cells\": {\"device=proxy\": 9, \"device=ingress\": 0, \"device=mbox\": 0}}"));
         // byte-for-byte stable across identical content
         assert_eq!(golden, snap.clone().to_json(false));
     }
@@ -869,11 +728,11 @@ mod tests {
     #[test]
     fn prometheus_export_has_cumulative_buckets() {
         let mut snap = Snapshot::new();
-        let h = AtomicHist::new();
+        let mut h = HistData::default();
         h.observe(0);
         h.observe(1);
         h.observe(5);
-        snap.add_hist(family::QUEUE_OCCUPANCY, &h.load());
+        snap.add_hist(family::QUEUE_OCCUPANCY, &h);
         let text = snap.to_prometheus(true);
         assert!(text.contains("# TYPE sdm_queue_occupancy histogram"));
         assert!(text.contains("sdm_queue_occupancy_bucket{le=\"1\"} 2"));

@@ -9,7 +9,7 @@
 //! must occur as a word in some scanned source. So must every segment of
 //! a backticked Rust symbol — a `CamelCase` identifier or a `::` path such
 //! as `Controller::run_sharded` — where a trailing `*` matches a prefix
-//! (`ShardTelemetry::record_*`) and a path that starts with a file
+//! (`Snapshot::add_*`) and a path that starts with a file
 //! (`tests/cli.rs::help_prints_usage`) must name a word of that file. Docs
 //! name files and symbols so a reader can find them; a deletion that
 //! leaves the name behind fails the real-tree test below, in `cargo test`.

@@ -11,8 +11,8 @@
 //! * [`workload`] — workload generation per the paper's evaluation section.
 //! * [`verify`] — static analysis: the enforcement-plan verifier, the
 //!   reachability checker and the docs' stale-name check.
-//! * [`telemetry`] — deterministic metrics registry, per-shard collectors
-//!   and JSON/Prometheus exporters.
+//! * [`telemetry`] — deterministic metrics registry, the snapshot a run
+//!   record is scraped into, and JSON/Prometheus exporters.
 //! * [`util`] — in-tree infrastructure (PRNG, property-testing and bench
 //!   harnesses, JSON, scoped-thread parallel map); keeps the build hermetic.
 //!

@@ -1,19 +1,20 @@
-//! Property test for the telemetry subsystem (ISSUE 8 tentpole): the
-//! invariant-family snapshot export is **byte-identical** across the two
-//! execution axes — `SDM_SHARDS` (1 vs 4, merged in shard-index order)
-//! and the drain limit (1 vs 256) — on randomized deployments, flow
-//! populations and soft-state TTLs.
+//! Property test for the telemetry subsystem: the invariant-family
+//! snapshot export is **byte-identical** across three axes — `SDM_SHARDS`
+//! (1 vs 4, merged in shard-index order), the drain limit (1 vs 256) and
+//! [`EnforcementOptions::telemetry`] (`Some(true)` vs `Some(false)`) — on
+//! randomized deployments, flow populations and soft-state TTLs. The last
+//! axis is the zero-perturbation check: turning the drain histograms on
+//! changes nothing but those two families.
 //!
-//! Non-invariant families (queue-occupancy / run-length histograms,
-//! pinned-replay counts) legitimately depend on the execution
+//! Non-invariant families (queue-occupancy / run-length histograms, sweep
+//! passes, trace truncation) legitimately depend on the execution
 //! configuration; the registry marks them and the default (`full =
 //! false`) exports exclude them — the last test proves that exclusion is
 //! load-bearing, not decorative.
 //!
-//! Shard counts and drain limits are set programmatically (per-call
-//! argument / `sim_mut().set_batch_size`), and telemetry is forced on via
-//! [`EnforcementOptions::telemetry`], so the test is immune to env races
-//! in a parallel test run.
+//! Shard counts, drain limits and the histogram switch are set
+//! programmatically (per-call argument / `sim_mut().set_batch_size` /
+//! options), so the test is immune to env races in a parallel test run.
 
 use sdm::core::{EnforcementOptions, Strategy as Steering};
 use sdm::util::prop::{check, Config};
@@ -100,6 +101,38 @@ fn telemetry_snapshots_are_corner_invariant() {
                 &run_batch(1).to_json(false),
                 "drain limit 1 vs 256"
             );
+
+            // Histogram axis: the same world with the drain histograms
+            // off records the same run, and exports differ only in them.
+            let off = world.controller.run_sharded(
+                Steering::HotPotato,
+                None,
+                EnforcementOptions {
+                    telemetry: Some(false),
+                    ..options
+                },
+                &specs,
+                1,
+            );
+            common::compare(&one, &off, "telemetry on vs off")?;
+            prop_assert_eq!(
+                &off.telemetry.to_json(false),
+                &one.telemetry.to_json(false),
+                "telemetry on vs off"
+            );
+            let (on_full, off_full) = (one.telemetry.to_json(true), off.telemetry.to_json(true));
+            prop_assert_eq!(
+                on_full.lines().count(),
+                off_full.lines().count(),
+                "full export families"
+            );
+            for (on, off) in on_full.lines().zip(off_full.lines()) {
+                let histogram = on.starts_with("  \"sdm_queue_occupancy\"")
+                    || on.starts_with("  \"sdm_batch_run_length\"");
+                if !histogram {
+                    prop_assert_eq!(on, off, "full export outside the drain histograms");
+                }
+            }
             Ok(())
         },
     );
